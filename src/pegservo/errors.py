@@ -18,15 +18,6 @@ class InsufficientViews(PegServoError):
     """Fewer than two error directions were supplied to the reconstruction."""
 
 
-class IllConditioned(PegServoError):
-    """All error directions are near-parallel.
-
-    reconstruct_error does not raise this; it flags the result instead. The
-    class exists so callers that insist on a well-conditioned solve have a
-    typed error to raise.
-    """
-
-
 class BehindCamera(PegServoError):
     """Projected point has non-positive depth in the camera frame."""
 
@@ -44,16 +35,7 @@ class InvalidConfig(PegServoError):
 
 
 class ConstraintViolation(PegServoError):
-    """A TCP move outside the insertion plane was requested without a stroke."""
-
-
-class SearchExhausted(PegServoError):
-    """Spiral search ran out of pattern offsets.
-
-    Simulation code reports this condition through InsertionOutcome.success
-    rather than raising; the class names the failure mode for callers that
-    need to abort on it.
-    """
+    """A TCP move left the insertion plane without a stroke, or had a non-finite target."""
 
 
 class ShapeMismatch(PegServoError):

@@ -7,11 +7,11 @@ grid that still guarantees a hit anywhere inside the searched disc.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import InvalidRadius, InvalidTolerance
+from .errors import InvalidRadius, InvalidTolerance, IoError
 
 # Norms are rounded to this quantum before ordering so that lattice points on
 # the same ring compare equal despite float construction jitter.
@@ -26,7 +26,7 @@ class SearchPattern:
     ties broken counterclockwise by angle from the +x axis.
     """
 
-    offsets: np.ndarray  # shape (n, 2)
+    offsets: np.ndarray  # shape (n, 2), read-only
     spacing: float
     tolerance: float
     max_radius: float
@@ -35,11 +35,13 @@ class SearchPattern:
         return len(self.offsets)
 
 
+@lru_cache(maxsize=16)
 def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
     """Build the search pattern for a given tolerance and search radius.
 
     Includes every lattice point with norm <= max_radius + tolerance; the
-    margin keeps targets just inside the rim covered.
+    margin keeps targets just inside the rim covered. Patterns are memoized
+    per (tolerance, max_radius), so callers share one read-only pattern.
     """
     if not tolerance > 0:
         raise InvalidTolerance(f"tolerance must be > 0, got {tolerance}")
@@ -59,8 +61,9 @@ def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
     norms = norms[keep]
     angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
     ring = np.round(norms / _NORM_QUANTUM).astype(np.int64)
-    order = np.lexsort((angles, ring))
-    return SearchPattern(offsets=pts[order], spacing=float(s),
+    offsets = pts[np.lexsort((angles, ring))]
+    offsets.flags.writeable = False
+    return SearchPattern(offsets=offsets, spacing=float(s),
                          tolerance=float(tolerance), max_radius=float(max_radius))
 
 
@@ -82,6 +85,7 @@ def covering_radius(pattern: SearchPattern, region_radius: float,
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= region_radius + 1e-12]
     if len(pts) == 0:
         pts = np.zeros((1, 2))
+    from scipy.spatial import cKDTree  # costly import, needed only here
     tree = cKDTree(pattern.offsets)
     dists, _ = tree.query(pts, k=1)
     return float(np.max(dists))
@@ -97,5 +101,8 @@ def write_pattern_csv(pattern: SearchPattern, path) -> None:
     lines = ["index,dx_mm,dy_mm"]
     for k, (dx, dy) in enumerate(pattern.offsets):
         lines.append(f"{k},{float(dx)!r},{float(dy)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoError(str(exc)) from exc

@@ -208,17 +208,25 @@ def move_tcp(world: WorldState, new_tcp, stroke: bool = False) -> None:
 
     Non-stroke moves must stay in the plane perpendicular to l; stroke=True
     permits displacement along l (insertion strokes and capture height
-    moves). Out-of-plane non-stroke motion raises ConstraintViolation.
+    moves). Out-of-plane non-stroke motion and any non-finite target raise
+    ConstraintViolation, leaving the TCP where it was.
     """
     new_tcp = np.asarray(new_tcp, dtype=float)
-    dp = new_tcp - world.tcp
-    along = abs(float(np.dot(dp, world.config.insertion_direction)))
+    if not np.isfinite(new_tcp).all():
+        raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
     if not stroke:
-        if along > _INPLANE_TOL:
-            raise ConstraintViolation(
-                f"TCP move has out-of-plane component {along:.3e} mm")
-        world.max_inplane_violation = max(world.max_inplane_violation, along)
+        _check_inplane(world, abs(float(np.dot(new_tcp - world.tcp,
+                                               world.config.insertion_direction))))
     world.tcp = new_tcp
+
+
+def _check_inplane(world: WorldState, along) -> None:
+    """Reject out-of-plane move components and record the largest one."""
+    worst = float(np.max(along, initial=0.0))
+    if not worst <= _INPLANE_TOL:
+        raise ConstraintViolation(
+            f"TCP move has out-of-plane component {worst:.3e} mm")
+    world.max_inplane_violation = max(world.max_inplane_violation, worst)
 
 
 def attempt_insertion(world: WorldState, tcp=None) -> bool:
@@ -350,32 +358,55 @@ def spiral_insert(world: WorldState, start_tcp, pattern,
     Charges t_attempt per attempt. On success the TCP stays at the
     successful offset; on failure it returns to start_tcp and the
     retrospective error is nan.
+
+    The offsets are screened in one vectorized pass, then confirmed. The
+    screen computes every offset's in-plane peg-hole distance at once in
+    basis coordinates, |basis.T @ (hole - peg at start_tcp) - offset|. It
+    differs from the per-attempt arithmetic only by rounding, a few ulps of
+    the largest coordinate involved, so every offset that would insert
+    screens within a 1e-9 relative slack of the tolerance. These candidates
+    are confirmed in pattern order with the per-attempt arithmetic itself
+    (start_tcp + basis @ offset, then true_inplane_error); the first that
+    passes is the hit. Attempts, the final TCP and the retrospective error
+    are therefore bit-identical to trying the offsets one by one. Every
+    move made (to start_tcp, through the offsets up to the hit, and back to
+    start_tcp on failure) is checked for out-of-plane motion before any
+    attempt is counted.
     """
-    if not np.isclose(pattern.tolerance, world.config.tolerance):
+    cfg = world.config
+    tol = cfg.tolerance
+    if not np.isclose(pattern.tolerance, tol):
         warnings.warn(f"pattern tolerance {pattern.tolerance} != world "
-                      f"tolerance {world.config.tolerance}", stacklevel=2)
+                      f"tolerance {tol}", stacklevel=2)
     start_tcp = np.asarray(start_tcp, dtype=float)
     move_tcp(world, start_tcp)
-    success = False
-    attempts = 0
-    final = start_tcp
-    for off in pattern.offsets:
-        tcp_k = start_tcp + world.basis @ off
-        move_tcp(world, tcp_k)
-        attempts += 1
-        if attempt_insertion(world, tcp_k):
-            success = True
-            final = tcp_k
+    offsets, basis = pattern.offsets, world.basis
+    peg = peg_position(world, start_tcp)
+    miss = basis.T @ (world.true_hole - peg)
+    screen = np.hypot(offsets[:, 0] - miss[0], offsets[:, 1] - miss[1])
+    scale = max(np.abs(offsets).max(initial=0.0), np.abs(world.true_hole).max(),
+                np.abs(peg).max())
+    success, attempts, final = False, len(offsets), start_tcp
+    for k in np.flatnonzero(screen <= tol + 1e-9 * (tol + scale)):
+        tcp_k = start_tcp + basis @ offsets[k]
+        if true_inplane_error(world, tcp_k) <= tol:
+            success, attempts, final = True, int(k) + 1, tcp_k
             break
+    path = [start_tcp[None, :], start_tcp + offsets[:attempts] @ basis.T]
+    if not success:
+        path.append(start_tcp[None, :])
+    _check_inplane(world, np.abs(np.diff(np.concatenate(path), axis=0)
+                                 @ cfg.insertion_direction))
+    world.tcp = final
+    world.attempt_count += attempts
     t = attempts * timing.t_attempt
     world.elapsed_time += t
     if not success:
-        move_tcp(world, start_tcp)
         return InsertionOutcome(success=False, attempts=attempts, simulated_time=t,
                                 final_tcp=start_tcp,
                                 retrospective_error_mm=float("nan"))
     retro = np.linalg.norm(inplane_component(final - start_tcp,
-                                             world.config.insertion_direction))
+                                             cfg.insertion_direction))
     return InsertionOutcome(success=True, attempts=attempts, simulated_time=t,
                             final_tcp=final, retrospective_error_mm=float(retro))
 

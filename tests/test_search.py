@@ -1,11 +1,15 @@
 """Isometric-grid spiral search pattern."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pegservo.errors import InvalidRadius, InvalidTolerance
+import pegservo
+from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
 from pegservo.search import (covering_radius, generate_pattern,
                              pattern_density, write_pattern_csv)
 
@@ -122,3 +126,26 @@ def test_pattern_csv(tmp_path):
     assert lines[1] == "0,0.0,0.0"
     k, dx, dy = lines[2].split(",")
     assert (float(dx), float(dy)) == (p.offsets[1][0], p.offsets[1][1])
+
+
+def test_pattern_csv_io_error_is_typed(tmp_path):
+    with pytest.raises(IoError):
+        write_pattern_csv(generate_pattern(0.1, S), tmp_path / "missing" / "pattern.csv")
+
+
+def test_memoized_pattern_is_shared_and_read_only():
+    p = generate_pattern(0.1, 1.0)
+    assert generate_pattern(0.1, 1.0) is p
+    assert not p.offsets.flags.writeable
+    with pytest.raises(ValueError):
+        p.offsets[0, 0] = 1.0
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs a large share of start-up; only covering_radius uses it
+    src = os.path.dirname(os.path.dirname(pegservo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pegservo; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pegservo.errors import InvalidConfig
+from pegservo.errors import ConstraintViolation, InvalidConfig
 from pegservo.geometry import aimed_camera, vec3
-from pegservo.perception import OracleModel
+from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.servoing import (ServoConfig, servo_config_for, servo_step,
                                visual_servo, write_trace_csv)
 from pegservo.sim import (TimingModel, WorldConfig, move_tcp, new_world,
@@ -175,3 +175,17 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("iteration,y_0,q_mm_0,y_1,q_mm_1,e_hat_x")
     assert len(lines) == 4
+
+
+def test_nan_prediction_fails_fast_without_moving():
+    w = _world_with_error([0.4, -0.2])
+    r = w.config.cameras[0].r
+    nan_model = RidgeModel(weights=np.zeros(r * r), bias=float("nan"), lam=1.0,
+                           spec=InputSpec(r=r, robust=False, feat_mean=np.zeros(r * r),
+                                          feat_std=np.ones(r * r)))
+    cfg = servo_config_for(w, (nan_model, nan_model), n_iters=1)
+    before, elapsed = w.tcp.copy(), w.elapsed_time
+    with pytest.raises(ConstraintViolation):
+        servo_step(w, cfg)
+    assert np.array_equal(w.tcp, before)
+    assert w.elapsed_time == elapsed

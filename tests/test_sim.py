@@ -113,6 +113,16 @@ def test_inplane_constraint_enforced():
     assert w.max_inplane_violation <= 1e-9
 
 
+def test_non_finite_target_rejected():
+    w = _quiet_world()
+    before = w.tcp.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        for stroke in (False, True):
+            with pytest.raises(ConstraintViolation):
+                move_tcp(w, w.tcp + vec3(bad, 0.0, 0.0), stroke=stroke)
+    assert np.array_equal(w.tcp, before)
+
+
 def test_attempt_threshold():
     w = _quiet_world()
     eps = w.config.tolerance
