@@ -8,12 +8,12 @@ from .geometry import (CameraModel, aimed_camera, error_direction,
 from .search import SearchPattern, covering_radius, generate_pattern
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig, WorldState,
                   new_world, render, spiral_insert)
-from .perception import (Dataset, MlpModel, OracleModel, RidgeModel, Sample,
-                         TrainConfig, evaluate, gradient_check, init_mlp,
-                         predict, train)
+from .perception import (Dataset, MlpModel, OracleModel, RidgeModel,
+                         TrainConfig, evaluate, featurize, gradient_check,
+                         init_mlp, predict, train)
 from .servoing import ServoConfig, servo_config_for, servo_step, visual_servo
-from .pipeline import (CollectionConfig, DeploymentGate, ShiftMonitor,
-                       collect_dataset, configure, insert, split_by_insertion)
+from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
+                       configure, insert, split_by_insertion, train_per_camera)
 from .bench import (BenchConfig, BenchReport, BenchRow, emit_report,
                     fit_quadratic_law, run_benchmark)
 
@@ -24,11 +24,11 @@ __all__ = [
     "SearchPattern", "covering_radius", "generate_pattern",
     "COMPONENT_STYLES", "TimingModel", "WorldConfig", "WorldState",
     "new_world", "render", "spiral_insert",
-    "Dataset", "MlpModel", "OracleModel", "RidgeModel", "Sample",
-    "TrainConfig", "evaluate", "gradient_check", "init_mlp", "predict", "train",
+    "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",
+    "evaluate", "featurize", "gradient_check", "init_mlp", "predict", "train",
     "ServoConfig", "servo_config_for", "servo_step", "visual_servo",
-    "CollectionConfig", "DeploymentGate", "ShiftMonitor", "collect_dataset",
-    "configure", "insert", "split_by_insertion",
+    "CollectionConfig", "DeploymentGate", "collect_dataset", "configure",
+    "insert", "split_by_insertion", "train_per_camera",
     "BenchConfig", "BenchReport", "BenchRow", "emit_report",
     "fit_quadratic_law", "run_benchmark",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidConfig, IoError, ModelsNotDeployed
 from .pipeline import insert
 from .search import generate_pattern
-from .servoing import ServoConfig
+from .servoing import servo_config_for
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig, move_tcp,
                   new_world, true_inplane_error)
 
@@ -87,11 +87,8 @@ def _run_episode(cfg: BenchConfig, models_for_style, style: str,
     true_err = true_inplane_error(world)
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     if mode == MODE_VS:
-        servo_cfg = ServoConfig(models=tuple(models_for_style),
-                                cameras=wcfg.cameras,
-                                insertion_direction=wcfg.insertion_direction,
-                                nominal_hole=wcfg.nominal_hole,
-                                n_iters=cfg.n_iters, timing=cfg.timing)
+        servo_cfg = servo_config_for(world, models_for_style,
+                                     n_iters=cfg.n_iters, timing=cfg.timing)
         out = insert(world, "servo_then_spiral", servo_cfg, pattern, cfg.timing)
     else:
         out = insert(world, "spiral_only", None, pattern, cfg.timing)

@@ -5,7 +5,8 @@ echoing the resolved configuration; artifacts land next to it. Domain
 errors exit 1 with the error class name on stderr; usage errors exit 2.
 
 PEGSERVO_OUT and PEGSERVO_JOBS provide defaults for --out and --jobs; an
-explicit flag always wins. No other environment variables are consulted.
+explicit flag always wins, and only bench reads PEGSERVO_JOBS. No other
+environment variables are consulted.
 """
 
 import argparse
@@ -22,9 +23,9 @@ from .bench import (MODE_VS, BenchConfig, BenchRow, build_report, emit_report,
                     run_benchmark)
 from .errors import InvalidConfig, IoError, PegServoError
 from .perception import (TrainConfig, evaluate, load_dataset, load_model,
-                         save_dataset, save_model, train)
+                         save_dataset, save_model)
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
-                       configure, split_by_insertion)
+                       configure, train_per_camera)
 from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
@@ -82,6 +83,15 @@ def _bench_config(sections) -> BenchConfig:
                    world_template=_world_config(sections))
 
 
+def _write_json(path, obj) -> None:
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
 def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
     os.makedirs(out_dir, exist_ok=True)
     args = {k: v for k, v in vars(ns).items() if k != "func"}
@@ -93,12 +103,7 @@ def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
         "config": config_echo,
         "outputs": sorted(outputs),
     }
-    try:
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _model_dirs(models_dir):
@@ -142,9 +147,7 @@ def cmd_simulate(ns) -> int:
         "component_style": wcfg.component_style,
         "seed": wcfg.seed,
     }
-    with open(os.path.join(ns.out, "scene.json"), "w") as fh:
-        json.dump(scene, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(ns.out, "scene.json"), scene)
     print(f"simulate: {len(wcfg.cameras)} views, true error "
           f"{scene['true_inplane_error_mm']:.4f} mm -> {ns.out}")
     return 0
@@ -180,21 +183,18 @@ def cmd_train(ns) -> int:
     n_cams = len(data.cameras)
     outputs = [f"models/cam{j}/model.json" for j in range(n_cams)] + ["report.json"]
     _write_manifest(ns.out, "train", ns, echo, outputs)
-    train_ds, val_ds = split_by_insertion(data, ccfg.train_insertions, hyper.seed)
-    report = {"per_camera": {}, "train_ids": sorted(train_ds.grouping),
-              "val_ids": sorted(val_ds.grouping)}
-    for j in range(n_cams):
-        model, tr = train(train_ds.by_camera(j), val_ds.by_camera(j), hyper)
+    fit = train_per_camera(data, ccfg.train_insertions, hyper)
+    report = {"per_camera": {}, "train_ids": fit.train_ids,
+              "val_ids": fit.val_ids}
+    for j, model in fit.models.items():
         save_model(model, os.path.join(ns.out, "models", f"cam{j}"))
-        metrics = evaluate(model, val_ds.by_camera(j))
+        tr, metrics = fit.reports[j], fit.metrics[j]
         report["per_camera"][str(j)] = {
             "epochs_run": tr.epochs_run, "best_val_loss": tr.best_val_loss,
             "stopped_early": tr.stopped_early, **metrics}
         print(f"train: cam{j} val mae {metrics['mae_mm']:.4f} mm "
               f"({tr.epochs_run} epochs)")
-    with open(os.path.join(ns.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(ns.out, "report.json"), report)
     return 0
 
 
@@ -209,9 +209,7 @@ def cmd_evaluate(ns) -> int:
         metrics[str(j)] = evaluate(model, sub)
         print(f"evaluate: cam{j} mae {metrics[str(j)]['mae_mm']:.4f} mm "
               f"over {metrics[str(j)]['n']} samples")
-    with open(os.path.join(ns.out, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(ns.out, "metrics.json"), metrics)
     return 0
 
 
@@ -244,9 +242,7 @@ def cmd_servo(ns) -> int:
         "elapsed_time_s": world.elapsed_time,
         "n_iters": ns.n_iters,
     }
-    with open(os.path.join(ns.out, "result.json"), "w") as fh:
-        json.dump(result, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(ns.out, "result.json"), result)
     print(f"servo: residuals {['%.4f' % r for r in residuals]} mm, "
           f"time {world.elapsed_time:.3f} s")
     return 0
@@ -340,6 +336,17 @@ def cmd_report(ns) -> int:
     return 0
 
 
+def _jobs(value: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1 (flag or PEGSERVO_JOBS), got {value!r}")
+    return jobs
+
+
 def _add_out(p, sub):
     p.add_argument("--out", default=os.environ.get("PEGSERVO_OUT",
                                                    os.path.join("runs", sub)),
@@ -402,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--models", help="per-style model root; trains if omitted")
     p.add_argument("--train-seed", type=int, default=1000)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("PEGSERVO_JOBS", "1")),
+    # A string default is converted by _jobs only when bench is the
+    # subcommand, so a bad PEGSERVO_JOBS cannot break the others.
+    p.add_argument("--jobs", type=_jobs,
+                   default=os.environ.get("PEGSERVO_JOBS", "1"),
                    help="episode workers (env PEGSERVO_JOBS); results "
                         "are identical for any value")
     _add_out(p, "bench")

@@ -72,3 +72,7 @@ class InsufficientData(PegServoError):
 
 class IoError(PegServoError):
     """Filesystem failure while writing or reading an artifact."""
+
+
+class CorruptArtifact(PegServoError):
+    """A saved artifact is truncated, malformed or of another schema version."""

@@ -9,64 +9,72 @@ never share a hidden world.
 """
 
 import json
-import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (EmptyDataset, InvalidConfig, IoError, LeakedInsertion,
-                     NotDifferentiableKind, ShapeMismatch)
+from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig, IoError,
+                     LeakedInsertion, NotDifferentiableKind, ShapeMismatch)
 from .geometry import camera_from_dict, camera_to_dict
 from .sim import Observation
 
-log = logging.getLogger(__name__)
-
 SCHEMA_VERSION = 1
 
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled observation from a collection run.
-
-    y is the training label (normalized error the servo should apply), q_mm
-    its millimeter equivalent, height_mm the capture height above the
-    reference pose.
-    """
-
-    observation: Observation
-    y: float
-    insertion_id: int
-    camera_index: int
-    q_mm: float
-    height_mm: float
+# Per-sample label columns of a Dataset (also meta.json's per-sample keys)
+_LABELS = {"insertion_id": np.int64, "camera_index": np.int64,
+           "y": np.float64, "truth_y": np.float64, "q_mm": np.float64,
+           "height_mm": np.float64}
 
 
 @dataclass
 class Dataset:
-    samples: list
+    """Labeled samples from a collection run, stored as columns.
+
+    Sample i's image is images[rows[i]]; the (N, r, r) float32 buffer is
+    shared by every view, so subset and by_camera copy only rows and the
+    label columns. y is the training label (normalized error the servo
+    should apply), truth_y the renderer's ground truth for the same image,
+    q_mm the label's millimeter equivalent, and height_mm the capture
+    height above the reference pose.
+    """
+
+    images: np.ndarray  # (N, r, r) float32, shared between views
+    rows: np.ndarray  # (n,) int
+    insertion_id: np.ndarray  # (n,) int
+    camera_index: np.ndarray  # (n,) int
+    y: np.ndarray  # (n,) float64
+    truth_y: np.ndarray
+    q_mm: np.ndarray
+    height_mm: np.ndarray
     cameras: tuple
-    r: int
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.rows)
+
+    @property
+    def r(self) -> int:
+        return self.images.shape[-1]
 
     @property
     def grouping(self) -> dict:
-        """insertion_id -> list of sample indices."""
-        groups: dict = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.insertion_id, []).append(i)
-        return groups
+        """insertion_id -> indices of its samples."""
+        return {i: np.flatnonzero(self.insertion_id == i)
+                for i in np.unique(self.insertion_id).tolist()}
+
+    def pixels(self) -> np.ndarray:
+        """The samples' (n, r, r) images, in sample order (a copy)."""
+        return self.images[self.rows]
+
+    def _where(self, mask) -> "Dataset":
+        return replace(self, rows=self.rows[mask],
+                       **{k: getattr(self, k)[mask] for k in _LABELS})
 
     def subset(self, insertion_ids) -> "Dataset":
-        ids = set(insertion_ids)
-        return Dataset([s for s in self.samples if s.insertion_id in ids],
-                       self.cameras, self.r)
+        return self._where(np.isin(self.insertion_id, list(insertion_ids)))
 
     def by_camera(self, camera_index: int) -> "Dataset":
-        return Dataset([s for s in self.samples if s.camera_index == camera_index],
-                       self.cameras, self.r)
+        return self._where(self.camera_index == camera_index)
 
 
 @dataclass(frozen=True)
@@ -88,27 +96,46 @@ _ROBUST_PCTL = 99.0
 _ROBUST_FLOOR = -0.5
 
 
-def _raw_features(pixels: np.ndarray, robust: bool) -> np.ndarray:
-    x = np.asarray(pixels, dtype=np.float64).ravel()
-    if robust:
+def featurize(images, spec: InputSpec) -> np.ndarray:
+    """(n, r, r) images -> (n, r*r) float64 features, one row per image.
+
+    Every step works on each row alone, so a row's features do not depend
+    on the other images in the batch.
+    """
+    images = np.asarray(images)
+    if images.ndim != 3 or images.shape[1:] != (spec.r, spec.r):
+        raise ShapeMismatch(f"expected (n, {spec.r}, {spec.r}) images, "
+                            f"got {images.shape}")
+    X = np.array(images, dtype=np.float64).reshape(len(images), -1)
+    if spec.robust:
         # Zero the background at the median and scale by the bright tail so
         # the foreground amplitude is scene-independent; then floor the dark
         # tail, whose contrast against the background varies oppositely and
-        # would otherwise leak a per-scene gain into a linear readout.
-        m = np.median(x)
-        scale = np.percentile(x, _ROBUST_PCTL) - m
-        if scale < 1e-6:
-            scale = 1.0
-        x = np.maximum((x - m) / scale, _ROBUST_FLOOR)
-    return x
+        # would otherwise leak a per-scene gain into a linear readout. Both
+        # order statistics reorder one scratch copy's rows in place, which
+        # keeps each row's values and so does not change the second one.
+        work = X.copy()
+        m = np.median(work, axis=1, keepdims=True, overwrite_input=True)
+        scale = np.percentile(work, _ROBUST_PCTL, axis=1, keepdims=True,
+                              overwrite_input=True) - m
+        scale[scale < 1e-6] = 1.0
+        X -= m
+        X /= scale
+        np.maximum(X, _ROBUST_FLOOR, out=X)
+    X -= spec.feat_mean
+    X /= spec.feat_std
+    return X
 
 
-def _features(pixels: np.ndarray, spec: InputSpec) -> np.ndarray:
-    if np.asarray(pixels).shape != (spec.r, spec.r):
-        raise ShapeMismatch(f"expected {(spec.r, spec.r)} image, "
-                            f"got {np.asarray(pixels).shape}")
-    x = _raw_features(pixels, spec.robust)
-    return (x - spec.feat_mean) / spec.feat_std
+def _fit_input(ds: Dataset, robust: bool):
+    """The input spec that standardizes ds's features, and those features."""
+    X = featurize(ds.pixels(), InputSpec(r=ds.r, robust=robust,
+                                         feat_mean=0.0, feat_std=1.0))
+    spec = InputSpec(r=ds.r, robust=robust, feat_mean=X.mean(axis=0),
+                     feat_std=np.maximum(X.std(axis=0), 1e-8))
+    X -= spec.feat_mean
+    X /= spec.feat_std
+    return spec, X
 
 
 @dataclass
@@ -174,12 +201,6 @@ class TrainReport:
     stopped_early: bool
 
 
-def _design(ds: Dataset, robust: bool):
-    X = np.stack([_raw_features(s.observation.pixels, robust) for s in ds.samples])
-    y = np.array([s.y for s in ds.samples], dtype=np.float64)
-    return X, y
-
-
 def _check_split(train_ds: Dataset, val_ds: Dataset) -> None:
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
@@ -195,19 +216,10 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     not the last-step parameters.
     """
     _check_split(train_ds, val_ds)
-    Xtr, ytr = _design(train_ds, hyper.robust_norm)
-    Xva, yva = _design(val_ds, hyper.robust_norm)
-    if Xtr.shape[1] != Xva.shape[1]:
-        raise ShapeMismatch("train/val feature dimensions differ")
-    feat_mean = Xtr.mean(axis=0)
-    feat_std = np.maximum(Xtr.std(axis=0), 1e-8)
-    spec = InputSpec(r=train_ds.r, robust=hyper.robust_norm,
-                     feat_mean=feat_mean, feat_std=feat_std)
-    Xtr = (Xtr - feat_mean) / feat_std
-    Xva = (Xva - feat_mean) / feat_std
-    if hyper.kind == "ridge":
-        return _train_ridge(Xtr, ytr, Xva, yva, spec, hyper)
-    return _train_mlp(Xtr, ytr, Xva, yva, spec, hyper)
+    spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
+    Xva = featurize(val_ds.pixels(), spec)
+    fit = _train_ridge if hyper.kind == "ridge" else _train_mlp
+    return fit(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper)
 
 
 def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
@@ -271,11 +283,7 @@ def init_mlp(ds: Dataset, hyper: TrainConfig) -> MlpModel:
         raise InvalidConfig(f"init_mlp requires kind='mlp', got {hyper.kind!r}")
     if len(ds) == 0:
         raise EmptyDataset("cannot derive an input spec from an empty dataset")
-    X, _ = _design(ds, hyper.robust_norm)
-    feat_mean = X.mean(axis=0)
-    feat_std = np.maximum(X.std(axis=0), 1e-8)
-    spec = InputSpec(r=ds.r, robust=hyper.robust_norm,
-                     feat_mean=feat_mean, feat_std=feat_std)
+    spec, X = _fit_input(ds, hyper.robust_norm)
     rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 2]))
     params = _mlp_init(X.shape[1], tuple(hyper.hidden), rng)
     return MlpModel(params=params, spec=spec, hidden=tuple(hyper.hidden))
@@ -375,7 +383,7 @@ def predict(model, obs: Observation, rng=None) -> float:
                 raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
             y += model.noise_sigma * float(rng.standard_normal())
         return float(y)
-    x = _features(obs.pixels, model.spec)
+    x = featurize(np.asarray(obs.pixels)[None], model.spec)[0]
     if model.kind == "ridge":
         return float(x @ model.weights + model.bias)
     return float(_mlp_forward(model.params, x[None, :])[0])
@@ -383,13 +391,13 @@ def predict(model, obs: Observation, rng=None) -> float:
 
 def _predict_batch(model, ds: Dataset, rng=None) -> np.ndarray:
     if model.kind == "oracle":
-        y = np.array([s.observation.truth_y for s in ds.samples], dtype=np.float64)
+        y = ds.truth_y
         if model.noise_sigma > 0.0:
             if rng is None:
                 raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
             y = y + model.noise_sigma * rng.standard_normal(len(y))
         return y
-    X = np.stack([_features(s.observation.pixels, model.spec) for s in ds.samples])
+    X = featurize(ds.pixels(), model.spec)
     if model.kind == "ridge":
         return X @ model.weights + model.bias
     return _mlp_forward(model.params, X)
@@ -399,11 +407,8 @@ def evaluate(model, ds: Dataset, rng=None) -> dict:
     """Prediction metrics over a dataset: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    preds = _predict_batch(model, ds, rng)
-    labels = np.array([s.y for s in ds.samples], dtype=np.float64)
-    err = preds - labels
-    scale = np.array([ds.cameras[s.camera_index].r * ds.cameras[s.camera_index].z
-                      / ds.cameras[s.camera_index].f for s in ds.samples])
+    err = _predict_batch(model, ds, rng) - ds.y
+    scale = np.array([cam.r * cam.z / cam.f for cam in ds.cameras])[ds.camera_index]
     return {"mse": float(np.mean(err ** 2)),
             "mae": float(np.mean(np.abs(err))),
             "mae_mm": float(np.mean(np.abs(err) * scale)),
@@ -424,9 +429,8 @@ def gradient_check(model, ds: Dataset, n_checks: int = 100, step: float = 1e-5,
         raise EmptyDataset("gradient_check needs samples")
     if rng is None:
         rng = np.random.default_rng(0)
-    take = ds.samples[:min(32, len(ds))]
-    X = np.stack([_features(s.observation.pixels, model.spec) for s in take])
-    y = np.array([s.y for s in take], dtype=np.float64)
+    X = featurize(ds.images[ds.rows[:32]], model.spec)
+    y = ds.y[:32]
     params = model.params
     _, _, grads = _mlp_loss_grads(params, X, y)
     sizes = [p.size for p in params]
@@ -453,54 +457,58 @@ def gradient_check(model, ds: Dataset, n_checks: int = 100, step: float = 1e-5,
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Write meta.json plus images.bin (float32 little-endian, sample order)."""
     os.makedirs(out_dir, exist_ok=True)
+    columns = [getattr(ds, k).tolist() for k in _LABELS]
     meta = {
         "schema_version": SCHEMA_VERSION,
         "r": ds.r,
         "n": len(ds),
         "cameras": [camera_to_dict(c) for c in ds.cameras],
-        "samples": [{"insertion_id": s.insertion_id,
-                     "camera_index": s.camera_index,
-                     "y": s.y,
-                     "truth_y": s.observation.truth_y,
-                     "q_mm": s.q_mm,
-                     "height_mm": s.height_mm} for s in ds.samples],
+        "samples": [dict(zip(_LABELS, values)) for values in zip(*columns)],
     }
     try:
         with open(os.path.join(out_dir, "meta.json"), "w") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
         with open(os.path.join(out_dir, "images.bin"), "wb") as fh:
-            for s in ds.samples:
-                if s.observation.pixels.shape != (ds.r, ds.r):
-                    raise ShapeMismatch("sample image shape does not match dataset r")
-                fh.write(s.observation.pixels.astype("<f4").tobytes())
+            ds.pixels().astype("<f4", copy=False).tofile(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def _read_meta(path) -> dict:
+    """A meta.json or model.json of this schema version, parsed."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
+    if version != SCHEMA_VERSION:
+        raise CorruptArtifact(f"{path}: schema_version {version!r}, "
+                              f"expected {SCHEMA_VERSION}")
+    return meta
 
 
 def load_dataset(in_dir) -> Dataset:
+    meta = _read_meta(os.path.join(in_dir, "meta.json"))
     try:
-        with open(os.path.join(in_dir, "meta.json")) as fh:
-            meta = json.load(fh)
         raw = np.fromfile(os.path.join(in_dir, "images.bin"), dtype="<f4")
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    r = int(meta["r"])
-    n = int(meta["n"])
-    if raw.size != n * r * r:
-        raise ShapeMismatch(f"images.bin holds {raw.size} floats, "
-                            f"expected {n * r * r}")
-    cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
-    images = raw.reshape(n, r, r)
-    samples = []
-    for i, sm in enumerate(meta["samples"]):
-        obs = Observation(pixels=images[i], camera_index=int(sm["camera_index"]),
-                          truth_y=float(sm["truth_y"]))
-        samples.append(Sample(observation=obs, y=float(sm["y"]),
-                              insertion_id=int(sm["insertion_id"]),
-                              camera_index=int(sm["camera_index"]),
-                              q_mm=float(sm["q_mm"]),
-                              height_mm=float(sm["height_mm"])))
-    return Dataset(samples=samples, cameras=cams, r=r)
+    try:
+        r, n = int(meta["r"]), int(meta["n"])
+        cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
+        labels = {k: np.array([sm[k] for sm in meta["samples"]], dtype=dtype)
+                  for k, dtype in _LABELS.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"bad meta.json in {in_dir}: {exc!r}") from exc
+    if raw.size != n * r * r or len(labels["y"]) != n:
+        raise ShapeMismatch(f"images.bin holds {raw.size} floats and meta.json "
+                            f"{len(labels['y'])} samples, expected {n} images "
+                            f"of {r}x{r}")
+    return Dataset(images=raw.reshape(n, r, r), rows=np.arange(n), cameras=cams,
+                   **labels)
 
 
 def save_model(model, out_dir) -> None:
@@ -537,11 +545,14 @@ def save_model(model, out_dir) -> None:
 
 
 def load_model(in_dir):
+    meta = _read_meta(os.path.join(in_dir, "model.json"))
     try:
-        with open(os.path.join(in_dir, "model.json")) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        return _model_from_meta(meta, in_dir)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"bad model.json in {in_dir}: {exc!r}") from exc
+
+
+def _model_from_meta(meta: dict, in_dir):
     kind = meta["kind"]
     if kind == "oracle":
         return OracleModel(noise_sigma=float(meta["noise_sigma"]))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
-                     TooFewInsertions)
+                     ShapeMismatch, TooFewInsertions)
 from .geometry import error_direction, normalize_error, scalar_error
-from .perception import Dataset, Sample, TrainConfig, evaluate, train
+from .perception import Dataset, TrainConfig, evaluate, train
 from .search import SearchPattern, generate_pattern
 from .servoing import ServoConfig, visual_servo
 from .sim import (InsertionOutcome, TimingModel, WorldState, move_tcp,
@@ -43,7 +43,7 @@ class CollectionConfig:
             raise InvalidConfig("offset/height ranges must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeploymentGate:
     """Validation-error threshold deciding whether servoing is enabled.
 
@@ -52,7 +52,6 @@ class DeploymentGate:
     """
 
     max_val_mae_mm: float
-    decision: str = "collect_more"
 
     def __post_init__(self):
         if not self.max_val_mae_mm >= 0:
@@ -68,16 +67,21 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     the circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height))
     from every camera. Label y is the normalized error the servo must
     cancel: y_j = normalize_error(-offset.u_j, cam_j). Failed insertions are
-    logged and skipped.
+    logged and skipped. The images fill one preallocated buffer in sample
+    order; rows past the last successful insertion's stay unused.
     """
-    samples = []
-    cameras = None
+    cameras = world_factory(0).config.cameras
+    if len({cam.r for cam in cameras}) != 1:
+        raise ShapeMismatch("cameras of one dataset must share a resolution")
+    n_max = cfg.n_insertions * cfg.samples_per_insertion * len(cameras)
+    images = np.empty((n_max, cameras[0].r, cameras[0].r), dtype=np.float32)
+    # insertion_id, camera_index, y, truth_y, q_mm, height_mm
+    labels = np.empty((n_max, 6))
+    n = 0
     timing = TimingModel()
     successes = 0
     for i in range(cfg.n_insertions):
         world = world_factory(i)
-        if cameras is None:
-            cameras = world.config.cameras
         outcome = spiral_insert(world, world.tcp, pattern, timing)
         if not outcome.success:
             log.warning("collection insertion %d failed after %d attempts; skipped",
@@ -97,15 +101,19 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
                 obs = render(world, j, tcp)
                 u = error_direction(l, world.nominal_hole - cam.position)
                 q = scalar_error(-(world.basis @ offset2), u)
-                samples.append(Sample(observation=obs,
-                                      y=float(normalize_error(q, cam)),
-                                      insertion_id=i, camera_index=j,
-                                      q_mm=float(q), height_mm=float(height)))
+                images[n] = obs.pixels
+                labels[n] = (i, j, normalize_error(q, cam), obs.truth_y, q, height)
+                n += 1
         move_tcp(world, success_tcp, stroke=True)
     if successes == 0:
         raise AllInsertionsFailed(
             f"all {cfg.n_insertions} collection insertions failed")
-    return Dataset(samples=samples, cameras=cameras, r=cameras[0].r)
+    ins, cam_index, y, truth_y, q_mm, height_mm = labels[:n].T
+    return Dataset(images=images, rows=np.arange(n),
+                   insertion_id=ins.astype(np.int64),
+                   camera_index=cam_index.astype(np.int64), y=y,
+                   truth_y=truth_y, q_mm=q_mm, height_mm=height_mm,
+                   cameras=cameras)
 
 
 def split_by_insertion(data: Dataset, train_insertions: int, seed: int):
@@ -122,55 +130,54 @@ def split_by_insertion(data: Dataset, train_insertions: int, seed: int):
 
 
 @dataclass
-class ConfigureResult:
-    """Everything configure produced, for audit."""
+class TrainResult:
+    """Per-camera models trained on one insertion-level split."""
 
     models: dict  # camera_index -> model
     reports: dict  # camera_index -> TrainReport
     metrics: dict  # camera_index -> evaluate() dict on validation
-    decision: str
-    gate: DeploymentGate
     train_ids: list
     val_ids: list
+
+
+def train_per_camera(data: Dataset, train_insertions: int,
+                     hyper: TrainConfig) -> TrainResult:
+    """Split by insertion, then train and validate one model per camera."""
+    train_ds, val_ds = split_by_insertion(data, train_insertions, hyper.seed)
+    models, reports, metrics = {}, {}, {}
+    for j in range(len(data.cameras)):
+        val_j = val_ds.by_camera(j)
+        models[j], reports[j] = train(train_ds.by_camera(j), val_j, hyper)
+        metrics[j] = evaluate(models[j], val_j)
+    return TrainResult(models=models, reports=reports, metrics=metrics,
+                       train_ids=sorted(train_ds.grouping),
+                       val_ids=sorted(val_ds.grouping))
+
+
+@dataclass
+class ConfigureResult(TrainResult):
+    """Everything configure produced, for audit."""
+
+    decision: str
+    gate: DeploymentGate
     dataset_size: int
 
 
 def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
-              gate: DeploymentGate, pattern: SearchPattern = None,
-              share_cameras: bool = False) -> ConfigureResult:
+              gate: DeploymentGate, pattern: SearchPattern = None) -> ConfigureResult:
     """Collect, split, train one model per camera, and gate deployment.
 
     decision = "deploy" iff every model's validation mae_mm is within the
-    gate threshold; otherwise "collect_more". With share_cameras=True a
-    single model is trained on all cameras' samples and deployed to each.
+    gate threshold; otherwise "collect_more".
     """
-    probe = world_factory(0)
     if pattern is None:
-        pattern = generate_pattern(probe.config.tolerance, cfg.max_offset_mag)
+        pattern = generate_pattern(world_factory(0).config.tolerance,
+                                   cfg.max_offset_mag)
     data = collect_dataset(world_factory, cfg, pattern)
-    train_ds, val_ds = split_by_insertion(data, cfg.train_insertions, hyper.seed)
-    camera_indices = list(range(len(data.cameras)))
-    models, reports, metrics = {}, {}, {}
-    if share_cameras:
-        model, report = train(train_ds, val_ds, hyper)
-        ev = evaluate(model, val_ds)
-        for j in camera_indices:
-            models[j] = model
-            reports[j] = report
-            metrics[j] = ev
-    else:
-        for j in camera_indices:
-            model, report = train(train_ds.by_camera(j), val_ds.by_camera(j), hyper)
-            models[j] = model
-            reports[j] = report
-            metrics[j] = evaluate(model, val_ds.by_camera(j))
-    ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in metrics.values())
-    gate.decision = "deploy" if ok else "collect_more"
-    return ConfigureResult(models=models, reports=reports, metrics=metrics,
-                           decision=gate.decision, gate=gate,
-                           train_ids=sorted(train_ds.grouping),
-                           val_ids=sorted(val_ds.grouping),
-                           dataset_size=len(data))
+    fit = train_per_camera(data, cfg.train_insertions, hyper)
+    ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in fit.metrics.values())
+    return ConfigureResult(**vars(fit), decision="deploy" if ok else "collect_more",
+                           gate=gate, dataset_size=len(data))
 
 
 MODES = ("spiral_only", "servo_then_spiral")
@@ -211,29 +218,3 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
                             retrospective_error_mm=retro,
                             servo_residuals=residuals,
                             post_servo_retrospective_error_mm=sp.retrospective_error_mm)
-
-
-class ShiftMonitor:
-    """Rolling alert on post-servo spiral attempt counts.
-
-    A drift of the deployed models away from the current cell state shows
-    up as the servo no longer centering insertions; persistent extra spiral
-    attempts therefore recommend collecting fresh data.
-    """
-
-    def __init__(self, window: int = 20, max_mean_attempts: float = 3.0):
-        if window < 1 or not max_mean_attempts > 0:
-            raise InvalidConfig("window and max_mean_attempts must be positive")
-        self.window = window
-        self.max_mean_attempts = max_mean_attempts
-        self._attempts = []
-
-    def record(self, attempts: int) -> None:
-        self._attempts.append(int(attempts))
-
-    @property
-    def recommendation(self) -> str:
-        if len(self._attempts) < self.window:
-            return "ok"
-        recent = self._attempts[-self.window:]
-        return "collect_more" if np.mean(recent) > self.max_mean_attempts else "ok"

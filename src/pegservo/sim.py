@@ -66,8 +66,6 @@ class Appearance:
 
     background: float
     hole_radius_px: float
-    peg_scale: float
-    glyph_angle: float
 
 
 def default_cameras(nominal_hole, l, f: float = 1000.0, r: int = 64,
@@ -178,8 +176,6 @@ def new_world(config: WorldConfig) -> WorldState:
     app = Appearance(
         background=float(scene.uniform(0.4, 0.6)),
         hole_radius_px=float(scene.uniform(3.6, 4.4)),
-        peg_scale=1.0,
-        glyph_angle=0.0,
     )
     true_hole = config.nominal_hole + B @ hole2
     tcp = config.nominal_hole - config.hover_height * l
@@ -262,35 +258,29 @@ def _disc_cov(X, Y, cx, cy, rad, edge=EDGE_WIDTH):
     return np.clip((rad - d) / edge + 0.5, 0.0, 1.0)
 
 
-def _draw_glyph(img, X, Y, cx, cy, style, app: Appearance, peg_i: float):
-    sc = app.peg_scale
-    ang = app.glyph_angle
-    c, s = np.cos(ang), np.sin(ang)
-
+def _draw_glyph(img, X, Y, cx, cy, style, peg_i: float):
     def pin_at(im, pu, pv, rad):
-        px = cx + c * pu - s * pv
-        py = cy + s * pu + c * pv
-        return _composite(im, _disc_cov(X, Y, px, py, rad * sc), PIN_INTENSITY)
+        return _composite(im, _disc_cov(X, Y, cx + pu, cy + pv, rad), PIN_INTENSITY)
 
     if style == "pin_header":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.0 * sc), peg_i)
-        for pu in (-3.2 * sc, 0.0, 3.2 * sc):
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.0), peg_i)
+        for pu in (-3.2, 0.0, 3.2):
             img = pin_at(img, pu, 0.0, 1.8)
     elif style == "dsub":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 7.8 * sc), peg_i)
-        for pu in (-2.8 * sc, 2.8 * sc):
-            for pv in (-2.8 * sc, 2.8 * sc):
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 7.8), peg_i)
+        for pu in (-2.8, 2.8):
+            for pv in (-2.8, 2.8):
                 img = pin_at(img, pu, pv, 1.8)
     elif style == "led":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.5 * sc), peg_i)
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 2.6 * sc), 0.45)
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.5), peg_i)
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 2.6), 0.45)
     elif style == "cap_small":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 5.5 * sc), peg_i)
-        for pu in (-2.8 * sc, 2.8 * sc):
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 5.5), peg_i)
+        for pu in (-2.8, 2.8):
             img = pin_at(img, pu, 0.0, 1.8)
     elif style == "cap_large":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 8.5 * sc), peg_i)
-        for pu in (-4.0 * sc, 4.0 * sc):
+        img = _composite(img, _disc_cov(X, Y, cx, cy, 8.5), peg_i)
+        for pu in (-4.0, 4.0):
             img = pin_at(img, pu, 0.0, 2.2)
     return img
 
@@ -324,7 +314,7 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
                                     edge=HOLE_EDGE_WIDTH), HOLE_INTENSITY)
     if cfg.peg_intensity is not None:
         img = _draw_glyph(img, X, Y, peg_px[0], peg_px[1],
-                          cfg.component_style, app, cfg.peg_intensity)
+                          cfg.component_style, cfg.peg_intensity)
 
     bits = np.asarray(tcp, dtype=np.float64).view(np.uint64)
     noise_rng = np.random.default_rng(np.random.SeedSequence(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pegservo.geometry import CameraModel, vec3
-from pegservo.perception import Dataset, Sample, TrainConfig, train
+from pegservo.perception import Dataset, TrainConfig, train
 from pegservo.pipeline import CollectionConfig, collect_dataset, split_by_insertion
 from pegservo.search import generate_pattern
 from pegservo.sim import Observation, WorldConfig, new_world
@@ -14,23 +14,34 @@ RIDGE_HYPER = TrainConfig(kind="ridge", robust_norm=True)
 
 def synthetic_dataset(n_insertions, per_insertion, r, label_fn, seed=0,
                       pixel_fn=None):
-    """Random-image dataset with labels from label_fn(flat_pixels, rng)."""
+    """Random-image one-camera dataset with labels (and ground truth) from
+    label_fn(flat_pixels, rng)."""
     rng = np.random.default_rng(seed)
     cam = CameraModel(position=vec3(0, 0, 500.0),
                       orientation=np.diag([1.0, -1.0, -1.0]),
                       f=1000.0, r=r, z=500.0)
-    samples = []
-    for ins in range(n_insertions):
-        for _ in range(per_insertion):
-            if pixel_fn is None:
-                img = rng.uniform(0.0, 1.0, size=(r, r)).astype(np.float32)
-            else:
-                img = pixel_fn(rng).astype(np.float32)
-            y = float(label_fn(img.ravel().astype(np.float64), rng))
-            obs = Observation(pixels=img, camera_index=0, truth_y=y)
-            samples.append(Sample(observation=obs, y=y, insertion_id=ins,
-                                  camera_index=0, q_mm=0.0, height_mm=0.0))
-    return Dataset(samples=samples, cameras=(cam,), r=r)
+    n = n_insertions * per_insertion
+    images = np.empty((n, r, r), dtype=np.float32)
+    y = np.empty(n)
+    for k in range(n):
+        if pixel_fn is None:
+            images[k] = rng.uniform(0.0, 1.0, size=(r, r))
+        else:
+            images[k] = pixel_fn(rng)
+        y[k] = label_fn(images[k].ravel().astype(np.float64), rng)
+    zeros = np.zeros(n, dtype=np.int64)
+    return Dataset(images=images, rows=np.arange(n),
+                   insertion_id=np.arange(n) // per_insertion,
+                   camera_index=zeros, y=y, truth_y=y.copy(),
+                   q_mm=zeros.astype(float), height_mm=zeros.astype(float),
+                   cameras=(cam,))
+
+
+def observation(ds, i):
+    """Sample i of a dataset as the Observation render would have made."""
+    return Observation(pixels=ds.images[ds.rows[i]],
+                       camera_index=int(ds.camera_index[i]),
+                       truth_y=float(ds.truth_y[i]))
 
 
 def led_factory(i):

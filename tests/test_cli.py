@@ -5,7 +5,8 @@ import json
 import pytest
 
 import pegservo
-from pegservo.cli import main
+from pegservo.cli import _write_json, main
+from pegservo.errors import IoError
 
 _STYLE = "led"
 
@@ -173,3 +174,28 @@ def test_bench_then_report_roundtrip(tmp_path, config_path, capsys):
     rows = (b1 / "rows.csv").read_text().splitlines()
     assert len(rows) == 1 + 2  # one style, two insertions, novs only
     assert all(",novs," in ln for ln in rows[1:])
+
+
+def test_bad_jobs_env_breaks_only_bench(tmp_path, monkeypatch, config_path, capsys):
+    monkeypatch.setenv("PEGSERVO_JOBS", "abc")
+    assert main(["pattern", "--out", str(tmp_path / "pat")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", config_path, "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "PEGSERVO_JOBS" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_jobs_below_one_is_usage_error(tmp_path, config_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", config_path, "--jobs", "0",
+              "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+
+
+def test_json_writer_wraps_os_errors(tmp_path):
+    path = tmp_path / "r.json"
+    _write_json(path, {"b": 1, "a": [0.5]})
+    assert path.read_text() == '{\n "a": [\n  0.5\n ],\n "b": 1\n}\n'
+    with pytest.raises(IoError):
+        _write_json(tmp_path / "missing" / "r.json", {})

@@ -1,9 +1,10 @@
-"""Pinned output digests of two reduced benchmark grids.
+"""Pinned output digests of two reduced benchmark grids and one reduced
+collect + train run.
 
 The rerun test in the acceptance gate only compares two runs of the same
 code. These digests compare against checked-in bytes, so any numeric drift
-in the world draws, the spiral search, the servo loop or the report writers
-fails here. Update a digest only on purpose, with a CHANGES.md entry saying
+in the world draws, the spiral search, the servo loop, the dataset and
+model writers, the features or the ridge fit fails here. Update a digest only on purpose, with a CHANGES.md entry saying
 why the bytes changed.
 """
 
@@ -12,7 +13,12 @@ import hashlib
 import pytest
 
 from pegservo.bench import BenchConfig, emit_report, run_benchmark
-from pegservo.perception import OracleModel
+from pegservo.perception import (OracleModel, TrainConfig, save_dataset,
+                                 save_model, train)
+from pegservo.pipeline import (CollectionConfig, collect_dataset,
+                               split_by_insertion)
+from pegservo.search import generate_pattern
+from pegservo.sim import WorldConfig, new_world
 
 GRIDS = {
     # search only: 2 styles x 25 insertions over a 3 mm start-error disc
@@ -45,3 +51,47 @@ def test_bench_outputs_match_golden_digests(grid, tmp_path):
     for name in ("rows.csv", "summary.json"):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == GOLDEN[(grid, name)], name
+
+
+# 3 dsub insertions x 8 poses x 2 cameras; camera 1's ridge model with and
+# without the robust per-image normalization
+DATASET_GOLDEN = {
+    "meta.json":
+        "b877e641e29c17ede2c2980568307b992096255245600d09ea49b50b76b4e97a",
+    "images.bin":
+        "06aa8774c3cc0afe439d3031898bd8ff6df8d7a55d32e62507fd7dac56ea03f9",
+}
+MODEL_GOLDEN = {
+    (True, "model.json"):
+        "430235943c2465960358eb6856fb8846f17ce084d037bda179b5bb9824986027",
+    (True, "weights.bin"):
+        "5203ac40f0bd32605c9943dec077d0eadbb98ef3d99da1e76696e0a298524c4a",
+    (False, "model.json"):
+        "6e047b958003a641a43c40dc0e4a35d62cf27deddcb59f4d3c3a9ef30d7d62e8",
+    (False, "weights.bin"):
+        "1845f9791dba76e4a0aaf82305f10fa26c448c2db93b0de6580cb0df13734ffd",
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dataset_and_model_files_match_golden_digests(tmp_path):
+    def factory(i):
+        return new_world(WorldConfig(component_style="dsub", seed=300 + i))
+
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=8,
+                           train_insertions=2)
+    data = collect_dataset(factory, cfg, generate_pattern(0.1, cfg.max_offset_mag))
+    save_dataset(data, tmp_path / "ds")
+    for name, digest in DATASET_GOLDEN.items():
+        assert _sha(tmp_path / "ds" / name) == digest, name
+    tr, va = split_by_insertion(data, cfg.train_insertions, 0)
+    for robust in (True, False):
+        model, _ = train(tr.by_camera(1), va.by_camera(1),
+                         TrainConfig(kind="ridge", robust_norm=robust))
+        save_model(model, tmp_path / f"m{robust}")
+        for name in ("model.json", "weights.bin"):
+            assert _sha(tmp_path / f"m{robust}" / name) == \
+                MODEL_GOLDEN[(robust, name)], (robust, name)

@@ -1,17 +1,26 @@
-"""Error regressors: training loop, early stopping, gradient check, IO."""
+"""Error regressors: features, training loop, early stopping, gradient
+check, IO."""
+
+import json
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import RIDGE_HYPER, synthetic_dataset
-from pegservo.errors import (EmptyDataset, InvalidConfig, LeakedInsertion,
-                             NotDifferentiableKind, ShapeMismatch)
-from pegservo.geometry import denormalize_error
-from pegservo.perception import (Dataset, OracleModel, RidgeModel, Sample,
-                                 TrainConfig, evaluate, gradient_check,
-                                 init_mlp, load_dataset, load_model, predict,
-                                 save_dataset, save_model, train)
-from pegservo.sim import Observation
+from conftest import RIDGE_HYPER, observation, synthetic_dataset
+from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
+                             LeakedInsertion, NotDifferentiableKind,
+                             ShapeMismatch)
+from pegservo.geometry import CameraModel, denormalize_error, vec3
+from pegservo.perception import (Dataset, InputSpec, OracleModel, RidgeModel,
+                                 TrainConfig, evaluate, featurize,
+                                 gradient_check, init_mlp, load_dataset,
+                                 load_model, predict, save_dataset,
+                                 save_model, train)
 
 
 def _split(ds, n_train_ins):
@@ -25,15 +34,15 @@ def _split(ds, n_train_ins):
 def test_oracle_noiseless_returns_truth():
     ds = synthetic_dataset(3, 10, 4, lambda x, rng: rng.normal())
     model = OracleModel()
-    for s in ds.samples:
-        assert predict(model, s.observation) == s.observation.truth_y
+    for i in range(len(ds)):
+        assert predict(model, observation(ds, i)) == ds.truth_y[i]
     assert evaluate(model, ds)["mse"] == 0.0
 
 
 def test_oracle_noise_needs_rng():
     ds = synthetic_dataset(1, 1, 4, lambda x, rng: 0.0)
     with pytest.raises(InvalidConfig):
-        predict(OracleModel(noise_sigma=0.1), ds.samples[0].observation)
+        predict(OracleModel(noise_sigma=0.1), observation(ds, 0))
 
 
 def test_oracle_noise_mse_matches_sigma_squared():
@@ -52,19 +61,18 @@ def test_constant_model_prediction_and_mse():
     spec_model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))
     zero = RidgeModel(weights=np.zeros_like(spec_model.weights), bias=0.01,
                       lam=1.0, spec=spec_model.spec)
-    assert predict(zero, ds.samples[0].observation) == pytest.approx(0.01, abs=1e-12)
+    assert predict(zero, observation(ds, 0)) == pytest.approx(0.01, abs=1e-12)
     zero0 = RidgeModel(weights=np.zeros_like(spec_model.weights), bias=0.0,
                        lam=1.0, spec=spec_model.spec)
-    ys = np.array([s.y for s in ds.samples])
     res = evaluate(zero0, ds)
-    assert res["mse"] == pytest.approx(float(np.mean(ys ** 2)), abs=1e-9)
+    assert res["mse"] == pytest.approx(float(np.mean(ds.y ** 2)), abs=1e-9)
 
 
 def test_all_zero_labels():
     ds = synthetic_dataset(4, 40, 4, lambda x, rng: 0.0)
     model, report = train(*_split(ds, 3), TrainConfig(kind="ridge"))
     val = _split(ds, 3)[1]
-    preds = [predict(model, s.observation) for s in val.samples]
+    preds = [predict(model, observation(val, i)) for i in range(len(val))]
     assert np.max(np.abs(preds)) <= 1e-6
     assert report.best_val_loss <= 1e-10
 
@@ -81,8 +89,9 @@ def test_planted_linear_recovery():
     model, report = train(train_ds, val_ds, TrainConfig(kind="ridge",
                                                         ridge_lambda=1e-8))
     assert report.best_val_loss <= 1e-8
-    for s in val_ds.samples[:50]:
-        assert predict(model, s.observation) == pytest.approx(s.y, abs=1e-5)
+    for i in range(50):
+        assert predict(model, observation(val_ds, i)) == pytest.approx(
+            val_ds.y[i], abs=1e-5)
 
 
 def test_ridge_path_early_stop_semantics():
@@ -98,8 +107,8 @@ def test_trained_ridge_quarter_pixel_accuracy(led_split, led_ridge):
     _, val_ds = led_split
     for j, (model, _) in led_ridge.items():
         sub = val_ds.by_camera(j)
-        errs = np.array([abs(predict(model, s.observation) - s.y)
-                         for s in sub.samples])
+        errs = np.array([abs(predict(model, observation(sub, i)) - sub.y[i])
+                         for i in range(len(sub))])
         frac = float(np.mean(errs <= 0.25 / val_ds.r))
         assert frac >= 0.90, (j, frac)
 
@@ -133,24 +142,16 @@ def test_mean_regression_toward_clean_labels():
     for seed in range(10):
         ds = synthetic_dataset(10, 40, r, label, seed=100 + seed)
         rng = np.random.default_rng(seed)
-        sigma = 0.3 * float(np.std([s.y for s in ds.samples]))
-        noisy = []
-        for s in ds.samples:
-            noisy.append(Sample(observation=s.observation,
-                                y=s.y + sigma * rng.normal(),
-                                insertion_id=s.insertion_id,
-                                camera_index=s.camera_index,
-                                q_mm=s.q_mm, height_mm=s.height_mm))
-        nds = Dataset(samples=noisy, cameras=ds.cameras, r=ds.r)
+        sigma = 0.3 * float(np.std(ds.y))
+        nds = replace(ds, y=ds.y + sigma * rng.normal(size=len(ds)))
         tr, va = _split(nds, 8)
         model, _ = train(tr, va, TrainConfig(kind="ridge"))
         # clean label for a noisy sample = label recomputed from pixels
-        clean_va = np.array([label(s.observation.pixels.ravel().astype(np.float64), None)
-                             for s in va.samples])
-        preds = np.array([predict(model, s.observation) for s in va.samples])
-        noisy_va = np.array([s.y for s in va.samples])
+        clean_va = np.array([label(p.ravel().astype(np.float64), None)
+                             for p in va.pixels()])
+        preds = np.array([predict(model, observation(va, i)) for i in range(len(va))])
         mse_model = float(np.mean((preds - clean_va) ** 2))
-        mse_noise = float(np.mean((noisy_va - clean_va) ** 2))
+        mse_noise = float(np.mean((va.y - clean_va) ** 2))
         wins += mse_model <= mse_noise
     assert wins == 10
 
@@ -187,7 +188,7 @@ def test_mlp_zero_input_batch_stays_finite():
                            pixel_fn=lambda rng: np.zeros((4, 4)))
     hyper = _mlp_hyper()
     model = init_mlp(ds, hyper)
-    preds = [predict(model, s.observation) for s in ds.samples]
+    preds = [predict(model, observation(ds, i)) for i in range(len(ds))]
     assert np.all(np.isfinite(preds))
     assert np.isfinite(gradient_check(model, ds, n_checks=100))
 
@@ -230,7 +231,8 @@ def test_leaked_insertion_detected():
 
 def test_empty_dataset_rejected():
     ds = synthetic_dataset(2, 10, 4, lambda x, rng: 0.0)
-    empty = Dataset(samples=[], cameras=ds.cameras, r=ds.r)
+    empty = ds.subset([])
+    assert len(empty) == 0 and empty.r == ds.r
     with pytest.raises(EmptyDataset):
         train(empty, ds, TrainConfig(kind="ridge"))
     with pytest.raises(EmptyDataset):
@@ -242,7 +244,7 @@ def test_shape_mismatch_on_predict():
     ds8 = synthetic_dataset(2, 10, 8, lambda x, rng: 0.0)
     model, _ = train(*_split(ds4, 1), TrainConfig(kind="ridge"))
     with pytest.raises(ShapeMismatch):
-        predict(model, ds8.samples[0].observation)
+        predict(model, observation(ds8, 0))
 
 
 def test_train_config_validation():
@@ -263,11 +265,9 @@ def test_dataset_roundtrip(tmp_path, led_dataset):
     back = load_dataset(tmp_path / "ds")
     assert len(back) == len(sub)
     assert back.r == sub.r
-    for a, b in zip(sub.samples, back.samples):
-        assert np.array_equal(a.observation.pixels, b.observation.pixels)
-        assert a.observation.truth_y == b.observation.truth_y
-        assert (a.y, a.insertion_id, a.camera_index) == (b.y, b.insertion_id, b.camera_index)
-        assert (a.q_mm, a.height_mm) == (b.q_mm, b.height_mm)
+    assert np.array_equal(sub.pixels(), back.pixels())
+    for col in ("truth_y", "y", "insertion_id", "camera_index", "q_mm", "height_mm"):
+        assert np.array_equal(getattr(sub, col), getattr(back, col)), col
     for ca, cb in zip(sub.cameras, back.cameras):
         assert np.array_equal(ca.position, cb.position)
         assert ca.r == cb.r
@@ -278,7 +278,7 @@ def test_model_roundtrip_ridge(tmp_path, led_dataset, led_ridge):
     save_model(model, tmp_path / "m")
     back = load_model(tmp_path / "m")
     assert back.kind == "ridge"
-    obs = led_dataset.samples[0].observation
+    obs = observation(led_dataset, 0)
     assert predict(back, obs) == pytest.approx(predict(model, obs), abs=1e-7)
 
 
@@ -288,9 +288,9 @@ def test_model_roundtrip_mlp(tmp_path):
     save_model(model, tmp_path / "m")
     back = load_model(tmp_path / "m")
     assert back.kind == "mlp"
-    for s in ds.samples[:10]:
-        assert predict(back, s.observation) == pytest.approx(
-            predict(model, s.observation), abs=1e-6)
+    for i in range(10):
+        obs = observation(ds, i)
+        assert predict(back, obs) == pytest.approx(predict(model, obs), abs=1e-6)
 
 
 def test_model_roundtrip_oracle(tmp_path):
@@ -305,6 +305,121 @@ def test_evaluate_mae_mm_uses_camera_scale(led_split, led_ridge):
     sub = val_ds.by_camera(0)
     res = evaluate(model, sub)
     cam = sub.cameras[0]
-    manual = np.mean([abs(denormalize_error(predict(model, s.observation) - s.y, cam))
-                      for s in sub.samples])
+    manual = np.mean([abs(denormalize_error(predict(model, observation(sub, i))
+                                            - sub.y[i], cam))
+                      for i in range(len(sub))])
     assert res["mae_mm"] == pytest.approx(float(manual), rel=1e-9)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("model.json", lambda meta: meta.pop("kind")),
+    ("model.json", lambda meta: meta.update(schema_version=99)),
+    ("meta.json", lambda meta: meta.update(schema_version=99)),
+    ("meta.json", lambda meta: meta["samples"][0].pop("y")),
+], ids=["model-without-kind", "model-schema-99", "meta-schema-99",
+        "meta-sample-without-y"])
+def test_malformed_artifact_is_typed(tmp_path, name, edit):
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))
+    save_model(model, tmp_path)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / name
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    with pytest.raises(CorruptArtifact):
+        (load_model if name == "model.json" else load_dataset)(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["model.json", "meta.json"])
+def test_truncated_artifact_is_typed(tmp_path, name):
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))
+    save_model(model, tmp_path)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(CorruptArtifact):
+        (load_model if name == "model.json" else load_dataset)(tmp_path)
+
+
+# ---------------------------------------------------------------- properties
+
+
+def _reference_features(pixels, spec):
+    """Per-image features as computed one image at a time."""
+    x = np.asarray(pixels, dtype=np.float64).ravel()
+    if spec.robust:
+        m = np.median(x)
+        scale = np.percentile(x, 99.0) - m
+        if scale < 1e-6:
+            scale = 1.0
+        x = np.maximum((x - m) / scale, -0.5)
+    return (x - spec.feat_mean) / spec.feat_std
+
+
+@st.composite
+def image_batches(draw):
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    images = draw(arrays(np.float32, (n, r, r),
+                         elements=st.floats(0.0, 1.0, width=32)))
+    # constant images have no spread and hit the robust scale floor
+    for k in np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        images[k] = images[k, 0, 0]
+    stats = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = InputSpec(r=r, robust=draw(st.booleans()),
+                     feat_mean=stats.normal(size=r * r),
+                     feat_std=stats.uniform(0.5, 2.0, size=r * r))
+    return images, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=image_batches())
+def test_featurize_rows_do_not_depend_on_the_batch(batch):
+    images, spec = batch
+    X = featurize(images, spec)
+    assert X.shape == (len(images), spec.r * spec.r)
+    for i in range(len(images)):
+        assert X[i].tobytes() == featurize(images[i:i + 1], spec)[0].tobytes()
+        assert X[i].tobytes() == _reference_features(images[i], spec).tobytes()
+
+
+@st.composite
+def datasets(draw):
+    r, n_cams = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n, spare = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+    # the views below share one buffer holding unused rows too
+    images = draw(arrays(np.float32, (n + spare, r, r)))
+    rows = np.array(draw(st.permutations(range(n + spare)))[:n], dtype=np.int64)
+    ints = st.integers(0, 3)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cams = tuple(CameraModel(position=vec3(10.0 * j, 0, 500.0),
+                             orientation=np.diag([1.0, -1.0, -1.0]),
+                             f=1000.0 + j, r=r, z=500.0) for j in range(n_cams))
+    return Dataset(images=images, rows=rows,
+                   insertion_id=draw(arrays(np.int64, n, elements=ints)),
+                   camera_index=draw(arrays(np.int64, n,
+                                            elements=st.integers(0, n_cams - 1))),
+                   y=draw(arrays(np.float64, n, elements=finite)),
+                   truth_y=draw(arrays(np.float64, n, elements=finite)),
+                   q_mm=draw(arrays(np.float64, n, elements=finite)),
+                   height_mm=draw(arrays(np.float64, n, elements=finite)),
+                   cameras=cams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), ids=st.sets(st.integers(0, 3)), cam=st.integers(0, 2))
+def test_dataset_views_survive_save_and_load(ds, ids, cam):
+    for view in (ds, ds.subset(ids), ds.by_camera(cam)):
+        assert view.images is ds.images
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(view, tmp)
+            back = load_dataset(tmp)
+        assert len(back) == len(view) and back.r == view.r
+        assert back.pixels().tobytes() == view.pixels().tobytes()
+        for col in ("insertion_id", "camera_index", "y", "truth_y", "q_mm",
+                    "height_mm"):
+            a, b = getattr(view, col), getattr(back, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), col
+        for ca, cb in zip(view.cameras, back.cameras, strict=True):
+            assert np.array_equal(ca.position, cb.position) and ca.f == cb.f

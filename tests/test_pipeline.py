@@ -10,7 +10,7 @@ from pegservo.errors import (AllInsertionsFailed, InvalidConfig,
                              ModelsNotDeployed, TooFewInsertions)
 from pegservo.geometry import error_direction, normalize_error, vec3
 from pegservo.perception import OracleModel
-from pegservo.pipeline import (CollectionConfig, DeploymentGate, ShiftMonitor,
+from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, insert,
                                split_by_insertion)
 from pegservo.search import generate_pattern
@@ -32,9 +32,9 @@ def test_collect_sample_budget(led_dataset):
     # 10 insertions x 100 samples x 2 cameras
     assert len(led_dataset) == 2000
     assert sorted(led_dataset.grouping) == list(range(10))
-    for s in led_dataset.samples:
-        assert abs(s.q_mm) <= 1.0 + 1e-12
-        assert 0.0 <= s.height_mm <= 1.0 + 1e-12
+    assert np.all(np.abs(led_dataset.q_mm) <= 1.0 + 1e-12)
+    assert np.all((0.0 <= led_dataset.height_mm)
+                  & (led_dataset.height_mm <= 1.0 + 1e-12))
 
 
 def test_collect_labels_match_convention_exactly():
@@ -45,19 +45,20 @@ def test_collect_labels_match_convention_exactly():
     pattern = generate_pattern(0.1, cfg.max_offset_mag)
     data = collect_dataset(_quiet_factory, cfg, pattern)
     assert len(data) == 2 * 20 * 2
-    for s in data.samples:
-        assert s.y == pytest.approx(s.observation.truth_y, abs=1e-12)
-        cam = data.cameras[s.camera_index]
-        assert s.y == pytest.approx(normalize_error(s.q_mm, cam), abs=1e-15)
+    for i in range(len(data)):
+        assert data.y[i] == pytest.approx(data.truth_y[i], abs=1e-12)
+        cam = data.cameras[data.camera_index[i]]
+        assert data.y[i] == pytest.approx(normalize_error(data.q_mm[i], cam),
+                                          abs=1e-15)
 
 
 def test_collect_label_scale_with_uncertainty(led_dataset):
     # with sigma=0.01 draws the success position sits within eps of the
     # hole, so labels match rendered truth to the tolerance scale
-    for s in led_dataset.samples[::97]:
-        cam = led_dataset.cameras[s.camera_index]
-        bound = normalize_error(0.1, cam) + 1e-9
-        assert abs(s.y - s.observation.truth_y) <= bound
+    ds = led_dataset
+    for i in range(0, len(ds), 97):
+        bound = normalize_error(0.1, ds.cameras[ds.camera_index[i]]) + 1e-9
+        assert abs(ds.y[i] - ds.truth_y[i]) <= bound
 
 
 def test_collect_all_insertions_failed():
@@ -113,7 +114,6 @@ def test_configure_defaults_reach_deploy():
     res = configure(led_factory, CollectionConfig(), RIDGE_HYPER,
                     DeploymentGate(max_val_mae_mm=0.05))
     assert res.decision == "deploy"
-    assert res.gate.decision == "deploy"
     assert res.dataset_size == 2000
     assert sorted(res.models) == [0, 1]
     for j, m in res.metrics.items():
@@ -136,12 +136,6 @@ def test_configure_invisible_peg_collects_more():
     assert res.decision == "collect_more"
     # without the peg in view the regressor cannot beat the prior scale
     assert min(m["mae_mm"] for m in res.metrics.values()) > 0.05
-
-
-def test_configure_share_cameras():
-    res = configure(led_factory, CollectionConfig(), RIDGE_HYPER,
-                    DeploymentGate(max_val_mae_mm=0.05), share_cameras=True)
-    assert res.models[0] is res.models[1]
 
 
 # ---------------------------------------------------------------- insert
@@ -190,21 +184,3 @@ def test_insert_rejects_bad_mode_and_missing_models():
     cfg = servo_config_for(w, (OracleModel(), None))
     with pytest.raises(ModelsNotDeployed):
         insert(w, "servo_then_spiral", cfg, pattern, TimingModel())
-
-
-# ---------------------------------------------------------------- monitor
-
-
-def test_shift_monitor():
-    mon = ShiftMonitor(window=5, max_mean_attempts=3.0)
-    for _ in range(4):
-        mon.record(50)
-    assert mon.recommendation == "ok"  # window not yet full
-    mon.record(50)
-    assert mon.recommendation == "collect_more"
-    mon2 = ShiftMonitor(window=5, max_mean_attempts=3.0)
-    for _ in range(10):
-        mon2.record(1)
-    assert mon2.recommendation == "ok"
-    with pytest.raises(InvalidConfig):
-        ShiftMonitor(window=0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pegservo.errors import ConstraintViolation, InvalidConfig
+from pegservo.errors import ConstraintViolation, InvalidConfig, IoError
 from pegservo.geometry import aimed_camera, vec3
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.servoing import (ServoConfig, servo_config_for, servo_step,
@@ -175,6 +175,8 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("iteration,y_0,q_mm_0,y_1,q_mm_1,e_hat_x")
     assert len(lines) == 4
+    with pytest.raises(IoError):
+        write_trace_csv(trace, tmp_path / "missing" / "trace.csv")
 
 
 def test_nan_prediction_fails_fast_without_moving():
