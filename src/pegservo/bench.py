@@ -10,11 +10,12 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidConfig, IoError, ModelsNotDeployed
+from .errors import (CorruptArtifact, InsufficientData, InvalidConfig, IoError,
+                     ModelsNotDeployed)
 from .pipeline import insert
 from .search import generate_pattern
 from .servoing import servo_config_for
@@ -227,6 +228,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# rows.csv holds one BenchRow per line, its fields in declaration order.
+_ROW_COLUMNS = [f.name for f in fields(BenchRow)]
+_PARSE = {str: str, int: int, float: float,
+          bool: lambda v: {"0": False, "1": True}[v]}
+
+
+def read_rows(path) -> list:
+    """The BenchRows of a rows.csv that emit_report wrote."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc
+    if not lines or lines[0] != ",".join(_ROW_COLUMNS):
+        raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
+    parse = [_PARSE[f.type] for f in fields(BenchRow)]
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            row = BenchRow(*[p(v) for p, v in zip(parse, line.split(","),
+                                                   strict=True)])
+        except (KeyError, ValueError) as exc:
+            raise CorruptArtifact(f"{path} line {n}: {exc!r}") from exc
+        if row.mode not in BENCH_MODES:
+            raise CorruptArtifact(f"{path} line {n}: unknown mode {row.mode!r}")
+        rows.append(row)
+    return rows
+
+
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
     os.makedirs(out_dir, exist_ok=True)
@@ -262,12 +294,9 @@ def emit_report(report: BenchReport, out_dir) -> list:
         with open(path("scatter.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-        cols = ["style", "mode", "seed", "retrospective_error_mm",
-                "true_error_mm", "time_s", "attempts", "success",
-                "post_servo_retrospective_error_mm", "direct"]
-        lines = [",".join(cols)]
+        lines = [",".join(_ROW_COLUMNS)]
         for r in report.rows:
-            lines.append(",".join(_fmt(getattr(r, c)) for c in cols))
+            lines.append(",".join(_fmt(getattr(r, c)) for c in _ROW_COLUMNS))
         with open(path("rows.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -14,13 +14,13 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .bench import (MODE_VS, BenchConfig, BenchRow, build_report, emit_report,
-                    run_benchmark)
+from .bench import (MODE_VS, BenchConfig, build_report, emit_report,
+                    read_rows, run_benchmark)
 from .errors import InvalidConfig, IoError, PegServoError
 from .perception import (TrainConfig, evaluate, load_dataset, load_model,
                          save_dataset, save_model)
@@ -29,58 +29,39 @@ from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
 from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                  load_config_file, move_tcp, new_world, render,
-                  timing_from_dict, timing_to_dict, true_inplane_error,
-                  world_from_dict, world_to_dict, write_pgm)
+                  config_from_dict, config_to_dict, load_config_file,
+                  move_tcp, new_world, render, true_inplane_error, write_pgm)
 
-_CONFIG_SECTIONS = {"world", "timing", "collection", "train", "bench", "gate"}
+_SECTIONS = {"world": WorldConfig, "timing": TimingModel,
+             "collection": CollectionConfig, "train": TrainConfig,
+             "bench": BenchConfig, "gate": DeploymentGate}
 
 
 def _load_sections(path) -> dict:
-    if path is None:
-        return {}
-    raw = load_config_file(path)
-    unknown = set(raw) - _CONFIG_SECTIONS
+    """Every config section as its config object.
+
+    An absent section takes its class defaults, except the gate, which is
+    then None so that configure applies its default.
+    """
+    raw = {} if path is None else load_config_file(path)
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise InvalidConfig(f"unknown config sections: {sorted(unknown)}; "
-                            f"expected a subset of {sorted(_CONFIG_SECTIONS)}")
-    return raw
-
-
-def _from_section(cls, section: dict, convert=()):
-    known = {f.name for f in fields(cls)}
-    unknown = set(section) - known
-    if unknown:
-        raise InvalidConfig(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kw = dict(section)
-    for key in convert:
-        if key in kw and isinstance(kw[key], list):
-            kw[key] = tuple(kw[key])
-    return cls(**kw)
+                            f"expected a subset of {sorted(_SECTIONS)}")
+    sections = {name: config_from_dict(cls, raw.get(name, {}))
+                for name, cls in _SECTIONS.items() if name != "gate"}
+    sections["gate"] = (config_from_dict(DeploymentGate, raw["gate"])
+                        if "gate" in raw else None)
+    return sections
 
 
 def _world_config(sections, seed=None, style=None) -> WorldConfig:
-    cfg = world_from_dict(sections.get("world", {}))
     kw = {}
     if seed is not None:
         kw["seed"] = seed
     if style is not None:
         kw["component_style"] = style
-    return replace(cfg, **kw) if kw else cfg
-
-
-def _timing(sections) -> TimingModel:
-    return timing_from_dict(sections.get("timing", {}))
-
-
-def _bench_config(sections) -> BenchConfig:
-    section = dict(sections.get("bench", {}))
-    section.pop("timing", None)
-    section.pop("world_template", None)
-    cfg = _from_section(BenchConfig, section,
-                        convert=("component_styles", "modes"))
-    return replace(cfg, timing=_timing(sections),
-                   world_template=_world_config(sections))
+    return replace(sections["world"], **kw) if kw else sections["world"]
 
 
 def _write_json(path, obj) -> None:
@@ -133,7 +114,8 @@ def cmd_simulate(ns) -> int:
     sections = _load_sections(ns.config)
     wcfg = _world_config(sections, seed=ns.seed, style=ns.style)
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
-    _write_manifest(ns.out, "simulate", ns, {"world": world_to_dict(wcfg)}, outputs)
+    _write_manifest(ns.out, "simulate", ns, {"world": config_to_dict(wcfg)},
+                    outputs)
     world = new_world(wcfg)
     truth = {}
     for j in range(len(wcfg.cameras)):
@@ -155,10 +137,9 @@ def cmd_simulate(ns) -> int:
 
 def cmd_collect(ns) -> int:
     sections = _load_sections(ns.config)
-    ccfg = _from_section(CollectionConfig, sections.get("collection", {}))
-    template = _world_config(sections)
-    echo = {"world": world_to_dict(template), "collection": asdict(ccfg),
-            "seed_base": ns.seed}
+    ccfg, template = sections["collection"], sections["world"]
+    echo = {"world": config_to_dict(template),
+            "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
                                                   "dataset/images.bin"])
     pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
@@ -175,10 +156,9 @@ def cmd_collect(ns) -> int:
 
 def cmd_train(ns) -> int:
     sections = _load_sections(ns.config)
-    hyper = _from_section(TrainConfig, sections.get("train", {}),
-                          convert=("hidden",))
-    ccfg = _from_section(CollectionConfig, sections.get("collection", {}))
-    echo = {"train": asdict(hyper), "train_insertions": ccfg.train_insertions}
+    hyper, ccfg = sections["train"], sections["collection"]
+    echo = {"train": config_to_dict(hyper),
+            "train_insertions": ccfg.train_insertions}
     data = load_dataset(ns.data)
     n_cams = len(data.cameras)
     outputs = [f"models/cam{j}/model.json" for j in range(n_cams)] + ["report.json"]
@@ -216,8 +196,8 @@ def cmd_evaluate(ns) -> int:
 def cmd_servo(ns) -> int:
     sections = _load_sections(ns.config)
     wcfg = _world_config(sections, seed=ns.seed, style=ns.style)
-    timing = _timing(sections)
-    echo = {"world": world_to_dict(wcfg), "timing": timing_to_dict(timing),
+    timing = sections["timing"]
+    echo = {"world": config_to_dict(wcfg), "timing": config_to_dict(timing),
             "n_iters": ns.n_iters, "error": ns.error}
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
@@ -252,7 +232,7 @@ _BENCH_OUTPUTS = ["table.csv", "scatter.csv", "rows.csv", "summary.json",
                   "scatter.svg"]
 
 
-def _bench_models(ns, cfg: BenchConfig, sections) -> dict:
+def _bench_models(ns, cfg: BenchConfig, sections: dict) -> dict:
     """Per-style camera model tuples: loaded from disk or trained in place."""
     if MODE_VS not in cfg.modes:
         return {}
@@ -262,20 +242,14 @@ def _bench_models(ns, cfg: BenchConfig, sections) -> dict:
             sdir = os.path.join(ns.models, style)
             out[style] = tuple(load_model(d) for d in _model_dirs(sdir))
         return out
-    ccfg = _from_section(CollectionConfig, sections.get("collection", {}))
-    hyper = _from_section(TrainConfig, sections.get("train", {}),
-                          convert=("hidden",))
-    gate_sec = sections.get("gate", {})
     out = {}
     for style in cfg.component_styles:
-        gate = DeploymentGate(**gate_sec) if gate_sec else DeploymentGate(
-            max_val_mae_mm=cfg.world_template.tolerance / 2.0)
-
         def factory(i, style=style):
             return new_world(replace(cfg.world_template, component_style=style,
                                      seed=ns.train_seed + i))
 
-        res = configure(factory, ccfg, hyper, gate)
+        res = configure(factory, sections["collection"], sections["train"],
+                        sections["gate"])
         maes = {j: res.metrics[j]["mae_mm"] for j in sorted(res.metrics)}
         print(f"bench: {style} {res.decision} "
               f"(val mae mm {[round(maes[j], 4) for j in sorted(maes)]})")
@@ -285,16 +259,10 @@ def _bench_models(ns, cfg: BenchConfig, sections) -> dict:
 
 def cmd_bench(ns) -> int:
     sections = _load_sections(ns.config)
-    cfg = _bench_config(sections)
-    echo = {
-        "bench": {"component_styles": list(cfg.component_styles),
-                  "insertions_per_style_per_mode": cfg.insertions_per_style_per_mode,
-                  "error_disc_radius": cfg.error_disc_radius,
-                  "tolerance": cfg.tolerance, "n_iters": cfg.n_iters,
-                  "seed": cfg.seed, "modes": list(cfg.modes)},
-        "timing": timing_to_dict(cfg.timing),
-        "world": world_to_dict(cfg.world_template),
-    }
+    cfg = replace(sections["bench"], timing=sections["timing"],
+                  world_template=sections["world"])
+    echo = {"bench": config_to_dict(cfg), "timing": config_to_dict(cfg.timing),
+            "world": config_to_dict(cfg.world_template)}
     _write_manifest(ns.out, "bench", ns, echo, _BENCH_OUTPUTS)
     models = _bench_models(ns, cfg, sections)
     report = run_benchmark(cfg, models, jobs=ns.jobs)
@@ -308,27 +276,8 @@ def cmd_bench(ns) -> int:
     return 0
 
 
-_ROW_TYPES = (str, str, int, float, float, float, int,
-              lambda v: bool(int(v)), float, lambda v: bool(int(v)))
-
-
-def _read_rows_csv(path):
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(_ROW_TYPES):
-            raise InvalidConfig(f"bad rows.csv line: {ln!r}")
-        rows.append(BenchRow(*[t(p) for t, p in zip(_ROW_TYPES, parts)]))
-    return rows
-
-
 def cmd_report(ns) -> int:
-    rows = _read_rows_csv(ns.rows)
+    rows = read_rows(ns.rows)
     _write_manifest(ns.out, "report", ns, {"rows": ns.rows}, _BENCH_OUTPUTS)
     report = build_report(rows)
     emit_report(report, ns.out)

@@ -5,7 +5,7 @@ numpy float64 arrays of shape (3,). The insertion direction l is a unit
 vector; "in-plane" always means perpendicular to l.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np

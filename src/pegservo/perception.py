@@ -375,29 +375,20 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
 
 
 def predict(model, obs: Observation, rng=None) -> float:
-    """Predict the normalized error y for one observation."""
+    """Predict the normalized error y for one observation: a batch of one."""
+    return float(_predict_batch(model, np.asarray(obs.pixels)[None],
+                                np.array([obs.truth_y]), rng)[0])
+
+
+def _predict_batch(model, images, truth_y, rng=None) -> np.ndarray:
+    """Predictions for (n, r, r) images; an oracle reads truth_y instead."""
     if model.kind == "oracle":
-        y = obs.truth_y
         if model.noise_sigma > 0.0:
             if rng is None:
                 raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
-            y += model.noise_sigma * float(rng.standard_normal())
-        return float(y)
-    x = featurize(np.asarray(obs.pixels)[None], model.spec)[0]
-    if model.kind == "ridge":
-        return float(x @ model.weights + model.bias)
-    return float(_mlp_forward(model.params, x[None, :])[0])
-
-
-def _predict_batch(model, ds: Dataset, rng=None) -> np.ndarray:
-    if model.kind == "oracle":
-        y = ds.truth_y
-        if model.noise_sigma > 0.0:
-            if rng is None:
-                raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
-            y = y + model.noise_sigma * rng.standard_normal(len(y))
-        return y
-    X = featurize(ds.pixels(), model.spec)
+            return truth_y + model.noise_sigma * rng.standard_normal(len(truth_y))
+        return truth_y
+    X = featurize(images, model.spec)
     if model.kind == "ridge":
         return X @ model.weights + model.bias
     return _mlp_forward(model.params, X)
@@ -407,7 +398,7 @@ def evaluate(model, ds: Dataset, rng=None) -> dict:
     """Prediction metrics over a dataset: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    err = _predict_batch(model, ds, rng) - ds.y
+    err = _predict_batch(model, ds.pixels(), ds.truth_y, rng) - ds.y
     scale = np.array([cam.r * cam.z / cam.f for cam in ds.cameras])[ds.camera_index]
     return {"mse": float(np.mean(err ** 2)),
             "mae": float(np.mean(np.abs(err))),

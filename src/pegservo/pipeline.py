@@ -17,7 +17,7 @@ from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
 from .geometry import error_direction, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, evaluate, train
 from .search import SearchPattern, generate_pattern
-from .servoing import ServoConfig, visual_servo
+from .servoing import visual_servo
 from .sim import (InsertionOutcome, TimingModel, WorldState, move_tcp,
                   render, spiral_insert)
 
@@ -47,8 +47,9 @@ class CollectionConfig:
 class DeploymentGate:
     """Validation-error threshold deciding whether servoing is enabled.
 
-    Default threshold is half the insertion tolerance, so a deployed model
-    leaves the corrected error well inside the first spiral attempt.
+    configure's default threshold is half the insertion tolerance, so a
+    deployed model leaves the corrected error well inside the first spiral
+    attempt.
     """
 
     max_val_mae_mm: float
@@ -164,15 +165,20 @@ class ConfigureResult(TrainResult):
 
 
 def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
-              gate: DeploymentGate, pattern: SearchPattern = None) -> ConfigureResult:
+              gate: DeploymentGate = None,
+              pattern: SearchPattern = None) -> ConfigureResult:
     """Collect, split, train one model per camera, and gate deployment.
 
     decision = "deploy" iff every model's validation mae_mm is within the
-    gate threshold; otherwise "collect_more".
+    gate threshold; otherwise "collect_more". gate=None means a threshold
+    of half the world tolerance.
     """
+    if gate is None or pattern is None:
+        tolerance = world_factory(0).config.tolerance
+    if gate is None:
+        gate = DeploymentGate(max_val_mae_mm=tolerance / 2.0)
     if pattern is None:
-        pattern = generate_pattern(world_factory(0).config.tolerance,
-                                   cfg.max_offset_mag)
+        pattern = generate_pattern(tolerance, cfg.max_offset_mag)
     data = collect_dataset(world_factory, cfg, pattern)
     fit = train_per_camera(data, cfg.train_insertions, hyper)
     ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in fit.metrics.values())

@@ -8,8 +8,9 @@ TimingModel so wall-clock comparisons between strategies are reproducible.
 """
 
 import json
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class TimingModel:
     t_capture: float = 0.083
     t_infer: float = 0.067
     t_move: float = 0.133
+
+    def __post_init__(self):
+        for f in fields(self):
+            t = getattr(self, f.name)
+            if not (t >= 0 and np.isfinite(t)):
+                raise InvalidConfig(f"{f.name} must be finite and >= 0, got {t}")
 
     @property
     def search_time_constant(self) -> float:
@@ -92,6 +99,10 @@ class WorldConfig:
     uniform start-error disc applied per benchmark run; new_world itself does
     not apply it. peg_intensity=None renders no peg marking at all (contrast
     ablation for gate tests).
+
+    A camera is a CameraModel, its camera_to_dict form, or the shorthand
+    {"position": ..., "f": 1000.0, "r": 64} for a camera aimed at the
+    nominal hole. No cameras means default_cameras.
     """
 
     tolerance: float = 0.1
@@ -124,8 +135,8 @@ class WorldConfig:
         object.__setattr__(self, "insertion_direction", unit(l))
         object.__setattr__(self, "nominal_hole",
                            np.asarray(self.nominal_hole, dtype=float))
-        cams = tuple(self.cameras) if self.cameras else default_cameras(
-            self.nominal_hole, self.insertion_direction)
+        cams = (tuple(self._camera(c) for c in self.cameras) if self.cameras
+                else default_cameras(self.nominal_hole, self.insertion_direction))
         if len(cams) < 2:
             raise InvalidConfig("need at least two cameras")
         for cam in cams:
@@ -133,6 +144,15 @@ class WorldConfig:
             if np.dot(cam.optical_axis, view) <= 0:
                 raise InvalidConfig("camera does not face the work area")
         object.__setattr__(self, "cameras", cams)
+
+    def _camera(self, cam) -> CameraModel:
+        if isinstance(cam, CameraModel):
+            return cam
+        if "orientation" in cam:
+            return camera_from_dict(cam)
+        return aimed_camera(np.asarray(cam["position"], dtype=float),
+                            self.nominal_hole, self.insertion_direction,
+                            f=float(cam.get("f", 1000.0)), r=int(cam.get("r", 64)))
 
 
 @dataclass
@@ -413,74 +433,73 @@ def write_pgm(pixels: np.ndarray, path) -> None:
         raise IoError(str(exc)) from exc
 
 
-_WORLD_KEYS = {"tolerance", "hole_uncertainty_sigma", "grasp_uncertainty_sigma",
-               "extra_error_radius", "insertion_direction", "cameras",
-               "component_style", "seed", "nominal_hole", "hover_height",
-               "peg_intensity"}
-_TIMING_KEYS = {"t_attempt", "t_capture", "t_infer", "t_move"}
+_SCALARS = {bool, int, float, str, type(None)}
 
 
-def world_from_dict(d: dict) -> WorldConfig:
-    unknown = set(d) - _WORLD_KEYS
+def _section_fields(cls):
+    """The fields a config section sets: those not holding another config."""
+    return [f for f in fields(cls) if not is_dataclass(f.type)]
+
+
+def config_from_dict(cls, section):
+    """Build the config dataclass cls from one JSON config section.
+
+    The keys are cls's fields, except those holding another config, which
+    come from that config's own section. A JSON list becomes a tuple and an
+    integer for a float field a float. An unknown key, a section that is
+    not a JSON object, a scalar of the wrong type or a value the
+    constructor rejects raises InvalidConfig.
+    """
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{cls.__name__} section must be a JSON object, "
+                            f"got {section!r}")
+    types = {f.name: f.type for f in _section_fields(cls)}
+    unknown = set(section) - set(types)
     if unknown:
-        raise InvalidConfig(f"unknown world config keys: {sorted(unknown)}")
-    kw = dict(d)
-    if "insertion_direction" in kw:
-        kw["insertion_direction"] = np.asarray(kw["insertion_direction"], dtype=float)
-    if "nominal_hole" in kw:
-        kw["nominal_hole"] = np.asarray(kw["nominal_hole"], dtype=float)
-    if "cameras" in kw:
-        l = kw.get("insertion_direction", vec3(0.0, 0.0, -1.0))
-        nominal = kw.get("nominal_hole", vec3(0.0, 0.0, 0.0))
-        cams = []
-        for cd in kw["cameras"]:
-            if "orientation" in cd:
-                cams.append(camera_from_dict(cd))
-            else:
-                cams.append(aimed_camera(np.asarray(cd["position"], dtype=float),
-                                         nominal, l, f=float(cd.get("f", 1000.0)),
-                                         r=int(cd.get("r", 64))))
-        kw["cameras"] = tuple(cams)
+        raise InvalidConfig(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    kw = {}
+    for key, value in section.items():
+        kinds = typing.get_args(types[key]) or (types[key],)
+        if float in kinds and type(value) is int:
+            value = float(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        if set(kinds) <= _SCALARS and type(value) not in kinds:
+            raise InvalidConfig(f"{cls.__name__}.{key} must be of type "
+                                f"{' or '.join(k.__name__ for k in kinds)}, "
+                                f"got {value!r}")
+        kw[key] = value
     try:
-        return WorldConfig(**kw)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
+        return cls(**kw)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise InvalidConfig(f"bad {cls.__name__} section: {exc!r}") from exc
 
 
-def world_to_dict(cfg: WorldConfig) -> dict:
-    return {
-        "tolerance": cfg.tolerance,
-        "hole_uncertainty_sigma": cfg.hole_uncertainty_sigma,
-        "grasp_uncertainty_sigma": cfg.grasp_uncertainty_sigma,
-        "extra_error_radius": cfg.extra_error_radius,
-        "insertion_direction": [float(v) for v in cfg.insertion_direction],
-        "cameras": [camera_to_dict(c) for c in cfg.cameras],
-        "component_style": cfg.component_style,
-        "seed": cfg.seed,
-        "nominal_hole": [float(v) for v in cfg.nominal_hole],
-        "hover_height": cfg.hover_height,
-        "peg_intensity": cfg.peg_intensity,
-    }
+def _jsonable(value):
+    if isinstance(value, CameraModel):
+        return camera_to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
 
 
-def timing_from_dict(d: dict) -> TimingModel:
-    unknown = set(d) - _TIMING_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown timing config keys: {sorted(unknown)}")
-    return TimingModel(**{k: float(v) for k, v in d.items()})
-
-
-def timing_to_dict(t: TimingModel) -> dict:
-    return {"t_attempt": t.t_attempt, "t_capture": t.t_capture,
-            "t_infer": t.t_infer, "t_move": t.t_move}
+def config_to_dict(cfg) -> dict:
+    """The config section that config_from_dict reads back as cfg."""
+    return {f.name: _jsonable(getattr(cfg, f.name))
+            for f in _section_fields(type(cfg))}
 
 
 def load_config_file(path) -> dict:
-    """Read a JSON config file with optional world/timing/... sections."""
+    """Read a JSON config file: one object of world/timing/... sections."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{path} must hold a JSON object of sections")
+    return raw

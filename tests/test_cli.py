@@ -199,3 +199,61 @@ def test_json_writer_wraps_os_errors(tmp_path):
     assert path.read_text() == '{\n "a": [\n  0.5\n ],\n "b": 1\n}\n'
     with pytest.raises(IoError):
         _write_json(tmp_path / "missing" / "r.json", {})
+
+
+_ROWS_HEADER = ("style,mode,seed,retrospective_error_mm,true_error_mm,time_s,"
+                "attempts,success,post_servo_retrospective_error_mm,direct")
+_ROW = "led,novs,5,0.25,0.3,2.5,10,1,0.25,0"
+
+
+@pytest.mark.parametrize("config, rows, error", [
+    ({"gate": {"max_val_mae": 0.05}}, None, "InvalidConfig:"),
+    ({"train": 5}, None, "InvalidConfig:"),
+    ({"timing": {"t_attempt": "fast"}}, None, "InvalidConfig:"),
+    ({"world": {"cameras": [{"f": 900}]}}, None, "InvalidConfig:"),
+    ({"bench": {"timing": {"t_attempt": 0.3}}}, None, "InvalidConfig:"),
+    ({"timing": {"t_attempt": -1}}, None, "InvalidConfig:"),
+    ([1, 2], None, "InvalidConfig:"),
+    (None, [_ROWS_HEADER, _ROW.replace("0.3", "abc")], "CorruptArtifact:"),
+    (None, [_ROWS_HEADER.replace("seed", "world_seed"), _ROW], "CorruptArtifact:"),
+    (None, [_ROWS_HEADER, _ROW + ",1"], "CorruptArtifact:"),
+    (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
+], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
+        "bench-timing", "timing-negative", "config-not-object", "rows-float",
+        "rows-header", "rows-field-count", "rows-mode"])
+def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, error):
+    if rows is None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["bench", "--config", str(path)]
+    else:
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(rows) + "\n")
+        argv = ["report", "--rows", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "out" / "rows.csv").exists()
+
+
+def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):
+    cfg = {"world": {"tolerance": 0.5},
+           "collection": {"n_insertions": 3, "samples_per_insertion": 20,
+                          "train_insertions": 2},
+           "bench": {"component_styles": [_STYLE], "modes": ["vs"],
+                     "insertions_per_style_per_mode": 1}}
+    outs = {}
+    for name, gate in [("default", None), ("half", 0.25), ("zero", 0.0)]:
+        if gate is not None:
+            cfg["gate"] = {"max_val_mae_mm": gate}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        outs[name] = capsys.readouterr().out.splitlines()[0]
+        rows = (out / "rows.csv").read_text().splitlines()
+        assert len(rows) == 2 and ",vs," in rows[1]
+    # no gate section means half the world tolerance, not half the bench's
+    assert outs["default"] == outs["half"]
+    assert outs["default"].startswith(f"bench: {_STYLE} deploy ")
+    assert outs["zero"].startswith(f"bench: {_STYLE} collect_more ")

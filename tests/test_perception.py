@@ -16,11 +16,13 @@ from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                              LeakedInsertion, NotDifferentiableKind,
                              ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
-from pegservo.perception import (Dataset, InputSpec, OracleModel, RidgeModel,
-                                 TrainConfig, evaluate, featurize,
+from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
+                                 RidgeModel, TrainConfig, _mlp_forward,
+                                 _predict_batch, evaluate, featurize,
                                  gradient_check, init_mlp, load_dataset,
                                  load_model, predict, save_dataset,
                                  save_model, train)
+from pegservo.sim import Observation
 
 
 def _split(ds, n_train_ins):
@@ -423,3 +425,47 @@ def test_dataset_views_survive_save_and_load(ds, ids, cam):
             assert a.dtype == b.dtype and np.array_equal(a, b), col
         for ca, cb in zip(view.cameras, back.cameras, strict=True):
             assert np.array_equal(ca.position, cb.position) and ca.f == cb.f
+
+
+def _reference_predict(model, obs, rng):
+    """predict as computed for one observation before it became a batch of one."""
+    if model.kind == "oracle":
+        y = obs.truth_y
+        if model.noise_sigma > 0.0:
+            y += model.noise_sigma * float(rng.standard_normal())
+        return float(y)
+    x = _reference_features(obs.pixels, model.spec)
+    if model.kind == "ridge":
+        return float(x @ model.weights + model.bias)
+    return float(_mlp_forward(model.params, x[None, :])[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=image_batches(), kind=st.sampled_from(["oracle", "ridge", "mlp"]),
+       seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
+def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
+    images, spec = batch
+    draws = np.random.default_rng(seed)
+    truth = draws.normal(size=len(images))
+    d = spec.r * spec.r
+    if kind == "oracle":
+        model = OracleModel(noise_sigma=float(draws.uniform(0.01, 1.0)) * noisy)
+    elif kind == "ridge":
+        model = RidgeModel(weights=draws.normal(size=d), bias=float(draws.normal()),
+                           lam=1.0, spec=spec)
+    else:
+        hidden = (int(draws.integers(1, 9)), int(draws.integers(1, 9)))
+        params = [draws.normal(size=s) for s in
+                  [(d, hidden[0]), hidden[0], hidden, hidden[1], (hidden[1], 1), 1]]
+        model = MlpModel(params=params, spec=spec, hidden=hidden)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    ys = []
+    for i in range(len(images)):
+        obs = Observation(pixels=images[i], camera_index=0, truth_y=float(truth[i]))
+        y = predict(model, obs, got)
+        assert repr(y) == repr(_reference_predict(model, obs, want))
+        ys.append(y)
+    if kind == "oracle":
+        # the batch draws its noise in row order, as successive predicts do
+        rows = _predict_batch(model, images, truth, np.random.default_rng(seed))
+        assert np.array(ys).tobytes() == rows.tobytes()

@@ -111,8 +111,8 @@ def test_split_too_few_insertions(led_dataset):
 
 
 def test_configure_defaults_reach_deploy():
-    res = configure(led_factory, CollectionConfig(), RIDGE_HYPER,
-                    DeploymentGate(max_val_mae_mm=0.05))
+    res = configure(led_factory, CollectionConfig(), RIDGE_HYPER)
+    assert res.gate == DeploymentGate(max_val_mae_mm=0.05)  # half of 0.1 mm
     assert res.decision == "deploy"
     assert res.dataset_size == 2000
     assert sorted(res.models) == [0, 1]

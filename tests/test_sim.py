@@ -1,5 +1,6 @@
 """Simulated cell: hidden state, motion constraint, renderer, timing."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,15 +8,15 @@ import numpy as np
 import pytest
 
 from pegservo.errors import ConstraintViolation, InvalidConfig
-from pegservo.geometry import (denormalize_error, error_direction,
+from pegservo.geometry import (aimed_camera, camera_to_dict,
+                               denormalize_error, error_direction,
                                normalize_error, project, scalar_error, vec3)
 from pegservo.search import generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          attempt_insertion, default_cameras, load_config_file,
-                          move_tcp, new_world, peg_position, render,
-                          spiral_insert, timing_from_dict, timing_to_dict,
-                          true_inplane_error, world_from_dict, world_to_dict,
-                          write_pgm)
+                          attempt_insertion, config_from_dict, config_to_dict,
+                          default_cameras, load_config_file, move_tcp,
+                          new_world, peg_position, render, spiral_insert,
+                          true_inplane_error, write_pgm)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -88,6 +89,13 @@ def test_config_validation():
     cams = default_cameras(vec3(0, 0, 0), L)
     with pytest.raises(InvalidConfig):
         WorldConfig(cameras=cams[:1])
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_timing_rejects_negative_or_non_finite(bad):
+    with pytest.raises(InvalidConfig):
+        TimingModel(t_attempt=bad)
+    assert TimingModel(t_move=0.0).t_move == 0.0
 
 
 def test_default_cameras_well_conditioned():
@@ -309,7 +317,8 @@ def test_pgm_export(tmp_path):
 
 def test_world_config_dict_roundtrip():
     cfg = WorldConfig(seed=9, component_style="dsub", tolerance=0.08)
-    back = world_from_dict(world_to_dict(cfg))
+    back = config_from_dict(WorldConfig,
+                            json.loads(json.dumps(config_to_dict(cfg))))
     assert back.tolerance == cfg.tolerance
     assert back.component_style == cfg.component_style
     assert back.seed == cfg.seed
@@ -321,22 +330,59 @@ def test_world_config_dict_roundtrip():
     assert np.array_equal(new_world(cfg).true_hole, new_world(back).true_hole)
 
 
+def test_camera_shorthand_aims_at_the_nominal_hole():
+    hole = vec3(1.0, 2.0, 0.0)
+    cfg = config_from_dict(WorldConfig, {
+        "nominal_hole": [1.0, 2.0, 0.0],
+        "cameras": [{"position": [300.0, 2.0, 300.0]},
+                    {"position": [1.0, 300.0, 300.0], "f": 900, "r": 32}]})
+    want = [aimed_camera(vec3(300.0, 2.0, 300.0), hole, L, f=1000.0, r=64),
+            aimed_camera(vec3(1.0, 300.0, 300.0), hole, L, f=900.0, r=32)]
+    assert [camera_to_dict(c) for c in cfg.cameras] == \
+        [camera_to_dict(c) for c in want]
+
+
 def test_world_from_dict_rejects_unknown_keys():
+    with pytest.raises(InvalidConfig, match="spacing"):
+        config_from_dict(WorldConfig, {"tolerance": 0.1, "spacing": 3})
+
+
+@pytest.mark.parametrize("cls, section", [
+    (WorldConfig, [0.1]),
+    (WorldConfig, {"cameras": [{"f": 900}, {"f": 900}]}),
+    (WorldConfig, {"cameras": [7, 8]}),
+    (WorldConfig, {"insertion_direction": "down"}),
+    (WorldConfig, {"seed": True}),
+    (WorldConfig, {"peg_intensity": "bright"}),
+    (TimingModel, {"t_attempt": "fast"}),
+    (TimingModel, {"t_attempt": -1}),
+])
+def test_config_from_dict_rejects_bad_values(cls, section):
     with pytest.raises(InvalidConfig):
-        world_from_dict({"tolerance": 0.1, "spacing": 3})
+        config_from_dict(cls, section)
+
+
+def test_config_from_dict_converts_json_values():
+    cfg = config_from_dict(WorldConfig, {"tolerance": 1, "seed": 4,
+                                         "peg_intensity": None})
+    assert type(cfg.tolerance) is float and cfg.seed == 4
+    assert cfg.peg_intensity is None
 
 
 def test_timing_dict_roundtrip_and_config_file(tmp_path):
     t = TimingModel(t_attempt=0.3)
-    assert timing_from_dict(timing_to_dict(t)) == t
+    assert config_from_dict(TimingModel, config_to_dict(t)) == t
     with pytest.raises(InvalidConfig):
-        timing_from_dict({"t_blink": 1.0})
+        config_from_dict(TimingModel, {"t_blink": 1.0})
     p = tmp_path / "cfg.json"
     p.write_text('{"world": {"seed": 3}, "timing": {"t_move": 0.2}}')
     raw = load_config_file(p)
     assert raw["world"]["seed"] == 3
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
+    with pytest.raises(InvalidConfig):
+        load_config_file(bad)
+    bad.write_text("[1, 2]")
     with pytest.raises(InvalidConfig):
         load_config_file(bad)
 

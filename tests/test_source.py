@@ -1,0 +1,32 @@
+"""Static checks on the library source."""
+
+import ast
+import pathlib
+
+import pytest
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pegservo"
+_MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_is_detected():
+    assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "b (line 2)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text()) == []
