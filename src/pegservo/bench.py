@@ -8,14 +8,13 @@ JSON and an SVG scatter with a log time axis.
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import (CorruptArtifact, InsufficientData, InvalidConfig, IoError,
-                     ModelsNotDeployed)
+from .errors import (CorruptArtifact, InsufficientData, InvalidConfig,
+                     ModelsNotDeployed, read_artifact, write_artifacts)
 from .pipeline import insert
 from .search import generate_pattern
 from .servoing import servo_config_for
@@ -236,13 +235,7 @@ _PARSE = {str: str, int: int, float: float,
 
 def read_rows(path) -> list:
     """The BenchRows of a rows.csv that emit_report wrote."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptArtifact(f"{path}: {exc}") from exc
+    lines = read_artifact(path).splitlines()
     if not lines or lines[0] != ",".join(_ROW_COLUMNS):
         raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
     parse = [_PARSE[f.type] for f in fields(BenchRow)]
@@ -261,67 +254,51 @@ def read_rows(path) -> list:
 
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    styles = sorted(report.per_style)
+    lines = ["style,vs_time_s,novs_time_s,speedup"]
+    for style in styles:
+        e = report.per_style[style]
+        vs = e.get("vs_mean_time_s")
+        novs = e.get("novs_mean_time_s")
+        sp = novs / vs if vs and novs else float("nan")
+        lines.append(f"{style},{_fmt(vs) if vs is not None else ''},"
+                     f"{_fmt(novs) if novs is not None else ''},"
+                     f"{_fmt(sp)}")
+    if styles:
+        vs = report.overall.get("vs_mean_time_s")
+        novs = report.overall.get("novs_mean_time_s")
+        lines.append(f"average,{_fmt(vs) if vs is not None else ''},"
+                     f"{_fmt(novs) if novs is not None else ''},"
+                     f"{_fmt(report.speedup)}")
+    files = {"table.csv": "\n".join(lines) + "\n"}
 
-    def path(name):
-        written.append(name)
-        return os.path.join(out_dir, name)
+    lines = ["error_mm,time_s,mode"]
+    for r in report.rows:
+        lines.append(f"{_fmt(r.retrospective_error_mm)},{_fmt(r.time_s)},{r.mode}")
+    files["scatter.csv"] = "\n".join(lines) + "\n"
 
+    lines = [",".join(_ROW_COLUMNS)]
+    for r in report.rows:
+        lines.append(",".join(_fmt(getattr(r, c)) for c in _ROW_COLUMNS))
+    files["rows.csv"] = "\n".join(lines) + "\n"
+
+    summary = {
+        "per_style": report.per_style,
+        "overall": report.overall,
+        "speedup": report.speedup,
+        "success": report.success,
+        "direct": report.direct,
+        "mean_post_servo_retro_mm": report.mean_post_servo_retro_mm,
+        "n_rows": len(report.rows),
+    }
     try:
-        styles = sorted(report.per_style)
-        lines = ["style,vs_time_s,novs_time_s,speedup"]
-        for style in styles:
-            e = report.per_style[style]
-            vs = e.get("vs_mean_time_s")
-            novs = e.get("novs_mean_time_s")
-            sp = novs / vs if vs and novs else float("nan")
-            lines.append(f"{style},{_fmt(vs) if vs is not None else ''},"
-                         f"{_fmt(novs) if novs is not None else ''},"
-                         f"{_fmt(sp)}")
-        if styles:
-            vs = report.overall.get("vs_mean_time_s")
-            novs = report.overall.get("novs_mean_time_s")
-            lines.append(f"average,{_fmt(vs) if vs is not None else ''},"
-                         f"{_fmt(novs) if novs is not None else ''},"
-                         f"{_fmt(report.speedup)}")
-        with open(path("table.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-        lines = ["error_mm,time_s,mode"]
-        for r in report.rows:
-            lines.append(f"{_fmt(r.retrospective_error_mm)},{_fmt(r.time_s)},{r.mode}")
-        with open(path("scatter.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-        lines = [",".join(_ROW_COLUMNS)]
-        for r in report.rows:
-            lines.append(",".join(_fmt(getattr(r, c)) for c in _ROW_COLUMNS))
-        with open(path("rows.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-        summary = {
-            "per_style": report.per_style,
-            "overall": report.overall,
-            "speedup": report.speedup,
-            "success": report.success,
-            "direct": report.direct,
-            "mean_post_servo_retro_mm": report.mean_post_servo_retro_mm,
-            "n_rows": len(report.rows),
-        }
-        try:
-            summary["quadratic_law"] = fit_quadratic_law(
-                [r for r in report.rows if r.mode == MODE_NOVS])
-        except InsufficientData:
-            summary["quadratic_law"] = None
-        with open(path("summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-
-        with open(path("scatter.svg"), "w") as fh:
-            fh.write(_scatter_svg(report))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return written
+        summary["quadratic_law"] = fit_quadratic_law(
+            [r for r in report.rows if r.mode == MODE_NOVS])
+    except InsufficientData:
+        summary["quadratic_law"] = None
+    files["summary.json"] = json.dumps(summary, indent=1, sort_keys=True)
+    files["scatter.svg"] = _scatter_svg(report)
+    return write_artifacts(out_dir, files)
 
 
 _SVG_W, _SVG_H = 640, 420

@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .bench import (MODE_VS, BenchConfig, build_report, emit_report,
                     read_rows, run_benchmark)
-from .errors import InvalidConfig, IoError, PegServoError
+from .errors import (InvalidConfig, IoError, PegServoError, write_artifact,
+                     write_artifacts)
 from .perception import (TrainConfig, evaluate, load_dataset, load_model,
                          save_dataset, save_model)
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
@@ -64,17 +65,15 @@ def _world_config(sections, seed=None, style=None) -> WorldConfig:
     return replace(sections["world"], **kw) if kw else sections["world"]
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def _write_json(path, obj) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_artifact(path, _json_text(obj))
 
 
 def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     args = {k: v for k, v in vars(ns).items() if k != "func"}
     manifest = {
         "subcommand": subcommand,
@@ -84,7 +83,7 @@ def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
         "config": config_echo,
         "outputs": sorted(outputs),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_artifacts(out_dir, {"manifest.json": _json_text(manifest)})
 
 
 def _model_dirs(models_dir):
@@ -137,7 +136,8 @@ def cmd_simulate(ns) -> int:
 
 def cmd_collect(ns) -> int:
     sections = _load_sections(ns.config)
-    ccfg, template = sections["collection"], sections["world"]
+    # the world echo shows the seed base, the seed of insertion 0
+    ccfg, template = sections["collection"], _world_config(sections, seed=ns.seed)
     echo = {"world": config_to_dict(template),
             "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("collect", help="autonomously collect a labeled dataset")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=1000,
-                   help="world seed base; insertion i uses seed+i")
+                   help="world seed base; insertion i uses seed+i (the "
+                        "config's world.seed is not used)")
     _add_out(p, "collect")
     p.set_defaults(func=cmd_collect)
 
@@ -344,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("servo", help="run the servo loop on a fresh scene")
     p.add_argument("--models", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="world seed (default: the config's world.seed)")
     p.add_argument("--style", choices=COMPONENT_STYLES, default=None)
     p.add_argument("--error", type=float, default=0.0,
                    help="extra in-plane start error magnitude (mm)")

@@ -1,9 +1,18 @@
-"""Domain error taxonomy.
+"""Domain error taxonomy, and the one place the library touches the disk.
 
 Every error the library raises on purpose derives from PegServoError so the
 CLI can map any of them to exit code 1 and print the class name. Plain
 programming errors (TypeError and friends) are not wrapped.
+
+Every artifact is written by write_artifact (or write_artifacts, which also
+makes the output directory) and read by read_artifact; an OSError from any
+of them becomes IoError. Writes are atomic: the bytes go to a temporary
+file next to the target, which then replaces it. Errors of a file's format
+(bad JSON, a wrong header or size) belong to its reader.
 """
+
+import contextlib
+import os
 
 
 class PegServoError(Exception):
@@ -76,3 +85,58 @@ class IoError(PegServoError):
 
 class CorruptArtifact(PegServoError):
     """A saved artifact is truncated, malformed or of another schema version."""
+
+
+@contextlib.contextmanager
+def _io_guard():
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
+def write_artifact(path, data) -> None:
+    """Write one file from str (as UTF-8), bytes or a C-contiguous array.
+
+    The parent directory must exist. path ends up holding either all of
+    data or, if anything fails, its previous content; the temporary file is
+    removed either way. A new file's mode follows the umask, as with open().
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with _io_guard():
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+
+
+def write_artifacts(out_dir, files: dict) -> list:
+    """Make out_dir, then write each name -> data into it; the names written."""
+    with _io_guard():
+        os.makedirs(out_dir, exist_ok=True)
+    for name, data in files.items():
+        write_artifact(os.path.join(out_dir, name), data)
+    return list(files)
+
+
+def read_artifact(path, binary=False):
+    """A file's text, or with binary=True its bytes as a writable bytearray.
+
+    An undecodable text file raises CorruptArtifact.
+    """
+    try:
+        with _io_guard():
+            if not binary:
+                with open(path, encoding="utf-8") as fh:
+                    return fh.read()
+            with open(path, "rb") as fh:
+                # one buffer of the file's size, filled in place: no second copy
+                data = bytearray(os.fstat(fh.fileno()).st_size)
+                del data[fh.readinto(data):]
+                return data
+    except UnicodeDecodeError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc

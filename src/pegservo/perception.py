@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig, IoError,
-                     LeakedInsertion, NotDifferentiableKind, ShapeMismatch)
+from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
+                     LeakedInsertion, NotDifferentiableKind, ShapeMismatch,
+                     read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
 from .sim import Observation
 
@@ -447,7 +448,6 @@ def gradient_check(model, ds: Dataset, n_checks: int = 100, step: float = 1e-5,
 
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Write meta.json plus images.bin (float32 little-endian, sample order)."""
-    os.makedirs(out_dir, exist_ok=True)
     columns = [getattr(ds, k).tolist() for k in _LABELS]
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -456,22 +456,15 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         "cameras": [camera_to_dict(c) for c in ds.cameras],
         "samples": [dict(zip(_LABELS, values)) for values in zip(*columns)],
     }
-    try:
-        with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
-        with open(os.path.join(out_dir, "images.bin"), "wb") as fh:
-            ds.pixels().astype("<f4", copy=False).tofile(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_artifacts(out_dir, {
+        "meta.json": json.dumps(meta, indent=1, sort_keys=True),
+        "images.bin": ds.pixels().astype("<f4", copy=False)})
 
 
 def _read_meta(path) -> dict:
     """A meta.json or model.json of this schema version, parsed."""
     try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        meta = json.loads(read_artifact(path))
     except ValueError as exc:
         raise CorruptArtifact(f"{path}: {exc}") from exc
     version = meta.get("schema_version") if isinstance(meta, dict) else None
@@ -483,10 +476,7 @@ def _read_meta(path) -> dict:
 
 def load_dataset(in_dir) -> Dataset:
     meta = _read_meta(os.path.join(in_dir, "meta.json"))
-    try:
-        raw = np.fromfile(os.path.join(in_dir, "images.bin"), dtype="<f4")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    raw = read_artifact(os.path.join(in_dir, "images.bin"), binary=True)
     try:
         r, n = int(meta["r"]), int(meta["n"])
         cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
@@ -494,12 +484,12 @@ def load_dataset(in_dir) -> Dataset:
                   for k, dtype in _LABELS.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"bad meta.json in {in_dir}: {exc!r}") from exc
-    if raw.size != n * r * r or len(labels["y"]) != n:
-        raise ShapeMismatch(f"images.bin holds {raw.size} floats and meta.json "
-                            f"{len(labels['y'])} samples, expected {n} images "
-                            f"of {r}x{r}")
-    return Dataset(images=raw.reshape(n, r, r), rows=np.arange(n), cameras=cams,
-                   **labels)
+    if len(raw) != 4 * n * r * r or len(labels["y"]) != n:
+        raise CorruptArtifact(f"images.bin holds {len(raw)} bytes and meta.json "
+                              f"{len(labels['y'])} samples, expected {n} "
+                              f"float32 images of {r}x{r}")
+    images = np.frombuffer(raw, dtype="<f4").reshape(n, r, r)
+    return Dataset(images=images, rows=np.arange(n), cameras=cams, **labels)
 
 
 def save_model(model, out_dir) -> None:
@@ -509,7 +499,6 @@ def save_model(model, out_dir) -> None:
     W1, b1, W2, b2, W3, b3] with matrices flattened row-major. oracle models
     have no weights.bin.
     """
-    os.makedirs(out_dir, exist_ok=True)
     meta = {"schema_version": SCHEMA_VERSION, "kind": model.kind}
     blobs = []
     if model.kind == "oracle":
@@ -524,15 +513,11 @@ def save_model(model, out_dir) -> None:
         else:
             meta["hidden"] = list(model.hidden)
             blobs += [p.ravel() for p in model.params]
-    try:
-        with open(os.path.join(out_dir, "model.json"), "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
-        if blobs:
-            with open(os.path.join(out_dir, "weights.bin"), "wb") as fh:
-                for b in blobs:
-                    fh.write(np.asarray(b, dtype=np.float64).astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    files = {"model.json": json.dumps(meta, indent=1, sort_keys=True)}
+    if blobs:
+        files["weights.bin"] = np.concatenate(
+            [np.asarray(b, dtype=np.float64).ravel() for b in blobs]).astype("<f4")
+    write_artifacts(out_dir, files)
 
 
 def load_model(in_dir):
@@ -547,21 +532,18 @@ def _model_from_meta(meta: dict, in_dir):
     kind = meta["kind"]
     if kind == "oracle":
         return OracleModel(noise_sigma=float(meta["noise_sigma"]))
-    try:
-        raw = np.fromfile(os.path.join(in_dir, "weights.bin"),
-                          dtype="<f4").astype(np.float64)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    raw = np.frombuffer(read_artifact(os.path.join(in_dir, "weights.bin"),
+                                      binary=True), dtype="<f4").astype(np.float64)
     r = int(meta["r"])
     d = r * r
     if raw.size < 2 * d:
-        raise ShapeMismatch("weights.bin too short for feature statistics")
+        raise CorruptArtifact("weights.bin too short for feature statistics")
     feat_mean, feat_std, rest = raw[:d], raw[d:2 * d], raw[2 * d:]
     spec = InputSpec(r=r, robust=bool(meta["robust"]),
                      feat_mean=feat_mean, feat_std=feat_std)
     if kind == "ridge":
         if rest.size != d + 1:
-            raise ShapeMismatch("ridge weights.bin has wrong length")
+            raise CorruptArtifact("ridge weights.bin has wrong length")
         return RidgeModel(weights=rest[:d], bias=float(rest[d]),
                           lam=float(meta["lam"]), spec=spec)
     if kind == "mlp":
@@ -577,6 +559,6 @@ def _model_from_meta(meta: dict, in_dir):
             params.append(W)
             params.append(b)
         if off != rest.size:
-            raise ShapeMismatch("mlp weights.bin has wrong length")
+            raise CorruptArtifact("mlp weights.bin has wrong length")
         return MlpModel(params=params, spec=spec, hidden=hidden)
     raise InvalidConfig(f"unknown model kind {kind!r}")

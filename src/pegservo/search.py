@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidRadius, InvalidTolerance, IoError
+from .errors import InvalidRadius, InvalidTolerance, write_artifact
 
 # Norms are rounded to this quantum before ordering so that lattice points on
 # the same ring compare equal despite float construction jitter.
@@ -101,8 +101,4 @@ def write_pattern_csv(pattern: SearchPattern, path) -> None:
     lines = ["index,dx_mm,dy_mm"]
     for k, (dx, dy) in enumerate(pattern.offsets):
         lines.append(f"{k},{float(dx)!r},{float(dy)!r}")
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_artifact(path, "\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig, IoError
+from .errors import InvalidConfig, write_artifact
 from .geometry import (denormalize_error, error_direction, reconstruct_error)
 from .perception import predict
 from .sim import TimingModel, WorldState, move_tcp, render, true_inplane_error
@@ -132,8 +132,4 @@ def write_trace_csv(trace: list, path) -> None:
     for row in trace:
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
                               else str(row[c]) for c in cols))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_artifact(path, "\n".join(lines) + "\n")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, InvalidConfig, IoError
+from .errors import (ConstraintViolation, InvalidConfig, read_artifact,
+                     write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
                        inplane_component, normalize_error, project,
@@ -95,10 +96,10 @@ class WorldConfig:
 
     tolerance is the insertion clearance (mm): an attempt succeeds iff the
     in-plane peg-hole distance is <= tolerance. hole/grasp uncertainty sigmas
-    feed the hidden per-world draws. extra_error_radius is the radius of the
-    uniform start-error disc applied per benchmark run; new_world itself does
-    not apply it. peg_intensity=None renders no peg marking at all (contrast
-    ablation for gate tests).
+    feed the hidden per-world draws; new_world applies no further start
+    error (the benchmark's start-error disc is BenchConfig.error_disc_radius).
+    peg_intensity=None renders no peg marking at all (contrast ablation for
+    gate tests).
 
     A camera is a CameraModel, its camera_to_dict form, or the shorthand
     {"position": ..., "f": 1000.0, "r": 64} for a camera aimed at the
@@ -108,7 +109,6 @@ class WorldConfig:
     tolerance: float = 0.1
     hole_uncertainty_sigma: float = 0.01
     grasp_uncertainty_sigma: float = 0.01
-    extra_error_radius: float = 1.0
     insertion_direction: np.ndarray = field(default_factory=lambda: vec3(0.0, 0.0, -1.0))
     cameras: tuple = ()
     component_style: str = "led"
@@ -122,8 +122,6 @@ class WorldConfig:
             raise InvalidConfig(f"tolerance must be > 0, got {self.tolerance}")
         if self.hole_uncertainty_sigma < 0 or self.grasp_uncertainty_sigma < 0:
             raise InvalidConfig("uncertainty sigmas must be >= 0")
-        if self.extra_error_radius < 0:
-            raise InvalidConfig("extra_error_radius must be >= 0")
         if self.hover_height < 0:
             raise InvalidConfig("hover_height must be >= 0")
         if self.component_style not in COMPONENT_STYLES:
@@ -269,40 +267,20 @@ class Observation:
     truth_y: float
 
 
-def _composite(img, cov, intensity):
-    return img * (1.0 - cov) + intensity * cov
-
-
-def _disc_cov(X, Y, cx, cy, rad, edge=EDGE_WIDTH):
-    d = np.hypot(X - cx, Y - cy)
-    return np.clip((rad - d) / edge + 0.5, 0.0, 1.0)
-
-
-def _draw_glyph(img, X, Y, cx, cy, style, peg_i: float):
-    def pin_at(im, pu, pv, rad):
-        return _composite(im, _disc_cov(X, Y, cx + pu, cy + pv, rad), PIN_INTENSITY)
-
-    if style == "pin_header":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.0), peg_i)
-        for pu in (-3.2, 0.0, 3.2):
-            img = pin_at(img, pu, 0.0, 1.8)
-    elif style == "dsub":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 7.8), peg_i)
-        for pu in (-2.8, 2.8):
-            for pv in (-2.8, 2.8):
-                img = pin_at(img, pu, pv, 1.8)
-    elif style == "led":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 6.5), peg_i)
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 2.6), 0.45)
-    elif style == "cap_small":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 5.5), peg_i)
-        for pu in (-2.8, 2.8):
-            img = pin_at(img, pu, 0.0, 1.8)
-    elif style == "cap_large":
-        img = _composite(img, _disc_cov(X, Y, cx, cy, 8.5), peg_i)
-        for pu in (-4.0, 4.0):
-            img = pin_at(img, pu, 0.0, 2.2)
-    return img
+# Each style's peg glyph as discs painted in order over the hole: (du, dv)
+# offset from the peg center in pixels, radius, and intensity (None: the
+# world's peg_intensity).
+_GLYPHS = {
+    "pin_header": [(0.0, 0.0, 6.0, None)]
+    + [(pu, 0.0, 1.8, PIN_INTENSITY) for pu in (-3.2, 0.0, 3.2)],
+    "dsub": [(0.0, 0.0, 7.8, None)]
+    + [(pu, pv, 1.8, PIN_INTENSITY) for pu in (-2.8, 2.8) for pv in (-2.8, 2.8)],
+    "led": [(0.0, 0.0, 6.5, None), (0.0, 0.0, 2.6, 0.45)],
+    "cap_small": [(0.0, 0.0, 5.5, None)]
+    + [(pu, 0.0, 1.8, PIN_INTENSITY) for pu in (-2.8, 2.8)],
+    "cap_large": [(0.0, 0.0, 8.5, None)]
+    + [(pu, 0.0, 2.2, PIN_INTENSITY) for pu in (-4.0, 4.0)],
+}
 
 
 def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
@@ -329,12 +307,16 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
     app = world.appearance
     grid = np.arange(cam.r, dtype=float)
     X, Y = np.meshgrid(grid, grid)
-    img = np.full((cam.r, cam.r), app.background)
-    img = _composite(img, _disc_cov(X, Y, hole_px[0], hole_px[1], app.hole_radius_px,
-                                    edge=HOLE_EDGE_WIDTH), HOLE_INTENSITY)
+    discs = [(hole_px[0], hole_px[1], app.hole_radius_px, HOLE_EDGE_WIDTH,
+              HOLE_INTENSITY)]
     if cfg.peg_intensity is not None:
-        img = _draw_glyph(img, X, Y, peg_px[0], peg_px[1],
-                          cfg.component_style, cfg.peg_intensity)
+        discs += [(peg_px[0] + du, peg_px[1] + dv, rad, EDGE_WIDTH,
+                   cfg.peg_intensity if i is None else i)
+                  for du, dv, rad, i in _GLYPHS[cfg.component_style]]
+    img = np.full((cam.r, cam.r), app.background)
+    for cx, cy, rad, edge, intensity in discs:
+        cov = np.clip((rad - np.hypot(X - cx, Y - cy)) / edge + 0.5, 0.0, 1.0)
+        img = img * (1.0 - cov) + intensity * cov
 
     bits = np.asarray(tcp, dtype=np.float64).view(np.uint64)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
@@ -425,12 +407,8 @@ def write_pgm(pixels: np.ndarray, path) -> None:
     """Export one observation as a binary 8-bit PGM."""
     arr = np.clip(np.round(np.asarray(pixels, dtype=float) * 255.0), 0, 255)
     h, w = arr.shape
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(arr.astype(np.uint8).tobytes())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_artifact(path, f"P5\n{w} {h}\n255\n".encode("ascii")
+                   + arr.astype(np.uint8).tobytes())
 
 
 _SCALARS = {bool, int, float, str, type(None)}
@@ -494,10 +472,7 @@ def config_to_dict(cfg) -> dict:
 def load_config_file(path) -> dict:
     """Read a JSON config file: one object of world/timing/... sections."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raw = json.loads(read_artifact(path))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):

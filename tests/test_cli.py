@@ -162,6 +162,26 @@ def test_servo_result_and_trace(pipeline_dirs):
     assert len(trace) == 1 + 3
 
 
+def test_servo_seed_defaults_to_the_config_world_seed(pipeline_dirs, tmp_path,
+                                                     config_path):
+    d, _, models = pipeline_dirs  # d["servo"] ran without --seed
+    out = tmp_path / "seed7"
+    assert main(["servo", "--config", config_path, "--models", models,
+                 "--error", "1.0", "--seed", "7", "--out", str(out)]) == 0
+    assert (out / "result.json").read_bytes() == \
+        open(f"{d['servo']}/result.json", "rb").read()
+    manifest = json.loads(open(f"{d['servo']}/manifest.json").read())
+    assert manifest["args"]["seed"] is None
+    assert manifest["config"]["world"]["seed"] == 7
+
+
+def test_collect_manifest_echoes_the_seed_base(pipeline_dirs):
+    d, _, _ = pipeline_dirs  # config world.seed 7, default --seed 1000
+    manifest = json.loads(open(f"{d['collect']}/manifest.json").read())
+    assert manifest["config"]["seed_base"] == 1000
+    assert manifest["config"]["world"]["seed"] == 1000
+
+
 def test_bench_then_report_roundtrip(tmp_path, config_path, capsys):
     b1, b2 = tmp_path / "bench", tmp_path / "rebuilt"
     assert main(["bench", "--config", config_path, "--out", str(b1)]) == 0
@@ -214,12 +234,14 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,0.25,0"
     ({"bench": {"timing": {"t_attempt": 0.3}}}, None, "InvalidConfig:"),
     ({"timing": {"t_attempt": -1}}, None, "InvalidConfig:"),
     ([1, 2], None, "InvalidConfig:"),
+    ({"world": {"extra_error_radius": 1.0}}, None, "InvalidConfig:"),
     (None, [_ROWS_HEADER, _ROW.replace("0.3", "abc")], "CorruptArtifact:"),
     (None, [_ROWS_HEADER.replace("seed", "world_seed"), _ROW], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW + ",1"], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
-        "bench-timing", "timing-negative", "config-not-object", "rows-float",
+        "bench-timing", "timing-negative", "config-not-object",
+        "world-extra-error-radius", "rows-float",
         "rows-header", "rows-field-count", "rows-mode"])
 def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, error):
     if rows is None:
@@ -257,3 +279,31 @@ def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):
     assert outs["default"] == outs["half"]
     assert outs["default"].startswith(f"bench: {_STYLE} deploy ")
     assert outs["zero"].startswith(f"bench: {_STYLE} collect_more ")
+
+
+@pytest.mark.parametrize("sub", ["pattern", "simulate", "collect", "train",
+                                 "evaluate", "servo", "bench", "report"])
+def test_out_below_a_regular_file_exits_1(sub, tmp_path, capsys, pipeline_dirs,
+                                          config_path):
+    _, data, models = pipeline_dirs
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"{_ROWS_HEADER}\n{_ROW}\n")
+    inputs = {"pattern": [], "simulate": [], "collect": [],
+              "train": ["--data", data], "evaluate": ["--data", data, "--models", models],
+              "servo": ["--models", models], "bench": ["--config", config_path],
+              "report": ["--rows", str(rows)]}
+    (tmp_path / "file").write_text("x")
+    blocked = str(tmp_path / "file" / "out")
+    assert main([sub, *inputs[sub], "--out", blocked]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IoError:") and "Traceback" not in err
+    assert str(tmp_path / "file") in err
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b'{"world": {"component_style": "\xff"}}')
+    assert main(["simulate", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CorruptArtifact:") and "Traceback" not in err

@@ -345,6 +345,40 @@ def test_truncated_artifact_is_typed(tmp_path, name):
         (load_model if name == "model.json" else load_dataset)(tmp_path)
 
 
+_RESIZE = {"short": lambda raw: raw[:-4], "torn": lambda raw: raw[:-1],
+           "long": lambda raw: raw + bytes(4)}
+
+
+@pytest.mark.parametrize("resize", sorted(_RESIZE))
+@pytest.mark.parametrize("kind", ["ridge", "mlp"])
+def test_wrong_sized_weights_are_corrupt(tmp_path, kind, resize):
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    model = (init_mlp(ds, _mlp_hyper()) if kind == "mlp"
+             else train(*_split(ds, 1), TrainConfig(kind="ridge"))[0])
+    save_model(model, tmp_path)
+    path = tmp_path / "weights.bin"
+    path.write_bytes(_RESIZE[resize](path.read_bytes()))
+    with pytest.raises(CorruptArtifact):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("resize", sorted(_RESIZE))
+def test_wrong_sized_images_are_corrupt(tmp_path, resize):
+    save_dataset(synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal()), tmp_path)
+    path = tmp_path / "images.bin"
+    path.write_bytes(_RESIZE[resize](path.read_bytes()))
+    with pytest.raises(CorruptArtifact):
+        load_dataset(tmp_path)
+
+
+def test_loaded_images_are_writable(tmp_path):
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    save_dataset(ds, tmp_path)
+    back = load_dataset(tmp_path)
+    assert back.images.flags.writeable
+    assert back.images.tobytes() == ds.images.tobytes()
+
+
 # ---------------------------------------------------------------- properties
 
 

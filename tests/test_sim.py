@@ -389,7 +389,7 @@ def test_timing_dict_roundtrip_and_config_file(tmp_path):
 
 def test_extra_error_radius_not_applied_at_creation():
     # start error comes only from the sigma draws, not the benchmark disc
-    w = new_world(WorldConfig(seed=123, extra_error_radius=1.0))
+    w = new_world(WorldConfig(seed=123))
     assert true_inplane_error(w) < 0.1
 
 

@@ -30,3 +30,12 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_errors_module_touches_the_disk(path):
+    # every artifact goes through errors.write_artifact(s) / read_artifact
+    source = path.read_text()
+    assert [call for call in ("open(", "os.makedirs", "np.fromfile", ".tofile(")
+            if call in source] == []
