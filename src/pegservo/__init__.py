@@ -6,29 +6,29 @@ from .errors import PegServoError
 from .geometry import (CameraModel, aimed_camera, error_direction,
                        inplane_basis, reconstruct_error, scalar_error)
 from .search import SearchPattern, covering_radius, generate_pattern
-from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig, WorldState,
-                  new_world, render, spiral_insert)
+from .sim import (COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
+                  WorldState, new_world, render, spiral_insert)
 from .perception import (Dataset, MlpModel, OracleModel, RidgeModel,
                          TrainConfig, evaluate, featurize, gradient_check,
                          init_mlp, predict, train)
 from .servoing import ServoConfig, servo_config_for, servo_step, visual_servo
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
                        configure, insert, split_by_insertion, train_per_camera)
-from .bench import (BenchConfig, BenchReport, BenchRow, emit_report,
-                    fit_quadratic_law, run_benchmark)
+from .bench import (BenchConfig, BenchReport, emit_report, fit_quadratic_law,
+                    run_benchmark)
 
 __all__ = [
     "__version__", "PegServoError",
     "CameraModel", "aimed_camera", "error_direction", "inplane_basis",
     "reconstruct_error", "scalar_error",
     "SearchPattern", "covering_radius", "generate_pattern",
-    "COMPONENT_STYLES", "TimingModel", "WorldConfig", "WorldState",
+    "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "WorldState",
     "new_world", "render", "spiral_insert",
     "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",
     "evaluate", "featurize", "gradient_check", "init_mlp", "predict", "train",
     "ServoConfig", "servo_config_for", "servo_step", "visual_servo",
     "CollectionConfig", "DeploymentGate", "collect_dataset", "configure",
     "insert", "split_by_insertion", "train_per_camera",
-    "BenchConfig", "BenchReport", "BenchRow", "emit_report",
-    "fit_quadratic_law", "run_benchmark",
+    "BenchConfig", "BenchReport", "emit_report", "fit_quadratic_law",
+    "run_benchmark",
 ]

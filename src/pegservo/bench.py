@@ -18,12 +18,8 @@ from .errors import (CorruptArtifact, InsufficientData, InvalidConfig,
 from .pipeline import insert
 from .search import generate_pattern
 from .servoing import servo_config_for
-from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig, move_tcp,
-                  new_world, true_inplane_error)
-
-MODE_VS = "vs"
-MODE_NOVS = "novs"
-BENCH_MODES = (MODE_VS, MODE_NOVS)
+from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode,
+                  TimingModel, WorldConfig, move_tcp, new_world)
 
 
 @dataclass(frozen=True)
@@ -53,27 +49,13 @@ class BenchConfig:
             object.__setattr__(self, "world_template", WorldConfig())
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    style: str
-    mode: str
-    seed: int
-    retrospective_error_mm: float
-    true_error_mm: float
-    time_s: float
-    attempts: int
-    success: bool
-    post_servo_retrospective_error_mm: float
-    direct: bool  # inserted on the first spiral attempt
-
-
 def _row_seed(base: int, style_index: int, insertion: int) -> int:
     ss = np.random.SeedSequence([base, style_index, insertion])
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
 def _run_episode(cfg: BenchConfig, models_for_style, style: str,
-                 style_index: int, insertion: int, mode: str) -> BenchRow:
+                 style_index: int, insertion: int, mode: str) -> Episode:
     wseed = _row_seed(cfg.seed, style_index, insertion)
     wcfg = replace(cfg.world_template, component_style=style, seed=wseed,
                    tolerance=cfg.tolerance)
@@ -84,22 +66,12 @@ def _run_episode(cfg: BenchConfig, models_for_style, style: str,
     rad = cfg.error_disc_radius * math.sqrt(err_rng.uniform())
     extra = rad * np.array([np.cos(theta), np.sin(theta)])
     move_tcp(world, world.tcp + world.basis @ extra)
-    true_err = true_inplane_error(world)
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     if mode == MODE_VS:
         servo_cfg = servo_config_for(world, models_for_style,
                                      n_iters=cfg.n_iters, timing=cfg.timing)
-        out = insert(world, "servo_then_spiral", servo_cfg, pattern, cfg.timing)
-    else:
-        out = insert(world, "spiral_only", None, pattern, cfg.timing)
-    return BenchRow(style=style, mode=mode, seed=wseed,
-                    retrospective_error_mm=out.retrospective_error_mm,
-                    true_error_mm=true_err,
-                    time_s=out.simulated_time,
-                    attempts=out.attempts,
-                    success=out.success,
-                    post_servo_retrospective_error_mm=out.post_servo_retrospective_error_mm,
-                    direct=bool(out.success and out.attempts == 1))
+        return insert(world, "servo_then_spiral", servo_cfg, pattern, cfg.timing)
+    return insert(world, "spiral_only", None, pattern, cfg.timing)
 
 
 def _episode_args(cfg: BenchConfig, models: dict):
@@ -190,9 +162,9 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
 def fit_quadratic_law(rows) -> dict:
     """Log-log line fit of search time vs retrospective error.
 
-    rows: BenchRow-like objects or (error_mm, time_s) pairs; only finite,
-    successful, positive-error entries are used. Requires >= 10 points
-    spanning at least a 3x error range.
+    rows: Episodes, of which failed ones are skipped, or (error_mm, time_s)
+    pairs. Only entries whose error and time are both finite and > 0 are
+    used. Requires >= 10 of them spanning at least a 3x error range.
     """
     pts = []
     for r in rows:
@@ -227,23 +199,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# rows.csv holds one BenchRow per line, its fields in declaration order.
-_ROW_COLUMNS = [f.name for f in fields(BenchRow)]
+# rows.csv holds one Episode per line, its fields in declaration order.
+_ROW_COLUMNS = [f.name for f in fields(Episode)]
 _PARSE = {str: str, int: int, float: float,
           bool: lambda v: {"0": False, "1": True}[v]}
 
 
 def read_rows(path) -> list:
-    """The BenchRows of a rows.csv that emit_report wrote."""
+    """The Episodes of a rows.csv that emit_report wrote."""
     lines = read_artifact(path).splitlines()
     if not lines or lines[0] != ",".join(_ROW_COLUMNS):
         raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
-    parse = [_PARSE[f.type] for f in fields(BenchRow)]
+    parse = [_PARSE[f.type] for f in fields(Episode)]
     rows = []
     for n, line in enumerate(lines[1:], start=2):
         try:
-            row = BenchRow(*[p(v) for p, v in zip(parse, line.split(","),
-                                                   strict=True)])
+            row = Episode(*[p(v) for p, v in zip(parse, line.split(","),
+                                                  strict=True)])
         except (KeyError, ValueError) as exc:
             raise CorruptArtifact(f"{path} line {n}: {exc!r}") from exc
         if row.mode not in BENCH_MODES:
@@ -308,8 +280,9 @@ _MODE_FILL = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
 
 def _scatter_svg(report: BenchReport) -> str:
     """Hand-rolled SVG scatter: linear error axis, log10 time axis."""
-    pts = [(r.retrospective_error_mm, r.time_s, r.mode) for r in report.rows
-           if np.isfinite(r.retrospective_error_mm) and r.time_s > 0]
+    pts = [(r.retrospective_error_mm, math.log10(r.time_s), r.mode)
+           for r in report.rows
+           if np.isfinite(r.retrospective_error_mm) and 0 < r.time_s < math.inf]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
              f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
              f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']
@@ -319,16 +292,16 @@ def _scatter_svg(report: BenchReport) -> str:
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
     if pts:
         emax = max(p[0] for p in pts) * 1.05 or 1.0
-        lt_lo = math.floor(math.log10(min(p[1] for p in pts)))
-        lt_hi = math.ceil(math.log10(max(p[1] for p in pts)))
+        lt_lo = math.floor(min(p[1] for p in pts))
+        lt_hi = math.ceil(max(p[1] for p in pts))
         if lt_hi == lt_lo:
             lt_hi += 1
 
         def sx(e):
             return x0 + (x1 - x0) * e / emax
 
-        def sy(t):
-            return y0 + (y1 - y0) * (math.log10(t) - lt_lo) / (lt_hi - lt_lo)
+        def sy(lt):
+            return y0 + (y1 - y0) * (lt - lt_lo) / (lt_hi - lt_lo)
 
         for k in range(5):
             e = emax * k / 4.0
@@ -337,13 +310,14 @@ def _scatter_svg(report: BenchReport) -> str:
             parts.append(f'<text x="{sx(e):.2f}" y="{y0 + 20}" font-size="12" '
                          f'text-anchor="middle">{e:.2f}</text>')
         for d in range(lt_lo, lt_hi + 1):
-            t = 10.0 ** d
-            parts.append(f'<line x1="{x0 - 5}" y1="{sy(t):.2f}" x2="{x0}" '
-                         f'y2="{sy(t):.2f}" stroke="black"/>')
-            parts.append(f'<text x="{x0 - 8}" y="{sy(t):.2f}" font-size="12" '
-                         f'text-anchor="end" dominant-baseline="middle">{t:g}</text>')
-        for e, t, mode in pts:
-            parts.append(f'<circle cx="{sx(e):.2f}" cy="{sy(t):.2f}" r="3.5" '
+            # the decade's label from its literal: 10.0 ** d overflows at 309
+            label = f"{float(f'1e{d}'):g}"
+            parts.append(f'<line x1="{x0 - 5}" y1="{sy(d):.2f}" x2="{x0}" '
+                         f'y2="{sy(d):.2f}" stroke="black"/>')
+            parts.append(f'<text x="{x0 - 8}" y="{sy(d):.2f}" font-size="12" '
+                         f'text-anchor="end" dominant-baseline="middle">{label}</text>')
+        for e, lt, mode in pts:
+            parts.append(f'<circle cx="{sx(e):.2f}" cy="{sy(lt):.2f}" r="3.5" '
                          f'fill="{_MODE_FILL[mode]}" fill-opacity="0.75"/>')
     parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_H - 12}" font-size="13" '
                  f'text-anchor="middle">retrospective error (mm)</text>')

@@ -202,8 +202,6 @@ def cmd_servo(ns) -> int:
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
     models = [load_model(d) for d in _model_dirs(ns.models)]
-    if len(models) != len(wcfg.cameras):
-        raise InvalidConfig(f"{len(models)} models for {len(wcfg.cameras)} cameras")
     world = new_world(wcfg)
     if ns.error:
         ang_rng = np.random.default_rng(np.random.SeedSequence([wcfg.seed, 99]))

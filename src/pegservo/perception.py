@@ -191,6 +191,11 @@ class TrainConfig:
             raise InvalidConfig("max_epochs, patience and batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise InvalidConfig("learning_rate must be > 0")
+        if not (self.ridge_lambda is None or 0 < self.ridge_lambda < np.inf):
+            raise InvalidConfig(f"ridge_lambda must be None or finite and > 0, "
+                                f"got {self.ridge_lambda}")
+        if not all(type(h) is int and h >= 1 for h in self.hidden):
+            raise InvalidConfig(f"hidden sizes must be ints >= 1, got {self.hidden!r}")
 
 
 @dataclass
@@ -236,8 +241,6 @@ def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
     Vty = V.T @ yc
     Kva = (Xva - xm) @ Xc.T
     if hyper.ridge_lambda is not None:
-        if not hyper.ridge_lambda > 0:
-            raise InvalidConfig("ridge_lambda must be > 0")
         path = [float(hyper.ridge_lambda)]
     else:
         path = list(np.logspace(2.0, -8.0, 26))

@@ -8,18 +8,19 @@ and deployed only when every model clears the gate.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
                      ShapeMismatch, TooFewInsertions)
-from .geometry import error_direction, normalize_error, scalar_error
+from .geometry import (error_direction, inplane_component, normalize_error,
+                       scalar_error)
 from .perception import Dataset, TrainConfig, evaluate, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (InsertionOutcome, TimingModel, WorldState, move_tcp,
-                  render, spiral_insert)
+from .sim import (MODE_VS, Episode, TimingModel, WorldState, move_tcp,
+                  render, spiral_insert, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +90,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
                         i, outcome.attempts)
             continue
         successes += 1
-        success_tcp = outcome.final_tcp
+        success_tcp = world.tcp
         l = world.config.insertion_direction
         for _ in range(cfg.samples_per_insertion):
             theta = world.rng.uniform(0.0, 2.0 * np.pi)
@@ -190,14 +191,14 @@ MODES = ("spiral_only", "servo_then_spiral")
 
 
 def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
-           timing: TimingModel) -> InsertionOutcome:
+           timing: TimingModel) -> Episode:
     """One full insertion episode in the given mode.
 
-    servo_then_spiral runs the servo loop first, then searches from the
-    corrected position; simulated_time covers both phases. The
-    retrospective error is always measured from the original start
-    position; the post-servo retrospective error additionally records the
-    remaining offset after servoing.
+    spiral_only is spiral_insert's novs episode. servo_then_spiral runs the
+    servo loop first, then searches from the corrected position, and
+    returns a vs episode: time_s covers both phases, the true and the
+    retrospective errors are measured from the original start position,
+    and the post-servo retrospective error is the search's own.
     """
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
@@ -206,21 +207,13 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
     if servo_cfg is None or any(m is None for m in servo_cfg.models):
         raise ModelsNotDeployed("servo_then_spiral needs one deployed model "
                                 "per camera")
-    start_tcp = world.tcp.copy()
-    t0 = world.elapsed_time
-    _, residuals = visual_servo(world, servo_cfg)
+    start_tcp, t0 = world.tcp.copy(), world.elapsed_time
+    true_err = true_inplane_error(world)
+    visual_servo(world, servo_cfg)
     sp = spiral_insert(world, world.tcp, pattern, timing)
-    total = world.elapsed_time - t0
     l = world.config.insertion_direction
-    if sp.success:
-        d = sp.final_tcp - start_tcp
-        retro = float(np.linalg.norm(d - np.dot(d, l) * l))
-    else:
-        retro = float("nan")
-    return InsertionOutcome(success=sp.success,
-                            attempts=sp.attempts,
-                            simulated_time=total,
-                            final_tcp=sp.final_tcp,
-                            retrospective_error_mm=retro,
-                            servo_residuals=residuals,
-                            post_servo_retrospective_error_mm=sp.retrospective_error_mm)
+    retro = (np.linalg.norm(inplane_component(world.tcp - start_tcp, l))
+             if sp.success else np.nan)
+    return replace(sp, mode=MODE_VS, retrospective_error_mm=float(retro),
+                   true_error_mm=true_err, time_s=world.elapsed_time - t0,
+                   post_servo_retrospective_error_mm=sp.retrospective_error_mm)

@@ -330,26 +330,41 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
                        truth_y=float(truth_y))
 
 
-@dataclass
-class InsertionOutcome:
-    """Result of one insertion episode (search-only or servo-then-search)."""
+MODE_VS = "vs"
+MODE_NOVS = "novs"
+BENCH_MODES = (MODE_VS, MODE_NOVS)
 
-    success: bool
+
+@dataclass(frozen=True)
+class Episode:
+    """One insertion episode; rows.csv holds one per line, fields in order.
+
+    spiral_insert returns a search-only (novs) episode; pipeline.insert
+    turns the spiral after servoing into a vs episode. Errors are in-plane
+    distances (mm) measured from the episode's start; the retrospective
+    error is nan on failure.
+    """
+
+    style: str
+    mode: str
+    seed: int
+    retrospective_error_mm: float  # |in-plane start - success position|
+    true_error_mm: float  # hidden peg-hole distance at the start
+    time_s: float  # simulated seconds
     attempts: int
-    simulated_time: float
-    final_tcp: np.ndarray
-    retrospective_error_mm: float  # |in-plane start - success position|; nan on failure
-    servo_residuals: list = field(default_factory=list)
-    post_servo_retrospective_error_mm: float = float("nan")
+    success: bool
+    post_servo_retrospective_error_mm: float  # nan without servoing
+    direct: bool  # inserted on the first spiral attempt
 
 
 def spiral_insert(world: WorldState, start_tcp, pattern,
-                  timing: TimingModel) -> InsertionOutcome:
+                  timing: TimingModel) -> Episode:
     """Try pattern offsets from start_tcp in order until one inserts.
 
     Charges t_attempt per attempt. On success the TCP stays at the
     successful offset; on failure it returns to start_tcp and the
-    retrospective error is nan.
+    retrospective error is nan. Returns a novs Episode of the world's style
+    and seed, its true error measured at start_tcp.
 
     The offsets are screened in one vectorized pass, then confirmed. The
     screen computes every offset's in-plane peg-hole distance at once in
@@ -393,14 +408,15 @@ def spiral_insert(world: WorldState, start_tcp, pattern,
     world.attempt_count += attempts
     t = attempts * timing.t_attempt
     world.elapsed_time += t
-    if not success:
-        return InsertionOutcome(success=False, attempts=attempts, simulated_time=t,
-                                final_tcp=start_tcp,
-                                retrospective_error_mm=float("nan"))
-    retro = np.linalg.norm(inplane_component(final - start_tcp,
-                                             cfg.insertion_direction))
-    return InsertionOutcome(success=True, attempts=attempts, simulated_time=t,
-                            final_tcp=final, retrospective_error_mm=float(retro))
+    retro = (np.linalg.norm(inplane_component(final - start_tcp,
+                                              cfg.insertion_direction))
+             if success else np.nan)
+    return Episode(style=cfg.component_style, mode=MODE_NOVS, seed=cfg.seed,
+                   retrospective_error_mm=float(retro),
+                   true_error_mm=true_inplane_error(world, start_tcp), time_s=t,
+                   attempts=attempts, success=success,
+                   post_servo_retrospective_error_mm=float("nan"),
+                   direct=success and attempts == 1)
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

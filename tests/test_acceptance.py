@@ -153,7 +153,7 @@ def _spiral_monte_carlo():
             offset = err * np.array([np.cos(ang), np.sin(ang)])
             move_tcp(world, world.tcp + world.basis @ offset)
             out = spiral_insert(world, world.tcp, pattern, timing)
-            rows.append((err, out.simulated_time))
+            rows.append((err, out.time_s))
     return rows
 
 

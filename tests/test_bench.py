@@ -7,12 +7,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pegservo.bench import (BenchConfig, BenchRow, build_report, emit_report,
-                            fit_quadratic_law, run_benchmark)
+from pegservo.bench import (BenchConfig, build_report, emit_report,
+                            fit_quadratic_law, read_rows, run_benchmark)
 from pegservo.errors import (InsufficientData, InvalidConfig,
                              ModelsNotDeployed)
 from pegservo.perception import OracleModel
+from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, Episode
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
                  for s in ("pin_header", "led", "cap_small", "dsub", "cap_large")}
@@ -41,7 +44,14 @@ def test_run_benchmark_rows_and_pairing():
     # each (style, world seed) appears once per mode: paired episodes
     assert len(by_key) == 2 * 3
     assert all(sorted(modes) == ["novs", "vs"] for modes in by_key.values())
+    # paired episodes start from the same error, bit for bit
+    true_err = {}
     for r in rep.rows:
+        true_err.setdefault((r.style, r.seed), set()).add(r.true_error_mm.hex())
+    assert all(len(v) == 1 for v in true_err.values())
+    for r in rep.rows:
+        assert type(r) is Episode
+        assert r.direct == (r.success and r.attempts == 1)
         if r.mode == "vs":
             assert r.success and r.attempts == 1
             assert r.time_s == pytest.approx(1.549, abs=1e-9)
@@ -95,11 +105,11 @@ def test_fit_recovers_planted_quadratic():
 
 
 def test_fit_accepts_bench_rows():
-    rows = [BenchRow(style="led", mode="novs", seed=i,
-                     retrospective_error_mm=float(e), true_error_mm=float(e),
-                     time_s=float(0.3 * e * e), attempts=1, success=True,
-                     post_servo_retrospective_error_mm=float("nan"),
-                     direct=False)
+    rows = [Episode(style="led", mode="novs", seed=i,
+                    retrospective_error_mm=float(e), true_error_mm=float(e),
+                    time_s=float(0.3 * e * e), attempts=1, success=True,
+                    post_servo_retrospective_error_mm=float("nan"),
+                    direct=False)
             for i, e in enumerate(np.geomspace(0.2, 1.2, 15))]
     rows.append(replace(rows[0], success=False, time_s=999.0))  # ignored
     fit = fit_quadratic_law(rows)
@@ -121,11 +131,11 @@ def test_fit_insufficient_data():
 
 def test_build_report_aggregates_by_hand():
     def row(style, mode, t, err=0.5, success=True, attempts=2):
-        return BenchRow(style=style, mode=mode, seed=0,
-                        retrospective_error_mm=err, true_error_mm=err,
-                        time_s=t, attempts=attempts, success=success,
-                        post_servo_retrospective_error_mm=0.01 if mode == "vs" else float("nan"),
-                        direct=bool(mode == "vs" and attempts == 1))
+        return Episode(style=style, mode=mode, seed=0,
+                       retrospective_error_mm=err, true_error_mm=err,
+                       time_s=t, attempts=attempts, success=success,
+                       post_servo_retrospective_error_mm=0.01 if mode == "vs" else float("nan"),
+                       direct=bool(mode == "vs" and attempts == 1))
 
     rows = [row("led", "vs", 1.5, attempts=1), row("led", "vs", 1.7),
             row("led", "novs", 12.0), row("led", "novs", 20.0)]
@@ -191,3 +201,24 @@ def test_scatter_svg_contains_points(tmp_path):
     # one circle per finite row plus 2 legend markers
     finite = sum(1 for r in rep.rows if not math.isnan(r.retrospective_error_mm))
     assert len(circles) == finite + 2
+
+
+_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+episodes = st.builds(Episode, style=st.sampled_from(COMPONENT_STYLES),
+                     mode=st.sampled_from(BENCH_MODES),
+                     seed=st.integers(0, 2**63 - 1),
+                     retrospective_error_mm=_floats, true_error_mm=_floats,
+                     time_s=_floats, attempts=st.integers(0, 10**6),
+                     success=st.booleans(),
+                     post_servo_retrospective_error_mm=_floats,
+                     direct=st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(episodes, max_size=8))
+def test_rows_csv_round_trip(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("rows")
+    with np.errstate(over="ignore", invalid="ignore"):  # means of huge floats
+        emit_report(build_report(rows), out)
+    assert repr(read_rows(out / "rows.csv")) == repr(rows)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, manifests, artifact round-trips."""
 
 import json
+import shutil
 
 import pytest
 
@@ -162,6 +163,18 @@ def test_servo_result_and_trace(pipeline_dirs):
     assert len(trace) == 1 + 3
 
 
+def test_servo_with_too_few_models_exits_1(pipeline_dirs, tmp_path, capsys,
+                                           config_path):
+    _, _, models = pipeline_dirs
+    shutil.copytree(f"{models}/cam0", tmp_path / "models" / "cam0")
+    assert main(["servo", "--config", config_path, "--models",
+                 str(tmp_path / "models"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig: 1 models for 2 cameras")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
 def test_servo_seed_defaults_to_the_config_world_seed(pipeline_dirs, tmp_path,
                                                      config_path):
     d, _, models = pipeline_dirs  # d["servo"] ran without --seed
@@ -235,13 +248,19 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,0.25,0"
     ({"timing": {"t_attempt": -1}}, None, "InvalidConfig:"),
     ([1, 2], None, "InvalidConfig:"),
     ({"world": {"extra_error_radius": 1.0}}, None, "InvalidConfig:"),
+    ({"train": {"kind": "mlp", "hidden": [-1]}}, None, "InvalidConfig:"),
+    ({"train": {"kind": "mlp", "hidden": [12.5]}}, None, "InvalidConfig:"),
+    ({"train": {"kind": "mlp", "hidden": [0]}}, None, "InvalidConfig:"),
+    ({"train": {"ridge_lambda": -1.0}}, None, "InvalidConfig:"),
     (None, [_ROWS_HEADER, _ROW.replace("0.3", "abc")], "CorruptArtifact:"),
     (None, [_ROWS_HEADER.replace("seed", "world_seed"), _ROW], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW + ",1"], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
         "bench-timing", "timing-negative", "config-not-object",
-        "world-extra-error-radius", "rows-float",
+        "world-extra-error-radius", "train-hidden-negative",
+        "train-hidden-float", "train-hidden-zero", "train-lambda-negative",
+        "rows-float",
         "rows-header", "rows-field-count", "rows-mode"])
 def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, error):
     if rows is None:
@@ -255,7 +274,8 @@ def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, erro
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
-    assert not (tmp_path / "out" / "rows.csv").exists()
+    # rejected while reading the input, before any work or output
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Error-direction geometry and least-squares reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegservo.errors import (BehindCamera, DegenerateView, InsufficientViews,
                              InvalidConfig)
@@ -67,6 +71,15 @@ def test_normalize_roundtrip_and_linearity():
     assert normalize_error(2.0, cam) == pytest.approx(2 * normalize_error(1.0, cam), rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(-1e6, 1e6), f=st.floats(1.0, 1e5), r=st.integers(1, 4096),
+       z=st.floats(1.0, 1e5))
+def test_normalize_roundtrip_property(q, f, r, z):
+    cam = _cam(f=f, r=r, z=z)
+    back = denormalize_error(normalize_error(q, cam), cam)
+    assert back == pytest.approx(q, rel=1e-12, abs=1e-12)
+
+
 def test_reconstruct_orthonormal_rows():
     rec = reconstruct_error([vec3(1, 0, 0), vec3(0, 1, 0)], [0.3, -0.2])
     assert not rec.ill_conditioned
@@ -114,6 +127,29 @@ def test_reconstruct_roundtrip_random_scenes():
         rec = reconstruct_error(dirs, qs)
         assert np.linalg.norm(rec.error - e) <= 1e-9
         assert abs(np.dot(rec.error, L)) <= 1e-9
+
+
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tilt=st.floats(0.0, 1.5), azimuth=_angle,
+       coeffs=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       first=_angle, gap=st.floats(0.1, math.pi - 0.1),
+       others=st.lists(_angle, max_size=3))
+def test_reconstruct_recovers_inplane_error_property(tilt, azimuth, coeffs,
+                                                      first, gap, others):
+    # 2-5 in-plane views; the first two are at least 0.1 rad from parallel
+    l = vec3(math.sin(tilt) * math.cos(azimuth),
+             math.sin(tilt) * math.sin(azimuth), -math.cos(tilt))
+    B = inplane_basis(l)
+    e = B @ np.array(coeffs)
+    dirs = [B @ np.array([math.cos(a), math.sin(a)])
+            for a in [first, first + gap, *others]]
+    rec = reconstruct_error(dirs, [scalar_error(e, u) for u in dirs])
+    assert not rec.ill_conditioned
+    assert np.linalg.norm(rec.error - e) <= 1e-9 * (1.0 + np.linalg.norm(e))
+    assert abs(np.dot(rec.error, l)) <= 1e-9 * (1.0 + np.linalg.norm(e))
 
 
 def test_project_principal_point_and_hand_value():

@@ -2,6 +2,7 @@
 check, IO."""
 
 import json
+import math
 import tempfile
 from dataclasses import replace
 
@@ -256,6 +257,13 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(InvalidConfig):
         TrainConfig(learning_rate=0.0)
+    for bad in [dict(hidden=(-1,)), dict(hidden=(12.5,)), dict(hidden=(0,)),
+                dict(hidden=(8, True)), dict(ridge_lambda=-1.0),
+                dict(ridge_lambda=0.0), dict(ridge_lambda=math.inf),
+                dict(ridge_lambda=math.nan)]:
+        with pytest.raises(InvalidConfig):
+            TrainConfig(kind="mlp", **bad)
+    TrainConfig(kind="mlp", hidden=(), ridge_lambda=1e-8)
 
 
 # ---------------------------------------------------------------- io

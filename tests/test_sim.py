@@ -246,7 +246,7 @@ def test_spiral_insert_at_hole():
     pattern = generate_pattern(w.config.tolerance, 1.0)
     out = spiral_insert(w, w.tcp, pattern, TimingModel())
     assert out.success and out.attempts == 1
-    assert out.simulated_time == pytest.approx(0.25, abs=1e-12)
+    assert out.time_s == pytest.approx(0.25, abs=1e-12)
     assert out.retrospective_error_mm == pytest.approx(0.0, abs=1e-12)
     assert w.elapsed_time == pytest.approx(0.25, abs=1e-12)
 
@@ -400,4 +400,4 @@ def test_elapsed_time_accumulates():
     spiral_insert(w, w.tcp, pattern, timing)
     start = w.tcp + w.basis @ np.array([0.3, 0.1])
     out = spiral_insert(w, start, pattern, timing)
-    assert w.elapsed_time == pytest.approx(0.25 + out.simulated_time, abs=1e-12)
+    assert w.elapsed_time == pytest.approx(0.25 + out.time_s, abs=1e-12)

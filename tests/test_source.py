@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import pegservo
+
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pegservo"
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -39,3 +41,14 @@ def test_only_errors_module_touches_the_disk(path):
     source = path.read_text()
     assert [call for call in ("open(", "os.makedirs", "np.fromfile", ".tofile(")
             if call in source] == []
+
+
+def test_all_lists_exactly_the_package_imports():
+    tree = ast.parse((_SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert sorted(pegservo.__all__) == sorted(imported | {"__version__"})
+    assert len(set(pegservo.__all__)) == len(pegservo.__all__)
+    for name in pegservo.__all__:
+        assert getattr(pegservo, name) is not None, name
