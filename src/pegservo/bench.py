@@ -206,7 +206,8 @@ _PARSE = {str: str, int: int, float: float,
 
 
 def read_rows(path) -> list:
-    """The Episodes of a rows.csv that emit_report wrote."""
+    """The Episodes of a rows.csv that emit_report wrote; a row that does not
+    parse or contradicts itself raises CorruptArtifact naming its line."""
     lines = read_artifact(path).splitlines()
     if not lines or lines[0] != ",".join(_ROW_COLUMNS):
         raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
@@ -220,6 +221,12 @@ def read_rows(path) -> list:
             raise CorruptArtifact(f"{path} line {n}: {exc!r}") from exc
         if row.mode not in BENCH_MODES:
             raise CorruptArtifact(f"{path} line {n}: unknown mode {row.mode!r}")
+        failed = not row.success
+        if (row.attempts < 1 or row.direct != (row.success and row.attempts == 1)
+                or math.isnan(row.retrospective_error_mm) != failed
+                or math.isnan(row.post_servo_retrospective_error_mm)
+                != (failed or row.mode == MODE_NOVS)):
+            raise CorruptArtifact(f"{path} line {n}: contradictory episode {line}")
         rows.append(row)
     return rows
 

@@ -9,6 +9,7 @@ never share a hidden world.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -113,12 +114,21 @@ def featurize(images, spec: InputSpec) -> np.ndarray:
         # the foreground amplitude is scene-independent; then floor the dark
         # tail, whose contrast against the background varies oppositely and
         # would otherwise leak a per-scene gain into a linear readout. Both
-        # order statistics reorder one scratch copy's rows in place, which
-        # keeps each row's values and so does not change the second one.
-        work = X.copy()
-        m = np.median(work, axis=1, keepdims=True, overwrite_input=True)
-        scale = np.percentile(work, _ROBUST_PCTL, axis=1, keepdims=True,
-                              overwrite_input=True) - m
+        # order statistics come from one partition at the ranks they need,
+        # finished with numpy's own median and linear-percentile arithmetic
+        # (NaN sorts last and makes both NaN), so they are numpy's bit for bit.
+        d = X.shape[1]
+        at = (d - 1) * (_ROBUST_PCTL / 100)
+        lo, hi = math.floor(at), min(math.floor(at) + 1, d - 1)
+        g = at - lo if lo < hi else 1.0
+        part = np.partition(X, sorted({(d - 1) // 2, d // 2, lo, hi, d - 1}), axis=1)
+        m = part[:, (d - 1) // 2:d // 2 + 1].mean(axis=1, keepdims=True)
+        a, b = part[:, lo:lo + 1], part[:, hi:hi + 1]
+        pct = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+        nan = np.isnan(part[:, -1:])
+        m[nan] = part[:, -1:][nan]
+        pct[nan] = np.nan
+        scale = pct - m
         scale[scale < 1e-6] = 1.0
         X -= m
         X /= scale

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
                      ShapeMismatch, TooFewInsertions)
-from .geometry import (error_direction, inplane_component, normalize_error,
-                       scalar_error)
+from .geometry import inplane_component, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, evaluate, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
@@ -99,9 +98,9 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
             offset2 = mag * np.array([np.cos(theta), np.sin(theta)])
             tcp = success_tcp + world.basis @ offset2 - height * l
             move_tcp(world, tcp, stroke=True)
-            for j, cam in enumerate(cameras):
+            for j, (cam, u) in enumerate(zip(cameras,
+                                             world.config.error_directions)):
                 obs = render(world, j, tcp)
-                u = error_direction(l, world.nominal_hole - cam.position)
                 q = scalar_error(-(world.basis @ offset2), u)
                 images[n] = obs.pixels
                 labels[n] = (i, j, normalize_error(q, cam), obs.truth_y, q, height)

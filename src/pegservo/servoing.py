@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig, write_artifact
-from .geometry import (denormalize_error, error_direction, reconstruct_error)
+from .geometry import denormalize_error, error_direction, reconstruct_error
 from .perception import predict
 from .sim import TimingModel, WorldState, move_tcp, render, true_inplane_error
 
@@ -47,6 +47,9 @@ class ServoConfig:
         l = np.asarray(self.insertion_direction, dtype=float)
         if abs(np.linalg.norm(l) - 1.0) > 1e-6:
             raise InvalidConfig("insertion_direction must be a unit vector")
+        self.error_directions = tuple(  # once: no code reassigns the geometry
+            error_direction(self.insertion_direction, self.nominal_hole - cam.position)
+            for cam in self.cameras)
 
 
 def servo_config_for(world: WorldState, models, n_iters: int = 3,
@@ -75,17 +78,11 @@ def servo_step(world: WorldState, cfg: ServoConfig, rng=None) -> ServoStep:
     guard against wild predictions. World time advances by
     n_cams*(t_capture + t_infer) + t_move.
     """
-    us, qs, per_camera = [], [], []
-    for j, cam in enumerate(cfg.cameras):
-        obs = render(world, j, world.tcp)
-        y = predict(cfg.models[j], obs, rng)
-        v = cfg.nominal_hole - cam.position
-        u = error_direction(cfg.insertion_direction, v)
-        q = denormalize_error(y, cam)
-        us.append(u)
-        qs.append(q)
-        per_camera.append((y, q, u))
-    rec = reconstruct_error(us, qs)
+    per_camera = []
+    for j, (cam, u) in enumerate(zip(cfg.cameras, cfg.error_directions)):
+        y = predict(cfg.models[j], render(world, j, world.tcp), rng)
+        per_camera.append((y, denormalize_error(y, cam), u))
+    rec = reconstruct_error(cfg.error_directions, [q for _, q, _ in per_camera])
     e_hat = rec.error
     norm = float(np.linalg.norm(e_hat))
     saturated = norm > cfg.clamp_mm

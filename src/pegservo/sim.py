@@ -8,9 +8,11 @@ TimingModel so wall-clock comparisons between strategies are reproducible.
 """
 
 import json
+import math
 import typing
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class WorldConfig:
     feed the hidden per-world draws; new_world applies no further start
     error (the benchmark's start-error disc is BenchConfig.error_disc_radius).
     peg_intensity=None renders no peg marking at all (contrast ablation for
-    gate tests).
+    gate tests); otherwise it must be finite.
 
     A camera is a CameraModel, its camera_to_dict form, or the shorthand
     {"position": ..., "f": 1000.0, "r": 64} for a camera aimed at the
@@ -124,6 +126,8 @@ class WorldConfig:
             raise InvalidConfig("uncertainty sigmas must be >= 0")
         if self.hover_height < 0:
             raise InvalidConfig("hover_height must be >= 0")
+        if self.peg_intensity is not None and not math.isfinite(self.peg_intensity):
+            raise InvalidConfig(f"peg_intensity must be finite, got {self.peg_intensity}")
         if self.component_style not in COMPONENT_STYLES:
             raise InvalidConfig(f"unknown component_style {self.component_style!r}; "
                                 f"expected one of {COMPONENT_STYLES}")
@@ -142,6 +146,19 @@ class WorldConfig:
             if np.dot(cam.optical_axis, view) <= 0:
                 raise InvalidConfig("camera does not face the work area")
         object.__setattr__(self, "cameras", cams)
+
+    @cached_property
+    def error_directions(self) -> tuple:
+        """Each camera's error direction u, computed once per config."""
+        return tuple(error_direction(self.insertion_direction,
+                                     self.nominal_hole - cam.position)
+                     for cam in self.cameras)
+
+    @cached_property
+    def crop_shifts(self) -> tuple:
+        """Per camera, the pixel shift putting the nominal hole at the crop center."""
+        return tuple(cam.r / 2.0 - np.array(project(cam, self.nominal_hole))
+                     for cam in self.cameras)
 
     def _camera(self, cam) -> CameraModel:
         if isinstance(cam, CameraModel):
@@ -288,25 +305,27 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
 
     The crop is centered on the nominal hole projection; the hole appears as
     a dark disc at its true position and the peg as a bright style-specific
-    glyph at its true position. Pixel noise is drawn from a generator seeded
-    by (world seed, camera index, TCP position bits), so re-rendering the
-    same pose is bit-identical.
+    glyph at its true position. A disc's coverage is 0 beyond rad + edge/2
+    of its center, so it is composited only inside that bounding box plus a
+    spare pixel for rounding, and skipped if the box misses the image. The
+    error direction and crop shift are the config's cached constants. Pixel
+    noise is drawn from a generator seeded by (world seed, camera index, TCP
+    position bits), so re-rendering the same pose is bit-identical.
     """
     cfg = world.config
     if not 0 <= camera_index < len(cfg.cameras):
         raise InvalidConfig(f"camera index {camera_index} out of range")
     cam = cfg.cameras[camera_index]
     tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
+    if not np.isfinite(tcp).all():
+        raise ConstraintViolation(f"render TCP {tcp} is not finite")
     peg = peg_position(world, tcp)
 
-    nominal_px = np.array(project(cam, world.nominal_hole))
-    shift = np.array([cam.r / 2.0, cam.r / 2.0]) - nominal_px
+    shift = cfg.crop_shifts[camera_index]
     hole_px = np.array(project(cam, world.true_hole)) + shift
     peg_px = np.array(project(cam, peg)) + shift
 
     app = world.appearance
-    grid = np.arange(cam.r, dtype=float)
-    X, Y = np.meshgrid(grid, grid)
     discs = [(hole_px[0], hole_px[1], app.hole_radius_px, HOLE_EDGE_WIDTH,
               HOLE_INTENSITY)]
     if cfg.peg_intensity is not None:
@@ -315,17 +334,25 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
                   for du, dv, rad, i in _GLYPHS[cfg.component_style]]
     img = np.full((cam.r, cam.r), app.background)
     for cx, cy, rad, edge, intensity in discs:
-        cov = np.clip((rad - np.hypot(X - cx, Y - cy)) / edge + 0.5, 0.0, 1.0)
-        img = img * (1.0 - cov) + intensity * cov
+        reach = rad + edge / 2.0 + 1.0
+        if not (-1.0 < cx + reach and cx - reach < cam.r  # false for inf too
+                and -1.0 < cy + reach and cy - reach < cam.r):
+            continue
+        x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, cam.r)
+        y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, cam.r)
+        dist = np.hypot(np.arange(x0, x1, dtype=float) - cx,
+                        np.arange(y0, y1, dtype=float)[:, None] - cy)
+        cov = np.clip((rad - dist) / edge + 0.5, 0.0, 1.0)
+        box = img[y0:y1, x0:x1]
+        box[...] = box * (1.0 - cov) + intensity * cov
 
     bits = np.asarray(tcp, dtype=np.float64).view(np.uint64)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
         [world.render_seed, camera_index, int(bits[0]), int(bits[1]), int(bits[2])]))
     img = np.clip(img + NOISE_SIGMA * noise_rng.standard_normal(img.shape), 0.0, 1.0)
 
-    u = error_direction(cfg.insertion_direction, world.nominal_hole - cam.position)
     e = inplane_component(world.true_hole - peg, cfg.insertion_direction)
-    truth_y = normalize_error(scalar_error(e, u), cam)
+    truth_y = normalize_error(scalar_error(e, cfg.error_directions[camera_index]), cam)
     return Observation(pixels=img.astype(np.float32), camera_index=camera_index,
                        truth_y=float(truth_y))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pegservo.bench import (BenchConfig, build_report, emit_report,
                             fit_quadratic_law, read_rows, run_benchmark)
-from pegservo.errors import (InsufficientData, InvalidConfig,
+from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
                              ModelsNotDeployed)
 from pegservo.perception import OracleModel
 from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, Episode
@@ -205,20 +205,60 @@ def test_scatter_svg_contains_points(tmp_path):
 
 _floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
-episodes = st.builds(Episode, style=st.sampled_from(COMPONENT_STYLES),
-                     mode=st.sampled_from(BENCH_MODES),
-                     seed=st.integers(0, 2**63 - 1),
-                     retrospective_error_mm=_floats, true_error_mm=_floats,
-                     time_s=_floats, attempts=st.integers(0, 10**6),
-                     success=st.booleans(),
-                     post_servo_retrospective_error_mm=_floats,
-                     direct=st.booleans())
+_errors = st.one_of(st.floats(allow_nan=False, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+@st.composite
+def episodes(draw):
+    """Random Episodes that keep every rule read_rows checks."""
+    mode, success = draw(st.sampled_from(BENCH_MODES)), draw(st.booleans())
+    attempts = draw(st.one_of(st.just(1), st.integers(1, 10**6)))
+    return Episode(style=draw(st.sampled_from(COMPONENT_STYLES)), mode=mode,
+                   seed=draw(st.integers(0, 2**63 - 1)),
+                   retrospective_error_mm=draw(_errors) if success else math.nan,
+                   true_error_mm=draw(_floats), time_s=draw(_floats),
+                   attempts=attempts, success=success,
+                   post_servo_retrospective_error_mm=(draw(_errors)
+                                                      if success and mode == "vs"
+                                                      else math.nan),
+                   direct=success and attempts == 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(episodes, max_size=8))
+@given(rows=st.lists(episodes(), max_size=8))
 def test_rows_csv_round_trip(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("rows")
     with np.errstate(over="ignore", invalid="ignore"):  # means of huge floats
         emit_report(build_report(rows), out)
     assert repr(read_rows(out / "rows.csv")) == repr(rows)
+
+
+_GOOD = {"vs": "led,vs,5,0.02,0.3,1.5,1,1,0.02,1",
+         "novs": "led,novs,5,0.25,0.3,2.5,10,1,nan,0"}
+
+
+@pytest.mark.parametrize("mode, old, new", [
+    ("novs", ",10,1,nan,0", ",0,1,nan,0"),  # attempts < 1
+    ("vs", ",1,1,0.02,1", ",0,1,0.02,0"),
+    ("vs", ",1,1,0.02,1", ",1,1,0.02,0"),  # direct on a first-attempt success
+    ("novs", ",10,1,nan,0", ",10,1,nan,1"),  # direct after 10 attempts
+    ("vs", "0.02,0.3,1.5,1,1,0.02,1", "nan,0.3,1.5,7,0,nan,1"),  # direct failure
+    ("novs", "0.25,", "nan,"),  # success without a retrospective error
+    ("novs", "0.25,0.3,2.5,10,1", "0.25,0.3,2.5,10,0"),  # failure with one
+    ("novs", ",nan,0", ",0.25,0"),  # novs with a post-servo error
+    ("vs", ",1,1,0.02,1", ",1,1,nan,1"),  # vs success without one
+    ("vs", "0.02,0.3,1.5,1,1,0.02,1", "nan,0.3,1.5,7,0,0.02,0"),  # failure with one
+], ids=["attempts-0", "attempts-0-vs", "not-direct", "direct-10", "direct-failure",
+        "success-nan", "failure-finite", "novs-post", "vs-success-post-nan",
+        "vs-failure-post"])
+def test_read_rows_rejects_contradictory_rows(tmp_path, mode, old, new):
+    assert old in _GOOD[mode]
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([",".join(f.name for f in fields(Episode)),
+                               _GOOD["vs"], _GOOD["novs"],
+                               _GOOD[mode].replace(old, new)]) + "\n")
+    with pytest.raises(CorruptArtifact, match="line 4: "):
+        read_rows(path)
+    path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
+    assert [r.mode for r in read_rows(path)] == ["vs", "novs"]

@@ -236,7 +236,7 @@ def test_json_writer_wraps_os_errors(tmp_path):
 
 _ROWS_HEADER = ("style,mode,seed,retrospective_error_mm,true_error_mm,time_s,"
                 "attempts,success,post_servo_retrospective_error_mm,direct")
-_ROW = "led,novs,5,0.25,0.3,2.5,10,1,0.25,0"
+_ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
 
 
 @pytest.mark.parametrize("config, rows, error", [
@@ -256,12 +256,13 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,0.25,0"
     (None, [_ROWS_HEADER.replace("seed", "world_seed"), _ROW], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW + ",1"], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
+    (None, [_ROWS_HEADER, "led,vs,5,nan,0.3,2.5,7,0,nan,1"], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
         "bench-timing", "timing-negative", "config-not-object",
         "world-extra-error-radius", "train-hidden-negative",
         "train-hidden-float", "train-hidden-zero", "train-lambda-negative",
         "rows-float",
-        "rows-header", "rows-field-count", "rows-mode"])
+        "rows-header", "rows-field-count", "rows-mode", "rows-direct-failure"])
 def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, error):
     if rows is None:
         path = tmp_path / "config.json"

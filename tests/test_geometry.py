@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pegservo.errors import (BehindCamera, DegenerateView, InsufficientViews,
                              InvalidConfig)
-from pegservo.geometry import (CameraModel, aimed_camera, camera_from_dict,
+from pegservo.geometry import (RANK_RATIO, CameraModel, aimed_camera,
+                               camera_from_dict,
                                camera_to_dict, denormalize_error,
                                error_direction, inplane_basis,
                                inplane_component, normalize_error, project,
@@ -150,6 +151,40 @@ def test_reconstruct_recovers_inplane_error_property(tilt, azimuth, coeffs,
     assert not rec.ill_conditioned
     assert np.linalg.norm(rec.error - e) <= 1e-9 * (1.0 + np.linalg.norm(e))
     assert abs(np.dot(rec.error, l)) <= 1e-9 * (1.0 + np.linalg.norm(e))
+
+
+def _reference_reconstruct(dirs, qs):
+    """reconstruct_error with its former separate SVD for the rank test."""
+    U = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    svals = np.linalg.svd(U, compute_uv=False)
+    e_hat, *_ = np.linalg.lstsq(U, np.asarray(qs, dtype=float), rcond=RANK_RATIO)
+    return e_hat, bool(svals[1] <= RANK_RATIO * svals[0])
+
+
+# Two unit rows at angle t have singular values in the ratio tan(t/2), so
+# views this far apart sit on either side of the RANK_RATIO threshold.
+_THRESHOLD_ANGLE = 2.0 * math.atan(RANK_RATIO)
+_gaps = st.one_of(_angle, st.builds(lambda base, k: base + k * _THRESHOLD_ANGLE,
+                                    st.sampled_from([0.0, math.pi]),
+                                    st.one_of(st.floats(-3.0, 3.0),
+                                              st.sampled_from([-1.0, 1.0]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tilt=st.floats(0.0, 1.5), azimuth=_angle, first=_angle,
+       gaps=st.lists(_gaps, min_size=1, max_size=4),
+       qs=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+def test_reconstruct_rank_flag_matches_a_separate_svd(tilt, azimuth, first, gaps, qs):
+    # 2-5 in-plane views, many of them near-parallel or near-antiparallel
+    l = vec3(math.sin(tilt) * math.cos(azimuth),
+             math.sin(tilt) * math.sin(azimuth), -math.cos(tilt))
+    B = inplane_basis(l)
+    dirs = [B @ np.array([math.cos(first + g), math.sin(first + g)])
+            for g in [0.0, *gaps]]
+    rec = reconstruct_error(dirs, qs[:len(dirs)])
+    e_hat, ill = _reference_reconstruct(dirs, qs[:len(dirs)])
+    assert rec.ill_conditioned == ill
+    assert rec.error.tobytes() == e_hat.tobytes()
 
 
 def test_project_principal_point_and_hand_value():

@@ -404,12 +404,27 @@ def _reference_features(pixels, spec):
 
 @st.composite
 def image_batches(draw):
-    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    images = draw(arrays(np.float32, (n, r, r),
-                         elements=st.floats(0.0, 1.0, width=32)))
-    # constant images have no spread and hit the robust scale floor
-    for k in np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
-        images[k] = images[k, 0, 0]
+    n = draw(st.integers(1, 6))
+    r = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if r <= 8:
+        images = draw(arrays(np.float32, (n, r, r),
+                             elements=st.floats(0.0, 1.0, width=32)))
+    else:
+        images = pixels.random((n, r, r), dtype=np.float32)
+    for k in range(n):
+        kind = draw(st.sampled_from(["drawn", "constant", "levels", "special"]))
+        if kind == "constant":  # no spread: hits the robust scale floor
+            images[k] = images[k, 0, 0]
+        elif kind == "levels":  # a few levels: ties at every rank
+            levels = draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=1,
+                                   max_size=3))
+            images[k] = pixels.choice(np.array(levels, dtype=np.float32), (r, r))
+        elif kind == "special":
+            values = draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                                   min_size=1, max_size=3))[:r * r]
+            at = pixels.choice(r * r, len(values), replace=False)
+            images[k].flat[at] = values
     stats = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = InputSpec(r=r, robust=draw(st.booleans()),
                      feat_mean=stats.normal(size=r * r),
@@ -417,6 +432,7 @@ def image_batches(draw):
     return images, spec
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @settings(max_examples=200, deadline=None)
 @given(batch=image_batches())
 def test_featurize_rows_do_not_depend_on_the_batch(batch):
@@ -482,6 +498,7 @@ def _reference_predict(model, obs, rng):
     return float(_mlp_forward(model.params, x[None, :])[0])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @settings(max_examples=150, deadline=None)
 @given(batch=image_batches(), kind=st.sampled_from(["oracle", "ridge", "mlp"]),
        seed=st.integers(0, 2**32 - 1), noisy=st.booleans())

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import pegservo.pipeline
+import pegservo.servoing
+import pegservo.sim
 from conftest import RIDGE_HYPER, led_factory
 from pegservo.errors import (AllInsertionsFailed, InvalidConfig,
                              ModelsNotDeployed, TooFewInsertions)
@@ -14,7 +17,7 @@ from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, insert,
                                split_by_insertion)
 from pegservo.search import generate_pattern
-from pegservo.servoing import servo_config_for
+from pegservo.servoing import servo_config_for, visual_servo
 from pegservo.sim import TimingModel, WorldConfig, move_tcp, new_world
 
 L = vec3(0.0, 0.0, -1.0)
@@ -79,6 +82,35 @@ def test_collection_config_validation():
         CollectionConfig(train_insertions=10, n_insertions=10)
     with pytest.raises(InvalidConfig):
         CollectionConfig(max_offset_mag=-1.0)
+
+
+def test_error_directions_are_computed_once_per_config(monkeypatch):
+    # collection and servoing read each camera's error direction from their
+    # config object; they do not recompute it per view
+    calls = []
+
+    def counted(l, view):
+        calls.append(1)
+        return error_direction(l, view)
+
+    for module in (pegservo.sim, pegservo.pipeline, pegservo.servoing):
+        monkeypatch.setattr(module, "error_direction", counted, raising=False)
+    configs = []
+
+    def factory(i):
+        configs.append(WorldConfig(seed=700 + i))
+        return new_world(configs[-1])
+
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=5,
+                           train_insertions=2)
+    data = collect_dataset(factory, cfg, generate_pattern(0.1, 1.0))
+    assert len(data) == 3 * 5 * 2
+    assert 0 < len(calls) <= 2 * len(configs)
+
+    calls.clear()
+    world = factory(3)
+    visual_servo(world, servo_config_for(world, (OracleModel(), OracleModel())))
+    assert 0 < len(calls) <= 2 * 2  # the world's config and the servo's
 
 
 # ---------------------------------------------------------------- split

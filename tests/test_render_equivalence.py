@@ -1,0 +1,110 @@
+"""The bounding-box render against the full-frame render it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pegservo.errors import ConstraintViolation
+from pegservo.geometry import (error_direction, inplane_component,
+                               normalize_error, project, scalar_error, vec3)
+from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
+                          HOLE_EDGE_WIDTH, HOLE_INTENSITY, NOISE_SIGMA,
+                          WorldConfig, default_cameras, new_world,
+                          peg_position, render)
+
+
+def reference_render(world, camera_index, tcp):
+    """The original render: every disc composited over the whole frame, the
+    error direction and the nominal projection recomputed per view.
+
+    Returns (pixels, truth_y).
+    """
+    cfg = world.config
+    cam = cfg.cameras[camera_index]
+    tcp = np.asarray(tcp, dtype=float)
+    peg = peg_position(world, tcp)
+
+    nominal_px = np.array(project(cam, world.nominal_hole))
+    shift = np.array([cam.r / 2.0, cam.r / 2.0]) - nominal_px
+    hole_px = np.array(project(cam, world.true_hole)) + shift
+    peg_px = np.array(project(cam, peg)) + shift
+
+    app = world.appearance
+    grid = np.arange(cam.r, dtype=float)
+    X, Y = np.meshgrid(grid, grid)
+    discs = [(hole_px[0], hole_px[1], app.hole_radius_px, HOLE_EDGE_WIDTH,
+              HOLE_INTENSITY)]
+    if cfg.peg_intensity is not None:
+        discs += [(peg_px[0] + du, peg_px[1] + dv, rad, EDGE_WIDTH,
+                   cfg.peg_intensity if i is None else i)
+                  for du, dv, rad, i in _GLYPHS[cfg.component_style]]
+    img = np.full((cam.r, cam.r), app.background)
+    for cx, cy, rad, edge, intensity in discs:
+        cov = np.clip((rad - np.hypot(X - cx, Y - cy)) / edge + 0.5, 0.0, 1.0)
+        img = img * (1.0 - cov) + intensity * cov
+
+    bits = tcp.view(np.uint64)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(
+        [world.render_seed, camera_index, int(bits[0]), int(bits[1]), int(bits[2])]))
+    img = np.clip(img + NOISE_SIGMA * noise_rng.standard_normal(img.shape), 0.0, 1.0)
+
+    u = error_direction(cfg.insertion_direction, world.nominal_hole - cam.position)
+    e = inplane_component(world.true_hole - peg, cfg.insertion_direction)
+    return img.astype(np.float32), float(normalize_error(scalar_error(e, u), cam))
+
+
+def _direction(tilt, azimuth):
+    return vec3(math.sin(tilt) * math.cos(azimuth),
+                math.sin(tilt) * math.sin(azimuth), -math.cos(tilt))
+
+
+scenes = st.fixed_dictionaries({
+    "style": st.sampled_from(COMPONENT_STYLES),
+    "peg_intensity": st.one_of(st.none(), st.sampled_from([0.9, 0.3]),
+                               st.floats(0.0, 1.0)),
+    "r": st.one_of(st.sampled_from([1, 64]), st.integers(2, 97)),
+    # from f = 300 up, 1.5 crop widths keep the peg in front of the cameras
+    "f": st.one_of(st.sampled_from([300.0, 1000.0, 4000.0]),
+                   st.floats(300.0, 5000.0)),
+    "seed": st.integers(0, 2**32 - 1),
+    "tilt": st.one_of(st.just(0.0), st.floats(0.0, 0.7)),
+    "azimuth": st.floats(0.0, 2.0 * math.pi),
+})
+
+# Poses as (in-plane offset in crop widths, its direction, height in mm):
+# an offset of 0.5-1.5 crop widths carries the peg across the border and
+# past it, at any resolution and focal length.
+poses = st.tuples(st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 1.5)),
+                  st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=scenes, pose_list=st.lists(poses, min_size=1, max_size=4))
+def test_render_matches_the_full_frame_reference(scene, pose_list):
+    l = _direction(scene["tilt"], scene["azimuth"])
+    cfg = WorldConfig(component_style=scene["style"],
+                      peg_intensity=scene["peg_intensity"], seed=scene["seed"],
+                      insertion_direction=l,
+                      cameras=default_cameras(vec3(0.0, 0.0, 0.0), l,
+                                              f=scene["f"], r=scene["r"]))
+    world = new_world(cfg)
+    cam = cfg.cameras[0]
+    crop_mm = (cam.r + 20) * cam.z / cam.f  # crop plus a glyph, in mm
+    for widths, theta, height in pose_list:
+        offset = widths * crop_mm * np.array([math.cos(theta), math.sin(theta)])
+        tcp = world.tcp + world.basis @ offset - height * l
+        for j in range(len(cfg.cameras)):
+            pixels, truth_y = reference_render(world, j, tcp)
+            obs = render(world, j, tcp)
+            assert obs.pixels.tobytes() == pixels.tobytes()
+            assert repr(obs.truth_y) == repr(truth_y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_render_rejects_a_non_finite_tcp(bad):
+    world = new_world(WorldConfig(seed=2))
+    with pytest.raises(ConstraintViolation):
+        render(world, 0, world.tcp + vec3(bad, 0.0, 0.0))

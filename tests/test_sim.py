@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,6 +89,9 @@ def test_config_validation():
     cams = default_cameras(vec3(0, 0, 0), L)
     with pytest.raises(InvalidConfig):
         WorldConfig(cameras=cams[:1])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig, match="peg_intensity"):
+            WorldConfig(peg_intensity=bad)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
@@ -317,6 +320,9 @@ def test_pgm_export(tmp_path):
 
 def test_world_config_dict_roundtrip():
     cfg = WorldConfig(seed=9, component_style="dsub", tolerance=0.08)
+    assert len(cfg.error_directions) == len(cfg.crop_shifts) == 2
+    # the cached per-camera constants are not config keys
+    assert set(config_to_dict(cfg)) == {f.name for f in fields(WorldConfig)}
     back = config_from_dict(WorldConfig,
                             json.loads(json.dumps(config_to_dict(cfg))))
     assert back.tolerance == cfg.tolerance
