@@ -7,7 +7,7 @@ from .geometry import (CameraModel, aimed_camera, error_direction,
                        inplane_basis, reconstruct_error, scalar_error)
 from .search import SearchPattern, covering_radius, generate_pattern
 from .sim import (COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
-                  WorldState, new_world, render, spiral_insert)
+                  WorldState, new_world, render, render_batch, spiral_insert)
 from .perception import (Dataset, MlpModel, OracleModel, RidgeModel,
                          TrainConfig, evaluate, featurize, gradient_check,
                          init_mlp, predict, train)
@@ -23,7 +23,7 @@ __all__ = [
     "reconstruct_error", "scalar_error",
     "SearchPattern", "covering_radius", "generate_pattern",
     "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "WorldState",
-    "new_world", "render", "spiral_insert",
+    "new_world", "render", "render_batch", "spiral_insert",
     "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",
     "evaluate", "featurize", "gradient_check", "init_mlp", "predict", "train",
     "ServoConfig", "servo_config_for", "servo_step", "visual_servo",

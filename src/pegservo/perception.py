@@ -104,49 +104,56 @@ def featurize(images, spec: InputSpec) -> np.ndarray:
     Every step works on each row alone, so a row's features do not depend
     on the other images in the batch.
     """
+    X = _image_features(images, spec.r, spec.robust)
+    X -= spec.feat_mean
+    X /= spec.feat_std
+    return X
+
+
+def _image_features(images, r: int, robust: bool) -> np.ndarray:
+    """featurize before the per-dataset standardization."""
     images = np.asarray(images)
-    if images.ndim != 3 or images.shape[1:] != (spec.r, spec.r):
-        raise ShapeMismatch(f"expected (n, {spec.r}, {spec.r}) images, "
-                            f"got {images.shape}")
+    if images.ndim != 3 or images.shape[1:] != (r, r):
+        raise ShapeMismatch(f"expected (n, {r}, {r}) images, got {images.shape}")
     X = np.array(images, dtype=np.float64).reshape(len(images), -1)
-    if spec.robust:
+    if robust:
         # Zero the background at the median and scale by the bright tail so
         # the foreground amplitude is scene-independent; then floor the dark
         # tail, whose contrast against the background varies oppositely and
         # would otherwise leak a per-scene gain into a linear readout. Both
-        # order statistics come from one partition at the ranks they need,
-        # finished with numpy's own median and linear-percentile arithmetic
-        # (NaN sorts last and makes both NaN), so they are numpy's bit for bit.
+        # order statistics come from one sort per row in the input's dtype
+        # (faster than a partition at several ranks) and an exact cast, then
+        # numpy's own arithmetic: numpy's bits. NaN sorts last, makes both NaN.
         d = X.shape[1]
         at = (d - 1) * (_ROBUST_PCTL / 100)
         lo, hi = math.floor(at), min(math.floor(at) + 1, d - 1)
         g = at - lo if lo < hi else 1.0
-        part = np.partition(X, sorted({(d - 1) // 2, d // 2, lo, hi, d - 1}), axis=1)
-        m = part[:, (d - 1) // 2:d // 2 + 1].mean(axis=1, keepdims=True)
-        a, b = part[:, lo:lo + 1], part[:, hi:hi + 1]
+        sel = np.sort(images.reshape(len(images), -1), axis=1)[
+            :, [(d - 1) // 2, d // 2, lo, hi, d - 1]].astype(np.float64)
+        m = sel[:, :2 - d % 2].mean(axis=1, keepdims=True)  # 1 or 2 middle ranks
+        a, b = sel[:, 2:3], sel[:, 3:4]
         pct = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
-        nan = np.isnan(part[:, -1:])
-        m[nan] = part[:, -1:][nan]
+        nan = np.isnan(sel[:, 4])
+        if nan.any():  # the sort makes every NaN canonical; np.median keeps the row's
+            m[nan] = np.median(X[nan], axis=1, keepdims=True)
         pct[nan] = np.nan
         scale = pct - m
         scale[scale < 1e-6] = 1.0
         X -= m
         X /= scale
         np.maximum(X, _ROBUST_FLOOR, out=X)
-    X -= spec.feat_mean
-    X /= spec.feat_std
     return X
 
 
 def _fit_input(ds: Dataset, robust: bool):
     """The input spec that standardizes ds's features, and those features."""
-    X = featurize(ds.pixels(), InputSpec(r=ds.r, robust=robust,
-                                         feat_mean=0.0, feat_std=1.0))
-    spec = InputSpec(r=ds.r, robust=robust, feat_mean=X.mean(axis=0),
-                     feat_std=np.maximum(X.std(axis=0), 1e-8))
-    X -= spec.feat_mean
-    X /= spec.feat_std
-    return spec, X
+    X = _image_features(ds.pixels(), ds.r, robust)
+    feat_mean = X.mean(axis=0)
+    X -= feat_mean  # then X.std's own arithmetic, without its copy of X
+    feat_std = np.maximum(np.sqrt(np.square(X).sum(axis=0) / len(X)), 1e-8)
+    X /= feat_std
+    return InputSpec(r=ds.r, robust=robust, feat_mean=feat_mean,
+                     feat_std=feat_std), X
 
 
 @dataclass
@@ -231,11 +238,16 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     The returned model carries the parameters that achieved best_val_loss,
     not the last-step parameters.
     """
+    return _train(train_ds, val_ds, hyper)[:2]
+
+
+def _train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
+    """train, also returning the validation features it made."""
     _check_split(train_ds, val_ds)
     spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
     Xva = featurize(val_ds.pixels(), spec)
     fit = _train_ridge if hyper.kind == "ridge" else _train_mlp
-    return fit(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper)
+    return *fit(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper), Xva
 
 
 def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
@@ -243,7 +255,7 @@ def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
     # eigendecomposition of the Gram matrix serves the whole lambda path.
     xm = Xtr.mean(axis=0)
     ym = float(ytr.mean())
-    Xc = Xtr - xm
+    Xc = np.subtract(Xtr, xm, out=Xtr)  # train's own array: centred in place
     yc = ytr - ym
     K = Xc @ Xc.T
     evals, V = np.linalg.eigh(K)
@@ -402,7 +414,10 @@ def _predict_batch(model, images, truth_y, rng=None) -> np.ndarray:
                 raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
             return truth_y + model.noise_sigma * rng.standard_normal(len(truth_y))
         return truth_y
-    X = featurize(images, model.spec)
+    return _predict_features(model, featurize(images, model.spec))
+
+
+def _predict_features(model, X) -> np.ndarray:
     if model.kind == "ridge":
         return X @ model.weights + model.bias
     return _mlp_forward(model.params, X)
@@ -412,7 +427,12 @@ def evaluate(model, ds: Dataset, rng=None) -> dict:
     """Prediction metrics over a dataset: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    err = _predict_batch(model, ds.pixels(), ds.truth_y, rng) - ds.y
+    return _metrics(_predict_batch(model, ds.pixels(), ds.truth_y, rng), ds)
+
+
+def _metrics(pred, ds: Dataset) -> dict:
+    """evaluate's metrics of the predictions pred for ds's samples."""
+    err = pred - ds.y
     scale = np.array([cam.r * cam.z / cam.f for cam in ds.cameras])[ds.camera_index]
     return {"mse": float(np.mean(err ** 2)),
             "mae": float(np.mean(np.abs(err))),

@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
                      ShapeMismatch, TooFewInsertions)
-from .geometry import inplane_component, normalize_error, scalar_error
-from .perception import Dataset, TrainConfig, evaluate, train
+from .geometry import (camera_to_dict, inplane_component, normalize_error,
+                       scalar_error)
+from .perception import Dataset, TrainConfig, _metrics, _predict_features, _train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
 from .sim import (MODE_VS, Episode, TimingModel, WorldState, move_tcp,
-                  render, spiral_insert, true_inplane_error)
+                  render_batch, spiral_insert, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -64,14 +65,16 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
     Per world: spiral-insert, take the successful TCP as the in-plane zero,
-    then render samples_per_insertion random offsets (direction uniform on
-    the circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height))
-    from every camera. Label y is the normalized error the servo must
-    cancel: y_j = normalize_error(-offset.u_j, cam_j). Failed insertions are
-    logged and skipped. The images fill one preallocated buffer in sample
-    order; rows past the last successful insertion's stay unused.
+    then draw samples_per_insertion random offsets (direction uniform on the
+    circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) and
+    render them with one render_batch per camera. Label y is the normalized
+    error the servo must cancel: y_j = normalize_error(-offset.u_j, cam_j).
+    Failed insertions are logged and skipped. The images fill one
+    preallocated buffer in sample order; rows past the last successful
+    insertion's stay unused. Every world must have world 0's cameras.
     """
     cameras = world_factory(0).config.cameras
+    calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
     if len({cam.r for cam in cameras}) != 1:
         raise ShapeMismatch("cameras of one dataset must share a resolution")
     n_max = cfg.n_insertions * cfg.samples_per_insertion * len(cameras)
@@ -80,33 +83,34 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     labels = np.empty((n_max, 6))
     n = 0
     timing = TimingModel()
-    successes = 0
     for i in range(cfg.n_insertions):
         world = world_factory(i)
+        if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
+            raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
         outcome = spiral_insert(world, world.tcp, pattern, timing)
         if not outcome.success:
             log.warning("collection insertion %d failed after %d attempts; skipped",
                         i, outcome.attempts)
             continue
-        successes += 1
-        success_tcp = world.tcp
+        success_tcp, first, tcps = world.tcp, n, []
         l = world.config.insertion_direction
         for _ in range(cfg.samples_per_insertion):
             theta = world.rng.uniform(0.0, 2.0 * np.pi)
             mag = world.rng.uniform(0.0, cfg.max_offset_mag)
             height = world.rng.uniform(0.0, cfg.max_height)
             offset2 = mag * np.array([np.cos(theta), np.sin(theta)])
-            tcp = success_tcp + world.basis @ offset2 - height * l
-            move_tcp(world, tcp, stroke=True)
+            tcps.append(success_tcp + world.basis @ offset2 - height * l)
+            move_tcp(world, tcps[-1], stroke=True)
             for j, (cam, u) in enumerate(zip(cameras,
                                              world.config.error_directions)):
-                obs = render(world, j, tcp)
                 q = scalar_error(-(world.basis @ offset2), u)
-                images[n] = obs.pixels
-                labels[n] = (i, j, normalize_error(q, cam), obs.truth_y, q, height)
+                labels[n] = (i, j, normalize_error(q, cam), np.nan, q, height)
                 n += 1
+        for j in range(len(cameras)):  # truth_y comes with the pixels
+            rows = slice(first + j, n, len(cameras))
+            images[rows], labels[rows, 3] = render_batch(world, j, np.array(tcps))
         move_tcp(world, success_tcp, stroke=True)
-    if successes == 0:
+    if n == 0:
         raise AllInsertionsFailed(
             f"all {cfg.n_insertions} collection insertions failed")
     ins, cam_index, y, truth_y, q_mm, height_mm = labels[:n].T
@@ -148,8 +152,8 @@ def train_per_camera(data: Dataset, train_insertions: int,
     models, reports, metrics = {}, {}, {}
     for j in range(len(data.cameras)):
         val_j = val_ds.by_camera(j)
-        models[j], reports[j] = train(train_ds.by_camera(j), val_j, hyper)
-        metrics[j] = evaluate(models[j], val_j)
+        models[j], reports[j], Xva = _train(train_ds.by_camera(j), val_j, hyper)
+        metrics[j] = _metrics(_predict_features(models[j], Xva), val_j)
     return TrainResult(models=models, reports=reports, metrics=metrics,
                        train_ids=sorted(train_ds.grouping),
                        val_ids=sorted(val_ds.grouping))

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConstraintViolation, InvalidConfig, read_artifact,
-                     write_artifact)
+from .errors import (ConstraintViolation, InvalidConfig, ShapeMismatch,
+                     read_artifact, write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
                        inplane_component, normalize_error, project,
@@ -301,60 +301,72 @@ _GLYPHS = {
 
 
 def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
-    """Render one camera view of the scene at the given TCP.
+    """One camera view at the given (default current) TCP: a batch of one."""
+    tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
+    pixels, truth_y = render_batch(world, camera_index, tcp[None])
+    return Observation(pixels[0], camera_index, float(truth_y[0]))
 
-    The crop is centered on the nominal hole projection; the hole appears as
-    a dark disc at its true position and the peg as a bright style-specific
-    glyph at its true position. A disc's coverage is 0 beyond rad + edge/2
-    of its center, so it is composited only inside that bounding box plus a
-    spare pixel for rounding, and skipped if the box misses the image. The
-    error direction and crop shift are the config's cached constants. Pixel
-    noise is drawn from a generator seeded by (world seed, camera index, TCP
-    position bits), so re-rendering the same pose is bit-identical.
+
+def render_batch(world: WorldState, camera_index: int, tcps):
+    """One camera's views at (n, 3) TCPs: (n, r, r) float32 pixels, (n,) truth_y.
+
+    The crop is centered on the nominal hole projection; the hole is a dark
+    disc and the peg a bright style-specific glyph, each at its true place.
+    A disc's coverage is 0 beyond rad + edge/2 of its center, so each disc
+    is composited once, on the union of the views' boxes (plus a spare
+    pixel) that hit the image; outside its own box a view keeps its bits.
+    Each view's noise comes from a generator seeded by (world seed, camera
+    index, TCP position bits), so re-rendering a pose is bit-identical.
     """
     cfg = world.config
     if not 0 <= camera_index < len(cfg.cameras):
         raise InvalidConfig(f"camera index {camera_index} out of range")
-    cam = cfg.cameras[camera_index]
-    tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
-    if not np.isfinite(tcp).all():
-        raise ConstraintViolation(f"render TCP {tcp} is not finite")
-    peg = peg_position(world, tcp)
-
-    shift = cfg.crop_shifts[camera_index]
-    hole_px = np.array(project(cam, world.true_hole)) + shift
-    peg_px = np.array(project(cam, peg)) + shift
-
+    cam, r = cfg.cameras[camera_index], cfg.cameras[camera_index].r
+    tcps = np.asarray(tcps, dtype=float)
+    if tcps.ndim != 2 or tcps.shape[1] != 3:
+        raise ShapeMismatch(f"expected (n, 3) TCPs, got {tcps.shape}")
+    if not np.isfinite(tcps).all():
+        raise ConstraintViolation(f"render TCPs {tcps} are not finite")
+    pegs, n = peg_position(world, tcps), len(tcps)
+    sx, sy = cfg.crop_shifts[camera_index].tolist()
+    hole_px, *peg_px = [[float(x) + sx, float(y) + sy] for x, y in
+                        (project(cam, p) for p in [world.true_hole, *pegs])]
     app = world.appearance
-    discs = [(hole_px[0], hole_px[1], app.hole_radius_px, HOLE_EDGE_WIDTH,
+    discs = [([hole_px] * n, 0.0, 0.0, app.hole_radius_px, HOLE_EDGE_WIDTH,
               HOLE_INTENSITY)]
     if cfg.peg_intensity is not None:
-        discs += [(peg_px[0] + du, peg_px[1] + dv, rad, EDGE_WIDTH,
+        discs += [(peg_px, du, dv, rad, EDGE_WIDTH,
                    cfg.peg_intensity if i is None else i)
                   for du, dv, rad, i in _GLYPHS[cfg.component_style]]
-    img = np.full((cam.r, cam.r), app.background)
-    for cx, cy, rad, edge, intensity in discs:
+    img, grid = np.full((n, r, r), app.background), np.arange(r, dtype=float)
+    for centres, du, dv, rad, edge, intensity in discs:
         reach = rad + edge / 2.0 + 1.0
-        if not (-1.0 < cx + reach and cx - reach < cam.r  # false for inf too
-                and -1.0 < cy + reach and cy - reach < cam.r):
+        shown = [(k, x + du, y + dv) for k, (x, y) in enumerate(centres)
+                 if -1.0 < x + du + reach and x + du - reach < r  # false for inf
+                 and -1.0 < y + dv + reach and y + dv - reach < r]
+        if not shown:
             continue
-        x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, cam.r)
-        y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, cam.r)
-        dist = np.hypot(np.arange(x0, x1, dtype=float) - cx,
-                        np.arange(y0, y1, dtype=float)[:, None] - cy)
-        cov = np.clip((rad - dist) / edge + 0.5, 0.0, 1.0)
-        box = img[y0:y1, x0:x1]
-        box[...] = box * (1.0 - cov) + intensity * cov
+        views, xs, ys = zip(*shown)
+        x0, x1 = max(math.floor(min(xs) - reach), 0), min(math.ceil(max(xs) + reach) + 1, r)
+        y0, y1 = max(math.floor(min(ys) - reach), 0), min(math.ceil(max(ys) + reach) + 1, r)
+        # a lone view's centre stays a scalar, which broadcasts faster
+        cx, cy = xs + ys if len(views) == 1 else np.array([xs, ys])[:, :, None, None]
+        views = slice(None) if len(views) == n else list(views)
+        dist = np.hypot(grid[x0:x1] - cx, grid[y0:y1, None] - cy)
+        # np.clip without its wrapper's cost; they differ only on -0.0, never here
+        cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
+        img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
+                                    + intensity * cov)
+    for k, bits in enumerate(tcps.view(np.uint64).tolist()):
+        noise_rng = np.random.default_rng(np.random.SeedSequence(
+            [world.render_seed, camera_index, *bits]))
+        img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
 
-    bits = np.asarray(tcp, dtype=np.float64).view(np.uint64)
-    noise_rng = np.random.default_rng(np.random.SeedSequence(
-        [world.render_seed, camera_index, int(bits[0]), int(bits[1]), int(bits[2])]))
-    img = np.clip(img + NOISE_SIGMA * noise_rng.standard_normal(img.shape), 0.0, 1.0)
-
-    e = inplane_component(world.true_hole - peg, cfg.insertion_direction)
-    truth_y = normalize_error(scalar_error(e, cfg.error_directions[camera_index]), cam)
-    return Observation(pixels=img.astype(np.float32), camera_index=camera_index,
-                       truth_y=float(truth_y))
+    l, u = cfg.insertion_direction, cfg.error_directions[camera_index]
+    truth_y = [normalize_error(scalar_error(
+        inplane_component(world.true_hole - peg, l), u), cam) for peg in pegs]
+    np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
+    return img.astype(np.float32), np.array(truth_y)
 
 
 MODE_VS = "vs"
@@ -408,10 +420,10 @@ def spiral_insert(world: WorldState, start_tcp, pattern,
     attempt is counted.
     """
     cfg = world.config
-    tol = cfg.tolerance
-    if not np.isclose(pattern.tolerance, tol):
-        warnings.warn(f"pattern tolerance {pattern.tolerance} != world "
-                      f"tolerance {tol}", stacklevel=2)
+    tol, got = cfg.tolerance, float(pattern.tolerance)
+    # np.isclose(got, tol) on two floats, without its array overhead
+    if not (got == tol or abs(got - tol) <= 1e-8 + 1e-5 * abs(tol) and math.isfinite(tol)):
+        warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
     start_tcp = np.asarray(start_tcp, dtype=float)
     move_tcp(world, start_tcp)
     offsets, basis = pattern.offsets, world.basis

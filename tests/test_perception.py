@@ -407,21 +407,25 @@ def image_batches(draw):
     n = draw(st.integers(1, 6))
     r = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
     pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rendered pixels are float32; float64 images hold values float32 cannot
+    # represent, so their statistics must not pass through float32
+    dtype, width = draw(st.sampled_from([(np.float32, 32), (np.float64, 64)]))
     if r <= 8:
-        images = draw(arrays(np.float32, (n, r, r),
-                             elements=st.floats(0.0, 1.0, width=32)))
+        images = draw(arrays(dtype, (n, r, r),
+                             elements=st.floats(0.0, 1.0, width=width)))
     else:
-        images = pixels.random((n, r, r), dtype=np.float32)
+        images = pixels.random((n, r, r), dtype=dtype)
     for k in range(n):
         kind = draw(st.sampled_from(["drawn", "constant", "levels", "special"]))
         if kind == "constant":  # no spread: hits the robust scale floor
             images[k] = images[k, 0, 0]
         elif kind == "levels":  # a few levels: ties at every rank
-            levels = draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=1,
+            levels = draw(st.lists(st.floats(0.0, 1.0, width=width), min_size=1,
                                    max_size=3))
-            images[k] = pixels.choice(np.array(levels, dtype=np.float32), (r, r))
+            images[k] = pixels.choice(np.array(levels, dtype=dtype), (r, r))
         elif kind == "special":
-            values = draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+            values = draw(st.lists(st.sampled_from([math.nan, -math.nan, math.inf,
+                                                    -math.inf]),
                                    min_size=1, max_size=3))[:r * r]
             at = pixels.choice(r * r, len(values), replace=False)
             images[k].flat[at] = values

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pegservo.perception
 import pegservo.pipeline
 import pegservo.servoing
 import pegservo.sim
@@ -12,13 +13,14 @@ from conftest import RIDGE_HYPER, led_factory
 from pegservo.errors import (AllInsertionsFailed, InvalidConfig,
                              ModelsNotDeployed, TooFewInsertions)
 from pegservo.geometry import error_direction, normalize_error, vec3
-from pegservo.perception import OracleModel
+from pegservo.perception import OracleModel, TrainConfig, evaluate
 from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, insert,
-                               split_by_insertion)
+                               split_by_insertion, train_per_camera)
 from pegservo.search import generate_pattern
 from pegservo.servoing import servo_config_for, visual_servo
-from pegservo.sim import TimingModel, WorldConfig, move_tcp, new_world
+from pegservo.sim import (TimingModel, WorldConfig, default_cameras,
+                          move_tcp, new_world, render_batch)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -111,6 +113,60 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
     world = factory(3)
     visual_servo(world, servo_config_for(world, (OracleModel(), OracleModel())))
     assert 0 < len(calls) <= 2 * 2  # the world's config and the servo's
+
+
+def test_collection_renders_each_insertion_once_per_camera(monkeypatch):
+    calls = []
+
+    def counted(world, camera_index, tcps):
+        calls.append((world.config.seed, camera_index, len(tcps)))
+        return render_batch(world, camera_index, tcps)
+
+    monkeypatch.setattr(pegservo.pipeline, "render_batch", counted)
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=5,
+                           train_insertions=2)
+    data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
+    assert len(data) == 3 * 5 * 2
+    assert calls == [(500 + i, j, 5) for i in range(3) for j in range(2)]
+
+
+def test_collection_rejects_worlds_with_other_cameras():
+    def factory(f):
+        def make(i):
+            cams = default_cameras(vec3(0.0, 0.0, 0.0), L, f=f[min(i, len(f) - 1)])
+            return new_world(WorldConfig(seed=500 + i, cameras=cams))
+        return make
+
+    cfg = CollectionConfig(n_insertions=2, samples_per_insertion=3,
+                           train_insertions=1)
+    pattern = generate_pattern(0.1, 1.0)
+    with pytest.raises(InvalidConfig, match="insertion 1"):
+        collect_dataset(factory([1000.0, 2000.0]), cfg, pattern)
+    # equal cameras built by separate configs are one calibration
+    assert len(collect_dataset(factory([2000.0]), cfg, pattern)) == 2 * 3 * 2
+
+
+@pytest.mark.parametrize("hyper", [RIDGE_HYPER, TrainConfig(
+    kind="mlp", hidden=(3,), max_epochs=2, robust_norm=True)], ids=["ridge", "mlp"])
+def test_train_per_camera_featurizes_once_and_scores_like_evaluate(monkeypatch,
+                                                                   hyper):
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=5,
+                           train_insertions=2)
+    data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
+    rows, features = [], pegservo.perception._image_features
+
+    def counted(images, r, robust):
+        rows.append(len(images))
+        return features(images, r, robust)
+
+    monkeypatch.setattr(pegservo.perception, "_image_features", counted)
+    res = train_per_camera(data, cfg.train_insertions, hyper)
+    # per camera: its 2 x 5 training rows, then its 5 validation rows
+    assert rows == [10, 5, 10, 5]
+    monkeypatch.undo()
+    val = split_by_insertion(data, cfg.train_insertions, hyper.seed)[1]
+    for j, model in res.models.items():
+        assert repr(res.metrics[j]) == repr(evaluate(model, val.by_camera(j)))
 
 
 # ---------------------------------------------------------------- split

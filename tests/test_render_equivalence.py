@@ -1,4 +1,4 @@
-"""The bounding-box render against the full-frame render it replaced."""
+"""The bounding-box batch render against the full-frame render it replaced."""
 
 import math
 
@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo.errors import ConstraintViolation
+from pegservo.errors import ConstraintViolation, ShapeMismatch
 from pegservo.geometry import (error_direction, inplane_component,
                                normalize_error, project, scalar_error, vec3)
 from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
                           HOLE_EDGE_WIDTH, HOLE_INTENSITY, NOISE_SIGMA,
                           WorldConfig, default_cameras, new_world,
-                          peg_position, render)
+                          peg_position, render, render_batch)
 
 
 def reference_render(world, camera_index, tcp):
@@ -82,8 +82,10 @@ poses = st.tuples(st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 1.5)),
 
 
 @settings(max_examples=300, deadline=None)
-@given(scene=scenes, pose_list=st.lists(poses, min_size=1, max_size=4))
+@given(scene=scenes, pose_list=st.lists(poses, min_size=1, max_size=8))
 def test_render_matches_the_full_frame_reference(scene, pose_list):
+    # one batch mixes poses whose glyph is on the image, crosses its border
+    # and misses it; every row must be the reference's view of its pose
     l = _direction(scene["tilt"], scene["azimuth"])
     cfg = WorldConfig(component_style=scene["style"],
                       peg_intensity=scene["peg_intensity"], seed=scene["seed"],
@@ -93,14 +95,25 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
     world = new_world(cfg)
     cam = cfg.cameras[0]
     crop_mm = (cam.r + 20) * cam.z / cam.f  # crop plus a glyph, in mm
-    for widths, theta, height in pose_list:
-        offset = widths * crop_mm * np.array([math.cos(theta), math.sin(theta)])
-        tcp = world.tcp + world.basis @ offset - height * l
-        for j in range(len(cfg.cameras)):
+    tcps = np.array([world.tcp - height * l + world.basis
+                     @ (widths * crop_mm * np.array([math.cos(theta), math.sin(theta)]))
+                     for widths, theta, height in pose_list])
+    for j in range(len(cfg.cameras)):
+        batch, batch_truth = render_batch(world, j, tcps)
+        assert batch.shape == (len(tcps), cam.r, cam.r) and batch.dtype == np.float32
+        for k, tcp in enumerate(tcps):
             pixels, truth_y = reference_render(world, j, tcp)
             obs = render(world, j, tcp)
-            assert obs.pixels.tobytes() == pixels.tobytes()
-            assert repr(obs.truth_y) == repr(truth_y)
+            assert batch[k].tobytes() == obs.pixels.tobytes() == pixels.tobytes()
+            assert repr(float(batch_truth[k])) == repr(obs.truth_y) == repr(truth_y)
+
+
+def test_render_batch_takes_n_by_3_tcps():
+    world = new_world(WorldConfig(seed=2))
+    pixels, truth_y = render_batch(world, 1, np.empty((0, 3)))
+    assert pixels.shape == (0, 64, 64) and truth_y.shape == (0,)
+    with pytest.raises(ShapeMismatch):
+        render_batch(world, 1, world.tcp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

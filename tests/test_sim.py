@@ -2,16 +2,19 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegservo.errors import ConstraintViolation, InvalidConfig
 from pegservo.geometry import (aimed_camera, camera_to_dict,
                                denormalize_error, error_direction,
                                normalize_error, project, scalar_error, vec3)
-from pegservo.search import generate_pattern
+from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           attempt_insertion, config_from_dict, config_to_dict,
                           default_cameras, load_config_file, move_tcp,
@@ -302,6 +305,24 @@ def test_spiral_warns_on_tolerance_mismatch():
     pattern = generate_pattern(0.2, 0.5)
     with pytest.warns(UserWarning):
         spiral_insert(w, w.tcp, pattern, TimingModel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tol=st.one_of(st.floats(1e-12, 10.0), st.just(math.inf)))
+def test_spiral_warns_exactly_when_np_isclose_says_false(data, tol):
+    got = data.draw(st.one_of(
+        st.floats(),  # nan and +-inf included
+        st.just(tol),
+        st.floats(-3e-5, 3e-5).map(lambda rel: tol * (1.0 + rel)),
+        st.floats(-3e-8, 3e-8).map(lambda off: tol + off)))
+    w = _quiet_world(tolerance=tol)
+    pattern = SearchPattern(offsets=np.zeros((1, 2)), spacing=1.0,
+                            tolerance=got, max_radius=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spiral_insert(w, w.tcp, pattern, TimingModel())
+    warned = any("pattern tolerance" in str(c.message) for c in caught)
+    assert warned == (not np.isclose(got, tol))
 
 
 # ---------------------------------------------------------------- io
