@@ -44,7 +44,7 @@ class InvalidConfig(PegServoError):
 
 
 class ConstraintViolation(PegServoError):
-    """A TCP move left the insertion plane without a stroke, or had a non-finite target."""
+    """A TCP move left the insertion plane, or had a non-finite target."""
 
 
 class ShapeMismatch(PegServoError):
@@ -61,6 +61,10 @@ class LeakedInsertion(PegServoError):
 
 class NotDifferentiableKind(PegServoError):
     """gradient_check only applies to the mlp kind."""
+
+
+class NonFiniteLoss(PegServoError):
+    """No training step reached a finite validation loss (a NaN or inf in the data)."""
 
 
 class TooFewInsertions(PegServoError):

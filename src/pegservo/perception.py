@@ -12,12 +12,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
-                     LeakedInsertion, NotDifferentiableKind, ShapeMismatch,
-                     read_artifact, write_artifacts)
+                     LeakedInsertion, NonFiniteLoss, NotDifferentiableKind,
+                     ShapeMismatch, read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
 from .sim import Observation
 
@@ -222,35 +223,51 @@ class TrainReport:
     train_curve: list
     val_curve: list
     stopped_early: bool
-
-
-def _check_split(train_ds: Dataset, val_ds: Dataset) -> None:
-    if len(train_ds) == 0 or len(val_ds) == 0:
-        raise EmptyDataset("train and validation sets must be non-empty")
-    shared = set(train_ds.grouping) & set(val_ds.grouping)
-    if shared:
-        raise LeakedInsertion(f"insertions in both splits: {sorted(shared)}")
+    val_metrics: dict  # evaluate()'s metrics of the returned model on val_ds
 
 
 def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     """Fit a regressor; returns (model, TrainReport).
 
-    The returned model carries the parameters that achieved best_val_loss,
-    not the last-step parameters.
+    The kind's steps (a ridge lambda, an MLP epoch) run until the
+    validation loss has not improved for hyper.patience steps. The returned
+    model carries the parameters that achieved best_val_loss, not the
+    last-step parameters; the report's val_metrics equal evaluate(model,
+    val_ds). Raises NonFiniteLoss when no step's validation loss is finite.
     """
-    return _train(train_ds, val_ds, hyper)[:2]
-
-
-def _train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
-    """train, also returning the validation features it made."""
-    _check_split(train_ds, val_ds)
+    if len(train_ds) == 0 or len(val_ds) == 0:
+        raise EmptyDataset("train and validation sets must be non-empty")
+    shared = set(train_ds.grouping) & set(val_ds.grouping)
+    if shared:
+        raise LeakedInsertion(f"insertions in both splits: {sorted(shared)}")
     spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
     Xva = featurize(val_ds.pixels(), spec)
-    fit = _train_ridge if hyper.kind == "ridge" else _train_mlp
-    return *fit(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper), Xva
+    steps = _train_ridge if hyper.kind == "ridge" else _train_mlp
+    # each step yields (a builder of its model, train mse, validation mse)
+    train_curve, val_curve = [], []
+    best, best_val, wait = None, np.inf, 0
+    for candidate, tr_mse, va_mse in steps(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper):
+        train_curve.append(tr_mse)
+        val_curve.append(va_mse)
+        if va_mse < best_val:
+            best, best_val, wait = candidate, va_mse, 0
+        else:
+            wait += 1
+            if wait >= hyper.patience:
+                break
+    if best is None:
+        raise NonFiniteLoss(f"no {hyper.kind} step reached a finite validation "
+                            f"loss (first {val_curve[0]}): NaN or inf in the data?")
+    model = best()
+    return model, TrainReport(
+        epochs_run=len(val_curve), best_val_loss=best_val,
+        train_curve=train_curve, val_curve=val_curve,
+        stopped_early=wait >= hyper.patience,
+        val_metrics=_metrics(_predict_features(model, Xva), val_ds))
 
 
 def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
+    """train's steps for kind=ridge: one per lambda of the path."""
     # Dual (kernel) form: w = Xc^T (Xc Xc^T + lam I)^-1 yc. One
     # eigendecomposition of the Gram matrix serves the whole lambda path.
     xm = Xtr.mean(axis=0)
@@ -262,82 +279,54 @@ def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
     evals = np.maximum(evals, 0.0)
     Vty = V.T @ yc
     Kva = (Xva - xm) @ Xc.T
-    if hyper.ridge_lambda is not None:
-        path = [float(hyper.ridge_lambda)]
-    else:
-        path = list(np.logspace(2.0, -8.0, 26))
-    path = path[:hyper.max_epochs]
+    path = (np.logspace(2.0, -8.0, 26) if hyper.ridge_lambda is None
+            else [hyper.ridge_lambda])
 
-    train_curve, val_curve = [], []
-    best = np.inf
-    best_alpha = None
-    best_lam = path[0]
-    wait = 0
-    stopped = False
-    for lam in path:
+    def model(lam, alpha):
+        w = Xc.T @ alpha
+        return RidgeModel(weights=w, bias=ym - float(xm @ w), lam=float(lam), spec=spec)
+
+    for lam in path[:hyper.max_epochs]:
         alpha = V @ (Vty / (evals + lam))
-        tr_mse = float(np.mean((K @ alpha - yc) ** 2))
-        va_mse = float(np.mean((Kva @ alpha + ym - yva) ** 2))
-        train_curve.append(tr_mse)
-        val_curve.append(va_mse)
-        if va_mse < best:
-            best = va_mse
-            best_alpha = alpha
-            best_lam = lam
-            wait = 0
-        else:
-            wait += 1
-            if wait >= hyper.patience:
-                stopped = True
-                break
-    w = Xc.T @ best_alpha
-    bias = ym - float(xm @ w)
-    model = RidgeModel(weights=w, bias=bias, lam=float(best_lam), spec=spec)
-    report = TrainReport(epochs_run=len(val_curve), best_val_loss=best,
-                         train_curve=train_curve, val_curve=val_curve,
-                         stopped_early=stopped)
-    return model, report
+        yield (partial(model, lam, alpha), float(np.mean((K @ alpha - yc) ** 2)),
+               float(np.mean((Kva @ alpha + ym - yva) ** 2)))
 
 
 def init_mlp(ds: Dataset, hyper: TrainConfig) -> MlpModel:
     """Freshly initialized, untrained MLP with the dataset's input spec.
 
-    Uses the same seed stream as train(), so training with the same hyper
-    starts from exactly these parameters.
+    Training with the same hyper starts from exactly these parameters.
     """
     if hyper.kind != "mlp":
         raise InvalidConfig(f"init_mlp requires kind='mlp', got {hyper.kind!r}")
     if len(ds) == 0:
         raise EmptyDataset("cannot derive an input spec from an empty dataset")
     spec, X = _fit_input(ds, hyper.robust_norm)
+    return MlpModel(params=_mlp_init(X.shape[1], hyper)[0], spec=spec,
+                    hidden=tuple(hyper.hidden))
+
+
+def _mlp_init(d: int, hyper: TrainConfig):
+    """An MLP run's initial parameters and the seeded stream that drew them."""
     rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 2]))
-    params = _mlp_init(X.shape[1], tuple(hyper.hidden), rng)
-    return MlpModel(params=params, spec=spec, hidden=tuple(hyper.hidden))
-
-
-def _mlp_init(d: int, hidden: tuple, rng: np.random.Generator) -> list:
-    sizes = [d, *hidden, 1]
+    sizes = [d, *hyper.hidden, 1]
     params = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         params.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
         params.append(np.zeros(fan_out))
-    return params
+    return params, rng
 
 
-def _mlp_forward(params: list, X: np.ndarray) -> np.ndarray:
-    h = X
+def _mlp_layers(params: list, X: np.ndarray) -> list:
+    """The MLP's activations of X, input first; the last is the (n,) output."""
+    acts = [X]
     for W, b in zip(params[0:-2:2], params[1:-2:2]):
-        h = np.maximum(h @ W + b, 0.0)
-    return (h @ params[-2] + params[-1]).ravel()
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    return [*acts, (acts[-1] @ params[-2] + params[-1]).ravel()]
 
 
 def _mlp_loss_grads(params: list, X: np.ndarray, y: np.ndarray):
-    acts = [X]
-    h = X
-    for W, b in zip(params[0:-2:2], params[1:-2:2]):
-        h = np.maximum(h @ W + b, 0.0)
-        acts.append(h)
-    pred = (h @ params[-2] + params[-1]).ravel()
+    *acts, pred = _mlp_layers(params, X)
     resid = pred - y
     loss = float(np.mean(resid ** 2))
     n = len(y)
@@ -356,18 +345,13 @@ def _mlp_loss_grads(params: list, X: np.ndarray, y: np.ndarray):
 
 
 def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
-    rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 2]))
-    params = _mlp_init(Xtr.shape[1], tuple(hyper.hidden), rng)
+    """train's steps for kind=mlp: one per epoch of minibatch Adam."""
+    params, rng = _mlp_init(Xtr.shape[1], hyper)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     n = len(ytr)
-    train_curve, val_curve = [], []
-    best = np.inf
-    best_params = [p.copy() for p in params]
-    wait = 0
-    stopped = False
     for _epoch in range(hyper.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
@@ -380,24 +364,10 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
                 mhat = m[k] / (1 - b1 ** t)
                 vhat = v[k] / (1 - b2 ** t)
                 params[k] = params[k] - hyper.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        tr_mse = float(np.mean((_mlp_forward(params, Xtr) - ytr) ** 2))
-        va_mse = float(np.mean((_mlp_forward(params, Xva) - yva) ** 2))
-        train_curve.append(tr_mse)
-        val_curve.append(va_mse)
-        if va_mse < best:
-            best = va_mse
-            best_params = [p.copy() for p in params]
-            wait = 0
-        else:
-            wait += 1
-            if wait >= hyper.patience:
-                stopped = True
-                break
-    model = MlpModel(params=best_params, spec=spec, hidden=tuple(hyper.hidden))
-    report = TrainReport(epochs_run=len(val_curve), best_val_loss=best,
-                         train_curve=train_curve, val_curve=val_curve,
-                         stopped_early=stopped)
-    return model, report
+        # every step rebinds params[k], so a shallow copy keeps this epoch's
+        yield (partial(MlpModel, list(params), spec, tuple(hyper.hidden)),
+               float(np.mean((_mlp_layers(params, Xtr)[-1] - ytr) ** 2)),
+               float(np.mean((_mlp_layers(params, Xva)[-1] - yva) ** 2)))
 
 
 def predict(model, obs: Observation, rng=None) -> float:
@@ -420,7 +390,7 @@ def _predict_batch(model, images, truth_y, rng=None) -> np.ndarray:
 def _predict_features(model, X) -> np.ndarray:
     if model.kind == "ridge":
         return X @ model.weights + model.bias
-    return _mlp_forward(model.params, X)
+    return _mlp_layers(model.params, X)[-1]
 
 
 def evaluate(model, ds: Dataset, rng=None) -> dict:

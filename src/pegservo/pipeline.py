@@ -14,13 +14,12 @@ import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
                      ShapeMismatch, TooFewInsertions)
-from .geometry import (camera_to_dict, inplane_component, normalize_error,
-                       scalar_error)
-from .perception import Dataset, TrainConfig, _metrics, _predict_features, _train
+from .geometry import camera_to_dict, inplane_component, normalize_error
+from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, TimingModel, WorldState, move_tcp,
-                  render_batch, spiral_insert, true_inplane_error)
+from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_batch,
+                  spiral_insert, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -66,54 +65,54 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
 
     Per world: spiral-insert, take the successful TCP as the in-plane zero,
     then draw samples_per_insertion random offsets (direction uniform on the
-    circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) and
-    render them with one render_batch per camera. Label y is the normalized
-    error the servo must cancel: y_j = normalize_error(-offset.u_j, cam_j).
-    Failed insertions are logged and skipped. The images fill one
-    preallocated buffer in sample order; rows past the last successful
-    insertion's stay unused. Every world must have world 0's cameras.
+    circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) as
+    one array and render them with one render_batch per camera. Label y is
+    the normalized error the servo must cancel:
+    y_j = normalize_error(-offset.u_j, cam_j). Failed insertions are logged
+    and skipped. The images fill one preallocated buffer in sample order;
+    rows past the last successful insertion's stay unused. Each world is
+    built once, and every world must have world 0's cameras.
     """
-    cameras = world_factory(0).config.cameras
-    calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
-    if len({cam.r for cam in cameras}) != 1:
-        raise ShapeMismatch("cameras of one dataset must share a resolution")
-    n_max = cfg.n_insertions * cfg.samples_per_insertion * len(cameras)
-    images = np.empty((n_max, cameras[0].r, cameras[0].r), dtype=np.float32)
-    # insertion_id, camera_index, y, truth_y, q_mm, height_mm
-    labels = np.empty((n_max, 6))
-    n = 0
-    timing = TimingModel()
+    k, n, timing, blocks = cfg.samples_per_insertion, 0, TimingModel(), []
     for i in range(cfg.n_insertions):
         world = world_factory(i)
-        if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
+        if i == 0:
+            cameras, m = world.config.cameras, len(world.config.cameras)
+            calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
+            if len({cam.r for cam in cameras}) != 1:
+                raise ShapeMismatch("cameras of one dataset must share a resolution")
+            images = np.empty((cfg.n_insertions * k * m, cameras[0].r, cameras[0].r),
+                              dtype=np.float32)
+        elif [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
             raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
         outcome = spiral_insert(world, world.tcp, pattern, timing)
         if not outcome.success:
             log.warning("collection insertion %d failed after %d attempts; skipped",
                         i, outcome.attempts)
             continue
-        success_tcp, first, tcps = world.tcp, n, []
-        l = world.config.insertion_direction
-        for _ in range(cfg.samples_per_insertion):
-            theta = world.rng.uniform(0.0, 2.0 * np.pi)
-            mag = world.rng.uniform(0.0, cfg.max_offset_mag)
-            height = world.rng.uniform(0.0, cfg.max_height)
-            offset2 = mag * np.array([np.cos(theta), np.sin(theta)])
-            tcps.append(success_tcp + world.basis @ offset2 - height * l)
-            move_tcp(world, tcps[-1], stroke=True)
-            for j, (cam, u) in enumerate(zip(cameras,
-                                             world.config.error_directions)):
-                q = scalar_error(-(world.basis @ offset2), u)
-                labels[n] = (i, j, normalize_error(q, cam), np.nan, q, height)
-                n += 1
-        for j in range(len(cameras)):  # truth_y comes with the pixels
-            rows = slice(first + j, n, len(cameras))
-            images[rows], labels[rows, 3] = render_batch(world, j, np.array(tcps))
-        move_tcp(world, success_tcp, stroke=True)
+        # the draws of uniform(0, high) for (theta, mag, height), sample by sample
+        theta, mag, height = (world.rng.random((k, 3))
+                              * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
+        offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
+        # stacked mat-vecs and dot products: per row, the kernels of one
+        # sample's basis @ offset and np.dot, so the bits are the per-sample ones
+        moves = (world.basis @ offsets[:, :, None])[:, :, 0]
+        tcps = world.tcp + moves - height[:, None] * world.config.insertion_direction
+        U = np.array(world.config.error_directions)
+        q = ((-moves)[:, None, None, :] @ U[:, :, None])[:, :, 0, 0]  # (k, m)
+        y = np.stack([normalize_error(qj, cam) for qj, cam in zip(q.T, cameras)], axis=1)
+        # one row per view, in sample order: insertion_id, camera_index, y,
+        # truth_y, q_mm, height_mm
+        block = np.stack(np.broadcast_arrays(i, np.arange(m), y, np.nan, q, height[:, None]),
+                         axis=-1).reshape(k * m, 6)
+        for j in range(m):  # truth_y comes with the pixels
+            images[n + j:n + k * m:m], block[j::m, 3] = render_batch(world, j, tcps)
+        blocks.append(block)
+        n += k * m
     if n == 0:
         raise AllInsertionsFailed(
             f"all {cfg.n_insertions} collection insertions failed")
-    ins, cam_index, y, truth_y, q_mm, height_mm = labels[:n].T
+    ins, cam_index, y, truth_y, q_mm, height_mm = np.concatenate(blocks).T
     return Dataset(images=images, rows=np.arange(n),
                    insertion_id=ins.astype(np.int64),
                    camera_index=cam_index.astype(np.int64), y=y,
@@ -149,12 +148,11 @@ def train_per_camera(data: Dataset, train_insertions: int,
                      hyper: TrainConfig) -> TrainResult:
     """Split by insertion, then train and validate one model per camera."""
     train_ds, val_ds = split_by_insertion(data, train_insertions, hyper.seed)
-    models, reports, metrics = {}, {}, {}
+    models, reports = {}, {}
     for j in range(len(data.cameras)):
-        val_j = val_ds.by_camera(j)
-        models[j], reports[j], Xva = _train(train_ds.by_camera(j), val_j, hyper)
-        metrics[j] = _metrics(_predict_features(models[j], Xva), val_j)
-    return TrainResult(models=models, reports=reports, metrics=metrics,
+        models[j], reports[j] = train(train_ds.by_camera(j), val_ds.by_camera(j), hyper)
+    return TrainResult(models=models, reports=reports,
+                       metrics={j: r.val_metrics for j, r in reports.items()},
                        train_ids=sorted(train_ds.grouping),
                        val_ids=sorted(val_ds.grouping))
 

@@ -234,20 +234,17 @@ def true_inplane_error(world: WorldState, tcp=None) -> float:
     return float(np.linalg.norm(e))
 
 
-def move_tcp(world: WorldState, new_tcp, stroke: bool = False) -> None:
-    """Reposition the TCP.
+def move_tcp(world: WorldState, new_tcp) -> None:
+    """Reposition the TCP within the plane perpendicular to l.
 
-    Non-stroke moves must stay in the plane perpendicular to l; stroke=True
-    permits displacement along l (insertion strokes and capture height
-    moves). Out-of-plane non-stroke motion and any non-finite target raise
-    ConstraintViolation, leaving the TCP where it was.
+    Out-of-plane motion and any non-finite target raise ConstraintViolation,
+    leaving the TCP where it was.
     """
     new_tcp = np.asarray(new_tcp, dtype=float)
     if not np.isfinite(new_tcp).all():
         raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
-    if not stroke:
-        _check_inplane(world, abs(float(np.dot(new_tcp - world.tcp,
-                                               world.config.insertion_direction))))
+    _check_inplane(world, abs(float(np.dot(new_tcp - world.tcp,
+                                           world.config.insertion_direction))))
     world.tcp = new_tcp
 
 

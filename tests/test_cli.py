@@ -2,12 +2,15 @@
 
 import json
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import pegservo
 from pegservo.cli import _write_json, main
 from pegservo.errors import IoError
+from pegservo.perception import load_dataset, save_dataset
 
 _STYLE = "led"
 
@@ -173,6 +176,21 @@ def test_servo_with_too_few_models_exits_1(pipeline_dirs, tmp_path, capsys,
     assert err.startswith("InvalidConfig: 1 models for 2 cameras")
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "result.json").exists()
+
+
+def test_train_on_a_nan_pixel_exits_1(pipeline_dirs, tmp_path, capsys,
+                                     config_path):
+    _, data, _ = pipeline_dirs
+    ds = load_dataset(data)
+    images = ds.images.copy()
+    images[0, 3, 4] = np.nan
+    save_dataset(replace(ds, images=images), tmp_path / "nan")
+    assert main(["train", "--config", config_path, "--data",
+                 str(tmp_path / "nan"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFiniteLoss: no ridge step")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_servo_seed_defaults_to_the_config_world_seed(pipeline_dirs, tmp_path,

@@ -1,5 +1,5 @@
 """Pinned output digests of two reduced benchmark grids and one reduced
-collect + train run.
+collect + train run (ridge and MLP).
 
 The rerun test in the acceptance gate only compares two runs of the same
 code. These digests compare against checked-in bytes, so any numeric drift
@@ -54,7 +54,7 @@ def test_bench_outputs_match_golden_digests(grid, tmp_path):
 
 
 # 3 dsub insertions x 8 poses x 2 cameras; camera 1's ridge model with and
-# without the robust per-image normalization
+# without the robust per-image normalization, and one small MLP
 DATASET_GOLDEN = {
     "meta.json":
         "b877e641e29c17ede2c2980568307b992096255245600d09ea49b50b76b4e97a",
@@ -70,6 +70,16 @@ MODEL_GOLDEN = {
         "6e047b958003a641a43c40dc0e4a35d62cf27deddcb59f4d3c3a9ef30d7d62e8",
     (False, "weights.bin"):
         "1845f9791dba76e4a0aaf82305f10fa26c448c2db93b0de6580cb0df13734ffd",
+}
+# camera 1's MLP, hidden (3,), stopped early after 14 epochs at epoch 10's
+# parameters: pins the Adam steps, the patience count and the best snapshot
+MLP = TrainConfig(kind="mlp", hidden=(3,), learning_rate=1e-2, batch_size=8,
+                  max_epochs=40, patience=4)
+MLP_GOLDEN = {
+    "model.json":
+        "81d82d0116d833d6ea24256b769c3ba92dc3f5ecfca4d8e30a86af8ccb5fc99f",
+    "weights.bin":
+        "7c55dd9a8db9aee3c3b3f8d36fb13043a397f99da63790de986b3afe8b1de614",
 }
 
 
@@ -95,3 +105,9 @@ def test_dataset_and_model_files_match_golden_digests(tmp_path):
         for name in ("model.json", "weights.bin"):
             assert _sha(tmp_path / f"m{robust}" / name) == \
                 MODEL_GOLDEN[(robust, name)], (robust, name)
+    model, report = train(tr.by_camera(1), va.by_camera(1), MLP)
+    assert (report.epochs_run, report.stopped_early) == (14, True)
+    assert report.best_val_loss == report.val_curve[9]
+    save_model(model, tmp_path / "mlp")
+    for name, digest in MLP_GOLDEN.items():
+        assert _sha(tmp_path / "mlp" / name) == digest, name

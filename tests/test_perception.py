@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pegservo.perception
 from conftest import RIDGE_HYPER, observation, synthetic_dataset
 from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
-                             LeakedInsertion, NotDifferentiableKind,
-                             ShapeMismatch)
+                             LeakedInsertion, NonFiniteLoss,
+                             NotDifferentiableKind, ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
 from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
-                                 RidgeModel, TrainConfig, _mlp_forward,
+                                 RidgeModel, TrainConfig, _mlp_layers,
                                  _predict_batch, evaluate, featurize,
                                  gradient_check, init_mlp, load_dataset,
                                  load_model, predict, save_dataset,
@@ -205,12 +206,18 @@ def test_mlp_early_stopping_stops():
     assert report.best_val_loss == pytest.approx(min(report.val_curve), abs=0.0)
 
 
-def test_mlp_init_matches_train_start():
+def test_mlp_init_matches_train_start(monkeypatch):
     ds = synthetic_dataset(4, 20, 4, lambda x, rng: rng.normal())
     hyper = _mlp_hyper(max_epochs=1)
-    a = init_mlp(ds, hyper)
-    b = init_mlp(ds, hyper)
-    for pa, pb in zip(a.params, b.params):
+    starts, loss_grads = [], pegservo.perception._mlp_loss_grads
+
+    def first_step(params, X, y):
+        starts.append([p.copy() for p in params])
+        return loss_grads(params, X, y)
+
+    monkeypatch.setattr(pegservo.perception, "_mlp_loss_grads", first_step)
+    train(*_split(ds, 3), hyper)
+    for pa, pb in zip(init_mlp(ds, hyper).params, starts[0], strict=True):
         assert np.array_equal(pa, pb)
 
 
@@ -240,6 +247,20 @@ def test_empty_dataset_rejected():
         train(empty, ds, TrainConfig(kind="ridge"))
     with pytest.raises(EmptyDataset):
         evaluate(OracleModel(), empty)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("hyper", [TrainConfig(kind="ridge"),
+                                   _mlp_hyper(max_epochs=3)], ids=["ridge", "mlp"])
+@pytest.mark.parametrize("nan_split", [0, 1], ids=["train", "val"])
+def test_nan_pixel_in_either_split_is_a_non_finite_loss(hyper, nan_split):
+    # no step reaches a finite validation loss: neither a model fitted from
+    # no candidate nor the untrained initial MLP may come back
+    ds = synthetic_dataset(4, 10, 4, lambda x, rng: rng.normal())
+    images = ds.images.copy()
+    images[ds.rows[ds.insertion_id == 3 * nan_split][0], 1, 2] = np.nan
+    with pytest.raises(NonFiniteLoss):
+        train(*_split(replace(ds, images=images), 3), hyper)
 
 
 def test_shape_mismatch_on_predict():
@@ -499,7 +520,7 @@ def _reference_predict(model, obs, rng):
     x = _reference_features(obs.pixels, model.spec)
     if model.kind == "ridge":
         return float(x @ model.weights + model.bias)
-    return float(_mlp_forward(model.params, x[None, :])[0])
+    return float(_mlp_layers(model.params, x[None, :])[-1][0])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf

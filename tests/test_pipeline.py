@@ -130,6 +130,19 @@ def test_collection_renders_each_insertion_once_per_camera(monkeypatch):
     assert calls == [(500 + i, j, 5) for i in range(3) for j in range(2)]
 
 
+def test_collection_builds_each_world_once():
+    built = []
+
+    def factory(i):
+        built.append(i)
+        return _quiet_factory(i)
+
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=2,
+                           train_insertions=2)
+    assert len(collect_dataset(factory, cfg, generate_pattern(0.1, 1.0))) == 3 * 2 * 2
+    assert built == [0, 1, 2]
+
+
 def test_collection_rejects_worlds_with_other_cameras():
     def factory(f):
         def make(i):

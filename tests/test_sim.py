@@ -123,7 +123,6 @@ def test_inplane_constraint_enforced():
     with pytest.raises(ConstraintViolation):
         move_tcp(w, w.tcp + vec3(0.0, 0.0, 0.1))
     move_tcp(w, w.tcp + vec3(0.3, -0.2, 0.0))  # in-plane: fine
-    move_tcp(w, w.tcp + vec3(0.0, 0.0, -0.4), stroke=True)  # stroke: fine
     assert w.max_inplane_violation <= 1e-9
 
 
@@ -131,9 +130,8 @@ def test_non_finite_target_rejected():
     w = _quiet_world()
     before = w.tcp.copy()
     for bad in (np.nan, np.inf, -np.inf):
-        for stroke in (False, True):
-            with pytest.raises(ConstraintViolation):
-                move_tcp(w, w.tcp + vec3(bad, 0.0, 0.0), stroke=stroke)
+        with pytest.raises(ConstraintViolation):
+            move_tcp(w, w.tcp + vec3(bad, 0.0, 0.0))
     assert np.array_equal(w.tcp, before)
 
 

@@ -43,6 +43,27 @@ def test_only_errors_module_touches_the_disk(path):
             if call in source] == []
 
 
+def _private_imports(source: str) -> list:
+    """Underscore names (not dunders) a module imports from a pegservo module."""
+    return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("pegservo"))
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_private_import_is_detected():
+    assert _private_imports("from .a import b, _c\nfrom pegservo.d import _e\n"
+                            "from os import _exit\nfrom . import __version__\n"
+                            ) == ["_c (line 1)", "_e (line 2)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    # a module reaches another only through its public names
+    assert _private_imports(path.read_text()) == []
+
+
 def test_all_lists_exactly_the_package_imports():
     tree = ast.parse((_SRC / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
