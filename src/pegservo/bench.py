@@ -27,7 +27,6 @@ class BenchConfig:
     component_styles: tuple = COMPONENT_STYLES
     insertions_per_style_per_mode: int = 10
     error_disc_radius: float = 1.0
-    tolerance: float = 0.1
     n_iters: int = 3
     seed: int = 12
     timing: TimingModel = field(default_factory=TimingModel)
@@ -48,6 +47,11 @@ class BenchConfig:
         if self.world_template is None:
             object.__setattr__(self, "world_template", WorldConfig())
 
+    @property
+    def tolerance(self) -> float:
+        """The insertion clearance: the world template's, the grid's only one."""
+        return self.world_template.tolerance
+
 
 def _row_seed(base: int, style_index: int, insertion: int) -> int:
     ss = np.random.SeedSequence([base, style_index, insertion])
@@ -57,9 +61,7 @@ def _row_seed(base: int, style_index: int, insertion: int) -> int:
 def _run_episode(cfg: BenchConfig, models_for_style, style: str,
                  style_index: int, insertion: int, mode: str) -> Episode:
     wseed = _row_seed(cfg.seed, style_index, insertion)
-    wcfg = replace(cfg.world_template, component_style=style, seed=wseed,
-                   tolerance=cfg.tolerance)
-    world = new_world(wcfg)
+    world = new_world(replace(cfg.world_template, component_style=style, seed=wseed))
     err_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, style_index, insertion, 7]))
     theta = err_rng.uniform(0.0, 2.0 * np.pi)

@@ -210,10 +210,9 @@ def cmd_servo(ns) -> int:
         move_tcp(world, world.tcp + world.basis @ offset)
     cfg = servo_config_for(world, tuple(models), n_iters=ns.n_iters,
                            timing=timing)
-    trace = [] if ns.trace else None
-    _, residuals = visual_servo(world, cfg, trace=trace)
+    steps, residuals = visual_servo(world, cfg)
     if ns.trace:
-        write_trace_csv(trace, os.path.join(ns.out, "trace.csv"))
+        write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {
         "residuals_mm": residuals,
         "final_error_mm": true_inplane_error(world),

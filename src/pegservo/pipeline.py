@@ -139,9 +139,13 @@ class TrainResult:
 
     models: dict  # camera_index -> model
     reports: dict  # camera_index -> TrainReport
-    metrics: dict  # camera_index -> evaluate() dict on validation
     train_ids: list
     val_ids: list
+
+    @property
+    def metrics(self) -> dict:
+        """camera_index -> evaluate() dict on validation, from the reports."""
+        return {j: r.val_metrics for j, r in self.reports.items()}
 
 
 def train_per_camera(data: Dataset, train_insertions: int,
@@ -152,7 +156,6 @@ def train_per_camera(data: Dataset, train_insertions: int,
     for j in range(len(data.cameras)):
         models[j], reports[j] = train(train_ds.by_camera(j), val_ds.by_camera(j), hyper)
     return TrainResult(models=models, reports=reports,
-                       metrics={j: r.val_metrics for j, r in reports.items()},
                        train_ids=sorted(train_ds.grouping),
                        val_ids=sorted(val_ds.grouping))
 

@@ -20,8 +20,8 @@ from .errors import (ConstraintViolation, InvalidConfig, ShapeMismatch,
                      read_artifact, write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
-                       inplane_component, normalize_error, project,
-                       scalar_error, unit, vec3)
+                       inplane_component, normalize_error, project, unit,
+                       vec3)
 
 COMPONENT_STYLES = ("pin_header", "led", "cap_small", "dsub", "cap_large")
 
@@ -277,7 +277,6 @@ class Observation:
     """
 
     pixels: np.ndarray  # (r, r) float32 in [0, 1]
-    camera_index: int
     truth_y: float
 
 
@@ -301,7 +300,7 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
     """One camera view at the given (default current) TCP: a batch of one."""
     tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
     pixels, truth_y = render_batch(world, camera_index, tcp[None])
-    return Observation(pixels[0], camera_index, float(truth_y[0]))
+    return Observation(pixels[0], float(truth_y[0]))
 
 
 def render_batch(world: WorldState, camera_index: int, tcps):
@@ -359,11 +358,13 @@ def render_batch(world: WorldState, camera_index: int, tcps):
             [world.render_seed, camera_index, *bits]))
         img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
 
+    # per row the kernels of inplane_component and scalar_error, stacked
     l, u = cfg.insertion_direction, cfg.error_directions[camera_index]
-    truth_y = [normalize_error(scalar_error(
-        inplane_component(world.true_hole - peg, l), u), cam) for peg in pegs]
+    v = world.true_hole - pegs
+    e = v - (v[:, None, :] @ l[:, None])[:, 0] * l
+    truth_y = normalize_error((e[:, None, :] @ u[:, None])[:, 0, 0], cam)
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
-    return img.astype(np.float32), np.array(truth_y)
+    return img.astype(np.float32), truth_y
 
 
 MODE_VS = "vs"

@@ -39,9 +39,7 @@ def synthetic_dataset(n_insertions, per_insertion, r, label_fn, seed=0,
 
 def observation(ds, i):
     """Sample i of a dataset as the Observation render would have made."""
-    return Observation(pixels=ds.images[ds.rows[i]],
-                       camera_index=int(ds.camera_index[i]),
-                       truth_y=float(ds.truth_y[i]))
+    return Observation(pixels=ds.images[ds.rows[i]], truth_y=float(ds.truth_y[i]))
 
 
 def led_factory(i):

@@ -263,6 +263,7 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
     ({"timing": {"t_attempt": "fast"}}, None, "InvalidConfig:"),
     ({"world": {"cameras": [{"f": 900}]}}, None, "InvalidConfig:"),
     ({"bench": {"timing": {"t_attempt": 0.3}}}, None, "InvalidConfig:"),
+    ({"bench": {"tolerance": 0.2}}, None, "InvalidConfig:"),
     ({"timing": {"t_attempt": -1}}, None, "InvalidConfig:"),
     ([1, 2], None, "InvalidConfig:"),
     ({"world": {"extra_error_radius": 1.0}}, None, "InvalidConfig:"),
@@ -276,7 +277,7 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, "led,vs,5,nan,0.3,2.5,7,0,nan,1"], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
-        "bench-timing", "timing-negative", "config-not-object",
+        "bench-timing", "bench-tolerance", "timing-negative", "config-not-object",
         "world-extra-error-radius", "train-hidden-negative",
         "train-hidden-float", "train-hidden-zero", "train-lambda-negative",
         "rows-float",
@@ -314,7 +315,7 @@ def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):
         outs[name] = capsys.readouterr().out.splitlines()[0]
         rows = (out / "rows.csv").read_text().splitlines()
         assert len(rows) == 2 and ",vs," in rows[1]
-    # no gate section means half the world tolerance, not half the bench's
+    # no gate section means half the world tolerance, the grid's one clearance
     assert outs["default"] == outs["half"]
     assert outs["default"].startswith(f"bench: {_STYLE} deploy ")
     assert outs["zero"].startswith(f"bench: {_STYLE} collect_more ")

@@ -1,5 +1,5 @@
-"""Pinned output digests of two reduced benchmark grids and one reduced
-collect + train run (ridge and MLP).
+"""Pinned output digests of two reduced benchmark grids, one reduced
+collect + train run (ridge and MLP) and two `pegservo servo --trace` runs.
 
 The rerun test in the acceptance gate only compares two runs of the same
 code. These digests compare against checked-in bytes, so any numeric drift
@@ -9,10 +9,12 @@ why the bytes changed.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from pegservo.bench import BenchConfig, emit_report, run_benchmark
+from pegservo.cli import main
 from pegservo.perception import (OracleModel, TrainConfig, save_dataset,
                                  save_model, train)
 from pegservo.pipeline import (CollectionConfig, collect_dataset,
@@ -111,3 +113,31 @@ def test_dataset_and_model_files_match_golden_digests(tmp_path):
     save_model(model, tmp_path / "mlp")
     for name, digest in MLP_GOLDEN.items():
         assert _sha(tmp_path / "mlp" / name) == digest, name
+
+
+# `pegservo servo --trace` on a dsub scene with noiseless oracle models read
+# from disk; a 3.5 mm start error saturates the first correction
+SERVO_GOLDEN = {
+    (0.7, "trace.csv"):
+        "969ce84d937029d6df4408f5b2a5e246e7fa58bc3498f4c628fdc3835331ce43",
+    (0.7, "result.json"):
+        "45f94f40d3a909d8c03c5a72766202156be9423b7e09c14895a5621b2c89c713",
+    (3.5, "trace.csv"):
+        "bd3411ab700a06955c9d2a100072a22019b11b92fbe0ea5fff39f4b96fdcd77e",
+    (3.5, "result.json"):
+        "dab4a42adbde50c11e745436aa94209d1c841a9ee507827b05c540f47ffedba1",
+}
+
+
+@pytest.mark.parametrize("error", [0.7, 3.5])
+def test_servo_trace_matches_golden_digests(error, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"world": {"component_style": "dsub", "seed": 5}}))
+    for j in range(2):
+        save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
+    out = tmp_path / "out"
+    assert main(["servo", "--config", str(config), "--models",
+                 str(tmp_path / "models"), "--error", str(error), "--trace",
+                 "--out", str(out)]) == 0
+    for name in ("trace.csv", "result.json"):
+        assert _sha(out / name) == SERVO_GOLDEN[(error, name)], name

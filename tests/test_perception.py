@@ -545,7 +545,7 @@ def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
     got, want = np.random.default_rng(seed), np.random.default_rng(seed)
     ys = []
     for i in range(len(images)):
-        obs = Observation(pixels=images[i], camera_index=0, truth_y=float(truth[i]))
+        obs = Observation(pixels=images[i], truth_y=float(truth[i]))
         y = predict(model, obs, got)
         assert repr(y) == repr(_reference_predict(model, obs, want))
         ys.append(y)

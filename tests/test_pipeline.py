@@ -112,7 +112,7 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
     calls.clear()
     world = factory(3)
     visual_servo(world, servo_config_for(world, (OracleModel(), OracleModel())))
-    assert 0 < len(calls) <= 2 * 2  # the world's config and the servo's
+    assert len(calls) == 2  # the servo reads the world's config, one per camera
 
 
 def test_collection_renders_each_insertion_once_per_camera(monkeypatch):

@@ -1,6 +1,7 @@
 """Servo loop: exactness, clamping, noise robustness, timing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ def test_contraction_under_miscalibration():
         believed = tuple(
             aimed_camera(R @ cam.position, w.nominal_hole, L, cam.f, cam.r)
             for cam in w.config.cameras)
-        cfg = ServoConfig(models=ORACLES, cameras=believed,
-                          insertion_direction=L, nominal_hole=w.nominal_hole,
+        cfg = ServoConfig(models=ORACLES,
+                          calibration=replace(w.config, cameras=believed),
                           n_iters=1)
         e0 = true_inplane_error(w)
         servo_step(w, cfg)
@@ -158,25 +159,23 @@ def test_servo_config_validation():
     with pytest.raises(InvalidConfig):
         servo_config_for(w, ORACLES, n_iters=0)
     with pytest.raises(InvalidConfig):
-        servo_config_for(w, ORACLES, clamp_mm=0.0)
-    with pytest.raises(InvalidConfig):
-        ServoConfig(models=(ORACLES[0],), cameras=w.config.cameras,
-                    insertion_direction=L, nominal_hole=w.nominal_hole)
+        ServoConfig(models=(ORACLES[0],), calibration=w.config)
 
 
 def test_trace_csv(tmp_path):
     w = _world_with_error([0.6, 0.2])
     cfg = servo_config_for(w, ORACLES)
-    trace = []
-    visual_servo(w, cfg, trace=trace)
-    assert len(trace) == 3
+    steps, residuals = visual_servo(w, cfg)
+    assert len(steps) == len(residuals) == 3
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_trace_csv(steps, residuals, path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("iteration,y_0,q_mm_0,y_1,q_mm_1,e_hat_x")
+    assert lines[0] == ("iteration,y_0,q_mm_0,y_1,q_mm_1,e_hat_x,e_hat_y,e_hat_z,"
+                        "saturated,ill_conditioned,residual_mm")
     assert len(lines) == 4
+    assert "np." not in path.read_text()
     with pytest.raises(IoError):
-        write_trace_csv(trace, tmp_path / "missing" / "trace.csv")
+        write_trace_csv(steps, residuals, tmp_path / "missing" / "trace.csv")
 
 
 def test_nan_prediction_fails_fast_without_moving():

@@ -170,7 +170,6 @@ def test_render_shape_range_dtype():
     assert obs.pixels.shape == (r, r)
     assert obs.pixels.dtype == np.float32
     assert obs.pixels.min() >= 0.0 and obs.pixels.max() <= 1.0
-    assert obs.camera_index == 0
 
 
 def test_render_is_deterministic_and_pose_sensitive():

@@ -73,3 +73,24 @@ def test_all_lists_exactly_the_package_imports():
     assert len(set(pegservo.__all__)) == len(pegservo.__all__)
     for name in pegservo.__all__:
         assert getattr(pegservo, name) is not None, name
+
+
+def _calls_of(source: str, name: str) -> list:
+    """Lines where a call reaches `name`, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_call_is_detected():
+    assert _calls_of("f(x)\ng.f(y)\nf\nh(f)\n", "f") == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES
+                                  if p.name not in ("geometry.py", "sim.py")],
+                         ids=lambda p: p.name)
+def test_error_directions_come_from_the_world_config(path):
+    # geometry defines error_direction and WorldConfig caches it per camera;
+    # every other module reads WorldConfig.error_directions
+    assert _calls_of(path.read_text(), "error_direction") == []
