@@ -8,7 +8,6 @@ JSON and an SVG scatter with a log time axis.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ class BenchConfig:
     n_iters: int = 3
     seed: int = 12
     timing: TimingModel = field(default_factory=TimingModel)
-    world_template: WorldConfig = None
+    world_template: WorldConfig = field(default_factory=WorldConfig)
     modes: tuple = BENCH_MODES
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class BenchConfig:
         bad_modes = [m for m in self.modes if m not in BENCH_MODES]
         if bad_modes:
             raise InvalidConfig(f"unknown modes: {bad_modes}; expected {BENCH_MODES}")
-        if self.world_template is None:
-            object.__setattr__(self, "world_template", WorldConfig())
 
     @property
     def tolerance(self) -> float:
@@ -145,7 +142,8 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     models maps style -> sequence of per-camera models; required for every
     style when the vs mode is enabled. Paired episodes share the hidden
     world and start error across modes. jobs > 1 distributes episodes over
-    processes; results are identical to the serial run.
+    processes; results are identical to the serial run. Only perfbench's
+    bench.jobs2_speedup probe passes jobs; the CLI always runs serially.
     """
     if MODE_VS in cfg.modes:
         missing = [s for s in cfg.component_styles
@@ -154,6 +152,7 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
             raise ModelsNotDeployed(f"no deployed models for styles: {missing}")
     args = list(_episode_args(cfg, models or {}))
     if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_star, args, chunksize=4))
     else:

@@ -4,9 +4,8 @@ Every subcommand writes a manifest.json into --out before doing any work,
 echoing the resolved configuration; artifacts land next to it. Domain
 errors exit 1 with the error class name on stderr; usage errors exit 2.
 
-PEGSERVO_OUT and PEGSERVO_JOBS provide defaults for --out and --jobs; an
-explicit flag always wins, and only bench reads PEGSERVO_JOBS. No other
-environment variables are consulted.
+PEGSERVO_OUT provides the default for --out; an explicit flag wins. No
+other environment variable is consulted.
 """
 
 import argparse
@@ -262,7 +261,7 @@ def cmd_bench(ns) -> int:
             "world": config_to_dict(cfg.world_template)}
     _write_manifest(ns.out, "bench", ns, echo, _BENCH_OUTPUTS)
     models = _bench_models(ns, cfg, sections)
-    report = run_benchmark(cfg, models, jobs=ns.jobs)
+    report = run_benchmark(cfg, models)
     emit_report(report, ns.out)
     print(f"bench: speedup {report.speedup:.2f}x, "
           f"success vs {report.success['vs']}/{report.success['vs_total']} "
@@ -280,17 +279,6 @@ def cmd_report(ns) -> int:
     emit_report(report, ns.out)
     print(f"report: {len(rows)} rows, speedup {report.speedup:.2f}x -> {ns.out}")
     return 0
-
-
-def _jobs(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 (flag or PEGSERVO_JOBS), got {value!r}")
-    return jobs
 
 
 def _add_out(p, sub):
@@ -357,12 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--models", help="per-style model root; trains if omitted")
     p.add_argument("--train-seed", type=int, default=1000)
-    # A string default is converted by _jobs only when bench is the
-    # subcommand, so a bad PEGSERVO_JOBS cannot break the others.
-    p.add_argument("--jobs", type=_jobs,
-                   default=os.environ.get("PEGSERVO_JOBS", "1"),
-                   help="episode workers (env PEGSERVO_JOBS); results "
-                        "are identical for any value")
     _add_out(p, "bench")
     p.set_defaults(func=cmd_bench)
 

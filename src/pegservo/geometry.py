@@ -31,6 +31,14 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit: its multiply-then-subtract per
+    component, in Python floats, without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def inplane_basis(l: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the plane perpendicular to l, as a (3,2) matrix.
 
@@ -42,7 +50,7 @@ def inplane_basis(l: np.ndarray) -> np.ndarray:
     n = -l  # plane normal on the approach side
     ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     a1 = unit(ref - np.dot(ref, n) * n)
-    a2 = np.cross(n, a1)
+    a2 = _cross(n, a1)
     return np.stack([a1, a2], axis=1)
 
 
@@ -98,7 +106,7 @@ def error_direction(l: np.ndarray, view: np.ndarray) -> np.ndarray:
     """
     l = np.asarray(l, dtype=float)
     view = np.asarray(view, dtype=float)
-    c = np.cross(l, view)
+    c = _cross(l, view)
     n = float(np.linalg.norm(c))
     if n <= _PARALLEL_TOL * float(np.linalg.norm(view)):
         raise DegenerateView("view vector is parallel to the insertion direction")
@@ -177,7 +185,7 @@ def aimed_camera(position: np.ndarray, target: np.ndarray, l: np.ndarray,
         raise InvalidConfig("camera placed exactly at the target")
     z_axis = view / depth
     x_axis = error_direction(l, view)
-    y_axis = np.cross(z_axis, x_axis)
+    y_axis = _cross(z_axis, x_axis)
     R = np.stack([x_axis, y_axis, z_axis])
     return CameraModel(position=position, orientation=R, f=float(f), r=int(r), z=depth)
 

@@ -60,10 +60,9 @@ class Dataset:
         return self.images.shape[-1]
 
     @property
-    def grouping(self) -> dict:
-        """insertion_id -> indices of its samples."""
-        return {i: np.flatnonzero(self.insertion_id == i)
-                for i in np.unique(self.insertion_id).tolist()}
+    def grouping(self) -> list:
+        """The distinct insertion ids, ascending."""
+        return np.unique(self.insertion_id).tolist()
 
     def pixels(self) -> np.ndarray:
         """The samples' (n, r, r) images, in sample order (a copy)."""

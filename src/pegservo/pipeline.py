@@ -170,21 +170,20 @@ class ConfigureResult(TrainResult):
 
 
 def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
-              gate: DeploymentGate = None,
-              pattern: SearchPattern = None) -> ConfigureResult:
+              gate: DeploymentGate = None) -> ConfigureResult:
     """Collect, split, train one model per camera, and gate deployment.
 
-    decision = "deploy" iff every model's validation mae_mm is within the
-    gate threshold; otherwise "collect_more". gate=None means a threshold
-    of half the world tolerance.
+    World 0 is built once more, before collection, for its tolerance: the
+    search pattern covers max_offset_mag at that tolerance. decision =
+    "deploy" iff every model's validation mae_mm is within the gate
+    threshold; otherwise "collect_more". gate=None means a threshold of
+    half the world tolerance.
     """
-    if gate is None or pattern is None:
-        tolerance = world_factory(0).config.tolerance
+    tolerance = world_factory(0).config.tolerance
     if gate is None:
         gate = DeploymentGate(max_val_mae_mm=tolerance / 2.0)
-    if pattern is None:
-        pattern = generate_pattern(tolerance, cfg.max_offset_mag)
-    data = collect_dataset(world_factory, cfg, pattern)
+    data = collect_dataset(world_factory, cfg,
+                           generate_pattern(tolerance, cfg.max_offset_mag))
     fit = train_per_camera(data, cfg.train_insertions, hyper)
     ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in fit.metrics.values())
     return ConfigureResult(**vars(fit), decision="deploy" if ok else "collect_more",

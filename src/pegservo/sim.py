@@ -187,7 +187,6 @@ class WorldState:
     appearance: Appearance
     rng: np.random.Generator
     basis: np.ndarray  # (3,2) in-plane basis, cached
-    render_seed: int
     elapsed_time: float = 0.0
     attempt_count: int = 0
     max_inplane_violation: float = 0.0
@@ -218,7 +217,7 @@ def new_world(config: WorldConfig) -> WorldState:
                       nominal_hole=config.nominal_hole.copy(), tcp=tcp,
                       appearance=app,
                       rng=np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
-                      basis=B, render_seed=int(config.seed))
+                      basis=B)
 
 
 def peg_position(world: WorldState, tcp=None) -> np.ndarray:
@@ -355,7 +354,7 @@ def render_batch(world: WorldState, camera_index: int, tcps):
                                     + intensity * cov)
     for k, bits in enumerate(tcps.view(np.uint64).tolist()):
         noise_rng = np.random.default_rng(np.random.SeedSequence(
-            [world.render_seed, camera_index, *bits]))
+            [cfg.seed, camera_index, *bits]))
         img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
 
     # per row the kernels of inplane_component and scalar_error, stacked

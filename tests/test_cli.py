@@ -227,21 +227,20 @@ def test_bench_then_report_roundtrip(tmp_path, config_path, capsys):
     assert all(",novs," in ln for ln in rows[1:])
 
 
-def test_bad_jobs_env_breaks_only_bench(tmp_path, monkeypatch, config_path, capsys):
+def test_bench_ignores_pegservo_jobs(tmp_path, monkeypatch, config_path):
     monkeypatch.setenv("PEGSERVO_JOBS", "abc")
-    assert main(["pattern", "--out", str(tmp_path / "pat")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--config", config_path, "--out", str(tmp_path / "b")])
-    assert exc.value.code == 2
-    assert "PEGSERVO_JOBS" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
+    assert main(["bench", "--config", config_path, "--out", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert "jobs" not in manifest["args"]
 
 
-def test_jobs_below_one_is_usage_error(tmp_path, config_path):
+def test_bench_has_no_jobs_option(tmp_path, config_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--config", config_path, "--jobs", "0",
+        main(["bench", "--config", config_path, "--jobs", "2",
               "--out", str(tmp_path / "b")])
     assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_json_writer_wraps_os_errors(tmp_path):

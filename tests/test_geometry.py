@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pegservo.errors import (BehindCamera, DegenerateView, InsufficientViews,
                              InvalidConfig)
-from pegservo.geometry import (RANK_RATIO, CameraModel, aimed_camera,
+from pegservo.geometry import (RANK_RATIO, CameraModel, _cross, aimed_camera,
                                camera_from_dict,
                                camera_to_dict, denormalize_error,
                                error_direction, inplane_basis,
@@ -185,6 +185,22 @@ def test_reconstruct_rank_flag_matches_a_separate_svd(tilt, azimuth, first, gaps
     e_hat, ill = _reference_reconstruct(dirs, qs[:len(dirs)])
     assert rec.ill_conditioned == ill
     assert rec.error.tobytes() == e_hat.tobytes()
+
+
+# finite floats, +-0.0, subnormals and +-inf; NaN comes from inf * 0 and inf - inf
+_coord = st.floats(allow_nan=False, allow_subnormal=True)
+_vec = st.tuples(_coord, _coord, _coord).map(np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_vec, b=_vec)
+def test_cross_is_np_cross_bit_for_bit(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(a, b)
+    got = _cross(a, b)
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_project_principal_point_and_hand_value():

@@ -48,7 +48,7 @@ def reference_render(world, camera_index, tcp):
 
     bits = tcp.view(np.uint64)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
-        [world.render_seed, camera_index, int(bits[0]), int(bits[1]), int(bits[2])]))
+        [world.config.seed, camera_index, int(bits[0]), int(bits[1]), int(bits[2])]))
     img = np.clip(img + NOISE_SIGMA * noise_rng.standard_normal(img.shape), 0.0, 1.0)
 
     u = error_direction(cfg.insertion_direction, world.nominal_hole - cam.position)

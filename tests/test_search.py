@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pegservo
 from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
@@ -90,6 +92,13 @@ def test_coverage_property_grid():
         for radius in (0.5, 1.0, 2.0):
             p = generate_pattern(eps, radius)
             assert covering_radius(p, radius, eps / 20.0) <= eps, (eps, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tol=st.floats(0.05, 0.3), frac=st.floats(0.0, 1.0))
+def test_pattern_covers_its_disc(tol, frac):
+    radius = 20.0 * tol * frac
+    assert covering_radius(generate_pattern(tol, radius), radius, tol / 5.0) <= tol
 
 
 def test_density_matches_lattice():
