@@ -81,10 +81,6 @@ def _episode_args(cfg: BenchConfig, models: dict):
                 yield (cfg, ms, style, si, i, mode)
 
 
-def _run_star(args):
-    return _run_episode(*args)
-
-
 @dataclass
 class BenchReport:
     rows: list
@@ -96,43 +92,37 @@ class BenchReport:
     mean_post_servo_retro_mm: float
 
 
+def _mean_times(by_mode: dict) -> dict:
+    """Each mode's np.mean time, as "<mode>_mean_time_s", if the mode has rows."""
+    return {f"{mode}_mean_time_s": float(np.mean([r.time_s for r in sel]))
+            for mode, sel in by_mode.items() if sel}
+
+
+def _speedup(vs, novs) -> float:
+    """Mean search-only time over mean servo time; nan unless both exist and vs > 0."""
+    return novs / vs if vs is not None and novs is not None and vs > 0 else float("nan")
+
+
 def build_report(rows) -> BenchReport:
-    """Deterministic ordered aggregation of benchmark rows."""
+    """Deterministic ordered aggregation of benchmark rows, split by mode once."""
     rows = list(rows)
-
-    def times(sel_rows):
-        return [r.time_s for r in sel_rows]
-
-    per_style = {}
-    for style in sorted({r.style for r in rows}):
-        entry = {}
-        for mode in BENCH_MODES:
-            sel = [r for r in rows if r.style == style and r.mode == mode]
-            if sel:
-                entry[f"{mode}_mean_time_s"] = float(np.mean(times(sel)))
-        per_style[style] = entry
-    overall = {}
-    for mode in BENCH_MODES:
-        sel = [r for r in rows if r.mode == mode]
-        if sel:
-            overall[f"{mode}_mean_time_s"] = float(np.mean(times(sel)))
-    if f"{MODE_VS}_mean_time_s" in overall and f"{MODE_NOVS}_mean_time_s" in overall \
-            and overall[f"{MODE_VS}_mean_time_s"] > 0:
-        speedup = overall[f"{MODE_NOVS}_mean_time_s"] / overall[f"{MODE_VS}_mean_time_s"]
-    else:
-        speedup = float("nan")
+    by_mode = {mode: [r for r in rows if r.mode == mode] for mode in BENCH_MODES}
+    per_style = {style: _mean_times({mode: [r for r in sel if r.style == style]
+                                     for mode, sel in by_mode.items()})
+                 for style in sorted({r.style for r in rows})}
+    overall = _mean_times(by_mode)
     success = {}
     direct = {}
-    for mode in BENCH_MODES:
-        sel = [r for r in rows if r.mode == mode]
+    for mode, sel in by_mode.items():
         success[mode] = sum(r.success for r in sel)
         success[f"{mode}_total"] = len(sel)
         direct[mode] = sum(r.direct for r in sel)
-    post = [r.post_servo_retrospective_error_mm for r in rows
-            if r.mode == MODE_VS and r.success]
+    post = [r.post_servo_retrospective_error_mm for r in by_mode[MODE_VS] if r.success]
     mean_post = float(np.mean(post)) if post else float("nan")
     return BenchReport(rows=rows, per_style=per_style, overall=overall,
-                       speedup=float(speedup), success=success, direct=direct,
+                       speedup=_speedup(overall.get(f"{MODE_VS}_mean_time_s"),
+                                        overall.get(f"{MODE_NOVS}_mean_time_s")),
+                       success=success, direct=direct,
                        mean_post_servo_retro_mm=mean_post)
 
 
@@ -154,33 +144,23 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_star, args, chunksize=4))
+            rows = list(pool.map(_run_episode, *zip(*args), chunksize=4))
     else:
-        rows = [_run_star(a) for a in args]
+        rows = [_run_episode(*a) for a in args]
     return build_report(rows)
 
 
-def fit_quadratic_law(rows) -> dict:
+def fit_quadratic_law(pairs) -> dict:
     """Log-log line fit of search time vs retrospective error.
 
-    rows: Episodes, of which failed ones are skipped, or (error_mm, time_s)
-    pairs. Only entries whose error and time are both finite and > 0 are
-    used. Requires >= 10 of them spanning at least a 3x error range.
+    pairs: (error_mm, time_s); only those whose error and time are both
+    finite and > 0 are used. Requires >= 10 of them spanning a 3x error range.
     """
-    pts = []
-    for r in rows:
-        if hasattr(r, "retrospective_error_mm"):
-            if not r.success:
-                continue
-            e, t = r.retrospective_error_mm, r.time_s
-        else:
-            e, t = r
-        if np.isfinite(e) and np.isfinite(t) and e > 0 and t > 0:
-            pts.append((float(e), float(t)))
+    pts = [(float(e), float(t)) for e, t in pairs
+           if np.isfinite(e) and np.isfinite(t) and e > 0 and t > 0]
     if len(pts) < 10:
-        raise InsufficientData(f"need >= 10 usable rows, got {len(pts)}")
-    errs = np.array([p[0] for p in pts])
-    ts = np.array([p[1] for p in pts])
+        raise InsufficientData(f"need >= 10 usable pairs, got {len(pts)}")
+    errs, ts = np.array(pts).T
     if errs.max() / errs.min() < 3.0:
         raise InsufficientData("errors must span at least a 3x range")
     slope, intercept = np.polyfit(np.log(errs), np.log(ts), 1)
@@ -234,22 +214,15 @@ def read_rows(path) -> list:
 
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    styles = sorted(report.per_style)
+    table = [(style, report.per_style[style]) for style in sorted(report.per_style)]
+    if report.rows:
+        table.append(("average", report.overall))
     lines = ["style,vs_time_s,novs_time_s,speedup"]
-    for style in styles:
-        e = report.per_style[style]
-        vs = e.get("vs_mean_time_s")
-        novs = e.get("novs_mean_time_s")
-        sp = novs / vs if vs and novs else float("nan")
-        lines.append(f"{style},{_fmt(vs) if vs is not None else ''},"
+    for name, e in table:
+        vs, novs = e.get(f"{MODE_VS}_mean_time_s"), e.get(f"{MODE_NOVS}_mean_time_s")
+        lines.append(f"{name},{_fmt(vs) if vs is not None else ''},"
                      f"{_fmt(novs) if novs is not None else ''},"
-                     f"{_fmt(sp)}")
-    if styles:
-        vs = report.overall.get("vs_mean_time_s")
-        novs = report.overall.get("novs_mean_time_s")
-        lines.append(f"average,{_fmt(vs) if vs is not None else ''},"
-                     f"{_fmt(novs) if novs is not None else ''},"
-                     f"{_fmt(report.speedup)}")
+                     f"{_fmt(_speedup(vs, novs))}")
     files = {"table.csv": "\n".join(lines) + "\n"}
 
     lines = ["error_mm,time_s,mode"]
@@ -273,7 +246,8 @@ def emit_report(report: BenchReport, out_dir) -> list:
     }
     try:
         summary["quadratic_law"] = fit_quadratic_law(
-            [r for r in report.rows if r.mode == MODE_NOVS])
+            [(r.retrospective_error_mm, r.time_s) for r in report.rows
+             if r.mode == MODE_NOVS and r.success])
     except InsufficientData:
         summary["quadratic_law"] = None
     files["summary.json"] = json.dumps(summary, indent=1, sort_keys=True)

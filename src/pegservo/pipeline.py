@@ -173,16 +173,17 @@ def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
               gate: DeploymentGate = None) -> ConfigureResult:
     """Collect, split, train one model per camera, and gate deployment.
 
-    World 0 is built once more, before collection, for its tolerance: the
-    search pattern covers max_offset_mag at that tolerance. decision =
-    "deploy" iff every model's validation mae_mm is within the gate
-    threshold; otherwise "collect_more". gate=None means a threshold of
-    half the world tolerance.
+    n insertions make n factory calls: world 0 is built first, for its
+    tolerance (the search pattern covers max_offset_mag at it), and then
+    collected from. decision = "deploy" iff every model's validation mae_mm
+    is within the gate threshold; otherwise "collect_more". gate=None
+    means a threshold of half the world tolerance.
     """
-    tolerance = world_factory(0).config.tolerance
+    world0 = world_factory(0)
+    tolerance = world0.config.tolerance
     if gate is None:
         gate = DeploymentGate(max_val_mae_mm=tolerance / 2.0)
-    data = collect_dataset(world_factory, cfg,
+    data = collect_dataset(lambda i: world0 if i == 0 else world_factory(i), cfg,
                            generate_pattern(tolerance, cfg.max_offset_mag))
     fit = train_per_camera(data, cfg.train_insertions, hyper)
     ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in fit.metrics.values())

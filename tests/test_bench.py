@@ -15,7 +15,7 @@ from pegservo.bench import (BenchConfig, build_report, emit_report,
 from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
                              ModelsNotDeployed)
 from pegservo.perception import OracleModel
-from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, Episode
+from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
                  for s in ("pin_header", "led", "cap_small", "dsub", "cap_large")}
@@ -104,15 +104,19 @@ def test_fit_recovers_planted_quadratic():
     assert fit["n"] == 12
 
 
-def test_fit_accepts_bench_rows():
+def test_law_fit_reads_only_successful_novs_rows(tmp_path):
     rows = [Episode(style="led", mode="novs", seed=i,
                     retrospective_error_mm=float(e), true_error_mm=float(e),
-                    time_s=float(0.3 * e * e), attempts=1, success=True,
+                    time_s=float(0.3 * e * e), attempts=2, success=True,
                     post_servo_retrospective_error_mm=float("nan"),
                     direct=False)
             for i, e in enumerate(np.geomspace(0.2, 1.2, 15))]
-    rows.append(replace(rows[0], success=False, time_s=999.0))  # ignored
-    fit = fit_quadratic_law(rows)
+    rows.append(replace(rows[0], success=False, retrospective_error_mm=float("nan"),
+                        time_s=999.0))  # ignored: failed
+    rows.append(replace(rows[1], mode="vs", time_s=999.0,
+                        post_servo_retrospective_error_mm=0.0))  # ignored: servoed
+    emit_report(build_report(rows), tmp_path)
+    fit = json.loads((tmp_path / "summary.json").read_text())["quadratic_law"]
     assert fit["slope"] == pytest.approx(2.0, abs=1e-6)
     assert fit["n"] == 15
 
@@ -163,6 +167,18 @@ def test_emit_report_files_and_determinism(tmp_path):
     scatter = (d1 / "scatter.csv").read_text().splitlines()
     assert scatter[0] == "error_mm,time_s,mode"
     assert len(scatter) == 1 + len(rep.rows)
+
+
+def test_zero_search_time_has_one_speedup(tmp_path):
+    # free search attempts: the search-only mean is 0.0, so the speedup is 0.0
+    # in summary.json, in the average row and in the style's own row
+    cfg = _small_cfg(component_styles=("led",), timing=TimingModel(t_attempt=0.0))
+    emit_report(run_benchmark(cfg, ORACLE_MODELS), tmp_path)
+    table = [line.split(",") for line in (tmp_path / "table.csv").read_text().splitlines()]
+    assert [row[0] for row in table] == ["style", "led", "average"]
+    assert table[1][2] == table[2][2] == "0.0"
+    assert table[1][3] == table[2][3] == "0.0"
+    assert json.loads((tmp_path / "summary.json").read_text())["speedup"] == 0.0
 
 
 def test_summary_recomputable_from_scatter(tmp_path):

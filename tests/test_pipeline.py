@@ -239,6 +239,22 @@ def test_configure_invisible_peg_collects_more():
     assert min(m["mae_mm"] for m in res.metrics.values()) > 0.05
 
 
+def test_configure_builds_each_world_once():
+    built = []
+
+    def factory(i):
+        built.append(i)
+        return _quiet_factory(i)
+
+    cfg = CollectionConfig(n_insertions=4, samples_per_insertion=5,
+                           train_insertions=3)
+    res = configure(factory, cfg, RIDGE_HYPER)
+    assert built == [0, 1, 2, 3]
+    # world 0, built first for its tolerance, is collected from unchanged
+    data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, cfg.max_offset_mag))
+    assert res.metrics == train_per_camera(data, 3, RIDGE_HYPER).metrics
+
+
 # ---------------------------------------------------------------- insert
 
 

@@ -64,6 +64,41 @@ def test_module_imports_no_private_name_of_another(path):
     assert _private_imports(path.read_text()) == []
 
 
+def _unreferenced_privates(source: str) -> list:
+    """Module-level underscore names (not dunders) a module defines but never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in read)
+
+
+def test_unreferenced_private_is_detected():
+    assert _unreferenced_privates(
+        "def _a(): pass\ndef _b(): return _c\n_c = 1\n_d, _e = 2, 3\n"
+        "class _F: pass\n_g: int = 0\n__all__ = []\ndef h(): _b(); _e\n"
+        "def i(): _j = 1\n") == ["_F (line 5)", "_a (line 1)", "_d (line 4)",
+                                  "_g (line 6)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name_it_defines(path):
+    # a private helper left behind by a deletion is dead code
+    assert _unreferenced_privates(path.read_text()) == []
+
+
 def test_all_lists_exactly_the_package_imports():
     tree = ast.parse((_SRC / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
