@@ -9,11 +9,12 @@ JSON and an SVG scatter with a log time axis.
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import (CorruptArtifact, InsufficientData, InvalidConfig,
-                     ModelsNotDeployed, read_artifact, write_artifacts)
+                     ModelsNotDeployed, csv_text, read_artifact, write_artifacts)
 from .pipeline import insert
 from .search import generate_pattern
 from .servoing import servo_config_for
@@ -172,14 +173,6 @@ def fit_quadratic_law(pairs) -> dict:
             "r2": float(r2), "n": len(pts)}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # rows.csv holds one Episode per line, its fields in declaration order.
 _ROW_COLUMNS = [f.name for f in fields(Episode)]
 _PARSE = {str: str, int: int, float: float,
@@ -212,29 +205,24 @@ def read_rows(path) -> list:
     return rows
 
 
+def _table_row(name: str, means: dict) -> tuple:
+    """A table.csv row: the mean times (None for a mode without rows), speedup."""
+    vs, novs = means.get(f"{MODE_VS}_mean_time_s"), means.get(f"{MODE_NOVS}_mean_time_s")
+    return name, vs, novs, _speedup(vs, novs)
+
+
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    table = [(style, report.per_style[style]) for style in sorted(report.per_style)]
+    table = [_table_row(*item) for item in sorted(report.per_style.items())]
     if report.rows:
-        table.append(("average", report.overall))
-    lines = ["style,vs_time_s,novs_time_s,speedup"]
-    for name, e in table:
-        vs, novs = e.get(f"{MODE_VS}_mean_time_s"), e.get(f"{MODE_NOVS}_mean_time_s")
-        lines.append(f"{name},{_fmt(vs) if vs is not None else ''},"
-                     f"{_fmt(novs) if novs is not None else ''},"
-                     f"{_fmt(_speedup(vs, novs))}")
-    files = {"table.csv": "\n".join(lines) + "\n"}
-
-    lines = ["error_mm,time_s,mode"]
-    for r in report.rows:
-        lines.append(f"{_fmt(r.retrospective_error_mm)},{_fmt(r.time_s)},{r.mode}")
-    files["scatter.csv"] = "\n".join(lines) + "\n"
-
-    lines = [",".join(_ROW_COLUMNS)]
-    for r in report.rows:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in _ROW_COLUMNS))
-    files["rows.csv"] = "\n".join(lines) + "\n"
-
+        table.append(_table_row("average", report.overall))
+    files = {
+        "table.csv": csv_text(["style", "vs_time_s", "novs_time_s", "speedup"], table),
+        "scatter.csv": csv_text(["error_mm", "time_s", "mode"],
+                                [(r.retrospective_error_mm, r.time_s, r.mode)
+                                 for r in report.rows]),
+        "rows.csv": csv_text(_ROW_COLUMNS, map(attrgetter(*_ROW_COLUMNS), report.rows)),
+    }
     summary = {
         "per_style": report.per_style,
         "overall": report.overall,

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .bench import (MODE_VS, BenchConfig, build_report, emit_report,
                     read_rows, run_benchmark)
-from .errors import (InvalidConfig, IoError, PegServoError, write_artifact,
-                     write_artifacts)
+from .errors import (CorruptArtifact, InvalidConfig, IoError, PegServoError,
+                     write_artifact, write_artifacts)
 from .perception import (TrainConfig, evaluate, load_dataset, load_model,
                          save_dataset, save_model)
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
@@ -85,17 +85,22 @@ def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
     write_artifacts(out_dir, {"manifest.json": _json_text(manifest)})
 
 
-def _model_dirs(models_dir):
-    """cam<j> subdirectories in index order."""
+def _load_models(models_dir) -> tuple:
+    """The models in cam0 ... cam<n-1>, the subdirectories train writes; a gap
+    in the indices raises CorruptArtifact naming the first missing one."""
     try:
-        names = sorted(n for n in os.listdir(models_dir)
-                       if n.startswith("cam") and n[3:].isdigit())
+        names = {n for n in os.listdir(models_dir)
+                 if n.startswith("cam") and n[3:].isdigit()}
     except OSError as exc:
         raise IoError(str(exc)) from exc
     if not names:
         raise IoError(f"no cam*/ model directories under {models_dir}")
-    names.sort(key=lambda n: int(n[3:]))
-    return [os.path.join(models_dir, n) for n in names]
+    for j in range(len(names)):
+        if f"cam{j}" not in names:
+            raise CorruptArtifact(f"{models_dir} holds {len(names)} cam*/ model "
+                                  f"directories but no cam{j}")
+    return tuple(load_model(os.path.join(models_dir, f"cam{j}"))
+                 for j in range(len(names)))
 
 
 def cmd_pattern(ns) -> int:
@@ -179,13 +184,13 @@ def cmd_train(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     data = load_dataset(ns.data)
-    model_dirs = _model_dirs(ns.models)
+    models = _load_models(ns.models)
+    if len(models) != len(data.cameras):
+        raise InvalidConfig(f"{len(models)} models for {len(data.cameras)} cameras")
     _write_manifest(ns.out, "evaluate", ns, {}, ["metrics.json"])
     metrics = {}
-    for j, mdir in enumerate(model_dirs):
-        model = load_model(mdir)
-        sub = data.by_camera(j)
-        metrics[str(j)] = evaluate(model, sub)
+    for j, model in enumerate(models):
+        metrics[str(j)] = evaluate(model, data.by_camera(j))
         print(f"evaluate: cam{j} mae {metrics[str(j)]['mae_mm']:.4f} mm "
               f"over {metrics[str(j)]['n']} samples")
     _write_json(os.path.join(ns.out, "metrics.json"), metrics)
@@ -200,15 +205,14 @@ def cmd_servo(ns) -> int:
             "n_iters": ns.n_iters, "error": ns.error}
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
-    models = [load_model(d) for d in _model_dirs(ns.models)]
+    models = _load_models(ns.models)
     world = new_world(wcfg)
     if ns.error:
         ang_rng = np.random.default_rng(np.random.SeedSequence([wcfg.seed, 99]))
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)
-    cfg = servo_config_for(world, tuple(models), n_iters=ns.n_iters,
-                           timing=timing)
+    cfg = servo_config_for(world, models, n_iters=ns.n_iters, timing=timing)
     steps, residuals = visual_servo(world, cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
@@ -233,11 +237,8 @@ def _bench_models(ns, cfg: BenchConfig, sections: dict) -> dict:
     if MODE_VS not in cfg.modes:
         return {}
     if ns.models is not None:
-        out = {}
-        for style in cfg.component_styles:
-            sdir = os.path.join(ns.models, style)
-            out[style] = tuple(load_model(d) for d in _model_dirs(sdir))
-        return out
+        return {style: _load_models(os.path.join(ns.models, style))
+                for style in cfg.component_styles}
     out = {}
     for style in cfg.component_styles:
         def factory(i, style=style):

@@ -8,7 +8,8 @@ Every artifact is written by write_artifact (or write_artifacts, which also
 makes the output directory) and read by read_artifact; an OSError from any
 of them becomes IoError. Writes are atomic: the bytes go to a temporary
 file next to the target, which then replaces it. Errors of a file's format
-(bad JSON, a wrong header or size) belong to its reader.
+(bad JSON, a wrong header or size) belong to its reader. Every CSV
+artifact's text comes from csv_text, which owns how a value becomes a field.
 """
 
 import contextlib
@@ -144,3 +145,22 @@ def read_artifact(path, binary=False):
                 return data
     except UnicodeDecodeError as exc:
         raise CorruptArtifact(f"{path}: {exc}") from exc
+
+
+def _csv_field(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):  # np.float64 too, whose own repr is not a number
+        return repr(float(v))
+    return "" if v is None else str(v)
+
+
+def csv_text(header, rows) -> str:
+    """A CSV file's text: the header line, then one line per row.
+
+    A bool is 0 or 1, a float (np.float64 included) the repr of its Python
+    float, which reads back exactly, None empty, all else str.
+    """
+    lines = [",".join(header)]
+    lines += [",".join([_csv_field(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -185,10 +185,9 @@ class MlpModel:
 class TrainConfig:
     """Hyperparameters for train().
 
-    For kind="ridge", ridge_lambda=None sweeps a descending regularization
-    path and the patience/early-stop machinery runs over that path; a fixed
-    ridge_lambda gives a single-step "training run". robust_norm switches the
-    per-image normalization of InputSpec on.
+    For kind="ridge", training sweeps a descending regularization path and
+    the patience/early-stop machinery runs over that path. robust_norm
+    switches the per-image normalization of InputSpec on.
     """
 
     kind: str = "ridge"
@@ -196,7 +195,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 20
-    ridge_lambda: float | None = None
     hidden: tuple = (128, 128)
     robust_norm: bool = False
     seed: int = 0
@@ -208,9 +206,6 @@ class TrainConfig:
             raise InvalidConfig("max_epochs, patience and batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise InvalidConfig("learning_rate must be > 0")
-        if not (self.ridge_lambda is None or 0 < self.ridge_lambda < np.inf):
-            raise InvalidConfig(f"ridge_lambda must be None or finite and > 0, "
-                                f"got {self.ridge_lambda}")
         if not all(type(h) is int and h >= 1 for h in self.hidden):
             raise InvalidConfig(f"hidden sizes must be ints >= 1, got {self.hidden!r}")
 
@@ -219,7 +214,6 @@ class TrainConfig:
 class TrainReport:
     epochs_run: int
     best_val_loss: float
-    train_curve: list
     val_curve: list
     stopped_early: bool
     val_metrics: dict  # evaluate()'s metrics of the returned model on val_ds
@@ -242,11 +236,10 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
     Xva = featurize(val_ds.pixels(), spec)
     steps = _train_ridge if hyper.kind == "ridge" else _train_mlp
-    # each step yields (a builder of its model, train mse, validation mse)
-    train_curve, val_curve = [], []
+    # each step yields (a builder of its model, validation mse)
+    val_curve = []
     best, best_val, wait = None, np.inf, 0
-    for candidate, tr_mse, va_mse in steps(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper):
-        train_curve.append(tr_mse)
+    for candidate, va_mse in steps(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper):
         val_curve.append(va_mse)
         if va_mse < best_val:
             best, best_val, wait = candidate, va_mse, 0
@@ -259,36 +252,30 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
                             f"loss (first {val_curve[0]}): NaN or inf in the data?")
     model = best()
     return model, TrainReport(
-        epochs_run=len(val_curve), best_val_loss=best_val,
-        train_curve=train_curve, val_curve=val_curve,
+        epochs_run=len(val_curve), best_val_loss=best_val, val_curve=val_curve,
         stopped_early=wait >= hyper.patience,
         val_metrics=_metrics(_predict_features(model, Xva), val_ds))
 
 
 def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
-    """train's steps for kind=ridge: one per lambda of the path."""
+    """train's steps for kind=ridge: one per lambda, from 1e2 down to 1e-8."""
     # Dual (kernel) form: w = Xc^T (Xc Xc^T + lam I)^-1 yc. One
     # eigendecomposition of the Gram matrix serves the whole lambda path.
     xm = Xtr.mean(axis=0)
     ym = float(ytr.mean())
     Xc = np.subtract(Xtr, xm, out=Xtr)  # train's own array: centred in place
-    yc = ytr - ym
-    K = Xc @ Xc.T
-    evals, V = np.linalg.eigh(K)
+    evals, V = np.linalg.eigh(Xc @ Xc.T)
     evals = np.maximum(evals, 0.0)
-    Vty = V.T @ yc
+    Vty = V.T @ (ytr - ym)
     Kva = (Xva - xm) @ Xc.T
-    path = (np.logspace(2.0, -8.0, 26) if hyper.ridge_lambda is None
-            else [hyper.ridge_lambda])
 
     def model(lam, alpha):
         w = Xc.T @ alpha
         return RidgeModel(weights=w, bias=ym - float(xm @ w), lam=float(lam), spec=spec)
 
-    for lam in path[:hyper.max_epochs]:
+    for lam in np.logspace(2.0, -8.0, 26)[:hyper.max_epochs]:
         alpha = V @ (Vty / (evals + lam))
-        yield (partial(model, lam, alpha), float(np.mean((K @ alpha - yc) ** 2)),
-               float(np.mean((Kva @ alpha + ym - yva) ** 2)))
+        yield partial(model, lam, alpha), float(np.mean((Kva @ alpha + ym - yva) ** 2))
 
 
 def init_mlp(ds: Dataset, hyper: TrainConfig) -> MlpModel:
@@ -365,7 +352,6 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
                 params[k] = params[k] - hyper.learning_rate * mhat / (np.sqrt(vhat) + eps)
         # every step rebinds params[k], so a shallow copy keeps this epoch's
         yield (partial(MlpModel, list(params), spec, tuple(hyper.hidden)),
-               float(np.mean((_mlp_layers(params, Xtr)[-1] - ytr) ** 2)),
                float(np.mean((_mlp_layers(params, Xva)[-1] - yva) ** 2)))
 
 
@@ -409,20 +395,18 @@ def _metrics(pred, ds: Dataset) -> dict:
             "n": len(ds)}
 
 
-def gradient_check(model, ds: Dataset, n_checks: int = 100, step: float = 1e-5,
-                   rng=None) -> float:
-    """Compare analytic MLP gradients to central differences.
+def gradient_check(model, ds: Dataset, n_checks: int = 100) -> float:
+    """Compare analytic MLP gradients to central differences of step 1e-5.
 
-    Returns the maximum relative deviation over n_checks randomly chosen
-    parameter coordinates. Raises NotDifferentiableKind for models without
-    gradient-based training.
+    Returns the maximum relative deviation over n_checks parameter
+    coordinates, drawn from a stream seeded with 0. Raises
+    NotDifferentiableKind for models without gradient-based training.
     """
     if model.kind != "mlp":
         raise NotDifferentiableKind(f"gradient_check needs kind=mlp, got {model.kind}")
     if len(ds) == 0:
         raise EmptyDataset("gradient_check needs samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    step, rng = 1e-5, np.random.default_rng(0)
     X = featurize(ds.images[ds.rows[:32]], model.spec)
     y = ds.y[:32]
     params = model.params

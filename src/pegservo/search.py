@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidRadius, InvalidTolerance, write_artifact
+from .errors import InvalidRadius, InvalidTolerance, csv_text, write_artifact
 
 # Norms are rounded to this quantum before ordering so that lattice points on
 # the same ring compare equal despite float construction jitter.
@@ -98,7 +98,5 @@ def pattern_density(pattern: SearchPattern) -> float:
 
 
 def write_pattern_csv(pattern: SearchPattern, path) -> None:
-    lines = ["index,dx_mm,dy_mm"]
-    for k, (dx, dy) in enumerate(pattern.offsets):
-        lines.append(f"{k},{float(dx)!r},{float(dy)!r}")
-    write_artifact(path, "\n".join(lines) + "\n")
+    write_artifact(path, csv_text(["index", "dx_mm", "dy_mm"],
+                                  [(k, *xy) for k, xy in enumerate(pattern.offsets)]))

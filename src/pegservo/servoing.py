@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig, write_artifact
+from .errors import InvalidConfig, csv_text, write_artifact
 from .geometry import denormalize_error, reconstruct_error
 from .perception import predict
 from .sim import (TimingModel, WorldConfig, WorldState, move_tcp, render,
@@ -97,10 +97,7 @@ def write_trace_csv(steps, residuals, path) -> None:
     per_camera = [f"{c}_{j}" for j in range(len(steps[0].y)) for c in ("y", "q_mm")]
     cols = ["iteration", *per_camera, "e_hat_x", "e_hat_y", "e_hat_z", "saturated",
             "ill_conditioned", "residual_mm"]
-    lines = [",".join(cols)]
-    for i, (step, resid) in enumerate(zip(steps, residuals)):
-        values = [v for pair in zip(step.y, step.q_mm) for v in pair] + [*step.e_hat]
-        lines.append(",".join([str(i), *(repr(float(v)) for v in values),
-                               str(int(step.saturated)), str(int(step.ill_conditioned)),
-                               repr(float(resid))]))
-    write_artifact(path, "\n".join(lines) + "\n")
+    rows = [(i, *(v for pair in zip(step.y, step.q_mm) for v in pair), *step.e_hat,
+             step.saturated, step.ill_conditioned, resid)
+            for i, (step, resid) in enumerate(zip(steps, residuals))]
+    write_artifact(path, csv_text(cols, rows))

@@ -57,6 +57,7 @@ class TimingModel:
             t = getattr(self, f.name)
             if not (t >= 0 and np.isfinite(t)):
                 raise InvalidConfig(f"{f.name} must be finite and >= 0, got {t}")
+            object.__setattr__(self, f.name, float(t))  # a numpy scalar too
 
     @property
     def search_time_constant(self) -> float:

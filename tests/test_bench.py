@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pegservo.bench import (BenchConfig, build_report, emit_report,
                             fit_quadratic_law, read_rows, run_benchmark)
+from pegservo.cli import main
 from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
                              ModelsNotDeployed)
 from pegservo.perception import OracleModel
@@ -248,6 +249,42 @@ def test_rows_csv_round_trip(tmp_path_factory, rows):
     with np.errstate(over="ignore", invalid="ignore"):  # means of huge floats
         emit_report(build_report(rows), out)
     assert repr(read_rows(out / "rows.csv")) == repr(rows)
+
+
+@st.composite
+def numpy_float_episodes(draw):
+    """An Episode with some of its floats np.float64, and the same Episode in
+    Python floats only."""
+    row = draw(episodes())
+    numpy = {f.name: np.float64(getattr(row, f.name)) for f in fields(Episode)
+             if f.type is float and draw(st.booleans())}
+    return row, replace(row, **numpy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(numpy_float_episodes(), max_size=8))
+def test_numpy_floats_write_the_csv_of_python_ones(tmp_path_factory, pairs):
+    python, numpy = [p for p, _ in pairs], [n for _, n in pairs]
+    outs = tmp_path_factory.mktemp("python"), tmp_path_factory.mktemp("numpy")
+    with np.errstate(over="ignore", invalid="ignore"):  # means of huge floats
+        for rows, out in zip((python, numpy), outs):
+            emit_report(build_report(rows), out)
+    for name in ("rows.csv", "scatter.csv", "table.csv", "summary.json"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+    assert repr(read_rows(outs[1] / "rows.csv")) == repr(python)
+
+
+def test_numpy_timing_rows_read_back(tmp_path):
+    # durations from np.linspace are stored as Python floats, so rows.csv
+    # holds plain numbers that pegservo report reads back
+    t_attempt, t_move = np.linspace(0.2, 0.4, 2)
+    timing = TimingModel(t_attempt=t_attempt, t_move=t_move)
+    assert type(timing.t_attempt) is type(timing.t_move) is float
+    emit_report(run_benchmark(_small_cfg(timing=timing), ORACLE_MODELS), tmp_path / "b")
+    assert main(["report", "--rows", str(tmp_path / "b" / "rows.csv"),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert ((tmp_path / "r" / "rows.csv").read_bytes()
+            == (tmp_path / "b" / "rows.csv").read_bytes())
 
 
 _GOOD = {"vs": "led,vs,5,0.02,0.3,1.5,1,1,0.02,1",

@@ -178,6 +178,31 @@ def test_servo_with_too_few_models_exits_1(pipeline_dirs, tmp_path, capsys,
     assert not (tmp_path / "out" / "result.json").exists()
 
 
+def test_servo_with_a_gap_in_the_model_dirs_exits_1(pipeline_dirs, tmp_path,
+                                                    capsys, config_path):
+    # cam2's model must not stand in for camera 1
+    _, _, models = pipeline_dirs
+    shutil.copytree(f"{models}/cam0", tmp_path / "models" / "cam0")
+    shutil.copytree(f"{models}/cam1", tmp_path / "models" / "cam2")
+    assert main(["servo", "--config", config_path, "--models",
+                 str(tmp_path / "models"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CorruptArtifact: ") and "but no cam1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+def test_evaluate_with_too_few_models_exits_1(pipeline_dirs, tmp_path, capsys):
+    _, data, models = pipeline_dirs
+    shutil.copytree(f"{models}/cam0", tmp_path / "models" / "cam0")
+    assert main(["evaluate", "--data", data, "--models", str(tmp_path / "models"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig: 1 models for 2 cameras")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_a_nan_pixel_exits_1(pipeline_dirs, tmp_path, capsys,
                                      config_path):
     _, data, _ = pipeline_dirs

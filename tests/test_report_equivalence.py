@@ -6,8 +6,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo.bench import BenchReport, _fmt, _speedup, build_report, emit_report
+from pegservo.bench import BenchReport, _speedup, build_report, emit_report
 from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode
+
+
+def _fmt(v) -> str:
+    """The original table.csv field text, kept as the reference's own."""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 def reference_report(rows) -> BenchReport:
