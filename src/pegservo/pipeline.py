@@ -19,7 +19,7 @@ from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
 from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_batch,
-                  spiral_insert, true_inplane_error)
+                  spiral_insert, spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -196,28 +196,40 @@ MODES = ("spiral_only", "servo_then_spiral")
 
 def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
            timing: TimingModel) -> Episode:
-    """One full insertion episode in the given mode.
-
-    spiral_only is spiral_insert's novs episode. servo_then_spiral runs the
-    servo loop first, then searches from the corrected position, and
-    returns a vs episode: time_s covers both phases, the true and the
-    retrospective errors are measured from the original start position,
-    and the post-servo retrospective error is the search's own.
-    """
+    """One insertion episode in the given mode: insert_batch of one."""
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "spiral_only":
-        return spiral_insert(world, world.tcp, pattern, timing)
-    if servo_cfg is None or any(m is None for m in servo_cfg.models):
-        raise ModelsNotDeployed("servo_then_spiral needs one deployed model "
-                                "per camera")
-    start_tcp, t0 = world.tcp.copy(), world.elapsed_time
-    true_err = true_inplane_error(world)
-    visual_servo(world, servo_cfg)
-    sp = spiral_insert(world, world.tcp, pattern, timing)
-    l = world.config.insertion_direction
-    retro = (np.linalg.norm(inplane_component(world.tcp - start_tcp, l))
-             if sp.success else np.nan)
-    return replace(sp, mode=MODE_VS, retrospective_error_mm=float(retro),
-                   true_error_mm=true_err, time_s=world.elapsed_time - t0,
-                   post_servo_retrospective_error_mm=sp.retrospective_error_mm)
+    if mode == "servo_then_spiral" and servo_cfg is None:
+        raise ModelsNotDeployed("servo_then_spiral needs one deployed model per camera")
+    return insert_batch([world], [servo_cfg if mode == "servo_then_spiral" else None],
+                        pattern, timing)[0]
+
+
+def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel,
+                 rngs=None) -> list:
+    """Insertion episodes of a batch of worlds, searched by one spiral_search.
+
+    A world whose servo_cfg is None gives spiral_search's novs episode. Any
+    other runs the servo loop first (a noisy oracle drawing from its rngs
+    entry) and gives a vs episode: time_s covers both phases, the true and
+    the retrospective errors are measured from the original start, and the
+    post-servo retrospective error is the search's own.
+    """
+    before = {}  # world index -> start TCP, elapsed time, true error
+    for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
+        if cfg is not None:
+            if any(m is None for m in cfg.models):
+                raise ModelsNotDeployed("servo_then_spiral needs one deployed model "
+                                        "per camera")
+            before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
+            visual_servo(world, cfg, rngs[n] if rngs else None)
+    episodes = spiral_search(worlds, [w.tcp for w in worlds], pattern, timing)
+    for n, (start_tcp, t0, true_err) in before.items():
+        world, sp = worlds[n], episodes[n]
+        retro = (np.linalg.norm(inplane_component(world.tcp - start_tcp,
+                                                  world.config.insertion_direction))
+                 if sp.success else np.nan)
+        episodes[n] = replace(sp, mode=MODE_VS, retrospective_error_mm=float(retro),
+                              true_error_mm=true_err, time_s=world.elapsed_time - t0,
+                              post_servo_retrospective_error_mm=sp.retrospective_error_mm)
+    return episodes

@@ -12,7 +12,7 @@ import math
 import typing
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,11 +186,23 @@ class WorldState:
     nominal_hole: np.ndarray
     tcp: np.ndarray
     appearance: Appearance
-    rng: np.random.Generator
-    basis: np.ndarray  # (3,2) in-plane basis, cached
+    basis: np.ndarray  # (3,2) in-plane basis, shared read-only per direction
     elapsed_time: float = 0.0
     attempt_count: int = 0
     max_inplane_violation: float = 0.0
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The world's collection stream, built on first use."""
+        return np.random.default_rng(np.random.SeedSequence([self.config.seed, 1]))
+
+
+@lru_cache(maxsize=16)
+def _shared_basis(direction: bytes) -> np.ndarray:
+    """inplane_basis of the direction with these bytes, read-only and shared."""
+    basis = inplane_basis(np.frombuffer(direction))
+    basis.flags.writeable = False
+    return basis
 
 
 def new_world(config: WorldConfig) -> WorldState:
@@ -201,7 +213,7 @@ def new_world(config: WorldConfig) -> WorldState:
     here.
     """
     l = config.insertion_direction
-    B = inplane_basis(l)
+    B = _shared_basis(l.tobytes())
     scene = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     hole2 = config.hole_uncertainty_sigma * scene.standard_normal(2)
     grasp2 = config.grasp_uncertainty_sigma * scene.standard_normal(2)
@@ -216,9 +228,7 @@ def new_world(config: WorldConfig) -> WorldState:
     tcp = config.nominal_hole - config.hover_height * l
     return WorldState(config=config, true_hole=true_hole, grasp_offset=grasp2,
                       nominal_hole=config.nominal_hole.copy(), tcp=tcp,
-                      appearance=app,
-                      rng=np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
-                      basis=B)
+                      appearance=app, basis=B)
 
 
 def peg_position(world: WorldState, tcp=None) -> np.ndarray:
@@ -248,9 +258,8 @@ def move_tcp(world: WorldState, new_tcp) -> None:
     world.tcp = new_tcp
 
 
-def _check_inplane(world: WorldState, along) -> None:
-    """Reject out-of-plane move components and record the largest one."""
-    worst = float(np.max(along, initial=0.0))
+def _check_inplane(world: WorldState, worst: float) -> None:
+    """Reject a move's largest out-of-plane component, else record it."""
     if not worst <= _INPLANE_TOL:
         raise ConstraintViolation(
             f"TCP move has out-of-plane component {worst:.3e} mm")
@@ -396,64 +405,87 @@ class Episode:
 
 def spiral_insert(world: WorldState, start_tcp, pattern,
                   timing: TimingModel) -> Episode:
-    """Try pattern offsets from start_tcp in order until one inserts.
+    """spiral_search of one world: a batch of one."""
+    return spiral_search([world], [start_tcp], pattern, timing)[0]
 
-    Charges t_attempt per attempt. On success the TCP stays at the
-    successful offset; on failure it returns to start_tcp and the
-    retrospective error is nan. Returns a novs Episode of the world's style
-    and seed, its true error measured at start_tcp.
 
-    The offsets are screened in one vectorized pass, then confirmed. The
-    screen computes every offset's in-plane peg-hole distance at once in
-    basis coordinates, |basis.T @ (hole - peg at start_tcp) - offset|. It
-    differs from the per-attempt arithmetic only by rounding, a few ulps of
-    the largest coordinate involved, so every offset that would insert
-    screens within a 1e-9 relative slack of the tolerance. These candidates
-    are confirmed in pattern order with the per-attempt arithmetic itself
-    (start_tcp + basis @ offset, then true_inplane_error); the first that
-    passes is the hit. Attempts, the final TCP and the retrospective error
-    are therefore bit-identical to trying the offsets one by one. Every
-    move made (to start_tcp, through the offsets up to the hit, and back to
-    start_tcp on failure) is checked for out-of-plane motion before any
-    attempt is counted.
+def _inplane_norms(v, ls) -> np.ndarray:
+    """Per row np.linalg.norm(inplane_component(v[i], ls[i])), bit for bit:
+    the same dot kernels, stacked."""
+    e = v - (v[:, None, :] @ ls[:, :, None])[:, 0] * ls
+    return np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+
+
+def spiral_search(worlds, starts, pattern, timing: TimingModel) -> list:
+    """Per world, try pattern offsets from its start in order until one inserts.
+
+    Charges t_attempt per attempt. A world's TCP ends at its hit, or back at
+    its start with a nan retrospective error. Returns one novs Episode per
+    world, its true error measured at the start. A start that is not finite
+    or not in-plane raises before any attempt is counted.
+
+    One stacked pass screens every world's offsets by the squared in-plane
+    peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which
+    differs from the per-attempt arithmetic by a few ulps of the largest
+    coordinate: every offset that would insert passes within a 1e-9 relative
+    slack of the tolerance. Candidates are confirmed with the per-attempt
+    arithmetic (start + basis @ offset, then true_inplane_error), stacked
+    with the same kernels, and a world's first confirmed offset is its hit,
+    so every result is bit-identical to trying the offsets one by one. Each
+    world's path is checked for out-of-plane motion.
     """
-    cfg = world.config
-    tol, got = cfg.tolerance, float(pattern.tolerance)
-    # np.isclose(got, tol) on two floats, without its array overhead
-    if not (got == tol or abs(got - tol) <= 1e-8 + 1e-5 * abs(tol) and math.isfinite(tol)):
-        warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
-    start_tcp = np.asarray(start_tcp, dtype=float)
-    move_tcp(world, start_tcp)
-    offsets, basis = pattern.offsets, world.basis
-    peg = peg_position(world, start_tcp)
-    miss = basis.T @ (world.true_hole - peg)
-    screen = np.hypot(offsets[:, 0] - miss[0], offsets[:, 1] - miss[1])
-    scale = max(np.abs(offsets).max(initial=0.0), np.abs(world.true_hole).max(),
-                np.abs(peg).max())
-    success, attempts, final = False, len(offsets), start_tcp
-    for k in np.flatnonzero(screen <= tol + 1e-9 * (tol + scale)):
-        tcp_k = start_tcp + basis @ offsets[k]
-        if true_inplane_error(world, tcp_k) <= tol:
-            success, attempts, final = True, int(k) + 1, tcp_k
-            break
-    path = [start_tcp[None, :], start_tcp + offsets[:attempts] @ basis.T]
-    if not success:
-        path.append(start_tcp[None, :])
-    _check_inplane(world, np.abs(np.diff(np.concatenate(path), axis=0)
-                                 @ cfg.insertion_direction))
-    world.tcp = final
-    world.attempt_count += attempts
-    t = attempts * timing.t_attempt
-    world.elapsed_time += t
-    retro = (np.linalg.norm(inplane_component(final - start_tcp,
-                                              cfg.insertion_direction))
-             if success else np.nan)
-    return Episode(style=cfg.component_style, mode=MODE_NOVS, seed=cfg.seed,
-                   retrospective_error_mm=float(retro),
-                   true_error_mm=true_inplane_error(world, start_tcp), time_s=t,
-                   attempts=attempts, success=success,
-                   post_servo_retrospective_error_mm=float("nan"),
-                   direct=success and attempts == 1)
+    offsets, got = pattern.offsets, float(pattern.tolerance)
+    for world in worlds:
+        tol = world.config.tolerance
+        # np.isclose(got, tol) on two floats, without its array overhead
+        if not (got == tol or abs(got - tol) <= 1e-8 + 1e-5 * abs(tol) and math.isfinite(tol)):
+            warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
+    starts = [np.asarray(s, dtype=float) for s in starts]
+    for world, start in zip(worlds, starts, strict=True):
+        move_tcp(world, start)
+    if not worlds:
+        return []
+    bases, ls, holes, origins, grasps = (np.stack(a) for a in zip(*(
+        (w.basis, w.config.insertion_direction, w.true_hole, start, w.grasp_offset)
+        for w, start in zip(worlds, starts))))
+    tols = np.array([w.config.tolerance for w in worlds])
+    shift = (bases @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
+    pegs = origins + shift  # peg_position at each start
+    miss = (np.swapaxes(bases, 1, 2) @ (holes - pegs)[:, :, None])[:, :, 0]
+    dx, dy = offsets[:, 0] - miss[:, :1], offsets[:, 1] - miss[:, 1:]
+    screen = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)  # in place
+    scale = np.maximum(np.abs(offsets).max(initial=0.0),
+                       np.maximum(np.abs(holes).max(axis=1), np.abs(pegs).max(axis=1)))
+    wi, ki = np.nonzero(screen <= np.square(tols + 1e-9 * (tols + scale))[:, None])
+    tcps = origins[wi] + (bases[wi] @ offsets[ki][:, :, None])[:, :, 0]
+    confirmed = _inplane_norms(holes[wi] - (tcps + shift[wi]), ls[wi]) <= tols[wi]
+    wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
+    hit, first = np.unique(wi, return_index=True)  # wi is in pattern order per world
+    success = np.zeros(len(worlds), dtype=bool)
+    attempts, finals = np.full(len(worlds), len(offsets)), origins.copy()
+    success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
+    retros = np.where(success, _inplane_norms(finals - origins, ls), np.nan)
+    true_errors = _inplane_norms(holes - pegs, ls)
+    # a world's path runs through a prefix of its basis's moves: the rows of
+    # one product per shared basis
+    moves = {id(b): offsets @ b.T for b in {id(w.basis): w.basis for w in worlds}.values()}
+    episodes = []
+    for n, (world, start) in enumerate(zip(worlds, starts)):
+        cfg, n_att, ok = world.config, int(attempts[n]), bool(success[n])
+        path = np.concatenate((start[None, :], start + moves[id(world.basis)][:n_att])
+                              + (() if ok else (start[None, :],)))
+        _check_inplane(world, float(np.abs((path[1:] - path[:-1])
+                                           @ cfg.insertion_direction).max(initial=0.0)))
+        world.tcp = finals[n]
+        world.attempt_count += n_att
+        t = n_att * timing.t_attempt
+        world.elapsed_time += t
+        episodes.append(Episode(
+            style=cfg.component_style, mode=MODE_NOVS, seed=cfg.seed,
+            retrospective_error_mm=float(retros[n]), true_error_mm=float(true_errors[n]),
+            time_s=t, attempts=n_att, success=ok,
+            post_servo_retrospective_error_mm=math.nan, direct=ok and n_att == 1))
+    return episodes
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegservo import bench
 from pegservo.bench import (BenchConfig, build_report, emit_report,
                             fit_quadratic_law, read_rows, run_benchmark)
 from pegservo.cli import main
@@ -71,6 +73,58 @@ def test_benchmark_is_deterministic_across_jobs():
                 assert math.isnan(vb)
             else:
                 assert va == vb, f.name
+
+
+def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
+    # three blocks, so jobs=2 maps them over two processes; each vs episode
+    # draws its oracle noise from its own seeds
+    cfg = _small_cfg(insertions_per_style_per_mode=20)
+    assert len(cfg.component_styles) * 20 * len(cfg.modes) > 2 * bench._BLOCK
+    noisy = {s: (OracleModel(noise_sigma=0.02), OracleModel(noise_sigma=0.02))
+             for s in cfg.component_styles}
+    rows = run_benchmark(cfg, noisy).rows
+    assert repr(run_benchmark(cfg, noisy, jobs=2).rows) == repr(rows)
+    monkeypatch.setattr(bench, "_BLOCK", 5)
+    assert repr(run_benchmark(cfg, noisy).rows) == repr(rows)
+    # the noise reaches the vs rows only: search-only episodes never servo
+    pairs = list(zip(rows, run_benchmark(cfg, ORACLE_MODELS).rows))
+    assert all(repr(a) == repr(b) for a, b in pairs if a.mode == "novs")
+    assert any(a.post_servo_retrospective_error_mm != b.post_servo_retrospective_error_mm
+               for a, b in pairs if a.mode == "vs")
+
+
+def _traced_peak(insertions):
+    cfg = BenchConfig(component_styles=("led",), insertions_per_style_per_mode=insertions,
+                      error_disc_radius=3.0, modes=("novs",))
+    tracemalloc.start()
+    try:
+        run_benchmark(cfg, {})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_memory_grows_by_its_rows_only():
+    # Episodes run a block at a time. A batch of the whole grid would hold
+    # two (episodes, pattern) float arrays, 16 bytes per episode and offset
+    # (18.5 kB per episode for this 1,159-offset pattern); the rows
+    # themselves cost well under 1 kB per episode.
+    _traced_peak(5)  # caches filled: the pattern, the shared basis
+    growth = (_traced_peak(400) - _traced_peak(40)) / 360
+    assert growth < 2_000, growth
+
+
+def test_grid_episodes_build_no_collection_stream(monkeypatch):
+    worlds, new_world = [], bench.new_world
+
+    def recording(config):
+        worlds.append(new_world(config))
+        return worlds[-1]
+
+    monkeypatch.setattr(bench, "new_world", recording)
+    run_benchmark(_small_cfg(), ORACLE_MODELS)
+    assert len(worlds) == 12
+    assert all("rng" not in vars(w) for w in worlds)
 
 
 def test_missing_models_rejected():

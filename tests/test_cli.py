@@ -10,7 +10,8 @@ import pytest
 import pegservo
 from pegservo.cli import _write_json, main
 from pegservo.errors import IoError
-from pegservo.perception import load_dataset, save_dataset
+from pegservo.perception import (OracleModel, load_dataset, save_dataset,
+                                 save_model)
 
 _STYLE = "led"
 
@@ -236,6 +237,36 @@ def test_collect_manifest_echoes_the_seed_base(pipeline_dirs):
     manifest = json.loads(open(f"{d['collect']}/manifest.json").read())
     assert manifest["config"]["seed_base"] == 1000
     assert manifest["config"]["world"]["seed"] == 1000
+
+
+def test_noisy_oracles_run_from_disk(pipeline_dirs, tmp_path, config_path):
+    # servo, evaluate and bench --models draw a noisy oracle's noise from
+    # fixed streams, so each run repeats its bytes
+    _, data, _ = pipeline_dirs
+    for j in range(2):
+        save_model(OracleModel(noise_sigma=0.05), tmp_path / "models" / _STYLE / f"cam{j}")
+    models = str(tmp_path / "models" / _STYLE)
+    bench_cfg = tmp_path / "bench.json"
+    bench_cfg.write_text(json.dumps({"bench": {
+        "component_styles": [_STYLE], "insertions_per_style_per_mode": 2}}))
+    outs = {}
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["servo", "--config", config_path, "--models", models,
+                     "--error", "1.0", "--out", str(out / "servo")]) == 0
+        assert main(["evaluate", "--data", data, "--models", models,
+                     "--out", str(out / "evaluate")]) == 0
+        assert main(["bench", "--config", str(bench_cfg), "--models",
+                     str(tmp_path / "models"), "--out", str(out / "bench")]) == 0
+        outs[run] = [(out / sub / name).read_bytes() for sub, name in
+                     (("servo", "result.json"), ("evaluate", "metrics.json"),
+                      ("bench", "rows.csv"))]
+    assert outs["a"] == outs["b"]
+    for j in range(2):  # the noise was drawn: a noiseless oracle scores otherwise
+        save_model(OracleModel(), tmp_path / "exact" / f"cam{j}")
+    assert main(["evaluate", "--data", data, "--models", str(tmp_path / "exact"),
+                 "--out", str(tmp_path / "exact-eval")]) == 0
+    assert (tmp_path / "exact-eval" / "metrics.json").read_bytes() != outs["a"][1]
 
 
 def test_bench_then_report_roundtrip(tmp_path, config_path, capsys):

@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from pegservo.errors import ConstraintViolation, InvalidConfig
 from pegservo.geometry import (aimed_camera, camera_to_dict,
                                denormalize_error, error_direction,
-                               normalize_error, project, scalar_error, vec3)
+                               inplane_basis, normalize_error, project,
+                               scalar_error, vec3)
+from pegservo.perception import OracleModel
+from pegservo.pipeline import insert
+from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           attempt_insertion, config_from_dict, config_to_dict,
@@ -78,6 +82,31 @@ def test_neighbouring_seeds_differ():
                            new_world(WorldConfig(seed=s + 1)).true_hole)
         for s in range(100))
     assert differing >= 99
+
+
+def test_worlds_share_one_read_only_basis_per_direction():
+    a = new_world(WorldConfig(seed=1))
+    b = new_world(WorldConfig(seed=2, component_style="dsub"))
+    assert a.basis is b.basis
+    assert a.basis.tobytes() == inplane_basis(a.config.insertion_direction).tobytes()
+    with pytest.raises(ValueError):
+        a.basis[0, 0] = 2.0
+    tilted = new_world(WorldConfig(insertion_direction=vec3(0.6, 0.0, -0.8)))
+    assert tilted.basis is not a.basis
+    assert tilted.basis.tobytes() == inplane_basis(vec3(0.6, 0.0, -0.8)).tobytes()
+
+
+def test_insertion_builds_no_collection_stream():
+    pattern, timing = generate_pattern(0.1, 1.0), TimingModel()
+    searched, servoed = new_world(WorldConfig(seed=8)), new_world(WorldConfig(seed=8))
+    insert(searched, "spiral_only", None, pattern, timing)
+    insert(servoed, "servo_then_spiral",
+           servo_config_for(servoed, (OracleModel(), OracleModel())), pattern, timing)
+    assert "rng" not in vars(searched) and "rng" not in vars(servoed)
+    # built on first use, from the world's own seed, then kept
+    draw = searched.rng.random(3)
+    assert np.array_equal(draw, np.random.default_rng(np.random.SeedSequence([8, 1])).random(3))
+    assert searched.rng is searched.rng
 
 
 def test_config_validation():

@@ -1,17 +1,21 @@
-"""The vectorized spiral_insert against the per-offset loop it replaced."""
+"""The vectorized spiral_insert against the per-offset loop it replaced, and
+the batched spiral_search against its batches of one."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegservo.bench import _BLOCK
 from pegservo.errors import ConstraintViolation
 from pegservo.geometry import inplane_component, vec3
 from pegservo.search import generate_pattern
-from pegservo.sim import (TimingModel, WorldConfig, attempt_insertion,
-                          move_tcp, new_world, peg_position, spiral_insert)
+from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
+                          attempt_insertion, move_tcp, new_world, peg_position,
+                          spiral_insert, spiral_search)
 
 TIMING = TimingModel()
 
@@ -141,3 +145,71 @@ def test_non_finite_start_raises_and_leaves_world_unchanged():
                           TIMING)
     assert np.array_equal(w.tcp, before)
     assert w.attempt_count == 0 and w.elapsed_time == 0.0
+
+
+# ---------------------------------------------------------------- batches
+
+
+def _assert_batch_is_its_batches_of_one(configs, starts, pattern):
+    """spiral_search over twin worlds against one spiral_insert per world."""
+    batch = [new_world(cfg) for cfg in configs]
+    alone = [new_world(cfg) for cfg in configs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # worlds whose tolerance is not the pattern's
+        episodes = spiral_search(batch, starts, pattern, TIMING)
+        singles = [spiral_insert(w, s, pattern, TIMING) for w, s in zip(alone, starts)]
+    assert len(episodes) == len(configs)
+    assert repr(episodes) == repr(singles)
+    for a, b in zip(batch, alone):
+        assert a.tcp.tobytes() == b.tcp.tobytes()
+        assert a.attempt_count == b.attempt_count
+        assert a.elapsed_time == b.elapsed_time
+        assert a.max_inplane_violation == b.max_inplane_violation
+    return episodes
+
+
+batch_worlds = st.fixed_dictionaries({
+    "style": st.sampled_from(COMPONENT_STYLES),
+    "tolerance": st.sampled_from([0.05, 0.1, 0.2]),
+    "seed": st.integers(0, 2**32 - 1),
+    "tilt": st.one_of(st.just(0.0), st.floats(0.0, 0.7)),
+    "azimuth": st.floats(0.0, 2.0 * math.pi),
+    "nominal": st.one_of(st.just((0.0, 0.0, 0.0)),
+                         st.tuples(*[st.floats(-5000.0, 5000.0)] * 3)),
+    # up to twice the pattern's reach: some starts miss it and fail
+    "start_r": st.floats(0.0, 2.0),
+    "start_theta": st.floats(0.0, 2.0 * math.pi),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), radius=st.sampled_from([0.0, 0.3, 1.0]),
+       size=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+def test_batch_equals_its_batches_of_one(data, radius, size):
+    ws = data.draw(st.lists(batch_worlds, min_size=size, max_size=size))
+    configs = [WorldConfig(component_style=w["style"], tolerance=w["tolerance"],
+                           seed=w["seed"],
+                           insertion_direction=_direction(w["tilt"], w["azimuth"]),
+                           nominal_hole=np.array(w["nominal"])) for w in ws]
+    starts = []
+    for cfg, w in zip(configs, ws):
+        world = new_world(cfg)
+        starts.append(world.tcp + world.basis @ (w["start_r"] * np.array(
+            [math.cos(w["start_theta"]), math.sin(w["start_theta"])])))
+    _assert_batch_is_its_batches_of_one(configs, starts, generate_pattern(0.1, radius))
+
+
+def test_batch_with_candidates_that_fail_confirmation():
+    # Starts exactly one tolerance from the hole make the first offset a
+    # boundary case: it always passes the screen, and rounding sends its
+    # confirmation either way, so some worlds hit on a later offset.
+    cfg = WorldConfig(seed=3)
+    pattern = generate_pattern(cfg.tolerance, 1.0)
+    world = new_world(cfg)
+    miss = world.basis.T @ (world.true_hole - peg_position(world))
+    starts = [world.tcp + world.basis @ (miss - cfg.tolerance * np.array(
+        [math.cos(phi), math.sin(phi)]))
+              for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
+    episodes = _assert_batch_is_its_batches_of_one([cfg] * len(starts), starts, pattern)
+    attempts = {e.attempts for e in episodes}
+    assert 1 in attempts and len(attempts) > 1
