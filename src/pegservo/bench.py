@@ -37,8 +37,9 @@ class BenchConfig:
     def __post_init__(self):
         if self.insertions_per_style_per_mode < 1:
             raise InvalidConfig("insertions_per_style_per_mode must be >= 1")
-        if self.error_disc_radius < 0:
-            raise InvalidConfig("error_disc_radius must be >= 0")
+        if not 0 <= self.error_disc_radius < math.inf:
+            raise InvalidConfig(f"error_disc_radius must be finite and >= 0, "
+                                f"got {self.error_disc_radius}")
         unknown = [s for s in self.component_styles if s not in COMPONENT_STYLES]
         if unknown:
             raise InvalidConfig(f"unknown styles: {unknown}")
@@ -62,8 +63,8 @@ def _row_seed(base: int, style_index: int, insertion: int) -> int:
 
 def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
     """The episodes of (style index, insertion, mode) keys, in order. Each
-    builds its world, start error and (vs, noisy oracle) noise stream from
-    its own seeds, so a row does not depend on its block."""
+    builds its world, start error and, if vs, noise stream from its own
+    seeds, so a row does not depend on its block."""
     worlds, servo_cfgs, rngs = [], [], []
     for si, i, mode in keys:
         style = cfg.component_styles[si]
@@ -77,10 +78,8 @@ def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
         worlds.append(world)
         servo_cfgs.append(None if mode == MODE_NOVS else servo_config_for(
             world, models[style], n_iters=cfg.n_iters, timing=cfg.timing))
-        noisy = mode == MODE_VS and any(getattr(m, "noise_sigma", 0.0) > 0
-                                        for m in models[style])
         rngs.append(np.random.default_rng(np.random.SeedSequence([cfg.seed, si, i, 11]))
-                    if noisy else None)
+                    if mode == MODE_VS else None)
     return insert_batch(worlds, servo_cfgs,
                         generate_pattern(cfg.tolerance, cfg.error_disc_radius),
                         cfg.timing, rngs)

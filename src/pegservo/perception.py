@@ -292,15 +292,19 @@ def init_mlp(ds: Dataset, hyper: TrainConfig) -> MlpModel:
                     hidden=tuple(hyper.hidden))
 
 
+def _mlp_shapes(d: int, hidden) -> list:
+    """The shapes of an MLP's parameters in order: W1, b1, W2, b2, ..."""
+    sizes = [d, *hidden, 1]
+    return [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
+
+
 def _mlp_init(d: int, hyper: TrainConfig):
     """An MLP run's initial parameters and the seeded stream that drew them."""
     rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 2]))
-    sizes = [d, *hyper.hidden, 1]
-    params = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        params.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-        params.append(np.zeros(fan_out))
-    return params, rng
+    return [np.zeros(shape) if len(shape) == 1  # a bias
+            else rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])  # He init
+            for shape in _mlp_shapes(d, hyper.hidden)], rng
 
 
 def _mlp_layers(params: list, X: np.ndarray) -> list:
@@ -534,17 +538,10 @@ def _model_from_meta(meta: dict, in_dir):
                           lam=float(meta["lam"]), spec=spec)
     if kind == "mlp":
         hidden = tuple(int(h) for h in meta["hidden"])
-        sizes = [d, *hidden, 1]
-        params = []
-        off = 0
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            W = rest[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
-            off += fan_in * fan_out
-            b = rest[off:off + fan_out]
-            off += fan_out
-            params.append(W)
-            params.append(b)
-        if off != rest.size:
+        shapes = _mlp_shapes(d, hidden)
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        if ends[-1] != rest.size:
             raise CorruptArtifact("mlp weights.bin has wrong length")
+        params = [p.reshape(shape) for p, shape in zip(np.split(rest, ends[:-1]), shapes)]
         return MlpModel(params=params, spec=spec, hidden=hidden)
     raise InvalidConfig(f"unknown model kind {kind!r}")

@@ -19,7 +19,7 @@ from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
 from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_batch,
-                  spiral_insert, spiral_search, true_inplane_error)
+                  spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -63,33 +63,38 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
                     pattern: SearchPattern) -> Dataset:
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
-    Per world: spiral-insert, take the successful TCP as the in-plane zero,
-    then draw samples_per_insertion random offsets (direction uniform on the
-    circle, magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) as
-    one array and render them with one render_batch per camera. Label y is
-    the normalized error the servo must cancel:
-    y_j = normalize_error(-offset.u_j, cam_j). Failed insertions are logged
-    and skipped. The images fill one preallocated buffer in sample order;
-    rows past the last successful insertion's stay unused. Each world is
-    built once, and every world must have world 0's cameras.
+    The worlds are built in insertion order, and every one must have world
+    0's cameras, of one resolution, before any insertion or render. One
+    spiral_search inserts them all; failed insertions are logged and
+    skipped. Per inserted world: take the successful TCP as the in-plane
+    zero, then draw samples_per_insertion random offsets (direction uniform
+    on the circle, magnitude ~ U(0, max_offset_mag), height ~
+    U(0, max_height)) as one array and render them with one render_batch per
+    camera. Label y is the normalized error the servo must cancel:
+    y_j = normalize_error(-offset.u_j, cam_j). Images and labels fill
+    (inserted world, sample, camera) arrays, flattened in that order.
     """
-    k, n, timing, blocks = cfg.samples_per_insertion, 0, TimingModel(), []
-    for i in range(cfg.n_insertions):
-        world = world_factory(i)
-        if i == 0:
-            cameras, m = world.config.cameras, len(world.config.cameras)
-            calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
-            if len({cam.r for cam in cameras}) != 1:
-                raise ShapeMismatch("cameras of one dataset must share a resolution")
-            images = np.empty((cfg.n_insertions * k * m, cameras[0].r, cameras[0].r),
-                              dtype=np.float32)
-        elif [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
+    worlds = [world_factory(i) for i in range(cfg.n_insertions)]
+    cameras = worlds[0].config.cameras
+    if len({cam.r for cam in cameras}) != 1:
+        raise ShapeMismatch("cameras of one dataset must share a resolution")
+    calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
+    for i, world in enumerate(worlds):
+        if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
             raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
-        outcome = spiral_insert(world, world.tcp, pattern, timing)
+    outcomes = spiral_search(worlds, [w.tcp for w in worlds], pattern, TimingModel())
+    for i, outcome in enumerate(outcomes):
         if not outcome.success:
             log.warning("collection insertion %d failed after %d attempts; skipped",
                         i, outcome.attempts)
-            continue
+    kept = np.flatnonzero([outcome.success for outcome in outcomes])
+    if len(kept) == 0:
+        raise AllInsertionsFailed(
+            f"all {cfg.n_insertions} collection insertions failed")
+    k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
+    images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
+    y, truth_y, q_mm, height_mm = np.empty((4, len(kept), k, m))
+    for n, world in enumerate(worlds[i] for i in kept):
         # the draws of uniform(0, high) for (theta, mag, height), sample by sample
         theta, mag, height = (world.rng.random((k, 3))
                               * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
@@ -99,25 +104,16 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         moves = (world.basis @ offsets[:, :, None])[:, :, 0]
         tcps = world.tcp + moves - height[:, None] * world.config.insertion_direction
         U = np.array(world.config.error_directions)
-        q = ((-moves)[:, None, None, :] @ U[:, :, None])[:, :, 0, 0]  # (k, m)
-        y = np.stack([normalize_error(qj, cam) for qj, cam in zip(q.T, cameras)], axis=1)
-        # one row per view, in sample order: insertion_id, camera_index, y,
-        # truth_y, q_mm, height_mm
-        block = np.stack(np.broadcast_arrays(i, np.arange(m), y, np.nan, q, height[:, None]),
-                         axis=-1).reshape(k * m, 6)
-        for j in range(m):  # truth_y comes with the pixels
-            images[n + j:n + k * m:m], block[j::m, 3] = render_batch(world, j, tcps)
-        blocks.append(block)
-        n += k * m
-    if n == 0:
-        raise AllInsertionsFailed(
-            f"all {cfg.n_insertions} collection insertions failed")
-    ins, cam_index, y, truth_y, q_mm, height_mm = np.concatenate(blocks).T
-    return Dataset(images=images, rows=np.arange(n),
-                   insertion_id=ins.astype(np.int64),
-                   camera_index=cam_index.astype(np.int64), y=y,
-                   truth_y=truth_y, q_mm=q_mm, height_mm=height_mm,
-                   cameras=cameras)
+        q_mm[n] = ((-moves)[:, None, None, :] @ U[:, :, None])[:, :, 0, 0]
+        height_mm[n] = height[:, None]
+        for j, cam in enumerate(cameras):  # truth_y comes with the pixels
+            y[n, :, j] = normalize_error(q_mm[n, :, j], cam)
+            images[n, :, j], truth_y[n, :, j] = render_batch(world, j, tcps)
+    return Dataset(images=images.reshape(-1, r, r), rows=np.arange(y.size),
+                   insertion_id=np.repeat(kept, k * m),
+                   camera_index=np.tile(np.arange(m), len(kept) * k), y=y.ravel(),
+                   truth_y=truth_y.ravel(), q_mm=q_mm.ravel(),
+                   height_mm=height_mm.ravel(), cameras=cameras)
 
 
 def split_by_insertion(data: Dataset, train_insertions: int, seed: int):

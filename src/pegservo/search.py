@@ -43,10 +43,10 @@ def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
     margin keeps targets just inside the rim covered. Patterns are memoized
     per (tolerance, max_radius), so callers share one read-only pattern.
     """
-    if not tolerance > 0:
-        raise InvalidTolerance(f"tolerance must be > 0, got {tolerance}")
-    if max_radius < 0:
-        raise InvalidRadius(f"max_radius must be >= 0, got {max_radius}")
+    if not 0 < tolerance < np.inf:
+        raise InvalidTolerance(f"tolerance must be finite and > 0, got {tolerance}")
+    if not 0 <= max_radius < np.inf:
+        raise InvalidRadius(f"max_radius must be finite and >= 0, got {max_radius}")
     s = tolerance * np.sqrt(3.0)
     bound = max_radius + tolerance
     # lattice basis (s, 0) and (s/2, s*sqrt(3)/2)
@@ -89,12 +89,6 @@ def covering_radius(pattern: SearchPattern, region_radius: float,
     tree = cKDTree(pattern.offsets)
     dists, _ = tree.query(pts, k=1)
     return float(np.max(dists))
-
-
-def pattern_density(pattern: SearchPattern) -> float:
-    """Offsets per unit area over the searched disc (mm^-2)."""
-    area = np.pi * (pattern.max_radius + pattern.tolerance) ** 2
-    return len(pattern) / area
 
 
 def write_pattern_csv(pattern: SearchPattern, path) -> None:

@@ -59,14 +59,6 @@ class TimingModel:
                 raise InvalidConfig(f"{f.name} must be finite and >= 0, got {t}")
             object.__setattr__(self, f.name, float(t))  # a numpy scalar too
 
-    @property
-    def search_time_constant(self) -> float:
-        # Expected spiral time ~ k * (e / tol)^2 for error e >> tol: the
-        # lattice visits 2/(sqrt(3) s^2) points per unit area at spacing
-        # s = tol*sqrt(3), so a disc of radius e holds 2*pi*e^2/(3*sqrt(3)*tol^2)
-        # points and the target is equally likely anywhere in visit order.
-        return self.t_attempt * 2.0 * np.pi / (3.0 * np.sqrt(3.0))
-
     def servo_step_time(self, n_cameras: int) -> float:
         return n_cameras * (self.t_capture + self.t_infer) + self.t_move
 

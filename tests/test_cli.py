@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, manifests, artifact round-trips."""
 
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -319,6 +320,7 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
     ({"world": {"cameras": [{"f": 900}]}}, None, "InvalidConfig:"),
     ({"bench": {"timing": {"t_attempt": 0.3}}}, None, "InvalidConfig:"),
     ({"bench": {"tolerance": 0.2}}, None, "InvalidConfig:"),
+    ({"bench": {"error_disc_radius": math.nan}}, None, "InvalidConfig:"),
     ({"timing": {"t_attempt": -1}}, None, "InvalidConfig:"),
     ([1, 2], None, "InvalidConfig:"),
     ({"world": {"extra_error_radius": 1.0}}, None, "InvalidConfig:"),
@@ -332,7 +334,7 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, "led,vs,5,nan,0.3,2.5,7,0,nan,1"], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
-        "bench-timing", "bench-tolerance", "timing-negative", "config-not-object",
+        "bench-timing", "bench-tolerance", "bench-disc-nan", "timing-negative", "config-not-object",
         "world-extra-error-radius", "train-hidden-negative",
         "train-hidden-float", "train-hidden-zero", "train-lambda-negative",
         "rows-float",
@@ -351,6 +353,25 @@ def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, erro
     assert err.startswith(error) and "Traceback" not in err
     # rejected while reading the input, before any work or output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (["pattern", "--tolerance", "inf"], None, "InvalidTolerance:"),
+    (["pattern", "--max-radius", "nan"], None, "InvalidRadius:"),
+    (["pattern", "--max-radius", "inf"], None, "InvalidRadius:"),
+    (["collect"], {"collection": {"max_offset_mag": math.inf}}, "InvalidRadius:"),
+    (["bench"], {"world": {"tolerance": math.inf}}, "InvalidTolerance:"),
+], ids=["pattern-tolerance-inf", "pattern-radius-nan", "pattern-radius-inf",
+        "collect-offset-inf", "bench-tolerance-inf"])
+def test_non_finite_pattern_input_exits_1_with_typed_error(tmp_path, capsys, argv,
+                                                           config, error):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

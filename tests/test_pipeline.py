@@ -153,10 +153,37 @@ def test_collection_rejects_worlds_with_other_cameras():
     cfg = CollectionConfig(n_insertions=2, samples_per_insertion=3,
                            train_insertions=1)
     pattern = generate_pattern(0.1, 1.0)
-    with pytest.raises(InvalidConfig, match="insertion 1"):
-        collect_dataset(factory([1000.0, 2000.0]), cfg, pattern)
+    work = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("render_batch", "spiral_search"):
+            mp.setattr(pegservo.pipeline, name, lambda *a, name=name: work.append(name))
+        with pytest.raises(InvalidConfig, match="insertion 1"):
+            collect_dataset(factory([1000.0, 2000.0]), cfg, pattern)
+    assert work == []  # every world is checked before any insertion or render
     # equal cameras built by separate configs are one calibration
     assert len(collect_dataset(factory([2000.0]), cfg, pattern)) == 2 * 3 * 2
+
+
+def test_collection_searches_once_and_keeps_only_inserted_samples(monkeypatch):
+    searches = []
+
+    def counted(worlds, starts, pattern, timing):
+        searches.append([w.config.seed for w in worlds])
+        return pegservo.sim.spiral_search(worlds, starts, pattern, timing)
+
+    monkeypatch.setattr(pegservo.pipeline, "spiral_search", counted)
+
+    def factory(i):
+        # a 5 mm hole draw is far outside the 1 mm pattern: insertion 1 fails
+        return new_world(WorldConfig(seed=500 + i,
+                                     hole_uncertainty_sigma=5.0 if i == 1 else 0.01))
+
+    cfg = CollectionConfig(n_insertions=3, samples_per_insertion=4,
+                           train_insertions=1)
+    data = collect_dataset(factory, cfg, generate_pattern(0.1, 1.0))
+    assert searches == [[500, 501, 502]]
+    assert data.grouping == [0, 2]
+    assert len(data.images) == len(data) == 2 * 4 * 2
 
 
 @pytest.mark.parametrize("hyper", [RIDGE_HYPER, TrainConfig(

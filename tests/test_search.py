@@ -1,19 +1,15 @@
 """Isometric-grid spiral search pattern."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pegservo
 from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
 from pegservo.search import (covering_radius, generate_pattern,
-                             pattern_density, write_pattern_csv)
+                             write_pattern_csv)
 
 S = 0.1 * math.sqrt(3.0)  # spacing for eps = 0.1
 
@@ -107,7 +103,8 @@ def test_density_matches_lattice():
         s = eps * math.sqrt(3.0)
         p = generate_pattern(eps, 12.0 * s)
         expect = 2.0 / (math.sqrt(3.0) * s * s)
-        assert pattern_density(p) == pytest.approx(expect, rel=0.05)
+        density = len(p) / (math.pi * (p.max_radius + p.tolerance) ** 2)
+        assert density == pytest.approx(expect, rel=0.05)
 
 
 def test_determinism():
@@ -123,6 +120,12 @@ def test_invalid_inputs():
         generate_pattern(-0.1, 1.0)
     with pytest.raises(InvalidRadius):
         generate_pattern(0.1, -0.5)
+    for tolerance in (math.inf, math.nan):
+        with pytest.raises(InvalidTolerance):
+            generate_pattern(tolerance, 1.0)
+    for max_radius in (math.inf, math.nan):
+        with pytest.raises(InvalidRadius):
+            generate_pattern(0.1, max_radius)
 
 
 def test_pattern_csv(tmp_path):
@@ -148,13 +151,3 @@ def test_memoized_pattern_is_shared_and_read_only():
     assert not p.offsets.flags.writeable
     with pytest.raises(ValueError):
         p.offsets[0, 0] = 1.0
-
-
-def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial costs a large share of start-up; only covering_radius uses it
-    src = os.path.dirname(os.path.dirname(pegservo.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pegservo; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"

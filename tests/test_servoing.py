@@ -109,6 +109,27 @@ def test_more_iterations_do_not_hurt():
     assert mean_final(3) <= mean_final(1)
 
 
+def test_iterations_reduce_miscalibration_error():
+    # believed camera positions rotated 2 degrees about l: one step leaves
+    # part of the error, which later steps shrink toward the noise floor
+    ang = math.radians(2.0)
+    c, s = math.cos(ang), math.sin(ang)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    models = (OracleModel(noise_sigma=0.001), OracleModel(noise_sigma=0.001))
+    residuals = []
+    for seed in range(50):
+        rng = np.random.default_rng(40_000 + seed)
+        w = _world_with_error([0.8, -0.6], seed=seed)
+        believed = tuple(
+            aimed_camera(R @ cam.position, w.nominal_hole, L, cam.f, cam.r)
+            for cam in w.config.cameras)
+        cfg = ServoConfig(models=models,
+                          calibration=replace(w.config, cameras=believed))
+        residuals.append(visual_servo(w, cfg, rng=rng)[1])
+    after_1, _, after_3 = np.mean(residuals, axis=0)
+    assert after_3 < after_1
+
+
 def test_servo_timing_exact():
     w = _world_with_error([0.5, 0.0])
     cfg = servo_config_for(w, ORACLES)  # 3 iters, 2 cameras

@@ -44,15 +44,6 @@ def test_timing_defaults_and_servo_step():
     assert 3 * t.servo_step_time(2) == pytest.approx(1.299, abs=1e-12)
 
 
-def test_search_time_constant():
-    # expected attempts for error e: lattice points in the disc of radius e,
-    # ~ pi e^2 / (cell area (sqrt(3)/2) s^2) with s = eps sqrt(3)
-    # => k = t_attempt * 2 pi / (3 sqrt(3))
-    t = TimingModel()
-    assert t.search_time_constant == pytest.approx(
-        0.25 * 2.0 * math.pi / (3.0 * math.sqrt(3.0)), rel=1e-12)
-
-
 # ---------------------------------------------------------------- world
 
 

@@ -1,7 +1,10 @@
 """Static checks on the library source."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +132,14 @@ def test_error_directions_come_from_the_world_config(path):
     # geometry defines error_direction and WorldConfig caches it per camera;
     # every other module reads WorldConfig.error_directions
     assert _calls_of(path.read_text(), "error_direction") == []
+
+
+def test_import_loads_no_costly_module():
+    # scipy and concurrent.futures cost a large share of start-up; only
+    # covering_radius and a multi-job benchmark import them, when called
+    env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+    code = ("import sys, pegservo; "
+            "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
