@@ -35,6 +35,8 @@ class BenchConfig:
     modes: tuple = BENCH_MODES
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.insertions_per_style_per_mode < 1:
             raise InvalidConfig("insertions_per_style_per_mode must be >= 1")
         if not 0 <= self.error_disc_radius < math.inf:
@@ -63,9 +65,9 @@ def _row_seed(base: int, style_index: int, insertion: int) -> int:
 
 def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
     """The episodes of (style index, insertion, mode) keys, in order. Each
-    builds its world, start error and, if vs, noise stream from its own
-    seeds, so a row does not depend on its block."""
-    worlds, servo_cfgs, rngs = [], [], []
+    builds its world and start error from its own seeds, so a row does not
+    depend on its block."""
+    worlds, servo_cfgs = [], []
     for si, i, mode in keys:
         style = cfg.component_styles[si]
         world = new_world(replace(cfg.world_template, component_style=style,
@@ -78,11 +80,8 @@ def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
         worlds.append(world)
         servo_cfgs.append(None if mode == MODE_NOVS else servo_config_for(
             world, models[style], n_iters=cfg.n_iters, timing=cfg.timing))
-        rngs.append(np.random.default_rng(np.random.SeedSequence([cfg.seed, si, i, 11]))
-                    if mode == MODE_VS else None)
-    return insert_batch(worlds, servo_cfgs,
-                        generate_pattern(cfg.tolerance, cfg.error_disc_radius),
-                        cfg.timing, rngs)
+    pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
+    return insert_batch(worlds, servo_cfgs, pattern, cfg.timing)
 
 
 class _Rows:

@@ -190,9 +190,7 @@ def cmd_evaluate(ns) -> int:
     _write_manifest(ns.out, "evaluate", ns, {}, ["metrics.json"])
     metrics = {}
     for j, model in enumerate(models):
-        # a noisy oracle's noise: a fixed stream per camera
-        rng = np.random.default_rng(np.random.SeedSequence([j, 11]))
-        metrics[str(j)] = evaluate(model, data.by_camera(j), rng)
+        metrics[str(j)] = evaluate(model, data.by_camera(j))
         print(f"evaluate: cam{j} mae {metrics[str(j)]['mae_mm']:.4f} mm "
               f"over {metrics[str(j)]['n']} samples")
     _write_json(os.path.join(ns.out, "metrics.json"), metrics)
@@ -215,8 +213,7 @@ def cmd_servo(ns) -> int:
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)
     cfg = servo_config_for(world, models, n_iters=ns.n_iters, timing=timing)
-    steps, residuals = visual_servo(
-        world, cfg, np.random.default_rng(np.random.SeedSequence([wcfg.seed, 11])))
+    steps, residuals = visual_servo(world, cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {
@@ -258,6 +255,8 @@ def _bench_models(ns, cfg: BenchConfig, sections: dict) -> dict:
 
 
 def cmd_bench(ns) -> int:
+    if ns.train_seed < 0:
+        raise InvalidConfig(f"--train-seed must be >= 0, got {ns.train_seed}")
     sections = _load_sections(ns.config)
     cfg = replace(sections["bench"], timing=sections["timing"],
                   world_template=sections["world"])

@@ -32,16 +32,16 @@ class BehindCamera(PegServoError):
     """Projected point has non-positive depth in the camera frame."""
 
 
-class InvalidTolerance(PegServoError):
-    """Search tolerance must be strictly positive."""
-
-
-class InvalidRadius(PegServoError):
-    """Search radius must be non-negative."""
-
-
 class InvalidConfig(PegServoError):
     """A configuration value violates its documented invariant."""
+
+
+class InvalidTolerance(InvalidConfig):
+    """Search tolerance must be finite and strictly positive."""
+
+
+class InvalidRadius(InvalidConfig):
+    """Search radius must be finite and non-negative."""
 
 
 class ConstraintViolation(PegServoError):

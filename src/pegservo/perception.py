@@ -8,6 +8,7 @@ trained with Adam). Datasets are grouped by insertion so train/val splits
 never share a hidden world.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -359,21 +360,27 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
                float(np.mean((_mlp_layers(params, Xva)[-1] - yva) ** 2)))
 
 
-def predict(model, obs: Observation, rng=None) -> float:
+def predict(model, obs: Observation) -> float:
     """Predict the normalized error y for one observation: a batch of one."""
     return float(_predict_batch(model, np.asarray(obs.pixels)[None],
-                                np.array([obs.truth_y]), rng)[0])
+                                np.array([obs.truth_y]))[0])
 
 
-def _predict_batch(model, images, truth_y, rng=None) -> np.ndarray:
+def _predict_batch(model, images, truth_y) -> np.ndarray:
     """Predictions for (n, r, r) images; an oracle reads truth_y instead."""
     if model.kind == "oracle":
         if model.noise_sigma > 0.0:
-            if rng is None:
-                raise InvalidConfig("oracle with noise_sigma > 0 needs an rng")
-            return truth_y + model.noise_sigma * rng.standard_normal(len(truth_y))
+            return truth_y + model.noise_sigma * _keyed_normals(images, truth_y)
         return truth_y
     return _predict_features(model, featurize(images, model.spec))
+
+
+def _keyed_normals(images, truth_y) -> np.ndarray:
+    """A standard normal per view, keyed by blake2b-128 of its pixel and truth_y bytes."""
+    keys = (hashlib.blake2b(img.tobytes() + np.float64(t).tobytes(), digest_size=16)
+            for img, t in zip(images, truth_y))
+    return np.array([np.random.default_rng(int(key.hexdigest(), 16)).standard_normal()
+                     for key in keys])
 
 
 def _predict_features(model, X) -> np.ndarray:
@@ -382,11 +389,11 @@ def _predict_features(model, X) -> np.ndarray:
     return _mlp_layers(model.params, X)[-1]
 
 
-def evaluate(model, ds: Dataset, rng=None) -> dict:
+def evaluate(model, ds: Dataset) -> dict:
     """Prediction metrics over a dataset: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    return _metrics(_predict_batch(model, ds.pixels(), ds.truth_y, rng), ds)
+    return _metrics(_predict_batch(model, ds.pixels(), ds.truth_y), ds)
 
 
 def _metrics(pred, ds: Dataset) -> dict:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AllInsertionsFailed, InvalidConfig, ModelsNotDeployed,
-                     ShapeMismatch, TooFewInsertions)
+from .errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
+                     ModelsNotDeployed, ShapeMismatch, TooFewInsertions)
 from .geometry import camera_to_dict, inplane_component, normalize_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
@@ -39,8 +39,11 @@ class CollectionConfig:
             raise InvalidConfig(
                 f"need 0 < train_insertions < n_insertions, got "
                 f"{self.train_insertions}/{self.n_insertions}")
-        if not (self.max_offset_mag > 0 and self.max_height >= 0):
-            raise InvalidConfig("offset/height ranges must be positive")
+        if not 0 < self.max_offset_mag < np.inf:
+            raise InvalidRadius(f"max_offset_mag must be finite and > 0, got "
+                                f"{self.max_offset_mag}")
+        if not 0 <= self.max_height < np.inf:
+            raise InvalidConfig(f"max_height must be finite and >= 0, got {self.max_height}")
 
 
 @dataclass(frozen=True)
@@ -201,15 +204,14 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
                         pattern, timing)[0]
 
 
-def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel,
-                 rngs=None) -> list:
+def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
+                 timing: TimingModel) -> list:
     """Insertion episodes of a batch of worlds, searched by one spiral_search.
 
     A world whose servo_cfg is None gives spiral_search's novs episode. Any
-    other runs the servo loop first (a noisy oracle drawing from its rngs
-    entry) and gives a vs episode: time_s covers both phases, the true and
-    the retrospective errors are measured from the original start, and the
-    post-servo retrospective error is the search's own.
+    other runs the servo loop first and gives a vs episode: time_s covers
+    both phases, the true and the retrospective errors are measured from the
+    original start, and the post-servo retrospective error is the search's.
     """
     before = {}  # world index -> start TCP, elapsed time, true error
     for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
@@ -218,7 +220,7 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel
                 raise ModelsNotDeployed("servo_then_spiral needs one deployed model "
                                         "per camera")
             before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
-            visual_servo(world, cfg, rngs[n] if rngs else None)
+            visual_servo(world, cfg)
     episodes = spiral_search(worlds, [w.tcp for w in worlds], pattern, timing)
     for n, (start_tcp, t0, true_err) in before.items():
         world, sp = worlds[n], episodes[n]

@@ -16,6 +16,7 @@ from .errors import InvalidRadius, InvalidTolerance, csv_text, write_artifact
 # Norms are rounded to this quantum before ordering so that lattice points on
 # the same ring compare equal despite float construction jitter.
 _NORM_QUANTUM = 1e-9
+_MAX_OFFSETS = 10**6  # the most a pattern may hold: ~150 MB of lattice arrays
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,10 @@ def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
         raise InvalidRadius(f"max_radius must be finite and >= 0, got {max_radius}")
     s = tolerance * np.sqrt(3.0)
     bound = max_radius + tolerance
+    # about 2 pi / sqrt(3) * (bound / s)**2 lattice points lie in the disc
+    if bound * bound * (2.0 * np.pi / np.sqrt(3.0)) > _MAX_OFFSETS * s * s:
+        raise InvalidTolerance(f"tolerance {tolerance} with max_radius {max_radius} "
+                               f"makes more than {_MAX_OFFSETS} offsets")
     # lattice basis (s, 0) and (s/2, s*sqrt(3)/2)
     jmax = int(np.ceil(bound / (s * np.sqrt(3.0) / 2.0))) + 1
     imax = int(np.ceil(bound / s)) + jmax + 1

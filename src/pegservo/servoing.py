@@ -57,7 +57,7 @@ class ServoStep(NamedTuple):
     ill_conditioned: bool
 
 
-def servo_step(world: WorldState, cfg: ServoConfig, rng=None) -> ServoStep:
+def servo_step(world: WorldState, cfg: ServoConfig) -> ServoStep:
     """One capture-predict-reconstruct-correct cycle.
 
     The correction is clamped to CLAMP_MM (flagged as saturated) to guard
@@ -65,7 +65,7 @@ def servo_step(world: WorldState, cfg: ServoConfig, rng=None) -> ServoStep:
     n_cams*(t_capture + t_infer) + t_move.
     """
     cams = cfg.calibration.cameras
-    y = tuple(predict(model, render(world, j, world.tcp), rng)
+    y = tuple(predict(model, render(world, j, world.tcp))
               for j, model in enumerate(cfg.models))
     q_mm = tuple(denormalize_error(yj, cam) for yj, cam in zip(y, cams))
     rec = reconstruct_error(cfg.calibration.error_directions, q_mm)
@@ -79,7 +79,7 @@ def servo_step(world: WorldState, cfg: ServoConfig, rng=None) -> ServoStep:
     return ServoStep(y, q_mm, e_hat, saturated, rec.ill_conditioned)
 
 
-def visual_servo(world: WorldState, cfg: ServoConfig, rng=None):
+def visual_servo(world: WorldState, cfg: ServoConfig):
     """Run exactly cfg.n_iters servo steps; returns (steps, residuals).
 
     residuals[i] is the true in-plane error after step i (simulation-only
@@ -87,7 +87,7 @@ def visual_servo(world: WorldState, cfg: ServoConfig, rng=None):
     """
     steps, residuals = [], []
     for _ in range(cfg.n_iters):
-        steps.append(servo_step(world, cfg, rng))
+        steps.append(servo_step(world, cfg))
         residuals.append(true_inplane_error(world))
     return steps, residuals
 

@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (ConstraintViolation, InvalidConfig, ShapeMismatch,
-                     read_artifact, write_artifact)
+from .errors import (ConstraintViolation, InvalidConfig, InvalidTolerance,
+                     ShapeMismatch, read_artifact, write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
                        inplane_component, normalize_error, project, unit,
@@ -113,23 +113,27 @@ class WorldConfig:
     peg_intensity: float | None = 0.9
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvalidConfig(f"tolerance must be > 0, got {self.tolerance}")
-        if self.hole_uncertainty_sigma < 0 or self.grasp_uncertainty_sigma < 0:
-            raise InvalidConfig("uncertainty sigmas must be >= 0")
-        if self.hover_height < 0:
-            raise InvalidConfig("hover_height must be >= 0")
+        if not 0 < self.tolerance < math.inf:
+            raise InvalidTolerance(f"tolerance must be finite and > 0, got {self.tolerance}")
+        for name in ("hole_uncertainty_sigma", "grasp_uncertainty_sigma", "hover_height"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.peg_intensity is not None and not math.isfinite(self.peg_intensity):
             raise InvalidConfig(f"peg_intensity must be finite, got {self.peg_intensity}")
         if self.component_style not in COMPONENT_STYLES:
             raise InvalidConfig(f"unknown component_style {self.component_style!r}; "
                                 f"expected one of {COMPONENT_STYLES}")
         l = np.asarray(self.insertion_direction, dtype=float)
-        if abs(np.linalg.norm(l) - 1.0) > 1e-6:
-            raise InvalidConfig("insertion_direction must be a unit vector")
+        if not abs(np.linalg.norm(l) - 1.0) <= 1e-6:  # a NaN fails too
+            raise InvalidConfig(f"insertion_direction must be a finite unit vector, got {l}")
         object.__setattr__(self, "insertion_direction", unit(l))
-        object.__setattr__(self, "nominal_hole",
-                           np.asarray(self.nominal_hole, dtype=float))
+        hole = np.asarray(self.nominal_hole, dtype=float)
+        if not np.isfinite(hole).all():
+            raise InvalidConfig(f"nominal_hole must be finite, got {hole}")
+        object.__setattr__(self, "nominal_hole", hole)
         cams = (tuple(self._camera(c) for c in self.cameras) if self.cameras
                 else default_cameras(self.nominal_hole, self.insertion_direction))
         if len(cams) < 2:

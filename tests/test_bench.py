@@ -76,8 +76,8 @@ def test_benchmark_is_deterministic_across_jobs():
 
 
 def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
-    # three blocks, so jobs=2 maps them over two processes; each vs episode
-    # draws its oracle noise from its own seeds
+    # three blocks, so jobs=2 maps them over two processes; an oracle's noise
+    # is keyed by each view it sees, so no row depends on its block
     cfg = _small_cfg(insertions_per_style_per_mode=20)
     assert len(cfg.component_styles) * 20 * len(cfg.modes) > 2 * bench._BLOCK
     noisy = {s: (OracleModel(noise_sigma=0.02), OracleModel(noise_sigma=0.02))
@@ -143,6 +143,8 @@ def test_bench_config_validation():
         BenchConfig(insertions_per_style_per_mode=0)
     with pytest.raises(InvalidConfig):
         BenchConfig(modes=("vs", "walk"))
+    with pytest.raises(InvalidConfig, match="seed"):
+        BenchConfig(seed=-1)
 
 
 # ---------------------------------------------------------------- fit

@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: exit codes, manifests, artifact round-trips."""
 
+import contextlib
+import io
 import json
 import math
+import pathlib
+import re
 import shutil
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pegservo
 from pegservo.cli import _write_json, main
@@ -241,8 +248,8 @@ def test_collect_manifest_echoes_the_seed_base(pipeline_dirs):
 
 
 def test_noisy_oracles_run_from_disk(pipeline_dirs, tmp_path, config_path):
-    # servo, evaluate and bench --models draw a noisy oracle's noise from
-    # fixed streams, so each run repeats its bytes
+    # a noisy oracle's noise is keyed by each view it sees, so servo,
+    # evaluate and bench --models repeat their bytes
     _, data, _ = pipeline_dirs
     for j in range(2):
         save_model(OracleModel(noise_sigma=0.05), tmp_path / "models" / _STYLE / f"cam{j}")
@@ -372,6 +379,57 @@ def test_non_finite_pattern_input_exits_1_with_typed_error(tmp_path, capsys, arg
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--seed", "-1"], None),
+    (["simulate"], {"world": {"seed": -1}}),
+    (["servo", "--models", "absent", "--seed", "-1"], None),
+    (["collect", "--seed", "-1"], None),
+    (["bench", "--train-seed", "-1"], {}),
+    (["bench"], {"bench": {"seed": -1}}),
+], ids=["simulate-seed", "world-seed", "servo-seed", "collect-seed-base",
+        "bench-train-seed", "bench-seed"])
+def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig:") and "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# one world key per example, set to a boundary value (a position's first
+# component, the insertion direction's last)
+_PROBE_KEYS = {**dict.fromkeys(["tolerance", "hole_uncertainty_sigma",
+                                "grasp_uncertainty_sigma", "hover_height",
+                                "peg_intensity", "seed"], lambda v: v),
+               "nominal_hole": lambda v: [v, 0.0, 0.0],
+               "insertion_direction": lambda v: [0.0, 0.0, v]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(sorted(_PROBE_KEYS)),
+       value=st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 1e-300]))
+def test_simulate_runs_or_fails_typed_before_any_output(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = pathlib.Path(tmp) / "config.json", pathlib.Path(tmp) / "out"
+        path.write_text(json.dumps({"world": {key: _PROBE_KEYS[key](value)}}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        if code == 0:
+            scene = json.loads((out / "scene.json").read_text())
+            numbers = [*scene["tcp"], scene["true_inplane_error_mm"], scene["seed"],
+                       *scene["truth_y"].values()]
+            assert all(math.isfinite(v) for v in numbers), scene
+        else:
+            assert code == 1
+            assert re.match(r"[A-Za-z]+: ", err.getvalue()), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not (out / "manifest.json").exists()
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Error regressors: features, training loop, early stopping, gradient
 check, IO."""
 
+import hashlib
 import json
 import math
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -43,17 +45,10 @@ def test_oracle_noiseless_returns_truth():
     assert evaluate(model, ds)["mse"] == 0.0
 
 
-def test_oracle_noise_needs_rng():
-    ds = synthetic_dataset(1, 1, 4, lambda x, rng: 0.0)
-    with pytest.raises(InvalidConfig):
-        predict(OracleModel(noise_sigma=0.1), observation(ds, 0))
-
-
 def test_oracle_noise_mse_matches_sigma_squared():
     sigma = 0.013
     ds = synthetic_dataset(10, 1000, 2, lambda x, rng: rng.normal())
-    rng = np.random.default_rng(5)
-    res = evaluate(OracleModel(noise_sigma=sigma), ds, rng=rng)
+    res = evaluate(OracleModel(noise_sigma=sigma), ds)
     assert res["mse"] == pytest.approx(sigma ** 2, rel=0.10)
 
 
@@ -507,12 +502,15 @@ def test_dataset_views_survive_save_and_load(ds, ids, cam):
             assert np.array_equal(ca.position, cb.position) and ca.f == cb.f
 
 
-def _reference_predict(model, obs, rng):
+def _reference_predict(model, obs):
     """predict as computed for one observation before it became a batch of one."""
     if model.kind == "oracle":
         y = obs.truth_y
-        if model.noise_sigma > 0.0:
-            y += model.noise_sigma * float(rng.standard_normal())
+        if model.noise_sigma > 0.0:  # one normal keyed by the observation's bytes
+            key = hashlib.blake2b(obs.pixels.tobytes() + struct.pack("<d", y),
+                                  digest_size=16)
+            y += model.noise_sigma * np.random.default_rng(
+                int(key.hexdigest(), 16)).standard_normal()
         return float(y)
     x = _reference_features(obs.pixels, model.spec)
     if model.kind == "ridge":
@@ -539,14 +537,32 @@ def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
         params = [draws.normal(size=s) for s in
                   [(d, hidden[0]), hidden[0], hidden, hidden[1], (hidden[1], 1), 1]]
         model = MlpModel(params=params, spec=spec, hidden=hidden)
-    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
     ys = []
     for i in range(len(images)):
         obs = Observation(pixels=images[i], truth_y=float(truth[i]))
-        y = predict(model, obs, got)
-        assert repr(y) == repr(_reference_predict(model, obs, want))
+        y = predict(model, obs)
+        assert repr(y) == repr(_reference_predict(model, obs))
         ys.append(y)
     if kind == "oracle":
-        # the batch draws its noise in row order, as successive predicts do
-        rows = _predict_batch(model, images, truth, np.random.default_rng(seed))
-        assert np.array(ys).tobytes() == rows.tobytes()
+        assert np.array(ys).tobytes() == _predict_batch(model, images, truth).tobytes()
+
+
+_COLUMNS = ("insertion_id", "camera_index", "y", "truth_y", "q_mm", "height_mm")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge labels
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), sigma=st.floats(1e-3, 10.0), data=st.data())
+def test_noisy_oracle_prediction_is_a_function_of_its_observation(ds, sigma, data):
+    # repeatable, and the same in any batch: reordered, subset or repeated rows
+    model = OracleModel(noise_sigma=sigma)
+    ys = [predict(model, observation(ds, i)) for i in range(len(ds))]
+    assert ys == [predict(model, observation(ds, i)) for i in range(len(ds))]
+    if len(ds) == 0:
+        return
+    sel = np.array(data.draw(st.lists(st.integers(0, len(ds) - 1), min_size=1)))
+    batch = replace(ds, rows=ds.rows[sel], **{c: getattr(ds, c)[sel] for c in _COLUMNS})
+    rows = _predict_batch(model, batch.pixels(), batch.truth_y)
+    assert rows.tobytes() == np.array(ys)[sel].tobytes()
+    mse = float(np.mean((np.array(ys)[sel] - batch.y) ** 2))
+    assert repr(evaluate(model, batch)["mse"]) == repr(mse)

@@ -10,13 +10,14 @@ import pegservo.pipeline
 import pegservo.servoing
 import pegservo.sim
 from conftest import RIDGE_HYPER, led_factory
-from pegservo.errors import (AllInsertionsFailed, InvalidConfig,
+from pegservo.errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
                              ModelsNotDeployed, TooFewInsertions)
 from pegservo.geometry import error_direction, normalize_error, vec3
 from pegservo.perception import OracleModel, TrainConfig, evaluate
 from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, insert,
-                               split_by_insertion, train_per_camera)
+                               insert_batch, split_by_insertion,
+                               train_per_camera)
 from pegservo.search import generate_pattern
 from pegservo.servoing import servo_config_for, visual_servo
 from pegservo.sim import (TimingModel, WorldConfig, default_cameras,
@@ -84,6 +85,11 @@ def test_collection_config_validation():
         CollectionConfig(train_insertions=10, n_insertions=10)
     with pytest.raises(InvalidConfig):
         CollectionConfig(max_offset_mag=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidRadius):
+            CollectionConfig(max_offset_mag=bad)
+        with pytest.raises(InvalidConfig):
+            CollectionConfig(max_height=bad)
 
 
 def test_error_directions_are_computed_once_per_config(monkeypatch):
@@ -297,6 +303,25 @@ def test_insert_servo_then_spiral_exact_time():
     assert out.time_s == pytest.approx(1.549, abs=1e-9)
     assert out.retrospective_error_mm == pytest.approx(1.0, abs=1e-9)
     assert out.post_servo_retrospective_error_mm <= 1e-9
+
+
+def test_insert_runs_a_noisy_oracle():
+    # each view keys its own noise, so the episode is the same alone or in a batch
+    models = (OracleModel(noise_sigma=0.01), OracleModel(noise_sigma=0.01))
+    pattern, timing = generate_pattern(0.1, 1.0), TimingModel()
+
+    def off_world(seed):
+        w = new_world(WorldConfig(seed=seed))
+        move_tcp(w, w.tcp + w.basis @ np.array([0.8, -0.6]))
+        return w
+
+    w = off_world(3)
+    out = insert(w, "servo_then_spiral", servo_config_for(w, models), pattern, timing)
+    assert out.mode == "vs" and out.success
+    assert out.post_servo_retrospective_error_mm > 0.1  # the noise reached the servo
+    ws = [off_world(s) for s in (5, 3)]
+    batch = insert_batch(ws, [servo_config_for(w, models) for w in ws], pattern, timing)
+    assert repr(batch[1]) == repr(out)
 
 
 def test_insert_spiral_only_time_scale():

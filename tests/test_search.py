@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
-from pegservo.search import (covering_radius, generate_pattern,
+from pegservo.search import (_MAX_OFFSETS, covering_radius, generate_pattern,
                              write_pattern_csv)
 
 S = 0.1 * math.sqrt(3.0)  # spacing for eps = 0.1
@@ -126,6 +126,15 @@ def test_invalid_inputs():
     for max_radius in (math.inf, math.nan):
         with pytest.raises(InvalidRadius):
             generate_pattern(0.1, max_radius)
+
+
+def test_oversized_pattern_is_refused_before_allocating():
+    # about 2 pi / sqrt(3) * ((max_radius + tol) / (tol sqrt 3))**2 lattice points
+    for tolerance, max_radius in ((1e-300, 1.0), (5e-324, 0.5), (0.001, 5.0), (0.1, 1e300)):
+        with pytest.raises(InvalidTolerance, match="more than"):
+            generate_pattern(tolerance, max_radius)
+    # the refusal sits far above the default tolerance's patterns
+    assert 10 * len(generate_pattern(0.1, 10.0)) < _MAX_OFFSETS
 
 
 def test_pattern_csv(tmp_path):

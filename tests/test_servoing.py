@@ -68,7 +68,7 @@ def test_noisy_oracle_residual_bound():
         theta = rng.uniform(0, 2 * np.pi)
         w = _world_with_error([math.cos(theta), math.sin(theta)], seed=seed)
         cfg = servo_config_for(w, models, n_iters=1)
-        servo_step(w, cfg, rng=rng)
+        servo_step(w, cfg)
         assert true_inplane_error(w) < 0.2 * 1.0, seed
 
 
@@ -94,19 +94,22 @@ def test_contraction_under_miscalibration():
 
 
 def test_more_iterations_do_not_hurt():
-    models = (OracleModel(noise_sigma=0.01), OracleModel(noise_sigma=0.01))
-
-    def mean_final(n_iters):
-        finals = []
-        for seed in range(50):
-            rng = np.random.default_rng(30_000 + seed)
-            w = _world_with_error([0.8, -0.6], seed=seed)
-            cfg = servo_config_for(w, models, n_iters=n_iters)
-            _, residuals = visual_servo(w, cfg, rng=rng)
-            finals.append(residuals[-1])
-        return float(np.mean(finals))
-
-    assert mean_final(3) <= mean_final(1)
+    # a calibrated noisy oracle lands at the noise floor in one step, and later
+    # steps stay there: each camera reads its error with std sigma*r*z/f mm, so
+    # the residual is Rayleigh, mean floor*sqrt(pi/2); every iteration's mean
+    # over 50 worlds lies within 3 standard errors of it, and does not diverge
+    sigma = 0.01
+    models = (OracleModel(noise_sigma=sigma), OracleModel(noise_sigma=sigma))
+    residuals = []
+    for seed in range(50):
+        w = _world_with_error([0.8, -0.6], seed=seed)
+        residuals.append(visual_servo(w, servo_config_for(w, models))[1])
+    floor = {sigma * cam.r * cam.z / cam.f for cam in w.config.cameras}
+    assert len(floor) == 1
+    floor = floor.pop()  # 0.32 mm
+    mean, sd = floor * math.sqrt(math.pi / 2.0), floor * math.sqrt((4.0 - math.pi) / 2.0)
+    for after in np.mean(residuals, axis=0):
+        assert abs(after - mean) <= 3.0 * sd / math.sqrt(50), (after, mean)
 
 
 def test_iterations_reduce_miscalibration_error():
@@ -118,14 +121,13 @@ def test_iterations_reduce_miscalibration_error():
     models = (OracleModel(noise_sigma=0.001), OracleModel(noise_sigma=0.001))
     residuals = []
     for seed in range(50):
-        rng = np.random.default_rng(40_000 + seed)
         w = _world_with_error([0.8, -0.6], seed=seed)
         believed = tuple(
             aimed_camera(R @ cam.position, w.nominal_hole, L, cam.f, cam.r)
             for cam in w.config.cameras)
         cfg = ServoConfig(models=models,
                           calibration=replace(w.config, cameras=believed))
-        residuals.append(visual_servo(w, cfg, rng=rng)[1])
+        residuals.append(visual_servo(w, cfg)[1])
     after_1, _, after_3 = np.mean(residuals, axis=0)
     assert after_3 < after_1
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo.errors import ConstraintViolation, InvalidConfig
+from pegservo.errors import ConstraintViolation, InvalidConfig, InvalidTolerance
 from pegservo.geometry import (aimed_camera, camera_to_dict,
                                denormalize_error, error_direction,
                                inplane_basis, normalize_error, project,
@@ -115,6 +115,26 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidConfig, match="peg_intensity"):
             WorldConfig(peg_intensity=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values_by_name(bad):
+    with pytest.raises(InvalidTolerance):
+        WorldConfig(tolerance=bad)
+    for name in ("hole_uncertainty_sigma", "grasp_uncertainty_sigma", "hover_height"):
+        with pytest.raises(InvalidConfig, match=name):
+            WorldConfig(**{name: bad})
+    # a non-finite position is named as such, not reported as a bad camera
+    with pytest.raises(InvalidConfig, match="nominal_hole must be finite"):
+        WorldConfig(nominal_hole=vec3(bad, 0.0, 0.0))
+    with pytest.raises(InvalidConfig, match="insertion_direction must be a finite unit"):
+        WorldConfig(insertion_direction=vec3(0.0, 0.0, bad))
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(InvalidConfig, match="seed"):
+        WorldConfig(seed=-1)
+    assert WorldConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
@@ -325,8 +345,9 @@ def test_spiral_warns_on_tolerance_mismatch():
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), tol=st.one_of(st.floats(1e-12, 10.0), st.just(math.inf)))
+@given(data=st.data(), tol=st.floats(1e-12, 10.0))
 def test_spiral_warns_exactly_when_np_isclose_says_false(data, tol):
+    # a world's tolerance is finite (WorldConfig rejects inf); a pattern's may be anything
     got = data.draw(st.one_of(
         st.floats(),  # nan and +-inf included
         st.just(tol),

@@ -134,6 +134,28 @@ def test_error_directions_come_from_the_world_config(path):
     assert _calls_of(path.read_text(), "error_direction") == []
 
 
+def _rng_parameters(source: str) -> list:
+    """Parameters named rng or rngs, as "function.parameter (line)"."""
+    return sorted(f"{node.name}.{arg.arg} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for arg in (*node.args.posonlyargs, *node.args.args,
+                              *node.args.kwonlyargs, node.args.vararg, node.args.kwarg)
+                  if arg is not None and arg.arg in ("rng", "rngs"))
+
+
+def test_rng_parameter_is_detected():
+    assert _rng_parameters("def f(x, rng=None): pass\nasync def g(*, rngs): pass\n"
+                           "def h(*rng): pass\ndef i(rng_seed, **kw): pass\n") == [
+        "f.rng (line 1)", "g.rngs (line 2)", "h.rng (line 3)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_function_takes_an_rng(path):
+    # randomness is seeded inside, from data or config: a caller threads no stream
+    assert _rng_parameters(path.read_text()) == []
+
+
 def test_import_loads_no_costly_module():
     # scipy and concurrent.futures cost a large share of start-up; only
     # covering_radius and a multi-job benchmark import them, when called
