@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import PegServoError
 from .geometry import (CameraModel, aimed_camera, error_direction,
                        inplane_basis, reconstruct_error, scalar_error)
-from .search import SearchPattern, covering_radius, generate_pattern
+from .search import SearchPattern, generate_pattern
 from .sim import (COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
                   WorldState, new_world, render, render_batch, spiral_insert,
                   spiral_search)
@@ -23,7 +23,7 @@ __all__ = [
     "__version__", "PegServoError",
     "CameraModel", "aimed_camera", "error_direction", "inplane_basis",
     "reconstruct_error", "scalar_error",
-    "SearchPattern", "covering_radius", "generate_pattern",
+    "SearchPattern", "generate_pattern",
     "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "WorldState",
     "new_world", "render", "render_batch", "spiral_insert", "spiral_search",
     "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",

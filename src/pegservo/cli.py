@@ -105,8 +105,8 @@ def _load_models(models_dir) -> tuple:
 
 def cmd_pattern(ns) -> int:
     echo = {"tolerance": ns.tolerance, "max_radius": ns.max_radius}
-    _write_manifest(ns.out, "pattern", ns, echo, ["pattern.csv"])
     pattern = generate_pattern(ns.tolerance, ns.max_radius)
+    _write_manifest(ns.out, "pattern", ns, echo, ["pattern.csv"])
     write_pattern_csv(pattern, os.path.join(ns.out, "pattern.csv"))
     print(f"pattern: {len(pattern)} offsets, spacing {pattern.spacing:.6f} mm "
           f"-> {ns.out}/pattern.csv")
@@ -144,9 +144,9 @@ def cmd_collect(ns) -> int:
     ccfg, template = sections["collection"], _world_config(sections, seed=ns.seed)
     echo = {"world": config_to_dict(template),
             "collection": config_to_dict(ccfg), "seed_base": ns.seed}
+    pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
                                                   "dataset/images.bin"])
-    pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
 
     def factory(i):
         return new_world(replace(template, seed=ns.seed + i))
@@ -262,6 +262,9 @@ def cmd_bench(ns) -> int:
                   world_template=sections["world"])
     echo = {"bench": config_to_dict(cfg), "timing": config_to_dict(cfg.timing),
             "world": config_to_dict(cfg.world_template)}
+    generate_pattern(cfg.tolerance, cfg.error_disc_radius)  # memoized: fails before output
+    if MODE_VS in cfg.modes and ns.models is None:
+        generate_pattern(cfg.tolerance, sections["collection"].max_offset_mag)
     _write_manifest(ns.out, "bench", ns, echo, _BENCH_OUTPUTS)
     models = _bench_models(ns, cfg, sections)
     report = run_benchmark(cfg, models)

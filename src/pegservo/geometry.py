@@ -55,9 +55,15 @@ def inplane_basis(l: np.ndarray) -> np.ndarray:
 
 
 def inplane_component(v: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Project v onto the plane perpendicular to l."""
-    l = np.asarray(l, dtype=float)
-    return np.asarray(v, dtype=float) - np.dot(v, l) * l
+    """Project rows v (..., 3) onto the plane perpendicular to l (shared or per row)."""
+    v, l = np.asarray(v, dtype=float), np.asarray(l, dtype=float)
+    return v - (v[..., None, :] @ l[..., :, None])[..., 0] * l
+
+
+def inplane_norm(v: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Per row, np.linalg.norm(inplane_component(v, l))."""
+    e = inplane_component(v, l)
+    return np.sqrt((e[..., None, :] @ e[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,10 @@ def error_direction(l: np.ndarray, view: np.ndarray) -> np.ndarray:
     return c / n
 
 
-def scalar_error(e: np.ndarray, u: np.ndarray) -> float:
-    """Scalar in-plane error q = e . u observed along direction u (mm)."""
-    return float(np.dot(np.asarray(e, dtype=float), np.asarray(u, dtype=float)))
+def scalar_error(e: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the scalar in-plane error q = e . u (mm) seen along u (shared or per row)."""
+    e, u = np.asarray(e, dtype=float), np.asarray(u, dtype=float)
+    return (e[..., None, :] @ u[..., :, None])[..., 0, 0][()]  # [()]: one row's is a scalar
 
 
 def normalize_error(q: float, cam: CameraModel) -> float:

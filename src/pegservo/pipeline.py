@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
                      ModelsNotDeployed, ShapeMismatch, TooFewInsertions)
-from .geometry import camera_to_dict, inplane_component, normalize_error
+from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
@@ -85,7 +85,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     for i, world in enumerate(worlds):
         if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
             raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
-    outcomes = spiral_search(worlds, [w.tcp for w in worlds], pattern, TimingModel())
+    outcomes = spiral_search(worlds, pattern, TimingModel())
     for i, outcome in enumerate(outcomes):
         if not outcome.success:
             log.warning("collection insertion %d failed after %d attempts; skipped",
@@ -102,12 +102,10 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         theta, mag, height = (world.rng.random((k, 3))
                               * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
         offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
-        # stacked mat-vecs and dot products: per row, the kernels of one
-        # sample's basis @ offset and np.dot, so the bits are the per-sample ones
+        # stacked mat-vecs: per row, one sample's basis @ offset, bit for bit
         moves = (world.basis @ offsets[:, :, None])[:, :, 0]
         tcps = world.tcp + moves - height[:, None] * world.config.insertion_direction
-        U = np.array(world.config.error_directions)
-        q_mm[n] = ((-moves)[:, None, None, :] @ U[:, :, None])[:, :, 0, 0]
+        q_mm[n] = scalar_error(-moves[:, None, :], np.array(world.config.error_directions))
         height_mm[n] = height[:, None]
         for j, cam in enumerate(cameras):  # truth_y comes with the pixels
             y[n, :, j] = normalize_error(q_mm[n, :, j], cam)
@@ -221,11 +219,10 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
                                         "per camera")
             before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
             visual_servo(world, cfg)
-    episodes = spiral_search(worlds, [w.tcp for w in worlds], pattern, timing)
+    episodes = spiral_search(worlds, pattern, timing)
     for n, (start_tcp, t0, true_err) in before.items():
         world, sp = worlds[n], episodes[n]
-        retro = (np.linalg.norm(inplane_component(world.tcp - start_tcp,
-                                                  world.config.insertion_direction))
+        retro = (inplane_norm(world.tcp - start_tcp, world.config.insertion_direction)
                  if sp.success else np.nan)
         episodes[n] = replace(sp, mode=MODE_VS, retrospective_error_mm=float(retro),
                               true_error_mm=true_err, time_s=world.elapsed_time - t0,

@@ -72,30 +72,6 @@ def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
                          tolerance=float(tolerance), max_radius=float(max_radius))
 
 
-def covering_radius(pattern: SearchPattern, region_radius: float,
-                    grid_step: float) -> float:
-    """Worst-case distance from any point of the search disc to the pattern.
-
-    Dense-samples the disc of region_radius on a square grid of pitch
-    grid_step and returns the maximum nearest-offset distance. A value
-    <= tolerance certifies the coverage guarantee at the sampled density.
-    """
-    if not grid_step > 0:
-        raise InvalidRadius(f"grid_step must be > 0, got {grid_step}")
-    if region_radius < 0:
-        raise InvalidRadius(f"region_radius must be >= 0, got {region_radius}")
-    axis = np.arange(-region_radius, region_radius + grid_step / 2.0, grid_step)
-    gx, gy = np.meshgrid(axis, axis)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= region_radius + 1e-12]
-    if len(pts) == 0:
-        pts = np.zeros((1, 2))
-    from scipy.spatial import cKDTree  # costly import, needed only here
-    tree = cKDTree(pattern.offsets)
-    dists, _ = tree.query(pts, k=1)
-    return float(np.max(dists))
-
-
 def write_pattern_csv(pattern: SearchPattern, path) -> None:
     write_artifact(path, csv_text(["index", "dx_mm", "dy_mm"],
                                   [(k, *xy) for k, xy in enumerate(pattern.offsets)]))

@@ -20,8 +20,8 @@ from .errors import (ConstraintViolation, InvalidConfig, InvalidTolerance,
                      ShapeMismatch, read_artifact, write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
-                       inplane_component, normalize_error, project, unit,
-                       vec3)
+                       inplane_component, inplane_norm, normalize_error,
+                       project, scalar_error, unit, vec3)
 
 COMPONENT_STYLES = ("pin_header", "led", "cap_small", "dsub", "cap_large")
 
@@ -91,8 +91,9 @@ class WorldConfig:
 
     tolerance is the insertion clearance (mm): an attempt succeeds iff the
     in-plane peg-hole distance is <= tolerance. hole/grasp uncertainty sigmas
-    feed the hidden per-world draws; new_world applies no further start
-    error (the benchmark's start-error disc is BenchConfig.error_disc_radius).
+    (below every camera's depth) feed the hidden per-world draws, and the
+    approach pose hover_height above the hole is in front of every camera;
+    new_world adds no start error (the benchmark's is BenchConfig.error_disc_radius).
     peg_intensity=None renders no peg marking at all (contrast ablation for
     gate tests); otherwise it must be finite.
 
@@ -115,10 +116,6 @@ class WorldConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise InvalidTolerance(f"tolerance must be finite and > 0, got {self.tolerance}")
-        for name in ("hole_uncertainty_sigma", "grasp_uncertainty_sigma", "hover_height"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.peg_intensity is not None and not math.isfinite(self.peg_intensity):
@@ -138,10 +135,19 @@ class WorldConfig:
                 else default_cameras(self.nominal_hole, self.insertion_direction))
         if len(cams) < 2:
             raise InvalidConfig("need at least two cameras")
+        depth = min(cam.z for cam in cams)  # a draw past a camera's depth can land behind it
+        for name, below in (("hole_uncertainty_sigma", depth),
+                            ("grasp_uncertainty_sigma", depth), ("hover_height", math.inf)):
+            value = getattr(self, name)
+            if not 0 <= value < below:
+                raise InvalidConfig(f"{name} must be >= 0 and below {below}, got {value}")
+        approach = self.nominal_hole - self.hover_height * self.insertion_direction
         for cam in cams:
-            view = self.nominal_hole - cam.position
-            if np.dot(cam.optical_axis, view) <= 0:
+            if np.dot(cam.optical_axis, self.nominal_hole - cam.position) <= 0:
                 raise InvalidConfig("camera does not face the work area")
+            if np.dot(cam.optical_axis, approach - cam.position) <= 0:
+                raise InvalidConfig(f"hover_height {self.hover_height} puts the approach "
+                                    "pose behind a camera")
         object.__setattr__(self, "cameras", cams)
 
     @cached_property
@@ -235,9 +241,8 @@ def peg_position(world: WorldState, tcp=None) -> np.ndarray:
 
 def true_inplane_error(world: WorldState, tcp=None) -> float:
     """Hidden in-plane peg-to-hole distance (mm). Diagnostic only."""
-    e = inplane_component(world.true_hole - peg_position(world, tcp),
-                          world.config.insertion_direction)
-    return float(np.linalg.norm(e))
+    return float(inplane_norm(world.true_hole - peg_position(world, tcp),
+                              world.config.insertion_direction))
 
 
 def move_tcp(world: WorldState, new_tcp) -> None:
@@ -363,11 +368,8 @@ def render_batch(world: WorldState, camera_index: int, tcps):
             [cfg.seed, camera_index, *bits]))
         img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
 
-    # per row the kernels of inplane_component and scalar_error, stacked
     l, u = cfg.insertion_direction, cfg.error_directions[camera_index]
-    v = world.true_hole - pegs
-    e = v - (v[:, None, :] @ l[:, None])[:, 0] * l
-    truth_y = normalize_error((e[:, None, :] @ u[:, None])[:, 0, 0], cam)
+    truth_y = normalize_error(scalar_error(inplane_component(world.true_hole - pegs, l), u), cam)
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
     return img.astype(np.float32), truth_y
 
@@ -401,34 +403,27 @@ class Episode:
 
 def spiral_insert(world: WorldState, start_tcp, pattern,
                   timing: TimingModel) -> Episode:
-    """spiral_search of one world: a batch of one."""
-    return spiral_search([world], [start_tcp], pattern, timing)[0]
+    """move_tcp to start_tcp, then spiral_search of this one world: a batch of one."""
+    move_tcp(world, start_tcp)
+    return spiral_search([world], pattern, timing)[0]
 
 
-def _inplane_norms(v, ls) -> np.ndarray:
-    """Per row np.linalg.norm(inplane_component(v[i], ls[i])), bit for bit:
-    the same dot kernels, stacked."""
-    e = v - (v[:, None, :] @ ls[:, :, None])[:, 0] * ls
-    return np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
-
-
-def spiral_search(worlds, starts, pattern, timing: TimingModel) -> list:
-    """Per world, try pattern offsets from its start in order until one inserts.
+def spiral_search(worlds, pattern, timing: TimingModel) -> list:
+    """Per world, try pattern offsets from its TCP in order until one inserts.
 
     Charges t_attempt per attempt. A world's TCP ends at its hit, or back at
     its start with a nan retrospective error. Returns one novs Episode per
-    world, its true error measured at the start. A start that is not finite
-    or not in-plane raises before any attempt is counted.
+    world, its true error measured at the start.
 
     One stacked pass screens every world's offsets by the squared in-plane
     peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which
     differs from the per-attempt arithmetic by a few ulps of the largest
     coordinate: every offset that would insert passes within a 1e-9 relative
     slack of the tolerance. Candidates are confirmed with the per-attempt
-    arithmetic (start + basis @ offset, then true_inplane_error), stacked
-    with the same kernels, and a world's first confirmed offset is its hit,
-    so every result is bit-identical to trying the offsets one by one. Each
-    world's path is checked for out-of-plane motion.
+    arithmetic (start + basis @ offset, then true_inplane_error's
+    inplane_norm, on stacked rows), and a world's first confirmed offset is
+    its hit, so every result is bit-identical to trying the offsets one by
+    one. Each world's path is checked for out-of-plane motion.
     """
     offsets, got = pattern.offsets, float(pattern.tolerance)
     for world in worlds:
@@ -436,14 +431,11 @@ def spiral_search(worlds, starts, pattern, timing: TimingModel) -> list:
         # np.isclose(got, tol) on two floats, without its array overhead
         if not (got == tol or abs(got - tol) <= 1e-8 + 1e-5 * abs(tol) and math.isfinite(tol)):
             warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
-    starts = [np.asarray(s, dtype=float) for s in starts]
-    for world, start in zip(worlds, starts, strict=True):
-        move_tcp(world, start)
     if not worlds:
         return []
     bases, ls, holes, origins, grasps = (np.stack(a) for a in zip(*(
-        (w.basis, w.config.insertion_direction, w.true_hole, start, w.grasp_offset)
-        for w, start in zip(worlds, starts))))
+        (w.basis, w.config.insertion_direction, w.true_hole, w.tcp, w.grasp_offset)
+        for w in worlds)))
     tols = np.array([w.config.tolerance for w in worlds])
     shift = (bases @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
     pegs = origins + shift  # peg_position at each start
@@ -454,19 +446,19 @@ def spiral_search(worlds, starts, pattern, timing: TimingModel) -> list:
                        np.maximum(np.abs(holes).max(axis=1), np.abs(pegs).max(axis=1)))
     wi, ki = np.nonzero(screen <= np.square(tols + 1e-9 * (tols + scale))[:, None])
     tcps = origins[wi] + (bases[wi] @ offsets[ki][:, :, None])[:, :, 0]
-    confirmed = _inplane_norms(holes[wi] - (tcps + shift[wi]), ls[wi]) <= tols[wi]
+    confirmed = inplane_norm(holes[wi] - (tcps + shift[wi]), ls[wi]) <= tols[wi]
     wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
     hit, first = np.unique(wi, return_index=True)  # wi is in pattern order per world
     success = np.zeros(len(worlds), dtype=bool)
     attempts, finals = np.full(len(worlds), len(offsets)), origins.copy()
     success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
-    retros = np.where(success, _inplane_norms(finals - origins, ls), np.nan)
-    true_errors = _inplane_norms(holes - pegs, ls)
+    retros = np.where(success, inplane_norm(finals - origins, ls), np.nan)
+    true_errors = inplane_norm(holes - pegs, ls)
     # a world's path runs through a prefix of its basis's moves: the rows of
     # one product per shared basis
     moves = {id(b): offsets @ b.T for b in {id(w.basis): w.basis for w in worlds}.values()}
     episodes = []
-    for n, (world, start) in enumerate(zip(worlds, starts)):
+    for n, (world, start) in enumerate(zip(worlds, origins)):
         cfg, n_att, ok = world.config, int(attempts[n]), bool(success[n])
         path = np.concatenate((start[None, :], start + moves[id(world.basis)][:n_att])
                               + (() if ok else (start[None, :],)))

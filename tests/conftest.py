@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pegservo.geometry import CameraModel, vec3
 from pegservo.perception import Dataset, TrainConfig, train
@@ -35,6 +36,23 @@ def synthetic_dataset(n_insertions, per_insertion, r, label_fn, seed=0,
                    camera_index=zeros, y=y, truth_y=y.copy(),
                    q_mm=zeros.astype(float), height_mm=zeros.astype(float),
                    cameras=(cam,))
+
+
+def covering_radius(pattern, region_radius, grid_step):
+    """Worst-case distance from any point of the search disc to the pattern.
+
+    Dense-samples the disc of region_radius on a square grid of pitch
+    grid_step and returns the maximum nearest-offset distance. A value
+    <= tolerance certifies the coverage guarantee at the sampled density.
+    """
+    axis = np.arange(-region_radius, region_radius + grid_step / 2.0, grid_step)
+    gx, gy = np.meshgrid(axis, axis)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= region_radius + 1e-12]
+    if len(pts) == 0:
+        pts = np.zeros((1, 2))
+    dists, _ = cKDTree(pattern.offsets).query(pts, k=1)
+    return float(np.max(dists))
 
 
 def observation(ds, i):

@@ -410,26 +410,79 @@ _PROBE_KEYS = {**dict.fromkeys(["tolerance", "hole_uncertainty_sigma",
                "insertion_direction": lambda v: [0.0, 0.0, v]}
 
 
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(sorted(_PROBE_KEYS)),
-       value=st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 1e-300]))
-def test_simulate_runs_or_fails_typed_before_any_output(key, value):
+_PROBE_VALUES = st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 1e-300, 1e300, "x"])
+
+
+def _probe(subcommand, config, check_outputs):
+    """Run the subcommand on the config through cli.main: either exit 0 and
+    check_outputs(out) holds, or exit 1 with "ErrorClass: message", no
+    traceback and no manifest.json."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = pathlib.Path(tmp) / "config.json", pathlib.Path(tmp) / "out"
-        path.write_text(json.dumps({"world": {key: _PROBE_KEYS[key](value)}}))
+        path.write_text(json.dumps(config))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            code = main([subcommand, "--config", str(path), "--out", str(out)])
         if code == 0:
-            scene = json.loads((out / "scene.json").read_text())
-            numbers = [*scene["tcp"], scene["true_inplane_error_mm"], scene["seed"],
-                       *scene["truth_y"].values()]
-            assert all(math.isfinite(v) for v in numbers), scene
+            check_outputs(out)
         else:
             assert code == 1
             assert re.match(r"[A-Za-z]+: ", err.getvalue()), err.getvalue()
             assert "Traceback" not in err.getvalue()
             assert not (out / "manifest.json").exists()
+
+
+def _finite_scene(out):
+    scene = json.loads((out / "scene.json").read_text())
+    numbers = [*scene["tcp"], scene["true_inplane_error_mm"], scene["seed"],
+               *scene["truth_y"].values()]
+    assert all(math.isfinite(v) for v in numbers), scene
+
+
+def _finite_dataset(out):
+    data = load_dataset(out / "dataset")
+    assert len(data) > 0
+    for values in (data.images, data.y, data.truth_y, data.q_mm, data.height_mm):
+        assert np.isfinite(values).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(sorted(_PROBE_KEYS)), value=_PROBE_VALUES)
+def test_simulate_runs_or_fails_typed_before_any_output(key, value):
+    _probe("simulate", {"world": {key: _PROBE_KEYS[key](value)}}, _finite_scene)
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(sorted(_PROBE_KEYS)), value=_PROBE_VALUES)
+def test_collect_runs_or_fails_typed_before_any_output(key, value):
+    _probe("collect", {"world": {key: _PROBE_KEYS[key](value)},
+                       "collection": {"n_insertions": 2, "samples_per_insertion": 1,
+                                      "train_insertions": 1}}, _finite_dataset)
+
+
+@pytest.mark.parametrize("argv, world, error", [
+    (["simulate"], {"hover_height": 800.0}, "InvalidConfig:"),
+    (["collect"], {"hover_height": 800.0}, "InvalidConfig:"),
+    (["simulate"], {"hover_height": 1e300}, "InvalidConfig:"),
+    (["simulate"], {"hole_uncertainty_sigma": 1e300}, "InvalidConfig:"),
+    (["collect"], {"grasp_uncertainty_sigma": 1e300}, "InvalidConfig:"),
+    (["collect"], {"tolerance": 1e-300}, "InvalidTolerance:"),
+    (["bench"], {"tolerance": 1e-300}, "InvalidTolerance:"),
+    (["pattern", "--tolerance", "1e-300"], None, "InvalidTolerance:"),
+], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
+        "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
+        "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300"])
+def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
+                                                         world, error):
+    # each of these once wrote manifest.json and then failed mid-run
+    if world is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"world": world}))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

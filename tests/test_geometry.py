@@ -13,8 +13,9 @@ from pegservo.geometry import (RANK_RATIO, CameraModel, _cross, aimed_camera,
                                camera_from_dict,
                                camera_to_dict, denormalize_error,
                                error_direction, inplane_basis,
-                               inplane_component, normalize_error, project,
-                               reconstruct_error, scalar_error, vec3)
+                               inplane_component, inplane_norm,
+                               normalize_error, project, reconstruct_error,
+                               scalar_error, unit, vec3)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -250,6 +251,37 @@ def test_inplane_basis_and_component():
     ip = inplane_component(v, L)
     assert abs(np.dot(ip, L)) <= 1e-12
     assert np.allclose(ip, vec3(0.3, -0.7, 0.0), atol=1e-12)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_coordinates = st.floats(-1e100, 1e100)
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda d: math.hypot(*d) > 0.1).map(unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.lists(st.tuples(*[_coordinates] * 3), max_size=8),
+       per_row=st.booleans())
+def test_stacked_kernels_are_their_rows_bit_for_bit(data, rows, per_row):
+    v = np.array(rows, dtype=float).reshape(-1, 3)
+    if per_row:
+        l = np.array(data.draw(st.lists(_directions, min_size=len(v),
+                                        max_size=len(v)))).reshape(-1, 3)
+    else:
+        l = data.draw(_directions)
+    component, norm, q = inplane_component(v, l), inplane_norm(v, l), scalar_error(v, l)
+    assert component.shape == v.shape and norm.shape == q.shape == (len(v),)
+    for i, vi in enumerate(v):
+        li = l[i] if per_row else l
+        # each row is the one-vector call, which is the one-vector numpy spelling
+        e = vi - np.dot(vi, li) * li
+        assert _bits(component[i]) == _bits(inplane_component(vi, li)) == _bits(e)
+        assert _bits(norm[i]) == _bits(inplane_norm(vi, li)) == _bits(np.linalg.norm(e))
+        assert _bits(q[i]) == _bits(scalar_error(vi, li)) == _bits(np.dot(vi, li))
+        assert isinstance(scalar_error(vi, li), float) and isinstance(inplane_norm(vi, li), float)
 
 
 def test_camera_dict_roundtrip():

@@ -173,9 +173,9 @@ def test_collection_rejects_worlds_with_other_cameras():
 def test_collection_searches_once_and_keeps_only_inserted_samples(monkeypatch):
     searches = []
 
-    def counted(worlds, starts, pattern, timing):
+    def counted(worlds, pattern, timing):
         searches.append([w.config.seed for w in worlds])
-        return pegservo.sim.spiral_search(worlds, starts, pattern, timing)
+        return pegservo.sim.spiral_search(worlds, pattern, timing)
 
     monkeypatch.setattr(pegservo.pipeline, "spiral_search", counted)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import covering_radius
 from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
-from pegservo.search import (_MAX_OFFSETS, covering_radius, generate_pattern,
-                             write_pattern_csv)
+from pegservo.search import _MAX_OFFSETS, generate_pattern, write_pattern_csv
 
 S = 0.1 * math.sqrt(3.0)  # spacing for eps = 0.1
 

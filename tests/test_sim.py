@@ -131,6 +131,21 @@ def test_config_rejects_non_finite_values_by_name(bad):
         WorldConfig(insertion_direction=vec3(0.0, 0.0, bad))
 
 
+def test_config_rejects_poses_behind_a_camera():
+    # the default cameras sit 500 mm from the hole at 45 degrees: from a hover
+    # height of about 707 mm the approach pose is behind them
+    with pytest.raises(InvalidConfig, match="hover_height"):
+        WorldConfig(hover_height=800.0)
+    assert WorldConfig(hover_height=700.0).hover_height == 700.0
+    for name in ("hole_uncertainty_sigma", "grasp_uncertainty_sigma"):
+        for bad in (500.0, 1e300):  # not below the smallest camera depth
+            with pytest.raises(InvalidConfig, match=name):
+                WorldConfig(**{name: bad})
+        assert getattr(WorldConfig(**{name: 400.0}), name) == 400.0
+    with pytest.raises(InvalidConfig, match="hover_height"):
+        WorldConfig(hover_height=1e300)
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(InvalidConfig, match="seed"):
         WorldConfig(seed=-1)

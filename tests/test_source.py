@@ -156,9 +156,23 @@ def test_no_function_takes_an_rng(path):
     assert _rng_parameters(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "geometry.py"],
+                         ids=lambda p: p.name)
+def test_stacked_dot_products_come_from_geometry(path):
+    # a row-wise dot product spelled as a stacked matmul belongs to geometry's
+    # kernels (inplane_component, inplane_norm, scalar_error)
+    assert "None, :] @" not in path.read_text()
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_needs_no_scipy(path):
+    # numpy is the only runtime dependency; scipy is a test dependency
+    assert "scipy" not in path.read_text()
+
+
 def test_import_loads_no_costly_module():
-    # scipy and concurrent.futures cost a large share of start-up; only
-    # covering_radius and a multi-job benchmark import them, when called
+    # concurrent.futures costs a large share of start-up, and only a
+    # multi-job benchmark imports it, when called; scipy is never imported
     env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
     code = ("import sys, pegservo; "
             "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")

@@ -151,12 +151,15 @@ def test_non_finite_start_raises_and_leaves_world_unchanged():
 
 
 def _assert_batch_is_its_batches_of_one(configs, starts, pattern):
-    """spiral_search over twin worlds against one spiral_insert per world."""
+    """spiral_search over twin worlds moved to their starts against one
+    spiral_insert per world."""
     batch = [new_world(cfg) for cfg in configs]
     alone = [new_world(cfg) for cfg in configs]
+    for world, start in zip(batch, starts, strict=True):
+        move_tcp(world, start)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # worlds whose tolerance is not the pattern's
-        episodes = spiral_search(batch, starts, pattern, TIMING)
+        episodes = spiral_search(batch, pattern, TIMING)
         singles = [spiral_insert(w, s, pattern, TIMING) for w, s in zip(alone, starts)]
     assert len(episodes) == len(configs)
     assert repr(episodes) == repr(singles)
