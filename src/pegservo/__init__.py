@@ -10,8 +10,7 @@ from .sim import (COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
                   WorldState, new_world, render, render_batch, spiral_insert,
                   spiral_search)
 from .perception import (Dataset, MlpModel, OracleModel, RidgeModel,
-                         TrainConfig, evaluate, featurize, gradient_check,
-                         init_mlp, predict, train)
+                         TrainConfig, evaluate, featurize, predict, train)
 from .servoing import ServoConfig, servo_config_for, servo_step, visual_servo
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
                        configure, insert, insert_batch, split_by_insertion,
@@ -27,7 +26,7 @@ __all__ = [
     "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "WorldState",
     "new_world", "render", "render_batch", "spiral_insert", "spiral_search",
     "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",
-    "evaluate", "featurize", "gradient_check", "init_mlp", "predict", "train",
+    "evaluate", "featurize", "predict", "train",
     "ServoConfig", "servo_config_for", "servo_step", "visual_servo",
     "CollectionConfig", "DeploymentGate", "collect_dataset", "configure",
     "insert", "insert_batch", "split_by_insertion", "train_per_camera",

@@ -39,6 +39,8 @@ class BenchConfig:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.insertions_per_style_per_mode < 1:
             raise InvalidConfig("insertions_per_style_per_mode must be >= 1")
+        if type(self.n_iters) is not int or self.n_iters < 1:
+            raise InvalidConfig(f"n_iters must be an integer >= 1, got {self.n_iters!r}")
         if not 0 <= self.error_disc_radius < math.inf:
             raise InvalidConfig(f"error_disc_radius must be finite and >= 0, "
                                 f"got {self.error_disc_radius}")

@@ -1,8 +1,8 @@
 """Command line front end.
 
-Every subcommand writes a manifest.json into --out before doing any work,
-echoing the resolved configuration; artifacts land next to it. Domain
-errors exit 1 with the error class name on stderr; usage errors exit 2.
+Every subcommand checks its inputs, then writes a manifest.json into --out
+before any work, echoing the resolved configuration; artifacts land next to
+it. Domain errors exit 1 with the class name on stderr; usage errors exit 2.
 
 PEGSERVO_OUT provides the default for --out; an explicit flag wins. No
 other environment variable is consulted.
@@ -62,6 +62,15 @@ def _world_config(sections, seed=None, style=None) -> WorldConfig:
     if style is not None:
         kw["component_style"] = style
     return replace(sections["world"], **kw) if kw else sections["world"]
+
+
+def _check_collection_reach(world: WorldConfig, ccfg: CollectionConfig) -> None:
+    """The highest collection pose, max_height above the approach pose, is in
+    front of every camera, as WorldConfig requires of the approach pose."""
+    top = world.nominal_hole - (world.hover_height + ccfg.max_height) * world.insertion_direction
+    if any(np.dot(cam.optical_axis, top - cam.position) <= 0 for cam in world.cameras):
+        raise InvalidConfig(f"max_height {ccfg.max_height} puts the highest collection "
+                            "pose behind a camera")
 
 
 def _json_text(obj) -> str:
@@ -145,6 +154,7 @@ def cmd_collect(ns) -> int:
     echo = {"world": config_to_dict(template),
             "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
+    _check_collection_reach(template, ccfg)
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
                                                   "dataset/images.bin"])
 
@@ -203,16 +213,18 @@ def cmd_servo(ns) -> int:
     timing = sections["timing"]
     echo = {"world": config_to_dict(wcfg), "timing": config_to_dict(timing),
             "n_iters": ns.n_iters, "error": ns.error}
+    if not 0 <= ns.error < np.inf:
+        raise InvalidConfig(f"--error must be finite and >= 0, got {ns.error}")
+    world = new_world(wcfg)
+    cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
+                           timing=timing)
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
-    models = _load_models(ns.models)
-    world = new_world(wcfg)
     if ns.error:
         ang_rng = np.random.default_rng(np.random.SeedSequence([wcfg.seed, 99]))
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)
-    cfg = servo_config_for(world, models, n_iters=ns.n_iters, timing=timing)
     steps, residuals = visual_servo(world, cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
@@ -265,6 +277,7 @@ def cmd_bench(ns) -> int:
     generate_pattern(cfg.tolerance, cfg.error_disc_radius)  # memoized: fails before output
     if MODE_VS in cfg.modes and ns.models is None:
         generate_pattern(cfg.tolerance, sections["collection"].max_offset_mag)
+        _check_collection_reach(cfg.world_template, sections["collection"])
     _write_manifest(ns.out, "bench", ns, echo, _BENCH_OUTPUTS)
     models = _bench_models(ns, cfg, sections)
     report = run_benchmark(cfg, models)

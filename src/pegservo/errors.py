@@ -60,10 +60,6 @@ class LeakedInsertion(PegServoError):
     """Train and validation sets share an insertion id."""
 
 
-class NotDifferentiableKind(PegServoError):
-    """gradient_check only applies to the mlp kind."""
-
-
 class NonFiniteLoss(PegServoError):
     """No training step reached a finite validation loss (a NaN or inf in the data)."""
 

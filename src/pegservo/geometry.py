@@ -96,10 +96,6 @@ class CameraModel:
             raise InvalidConfig("camera orientation rows must be orthonormal")
 
     @property
-    def x_axis(self) -> np.ndarray:
-        return self.orientation[0]
-
-    @property
     def optical_axis(self) -> np.ndarray:
         return self.orientation[2]
 

@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
-                     LeakedInsertion, NonFiniteLoss, NotDifferentiableKind,
-                     ShapeMismatch, read_artifact, write_artifacts)
+                     LeakedInsertion, NonFiniteLoss, ShapeMismatch,
+                     read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
 from .sim import Observation
 
@@ -279,20 +279,6 @@ def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
         yield partial(model, lam, alpha), float(np.mean((Kva @ alpha + ym - yva) ** 2))
 
 
-def init_mlp(ds: Dataset, hyper: TrainConfig) -> MlpModel:
-    """Freshly initialized, untrained MLP with the dataset's input spec.
-
-    Training with the same hyper starts from exactly these parameters.
-    """
-    if hyper.kind != "mlp":
-        raise InvalidConfig(f"init_mlp requires kind='mlp', got {hyper.kind!r}")
-    if len(ds) == 0:
-        raise EmptyDataset("cannot derive an input spec from an empty dataset")
-    spec, X = _fit_input(ds, hyper.robust_norm)
-    return MlpModel(params=_mlp_init(X.shape[1], hyper)[0], spec=spec,
-                    hidden=tuple(hyper.hidden))
-
-
 def _mlp_shapes(d: int, hidden) -> list:
     """The shapes of an MLP's parameters in order: W1, b1, W2, b2, ..."""
     sizes = [d, *hidden, 1]
@@ -404,43 +390,6 @@ def _metrics(pred, ds: Dataset) -> dict:
             "mae": float(np.mean(np.abs(err))),
             "mae_mm": float(np.mean(np.abs(err) * scale)),
             "n": len(ds)}
-
-
-def gradient_check(model, ds: Dataset, n_checks: int = 100) -> float:
-    """Compare analytic MLP gradients to central differences of step 1e-5.
-
-    Returns the maximum relative deviation over n_checks parameter
-    coordinates, drawn from a stream seeded with 0. Raises
-    NotDifferentiableKind for models without gradient-based training.
-    """
-    if model.kind != "mlp":
-        raise NotDifferentiableKind(f"gradient_check needs kind=mlp, got {model.kind}")
-    if len(ds) == 0:
-        raise EmptyDataset("gradient_check needs samples")
-    step, rng = 1e-5, np.random.default_rng(0)
-    X = featurize(ds.images[ds.rows[:32]], model.spec)
-    y = ds.y[:32]
-    params = model.params
-    _, _, grads = _mlp_loss_grads(params, X, y)
-    sizes = [p.size for p in params]
-    total = int(np.sum(sizes))
-    coords = rng.choice(total, size=min(n_checks, total), replace=False)
-    bounds = np.cumsum([0] + sizes)
-    worst = 0.0
-    for c in coords:
-        k = int(np.searchsorted(bounds, c, side="right") - 1)
-        flat_idx = int(c - bounds[k])
-        orig = params[k].flat[flat_idx]
-        params[k].flat[flat_idx] = orig + step
-        lp, _, _ = _mlp_loss_grads(params, X, y)
-        params[k].flat[flat_idx] = orig - step
-        lm, _, _ = _mlp_loss_grads(params, X, y)
-        params[k].flat[flat_idx] = orig
-        gd = (lp - lm) / (2.0 * step)
-        ga = grads[k].flat[flat_idx]
-        denom = max(abs(ga), abs(gd), 1e-10)
-        worst = max(worst, abs(ga - gd) / denom)
-    return worst
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:

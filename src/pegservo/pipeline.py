@@ -214,9 +214,6 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
     before = {}  # world index -> start TCP, elapsed time, true error
     for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
         if cfg is not None:
-            if any(m is None for m in cfg.models):
-                raise ModelsNotDeployed("servo_then_spiral needs one deployed model "
-                                        "per camera")
             before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
             visual_servo(world, cfg)
     episodes = spiral_search(worlds, pattern, timing)

@@ -17,6 +17,10 @@ from .errors import InvalidRadius, InvalidTolerance, csv_text, write_artifact
 # the same ring compare equal despite float construction jitter.
 _NORM_QUANTUM = 1e-9
 _MAX_OFFSETS = 10**6  # the most a pattern may hold: ~150 MB of lattice arrays
+# About 2 pi / sqrt(3) * (bound / s)**2 lattice points lie in the disc and bound / s
+# = (max_radius / tolerance + 1) / sqrt(3), so _MAX_OFFSETS caps max_radius / tolerance
+_MAX_RADIUS_PER_TOLERANCE = np.sqrt(_MAX_OFFSETS * 3.0 * np.sqrt(3.0) / (2.0 * np.pi)) - 1.0
+_MAX_TOLERANCE = 1e7  # mm: a capped pattern's ring keys, norm / _NORM_QUANTUM, fit an int64
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,16 @@ def generate_pattern(tolerance: float, max_radius: float) -> SearchPattern:
     margin keeps targets just inside the rim covered. Patterns are memoized
     per (tolerance, max_radius), so callers share one read-only pattern.
     """
-    if not 0 < tolerance < np.inf:
-        raise InvalidTolerance(f"tolerance must be finite and > 0, got {tolerance}")
+    if not 0 < tolerance <= _MAX_TOLERANCE:
+        raise InvalidTolerance(f"tolerance must be > 0 and <= {_MAX_TOLERANCE:g} mm, "
+                               f"got {tolerance}")
     if not 0 <= max_radius < np.inf:
         raise InvalidRadius(f"max_radius must be finite and >= 0, got {max_radius}")
-    s = tolerance * np.sqrt(3.0)
-    bound = max_radius + tolerance
-    # about 2 pi / sqrt(3) * (bound / s)**2 lattice points lie in the disc
-    if bound * bound * (2.0 * np.pi / np.sqrt(3.0)) > _MAX_OFFSETS * s * s:
+    if max_radius / _MAX_RADIUS_PER_TOLERANCE > tolerance:  # a division: no overflow
         raise InvalidTolerance(f"tolerance {tolerance} with max_radius {max_radius} "
                                f"makes more than {_MAX_OFFSETS} offsets")
+    s = tolerance * np.sqrt(3.0)
+    bound = max_radius + tolerance
     # lattice basis (s, 0) and (s/2, s*sqrt(3)/2)
     jmax = int(np.ceil(bound / (s * np.sqrt(3.0) / 2.0))) + 1
     imax = int(np.ceil(bound / s)) + jmax + 1

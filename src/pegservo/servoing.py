@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig, csv_text, write_artifact
+from .errors import InvalidConfig, ModelsNotDeployed, csv_text, write_artifact
 from .geometry import denormalize_error, reconstruct_error
 from .perception import predict
 from .sim import (TimingModel, WorldConfig, WorldState, move_tcp, render,
@@ -26,7 +26,7 @@ CLAMP_MM = 2.0  # largest correction one step applies; a longer one is saturated
 
 @dataclass(frozen=True)
 class ServoConfig:
-    """One regressor per camera plus the believed cell calibration."""
+    """One deployed regressor per camera plus the believed cell calibration."""
 
     models: tuple
     calibration: WorldConfig
@@ -39,6 +39,8 @@ class ServoConfig:
         if len(self.models) != len(self.calibration.cameras):
             raise InvalidConfig(f"{len(self.models)} models for "
                                 f"{len(self.calibration.cameras)} cameras")
+        if any(m is None for m in self.models):
+            raise ModelsNotDeployed("servoing needs one deployed model per camera")
 
 
 def servo_config_for(world: WorldState, models, n_iters: int = 3,

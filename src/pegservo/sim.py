@@ -90,9 +90,9 @@ class WorldConfig:
     """Everything that defines an experiment world.
 
     tolerance is the insertion clearance (mm): an attempt succeeds iff the
-    in-plane peg-hole distance is <= tolerance. hole/grasp uncertainty sigmas
-    (below every camera's depth) feed the hidden per-world draws, and the
-    approach pose hover_height above the hole is in front of every camera;
+    in-plane peg-hole distance is <= tolerance. It and the hole/grasp
+    uncertainty sigmas of the hidden draws are below every camera's depth, and
+    the approach pose hover_height above the hole is in front of every camera;
     new_world adds no start error (the benchmark's is BenchConfig.error_disc_radius).
     peg_intensity=None renders no peg marking at all (contrast ablation for
     gate tests); otherwise it must be finite.
@@ -124,9 +124,11 @@ class WorldConfig:
             raise InvalidConfig(f"unknown component_style {self.component_style!r}; "
                                 f"expected one of {COMPONENT_STYLES}")
         l = np.asarray(self.insertion_direction, dtype=float)
-        if not abs(np.linalg.norm(l) - 1.0) <= 1e-6:  # a NaN fails too
+        slack = abs(math.hypot(*l) - 1.0)  # hypot: no overflow at 1e300
+        if not slack <= 1e-6:  # a NaN fails too
             raise InvalidConfig(f"insertion_direction must be a finite unit vector, got {l}")
-        object.__setattr__(self, "insertion_direction", unit(l))
+        # unit() may move a unit vector an ulp: keep it, so a rebuilt config is the same
+        object.__setattr__(self, "insertion_direction", l if slack <= 1e-15 else unit(l))
         hole = np.asarray(self.nominal_hole, dtype=float)
         if not np.isfinite(hole).all():
             raise InvalidConfig(f"nominal_hole must be finite, got {hole}")
@@ -136,7 +138,7 @@ class WorldConfig:
         if len(cams) < 2:
             raise InvalidConfig("need at least two cameras")
         depth = min(cam.z for cam in cams)  # a draw past a camera's depth can land behind it
-        for name, below in (("hole_uncertainty_sigma", depth),
+        for name, below in (("tolerance", depth), ("hole_uncertainty_sigma", depth),
                             ("grasp_uncertainty_sigma", depth), ("hover_height", math.inf)):
             value = getattr(self, name)
             if not 0 <= value < below:
@@ -239,9 +241,9 @@ def peg_position(world: WorldState, tcp=None) -> np.ndarray:
     return np.asarray(tcp, dtype=float) + world.basis @ world.grasp_offset
 
 
-def true_inplane_error(world: WorldState, tcp=None) -> float:
-    """Hidden in-plane peg-to-hole distance (mm). Diagnostic only."""
-    return float(inplane_norm(world.true_hole - peg_position(world, tcp),
+def true_inplane_error(world: WorldState) -> float:
+    """Hidden in-plane peg-to-hole distance (mm) at the TCP. Diagnostic only."""
+    return float(inplane_norm(world.true_hole - peg_position(world),
                               world.config.insertion_direction))
 
 
@@ -265,17 +267,6 @@ def _check_inplane(world: WorldState, worst: float) -> None:
         raise ConstraintViolation(
             f"TCP move has out-of-plane component {worst:.3e} mm")
     world.max_inplane_violation = max(world.max_inplane_violation, worst)
-
-
-def attempt_insertion(world: WorldState, tcp=None) -> bool:
-    """Stroke down at the given (default current) TCP and report success.
-
-    Success iff the in-plane peg-hole distance is <= tolerance. Counts one
-    attempt; the time ledger is owned by the caller (spiral_insert charges
-    t_attempt per attempt).
-    """
-    world.attempt_count += 1
-    return true_inplane_error(world, tcp) <= world.config.tolerance
 
 
 @dataclass(frozen=True)

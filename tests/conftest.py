@@ -1,14 +1,16 @@
-"""Shared fixtures: one real collected dataset and trained ridge models."""
+"""Shared fixtures (one real collected dataset and trained ridge models) and
+the reference helpers the tests check the library against."""
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from pegservo.geometry import CameraModel, vec3
-from pegservo.perception import Dataset, TrainConfig, train
+from pegservo.geometry import CameraModel, inplane_norm, vec3
+from pegservo.perception import (Dataset, MlpModel, TrainConfig, _fit_input,
+                                 _mlp_init, _mlp_loss_grads, featurize, train)
 from pegservo.pipeline import CollectionConfig, collect_dataset, split_by_insertion
 from pegservo.search import generate_pattern
-from pegservo.sim import Observation, WorldConfig, new_world
+from pegservo.sim import Observation, WorldConfig, new_world, peg_position
 
 RIDGE_HYPER = TrainConfig(kind="ridge", robust_norm=True)
 
@@ -53,6 +55,58 @@ def covering_radius(pattern, region_radius, grid_step):
         pts = np.zeros((1, 2))
     dists, _ = cKDTree(pattern.offsets).query(pts, k=1)
     return float(np.max(dists))
+
+
+def attempt_insertion(world, tcp=None):
+    """Stroke down at the given (default current) TCP and report success: the
+    per-attempt reference that spiral_search reproduces.
+
+    Success iff the in-plane peg-hole distance is <= tolerance. Counts one
+    attempt and charges no time.
+    """
+    world.attempt_count += 1
+    miss = inplane_norm(world.true_hole - peg_position(world, tcp),
+                        world.config.insertion_direction)
+    return float(miss) <= world.config.tolerance
+
+
+def init_mlp(ds, hyper):
+    """The untrained MLP (kind="mlp" hyper) that train starts from on ds."""
+    spec, X = _fit_input(ds, hyper.robust_norm)
+    return MlpModel(params=_mlp_init(X.shape[1], hyper)[0], spec=spec,
+                    hidden=tuple(hyper.hidden))
+
+
+def gradient_check(model, ds, n_checks=100):
+    """Compare an MLP's analytic gradients to central differences of step 1e-5.
+
+    Returns the maximum relative deviation over n_checks parameter
+    coordinates, drawn from a stream seeded with 0, on ds's first 32 samples.
+    """
+    step, rng = 1e-5, np.random.default_rng(0)
+    X = featurize(ds.images[ds.rows[:32]], model.spec)
+    y = ds.y[:32]
+    params = model.params
+    _, _, grads = _mlp_loss_grads(params, X, y)
+    sizes = [p.size for p in params]
+    total = int(np.sum(sizes))
+    coords = rng.choice(total, size=min(n_checks, total), replace=False)
+    bounds = np.cumsum([0] + sizes)
+    worst = 0.0
+    for c in coords:
+        k = int(np.searchsorted(bounds, c, side="right") - 1)
+        flat_idx = int(c - bounds[k])
+        orig = params[k].flat[flat_idx]
+        params[k].flat[flat_idx] = orig + step
+        lp, _, _ = _mlp_loss_grads(params, X, y)
+        params[k].flat[flat_idx] = orig - step
+        lm, _, _ = _mlp_loss_grads(params, X, y)
+        params[k].flat[flat_idx] = orig
+        gd = (lp - lm) / (2.0 * step)
+        ga = grads[k].flat[flat_idx]
+        denom = max(abs(ga), abs(gd), 1e-10)
+        worst = max(worst, abs(ga - gd) / denom)
+    return worst
 
 
 def observation(ds, i):

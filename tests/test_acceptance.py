@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import gradient_check, init_mlp
 from pegservo.bench import (BenchConfig, emit_report, fit_quadratic_law,
                             run_benchmark)
 from pegservo.geometry import (error_direction, inplane_basis,
                                reconstruct_error, scalar_error, vec3)
-from pegservo.perception import (OracleModel, TrainConfig, gradient_check,
-                                 init_mlp, save_model, train)
+from pegservo.perception import OracleModel, TrainConfig, save_model, train
 from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, split_by_insertion)
 from pegservo.search import generate_pattern

@@ -145,6 +145,9 @@ def test_bench_config_validation():
         BenchConfig(modes=("vs", "walk"))
     with pytest.raises(InvalidConfig, match="seed"):
         BenchConfig(seed=-1)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(InvalidConfig, match="n_iters"):
+            BenchConfig(n_iters=bad)
 
 
 # ---------------------------------------------------------------- fit

@@ -118,14 +118,20 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
 
 
 def test_manifest_lands_before_the_work(tmp_path, capsys):
-    out = tmp_path / "servo_fail"
-    rc = main(["servo", "--models", str(tmp_path / "missing"),
-               "--out", str(out)])
+    # a failure only the work can find: holes drawn with a 5 mm sigma lie
+    # beyond every 0.1 mm spiral
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "world": {"hole_uncertainty_sigma": 5.0},
+        "collection": {"n_insertions": 2, "samples_per_insertion": 1,
+                       "train_insertions": 1, "max_offset_mag": 0.1}}))
+    out = tmp_path / "collect_fail"
+    rc = main(["collect", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("AllInsertionsFailed:")
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["subcommand"] == "servo"
-    assert not (out / "result.json").exists()
+    assert manifest["subcommand"] == "collect"
+    assert not (out / "dataset").exists()
 
 
 def test_simulate_outputs(tmp_path, config_path):
@@ -452,34 +458,73 @@ def test_simulate_runs_or_fails_typed_before_any_output(key, value):
     _probe("simulate", {"world": {key: _PROBE_KEYS[key](value)}}, _finite_scene)
 
 
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(sorted(_PROBE_KEYS)), value=_PROBE_VALUES)
+_COLLECTION_KEYS = ["max_height", "max_offset_mag", "n_insertions",
+                    "samples_per_insertion", "train_insertions"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(sorted(_PROBE_KEYS) + [f"collection.{k}" for k in _COLLECTION_KEYS]),
+       value=_PROBE_VALUES)
 def test_collect_runs_or_fails_typed_before_any_output(key, value):
-    _probe("collect", {"world": {key: _PROBE_KEYS[key](value)},
-                       "collection": {"n_insertions": 2, "samples_per_insertion": 1,
-                                      "train_insertions": 1}}, _finite_dataset)
+    # tiny counts, unless the drawn key is one of them
+    config = {"world": {}, "collection": {"n_insertions": 2, "samples_per_insertion": 1,
+                                          "train_insertions": 1}}
+    if key.startswith("collection."):
+        config["collection"][key.split(".")[1]] = value
+    else:
+        config["world"][key] = _PROBE_KEYS[key](value)
+    _probe("collect", config, _finite_dataset)
 
 
-@pytest.mark.parametrize("argv, world, error", [
-    (["simulate"], {"hover_height": 800.0}, "InvalidConfig:"),
-    (["collect"], {"hover_height": 800.0}, "InvalidConfig:"),
-    (["simulate"], {"hover_height": 1e300}, "InvalidConfig:"),
-    (["simulate"], {"hole_uncertainty_sigma": 1e300}, "InvalidConfig:"),
-    (["collect"], {"grasp_uncertainty_sigma": 1e300}, "InvalidConfig:"),
-    (["collect"], {"tolerance": 1e-300}, "InvalidTolerance:"),
-    (["bench"], {"tolerance": 1e-300}, "InvalidTolerance:"),
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, config, error", [
+    (["simulate"], {"world": {"hover_height": 800.0}}, "InvalidConfig:"),
+    (["collect"], {"world": {"hover_height": 800.0}}, "InvalidConfig:"),
+    (["simulate"], {"world": {"hover_height": 1e300}}, "InvalidConfig:"),
+    (["simulate"], {"world": {"hole_uncertainty_sigma": 1e300}}, "InvalidConfig:"),
+    (["collect"], {"world": {"grasp_uncertainty_sigma": 1e300}}, "InvalidConfig:"),
+    (["collect"], {"world": {"tolerance": 1e-300}}, "InvalidTolerance:"),
+    (["bench"], {"world": {"tolerance": 1e-300}}, "InvalidTolerance:"),
     (["pattern", "--tolerance", "1e-300"], None, "InvalidTolerance:"),
+    (["collect"], {"world": {"tolerance": 1e300}}, "InvalidConfig: tolerance"),
+    (["bench"], {"world": {"tolerance": 1e300}}, "InvalidConfig: tolerance"),
+    (["pattern", "--tolerance", "1e300"], None, "InvalidTolerance:"),
+    (["collect"], {"collection": {"max_height": 800.0}}, "InvalidConfig: max_height"),
+    (["collect"], {"collection": {"max_height": 1e300}}, "InvalidConfig: max_height"),
+    (["bench"], {"collection": {"max_height": 800.0}}, "InvalidConfig: max_height"),
+    (["bench"], {"bench": {"n_iters": 0}}, "InvalidConfig:"),
 ], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
         "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
-        "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300"])
+        "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
+        "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
+        "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
+        "bench-n-iters-0"])
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
-                                                         world, error):
-    # each of these once wrote manifest.json and then failed mid-run
-    if world is not None:
+                                                         config, error):
+    # each of these once wrote manifest.json and then failed mid-run (or, for
+    # a tolerance of 1e300, overflowed)
+    if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"world": world}))
+        path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--n-iters", "0"], "InvalidConfig: n_iters"),
+    (["--error", "nan"], "InvalidConfig: --error"),
+    (["--error", "inf"], "InvalidConfig: --error"),
+    (["--error", "-1"], "InvalidConfig: --error"),
+    (["--models", "absent"], "IoError:"),  # the later --models wins
+], ids=["n-iters-0", "error-nan", "error-inf", "error-negative", "models-missing"])
+def test_bad_servo_flag_exits_1_before_any_output(tmp_path, capsys, flags, error):
+    for j in range(2):
+        save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
+    assert main(["servo", "--models", str(tmp_path / "models"), *flags,
+                 "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
     assert not (tmp_path / "out").exists()

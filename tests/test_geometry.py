@@ -235,7 +235,7 @@ def test_aimed_camera_axes():
     cam = aimed_camera(pos, vec3(0, 0, 0), L, f=1000.0, r=64)
     view = -pos
     assert np.allclose(cam.optical_axis, view / np.linalg.norm(view), atol=1e-12)
-    assert np.allclose(cam.x_axis, error_direction(L, view), atol=1e-12)
+    assert np.allclose(cam.orientation[0], error_direction(L, view), atol=1e-12)
     assert cam.z == pytest.approx(500.0, rel=1e-12)
     R = cam.orientation
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)

@@ -15,17 +15,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pegservo.perception
-from conftest import RIDGE_HYPER, observation, synthetic_dataset
+from conftest import (RIDGE_HYPER, gradient_check, init_mlp, observation,
+                      synthetic_dataset)
 from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
-                             LeakedInsertion, NonFiniteLoss,
-                             NotDifferentiableKind, ShapeMismatch)
+                             LeakedInsertion, NonFiniteLoss, ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
 from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
                                  RidgeModel, TrainConfig, _mlp_layers,
                                  _predict_batch, evaluate, featurize,
-                                 gradient_check, init_mlp, load_dataset,
-                                 load_model, predict, save_dataset,
-                                 save_model, train)
+                                 load_dataset, load_model, predict,
+                                 save_dataset, save_model, train)
 from pegservo.sim import Observation
 
 
@@ -213,13 +212,6 @@ def test_mlp_init_matches_train_start(monkeypatch):
     train(*_split(ds, 3), hyper)
     for pa, pb in zip(init_mlp(ds, hyper).params, starts[0], strict=True):
         assert np.array_equal(pa, pb)
-
-
-def test_gradient_check_rejects_ridge():
-    ds = synthetic_dataset(2, 10, 4, lambda x, rng: 0.0)
-    model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))
-    with pytest.raises(NotDifferentiableKind):
-        gradient_check(model, ds)
 
 
 # ---------------------------------------------------------------- contracts

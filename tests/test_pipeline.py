@@ -349,6 +349,5 @@ def test_insert_rejects_bad_mode_and_missing_models():
         insert(w, "teleport", None, pattern, TimingModel())
     with pytest.raises(ModelsNotDeployed):
         insert(w, "servo_then_spiral", None, pattern, TimingModel())
-    cfg = servo_config_for(w, (OracleModel(), None))
-    with pytest.raises(ModelsNotDeployed):
-        insert(w, "servo_then_spiral", cfg, pattern, TimingModel())
+    with pytest.raises(ModelsNotDeployed):  # a ServoConfig holds every camera's model
+        servo_config_for(w, (OracleModel(), None))

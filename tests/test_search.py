@@ -137,6 +137,16 @@ def test_oversized_pattern_is_refused_before_allocating():
     assert 10 * len(generate_pattern(0.1, 10.0)) < _MAX_OFFSETS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_finite_inputs_fail_typed_without_overflow():
+    # the refusals divide, so no product overflows first; a pattern's ring
+    # keys fit an int64 up to the largest tolerance
+    for tolerance, max_radius in ((1e300, 1.0), (1.7e308, 1.7e308), (0.1, 1.7e308)):
+        with pytest.raises(InvalidTolerance):
+            generate_pattern(tolerance, max_radius)
+    assert len(generate_pattern(1e7, 1e9)) > 10_000
+
+
 def test_pattern_csv(tmp_path):
     p = generate_pattern(0.1, S)
     path = tmp_path / "pattern.csv"

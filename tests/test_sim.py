@@ -20,9 +20,9 @@ from pegservo.pipeline import insert
 from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          attempt_insertion, config_from_dict, config_to_dict,
-                          default_cameras, load_config_file, move_tcp,
-                          new_world, peg_position, render, spiral_insert,
+                          config_from_dict, config_to_dict, default_cameras,
+                          load_config_file, move_tcp, new_world, peg_position,
+                          render, spiral_insert, spiral_search,
                           true_inplane_error, write_pgm)
 
 L = vec3(0.0, 0.0, -1.0)
@@ -137,7 +137,7 @@ def test_config_rejects_poses_behind_a_camera():
     with pytest.raises(InvalidConfig, match="hover_height"):
         WorldConfig(hover_height=800.0)
     assert WorldConfig(hover_height=700.0).hover_height == 700.0
-    for name in ("hole_uncertainty_sigma", "grasp_uncertainty_sigma"):
+    for name in ("tolerance", "hole_uncertainty_sigma", "grasp_uncertainty_sigma"):
         for bad in (500.0, 1e300):  # not below the smallest camera depth
             with pytest.raises(InvalidConfig, match=name):
                 WorldConfig(**{name: bad})
@@ -191,27 +191,32 @@ def test_non_finite_target_rejected():
 
 
 def test_attempt_threshold():
+    # a one-offset pattern: spiral_insert makes a single attempt at its start
     w = _quiet_world()
     eps = w.config.tolerance
-    move_tcp(w, w.tcp + w.basis @ np.array([eps * 0.99, 0.0]))
-    assert attempt_insertion(w)
-    move_tcp(w, w.tcp + w.basis @ np.array([eps * 0.02, 0.0]))
-    assert not attempt_insertion(w)
+    once = generate_pattern(eps, 0.0)
+    assert len(once) == 1
+    near = w.tcp + w.basis @ np.array([eps * 0.99, 0.0])
+    assert spiral_insert(w, near, once, TimingModel()).success
+    far = w.tcp + w.basis @ np.array([eps * 0.02, 0.0])
+    assert not spiral_insert(w, far, once, TimingModel()).success
     assert w.attempt_count == 2
 
 
 def test_attempt_success_fraction_area_ratio():
-    # uniform in disc of radius 2 eps -> P(|e| <= eps) = 1/4
+    # uniform in disc of radius 2 eps -> P(|e| <= eps) = 1/4: one attempt
+    # each for copies of one world, in one spiral_search
     w = _quiet_world()
     eps = w.config.tolerance
     rng = np.random.default_rng(2024)
-    n, hits = 10_000, 0
-    start = w.tcp.copy()
+    n, worlds = 10_000, []
     for _ in range(n):
         theta = rng.uniform(0, 2 * np.pi)
         rad = 2 * eps * math.sqrt(rng.uniform())
         off = rad * np.array([math.cos(theta), math.sin(theta)])
-        hits += attempt_insertion(w, start + w.basis @ off)
+        worlds.append(replace(w, tcp=w.tcp + w.basis @ off))
+    episodes = spiral_search(worlds, generate_pattern(eps, 0.0), TimingModel())
+    hits = sum(e.success for e in episodes)
     assert hits / n == pytest.approx(0.25, abs=0.02)
 
 
@@ -408,6 +413,28 @@ def test_world_config_dict_roundtrip():
         assert np.array_equal(ca.orientation, cb.orientation)
     # same hidden draws either way
     assert np.array_equal(new_world(cfg).true_hole, new_world(back).true_hole)
+
+
+# hand-typed directions: two decimal components and the third rounded to some
+# digits, within validation's 1e-6 of unit norm; and random unit vectors
+_TYPED_DIRECTIONS = st.tuples(st.integers(-60, 60), st.integers(-60, 60),
+                              st.integers(7, 17)).map(
+    lambda t: [t[0] / 100, t[1] / 100,
+               -round(math.sqrt(1.0 - (t[0] / 100) ** 2 - (t[1] / 100) ** 2), t[2])])
+_NORMALIZED_DIRECTIONS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, -0.2)).map(
+    lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(direction=st.one_of(_TYPED_DIRECTIONS, _NORMALIZED_DIRECTIONS))
+def test_world_config_is_a_fixed_point_of_its_validation(direction):
+    # each grid episode's replace() and a rerun from the manifest's config
+    # echo rebuild a config from its own fields: the direction must not move
+    cfg = WorldConfig(insertion_direction=direction)
+    echoed = config_from_dict(WorldConfig, json.loads(json.dumps(config_to_dict(cfg))))
+    for again in (replace(cfg, seed=1), echoed):
+        assert again.insertion_direction.tobytes() == cfg.insertion_direction.tobytes()
 
 
 def test_camera_shorthand_aims_at_the_nominal_hole():

@@ -102,6 +102,60 @@ def test_module_reads_every_private_name_it_defines(path):
     assert _unreferenced_privates(path.read_text()) == []
 
 
+def _unread_public_names(sources: dict, readers: list) -> list:
+    """The public functions, classes, methods and properties that sources
+    (module name -> source) define and no code reads, as "module.name".
+
+    A function or class is read by a load of its name, bare or as an
+    attribute; a method or property by an attribute load only. A read counts
+    in another module, in readers (more sources), or in its own module outside
+    its own definition.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defined = []  # (label, module, name, methods only by attribute, node)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defined.append((f"{mod}.{node.name}", mod, node.name, False, node))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    defined.append((f"{mod}.{node.name}.{item.name}", mod, item.name,
+                                    True, item))
+    reads = {}  # name -> [(module or None, by attribute, node id)]
+    for mod, tree in [*trees.items(), *((None, ast.parse(src)) for src in readers)]:
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    reads.setdefault(node.id, []).append((mod, False, id(node)))
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, []).append((mod, True, id(node)))
+    unread = []
+    for label, mod, name, by_attribute, node in defined:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any((attr or not by_attribute) and (where != mod or at not in inside)
+                   for where, attr, at in reads.get(name, ())):
+            unread.append(label)
+    return sorted(unread)
+
+
+def test_unread_public_name_is_detected():
+    sources = {"a": "def f(): return f()\ndef g(): pass\nclass C:\n"
+                    "    def m(self): return self.m\n    @property\n    def p(self): pass\n"
+                    "    def _q(self): pass\n    def __len__(self): return 0\n"
+                    "def _h(): return g, C\n",
+               "b": "import a\na.C().p\n"}
+    assert _unread_public_names(sources, ["m()\n"]) == ["a.C.m", "a.f"]
+    assert _unread_public_names(sources, ["x.m\nf()\n"]) == []
+
+
+def test_library_defines_only_what_the_pipeline_reads():
+    # a public name only the tests call belongs in the tests; perfbench
+    # calls the library through its public names too
+    perfbench = sorted((_SRC.parents[1] / "perfbench").glob("*.py"))
+    assert _unread_public_names({p.stem: p.read_text() for p in _MODULES},
+                                [p.read_text() for p in perfbench]) == []
+
+
 def test_all_lists_exactly_the_package_imports():
     tree = ast.parse((_SRC / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import attempt_insertion
 from pegservo.bench import _BLOCK
 from pegservo.errors import ConstraintViolation
 from pegservo.geometry import inplane_component, vec3
 from pegservo.search import generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          attempt_insertion, move_tcp, new_world, peg_position,
-                          spiral_insert, spiral_search)
+                          move_tcp, new_world, peg_position, spiral_insert,
+                          spiral_search)
 
 TIMING = TimingModel()
 
