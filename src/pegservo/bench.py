@@ -68,12 +68,13 @@ def _row_seed(base: int, style_index: int, insertion: int) -> int:
 def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
     """The episodes of (style index, insertion, mode) keys, in order. Each
     builds its world and start error from its own seeds, so a row does not
-    depend on its block."""
+    depend on its block; each style's config is validated once per block."""
+    styles = {si: replace(cfg.world_template, component_style=cfg.component_styles[si])
+              for si in {si for si, _, _ in keys}}
     worlds, servo_cfgs = [], []
     for si, i, mode in keys:
         style = cfg.component_styles[si]
-        world = new_world(replace(cfg.world_template, component_style=style,
-                                  seed=_row_seed(cfg.seed, si, i)))
+        world = new_world(styles[si].with_seed(_row_seed(cfg.seed, si, i)))
         err_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, si, i, 7]))
         theta = err_rng.uniform(0.0, 2.0 * np.pi)
         rad = cfg.error_disc_radius * math.sqrt(err_rng.uniform())

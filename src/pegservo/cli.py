@@ -30,7 +30,8 @@ from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                   config_from_dict, config_to_dict, load_config_file,
-                  move_tcp, new_world, render, true_inplane_error, write_pgm)
+                  move_tcp, new_world, peg_position, render, true_inplane_error,
+                  write_pgm)
 
 _SECTIONS = {"world": WorldConfig, "timing": TimingModel,
              "collection": CollectionConfig, "train": TrainConfig,
@@ -64,13 +65,18 @@ def _world_config(sections, seed=None, style=None) -> WorldConfig:
     return replace(sections["world"], **kw) if kw else sections["world"]
 
 
+def _check_in_front(world: WorldConfig, point, what: str) -> None:
+    """Raise InvalidConfig("<what> behind a camera") unless every camera sees point."""
+    if any(np.dot(cam.optical_axis, point - cam.position) <= 0 for cam in world.cameras):
+        raise InvalidConfig(f"{what} behind a camera")
+
+
 def _check_collection_reach(world: WorldConfig, ccfg: CollectionConfig) -> None:
     """The highest collection pose, max_height above the approach pose, is in
     front of every camera, as WorldConfig requires of the approach pose."""
     top = world.nominal_hole - (world.hover_height + ccfg.max_height) * world.insertion_direction
-    if any(np.dot(cam.optical_axis, top - cam.position) <= 0 for cam in world.cameras):
-        raise InvalidConfig(f"max_height {ccfg.max_height} puts the highest collection "
-                            "pose behind a camera")
+    _check_in_front(world, top, f"max_height {ccfg.max_height} puts the highest "
+                                "collection pose")
 
 
 def _json_text(obj) -> str:
@@ -159,7 +165,7 @@ def cmd_collect(ns) -> int:
                                                   "dataset/images.bin"])
 
     def factory(i):
-        return new_world(replace(template, seed=ns.seed + i))
+        return new_world(template.with_seed(ns.seed + i))
 
     data = collect_dataset(factory, ccfg, pattern)
     save_dataset(data, os.path.join(ns.out, "dataset"))
@@ -218,13 +224,14 @@ def cmd_servo(ns) -> int:
     world = new_world(wcfg)
     cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
                            timing=timing)
-    outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
-    _write_manifest(ns.out, "servo", ns, echo, outputs)
     if ns.error:
         ang_rng = np.random.default_rng(np.random.SeedSequence([wcfg.seed, 99]))
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)
+    _check_in_front(wcfg, peg_position(world), f"--error {ns.error} puts the start peg")
+    outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
+    _write_manifest(ns.out, "servo", ns, echo, outputs)
     steps, residuals = visual_servo(world, cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
@@ -253,9 +260,8 @@ def _bench_models(ns, cfg: BenchConfig, sections: dict) -> dict:
                 for style in cfg.component_styles}
     out = {}
     for style in cfg.component_styles:
-        def factory(i, style=style):
-            return new_world(replace(cfg.world_template, component_style=style,
-                                     seed=ns.train_seed + i))
+        def factory(i, styled=replace(cfg.world_template, component_style=style)):
+            return new_world(styled.with_seed(ns.train_seed + i))
 
         res = configure(factory, sections["collection"], sections["train"],
                         sections["gate"])

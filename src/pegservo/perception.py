@@ -347,18 +347,27 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
 
 
 def predict(model, obs: Observation) -> float:
-    """Predict the normalized error y for one observation: a batch of one."""
-    return float(_predict_batch(model, np.asarray(obs.pixels)[None],
-                                np.array([obs.truth_y]))[0])
+    """Predict the normalized error y for one observation: predict_views of one."""
+    return float(predict_views(model, np.asarray(obs.pixels)[None],
+                               np.array([obs.truth_y]))[0])
 
 
-def _predict_batch(model, images, truth_y) -> np.ndarray:
+def predict_views(model, images, truth_y) -> np.ndarray:
+    """What predict makes of each of (n, r, r) images alone: one featurize, then
+    each row's own product (a whole-batch one, evaluate's, differs in the last bits)."""
+    return _predict_batch(model, images, truth_y, each_row=True)
+
+
+def _predict_batch(model, images, truth_y, each_row=False) -> np.ndarray:
     """Predictions for (n, r, r) images; an oracle reads truth_y instead."""
     if model.kind == "oracle":
         if model.noise_sigma > 0.0:
             return truth_y + model.noise_sigma * _keyed_normals(images, truth_y)
         return truth_y
-    return _predict_features(model, featurize(images, model.spec))
+    X = featurize(images, model.spec)
+    if each_row:
+        return np.array([_predict_features(model, X[k:k + 1])[0] for k in range(len(X))])
+    return _predict_features(model, X)
 
 
 def _keyed_normals(images, truth_y) -> np.ndarray:

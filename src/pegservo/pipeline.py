@@ -17,7 +17,7 @@ from .errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
 from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
-from .servoing import visual_servo
+from .servoing import servo_steps
 from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_batch,
                   spiral_search, true_inplane_error)
 
@@ -207,15 +207,18 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
     """Insertion episodes of a batch of worlds, searched by one spiral_search.
 
     A world whose servo_cfg is None gives spiral_search's novs episode. Any
-    other runs the servo loop first and gives a vs episode: time_s covers
-    both phases, the true and the retrospective errors are measured from the
-    original start, and the post-servo retrospective error is the search's.
+    other first takes servo_cfg.n_iters steps (one servo_steps call per step for
+    all such worlds) and gives a vs episode: time_s covers both phases, the
+    true and the retrospective errors are measured from the original start,
+    and the post-servo retrospective error is the search's.
     """
     before = {}  # world index -> start TCP, elapsed time, true error
     for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
         if cfg is not None:
             before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
-            visual_servo(world, cfg)
+    for i in range(max((servo_cfgs[n].n_iters for n in before), default=0)):
+        live = [n for n in before if servo_cfgs[n].n_iters > i]
+        servo_steps([worlds[n] for n in live], [servo_cfgs[n] for n in live])
     episodes = spiral_search(worlds, pattern, timing)
     for n, (start_tcp, t0, true_err) in before.items():
         world, sp = worlds[n], episodes[n]

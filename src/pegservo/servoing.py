@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidConfig, ModelsNotDeployed, csv_text, write_artifact
 from .geometry import denormalize_error, reconstruct_error
-from .perception import predict
-from .sim import (TimingModel, WorldConfig, WorldState, move_tcp, render,
+from .perception import predict_views
+from .sim import (TimingModel, WorldConfig, WorldState, move_tcp, render_views,
                   true_inplane_error)
 
 CLAMP_MM = 2.0  # largest correction one step applies; a longer one is saturated
@@ -60,25 +60,46 @@ class ServoStep(NamedTuple):
 
 
 def servo_step(world: WorldState, cfg: ServoConfig) -> ServoStep:
-    """One capture-predict-reconstruct-correct cycle.
+    """One capture-predict-reconstruct-correct cycle: servo_steps of one world."""
+    return servo_steps([world], [cfg])[0]
 
-    The correction is clamped to CLAMP_MM (flagged as saturated) to guard
-    against wild predictions. World time advances by
-    n_cams*(t_capture + t_infer) + t_move.
+
+def servo_steps(worlds, cfgs) -> list:
+    """One capture-predict-reconstruct-correct cycle of each world under its
+    ServoConfig, the same for a world alone or in any batch.
+
+    Per camera, one render_views call draws every world's view (of one
+    resolution) and one predict_views call per model predicts its views. Per
+    world, the correction is clamped to CLAMP_MM (flagged as saturated) to
+    guard against wild predictions, and world time advances by
+    n_cams*(t_capture + t_infer) + t_move. A world whose move fails raises
+    ConstraintViolation, its TCP and time unchanged.
     """
-    cams = cfg.calibration.cameras
-    y = tuple(predict(model, render(world, j, world.tcp))
-              for j, model in enumerate(cfg.models))
-    q_mm = tuple(denormalize_error(yj, cam) for yj, cam in zip(y, cams))
-    rec = reconstruct_error(cfg.calibration.error_directions, q_mm)
-    e_hat = rec.error
-    norm = float(np.linalg.norm(e_hat))
-    saturated = norm > CLAMP_MM
-    if saturated:
-        e_hat = e_hat * (CLAMP_MM / norm)
-    move_tcp(world, world.tcp + e_hat)
-    world.elapsed_time += cfg.timing.servo_step_time(len(cams))
-    return ServoStep(y, q_mm, e_hat, saturated, rec.ill_conditioned)
+    tcps = np.array([world.tcp for world in worlds])
+    ys = [[] for _ in worlds]  # per world, its cameras' predicted y in order
+    for j in range(max((len(cfg.models) for cfg in cfgs), default=0)):
+        views = [k for k, cfg in enumerate(cfgs) if j < len(cfg.models)]
+        pixels, truth_y = render_views([worlds[k] for k in views], j, tcps[views])
+        models = [cfgs[k].models[j] for k in views]
+        for model in {id(m): m for m in models}.values():
+            rows = [row for row, m in enumerate(models) if m is model]
+            predictions = predict_views(model, pixels[rows], truth_y[rows]).tolist()
+            for row, y in zip(rows, predictions):
+                ys[views[row]].append(y)
+    steps = []
+    for world, cfg, y in zip(worlds, cfgs, map(tuple, ys), strict=True):
+        cams = cfg.calibration.cameras
+        q_mm = tuple(denormalize_error(yj, cam) for yj, cam in zip(y, cams))
+        rec = reconstruct_error(cfg.calibration.error_directions, q_mm)
+        e_hat = rec.error
+        norm = float(np.linalg.norm(e_hat))
+        saturated = norm > CLAMP_MM
+        if saturated:
+            e_hat = e_hat * (CLAMP_MM / norm)
+        move_tcp(world, world.tcp + e_hat)
+        world.elapsed_time += cfg.timing.servo_step_time(len(cams))
+        steps.append(ServoStep(y, q_mm, e_hat, saturated, rec.ill_conditioned))
+    return steps
 
 
 def visual_servo(world: WorldState, cfg: ServoConfig):

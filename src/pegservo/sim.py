@@ -7,6 +7,7 @@ about the hidden state. Every simulated second is accounted through
 TimingModel so wall-clock comparisons between strategies are reproducible.
 """
 
+import itertools
 import json
 import math
 import typing
@@ -16,8 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (ConstraintViolation, InvalidConfig, InvalidTolerance,
-                     ShapeMismatch, read_artifact, write_artifact)
+from .errors import (ConstraintViolation, DegenerateView, InvalidConfig,
+                     InvalidTolerance, ShapeMismatch, read_artifact, write_artifact)
 from .geometry import (CameraModel, aimed_camera, camera_from_dict,
                        camera_to_dict, error_direction, inplane_basis,
                        inplane_component, inplane_norm, normalize_error,
@@ -85,6 +86,11 @@ def default_cameras(nominal_hole, l, f: float = 1000.0, r: int = 64,
     return tuple(cams)
 
 
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Everything that defines an experiment world.
@@ -116,8 +122,7 @@ class WorldConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise InvalidTolerance(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if self.peg_intensity is not None and not math.isfinite(self.peg_intensity):
             raise InvalidConfig(f"peg_intensity must be finite, got {self.peg_intensity}")
         if self.component_style not in COMPONENT_STYLES:
@@ -133,8 +138,14 @@ class WorldConfig:
         if not np.isfinite(hole).all():
             raise InvalidConfig(f"nominal_hole must be finite, got {hole}")
         object.__setattr__(self, "nominal_hole", hole)
-        cams = (tuple(self._camera(c) for c in self.cameras) if self.cameras
-                else default_cameras(self.nominal_hole, self.insertion_direction))
+        if self.cameras:
+            cams = tuple(self._camera(c) for c in self.cameras)
+        else:
+            try:
+                cams = default_cameras(self.nominal_hole, self.insertion_direction)
+            except (DegenerateView, InvalidConfig) as exc:  # their offsets rounded away
+                raise InvalidConfig(f"nominal_hole {hole} is too far out: the default "
+                                    "cameras round onto it") from exc
         if len(cams) < 2:
             raise InvalidConfig("need at least two cameras")
         depth = min(cam.z for cam in cams)  # a draw past a camera's depth can land behind it
@@ -151,6 +162,15 @@ class WorldConfig:
                 raise InvalidConfig(f"hover_height {self.hover_height} puts the approach "
                                     "pose behind a camera")
         object.__setattr__(self, "cameras", cams)
+
+    def with_seed(self, seed: int) -> "WorldConfig":
+        """This config at another seed: only the seed is checked again, and the
+        per-camera tuples, which do not depend on it, are shared."""
+        _check_seed(seed)
+        twin = object.__new__(WorldConfig)
+        twin.__dict__.update(vars(self), seed=seed, error_directions=self.error_directions,
+                             crop_shifts=self.crop_shifts)  # the cached_property slots
+        return twin
 
     @cached_property
     def error_directions(self) -> tuple:
@@ -235,10 +255,8 @@ def new_world(config: WorldConfig) -> WorldState:
                       appearance=app, basis=B)
 
 
-def peg_position(world: WorldState, tcp=None) -> np.ndarray:
-    if tcp is None:
-        tcp = world.tcp
-    return np.asarray(tcp, dtype=float) + world.basis @ world.grasp_offset
+def peg_position(world: WorldState) -> np.ndarray:
+    return world.tcp + world.basis @ world.grasp_offset
 
 
 def true_inplane_error(world: WorldState) -> float:
@@ -300,67 +318,97 @@ _GLYPHS = {
 def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
     """One camera view at the given (default current) TCP: a batch of one."""
     tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
-    pixels, truth_y = render_batch(world, camera_index, tcp[None])
+    pixels, truth_y = render_views([world], camera_index, tcp[None])
     return Observation(pixels[0], float(truth_y[0]))
 
 
 def render_batch(world: WorldState, camera_index: int, tcps):
-    """One camera's views at (n, 3) TCPs: (n, r, r) float32 pixels, (n,) truth_y.
+    """One camera's views of one world at (n, 3) TCPs: render_views sharing the world."""
+    return render_views([world], camera_index, tcps)
 
-    The crop is centered on the nominal hole projection; the hole is a dark
-    disc and the peg a bright style-specific glyph, each at its true place.
-    A disc's coverage is 0 beyond rad + edge/2 of its center, so each disc
-    is composited once, on the union of the views' boxes (plus a spare
-    pixel) that hit the image; outside its own box a view keeps its bits.
+
+def _per_view(values):
+    """The views' shared value as a scalar (it broadcasts faster), else an (m, 1, 1) column."""
+    return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
+
+
+def render_views(worlds, camera_index: int, tcps):
+    """One camera's views, of one resolution r, at (n, 3) TCPs, view k of
+    worlds[k] (or of one world shared by every view): (n, r, r) float32
+    pixels, (n,) truth_y.
+
+    Each crop is centered on its world's nominal hole projection; the hole is
+    a dark disc and the peg a bright style-specific glyph, each at its true
+    place. A disc's coverage is 0 beyond rad + edge/2 of its center, so each
+    layer of discs (the hole, then each glyph's disc k) is composited once,
+    on the union of its views' boxes (plus a spare pixel) that hit the image,
+    and a view keeps its bits outside its own: it is the same in any batch.
     Each view's noise comes from a generator seeded by (world seed, camera
     index, TCP position bits), so re-rendering a pose is bit-identical.
     """
-    cfg = world.config
-    if not 0 <= camera_index < len(cfg.cameras):
+    if not all(0 <= camera_index < len(world.config.cameras) for world in worlds):
         raise InvalidConfig(f"camera index {camera_index} out of range")
-    cam, r = cfg.cameras[camera_index], cfg.cameras[camera_index].r
     tcps = np.asarray(tcps, dtype=float)
     if tcps.ndim != 2 or tcps.shape[1] != 3:
         raise ShapeMismatch(f"expected (n, 3) TCPs, got {tcps.shape}")
+    n, sizes = len(tcps), {world.config.cameras[camera_index].r for world in worlds}
+    if len(sizes) != 1 or len(worlds) not in (1, n):
+        raise ShapeMismatch(f"{len(worlds)} worlds of resolutions {sorted(sizes)} for {n} views")
     if not np.isfinite(tcps).all():
         raise ConstraintViolation(f"render TCPs {tcps} are not finite")
-    pegs, n = peg_position(world, tcps), len(tcps)
-    sx, sy = cfg.crop_shifts[camera_index].tolist()
-    hole_px, *peg_px = [[float(x) + sx, float(y) + sy] for x, y in
-                        (project(cam, p) for p in [world.true_hole, *pegs])]
-    app = world.appearance
-    discs = [([hole_px] * n, 0.0, 0.0, app.hole_radius_px, HOLE_EDGE_WIDTH,
-              HOLE_INTENSITY)]
-    if cfg.peg_intensity is not None:
-        discs += [(peg_px, du, dv, rad, EDGE_WIDTH,
-                   cfg.peg_intensity if i is None else i)
-                  for du, dv, rad, i in _GLYPHS[cfg.component_style]]
-    img, grid = np.full((n, r, r), app.background), np.arange(r, dtype=float)
-    for centres, du, dv, rad, edge, intensity in discs:
-        reach = rad + edge / 2.0 + 1.0
-        shown = [(k, x + du, y + dv) for k, (x, y) in enumerate(centres)
-                 if -1.0 < x + du + reach and x + du - reach < r  # false for inf
-                 and -1.0 < y + dv + reach and y + dv - reach < r]
+    r = sizes.pop()
+    # per given world; one shared world's rows broadcast over the views
+    cams = [world.config.cameras[camera_index] for world in worlds]
+    holes, ls, us, offsets = (np.array(a) for a in zip(*(
+        (w.true_hole, w.config.insertion_direction, w.config.error_directions[camera_index],
+         w.basis @ w.grasp_offset) for w in worlds)))
+    pegs = tcps + offsets
+    holes_px = [project(cam, world.true_hole) for world, cam in zip(worlds, cams)]
+    if len(worlds) < n:
+        worlds, cams, holes_px = worlds * n, cams * n, holes_px * n
+    layers = []  # per view, its discs in compositing order: (x, y, radius, edge, intensity)
+    for world, cam, (hx, hy), peg in zip(worlds, cams, holes_px, pegs):
+        cfg = world.config
+        sx, sy = cfg.crop_shifts[camera_index].tolist()
+        px, py = project(cam, peg)
+        layers.append([(float(hx) + sx, float(hy) + sy, world.appearance.hole_radius_px,
+                        HOLE_EDGE_WIDTH, HOLE_INTENSITY)])
+        if cfg.peg_intensity is not None:
+            px, py = float(px) + sx, float(py) + sy
+            layers[-1] += [(px + du, py + dv, rad, EDGE_WIDTH,
+                            cfg.peg_intensity if i is None else i)
+                           for du, dv, rad, i in _GLYPHS[cfg.component_style]]
+    img, grid = np.empty((n, r, r)), np.arange(r, dtype=float)
+    img[:] = _per_view([world.appearance.background for world in worlds])
+    for layer in itertools.zip_longest(*layers):  # None where a view has no such disc
+        shown = []
+        for k, disc in enumerate(layer):
+            if disc is not None:
+                x, y, rad, edge, _ = disc
+                reach = rad + edge / 2.0 + 1.0
+                if (-1.0 < x + reach and x - reach < r  # false for inf
+                        and -1.0 < y + reach and y - reach < r):
+                    shown.append((k, reach, *disc))
         if not shown:
             continue
-        views, xs, ys = zip(*shown)
+        views, reaches, xs, ys, *params = zip(*shown)
+        reach = max(reaches)
         x0, x1 = max(math.floor(min(xs) - reach), 0), min(math.ceil(max(xs) + reach) + 1, r)
         y0, y1 = max(math.floor(min(ys) - reach), 0), min(math.ceil(max(ys) + reach) + 1, r)
-        # a lone view's centre stays a scalar, which broadcasts faster
-        cx, cy = xs + ys if len(views) == 1 else np.array([xs, ys])[:, :, None, None]
+        cx, cy, rad, edge, intensity = map(_per_view, (xs, ys, *params))
         views = slice(None) if len(views) == n else list(views)
         dist = np.hypot(grid[x0:x1] - cx, grid[y0:y1, None] - cy)
         # np.clip without its wrapper's cost; they differ only on -0.0, never here
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    for k, bits in enumerate(tcps.view(np.uint64).tolist()):
+    for k, (world, bits) in enumerate(zip(worlds, tcps.view(np.uint64).tolist())):
         noise_rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.seed, camera_index, *bits]))
+            [world.config.seed, camera_index, *bits]))
         img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
 
-    l, u = cfg.insertion_direction, cfg.error_directions[camera_index]
-    truth_y = normalize_error(scalar_error(inplane_component(world.true_hole - pegs, l), u), cam)
+    q = scalar_error(inplane_component(holes - pegs, ls), us).tolist()
+    truth_y = np.array([normalize_error(qk, cam) for qk, cam in zip(q, cams)])
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
     return img.astype(np.float32), truth_y
 

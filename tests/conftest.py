@@ -10,7 +10,7 @@ from pegservo.perception import (Dataset, MlpModel, TrainConfig, _fit_input,
                                  _mlp_init, _mlp_loss_grads, featurize, train)
 from pegservo.pipeline import CollectionConfig, collect_dataset, split_by_insertion
 from pegservo.search import generate_pattern
-from pegservo.sim import Observation, WorldConfig, new_world, peg_position
+from pegservo.sim import Observation, WorldConfig, new_world
 
 RIDGE_HYPER = TrainConfig(kind="ridge", robust_norm=True)
 
@@ -65,7 +65,8 @@ def attempt_insertion(world, tcp=None):
     attempt and charges no time.
     """
     world.attempt_count += 1
-    miss = inplane_norm(world.true_hole - peg_position(world, tcp),
+    peg = (world.tcp if tcp is None else tcp) + world.basis @ world.grasp_offset
+    miss = inplane_norm(world.true_hole - peg,
                         world.config.insertion_direction)
     return float(miss) <= world.config.tolerance
 

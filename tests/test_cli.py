@@ -493,12 +493,14 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
     (["collect"], {"collection": {"max_height": 1e300}}, "InvalidConfig: max_height"),
     (["bench"], {"collection": {"max_height": 800.0}}, "InvalidConfig: max_height"),
     (["bench"], {"bench": {"n_iters": 0}}, "InvalidConfig:"),
+    (["simulate"], {"world": {"nominal_hole": [1e300, 0.0, 0.0]}}, "InvalidConfig: nominal_hole"),
+    (["collect"], {"world": {"nominal_hole": [1e300, 0.0, 0.0]}}, "InvalidConfig: nominal_hole"),
 ], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
         "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
         "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
         "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
         "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
-        "bench-n-iters-0"])
+        "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300"])
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
                                                          config, error):
     # each of these once wrote manifest.json and then failed mid-run (or, for
@@ -528,6 +530,20 @@ def test_bad_servo_flag_exits_1_before_any_output(tmp_path, capsys, flags, error
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--error", "1e300"], ["--error", "1000", "--seed", "0"]],
+                         ids=["error-1e300", "error-1000-toward-camera-1"])
+def test_servo_start_behind_a_camera_exits_1_before_any_output(tmp_path, capsys, flags):
+    # seed 0 draws a start direction toward camera 1: 1000 mm puts the peg past it
+    for j in range(2):
+        save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
+    assert main(["servo", "--models", str(tmp_path / "models"), *flags,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig: --error") and "behind a camera" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

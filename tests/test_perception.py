@@ -23,7 +23,7 @@ from pegservo.geometry import CameraModel, denormalize_error, vec3
 from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
                                  RidgeModel, TrainConfig, _mlp_layers,
                                  _predict_batch, evaluate, featurize,
-                                 load_dataset, load_model, predict,
+                                 load_dataset, load_model, predict, predict_views,
                                  save_dataset, save_model, train)
 from pegservo.sim import Observation
 
@@ -535,6 +535,8 @@ def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
         y = predict(model, obs)
         assert repr(y) == repr(_reference_predict(model, obs))
         ys.append(y)
+    # predict_views featurizes the batch at once and keeps each row's product
+    assert np.array(ys).tobytes() == predict_views(model, images, truth).tobytes()
     if kind == "oracle":
         assert np.array(ys).tobytes() == _predict_batch(model, images, truth).tobytes()
 

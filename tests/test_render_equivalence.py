@@ -13,7 +13,7 @@ from pegservo.geometry import (error_direction, inplane_component,
 from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
                           HOLE_EDGE_WIDTH, HOLE_INTENSITY, NOISE_SIGMA,
                           WorldConfig, default_cameras, new_world,
-                          peg_position, render, render_batch)
+                          render, render_batch, render_views)
 
 
 def reference_render(world, camera_index, tcp):
@@ -25,7 +25,7 @@ def reference_render(world, camera_index, tcp):
     cfg = world.config
     cam = cfg.cameras[camera_index]
     tcp = np.asarray(tcp, dtype=float)
-    peg = peg_position(world, tcp)
+    peg = tcp + world.basis @ world.grasp_offset
 
     nominal_px = np.array(project(cam, world.nominal_hole))
     shift = np.array([cam.r / 2.0, cam.r / 2.0]) - nominal_px
@@ -121,3 +121,45 @@ def test_render_rejects_a_non_finite_tcp(bad):
     world = new_world(WorldConfig(seed=2))
     with pytest.raises(ConstraintViolation):
         render(world, 0, world.tcp + vec3(bad, 0.0, 0.0))
+
+
+# a world of any style and seed, with or without its peg marking, and a pose
+# within 2 mm of its approach or up to 50 mm off (about 1.5 crop widths at the
+# default cameras), which carries the glyph across the border and past it
+world_views = st.tuples(st.sampled_from(COMPONENT_STYLES), st.integers(0, 2**32 - 1),
+                        st.sampled_from([None, 0.9]),
+                        st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 50.0)),
+                        st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(views=st.lists(world_views, min_size=1, max_size=6))
+def test_render_views_match_each_world_rendered_alone(views):
+    worlds, tcps = [], []
+    for style, seed, peg_intensity, off_mm, theta, height in views:
+        world = new_world(WorldConfig(component_style=style, seed=seed,
+                                      peg_intensity=peg_intensity))
+        worlds.append(world)
+        tcps.append(world.tcp - height * world.config.insertion_direction
+                    + world.basis @ (off_mm * np.array([math.cos(theta), math.sin(theta)])))
+    for j in range(2):
+        pixels, truth_y = render_views(worlds, j, np.array(tcps))
+        assert pixels.shape == (len(worlds), 64, 64) and pixels.dtype == np.float32
+        for k, (world, tcp) in enumerate(zip(worlds, tcps)):
+            obs = render(world, j, tcp)
+            assert pixels[k].tobytes() == obs.pixels.tobytes()
+            assert repr(float(truth_y[k])) == repr(obs.truth_y)
+
+
+def test_render_views_need_one_resolution_and_one_world_per_view():
+    world = new_world(WorldConfig(seed=2))
+    small = new_world(WorldConfig(seed=3, cameras=default_cameras(vec3(0.0, 0.0, 0.0),
+                                                                  vec3(0.0, 0.0, -1.0), r=32)))
+    with pytest.raises(ShapeMismatch):
+        render_views([world, small], 0, np.array([world.tcp, small.tcp]))
+    with pytest.raises(ShapeMismatch):  # two worlds for three views
+        render_views([world, world], 0, np.array([world.tcp] * 3))
+    with pytest.raises(ShapeMismatch):
+        render_views([], 0, np.empty((0, 3)))
+    pixels, truth_y = render_views([small], 1, np.empty((0, 3)))
+    assert pixels.shape == (0, 32, 32) and truth_y.shape == (0,)

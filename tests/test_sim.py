@@ -152,6 +152,18 @@ def test_config_rejects_a_negative_seed():
     assert WorldConfig(seed=0).seed == 0
 
 
+def test_with_seed_checks_the_seed_and_shares_the_per_camera_tuples():
+    styled = WorldConfig(component_style="dsub", tolerance=0.2, seed=4)
+    with pytest.raises(InvalidConfig, match="seed"):
+        styled.with_seed(-1)
+    twin = styled.with_seed(9)
+    assert config_to_dict(twin) == config_to_dict(replace(styled, seed=9))
+    assert twin.error_directions is styled.error_directions
+    assert twin.crop_shifts is styled.crop_shifts
+    assert styled.seed == 4 and new_world(twin).true_hole.tobytes() == new_world(
+        replace(styled, seed=9)).true_hole.tobytes()
+
+
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
 def test_timing_rejects_negative_or_non_finite(bad):
     with pytest.raises(InvalidConfig):
