@@ -30,8 +30,8 @@ from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                   config_from_dict, config_to_dict, load_config_file,
-                  move_tcp, new_world, peg_position, render, true_inplane_error,
-                  write_pgm)
+                  move_tcp, new_world, peg_position, render_views,
+                  true_inplane_error, write_pgm)
 
 _SECTIONS = {"world": WorldConfig, "timing": TimingModel,
              "collection": CollectionConfig, "train": TrainConfig,
@@ -131,15 +131,17 @@ def cmd_pattern(ns) -> int:
 def cmd_simulate(ns) -> int:
     sections = _load_sections(ns.config)
     wcfg = _world_config(sections, seed=ns.seed, style=ns.style)
+    world = new_world(wcfg)
+    _check_in_front(wcfg, world.true_hole, f"seed {wcfg.seed} draws the hole")
+    _check_in_front(wcfg, peg_position(world), f"seed {wcfg.seed} puts the peg")
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
     _write_manifest(ns.out, "simulate", ns, {"world": config_to_dict(wcfg)},
                     outputs)
-    world = new_world(wcfg)
     truth = {}
     for j in range(len(wcfg.cameras)):
-        obs = render(world, j)
-        write_pgm(obs.pixels, os.path.join(ns.out, f"cam{j}.pgm"))
-        truth[str(j)] = obs.truth_y
+        pixels, truth_y = render_views([world], j, world.tcp[None])
+        write_pgm(pixels[0], os.path.join(ns.out, f"cam{j}.pgm"))
+        truth[str(j)] = float(truth_y[0])
     scene = {
         "tcp": [float(v) for v in world.tcp],
         "true_inplane_error_mm": true_inplane_error(world),
@@ -222,6 +224,7 @@ def cmd_servo(ns) -> int:
     if not 0 <= ns.error < np.inf:
         raise InvalidConfig(f"--error must be finite and >= 0, got {ns.error}")
     world = new_world(wcfg)
+    _check_in_front(wcfg, world.true_hole, f"seed {wcfg.seed} draws the hole")
     cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
                            timing=timing)
     if ns.error:
@@ -232,7 +235,7 @@ def cmd_servo(ns) -> int:
     _check_in_front(wcfg, peg_position(world), f"--error {ns.error} puts the start peg")
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
-    steps, residuals = visual_servo(world, cfg)
+    [(steps, residuals)] = visual_servo([world], [cfg])
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {

@@ -354,20 +354,12 @@ def predict(model, obs: Observation) -> float:
 
 def predict_views(model, images, truth_y) -> np.ndarray:
     """What predict makes of each of (n, r, r) images alone: one featurize, then
-    each row's own product (a whole-batch one, evaluate's, differs in the last bits)."""
-    return _predict_batch(model, images, truth_y, each_row=True)
-
-
-def _predict_batch(model, images, truth_y, each_row=False) -> np.ndarray:
-    """Predictions for (n, r, r) images; an oracle reads truth_y instead."""
+    each row's own product; an oracle reads truth_y instead."""
     if model.kind == "oracle":
         if model.noise_sigma > 0.0:
             return truth_y + model.noise_sigma * _keyed_normals(images, truth_y)
         return truth_y
-    X = featurize(images, model.spec)
-    if each_row:
-        return np.array([_predict_features(model, X[k:k + 1])[0] for k in range(len(X))])
-    return _predict_features(model, X)
+    return _predict_features(model, featurize(images, model.spec))
 
 
 def _keyed_normals(images, truth_y) -> np.ndarray:
@@ -379,16 +371,19 @@ def _keyed_normals(images, truth_y) -> np.ndarray:
 
 
 def _predict_features(model, X) -> np.ndarray:
-    if model.kind == "ridge":
-        return X @ model.weights + model.bias
-    return _mlp_layers(model.params, X)[-1]
+    """Each feature row's own ridge or MLP product: a whole-batch product
+    differs in the last bits, so a row's prediction would depend on its batch."""
+    product = ((lambda x: x @ model.weights + model.bias) if model.kind == "ridge"
+               else lambda x: _mlp_layers(model.params, x)[-1])
+    return np.array([product(X[k:k + 1])[0] for k in range(len(X))])
 
 
 def evaluate(model, ds: Dataset) -> dict:
-    """Prediction metrics over a dataset: mse/mae in y units, mae_mm in mm."""
+    """Metrics of predict_views' predictions over a dataset, the numbers the
+    servo loop acts on: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    return _metrics(_predict_batch(model, ds.pixels(), ds.truth_y), ds)
+    return _metrics(predict_views(model, ds.pixels(), ds.truth_y), ds)
 
 
 def _metrics(pred, ds: Dataset) -> dict:

@@ -17,8 +17,8 @@ from .errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
 from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
-from .servoing import servo_steps
-from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_batch,
+from .servoing import visual_servo
+from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_views,
                   spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,8 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     skipped. Per inserted world: take the successful TCP as the in-plane
     zero, then draw samples_per_insertion random offsets (direction uniform
     on the circle, magnitude ~ U(0, max_offset_mag), height ~
-    U(0, max_height)) as one array and render them with one render_batch per
-    camera. Label y is the normalized error the servo must cancel:
+    U(0, max_height)) as one array and render them with one render_views call
+    per camera. Label y is the normalized error the servo must cancel:
     y_j = normalize_error(-offset.u_j, cam_j). Images and labels fill
     (inserted world, sample, camera) arrays, flattened in that order.
     """
@@ -109,7 +109,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         height_mm[n] = height[:, None]
         for j, cam in enumerate(cameras):  # truth_y comes with the pixels
             y[n, :, j] = normalize_error(q_mm[n, :, j], cam)
-            images[n, :, j], truth_y[n, :, j] = render_batch(world, j, tcps)
+            images[n, :, j], truth_y[n, :, j] = render_views([world], j, tcps)
     return Dataset(images=images.reshape(-1, r, r), rows=np.arange(y.size),
                    insertion_id=np.repeat(kept, k * m),
                    camera_index=np.tile(np.arange(m), len(kept) * k), y=y.ravel(),
@@ -206,19 +206,17 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
                  timing: TimingModel) -> list:
     """Insertion episodes of a batch of worlds, searched by one spiral_search.
 
-    A world whose servo_cfg is None gives spiral_search's novs episode. Any
-    other first takes servo_cfg.n_iters steps (one servo_steps call per step for
-    all such worlds) and gives a vs episode: time_s covers both phases, the
-    true and the retrospective errors are measured from the original start,
-    and the post-servo retrospective error is the search's.
+    A world whose servo_cfg is None gives spiral_search's novs episode. The
+    others are first servoed together by one visual_servo call and give vs
+    episodes: time_s covers both phases, the true and the retrospective errors
+    are measured from the original start, and the post-servo retrospective
+    error is the search's.
     """
     before = {}  # world index -> start TCP, elapsed time, true error
     for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
         if cfg is not None:
             before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
-    for i in range(max((servo_cfgs[n].n_iters for n in before), default=0)):
-        live = [n for n in before if servo_cfgs[n].n_iters > i]
-        servo_steps([worlds[n] for n in live], [servo_cfgs[n] for n in live])
+    visual_servo([worlds[n] for n in before], [servo_cfgs[n] for n in before])
     episodes = spiral_search(worlds, pattern, timing)
     for n, (start_tcp, t0, true_err) in before.items():
         world, sp = worlds[n], episodes[n]

@@ -102,17 +102,19 @@ def servo_steps(worlds, cfgs) -> list:
     return steps
 
 
-def visual_servo(world: WorldState, cfg: ServoConfig):
-    """Run exactly cfg.n_iters servo steps; returns (steps, residuals).
-
-    residuals[i] is the true in-plane error after step i (simulation-only
-    diagnostic).
-    """
-    steps, residuals = [], []
-    for _ in range(cfg.n_iters):
-        steps.append(servo_step(world, cfg))
-        residuals.append(true_inplane_error(world))
-    return steps, residuals
+def visual_servo(worlds, cfgs) -> list:
+    """Run each world's cfg.n_iters servo steps in lockstep, one servo_steps call
+    per iteration over the worlds not yet done; returns per world (steps,
+    residuals), the same alone or in any batch. residuals[i] is the true
+    in-plane error after step i (simulation-only diagnostic)."""
+    runs = [([], []) for _ in worlds]
+    for i in range(max((cfg.n_iters for cfg in cfgs), default=0)):
+        live = [k for k, cfg in enumerate(cfgs) if cfg.n_iters > i]
+        steps = servo_steps([worlds[k] for k in live], [cfgs[k] for k in live])
+        for k, step in zip(live, steps):
+            runs[k][0].append(step)
+            runs[k][1].append(true_inplane_error(worlds[k]))
+    return runs
 
 
 def write_trace_csv(steps, residuals, path) -> None:

@@ -322,11 +322,6 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
     return Observation(pixels[0], float(truth_y[0]))
 
 
-def render_batch(world: WorldState, camera_index: int, tcps):
-    """One camera's views of one world at (n, 3) TCPs: render_views sharing the world."""
-    return render_views([world], camera_index, tcps)
-
-
 def _per_view(values):
     """The views' shared value as a scalar (it broadcasts faster), else an (m, 1, 1) column."""
     return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
@@ -422,7 +417,7 @@ BENCH_MODES = (MODE_VS, MODE_NOVS)
 class Episode:
     """One insertion episode; rows.csv holds one per line, fields in order.
 
-    spiral_insert returns a search-only (novs) episode; pipeline.insert
+    spiral_search returns search-only (novs) episodes; pipeline.insert_batch
     turns the spiral after servoing into a vs episode. Errors are in-plane
     distances (mm) measured from the episode's start; the retrospective
     error is nan on failure.

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, manifests, artifact round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -495,12 +496,16 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
     (["bench"], {"bench": {"n_iters": 0}}, "InvalidConfig:"),
     (["simulate"], {"world": {"nominal_hole": [1e300, 0.0, 0.0]}}, "InvalidConfig: nominal_hole"),
     (["collect"], {"world": {"nominal_hole": [1e300, 0.0, 0.0]}}, "InvalidConfig: nominal_hole"),
+    # a 450 mm grasp sigma draws seed 4's peg behind a camera
+    (["simulate", "--seed", "4"], {"world": {"grasp_uncertainty_sigma": 450}},
+     "InvalidConfig: seed 4 puts the peg behind a camera"),
 ], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
         "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
         "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
         "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
         "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
-        "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300"])
+        "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
+        "simulate-peg-drawn-behind-a-camera"])
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
                                                          config, error):
     # each of these once wrote manifest.json and then failed mid-run (or, for
@@ -544,6 +549,33 @@ def test_servo_start_behind_a_camera_exits_1_before_any_output(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("InvalidConfig: --error") and "behind a camera" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_a_hole_drawn_behind_a_camera_exits_1_before_any_output(tmp_path, capsys):
+    # a 450 mm hole sigma draws seed 3's hole behind camera 0 and seed 6's
+    # behind camera 1; the other eight seeds run, and their bytes are pinned
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"world": {"hole_uncertainty_sigma": 450}}))
+    for j in range(2):
+        save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
+    written = hashlib.sha256()
+    for seed in range(10):
+        for sub, flags in (("simulate", []),
+                           ("servo", ["--models", str(tmp_path / "models"), "--trace"])):
+            out = tmp_path / f"{sub}{seed}"
+            code = main([sub, "--config", str(path), "--seed", str(seed), *flags,
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            if seed in (3, 6):
+                assert code == 1 and not out.exists()
+                assert err == f"InvalidConfig: seed {seed} draws the hole behind a camera\n"
+            else:
+                assert code == 0, err
+                for f in sorted(out.iterdir()):
+                    if f.name != "manifest.json":
+                        written.update(f.read_bytes())
+    assert written.hexdigest() == (
+        "7965a41cd4213ae096f39f6fd0df0712380d0074bb7249610092c82a8477a9f8")
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

@@ -12,7 +12,7 @@ from pegservo.geometry import normalize_error, scalar_error, vec3
 from pegservo.pipeline import CollectionConfig, collect_dataset
 from pegservo.search import generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          new_world, render_batch, spiral_insert)
+                          new_world, render_views, spiral_insert)
 
 
 def reference_collect(world_factory, cfg, pattern):
@@ -44,7 +44,7 @@ def reference_collect(world_factory, cfg, pattern):
                 labels.append([i, j, normalize_error(q, cam), np.nan, q, height])
                 images.append(None)
         for j in range(len(cameras)):
-            pixels, truth_y = render_batch(world, j, np.array(tcps))
+            pixels, truth_y = render_views([world], j, np.array(tcps))
             for s in range(len(tcps)):
                 row = first + s * len(cameras) + j
                 images[row], labels[row][3] = pixels[s], truth_y[s]
@@ -81,12 +81,13 @@ def test_collection_matches_the_per_sample_reference(
     pattern = generate_pattern(0.1, 1.0)
     calls = []
 
-    def recorded(world, camera_index, tcps):
+    def recorded(worlds, camera_index, tcps):
+        [world] = worlds
         calls.append((world.config.seed - seed, camera_index, np.array(tcps)))
-        return render_batch(world, camera_index, tcps)
+        return render_views(worlds, camera_index, tcps)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pegservo.pipeline, "render_batch", recorded)
+        mp.setattr(pegservo.pipeline, "render_views", recorded)
         data = collect_dataset(factory, cfg, pattern)
     tcps, columns, images = reference_collect(factory, cfg, pattern)
 

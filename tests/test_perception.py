@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,10 +21,10 @@ from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                              LeakedInsertion, NonFiniteLoss, ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
 from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
-                                 RidgeModel, TrainConfig, _mlp_layers,
-                                 _predict_batch, evaluate, featurize,
-                                 load_dataset, load_model, predict, predict_views,
-                                 save_dataset, save_model, train)
+                                 RidgeModel, TrainConfig, _metrics, _mlp_layers,
+                                 evaluate, featurize, load_dataset, load_model,
+                                 predict, predict_views, save_dataset, save_model,
+                                 train)
 from pegservo.sim import Observation
 
 
@@ -510,25 +510,32 @@ def _reference_predict(model, obs):
     return float(_mlp_layers(model.params, x[None, :])[-1][0])
 
 
+def _random_model(kind, spec, draws):
+    """An "oracle", "noisy" (oracle), "ridge" or "mlp" model of spec's images,
+    its parameters drawn from the generator draws."""
+    d = spec.r * spec.r
+    if kind in ("oracle", "noisy"):
+        return OracleModel(noise_sigma=float(draws.uniform(0.01, 1.0)) * (kind == "noisy"))
+    if kind == "ridge":
+        return RidgeModel(weights=draws.normal(size=d), bias=float(draws.normal()),
+                          lam=1.0, spec=spec)
+    hidden = (int(draws.integers(1, 9)), int(draws.integers(1, 9)))
+    params = [draws.normal(size=s) for s in
+              [(d, hidden[0]), hidden[0], hidden, hidden[1], (hidden[1], 1), 1]]
+    return MlpModel(params=params, spec=spec, hidden=hidden)
+
+
+_KINDS = st.sampled_from(["oracle", "noisy", "ridge", "mlp"])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @settings(max_examples=150, deadline=None)
-@given(batch=image_batches(), kind=st.sampled_from(["oracle", "ridge", "mlp"]),
-       seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
-def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
+@given(batch=image_batches(), kind=_KINDS, seed=st.integers(0, 2**32 - 1))
+def test_predict_is_a_batch_of_one(batch, kind, seed):
     images, spec = batch
     draws = np.random.default_rng(seed)
     truth = draws.normal(size=len(images))
-    d = spec.r * spec.r
-    if kind == "oracle":
-        model = OracleModel(noise_sigma=float(draws.uniform(0.01, 1.0)) * noisy)
-    elif kind == "ridge":
-        model = RidgeModel(weights=draws.normal(size=d), bias=float(draws.normal()),
-                           lam=1.0, spec=spec)
-    else:
-        hidden = (int(draws.integers(1, 9)), int(draws.integers(1, 9)))
-        params = [draws.normal(size=s) for s in
-                  [(d, hidden[0]), hidden[0], hidden, hidden[1], (hidden[1], 1), 1]]
-        model = MlpModel(params=params, spec=spec, hidden=hidden)
+    model = _random_model(kind, spec, draws)
     ys = []
     for i in range(len(images)):
         obs = Observation(pixels=images[i], truth_y=float(truth[i]))
@@ -537,8 +544,6 @@ def test_predict_is_a_batch_of_one(batch, kind, seed, noisy):
         ys.append(y)
     # predict_views featurizes the batch at once and keeps each row's product
     assert np.array(ys).tobytes() == predict_views(model, images, truth).tobytes()
-    if kind == "oracle":
-        assert np.array(ys).tobytes() == _predict_batch(model, images, truth).tobytes()
 
 
 _COLUMNS = ("insertion_id", "camera_index", "y", "truth_y", "q_mm", "height_mm")
@@ -556,7 +561,26 @@ def test_noisy_oracle_prediction_is_a_function_of_its_observation(ds, sigma, dat
         return
     sel = np.array(data.draw(st.lists(st.integers(0, len(ds) - 1), min_size=1)))
     batch = replace(ds, rows=ds.rows[sel], **{c: getattr(ds, c)[sel] for c in _COLUMNS})
-    rows = _predict_batch(model, batch.pixels(), batch.truth_y)
+    rows = predict_views(model, batch.pixels(), batch.truth_y)
     assert rows.tobytes() == np.array(ys)[sel].tobytes()
     mse = float(np.mean((np.array(ys)[sel] - batch.y) ** 2))
     assert repr(evaluate(model, batch)["mse"]) == repr(mse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan pixels, huge labels
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), kind=_KINDS, robust=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_evaluate_scores_the_rows_as_predict_views_does(ds, kind, robust, seed, data):
+    # evaluate of any subset, reordering or repetition of a dataset's rows is
+    # the metrics of those rows' predictions made in the whole dataset's batch
+    assume(len(ds) > 0)
+    draws = np.random.default_rng(seed)
+    d = ds.r * ds.r
+    spec = InputSpec(r=ds.r, robust=robust, feat_mean=draws.normal(size=d),
+                     feat_std=draws.uniform(0.5, 2.0, size=d))
+    model = _random_model(kind, spec, draws)
+    pred = predict_views(model, ds.pixels(), ds.truth_y)
+    sel = np.array(data.draw(st.lists(st.integers(0, len(ds) - 1), min_size=1)))
+    batch = replace(ds, rows=ds.rows[sel], **{c: getattr(ds, c)[sel] for c in _COLUMNS})
+    assert repr(evaluate(model, batch)) == repr(_metrics(pred[sel], batch))

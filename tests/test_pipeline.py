@@ -21,7 +21,7 @@ from pegservo.pipeline import (CollectionConfig, DeploymentGate,
 from pegservo.search import generate_pattern
 from pegservo.servoing import servo_config_for, visual_servo
 from pegservo.sim import (TimingModel, WorldConfig, default_cameras,
-                          move_tcp, new_world, render_batch)
+                          move_tcp, new_world, render_views)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -117,23 +117,23 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
 
     calls.clear()
     world = factory(3)
-    visual_servo(world, servo_config_for(world, (OracleModel(), OracleModel())))
+    visual_servo([world], [servo_config_for(world, (OracleModel(), OracleModel()))])
     assert len(calls) == 2  # the servo reads the world's config, one per camera
 
 
 def test_collection_renders_each_insertion_once_per_camera(monkeypatch):
     calls = []
 
-    def counted(world, camera_index, tcps):
-        calls.append((world.config.seed, camera_index, len(tcps)))
-        return render_batch(world, camera_index, tcps)
+    def counted(worlds, camera_index, tcps):
+        calls.append(([w.config.seed for w in worlds], camera_index, len(tcps)))
+        return render_views(worlds, camera_index, tcps)
 
-    monkeypatch.setattr(pegservo.pipeline, "render_batch", counted)
+    monkeypatch.setattr(pegservo.pipeline, "render_views", counted)
     cfg = CollectionConfig(n_insertions=3, samples_per_insertion=5,
                            train_insertions=2)
     data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
     assert len(data) == 3 * 5 * 2
-    assert calls == [(500 + i, j, 5) for i in range(3) for j in range(2)]
+    assert calls == [([500 + i], j, 5) for i in range(3) for j in range(2)]
 
 
 def test_collection_builds_each_world_once():
@@ -161,7 +161,7 @@ def test_collection_rejects_worlds_with_other_cameras():
     pattern = generate_pattern(0.1, 1.0)
     work = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("render_batch", "spiral_search"):
+        for name in ("render_views", "spiral_search"):
             mp.setattr(pegservo.pipeline, name, lambda *a, name=name: work.append(name))
         with pytest.raises(InvalidConfig, match="insertion 1"):
             collect_dataset(factory([1000.0, 2000.0]), cfg, pattern)

@@ -13,7 +13,7 @@ from pegservo.geometry import (error_direction, inplane_component,
 from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
                           HOLE_EDGE_WIDTH, HOLE_INTENSITY, NOISE_SIGMA,
                           WorldConfig, default_cameras, new_world,
-                          render, render_batch, render_views)
+                          render, render_views)
 
 
 def reference_render(world, camera_index, tcp):
@@ -99,7 +99,7 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
                      @ (widths * crop_mm * np.array([math.cos(theta), math.sin(theta)]))
                      for widths, theta, height in pose_list])
     for j in range(len(cfg.cameras)):
-        batch, batch_truth = render_batch(world, j, tcps)
+        batch, batch_truth = render_views([world], j, tcps)
         assert batch.shape == (len(tcps), cam.r, cam.r) and batch.dtype == np.float32
         for k, tcp in enumerate(tcps):
             pixels, truth_y = reference_render(world, j, tcp)
@@ -108,12 +108,12 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
             assert repr(float(batch_truth[k])) == repr(obs.truth_y) == repr(truth_y)
 
 
-def test_render_batch_takes_n_by_3_tcps():
+def test_render_views_takes_n_by_3_tcps():
     world = new_world(WorldConfig(seed=2))
-    pixels, truth_y = render_batch(world, 1, np.empty((0, 3)))
+    pixels, truth_y = render_views([world], 1, np.empty((0, 3)))
     assert pixels.shape == (0, 64, 64) and truth_y.shape == (0,)
     with pytest.raises(ShapeMismatch):
-        render_batch(world, 1, world.tcp)
+        render_views([world], 1, world.tcp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -39,7 +39,7 @@ def test_one_step_cancels_any_error_below_clamp():
 def test_three_iterations_residuals_all_zero():
     w = _world_with_error([0.9, -0.4])
     cfg = servo_config_for(w, ORACLES)
-    _, residuals = visual_servo(w, cfg)
+    [(_, residuals)] = visual_servo([w], [cfg])
     assert len(residuals) == 3
     assert all(r <= 1e-9 for r in residuals)
 
@@ -100,11 +100,10 @@ def test_more_iterations_do_not_hurt():
     # over 50 worlds lies within 3 standard errors of it, and does not diverge
     sigma = 0.01
     models = (OracleModel(noise_sigma=sigma), OracleModel(noise_sigma=sigma))
-    residuals = []
-    for seed in range(50):
-        w = _world_with_error([0.8, -0.6], seed=seed)
-        residuals.append(visual_servo(w, servo_config_for(w, models))[1])
-    floor = {sigma * cam.r * cam.z / cam.f for cam in w.config.cameras}
+    worlds = [_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)]
+    residuals = [r for _, r in visual_servo(
+        worlds, [servo_config_for(w, models) for w in worlds])]
+    floor = {sigma * cam.r * cam.z / cam.f for cam in worlds[0].config.cameras}
     assert len(floor) == 1
     floor = floor.pop()  # 0.32 mm
     mean, sd = floor * math.sqrt(math.pi / 2.0), floor * math.sqrt((4.0 - math.pi) / 2.0)
@@ -119,15 +118,16 @@ def test_iterations_reduce_miscalibration_error():
     c, s = math.cos(ang), math.sin(ang)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     models = (OracleModel(noise_sigma=0.001), OracleModel(noise_sigma=0.001))
-    residuals = []
+    worlds, cfgs = [], []
     for seed in range(50):
         w = _world_with_error([0.8, -0.6], seed=seed)
         believed = tuple(
             aimed_camera(R @ cam.position, w.nominal_hole, L, cam.f, cam.r)
             for cam in w.config.cameras)
-        cfg = ServoConfig(models=models,
-                          calibration=replace(w.config, cameras=believed))
-        residuals.append(visual_servo(w, cfg)[1])
+        worlds.append(w)
+        cfgs.append(ServoConfig(models=models,
+                                calibration=replace(w.config, cameras=believed)))
+    residuals = [r for _, r in visual_servo(worlds, cfgs)]
     after_1, _, after_3 = np.mean(residuals, axis=0)
     assert after_3 < after_1
 
@@ -135,7 +135,7 @@ def test_iterations_reduce_miscalibration_error():
 def test_servo_timing_exact():
     w = _world_with_error([0.5, 0.0])
     cfg = servo_config_for(w, ORACLES)  # 3 iters, 2 cameras
-    visual_servo(w, cfg)
+    visual_servo([w], [cfg])
     # 3 * (2*(0.083 + 0.067) + 0.133) = 1.299
     assert w.elapsed_time == pytest.approx(1.299, abs=1e-9)
 
@@ -144,7 +144,7 @@ def test_servo_stays_in_plane():
     w = _world_with_error([1.0, 0.7], seed=3)
     z_before = float(np.dot(w.tcp, L))
     cfg = servo_config_for(w, ORACLES)
-    visual_servo(w, cfg)
+    visual_servo([w], [cfg])
     assert float(np.dot(w.tcp, L)) == pytest.approx(z_before, abs=1e-12)
     assert w.max_inplane_violation <= 1e-9
 
@@ -165,16 +165,45 @@ def test_near_parallel_views_flagged():
 def test_trained_models_servo_within_tolerance(led_ridge):
     # fresh worlds, 1 mm start errors, per-camera ridge regressors
     models = tuple(led_ridge[j][0] for j in (0, 1))
-    ok = 0
+    worlds = []
     for seed in range(50):
         rng = np.random.default_rng(40_000 + seed)
         theta = rng.uniform(0, 2 * np.pi)
         w = new_world(WorldConfig(component_style="led", seed=77_000 + seed))
         move_tcp(w, w.tcp + w.basis @ np.array([math.cos(theta), math.sin(theta)]))
-        cfg = servo_config_for(w, models)
-        _, residuals = visual_servo(w, cfg)
-        ok += residuals[-1] <= 0.05
+        worlds.append(w)
+    runs = visual_servo(worlds, [servo_config_for(w, models) for w in worlds])
+    ok = sum(residuals[-1] <= 0.05 for _, residuals in runs)
     assert ok >= 45  # >= 90% of 50
+
+
+def _servo_run(world, steps, residuals):
+    """A world's servo run as comparable bytes: its steps, residuals and end state."""
+    return ([(repr(st.y), repr(st.q_mm), st.e_hat.tobytes(), st.saturated,
+              st.ill_conditioned) for st in steps],
+            repr(residuals), world.tcp.tobytes(), repr(world.elapsed_time))
+
+
+def test_visual_servo_is_batch_independent(led_ridge):
+    # worlds of mixed n_iters and models, servoed in one batch, each run
+    # exactly as it runs alone
+    ridge = tuple(led_ridge[j][0] for j in (0, 1))
+    noisy = (OracleModel(noise_sigma=0.01), OracleModel(noise_sigma=0.01))
+    block = [(0, ridge, 3), (1, noisy, 1), (2, ORACLES, 2), (3, ridge, 1),
+             (4, noisy, 3), (5, ridge, 2), (6, ORACLES, 3)]
+
+    def start(seed, models, n_iters):
+        w = new_world(WorldConfig(component_style="led", seed=300 + seed))
+        move_tcp(w, w.tcp + w.basis @ (0.15 * seed * np.array([1.0, -0.5])))
+        return w, servo_config_for(w, models, n_iters=n_iters)
+
+    worlds, cfgs = zip(*(start(*spec) for spec in block))
+    runs = visual_servo(worlds, cfgs)
+    assert [len(steps) for steps, _ in runs] == [n for _, _, n in block]
+    for spec, world, run in zip(block, worlds, runs, strict=True):
+        alone, alone_cfg = start(*spec)
+        [alone_run] = visual_servo([alone], [alone_cfg])
+        assert _servo_run(world, *run) == _servo_run(alone, *alone_run)
 
 
 def test_servo_config_validation():
@@ -188,7 +217,7 @@ def test_servo_config_validation():
 def test_trace_csv(tmp_path):
     w = _world_with_error([0.6, 0.2])
     cfg = servo_config_for(w, ORACLES)
-    steps, residuals = visual_servo(w, cfg)
+    [(steps, residuals)] = visual_servo([w], [cfg])
     assert len(steps) == len(residuals) == 3
     path = tmp_path / "trace.csv"
     write_trace_csv(steps, residuals, path)
