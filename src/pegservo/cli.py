@@ -225,6 +225,7 @@ def cmd_servo(ns) -> int:
         raise InvalidConfig(f"--error must be finite and >= 0, got {ns.error}")
     world = new_world(wcfg)
     _check_in_front(wcfg, world.true_hole, f"seed {wcfg.seed} draws the hole")
+    _check_in_front(wcfg, peg_position(world), f"seed {wcfg.seed} puts the peg")
     cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
                            timing=timing)
     if ns.error:

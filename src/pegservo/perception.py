@@ -23,9 +23,9 @@ from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
 from .geometry import camera_from_dict, camera_to_dict
 from .sim import Observation
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-# Per-sample label columns of a Dataset (also meta.json's per-sample keys)
+# Per-sample label columns of a Dataset (also meta.json's columns)
 _LABELS = {"insertion_id": np.int64, "camera_index": np.int64,
            "y": np.float64, "truth_y": np.float64, "q_mm": np.float64,
            "height_mm": np.float64}
@@ -116,7 +116,7 @@ def _image_features(images, r: int, robust: bool) -> np.ndarray:
     images = np.asarray(images)
     if images.ndim != 3 or images.shape[1:] != (r, r):
         raise ShapeMismatch(f"expected (n, {r}, {r}) images, got {images.shape}")
-    X = np.array(images, dtype=np.float64).reshape(len(images), -1)
+    X = np.array(images, dtype=np.float64).reshape(len(images), r * r)
     if robust:
         # Zero the background at the median and scale by the bright tail so
         # the foreground amplitude is scene-independent; then floor the dark
@@ -129,7 +129,7 @@ def _image_features(images, r: int, robust: bool) -> np.ndarray:
         at = (d - 1) * (_ROBUST_PCTL / 100)
         lo, hi = math.floor(at), min(math.floor(at) + 1, d - 1)
         g = at - lo if lo < hi else 1.0
-        sel = np.sort(images.reshape(len(images), -1), axis=1)[
+        sel = np.sort(images.reshape(len(images), d), axis=1)[
             :, [(d - 1) // 2, d // 2, lo, hi, d - 1]].astype(np.float64)
         m = sel[:, :2 - d % 2].mean(axis=1, keepdims=True)  # 1 or 2 middle ranks
         a, b = sel[:, 2:3], sel[:, 3:4]
@@ -371,11 +371,12 @@ def _keyed_normals(images, truth_y) -> np.ndarray:
 
 
 def _predict_features(model, X) -> np.ndarray:
-    """Each feature row's own ridge or MLP product: a whole-batch product
-    differs in the last bits, so a row's prediction would depend on its batch."""
-    product = ((lambda x: x @ model.weights + model.bias) if model.kind == "ridge"
-               else lambda x: _mlp_layers(model.params, x)[-1])
-    return np.array([product(X[k:k + 1])[0] for k in range(len(X))])
+    """Each feature row's own ridge or MLP product: numpy hands each (1, d) row
+    of X[:, None] to the BLAS call the row gets alone, whatever its batch."""
+    rows = X[:, None]
+    if model.kind == "ridge":
+        return (rows @ model.weights)[:, 0] + model.bias
+    return _mlp_layers(model.params, rows)[-1]
 
 
 def evaluate(model, ds: Dataset) -> dict:
@@ -397,14 +398,13 @@ def _metrics(pred, ds: Dataset) -> dict:
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
-    """Write meta.json plus images.bin (float32 little-endian, sample order)."""
-    columns = [getattr(ds, k).tolist() for k in _LABELS]
+    """Write meta.json (a list per label) plus images.bin (float32 LE, sample order)."""
     meta = {
         "schema_version": SCHEMA_VERSION,
         "r": ds.r,
         "n": len(ds),
         "cameras": [camera_to_dict(c) for c in ds.cameras],
-        "samples": [dict(zip(_LABELS, values)) for values in zip(*columns)],
+        "columns": {k: getattr(ds, k).tolist() for k in _LABELS},
     }
     write_artifacts(out_dir, {
         "meta.json": json.dumps(meta, indent=1, sort_keys=True),
@@ -430,20 +430,20 @@ def load_dataset(in_dir) -> Dataset:
     try:
         r, n = int(meta["r"]), int(meta["n"])
         cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
-        labels = {k: np.array([sm[k] for sm in meta["samples"]], dtype=dtype)
+        labels = {k: np.array(meta["columns"][k], dtype=dtype)
                   for k, dtype in _LABELS.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptArtifact(f"bad meta.json in {in_dir}: {exc!r}") from exc
-    if len(raw) != 4 * n * r * r or len(labels["y"]) != n:
-        raise CorruptArtifact(f"images.bin holds {len(raw)} bytes and meta.json "
-                              f"{len(labels['y'])} samples, expected {n} "
-                              f"float32 images of {r}x{r}")
+    short = [k for k, column in labels.items() if column.shape != (n,)]
+    if short or len(raw) != 4 * n * r * r:
+        raise CorruptArtifact(f"meta.json's n={n}, r={r} disagree with images.bin's "
+                              f"{len(raw)} bytes (float32) or the columns {short}")
     images = np.frombuffer(raw, dtype="<f4").reshape(n, r, r)
     return Dataset(images=images, rows=np.arange(n), cameras=cams, **labels)
 
 
 def save_model(model, out_dir) -> None:
-    """Write model.json plus weights.bin (float32 LE, order documented here).
+    """Write model.json plus weights.bin (float64 LE, order documented here).
 
     ridge: [feat_mean, feat_std, weights, bias]. mlp: [feat_mean, feat_std,
     W1, b1, W2, b2, W3, b3] with matrices flattened row-major. oracle models
@@ -465,8 +465,7 @@ def save_model(model, out_dir) -> None:
             blobs += [p.ravel() for p in model.params]
     files = {"model.json": json.dumps(meta, indent=1, sort_keys=True)}
     if blobs:
-        files["weights.bin"] = np.concatenate(
-            [np.asarray(b, dtype=np.float64).ravel() for b in blobs]).astype("<f4")
+        files["weights.bin"] = np.concatenate([np.asarray(b, "<f8").ravel() for b in blobs])
     write_artifacts(out_dir, files)
 
 
@@ -483,7 +482,7 @@ def _model_from_meta(meta: dict, in_dir):
     if kind == "oracle":
         return OracleModel(noise_sigma=float(meta["noise_sigma"]))
     raw = np.frombuffer(read_artifact(os.path.join(in_dir, "weights.bin"),
-                                      binary=True), dtype="<f4").astype(np.float64)
+                                      binary=True), dtype="<f8")
     r = int(meta["r"])
     d = r * r
     if raw.size < 2 * d:

@@ -7,7 +7,8 @@ from scipy.spatial import cKDTree
 
 from pegservo.geometry import CameraModel, inplane_norm, vec3
 from pegservo.perception import (Dataset, MlpModel, TrainConfig, _fit_input,
-                                 _mlp_init, _mlp_loss_grads, featurize, train)
+                                 _mlp_init, _mlp_layers, _mlp_loss_grads,
+                                 featurize, train)
 from pegservo.pipeline import CollectionConfig, collect_dataset, split_by_insertion
 from pegservo.search import generate_pattern
 from pegservo.sim import Observation, WorldConfig, new_world
@@ -108,6 +109,14 @@ def gradient_check(model, ds, n_checks=100):
         denom = max(abs(ga), abs(gd), 1e-10)
         worst = max(worst, abs(ga - gd) / denom)
     return worst
+
+
+def predict_rows(model, X):
+    """A ridge or MLP model's prediction for each feature row of X, one row's
+    product at a time: the reference for the library's stacked product."""
+    product = ((lambda x: x @ model.weights + model.bias) if model.kind == "ridge"
+               else lambda x: _mlp_layers(model.params, x)[-1])
+    return np.array([product(X[k:k + 1])[0] for k in range(len(X))])
 
 
 def observation(ds, i):

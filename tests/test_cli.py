@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pegservo
-from pegservo.cli import _write_json, main
+from pegservo.cli import _BENCH_OUTPUTS, _write_json, main
 from pegservo.errors import IoError
 from pegservo.perception import (OracleModel, load_dataset, save_dataset,
                                  save_model)
@@ -499,13 +499,20 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
     # a 450 mm grasp sigma draws seed 4's peg behind a camera
     (["simulate", "--seed", "4"], {"world": {"grasp_uncertainty_sigma": 450}},
      "InvalidConfig: seed 4 puts the peg behind a camera"),
+    # servo names the seed's draw with no --error, and --error for the start
+    # peg that only its 1000 mm move puts behind a camera
+    (["servo", "--seed", "4"], {"world": {"grasp_uncertainty_sigma": 450}},
+     "InvalidConfig: seed 4 puts the peg behind a camera"),
+    (["servo", "--seed", "0", "--error", "1000"], {"world": {"grasp_uncertainty_sigma": 450}},
+     "InvalidConfig: --error 1000.0 puts the start peg behind a camera"),
 ], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
         "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
         "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
         "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
         "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
         "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
-        "simulate-peg-drawn-behind-a-camera"])
+        "simulate-peg-drawn-behind-a-camera", "servo-peg-drawn-behind-a-camera",
+        "servo-error-moves-the-peg-behind-a-camera"])
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
                                                          config, error):
     # each of these once wrote manifest.json and then failed mid-run (or, for
@@ -514,6 +521,10 @@ def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
+    if argv[0] == "servo":
+        for j in range(2):
+            save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
+        argv = argv + ["--models", str(tmp_path / "models")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
@@ -576,6 +587,23 @@ def test_a_hole_drawn_behind_a_camera_exits_1_before_any_output(tmp_path, capsys
                         written.update(f.read_bytes())
     assert written.hexdigest() == (
         "7965a41cd4213ae096f39f6fd0df0712380d0074bb7249610092c82a8477a9f8")
+
+
+def test_bench_from_disk_writes_what_training_in_place_writes(tmp_path, pipeline_dirs,
+                                                              config_path):
+    # collect -> train -> bench --models deploys the very models that the
+    # in-place bench trains, validates and deploys: the same five files
+    models = pipeline_dirs[2]
+    cfg = json.loads(pathlib.Path(config_path).read_text())
+    cfg["bench"]["modes"] = ["vs"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    shutil.copytree(models, tmp_path / "root" / _STYLE)
+    for out, flags in (("disk", ["--models", str(tmp_path / "root")]), ("memory", [])):
+        assert main(["bench", "--config", str(path), *flags,
+                     "--out", str(tmp_path / out)]) == 0
+    assert [name for name in _BENCH_OUTPUTS if (tmp_path / "disk" / name).read_bytes()
+             != (tmp_path / "memory" / name).read_bytes()] == []
 
 
 def test_bench_vs_trains_in_place_with_the_default_gate(tmp_path, capsys):

@@ -59,19 +59,19 @@ def test_bench_outputs_match_golden_digests(grid, tmp_path):
 # without the robust per-image normalization, and one small MLP
 DATASET_GOLDEN = {
     "meta.json":
-        "b877e641e29c17ede2c2980568307b992096255245600d09ea49b50b76b4e97a",
+        "7f78be08ea9759f9ac8ffa5b49003e7927066d4dc52c7971014ecae69240d4b2",
     "images.bin":
         "06aa8774c3cc0afe439d3031898bd8ff6df8d7a55d32e62507fd7dac56ea03f9",
 }
 MODEL_GOLDEN = {
     (True, "model.json"):
-        "430235943c2465960358eb6856fb8846f17ce084d037bda179b5bb9824986027",
+        "fa5ad9891434e9d250fe5b770a715515af0a6c6fa34b5eff65f16a588845b75e",
     (True, "weights.bin"):
-        "5203ac40f0bd32605c9943dec077d0eadbb98ef3d99da1e76696e0a298524c4a",
+        "f6a9b4b1f29c07020ca3598c8ee86029901d3575f4686b9dfa0995630790463b",
     (False, "model.json"):
-        "6e047b958003a641a43c40dc0e4a35d62cf27deddcb59f4d3c3a9ef30d7d62e8",
+        "7686fb1ee968bead2df7dbd865d49b50c8c95b5dac1ee9d6d5ba3189ef416c83",
     (False, "weights.bin"):
-        "1845f9791dba76e4a0aaf82305f10fa26c448c2db93b0de6580cb0df13734ffd",
+        "11715ecbf518252b5f47d32c572c8fec762c2700c35a33669e19f49951c3a2e0",
 }
 # camera 1's MLP, hidden (3,), stopped early after 14 epochs at epoch 10's
 # parameters: pins the Adam steps, the patience count and the best snapshot
@@ -79,9 +79,9 @@ MLP = TrainConfig(kind="mlp", hidden=(3,), learning_rate=1e-2, batch_size=8,
                   max_epochs=40, patience=4)
 MLP_GOLDEN = {
     "model.json":
-        "81d82d0116d833d6ea24256b769c3ba92dc3f5ecfca4d8e30a86af8ccb5fc99f",
+        "8d9390751173d8d5e8fd0124bdd94694ec1d3bcff06467671d4b27b2f4027faf",
     "weights.bin":
-        "7c55dd9a8db9aee3c3b3f8d36fb13043a397f99da63790de986b3afe8b1de614",
+        "845403debdf12dcc3af527d8fa44e44b6bc9eb8740736fa0ab4eae131edb0b2b",
 }
 
 

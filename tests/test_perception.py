@@ -16,13 +16,13 @@ from hypothesis.extra.numpy import arrays
 
 import pegservo.perception
 from conftest import (RIDGE_HYPER, gradient_check, init_mlp, observation,
-                      synthetic_dataset)
+                      predict_rows, synthetic_dataset)
 from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                              LeakedInsertion, NonFiniteLoss, ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
 from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
                                  RidgeModel, TrainConfig, _metrics, _mlp_layers,
-                                 evaluate, featurize, load_dataset, load_model,
+                                 _mlp_shapes, evaluate, featurize, load_dataset, load_model,
                                  predict, predict_views, save_dataset, save_model,
                                  train)
 from pegservo.sim import Observation
@@ -294,7 +294,7 @@ def test_model_roundtrip_ridge(tmp_path, led_dataset, led_ridge):
     back = load_model(tmp_path / "m")
     assert back.kind == "ridge"
     obs = observation(led_dataset, 0)
-    assert predict(back, obs) == pytest.approx(predict(model, obs), abs=1e-7)
+    assert predict(back, obs) == predict(model, obs)
 
 
 def test_model_roundtrip_mlp(tmp_path):
@@ -305,7 +305,7 @@ def test_model_roundtrip_mlp(tmp_path):
     assert back.kind == "mlp"
     for i in range(10):
         obs = observation(ds, i)
-        assert predict(back, obs) == pytest.approx(predict(model, obs), abs=1e-6)
+        assert predict(back, obs) == predict(model, obs)
 
 
 def test_model_roundtrip_oracle(tmp_path):
@@ -330,9 +330,10 @@ def test_evaluate_mae_mm_uses_camera_scale(led_split, led_ridge):
     ("model.json", lambda meta: meta.pop("kind")),
     ("model.json", lambda meta: meta.update(schema_version=99)),
     ("meta.json", lambda meta: meta.update(schema_version=99)),
-    ("meta.json", lambda meta: meta["samples"][0].pop("y")),
+    ("meta.json", lambda meta: meta["columns"]["y"].pop()),  # a short label column
+    ("meta.json", lambda meta: meta["columns"]["insertion_id"].__setitem__(0, 2**70)),
 ], ids=["model-without-kind", "model-schema-99", "meta-schema-99",
-        "meta-sample-without-y"])
+        "meta-sample-without-y", "meta-insertion-id-past-int64"])
 def test_malformed_artifact_is_typed(tmp_path, name, edit):
     ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
     model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))
@@ -344,6 +345,26 @@ def test_malformed_artifact_is_typed(tmp_path, name, edit):
     path.write_text(json.dumps(meta))
     with pytest.raises(CorruptArtifact):
         (load_model if name == "model.json" else load_dataset)(tmp_path)
+
+
+def test_schema_1_artifacts_are_refused(tmp_path):
+    # the two directories as schema 1 wrote them: one JSON object per sample
+    # in meta.json, float32 weights.bin
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    save_dataset(ds, tmp_path / "ds")
+    save_model(train(*_split(ds, 1), TrainConfig(kind="ridge"))[0], tmp_path / "m")
+    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    columns = meta.pop("columns")
+    meta.update(schema_version=1,
+                samples=[dict(zip(columns, v)) for v in zip(*columns.values())])
+    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    meta = json.loads((tmp_path / "m" / "model.json").read_text())
+    (tmp_path / "m" / "model.json").write_text(json.dumps({**meta, "schema_version": 1}))
+    weights = tmp_path / "m" / "weights.bin"
+    weights.write_bytes(np.frombuffer(weights.read_bytes(), "<f8").astype("<f4").tobytes())
+    for load, name in ((load_dataset, "ds"), (load_model, "m")):
+        with pytest.raises(CorruptArtifact, match="schema_version 1, expected 2"):
+            load(tmp_path / name)
 
 
 @pytest.mark.parametrize("name", ["model.json", "meta.json"])
@@ -489,7 +510,7 @@ def test_dataset_views_survive_save_and_load(ds, ids, cam):
         for col in ("insertion_id", "camera_index", "y", "truth_y", "q_mm",
                     "height_mm"):
             a, b = getattr(view, col), getattr(back, col)
-            assert a.dtype == b.dtype and np.array_equal(a, b), col
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), col
         for ca, cb in zip(view.cameras, back.cameras, strict=True):
             assert np.array_equal(ca.position, cb.position) and ca.f == cb.f
 
@@ -544,6 +565,46 @@ def test_predict_is_a_batch_of_one(batch, kind, seed):
         ys.append(y)
     # predict_views featurizes the batch at once and keeps each row's product
     assert np.array(ys).tobytes() == predict_views(model, images, truth).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@settings(max_examples=100, deadline=None)
+@given(batch=image_batches(), kind=_KINDS, seed=st.integers(0, 2**32 - 1))
+def test_a_saved_model_predicts_as_the_trained_one(batch, kind, seed):
+    images, spec = batch
+    draws = np.random.default_rng(seed)
+    truth = draws.normal(size=len(images))
+    model = _random_model(kind, spec, draws)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, tmp)
+        back = load_model(tmp)
+    assert back.kind == model.kind
+    assert (predict_views(back, images, truth).tobytes()
+            == predict_views(model, images, truth).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 24), r=st.one_of(st.integers(1, 16), st.integers(17, 64)),
+       kind=st.sampled_from(["ridge", "mlp"]), robust=st.booleans(),
+       hidden=st.lists(st.integers(1, 64), max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_product_is_each_rows_own(n, r, kind, robust, hidden, seed, data):
+    # bitwise the per-row reference, and the same for a row in any batch
+    draws = np.random.default_rng(seed)
+    d = r * r
+    spec = InputSpec(r=r, robust=robust, feat_mean=draws.normal(size=d),
+                     feat_std=draws.uniform(0.5, 2.0, size=d))
+    model = (RidgeModel(weights=draws.normal(size=d), bias=float(draws.normal()),
+                        lam=1.0, spec=spec) if kind == "ridge" else
+             MlpModel(params=[draws.normal(size=shape) for shape in _mlp_shapes(d, hidden)],
+                      spec=spec, hidden=hidden))
+    images = draws.random((n, r, r)).astype(np.float32)
+    pred = predict_views(model, images, None)
+    assert pred.shape == (n,)
+    assert pred.tobytes() == predict_rows(model, featurize(images, spec)).tobytes()
+    sel = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n)),
+                   dtype=np.int64)
+    assert predict_views(model, images[sel], None).tobytes() == pred[sel].tobytes()
 
 
 _COLUMNS = ("insertion_id", "camera_index", "y", "truth_y", "q_mm", "height_mm")
