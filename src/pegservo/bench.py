@@ -44,12 +44,10 @@ class BenchConfig:
         if not 0 <= self.error_disc_radius < math.inf:
             raise InvalidConfig(f"error_disc_radius must be finite and >= 0, "
                                 f"got {self.error_disc_radius}")
-        unknown = [s for s in self.component_styles if s not in COMPONENT_STYLES]
-        if unknown:
-            raise InvalidConfig(f"unknown styles: {unknown}")
-        bad_modes = [m for m in self.modes if m not in BENCH_MODES]
-        if bad_modes:
-            raise InvalidConfig(f"unknown modes: {bad_modes}; expected {BENCH_MODES}")
+        for name, known in (("component_styles", COMPONENT_STYLES), ("modes", BENCH_MODES)):
+            values = getattr(self, name)  # a repeat would run its rows twice
+            if any(v not in known or values.count(v) > 1 for v in values):
+                raise InvalidConfig(f"{name} must be distinct members of {known}, got {values}")
 
     @property
     def tolerance(self) -> float:

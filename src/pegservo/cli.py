@@ -57,26 +57,17 @@ def _load_sections(path) -> dict:
 
 
 def _world_config(sections, seed=None, style=None) -> WorldConfig:
-    kw = {}
-    if seed is not None:
-        kw["seed"] = seed
-    if style is not None:
-        kw["component_style"] = style
+    kw = {k: v for k, v in (("seed", seed), ("component_style", style)) if v is not None}
     return replace(sections["world"], **kw) if kw else sections["world"]
-
-
-def _check_in_front(world: WorldConfig, point, what: str) -> None:
-    """Raise InvalidConfig("<what> behind a camera") unless every camera sees point."""
-    if any(np.dot(cam.optical_axis, point - cam.position) <= 0 for cam in world.cameras):
-        raise InvalidConfig(f"{what} behind a camera")
 
 
 def _check_collection_reach(world: WorldConfig, ccfg: CollectionConfig) -> None:
     """The highest collection pose, max_height above the approach pose, is in
     front of every camera, as WorldConfig requires of the approach pose."""
     top = world.nominal_hole - (world.hover_height + ccfg.max_height) * world.insertion_direction
-    _check_in_front(world, top, f"max_height {ccfg.max_height} puts the highest "
-                                "collection pose")
+    if not world.sees(top):
+        raise InvalidConfig(f"max_height {ccfg.max_height} puts the highest collection "
+                            "pose behind a camera")
 
 
 def _json_text(obj) -> str:
@@ -132,8 +123,6 @@ def cmd_simulate(ns) -> int:
     sections = _load_sections(ns.config)
     wcfg = _world_config(sections, seed=ns.seed, style=ns.style)
     world = new_world(wcfg)
-    _check_in_front(wcfg, world.true_hole, f"seed {wcfg.seed} draws the hole")
-    _check_in_front(wcfg, peg_position(world), f"seed {wcfg.seed} puts the peg")
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
     _write_manifest(ns.out, "simulate", ns, {"world": config_to_dict(wcfg)},
                     outputs)
@@ -163,13 +152,10 @@ def cmd_collect(ns) -> int:
             "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
     _check_collection_reach(template, ccfg)
+    worlds = [new_world(template.with_seed(ns.seed + i)) for i in range(ccfg.n_insertions)]
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
                                                   "dataset/images.bin"])
-
-    def factory(i):
-        return new_world(template.with_seed(ns.seed + i))
-
-    data = collect_dataset(factory, ccfg, pattern)
+    data = collect_dataset(worlds.__getitem__, ccfg, pattern)
     save_dataset(data, os.path.join(ns.out, "dataset"))
     print(f"collect: {len(data)} samples from {len(data.grouping)} insertions "
           f"-> {ns.out}/dataset")
@@ -224,8 +210,6 @@ def cmd_servo(ns) -> int:
     if not 0 <= ns.error < np.inf:
         raise InvalidConfig(f"--error must be finite and >= 0, got {ns.error}")
     world = new_world(wcfg)
-    _check_in_front(wcfg, world.true_hole, f"seed {wcfg.seed} draws the hole")
-    _check_in_front(wcfg, peg_position(world), f"seed {wcfg.seed} puts the peg")
     cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
                            timing=timing)
     if ns.error:
@@ -233,7 +217,8 @@ def cmd_servo(ns) -> int:
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)
-    _check_in_front(wcfg, peg_position(world), f"--error {ns.error} puts the start peg")
+        if not wcfg.sees(peg_position(world)):
+            raise InvalidConfig(f"--error {ns.error} puts the start peg behind a camera")
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, echo, outputs)
     [(steps, residuals)] = visual_servo([world], [cfg])

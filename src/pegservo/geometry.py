@@ -5,6 +5,7 @@ numpy float64 arrays of shape (3,). The insertion direction l is a unit
 vector; "in-plane" always means perpendicular to l.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -87,10 +88,13 @@ class CameraModel:
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
         if self.position.shape != (3,) or self.orientation.shape != (3, 3):
             raise InvalidConfig("camera position must be (3,), orientation (3,3)")
-        if not (self.f > 0 and self.r > 0 and self.z > 0):
-            raise InvalidConfig("camera f, r, z must be positive")
-        if int(self.r) != self.r:
-            raise InvalidConfig("camera resolution must be an integer")
+        for name, kind in (("f", float), ("r", int), ("z", float)):
+            value = getattr(self, name)  # a bool or a string is no number; 64.0 is an int
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < np.inf or kind(value) != value):
+                raise InvalidConfig(f"camera {name} must be a finite positive "
+                                    f"{kind.__name__}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
         R = self.orientation
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
             raise InvalidConfig("camera orientation rows must be orthonormal")
@@ -190,7 +194,7 @@ def aimed_camera(position: np.ndarray, target: np.ndarray, l: np.ndarray,
     x_axis = error_direction(l, view)
     y_axis = _cross(z_axis, x_axis)
     R = np.stack([x_axis, y_axis, z_axis])
-    return CameraModel(position=position, orientation=R, f=float(f), r=int(r), z=depth)
+    return CameraModel(position=position, orientation=R, f=f, r=r, z=depth)
 
 
 def camera_to_dict(cam: CameraModel) -> dict:
@@ -204,6 +208,4 @@ def camera_to_dict(cam: CameraModel) -> dict:
 
 
 def camera_from_dict(d: dict) -> CameraModel:
-    return CameraModel(position=np.asarray(d["position"], dtype=float),
-                       orientation=np.asarray(d["orientation"], dtype=float),
-                       f=float(d["f"]), r=int(d["r"]), z=float(d["z"]))
+    return CameraModel(**d)

@@ -432,7 +432,7 @@ def load_dataset(in_dir) -> Dataset:
         cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
         labels = {k: np.array(meta["columns"][k], dtype=dtype)
                   for k, dtype in _LABELS.items()}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise CorruptArtifact(f"bad meta.json in {in_dir}: {exc!r}") from exc
     short = [k for k, column in labels.items() if column.shape != (n,)]
     if short or len(raw) != 4 * n * r * r:

@@ -98,7 +98,7 @@ class WorldConfig:
     tolerance is the insertion clearance (mm): an attempt succeeds iff the
     in-plane peg-hole distance is <= tolerance. It and the hole/grasp
     uncertainty sigmas of the hidden draws are below every camera's depth, and
-    the approach pose hover_height above the hole is in front of every camera;
+    sees() holds for the nominal hole and for the approach pose above it;
     new_world adds no start error (the benchmark's is BenchConfig.error_disc_radius).
     peg_intensity=None renders no peg marking at all (contrast ablation for
     gate tests); otherwise it must be finite.
@@ -154,14 +154,21 @@ class WorldConfig:
             value = getattr(self, name)
             if not 0 <= value < below:
                 raise InvalidConfig(f"{name} must be >= 0 and below {below}, got {value}")
-        approach = self.nominal_hole - self.hover_height * self.insertion_direction
-        for cam in cams:
-            if np.dot(cam.optical_axis, self.nominal_hole - cam.position) <= 0:
-                raise InvalidConfig("camera does not face the work area")
-            if np.dot(cam.optical_axis, approach - cam.position) <= 0:
-                raise InvalidConfig(f"hover_height {self.hover_height} puts the approach "
-                                    "pose behind a camera")
         object.__setattr__(self, "cameras", cams)
+        axes = np.stack([cam.optical_axis for cam in cams], axis=1)
+        offsets = np.array([cam.optical_axis @ cam.position for cam in cams])
+        object.__setattr__(self, "_sight", (axes, offsets))
+        if not self.sees(self.nominal_hole):
+            raise InvalidConfig("camera does not face the work area")
+        if not self.sees(self.nominal_hole - self.hover_height * self.insertion_direction):
+            raise InvalidConfig(f"hover_height {self.hover_height} puts the approach "
+                                "pose behind a camera")
+
+    def sees(self, points) -> bool:
+        """Whether every point, one (3,) or (k, 3) rows, is in front of every
+        camera, as project requires: p @ axes[:, j] > offsets[j] for each j."""
+        axes, offsets = self._sight
+        return bool((np.asarray(points, dtype=float) @ axes > offsets).all())
 
     def with_seed(self, seed: int) -> "WorldConfig":
         """This config at another seed: only the seed is checked again, and the
@@ -192,7 +199,7 @@ class WorldConfig:
             return camera_from_dict(cam)
         return aimed_camera(np.asarray(cam["position"], dtype=float),
                             self.nominal_hole, self.insertion_direction,
-                            f=float(cam.get("f", 1000.0)), r=int(cam.get("r", 64)))
+                            f=cam.get("f", 1000.0), r=cam.get("r", 64))
 
 
 @dataclass
@@ -234,7 +241,8 @@ def new_world(config: WorldConfig) -> WorldState:
 
     The TCP starts hover_height above the nominal hole along -l. The
     benchmark's extra start error is applied by its driver afterwards, not
-    here.
+    here. A draw that puts the true hole, or the peg at the approach pose,
+    behind a camera raises InvalidConfig naming the seed and the drawn offset.
     """
     l = config.insertion_direction
     B = _shared_basis(l.tobytes())
@@ -250,6 +258,11 @@ def new_world(config: WorldConfig) -> WorldState:
     )
     true_hole = config.nominal_hole + B @ hole2
     tcp = config.nominal_hole - config.hover_height * l
+    if not config.sees(np.array([true_hole, tcp + B @ grasp2])):
+        what, drawn = (("draws the hole", hole2) if not config.sees(true_hole)
+                       else ("puts the peg", grasp2))
+        raise InvalidConfig(f"seed {config.seed} {what} behind a camera "
+                            f"(drawn offset {drawn.round(3).tolist()} mm)")
     return WorldState(config=config, true_hole=true_hole, grasp_offset=grasp2,
                       nominal_hole=config.nominal_hole.copy(), tcp=tcp,
                       appearance=app, basis=B)

@@ -505,6 +505,18 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
      "InvalidConfig: seed 4 puts the peg behind a camera"),
     (["servo", "--seed", "0", "--error", "1000"], {"world": {"grasp_uncertainty_sigma": 450}},
      "InvalidConfig: --error 1000.0 puts the start peg behind a camera"),
+    # collect builds every world before its manifest: seed 3 draws its hole behind a camera
+    (["collect", "--seed", "3"],
+     {"world": {"hole_uncertainty_sigma": 450},
+      "collection": {"n_insertions": 2, "samples_per_insertion": 1, "train_insertions": 1}},
+     "InvalidConfig: seed 3 draws the hole behind a camera"),
+    # a repeated mode or style once ran its rows twice
+    (["bench"], {"bench": {"modes": ["novs", "novs"], "component_styles": [_STYLE],
+                           "insertions_per_style_per_mode": 2}},
+     "InvalidConfig: modes must be distinct"),
+    (["bench"], {"bench": {"modes": ["novs"], "component_styles": [_STYLE, _STYLE],
+                           "insertions_per_style_per_mode": 2}},
+     "InvalidConfig: component_styles must be distinct"),
 ], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
         "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
         "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
@@ -512,7 +524,8 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
         "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
         "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
         "simulate-peg-drawn-behind-a-camera", "servo-peg-drawn-behind-a-camera",
-        "servo-error-moves-the-peg-behind-a-camera"])
+        "servo-error-moves-the-peg-behind-a-camera", "collect-hole-drawn-behind-a-camera",
+        "bench-mode-repeated", "bench-style-repeated"])
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
                                                          config, error):
     # each of these once wrote manifest.json and then failed mid-run (or, for
@@ -570,6 +583,7 @@ def test_a_hole_drawn_behind_a_camera_exits_1_before_any_output(tmp_path, capsys
     for j in range(2):
         save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
     written = hashlib.sha256()
+    drawn = {3: [918.414, -1150.049], 6: [473.902, 799.421]}  # new_world's offsets (mm)
     for seed in range(10):
         for sub, flags in (("simulate", []),
                            ("servo", ["--models", str(tmp_path / "models"), "--trace"])):
@@ -577,9 +591,10 @@ def test_a_hole_drawn_behind_a_camera_exits_1_before_any_output(tmp_path, capsys
             code = main([sub, "--config", str(path), "--seed", str(seed), *flags,
                          "--out", str(out)])
             err = capsys.readouterr().err
-            if seed in (3, 6):
+            if seed in drawn:
                 assert code == 1 and not out.exists()
-                assert err == f"InvalidConfig: seed {seed} draws the hole behind a camera\n"
+                assert err == (f"InvalidConfig: seed {seed} draws the hole behind a camera "
+                               f"(drawn offset {drawn[seed]} mm)\n")
             else:
                 assert code == 0, err
                 for f in sorted(out.iterdir()):

@@ -332,8 +332,9 @@ def test_evaluate_mae_mm_uses_camera_scale(led_split, led_ridge):
     ("meta.json", lambda meta: meta.update(schema_version=99)),
     ("meta.json", lambda meta: meta["columns"]["y"].pop()),  # a short label column
     ("meta.json", lambda meta: meta["columns"]["insertion_id"].__setitem__(0, 2**70)),
+    ("meta.json", lambda meta: meta["cameras"][0].update(r=3.5)),  # was read as 3
 ], ids=["model-without-kind", "model-schema-99", "meta-schema-99",
-        "meta-sample-without-y", "meta-insertion-id-past-int64"])
+        "meta-sample-without-y", "meta-insertion-id-past-int64", "meta-camera-r-not-integral"])
 def test_malformed_artifact_is_typed(tmp_path, name, edit):
     ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
     model, _ = train(*_split(ds, 1), TrainConfig(kind="ridge"))

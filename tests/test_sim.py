@@ -22,7 +22,7 @@ from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           config_from_dict, config_to_dict, default_cameras,
                           load_config_file, move_tcp, new_world, peg_position,
-                          render, spiral_insert, spiral_search,
+                          render, render_views, spiral_insert, spiral_search,
                           true_inplane_error, write_pgm)
 
 L = vec3(0.0, 0.0, -1.0)
@@ -461,6 +461,23 @@ def test_camera_shorthand_aims_at_the_nominal_hole():
         [camera_to_dict(c) for c in want]
 
 
+@pytest.mark.parametrize("edit", [{"r": 64.7}, {"r": True}, {"r": "64"}, {"f": True},
+                                  {"f": "1000"}], ids=str)
+def test_camera_fields_are_checked_not_coerced(edit):
+    # int() and float() once made r 64.7 a 64 px camera and f true a focal length of 1
+    [(name, _)] = edit.items()
+    other = {"position": [0.0, 353.5, 353.5]}
+    shorthand = {"position": [353.5, 0.0, 353.5]}
+    full = camera_to_dict(aimed_camera(vec3(353.5, 0.0, 353.5), vec3(0, 0, 0), L,
+                                       f=1000.0, r=64))
+    for cam in (shorthand, full):
+        with pytest.raises(InvalidConfig, match=f"^camera {name} must be"):
+            config_from_dict(WorldConfig, {"cameras": [{**cam, **edit}, other]})
+    for cam in (shorthand, full):  # an integral r is an int
+        cfg = config_from_dict(WorldConfig, {"cameras": [{**cam, "r": 64.0}, other]})
+        assert type(cfg.cameras[0].r) is int and camera_to_dict(cfg.cameras[0]) == full
+
+
 def test_world_from_dict_rejects_unknown_keys():
     with pytest.raises(InvalidConfig, match="spacing"):
         config_from_dict(WorldConfig, {"tolerance": 0.1, "spacing": 3})
@@ -504,6 +521,27 @@ def test_timing_dict_roundtrip_and_config_file(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(InvalidConfig):
         load_config_file(bad)
+
+
+_DEPTH = min(cam.z for cam in WorldConfig().cameras)  # the default cameras' 500 mm
+
+
+@settings(max_examples=200, deadline=None)  # about one draw in twenty is refused
+@given(seed=st.integers(0, 2**32 - 1),
+       sigmas=st.tuples(*[st.floats(0.0, _DEPTH, exclude_max=True)] * 2))
+def test_a_world_is_refused_or_seen_by_every_camera(seed, sigmas):
+    # new_world refuses a draw that puts the hole, or the peg at the approach
+    # pose, behind a camera (sigmas reach WorldConfig's bound, the smallest
+    # camera depth); every world it returns renders on every camera
+    cfg = WorldConfig(hole_uncertainty_sigma=sigmas[0], grasp_uncertainty_sigma=sigmas[1],
+                      seed=seed)
+    try:
+        world = new_world(cfg)
+    except InvalidConfig as exc:
+        assert str(exc).startswith(f"seed {seed} ") and "behind a camera" in str(exc)
+        return
+    for j in range(len(cfg.cameras)):
+        render_views([world], j, world.tcp[None])
 
 
 def test_extra_error_radius_not_applied_at_creation():

@@ -200,6 +200,26 @@ def test_error_directions_come_from_the_world_config(path):
     assert _calls_of(path.read_text(), "error_direction") == []
 
 
+def _attribute_reads(source: str, name: str) -> list:
+    """Lines where an attribute `name` is read."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == name
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_attribute_read_is_detected():
+    assert _attribute_reads("a.f\nb.f = 1\nf\nc.f.g()\n", "f") == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES
+                                  if p.name not in ("geometry.py", "sim.py")],
+                         ids=lambda p: p.name)
+def test_what_the_cameras_see_comes_from_the_world_config(path):
+    # geometry defines the optical axis and WorldConfig.sees owns the rule
+    # that every camera has a point in front of it
+    assert _attribute_reads(path.read_text(), "optical_axis") == []
+
+
 def _rng_parameters(source: str) -> list:
     """Parameters named rng or rngs, as "function.parameter (line)"."""
     return sorted(f"{node.name}.{arg.arg} (line {node.lineno})"
