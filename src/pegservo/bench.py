@@ -20,7 +20,8 @@ from .pipeline import insert_batch
 from .search import generate_pattern
 from .servoing import servo_config_for
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode,
-                  TimingModel, WorldConfig, move_tcp, new_world)
+                  TimingModel, WorldConfig, check_int, keyed_generators, move_tcp,
+                  new_worlds, seed_states)
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,10 @@ class BenchConfig:
     modes: tuple = BENCH_MODES
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.insertions_per_style_per_mode < 1:
-            raise InvalidConfig("insertions_per_style_per_mode must be >= 1")
-        if type(self.n_iters) is not int or self.n_iters < 1:
-            raise InvalidConfig(f"n_iters must be an integer >= 1, got {self.n_iters!r}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
+        object.__setattr__(self, "insertions_per_style_per_mode", check_int(
+            "insertions_per_style_per_mode", self.insertions_per_style_per_mode, 1))
+        object.__setattr__(self, "n_iters", check_int("n_iters", self.n_iters, 1))
         if not 0 <= self.error_disc_radius < math.inf:
             raise InvalidConfig(f"error_disc_radius must be finite and >= 0, "
                                 f"got {self.error_disc_radius}")
@@ -58,29 +57,17 @@ class BenchConfig:
 _BLOCK = 32  # episodes per spiral_search; only one block's worlds are alive
 
 
-def _row_seed(base: int, style_index: int, insertion: int) -> int:
-    ss = np.random.SeedSequence([base, style_index, insertion])
-    return int(ss.generate_state(1, np.uint64)[0] >> 1)
-
-
-def _run_block(cfg: BenchConfig, models: dict, keys) -> list:
-    """The episodes of (style index, insertion, mode) keys, in order. Each
-    builds its world and start error from its own seeds, so a row does not
-    depend on its block; each style's config is validated once per block."""
-    styles = {si: replace(cfg.world_template, component_style=cfg.component_styles[si])
-              for si in {si for si, _, _ in keys}}
-    worlds, servo_cfgs = [], []
-    for si, i, mode in keys:
-        style = cfg.component_styles[si]
-        world = new_world(styles[si].with_seed(_row_seed(cfg.seed, si, i)))
-        err_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, si, i, 7]))
-        theta = err_rng.uniform(0.0, 2.0 * np.pi)
-        rad = cfg.error_disc_radius * math.sqrt(err_rng.uniform())
-        move_tcp(world, world.tcp + world.basis @ (rad * np.array([np.cos(theta),
-                                                                   np.sin(theta)])))
-        worlds.append(world)
+def _run_block(cfg: BenchConfig, models: dict, block) -> list:
+    """The episodes of a block's (style's world config, world seed, mode) rows,
+    in order, each world moved by its row of the block's start offsets."""
+    rows, starts = block
+    worlds = new_worlds([style.with_seed(seed) for style, seed, _ in rows])
+    servo_cfgs = []
+    for world, start, (_, _, mode) in zip(worlds, starts, rows):
+        move_tcp(world, world.tcp + world.basis @ start)
         servo_cfgs.append(None if mode == MODE_NOVS else servo_config_for(
-            world, models[style], n_iters=cfg.n_iters, timing=cfg.timing))
+            world, models[world.config.component_style], n_iters=cfg.n_iters,
+            timing=cfg.timing))
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     return insert_batch(worlds, servo_cfgs, pattern, cfg.timing)
 
@@ -171,9 +158,22 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
                    if not models or s not in models or models[s] is None]
         if missing:
             raise ModelsNotDeployed(f"no deployed models for styles: {missing}")
-    keys = [(si, i, mode) for si in range(len(cfg.component_styles))
-            for i in range(cfg.insertions_per_style_per_mode) for mode in cfg.modes]
-    blocks = [keys[k:k + _BLOCK] for k in range(0, len(keys), _BLOCK)]
+    styles = [replace(cfg.world_template, component_style=style)
+              for style in cfg.component_styles]  # each validated once
+    pairs = [(si, i) for si in range(len(styles))
+             for i in range(cfg.insertions_per_style_per_mode)]
+    # Per (style index, insertion), drawn once for the grid: the world seed, and
+    # the start offset from a uniform angle and a uniform area on the disc
+    seeds = seed_states([[cfg.seed, si, i] for si, i in pairs])[:, 0] >> np.uint64(1)
+    draws = np.empty((len(pairs), 2))
+    for row, err_rng in zip(draws, keyed_generators([[cfg.seed, si, i, 7] for si, i in pairs])):
+        err_rng.random(out=row)  # uniform(0, 2 pi), then uniform()
+    theta, rad = 2.0 * np.pi * draws[:, 0], cfg.error_disc_radius * np.sqrt(draws[:, 1])
+    starts = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    starts = np.repeat(starts, len(cfg.modes), axis=0)  # one row per episode
+    rows = [(styles[si], seed, mode) for (si, _), seed in zip(pairs, seeds.tolist())
+            for mode in cfg.modes]
+    blocks = [(rows[k:k + _BLOCK], starts[k:k + _BLOCK]) for k in range(0, len(rows), _BLOCK)]
     run = partial(_run_block, cfg, models or {})
     if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here

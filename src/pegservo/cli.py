@@ -30,7 +30,7 @@ from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                   config_from_dict, config_to_dict, load_config_file,
-                  move_tcp, new_world, peg_position, render_views,
+                  move_tcp, new_world, new_worlds, peg_position, render_views,
                   true_inplane_error, write_pgm)
 
 _SECTIONS = {"world": WorldConfig, "timing": TimingModel,
@@ -152,7 +152,7 @@ def cmd_collect(ns) -> int:
             "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     pattern = generate_pattern(template.tolerance, ccfg.max_offset_mag)
     _check_collection_reach(template, ccfg)
-    worlds = [new_world(template.with_seed(ns.seed + i)) for i in range(ccfg.n_insertions)]
+    worlds = new_worlds([template.with_seed(ns.seed + i) for i in range(ccfg.n_insertions)])
     _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json",
                                                   "dataset/images.bin"])
     data = collect_dataset(worlds.__getitem__, ccfg, pattern)

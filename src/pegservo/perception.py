@@ -21,7 +21,7 @@ from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                      LeakedInsertion, NonFiniteLoss, ShapeMismatch,
                      read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
-from .sim import Observation
+from .sim import Observation, keyed_generators
 
 SCHEMA_VERSION = 2
 
@@ -364,10 +364,10 @@ def predict_views(model, images, truth_y) -> np.ndarray:
 
 def _keyed_normals(images, truth_y) -> np.ndarray:
     """A standard normal per view, keyed by blake2b-128 of its pixel and truth_y bytes."""
-    keys = (hashlib.blake2b(img.tobytes() + np.float64(t).tobytes(), digest_size=16)
-            for img, t in zip(images, truth_y))
-    return np.array([np.random.default_rng(int(key.hexdigest(), 16)).standard_normal()
-                     for key in keys])
+    keys = [[int(hashlib.blake2b(img.tobytes() + np.float64(t).tobytes(),
+                                 digest_size=16).hexdigest(), 16)]
+            for img, t in zip(images, truth_y)]
+    return np.array([rng.standard_normal() for rng in keyed_generators(keys)])
 
 
 def _predict_features(model, X) -> np.ndarray:

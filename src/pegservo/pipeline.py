@@ -18,7 +18,7 @@ from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_erro
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, TimingModel, WorldState, render_views,
+from .sim import (MODE_VS, Episode, TimingModel, WorldState, check_int, render_views,
                   spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,8 @@ class CollectionConfig:
     train_insertions: int = 8
 
     def __post_init__(self):
-        if self.n_insertions < 1 or self.samples_per_insertion < 1:
+        object.__setattr__(self, "n_insertions", check_int("n_insertions", self.n_insertions, 1))
+        if self.samples_per_insertion < 1:
             raise InvalidConfig("counts must be >= 1")
         if not (0 < self.train_insertions < self.n_insertions):
             raise InvalidConfig(

@@ -86,9 +86,97 @@ def default_cameras(nominal_hole, l, f: float = 1000.0, r: int = 64,
     return tuple(cams)
 
 
-def _check_seed(seed) -> None:
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+def check_int(name: str, value, low: int) -> int:
+    """value as an int if it is an integer >= low (a numpy one too, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding, for a
+# batch of keys at once. Every uint32 operand is an np.uint32, so the
+# arithmetic wraps the same under any numpy casting rules.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..n, read-only: a hash's multipliers."""
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
+                      dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(values, pre, post):
+    """SeedSequence's hash: xor in the multiplier, step it, multiply by the next."""
+    values = (values ^ pre) * post
+    return values ^ values >> _XSHIFT
+
+
+def _mix(x, y):
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ mixed >> _XSHIFT
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # the pool's first 16 hashes
+# The pool's cross mix hashes word src into each other word in turn: per src,
+# the (pre, post) multipliers in the other words' slots, 0 in its own
+_CROSS = [[np.array([*_HASH_A[k:k + src], 0, *_HASH_A[k + src:k + 3]], dtype=np.uint32)
+           for k in (4 + 3 * src, 5 + 3 * src)] for src in range(4)]
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's
+
+
+def seed_states(keys) -> np.ndarray:
+    """np.random.SeedSequence(key).generate_state(4, np.uint64) of each of n keys
+    of m non-negative integers, as (n, 4) uint64; column 0 is generate_state(1)."""
+    if len(keys) == 0:
+        return np.zeros((0, 4), dtype=np.uint64)
+    keys = np.array(keys, dtype=object)  # not inferred: int64 and uint64 make float64
+    if keys.ndim != 2 or not all(issubclass(t, (int, np.integer)) and t is not bool
+                                 for t in set(map(type, keys.flat))) or keys.min() < 0:
+        raise ValueError(f"keys must be rows of non-negative integers, got {keys!r}")
+    top = int(keys.max())
+    if top < 1 << 64:  # else they stay Python integers
+        keys = keys.astype(np.uint64)
+    # SeedSequence's entropy: each integer's 32-bit words, least significant
+    # first (one word for 0), zero padded to the pool's four words
+    width = max(1, -(-top.bit_length() // 32))  # the widest integer's words
+    shifted = np.stack([keys >> 32 * j for j in range(width)], axis=2).reshape(len(keys), -1)
+    keep = shifted != 0
+    keep[:, ::width] = True  # an integer's lowest word
+    lengths = keep.sum(axis=1)
+    entropy = np.zeros((len(keys), max(4, lengths.max())), dtype=np.uint32)
+    entropy[np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = shifted[keep] & _MASK32
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * entropy.shape[1])
+    pool = _hashmix(entropy[:, :4], consts[:4], consts[1:5])
+    for src, (pre, post) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], pre, post))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(4, entropy.shape[1]):  # a long key's words past the pool
+        k = 4 * src  # its four hashes' multipliers
+        mixed = _mix(pool, _hashmix(entropy[:, src, None], consts[k:k + 4], consts[k + 1:k + 5]))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+    state = _hashmix(np.tile(pool, 2), _HASH_B[:-1], _HASH_B[1:])
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def keyed_generators(keys):
+    """Per key, np.random.default_rng(np.random.SeedSequence(key)) as it starts:
+    one Generator, reseeded at each step, so draw from it before the next."""
+    generator = np.random.Generator(np.random.PCG64())
+    for s_hi, s_lo, i_hi, i_lo in seed_states(keys).tolist():
+        # PCG64's seeding: two LCG steps from state 0, adding the seed between
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                         "state": {"state": state, "inc": inc}, "uinteger": 0}
+        yield generator
 
 
 @dataclass(frozen=True)
@@ -122,7 +210,7 @@ class WorldConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise InvalidTolerance(f"tolerance must be finite and > 0, got {self.tolerance}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         if self.peg_intensity is not None and not math.isfinite(self.peg_intensity):
             raise InvalidConfig(f"peg_intensity must be finite, got {self.peg_intensity}")
         if self.component_style not in COMPONENT_STYLES:
@@ -173,9 +261,9 @@ class WorldConfig:
     def with_seed(self, seed: int) -> "WorldConfig":
         """This config at another seed: only the seed is checked again, and the
         per-camera tuples, which do not depend on it, are shared."""
-        _check_seed(seed)
         twin = object.__new__(WorldConfig)
-        twin.__dict__.update(vars(self), seed=seed, error_directions=self.error_directions,
+        twin.__dict__.update(vars(self), seed=check_int("seed", seed, 0),
+                             error_directions=self.error_directions,
                              crop_shifts=self.crop_shifts)  # the cached_property slots
         return twin
 
@@ -237,35 +325,49 @@ def _shared_basis(direction: bytes) -> np.ndarray:
 
 
 def new_world(config: WorldConfig) -> WorldState:
-    """Draw the hidden state and park the TCP at the nominal approach pose.
+    """One config's world: new_worlds of one."""
+    return new_worlds([config])[0]
 
-    The TCP starts hover_height above the nominal hole along -l. The
-    benchmark's extra start error is applied by its driver afterwards, not
-    here. A draw that puts the true hole, or the peg at the approach pose,
+
+def new_worlds(configs) -> list:
+    """Per config, draw the hidden state (the hole's and the grasp's offsets,
+    then the appearance, from its scene stream) and park the TCP hover_height
+    above the nominal hole along -l. The benchmark's start error is its own.
+    The first draw that puts the true hole, or the peg at the approach pose,
     behind a camera raises InvalidConfig naming the seed and the drawn offset.
     """
-    l = config.insertion_direction
-    B = _shared_basis(l.tobytes())
-    scene = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    hole2 = config.hole_uncertainty_sigma * scene.standard_normal(2)
-    grasp2 = config.grasp_uncertainty_sigma * scene.standard_normal(2)
+    if not configs:
+        return []
+    draws = np.empty((len(configs), 6))
+    for row, scene in zip(draws, keyed_generators([[cfg.seed, 0] for cfg in configs])):
+        scene.standard_normal(out=row[:4])  # the same as two standard_normal(2)
+        scene.random(out=row[4:])  # uniform(a, b) is a + (b - a) * random()
+    holes2 = np.array([[cfg.hole_uncertainty_sigma] for cfg in configs]) * draws[:, :2]
+    grasps2 = np.array([[cfg.grasp_uncertainty_sigma] for cfg in configs]) * draws[:, 2:4]
     # Background level and hole finish vary per world (lighting, board);
     # the grasped part itself has fixed geometry and fixed grasp rotation,
     # so the glyph shape is deterministic.
-    app = Appearance(
-        background=float(scene.uniform(0.4, 0.6)),
-        hole_radius_px=float(scene.uniform(3.6, 4.4)),
-    )
-    true_hole = config.nominal_hole + B @ hole2
-    tcp = config.nominal_hole - config.hover_height * l
-    if not config.sees(np.array([true_hole, tcp + B @ grasp2])):
-        what, drawn = (("draws the hole", hole2) if not config.sees(true_hole)
-                       else ("puts the peg", grasp2))
-        raise InvalidConfig(f"seed {config.seed} {what} behind a camera "
+    backgrounds = (0.4 + (0.6 - 0.4) * draws[:, 4]).tolist()
+    radii = (3.6 + (4.4 - 3.6) * draws[:, 5]).tolist()
+    bases = [_shared_basis(cfg.insertion_direction.tobytes()) for cfg in configs]
+    nominals = np.array([cfg.nominal_hole for cfg in configs])
+    stacked = np.array(bases)  # each row of its products is basis @ offset, bit for bit
+    true_holes = nominals + (stacked @ holes2[:, :, None])[:, :, 0]
+    tcps = nominals - np.array([cfg.hover_height * cfg.insertion_direction for cfg in configs])
+    pegs = tcps + (stacked @ grasps2[:, :, None])[:, :, 0]  # at the approach pose
+    points, groups = np.stack([true_holes, pegs], axis=1), {}
+    for k, cfg in enumerate(configs):  # a grid's seeds of one style share one sight
+        groups.setdefault(id(cfg._sight), []).append(k)
+    if not all(configs[ks[0]].sees(points[ks]) for ks in groups.values()):
+        k = next(k for k, cfg in enumerate(configs) if not cfg.sees(points[k]))
+        what, drawn = (("draws the hole", holes2[k]) if not configs[k].sees(true_holes[k])
+                       else ("puts the peg", grasps2[k]))
+        raise InvalidConfig(f"seed {configs[k].seed} {what} behind a camera "
                             f"(drawn offset {drawn.round(3).tolist()} mm)")
-    return WorldState(config=config, true_hole=true_hole, grasp_offset=grasp2,
-                      nominal_hole=config.nominal_hole.copy(), tcp=tcp,
-                      appearance=app, basis=B)
+    return [WorldState(config=cfg, true_hole=hole, grasp_offset=grasp, nominal_hole=nominal,
+                       tcp=tcp, appearance=Appearance(background, radius), basis=B)
+            for cfg, hole, grasp, nominal, tcp, background, radius, B in zip(
+                configs, true_holes, grasps2, nominals, tcps, backgrounds, radii, bases)]
 
 
 def peg_position(world: WorldState) -> np.ndarray:
@@ -410,10 +512,11 @@ def render_views(worlds, camera_index: int, tcps):
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    for k, (world, bits) in enumerate(zip(worlds, tcps.view(np.uint64).tolist())):
-        noise_rng = np.random.default_rng(np.random.SeedSequence(
-            [world.config.seed, camera_index, *bits]))
-        img[k] += NOISE_SIGMA * noise_rng.standard_normal((r, r))
+    keys = [[world.config.seed, camera_index, *bits]
+            for world, bits in zip(worlds, tcps.view(np.uint64).tolist())]
+    noise = np.empty((r, r))
+    for view, noise_rng in zip(img, keyed_generators(keys)):
+        view += np.multiply(noise_rng.standard_normal(out=noise), NOISE_SIGMA, out=noise)
 
     q = scalar_error(inplane_component(holes - pegs, ls), us).tolist()
     truth_y = np.array([normalize_error(qk, cam) for qk, cam in zip(q, cams)])

@@ -18,7 +18,9 @@ from pegservo.cli import main
 from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
                              ModelsNotDeployed)
 from pegservo.perception import OracleModel
-from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel
+from pegservo.search import generate_pattern
+from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel, new_world,
+                          spiral_insert)
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
                  for s in ("pin_header", "led", "cap_small", "dsub", "cap_large")}
@@ -75,6 +77,24 @@ def test_benchmark_is_deterministic_across_jobs():
                 assert va == vb, f.name
 
 
+def test_grid_rows_are_the_episodes_of_numpys_per_row_streams():
+    # the grid seeds every row's world and start error for the whole grid at
+    # once; each row is still the episode its own numpy streams give
+    cfg = _small_cfg(modes=("novs",), insertions_per_style_per_mode=20, error_disc_radius=2.0)
+    pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
+    rows = iter(run_benchmark(cfg, {}).rows)
+    for si, style in enumerate(cfg.component_styles):
+        for i in range(cfg.insertions_per_style_per_mode):
+            seed = np.random.SeedSequence([cfg.seed, si, i]).generate_state(1, np.uint64)[0]
+            world = new_world(replace(cfg.world_template, component_style=style,
+                                      seed=int(seed >> 1)))
+            err_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, si, i, 7]))
+            theta = err_rng.uniform(0.0, 2.0 * np.pi)
+            rad = cfg.error_disc_radius * math.sqrt(err_rng.uniform())
+            start = world.tcp + world.basis @ (rad * np.array([np.cos(theta), np.sin(theta)]))
+            assert repr(next(rows)) == repr(spiral_insert(world, start, pattern, cfg.timing))
+
+
 def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
     # three blocks, so jobs=2 maps them over two processes; an oracle's noise
     # is keyed by each view it sees, so no row depends on its block
@@ -115,13 +135,13 @@ def test_grid_memory_grows_by_its_rows_only():
 
 
 def test_grid_episodes_build_no_collection_stream(monkeypatch):
-    worlds, new_world = [], bench.new_world
+    worlds, new_worlds = [], bench.new_worlds
 
-    def recording(config):
-        worlds.append(new_world(config))
-        return worlds[-1]
+    def recording(configs):
+        worlds.extend(new_worlds(configs))
+        return worlds[-len(configs):]
 
-    monkeypatch.setattr(bench, "new_world", recording)
+    monkeypatch.setattr(bench, "new_worlds", recording)
     run_benchmark(_small_cfg(), ORACLE_MODELS)
     assert len(worlds) == 12
     assert all("rng" not in vars(w) for w in worlds)
@@ -148,6 +168,14 @@ def test_bench_config_validation():
     for bad in (0, -1, 2.5):
         with pytest.raises(InvalidConfig, match="n_iters"):
             BenchConfig(n_iters=bad)
+
+
+@pytest.mark.parametrize("name", ["seed", "insertions_per_style_per_mode"])
+def test_bench_config_integer_field_is_an_integer(name):
+    for bad in (2.5, "3", True, None):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            BenchConfig(**{name: bad})
+    assert type(getattr(BenchConfig(**{name: np.int64(3)}), name)) is int
 
 
 # ---------------------------------------------------------------- fit

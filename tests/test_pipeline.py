@@ -78,6 +78,13 @@ def test_collect_all_insertions_failed():
         collect_dataset(factory, cfg, generate_pattern(1e-6, 0.0))
 
 
+def test_collection_config_n_insertions_is_an_integer():
+    for bad in (3.5, "3", True, None):
+        with pytest.raises(InvalidConfig, match="n_insertions must be an integer"):
+            CollectionConfig(n_insertions=bad)
+    assert type(CollectionConfig(n_insertions=np.int64(10)).n_insertions) is int
+
+
 def test_collection_config_validation():
     with pytest.raises(InvalidConfig):
         CollectionConfig(n_insertions=0)

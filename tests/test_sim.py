@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegservo.errors import ConstraintViolation, InvalidConfig, InvalidTolerance
@@ -21,9 +21,9 @@ from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           config_from_dict, config_to_dict, default_cameras,
-                          load_config_file, move_tcp, new_world, peg_position,
-                          render, render_views, spiral_insert, spiral_search,
-                          true_inplane_error, write_pgm)
+                          keyed_generators, load_config_file, move_tcp, new_world,
+                          new_worlds, peg_position, render, render_views, seed_states,
+                          spiral_insert, spiral_search, true_inplane_error, write_pgm)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -150,6 +150,19 @@ def test_config_rejects_a_negative_seed():
     with pytest.raises(InvalidConfig, match="seed"):
         WorldConfig(seed=-1)
     assert WorldConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", True, np.float64(2.0), None])
+def test_the_seed_is_an_integer(bad):
+    # the seeding kernel takes integer keys: anything else is refused where
+    # it is set, by the config and by with_seed
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        WorldConfig(seed=bad)
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        WorldConfig().with_seed(bad)
+    for seed in (np.int64(3), np.uint8(3)):
+        assert type(WorldConfig(seed=seed).seed) is int
+        assert type(WorldConfig().with_seed(seed).seed) is int
 
 
 def test_with_seed_checks_the_seed_and_shares_the_per_camera_tuples():
@@ -542,6 +555,101 @@ def test_a_world_is_refused_or_seen_by_every_camera(seed, sigmas):
         return
     for j in range(len(cfg.cameras)):
         render_views([world], j, world.tcp[None])
+
+
+def _reference_world(cfg):
+    """new_world one draw at a time from numpy's own scene stream: a dict of
+    the world's hidden fields, or the InvalidConfig text it raises."""
+    scene = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    hole2 = cfg.hole_uncertainty_sigma * scene.standard_normal(2)
+    grasp2 = cfg.grasp_uncertainty_sigma * scene.standard_normal(2)
+    background, radius = scene.uniform(0.4, 0.6), scene.uniform(3.6, 4.4)
+    basis = inplane_basis(cfg.insertion_direction)
+    true_hole = cfg.nominal_hole + basis @ hole2
+    tcp = cfg.nominal_hole - cfg.hover_height * cfg.insertion_direction
+    if not cfg.sees(np.array([true_hole, tcp + basis @ grasp2])):
+        what, drawn = (("draws the hole", hole2) if not cfg.sees(true_hole)
+                       else ("puts the peg", grasp2))
+        return (f"seed {cfg.seed} {what} behind a camera "
+                f"(drawn offset {drawn.round(3).tolist()} mm)")
+    return {"true_hole": true_hole.tobytes(), "grasp_offset": grasp2.tobytes(),
+            "tcp": tcp.tobytes(), "background": background, "radius": radius}
+
+
+def _hidden_fields(world):
+    return {"true_hole": world.true_hole.tobytes(), "grasp_offset": world.grasp_offset.tobytes(),
+            "tcp": world.tcp.tobytes(), "background": world.appearance.background,
+            "radius": world.appearance.hole_radius_px}
+
+
+def test_new_world_draws_numpys_scene_stream():
+    for seed in (0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**70):
+        cfg = WorldConfig(seed=seed, hole_uncertainty_sigma=0.3)
+        assert _hidden_fields(new_world(cfg)) == _reference_world(cfg)
+
+
+# a key's integers, with the word boundaries forced in
+_KEY_INTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                      st.integers(0, 2**70 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 10), n=st.integers(1, 6))
+def test_seeding_kernel_is_numpys_seed_sequence(data, width, n):
+    keys = data.draw(st.lists(st.lists(_KEY_INTS, min_size=width, max_size=width),
+                              min_size=n, max_size=n))
+    states = seed_states(keys)
+    assert states.dtype == np.uint64 and states.shape == (n, 4)
+    for key, state, rng in zip(keys, states, keyed_generators(keys), strict=True):
+        numpy_rng = np.random.default_rng(np.random.SeedSequence(key))
+        for n_words in (1, 4):
+            assert state[:n_words].tolist() == np.random.SeedSequence(key).generate_state(
+                n_words, np.uint64).tolist()
+        assert rng.random(3).tobytes() == numpy_rng.random(3).tobytes()
+        assert rng.standard_normal(5).tobytes() == numpy_rng.standard_normal(5).tobytes()
+
+
+def test_seeding_kernel_takes_rows_of_non_negative_integers():
+    assert seed_states([]).shape == (0, 4)
+    assert list(keyed_generators([])) == []
+    for bad in ([[1.5]], [[True, 2]], [[-1]], [[-(2**70)]], [[1], [2, 3]], [1, 2]):
+        with pytest.raises(ValueError, match="keys must be"):
+            seed_states(bad)
+
+
+_STYLED_CONFIGS = st.builds(
+    WorldConfig, component_style=st.sampled_from(COMPONENT_STYLES),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+    insertion_direction=st.sampled_from([vec3(0.0, 0.0, -1.0), vec3(0.6, 0.0, -0.8),
+                                         vec3(0.0, -0.28, -0.96)]),
+    hole_uncertainty_sigma=st.sampled_from([0.01, 0.5, 450.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs=st.lists(_STYLED_CONFIGS, max_size=8))
+@example(configs=[WorldConfig(seed=s, hole_uncertainty_sigma=450.0) for s in (0, 3, 6)])
+def test_new_worlds_are_their_batches_of_one(configs):
+    # at sigma 450 mm some draws land behind a camera (seeds 3 and 6 here):
+    # the batch raises the first such config's own error
+    alone = []
+    for cfg in configs:
+        reference = _reference_world(cfg)
+        try:
+            alone.append(new_world(cfg))
+        except InvalidConfig as exc:
+            assert str(exc) == reference
+            with pytest.raises(InvalidConfig) as batch:
+                new_worlds(configs)
+            assert str(batch.value) == str(exc)
+            return
+        assert _hidden_fields(alone[-1]) == reference
+    for world, one in zip(new_worlds(configs), alone, strict=True):
+        for f in fields(one):
+            a, b = getattr(world, f.name), getattr(one, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape, f.name
+            else:
+                assert a == b or a is b, f.name
 
 
 def test_extra_error_radius_not_applied_at_creation():

@@ -242,6 +242,48 @@ def test_no_function_takes_an_rng(path):
     assert _rng_parameters(path.read_text()) == []
 
 
+def _stream_sites(source: str) -> list:
+    """Calls that build a numpy stream (SeedSequence, default_rng), as
+    "innermost enclosing function (line)", or "<module> (line)"."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and {getattr(child.func, "id", None),
+                                                getattr(child.func, "attr", None)} & {
+                    "SeedSequence", "default_rng"}:
+                sites.append(f"{where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(sites)
+
+
+def test_stream_site_is_detected():
+    assert _stream_sites("import numpy as np\ndef f():\n    np.random.default_rng(1)\n"
+                         "    def g(): return SeedSequence([1])\n"
+                         "x = np.random.SeedSequence(2)\nclass C:\n"
+                         "    def rng(self): return default_rng(SeedSequence(3))\n") == [
+        "<module> (line 5)", "f (line 3)", "g (line 4)", "rng (line 7)", "rng (line 7)"]
+
+
+# The only streams built one at a time: each is a single stream per call.
+# Keyed per-item streams come from sim's batched kernel (keyed_generators,
+# seed_states), which computes numpy's seeding without building any.
+_SINGLE_STREAMS = {"cli.py": {"cmd_servo"}, "perception.py": {"_mlp_init"},
+                   "pipeline.py": {"split_by_insertion"}, "sim.py": {"rng"}}
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_single_streams_are_built_one_at_a_time(path):
+    allowed = _SINGLE_STREAMS.get(path.name, set())
+    assert [site for site in _stream_sites(path.read_text())
+            if site.split(" (")[0] not in allowed] == []
+
+
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "geometry.py"],
                          ids=lambda p: p.name)
 def test_stacked_dot_products_come_from_geometry(path):
