@@ -29,7 +29,7 @@ from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
 from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
 from .sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                  config_from_dict, config_to_dict, load_config_file,
+                  config_from_dict, config_to_dict, keyed_generators, load_config_file,
                   move_tcp, new_world, new_worlds, peg_position, render_views,
                   true_inplane_error, write_pgm)
 
@@ -213,7 +213,7 @@ def cmd_servo(ns) -> int:
     cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters,
                            timing=timing)
     if ns.error:
-        ang_rng = np.random.default_rng(np.random.SeedSequence([wcfg.seed, 99]))
+        [ang_rng] = keyed_generators([[wcfg.seed, 99]])
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
         offset = ns.error * np.array([np.cos(theta), np.sin(theta)])
         move_tcp(world, world.tcp + world.basis @ offset)

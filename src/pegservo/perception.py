@@ -21,7 +21,7 @@ from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                      LeakedInsertion, NonFiniteLoss, ShapeMismatch,
                      read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
-from .sim import Observation, keyed_generators
+from .sim import Observation, check_int, keyed_generators
 
 SCHEMA_VERSION = 2
 
@@ -203,8 +203,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in ("ridge", "mlp"):
             raise InvalidConfig(f"train kind must be ridge or mlp, got {self.kind!r}")
-        if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
-            raise InvalidConfig("max_epochs, patience and batch_size must be >= 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not self.learning_rate > 0:
             raise InvalidConfig("learning_rate must be > 0")
         if not all(type(h) is int and h >= 1 for h in self.hidden):
@@ -288,7 +288,7 @@ def _mlp_shapes(d: int, hidden) -> list:
 
 def _mlp_init(d: int, hyper: TrainConfig):
     """An MLP run's initial parameters and the seeded stream that drew them."""
-    rng = np.random.default_rng(np.random.SeedSequence([hyper.seed, 2]))
+    [rng] = keyed_generators([[hyper.seed, 2]])
     return [np.zeros(shape) if len(shape) == 1  # a bias
             else rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])  # He init
             for shape in _mlp_shapes(d, hyper.hidden)], rng

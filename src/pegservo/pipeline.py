@@ -18,8 +18,8 @@ from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_erro
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, TimingModel, WorldState, check_int, render_views,
-                  spiral_search, true_inplane_error)
+from .sim import (MODE_VS, Episode, TimingModel, WorldState, check_int, keyed_generators,
+                  render_views, spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -33,12 +33,11 @@ class CollectionConfig:
     train_insertions: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "n_insertions", check_int("n_insertions", self.n_insertions, 1))
-        if self.samples_per_insertion < 1:
-            raise InvalidConfig("counts must be >= 1")
-        if not (0 < self.train_insertions < self.n_insertions):
+        for name in ("n_insertions", "samples_per_insertion", "train_insertions"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        if not self.train_insertions < self.n_insertions:
             raise InvalidConfig(
-                f"need 0 < train_insertions < n_insertions, got "
+                f"need train_insertions < n_insertions, got "
                 f"{self.train_insertions}/{self.n_insertions}")
         if not 0 < self.max_offset_mag < np.inf:
             raise InvalidRadius(f"max_offset_mag must be finite and > 0, got "
@@ -73,7 +72,8 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     skipped. Per inserted world: take the successful TCP as the in-plane
     zero, then draw samples_per_insertion random offsets (direction uniform
     on the circle, magnitude ~ U(0, max_offset_mag), height ~
-    U(0, max_height)) as one array and render them with one render_views call
+    U(0, max_height)) as one array from its [seed, 1] stream (one kernel call
+    seeds every inserted world's) and render them with one render_views call
     per camera. Label y is the normalized error the servo must cancel:
     y_j = normalize_error(-offset.u_j, cam_j). Images and labels fill
     (inserted world, sample, camera) arrays, flattened in that order.
@@ -98,9 +98,11 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
     images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
     y, truth_y, q_mm, height_mm = np.empty((4, len(kept), k, m))
-    for n, world in enumerate(worlds[i] for i in kept):
+    inserted = [worlds[i] for i in kept]
+    streams = keyed_generators([[world.config.seed, 1] for world in inserted])
+    for n, (world, stream) in enumerate(zip(inserted, streams)):
         # the draws of uniform(0, high) for (theta, mag, height), sample by sample
-        theta, mag, height = (world.rng.random((k, 3))
+        theta, mag, height = (stream.random((k, 3))
                               * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
         offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
         # stacked mat-vecs: per row, one sample's basis @ offset, bit for bit
@@ -124,8 +126,8 @@ def split_by_insertion(data: Dataset, train_insertions: int, seed: int):
     if len(ids) <= train_insertions:
         raise TooFewInsertions(f"{len(ids)} insertion groups cannot give a "
                                f"{train_insertions}-insertion training split")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, len(ids)]))
-    perm = rng.permutation(ids)
+    [stream] = keyed_generators([[seed, len(ids)]])
+    perm = stream.permutation(ids)
     train_ids = sorted(int(v) for v in perm[:train_insertions])
     val_ids = sorted(int(v) for v in perm[train_insertions:])
     return data.subset(train_ids), data.subset(val_ids)

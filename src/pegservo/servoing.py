@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidConfig, ModelsNotDeployed, csv_text, write_artifact
 from .geometry import denormalize_error, reconstruct_error
 from .perception import predict_views
-from .sim import (TimingModel, WorldConfig, WorldState, move_tcp, render_views,
+from .sim import (TimingModel, WorldConfig, WorldState, check_int, move_tcp, render_views,
                   true_inplane_error)
 
 CLAMP_MM = 2.0  # largest correction one step applies; a longer one is saturated
@@ -34,8 +34,7 @@ class ServoConfig:
     timing: TimingModel = field(default_factory=TimingModel)
 
     def __post_init__(self):
-        if self.n_iters < 1:
-            raise InvalidConfig(f"n_iters must be >= 1, got {self.n_iters}")
+        object.__setattr__(self, "n_iters", check_int("n_iters", self.n_iters, 1))
         if len(self.models) != len(self.calibration.cameras):
             raise InvalidConfig(f"{len(self.models)} models for "
                                 f"{len(self.calibration.cameras)} cameras")

@@ -307,13 +307,6 @@ class WorldState:
     appearance: Appearance
     basis: np.ndarray  # (3,2) in-plane basis, shared read-only per direction
     elapsed_time: float = 0.0
-    attempt_count: int = 0
-    max_inplane_violation: float = 0.0
-
-    @cached_property
-    def rng(self) -> np.random.Generator:
-        """The world's collection stream, built on first use."""
-        return np.random.default_rng(np.random.SeedSequence([self.config.seed, 1]))
 
 
 @lru_cache(maxsize=16)
@@ -389,17 +382,16 @@ def move_tcp(world: WorldState, new_tcp) -> None:
     new_tcp = np.asarray(new_tcp, dtype=float)
     if not np.isfinite(new_tcp).all():
         raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
-    _check_inplane(world, abs(float(np.dot(new_tcp - world.tcp,
-                                           world.config.insertion_direction))))
+    _check_inplane(abs(float(np.dot(new_tcp - world.tcp,
+                                    world.config.insertion_direction))))
     world.tcp = new_tcp
 
 
-def _check_inplane(world: WorldState, worst: float) -> None:
-    """Reject a move's largest out-of-plane component, else record it."""
+def _check_inplane(worst: float) -> None:
+    """Reject a move whose largest out-of-plane component is above the tolerance."""
     if not worst <= _INPLANE_TOL:
         raise ConstraintViolation(
             f"TCP move has out-of-plane component {worst:.3e} mm")
-    world.max_inplane_violation = max(world.max_inplane_violation, worst)
 
 
 @dataclass(frozen=True)
@@ -573,7 +565,8 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> list:
     arithmetic (start + basis @ offset, then true_inplane_error's
     inplane_norm, on stacked rows), and a world's first confirmed offset is
     its hit, so every result is bit-identical to trying the offsets one by
-    one. Each world's path is checked for out-of-plane motion.
+    one. Every world's path is checked for out-of-plane motion before any
+    world's TCP or clock is written, so a failing path changes no world.
     """
     offsets, got = pattern.offsets, float(pattern.tolerance)
     for world in worlds:
@@ -607,15 +600,15 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> list:
     # a world's path runs through a prefix of its basis's moves: the rows of
     # one product per shared basis
     moves = {id(b): offsets @ b.T for b in {id(w.basis): w.basis for w in worlds}.values()}
-    episodes = []
-    for n, (world, start) in enumerate(zip(worlds, origins)):
-        cfg, n_att, ok = world.config, int(attempts[n]), bool(success[n])
+    for world, start, n_att, ok in zip(worlds, origins, attempts.tolist(), success.tolist()):
         path = np.concatenate((start[None, :], start + moves[id(world.basis)][:n_att])
                               + (() if ok else (start[None, :],)))
-        _check_inplane(world, float(np.abs((path[1:] - path[:-1])
-                                           @ cfg.insertion_direction).max(initial=0.0)))
+        _check_inplane(float(np.abs((path[1:] - path[:-1])
+                                    @ world.config.insertion_direction).max(initial=0.0)))
+    episodes = []
+    for n, world in enumerate(worlds):
+        cfg, n_att, ok = world.config, int(attempts[n]), bool(success[n])
         world.tcp = finals[n]
-        world.attempt_count += n_att
         t = n_att * timing.t_attempt
         world.elapsed_time += t
         episodes.append(Episode(

@@ -62,10 +62,9 @@ def attempt_insertion(world, tcp=None):
     """Stroke down at the given (default current) TCP and report success: the
     per-attempt reference that spiral_search reproduces.
 
-    Success iff the in-plane peg-hole distance is <= tolerance. Counts one
-    attempt and charges no time.
+    Success iff the in-plane peg-hole distance is <= tolerance. Charges no
+    time.
     """
-    world.attempt_count += 1
     peg = (world.tcp if tcp is None else tcp) + world.basis @ world.grasp_offset
     miss = inplane_norm(world.true_hole - peg,
                         world.config.insertion_direction)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo import bench
+from pegservo import bench, pipeline
 from pegservo.bench import (BenchConfig, build_report, emit_report,
                             fit_quadratic_law, read_rows, run_benchmark)
 from pegservo.cli import main
@@ -136,15 +136,21 @@ def test_grid_memory_grows_by_its_rows_only():
 
 def test_grid_episodes_build_no_collection_stream(monkeypatch):
     worlds, new_worlds = [], bench.new_worlds
+    keys, kernel = [], pipeline.keyed_generators
 
     def recording(configs):
         worlds.extend(new_worlds(configs))
         return worlds[-len(configs):]
 
+    def recording_keys(batch):
+        keys.extend(batch)
+        return kernel(batch)
+
     monkeypatch.setattr(bench, "new_worlds", recording)
+    monkeypatch.setattr(pipeline, "keyed_generators", recording_keys)
     run_benchmark(_small_cfg(), ORACLE_MODELS)
     assert len(worlds) == 12
-    assert all("rng" not in vars(w) for w in worlds)
+    assert keys == []
 
 
 def test_missing_models_rejected():

@@ -32,10 +32,11 @@ def reference_collect(world_factory, cfg, pattern):
             continue
         success_tcp, first, tcps = world.tcp, len(labels), []
         l = world.config.insertion_direction
+        rng = np.random.default_rng(np.random.SeedSequence([world.config.seed, 1]))
         for _ in range(cfg.samples_per_insertion):
-            theta = world.rng.uniform(0.0, 2.0 * np.pi)
-            mag = world.rng.uniform(0.0, cfg.max_offset_mag)
-            height = world.rng.uniform(0.0, cfg.max_height)
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            mag = rng.uniform(0.0, cfg.max_offset_mag)
+            height = rng.uniform(0.0, cfg.max_height)
             offset2 = mag * np.array([np.cos(theta), np.sin(theta)])
             tcps.append(success_tcp + world.basis @ offset2 - height * l)
             for j, (cam, u) in enumerate(zip(cameras,

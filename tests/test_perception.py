@@ -257,6 +257,17 @@ def test_shape_mismatch_on_predict():
         predict(model, observation(ds8, 0))
 
 
+@pytest.mark.parametrize("name, low", [("seed", 0), ("max_epochs", 1), ("batch_size", 1),
+                                       ("patience", 1)])
+def test_train_config_integer_field_is_an_integer(name, low):
+    for bad in (2.5, "3", True, None):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            TrainConfig(**{name: bad})
+    with pytest.raises(InvalidConfig, match=f"{name} must be >= {low}, got {low - 1}"):
+        TrainConfig(**{name: low - 1})
+    assert type(getattr(TrainConfig(**{name: np.int64(3)}), name)) is int
+
+
 def test_train_config_validation():
     with pytest.raises(InvalidConfig):
         TrainConfig(kind="forest")

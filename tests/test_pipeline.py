@@ -85,6 +85,16 @@ def test_collection_config_n_insertions_is_an_integer():
     assert type(CollectionConfig(n_insertions=np.int64(10)).n_insertions) is int
 
 
+@pytest.mark.parametrize("name", ["samples_per_insertion", "train_insertions"])
+def test_collection_config_integer_field_is_an_integer(name):
+    for bad in (2.5, "3", True, None):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            CollectionConfig(**{name: bad})
+    with pytest.raises(InvalidConfig, match=f"{name} must be >= 1, got 0"):
+        CollectionConfig(**{name: 0})
+    assert type(getattr(CollectionConfig(**{name: np.int64(3)}), name)) is int
+
+
 def test_collection_config_validation():
     with pytest.raises(InvalidConfig):
         CollectionConfig(n_insertions=0)

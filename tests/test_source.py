@@ -242,8 +242,13 @@ def test_no_function_takes_an_rng(path):
     assert _rng_parameters(path.read_text()) == []
 
 
+# What builds a numpy stream: a seed sequence, a generator, a bit generator
+_STREAM_MAKERS = {"SeedSequence", "default_rng", "Generator", "RandomState", "BitGenerator",
+                  "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+
+
 def _stream_sites(source: str) -> list:
-    """Calls that build a numpy stream (SeedSequence, default_rng), as
+    """Calls that build a numpy stream (_STREAM_MAKERS), as
     "innermost enclosing function (line)", or "<module> (line)"."""
     sites = []
 
@@ -252,9 +257,8 @@ def _stream_sites(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and {getattr(child.func, "id", None),
-                                                getattr(child.func, "attr", None)} & {
-                    "SeedSequence", "default_rng"}:
+            if isinstance(child, ast.Call) and _STREAM_MAKERS & {
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)}:
                 sites.append(f"{where} (line {child.lineno})")
             visit(child, where)
 
@@ -268,20 +272,21 @@ def test_stream_site_is_detected():
                          "x = np.random.SeedSequence(2)\nclass C:\n"
                          "    def rng(self): return default_rng(SeedSequence(3))\n") == [
         "<module> (line 5)", "f (line 3)", "g (line 4)", "rng (line 7)", "rng (line 7)"]
-
-
-# The only streams built one at a time: each is a single stream per call.
-# Keyed per-item streams come from sim's batched kernel (keyed_generators,
-# seed_states), which computes numpy's seeding without building any.
-_SINGLE_STREAMS = {"cli.py": {"cmd_servo"}, "perception.py": {"_mlp_init"},
-                   "pipeline.py": {"split_by_insertion"}, "sim.py": {"rng"}}
+    assert _stream_sites("from numpy.random import *\ndef f():\n"
+                         "    return np.random.Generator(np.random.PCG64())\n"
+                         "def g(): return [RandomState(1), MT19937(2), Philox(3)]\n"
+                         "def h(): return SFC64(4), PCG64DXSM(5), BitGenerator(6)\n"
+                         "r = np.random.RandomState()\n") == [
+        "<module> (line 6)", "f (line 3)", "f (line 3)", "g (line 4)", "g (line 4)",
+        "g (line 4)", "h (line 5)", "h (line 5)", "h (line 5)"]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_only_single_streams_are_built_one_at_a_time(path):
-    allowed = _SINGLE_STREAMS.get(path.name, set())
-    assert [site for site in _stream_sites(path.read_text())
-            if site.split(" (")[0] not in allowed] == []
+    # every stream, a single one too, is a key's row of sim's batched kernel:
+    # keyed_generators makes the one Generator, on one PCG64, that draws them
+    sites = [site.split(" (")[0] for site in _stream_sites(path.read_text())]
+    assert sites == (["keyed_generators"] * 2 if path.name == "sim.py" else [])
 
 
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "geometry.py"],
