@@ -15,8 +15,8 @@ from .servoing import ServoConfig, servo_config_for, servo_step, visual_servo
 from .pipeline import (CollectionConfig, DeploymentGate, collect_dataset,
                        configure, insert, insert_batch, split_by_insertion,
                        train_per_camera)
-from .bench import (BenchConfig, BenchReport, emit_report, fit_quadratic_law,
-                    run_benchmark)
+from .bench import (BenchConfig, BenchReport, RunConfig, emit_report, fit_quadratic_law,
+                    run_benchmark, train_styles)
 
 __all__ = [
     "__version__", "PegServoError",
@@ -30,6 +30,6 @@ __all__ = [
     "ServoConfig", "servo_config_for", "servo_step", "visual_servo",
     "CollectionConfig", "DeploymentGate", "collect_dataset", "configure",
     "insert", "insert_batch", "split_by_insertion", "train_per_camera",
-    "BenchConfig", "BenchReport", "emit_report", "fit_quadratic_law",
-    "run_benchmark",
+    "BenchConfig", "BenchReport", "RunConfig", "emit_report", "fit_quadratic_law",
+    "run_benchmark", "train_styles",
 ]

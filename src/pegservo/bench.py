@@ -16,12 +16,14 @@ import numpy as np
 
 from .errors import (CorruptArtifact, InsufficientData, InvalidConfig,
                      ModelsNotDeployed, csv_text, read_artifact, write_artifacts)
-from .pipeline import insert_batch
+from .perception import TrainConfig
+from .pipeline import (CollectionConfig, DeploymentGate, collection_pattern, configure,
+                       insert_batch)
 from .search import generate_pattern
-from .servoing import servo_config_for
+from .servoing import CLAMP_MM, servo_config_for
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode,
-                  TimingModel, WorldConfig, check_int, keyed_generators, move_tcp,
-                  new_worlds, seed_states)
+                  TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
+                  keyed_generators, move_tcp, new_worlds, seed_states)
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,73 @@ class BenchConfig:
             values = getattr(self, name)  # a repeat would run its rows twice
             if any(v not in known or values.count(v) > 1 for v in values):
                 raise InvalidConfig(f"{name} must be distinct members of {known}, got {values}")
+        generate_pattern(self.tolerance, self.error_disc_radius)  # memoized for _run_block
 
     @property
     def tolerance(self) -> float:
         """The insertion clearance: the world template's, the grid's only one."""
         return self.world_template.tolerance
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every config section of a run, each checked by its class (BenchConfig
+    checks the grid's pattern), and the rules that span sections: bench runs
+    the run's world and timing, the collection's reach and pattern
+    (collection_pattern), and no move of the run rounds out of plane
+    (WorldConfig.check_rounding). gate None means configure's default."""
+
+    world: WorldConfig = field(default_factory=WorldConfig)
+    timing: TimingModel = field(default_factory=TimingModel)
+    collection: CollectionConfig = field(default_factory=CollectionConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    bench: BenchConfig = field(default_factory=BenchConfig)
+    gate: DeploymentGate | None = None
+
+    def __post_init__(self):
+        if (self.bench.timing != self.timing
+                or config_to_dict(self.bench.world_template) != config_to_dict(self.world)):
+            raise InvalidConfig("bench must run the run's world and timing")
+        collection_pattern(self.world, self.collection)
+        # The TCP's in-plane reach from the approach pose: a start error in the
+        # bench disc, a servo heading for the drawn hole (within 8 sigmas of each
+        # draw) that overshoots by at most one clamped step, then a spiral over
+        # the disc plus the tolerance. A collection spirals over max_offset_mag.
+        w, disc = self.world, max(self.bench.error_disc_radius, self.collection.max_offset_mag)
+        w.check_rounding(2.0 * disc + w.tolerance + CLAMP_MM
+                         + 8.0 * (w.hole_uncertainty_sigma + w.grasp_uncertainty_sigma))
+
+    @classmethod
+    def from_dict(cls, raw: dict, **world) -> "RunConfig":
+        """The run of a parsed config file's sections, each by config_from_dict,
+        an absent one at its defaults (gate: None). world replaces fields of the
+        world section, as flags do, before bench is built with it and the timing."""
+        names = [f.name for f in fields(cls)]
+        unknown = set(raw) - set(names)
+        if unknown:
+            raise InvalidConfig(f"unknown config sections: {sorted(unknown)}; "
+                                f"expected a subset of {sorted(names)}")
+        wcfg = config_from_dict(WorldConfig, raw.get("world", {}))
+        wcfg = replace(wcfg, **world) if world else wcfg
+        timing = config_from_dict(TimingModel, raw.get("timing", {}))
+        return cls(world=wcfg, timing=timing,
+                   collection=config_from_dict(CollectionConfig, raw.get("collection", {})),
+                   train=config_from_dict(TrainConfig, raw.get("train", {})),
+                   bench=config_from_dict(BenchConfig, raw.get("bench", {}), timing=timing,
+                                          world_template=wcfg),
+                   gate=config_from_dict(DeploymentGate, raw["gate"]) if "gate" in raw else None)
+
+
+def train_styles(run: RunConfig, seed: int) -> dict:
+    """Per grid style, configure's result on the run's sections, from worlds of
+    that style at seeds seed, seed + 1, ... drawn with one new_worlds call."""
+    results = {}
+    for style in run.bench.component_styles:
+        styled = replace(run.world, component_style=style)
+        worlds = new_worlds([styled.with_seed(seed + i)
+                             for i in range(run.collection.n_insertions)])
+        results[style] = configure(worlds.__getitem__, run.collection, run.train, run.gate)
+    return results
 
 
 _BLOCK = 32  # episodes per spiral_search; only one block's worlds are alive
@@ -66,8 +130,7 @@ def _run_block(cfg: BenchConfig, models: dict, block) -> list:
     for world, start, (_, _, mode) in zip(worlds, starts, rows):
         move_tcp(world, world.tcp + world.basis @ start)
         servo_cfgs.append(None if mode == MODE_NOVS else servo_config_for(
-            world, models[world.config.component_style], n_iters=cfg.n_iters,
-            timing=cfg.timing))
+            world, models[world.config.component_style], n_iters=cfg.n_iters, timing=cfg.timing))
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     return insert_batch(worlds, servo_cfgs, pattern, cfg.timing)
 
@@ -139,8 +202,7 @@ def build_report(rows) -> BenchReport:
     return BenchReport(rows=_Rows(rows), per_style=per_style, overall=overall,
                        speedup=_speedup(overall.get(f"{MODE_VS}_mean_time_s"),
                                         overall.get(f"{MODE_NOVS}_mean_time_s")),
-                       success=success, direct=direct,
-                       mean_post_servo_retro_mm=mean_post)
+                       success=success, direct=direct, mean_post_servo_retro_mm=mean_post)
 
 
 def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
@@ -202,14 +264,12 @@ def fit_quadratic_law(pairs) -> dict:
     ss_res = float(np.sum((np.log(ts) - pred) ** 2))
     ss_tot = float(np.sum((np.log(ts) - np.mean(np.log(ts))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept),
-            "r2": float(r2), "n": len(pts)}
+    return {"slope": float(slope), "intercept": float(intercept), "r2": float(r2), "n": len(pts)}
 
 
 # rows.csv holds one Episode per line, its fields in declaration order.
 _ROW_COLUMNS = [f.name for f in fields(Episode)]
-_PARSE = {str: str, int: int, float: float,
-          bool: lambda v: {"0": False, "1": True}[v]}
+_PARSE = {str: str, int: int, float: float, bool: lambda v: {"0": False, "1": True}[v]}
 
 
 def read_rows(path) -> list:
@@ -222,8 +282,7 @@ def read_rows(path) -> list:
     rows = []
     for n, line in enumerate(lines[1:], start=2):
         try:
-            row = Episode(*[p(v) for p, v in zip(parse, line.split(","),
-                                                  strict=True)])
+            row = Episode(*[p(v) for p, v in zip(parse, line.split(","), strict=True)])
         except (KeyError, ValueError) as exc:
             raise CorruptArtifact(f"{path} line {n}: {exc!r}") from exc
         if row.mode not in BENCH_MODES:

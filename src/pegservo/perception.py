@@ -26,9 +26,8 @@ from .sim import Observation, check_int, keyed_generators
 SCHEMA_VERSION = 2
 
 # Per-sample label columns of a Dataset (also meta.json's columns)
-_LABELS = {"insertion_id": np.int64, "camera_index": np.int64,
-           "y": np.float64, "truth_y": np.float64, "q_mm": np.float64,
-           "height_mm": np.float64}
+_LABELS = {"insertion_id": np.int64, "camera_index": np.int64, "y": np.float64,
+           "truth_y": np.float64, "q_mm": np.float64, "height_mm": np.float64}
 
 
 @dataclass
@@ -153,8 +152,7 @@ def _fit_input(ds: Dataset, robust: bool):
     X -= feat_mean  # then X.std's own arithmetic, without its copy of X
     feat_std = np.maximum(np.sqrt(np.square(X).sum(axis=0) / len(X)), 1e-8)
     X /= feat_std
-    return InputSpec(r=ds.r, robust=robust, feat_mean=feat_mean,
-                     feat_std=feat_std), X
+    return InputSpec(r=ds.r, robust=robust, feat_mean=feat_mean, feat_std=feat_std), X
 
 
 @dataclass
@@ -348,8 +346,7 @@ def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
 
 def predict(model, obs: Observation) -> float:
     """Predict the normalized error y for one observation: predict_views of one."""
-    return float(predict_views(model, np.asarray(obs.pixels)[None],
-                               np.array([obs.truth_y]))[0])
+    return float(predict_views(model, np.asarray(obs.pixels)[None], np.array([obs.truth_y]))[0])
 
 
 def predict_views(model, images, truth_y) -> np.ndarray:
@@ -488,8 +485,7 @@ def _model_from_meta(meta: dict, in_dir):
     if raw.size < 2 * d:
         raise CorruptArtifact("weights.bin too short for feature statistics")
     feat_mean, feat_std, rest = raw[:d], raw[d:2 * d], raw[2 * d:]
-    spec = InputSpec(r=r, robust=bool(meta["robust"]),
-                     feat_mean=feat_mean, feat_std=feat_std)
+    spec = InputSpec(r=r, robust=bool(meta["robust"]), feat_mean=feat_mean, feat_std=feat_std)
     if kind == "ridge":
         if rest.size != d + 1:
             raise CorruptArtifact("ridge weights.bin has wrong length")

@@ -18,8 +18,8 @@ from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_erro
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, TimingModel, WorldState, check_int, keyed_generators,
-                  render_views, spiral_search, true_inplane_error)
+from .sim import (MODE_VS, Episode, TimingModel, WorldConfig, WorldState, check_int,
+                  keyed_generators, render_views, spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +36,8 @@ class CollectionConfig:
         for name in ("n_insertions", "samples_per_insertion", "train_insertions"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if not self.train_insertions < self.n_insertions:
-            raise InvalidConfig(
-                f"need train_insertions < n_insertions, got "
-                f"{self.train_insertions}/{self.n_insertions}")
+            raise InvalidConfig(f"need train_insertions < n_insertions, got "
+                                f"{self.train_insertions}/{self.n_insertions}")
         if not 0 < self.max_offset_mag < np.inf:
             raise InvalidRadius(f"max_offset_mag must be finite and > 0, got "
                                 f"{self.max_offset_mag}")
@@ -62,21 +61,34 @@ class DeploymentGate:
             raise InvalidConfig("gate threshold must be >= 0")
 
 
+def collection_pattern(world: WorldConfig, cfg: CollectionConfig,
+                       pattern: SearchPattern = None) -> SearchPattern:
+    """The pattern a collection in world searches (generate_pattern(tolerance,
+    max_offset_mag) unless given), once its highest pose, max_height above the
+    approach pose, is in front of every camera, as the approach pose must be."""
+    top = world.nominal_hole - (world.hover_height + cfg.max_height) * world.insertion_direction
+    if not world.sees(top):
+        raise InvalidConfig(f"max_height {cfg.max_height} puts the highest collection "
+                            "pose behind a camera")
+    return generate_pattern(world.tolerance, cfg.max_offset_mag) if pattern is None else pattern
+
+
 def collect_dataset(world_factory, cfg: CollectionConfig,
-                    pattern: SearchPattern) -> Dataset:
+                    pattern: SearchPattern = None) -> Dataset:
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
-    The worlds are built in insertion order, and every one must have world
-    0's cameras, of one resolution, before any insertion or render. One
-    spiral_search inserts them all; failed insertions are logged and
-    skipped. Per inserted world: take the successful TCP as the in-plane
-    zero, then draw samples_per_insertion random offsets (direction uniform
-    on the circle, magnitude ~ U(0, max_offset_mag), height ~
-    U(0, max_height)) as one array from its [seed, 1] stream (one kernel call
-    seeds every inserted world's) and render them with one render_views call
-    per camera. Label y is the normalized error the servo must cancel:
-    y_j = normalize_error(-offset.u_j, cam_j). Images and labels fill
-    (inserted world, sample, camera) arrays, flattened in that order.
+    The worlds are built in insertion order, and every one must have world 0's
+    cameras, of one resolution, and world 0 pass collection_pattern (the pattern
+    when none is given), before any insertion or render. One spiral_search
+    inserts them all; failed insertions are logged and skipped. Per inserted
+    world: take the successful TCP as the in-plane zero, then draw
+    samples_per_insertion random offsets (direction uniform on the circle,
+    magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) as one array
+    from its [seed, 1] stream (one kernel call seeds every inserted world's)
+    and render them with one render_views call per camera. Label y is the
+    normalized error the servo must cancel: y_j = normalize_error(-offset.u_j,
+    cam_j). Images and labels fill (inserted world, sample, camera) arrays,
+    flattened in that order.
     """
     worlds = [world_factory(i) for i in range(cfg.n_insertions)]
     cameras = worlds[0].config.cameras
@@ -86,6 +98,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     for i, world in enumerate(worlds):
         if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
             raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
+    pattern = collection_pattern(worlds[0].config, cfg, pattern)
     outcomes = spiral_search(worlds, pattern, TimingModel())
     for i, outcome in enumerate(outcomes):
         if not outcome.success:
@@ -93,8 +106,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
                         i, outcome.attempts)
     kept = np.flatnonzero([outcome.success for outcome in outcomes])
     if len(kept) == 0:
-        raise AllInsertionsFailed(
-            f"all {cfg.n_insertions} collection insertions failed")
+        raise AllInsertionsFailed(f"all {cfg.n_insertions} collection insertions failed")
     k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
     images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
     y, truth_y, q_mm, height_mm = np.empty((4, len(kept), k, m))
@@ -148,15 +160,13 @@ class TrainResult:
         return {j: r.val_metrics for j, r in self.reports.items()}
 
 
-def train_per_camera(data: Dataset, train_insertions: int,
-                     hyper: TrainConfig) -> TrainResult:
+def train_per_camera(data: Dataset, train_insertions: int, hyper: TrainConfig) -> TrainResult:
     """Split by insertion, then train and validate one model per camera."""
     train_ds, val_ds = split_by_insertion(data, train_insertions, hyper.seed)
     models, reports = {}, {}
     for j in range(len(data.cameras)):
         models[j], reports[j] = train(train_ds.by_camera(j), val_ds.by_camera(j), hyper)
-    return TrainResult(models=models, reports=reports,
-                       train_ids=sorted(train_ds.grouping),
+    return TrainResult(models=models, reports=reports, train_ids=sorted(train_ds.grouping),
                        val_ids=sorted(val_ds.grouping))
 
 
@@ -174,17 +184,15 @@ def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
     """Collect, split, train one model per camera, and gate deployment.
 
     n insertions make n factory calls: world 0 is built first, for its
-    tolerance (the search pattern covers max_offset_mag at it), and then
-    collected from. decision = "deploy" iff every model's validation mae_mm
-    is within the gate threshold; otherwise "collect_more". gate=None
-    means a threshold of half the world tolerance.
+    tolerance, and then collected from, with collection_pattern's pattern.
+    decision = "deploy" iff every model's validation mae_mm is within the
+    gate threshold; otherwise "collect_more". gate=None means a threshold of
+    half the world tolerance.
     """
     world0 = world_factory(0)
-    tolerance = world0.config.tolerance
     if gate is None:
-        gate = DeploymentGate(max_val_mae_mm=tolerance / 2.0)
-    data = collect_dataset(lambda i: world0 if i == 0 else world_factory(i), cfg,
-                           generate_pattern(tolerance, cfg.max_offset_mag))
+        gate = DeploymentGate(max_val_mae_mm=world0.config.tolerance / 2.0)
+    data = collect_dataset(lambda i: world0 if i == 0 else world_factory(i), cfg)
     fit = train_per_camera(data, cfg.train_insertions, hyper)
     ok = all(m["mae_mm"] <= gate.max_val_mae_mm for m in fit.metrics.values())
     return ConfigureResult(**vars(fit), decision="deploy" if ok else "collect_more",
@@ -205,8 +213,7 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
                         pattern, timing)[0]
 
 
-def insert_batch(worlds, servo_cfgs, pattern: SearchPattern,
-                 timing: TimingModel) -> list:
+def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel) -> list:
     """Insertion episodes of a batch of worlds, searched by one spiral_search.
 
     A world whose servo_cfg is None gives spiral_search's novs episode. The

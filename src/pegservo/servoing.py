@@ -42,11 +42,9 @@ class ServoConfig:
             raise ModelsNotDeployed("servoing needs one deployed model per camera")
 
 
-def servo_config_for(world: WorldState, models, n_iters: int = 3,
-                     timing=None) -> ServoConfig:
+def servo_config_for(world: WorldState, models, n_iters: int = 3, timing=None) -> ServoConfig:
     """Build a ServoConfig that trusts the world's own calibration."""
-    return ServoConfig(models=tuple(models), calibration=world.config,
-                       n_iters=n_iters,
+    return ServoConfig(models=tuple(models), calibration=world.config, n_iters=n_iters,
                        timing=timing if timing is not None else TimingModel())
 
 

@@ -258,6 +258,23 @@ class WorldConfig:
         axes, offsets = self._sight
         return bool((np.asarray(points, dtype=float) @ axes > offsets).all())
 
+    def check_rounding(self, reach: float) -> None:
+        """Refuse, naming nominal_hole, a world where an in-plane TCP move within
+        reach mm of the approach pose can round out of plane past move_tcp's limit."""
+        # A move is the difference of two computed points, start + basis @ offset.
+        # Each coordinate of each rounds by at most half an ulp of its magnitude,
+        # at most |approach pose_i| + reach, and nearby points subtract exactly:
+        # l . move is off by at most sum_i |l_i| ulp(|pose_i| + reach). The basis,
+        # basis @ offset, a subtraction near 0 and the dot with l each add a few
+        # eps of the move (at most 2 reach long): 20 eps reach bounds them.
+        pose = self.nominal_hole - self.hover_height * self.insertion_direction
+        bound = (float(np.abs(self.insertion_direction) @ np.spacing(np.abs(pose) + reach))
+                 + 20.0 * np.finfo(float).eps * reach)
+        if not bound <= _INPLANE_TOL:
+            raise InvalidConfig(f"nominal_hole {self.nominal_hole.tolist()} is too far out: "
+                                f"in-plane moves there can round {bound:.3g} mm out of "
+                                f"plane, above {_INPLANE_TOL:g} mm")
+
     def with_seed(self, seed: int) -> "WorldConfig":
         """This config at another seed: only the seed is checked again, and the
         per-camera tuples, which do not depend on it, are shared."""
@@ -270,8 +287,7 @@ class WorldConfig:
     @cached_property
     def error_directions(self) -> tuple:
         """Each camera's error direction u, computed once per config."""
-        return tuple(error_direction(self.insertion_direction,
-                                     self.nominal_hole - cam.position)
+        return tuple(error_direction(self.insertion_direction, self.nominal_hole - cam.position)
                      for cam in self.cameras)
 
     @cached_property
@@ -382,16 +398,14 @@ def move_tcp(world: WorldState, new_tcp) -> None:
     new_tcp = np.asarray(new_tcp, dtype=float)
     if not np.isfinite(new_tcp).all():
         raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
-    _check_inplane(abs(float(np.dot(new_tcp - world.tcp,
-                                    world.config.insertion_direction))))
+    _check_inplane(abs(float(np.dot(new_tcp - world.tcp, world.config.insertion_direction))))
     world.tcp = new_tcp
 
 
 def _check_inplane(worst: float) -> None:
     """Reject a move whose largest out-of-plane component is above the tolerance."""
     if not worst <= _INPLANE_TOL:
-        raise ConstraintViolation(
-            f"TCP move has out-of-plane component {worst:.3e} mm")
+        raise ConstraintViolation(f"TCP move has out-of-plane component {worst:.3e} mm")
 
 
 @dataclass(frozen=True)
@@ -543,8 +557,7 @@ class Episode:
     direct: bool  # inserted on the first spiral attempt
 
 
-def spiral_insert(world: WorldState, start_tcp, pattern,
-                  timing: TimingModel) -> Episode:
+def spiral_insert(world: WorldState, start_tcp, pattern, timing: TimingModel) -> Episode:
     """move_tcp to start_tcp, then spiral_search of this one world: a batch of one."""
     move_tcp(world, start_tcp)
     return spiral_search([world], pattern, timing)[0]
@@ -635,14 +648,14 @@ def _section_fields(cls):
     return [f for f in fields(cls) if not is_dataclass(f.type)]
 
 
-def config_from_dict(cls, section):
+def config_from_dict(cls, section, **nested):
     """Build the config dataclass cls from one JSON config section.
 
     The keys are cls's fields, except those holding another config, which
-    come from that config's own section. A JSON list becomes a tuple and an
-    integer for a float field a float. An unknown key, a section that is
-    not a JSON object, a scalar of the wrong type or a value the
-    constructor rejects raises InvalidConfig.
+    are built from their own sections and passed as nested. A JSON list
+    becomes a tuple and an integer for a float field a float. An unknown
+    key, a section that is not a JSON object, a scalar of the wrong type or
+    a value the constructor rejects raises InvalidConfig.
     """
     if not isinstance(section, dict):
         raise InvalidConfig(f"{cls.__name__} section must be a JSON object, "
@@ -664,7 +677,7 @@ def config_from_dict(cls, section):
                                 f"got {value!r}")
         kw[key] = value
     try:
-        return cls(**kw)
+        return cls(**kw, **nested)
     except (TypeError, ValueError, KeyError) as exc:
         raise InvalidConfig(f"bad {cls.__name__} section: {exc!r}") from exc
 

@@ -8,19 +8,21 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegservo import bench, pipeline
-from pegservo.bench import (BenchConfig, build_report, emit_report,
-                            fit_quadratic_law, read_rows, run_benchmark)
+from pegservo.bench import (BenchConfig, RunConfig, build_report, emit_report,
+                            fit_quadratic_law, read_rows, run_benchmark, train_styles)
 from pegservo.cli import main
 from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
-                             ModelsNotDeployed)
-from pegservo.perception import OracleModel
+                             InvalidTolerance, ModelsNotDeployed)
+from pegservo.perception import OracleModel, TrainConfig
+from pegservo.pipeline import CollectionConfig, DeploymentGate, configure
 from pegservo.search import generate_pattern
-from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel, new_world,
-                          spiral_insert)
+from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
+                          config_to_dict, move_tcp, new_world, new_worlds, spiral_insert,
+                          spiral_search)
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
                  for s in ("pin_header", "led", "cap_small", "dsub", "cap_large")}
@@ -182,6 +184,84 @@ def test_bench_config_integer_field_is_an_integer(name):
         with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
             BenchConfig(**{name: bad})
     assert type(getattr(BenchConfig(**{name: np.int64(3)}), name)) is int
+
+
+def test_bench_config_refuses_a_pattern_it_cannot_build():
+    # when the config is built, not at the grid's first block
+    with pytest.raises(InvalidTolerance, match="makes more than 1000000 offsets"):
+        BenchConfig(world_template=WorldConfig(tolerance=1e-300))
+
+
+# ---------------------------------------------------------------- run config
+
+
+def test_run_config_builds_bench_once_with_the_runs_world_and_timing():
+    raw = {"world": {"tolerance": 0.2, "seed": 7}, "timing": {"t_attempt": 0.5},
+           "bench": {"seed": 3}, "gate": {"max_val_mae_mm": 0.04}}
+    run = RunConfig.from_dict(raw, seed=9)
+    assert run.bench.world_template is run.world and run.bench.timing is run.timing
+    assert (run.world.tolerance, run.world.seed, run.bench.seed) == (0.2, 9, 3)
+    assert run.gate == DeploymentGate(0.04) and RunConfig.from_dict({}).gate is None
+    assert config_to_dict(RunConfig().world) == config_to_dict(RunConfig.from_dict({}).world)
+
+
+def test_run_config_refuses_an_unknown_section_and_a_bench_of_another_world():
+    with pytest.raises(InvalidConfig, match=r"^unknown config sections: \['worlds'\]; "
+                       r"expected a subset of \['bench', 'collection', 'gate', 'timing', "
+                       r"'train', 'world'\]$"):
+        RunConfig.from_dict({"worlds": {}})
+    with pytest.raises(InvalidConfig, match="bench must run the run's world and timing"):
+        RunConfig(world=WorldConfig(tolerance=0.2))
+    with pytest.raises(InvalidConfig, match="bench must run the run's world and timing"):
+        RunConfig(timing=TimingModel(t_attempt=0.5))
+
+
+def test_train_styles_trains_what_a_factory_per_index_trains():
+    # one new_worlds call per style draws the worlds that new_world draws one by one
+    run = RunConfig.from_dict({
+        "collection": {"n_insertions": 3, "samples_per_insertion": 5, "train_insertions": 2},
+        "bench": {"component_styles": ["led", "dsub"]}})
+    results = train_styles(run, 40)
+    assert list(results) == ["led", "dsub"]
+    for style, res in results.items():
+        styled = replace(run.world, component_style=style)
+        ref = configure(lambda i, w=styled: new_world(w.with_seed(40 + i)), run.collection,
+                        run.train, run.gate)
+        assert res.decision == ref.decision and res.metrics == ref.metrics
+        for j, model in res.models.items():
+            assert np.array_equal(model.weights, ref.models[j].weights)
+
+
+_TILT = [math.sin(0.5), 0.0, -math.cos(0.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_radius=st.floats(0.0, 8.0), azimuth=st.floats(0.0, 2.0 * math.pi),
+       tilt=st.floats(0.0, 1.2), heading=st.floats(0.0, 2.0 * math.pi))
+@example(log_radius=math.log10(3e7), azimuth=0.0, tilt=0.5, heading=0.0)
+def test_a_world_the_rounding_rule_accepts_spirals_over_its_disc_in_plane(
+        log_radius, azimuth, tilt, heading):
+    # holes up to 1e8 mm out, insertion directions up to 1.2 rad off vertical
+    hole = 10.0 ** log_radius * np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
+    direction = [math.sin(tilt) * math.cos(heading), math.sin(tilt) * math.sin(heading),
+                 -math.cos(tilt)]
+    world = {"nominal_hole": hole.tolist(), "insertion_direction": direction}
+    far = hole.tolist() == [3e7, 0.0, 0.0] and direction == _TILT
+    try:
+        run = RunConfig.from_dict({"world": world})
+    except InvalidConfig as exc:  # the 3e7 mm world is refused by the rule
+        assert not far or "in-plane moves there can round" in str(exc)
+        return
+    assert not far
+    worlds = new_worlds([run.world.with_seed(seed) for seed in range(4)])
+    radius = run.bench.error_disc_radius
+    for k, w in enumerate(worlds):  # a start on the disc's rim, then a hole no offset
+        angle = k * math.pi / 2.0  # reaches, so each spiral walks its whole pattern
+        move_tcp(w, w.tcp + w.basis @ (radius * np.array([math.cos(angle), math.sin(angle)])))
+        w.true_hole = w.true_hole + w.basis[:, 0] * 10.0 * radius
+    pattern = generate_pattern(run.world.tolerance, radius)
+    episodes = spiral_search(worlds, pattern, run.timing)
+    assert [e.attempts for e in episodes] == [len(pattern)] * 4
 
 
 # ---------------------------------------------------------------- fit

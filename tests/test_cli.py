@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pegservo
+from pegservo.bench import RunConfig
 from pegservo.cli import _BENCH_OUTPUTS, _write_json, main
-from pegservo.errors import IoError
+from pegservo.errors import IoError, PegServoError
 from pegservo.perception import (OracleModel, load_dataset, save_dataset,
                                  save_model)
+from pegservo.sim import new_worlds
 
 _STYLE = "led"
 
@@ -477,8 +479,9 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
     _probe("collect", config, _finite_dataset)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("argv, config, error", [
+# (argv, config, error) of runs that cannot run: the CLI refuses each before any
+# output, and the library each that the config or a seeded draw alone decides
+_CANNOT_RUN = [
     (["simulate"], {"world": {"hover_height": 800.0}}, "InvalidConfig:"),
     (["collect"], {"world": {"hover_height": 800.0}}, "InvalidConfig:"),
     (["simulate"], {"world": {"hover_height": 1e300}}, "InvalidConfig:"),
@@ -517,15 +520,21 @@ def test_collect_runs_or_fails_typed_before_any_output(key, value):
     (["bench"], {"bench": {"modes": ["novs"], "component_styles": [_STYLE, _STYLE],
                            "insertions_per_style_per_mode": 2}},
      "InvalidConfig: component_styles must be distinct"),
-], ids=["simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
-        "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
-        "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
-        "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
-        "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
-        "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
-        "simulate-peg-drawn-behind-a-camera", "servo-peg-drawn-behind-a-camera",
-        "servo-error-moves-the-peg-behind-a-camera", "collect-hole-drawn-behind-a-camera",
-        "bench-mode-repeated", "bench-style-repeated"])
+]
+_CANNOT_RUN_IDS = [
+    "simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
+    "simulate-hole-sigma-1e300", "collect-grasp-sigma-1e300",
+    "collect-tolerance-1e-300", "bench-tolerance-1e-300", "pattern-tolerance-1e-300",
+    "collect-tolerance-1e300", "bench-tolerance-1e300", "pattern-tolerance-1e300",
+    "collect-max-height-800", "collect-max-height-1e300", "bench-max-height-800",
+    "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
+    "simulate-peg-drawn-behind-a-camera", "servo-peg-drawn-behind-a-camera",
+    "servo-error-moves-the-peg-behind-a-camera", "collect-hole-drawn-behind-a-camera",
+    "bench-mode-repeated", "bench-style-repeated"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, config, error", _CANNOT_RUN, ids=_CANNOT_RUN_IDS)
 def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv,
                                                          config, error):
     # each of these once wrote manifest.json and then failed mid-run (or, for
@@ -542,6 +551,63 @@ def test_config_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# the cases a config or a seeded draw decides: not a pattern's or --error's flags
+_LIBRARY_CASES = [(case, name) for case, name in zip(_CANNOT_RUN, _CANNOT_RUN_IDS)
+                  if case[1] is not None and "--error" not in case[0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, config, error", [case for case, _ in _LIBRARY_CASES],
+                         ids=[name for _, name in _LIBRARY_CASES])
+def test_the_library_refuses_what_the_cli_refuses(argv, config, error):
+    # the CLI adds no rule: RunConfig raises each config-only case's class and
+    # message, and for a seeded draw the config passes and new_worlds raises
+    if "--seed" in argv:
+        seed = int(argv[argv.index("--seed") + 1])
+        run = RunConfig.from_dict(config, seed=seed)
+        n = run.collection.n_insertions if argv[0] == "collect" else 1
+        with pytest.raises(PegServoError) as exc:
+            new_worlds([run.world.with_seed(seed + i) for i in range(n)])
+    else:
+        with pytest.raises(PegServoError) as exc:
+            RunConfig.from_dict(config)
+    assert f"{type(exc.value).__name__}: {exc.value}".startswith(error)
+
+
+@pytest.mark.parametrize("bench, models", [({"modes": ["novs"]}, False), ({}, True)],
+                         ids=["novs-only", "models-from-disk"])
+def test_bench_that_trains_nothing_still_refuses_an_unreachable_collection(
+        tmp_path, capsys, bench, models):
+    # every rule holds for every subcommand: bench once ran these, since
+    # neither trains in place
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"collection": {"max_height": 800.0},
+                                "bench": {"component_styles": [_STYLE],
+                                          "insertions_per_style_per_mode": 2, **bench}}))
+    for j in range(2):
+        save_model(OracleModel(), tmp_path / "models" / _STYLE / f"cam{j}")
+    flags = ["--models", str(tmp_path / "models")] if models else []
+    assert main(["bench", "--config", str(path), *flags, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig: max_height 800.0 puts the highest collection pose")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_world_whose_moves_round_out_of_plane_exits_1_before_any_output(tmp_path, capsys):
+    # 3e7 mm out on a 0.5 rad tilt, a spiral's in-plane moves round up to 1.3e-9 mm
+    # out of plane: bench once wrote manifest.json, then raised ConstraintViolation
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "world": {"nominal_hole": [3e7, 0.0, 0.0],
+                  "insertion_direction": [math.sin(0.5), 0.0, -math.cos(0.5)]},
+        "bench": {"modes": ["novs"], "component_styles": [_STYLE],
+                  "insertions_per_style_per_mode": 10}}))
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig: nominal_hole [30000000.0, 0.0, 0.0] is too far out")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, error", [

@@ -78,6 +78,17 @@ def test_collect_all_insertions_failed():
         collect_dataset(factory, cfg, generate_pattern(1e-6, 0.0))
 
 
+def test_configure_refuses_an_unreachable_collection_before_any_search(monkeypatch):
+    # a million mm above the approach pose is behind both cameras: refused as
+    # the CLI refuses it, before the spiral search that would run into it
+    searched = []
+    monkeypatch.setattr(pegservo.pipeline, "spiral_search", lambda *args: searched.append(args))
+    with pytest.raises(InvalidConfig, match="^max_height 1000000.0 puts the highest "
+                                            "collection pose behind a camera$"):
+        configure(led_factory, CollectionConfig(max_height=1e6), RIDGE_HYPER)
+    assert searched == []
+
+
 def test_collection_config_n_insertions_is_an_integer():
     for bad in (3.5, "3", True, None):
         with pytest.raises(InvalidConfig, match="n_insertions must be an integer"):

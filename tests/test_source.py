@@ -200,6 +200,18 @@ def test_error_directions_come_from_the_world_config(path):
     assert _calls_of(path.read_text(), "error_direction") == []
 
 
+def test_the_cli_holds_no_rule_and_no_training_loop():
+    # RunConfig owns every rule across config sections and bench.train_styles
+    # the in-place training: the CLI builds a pattern only for `pegservo
+    # pattern`, and never calls configure
+    source = (_SRC / "cli.py").read_text()
+    [cmd] = [node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == "cmd_pattern"]
+    calls = _calls_of(source, "generate_pattern")
+    assert calls and all(cmd.lineno <= line <= cmd.end_lineno for line in calls)
+    assert _calls_of(source, "configure") == []
+
+
 def _attribute_reads(source: str, name: str) -> list:
     """Lines where an attribute `name` is read."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
