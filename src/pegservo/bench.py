@@ -10,7 +10,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .pipeline import (CollectionConfig, DeploymentGate, collection_pattern, con
                        insert_batch)
 from .search import generate_pattern
 from .servoing import CLAMP_MM, servo_config_for
-from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode,
+from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
                   keyed_generators, move_tcp, new_worlds, seed_states)
 
@@ -105,6 +104,10 @@ class RunConfig:
                                           world_template=wcfg),
                    gate=config_from_dict(DeploymentGate, raw["gate"]) if "gate" in raw else None)
 
+    def to_dict(self) -> dict:
+        """Each section by config_to_dict (gate only if set): from_dict reads back this run."""
+        return {name: config_to_dict(s) for name, s in vars(self).items() if s is not None}
+
 
 def train_styles(run: RunConfig, seed: int) -> dict:
     """Per grid style, configure's result on the run's sections, from worlds of
@@ -135,35 +138,9 @@ def _run_block(cfg: BenchConfig, models: dict, block) -> list:
     return insert_batch(worlds, servo_cfgs, pattern, cfg.timing)
 
 
-class _Rows:
-    """A report's Episodes as one array per field, about 70 bytes a row
-    against 330 for the objects, rebuilt on access: a list's len, iteration,
-    integer index, == and repr."""
-
-    def __init__(self, episodes):
-        self._columns = [np.array([getattr(r, f.name) for r in episodes],
-                                  dtype=object if f.type is str else None)
-                         for f in fields(Episode)]
-
-    def __len__(self):
-        return len(self._columns[0])
-
-    def __iter__(self):
-        return map(Episode, *(c.tolist() for c in self._columns))
-
-    def __getitem__(self, k):
-        return Episode(*(c.item(k) for c in self._columns))
-
-    def __eq__(self, other):
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return repr(list(self))
-
-
 @dataclass
 class BenchReport:
-    rows: _Rows  # or any sequence of Episodes
+    rows: Episodes  # or any sequence of Episodes
     per_style: dict
     overall: dict
     speedup: float
@@ -172,10 +149,10 @@ class BenchReport:
     mean_post_servo_retro_mm: float
 
 
-def _mean_times(by_mode: dict) -> dict:
-    """Each mode's np.mean time, as "<mode>_mean_time_s", if the mode has rows."""
-    return {f"{mode}_mean_time_s": float(np.mean([r.time_s for r in sel]))
-            for mode, sel in by_mode.items() if sel}
+def _mean_times(times, by_mode: dict) -> dict:
+    """Each mode's np.mean time over its mask, as "<mode>_mean_time_s", if it selects a row."""
+    return {f"{mode}_mean_time_s": float(np.mean(times[sel]))
+            for mode, sel in by_mode.items() if sel.any()}
 
 
 def _speedup(vs, novs) -> float:
@@ -184,22 +161,24 @@ def _speedup(vs, novs) -> float:
 
 
 def build_report(rows) -> BenchReport:
-    """Deterministic ordered aggregation of benchmark rows, split by mode once."""
-    rows = list(rows)
-    by_mode = {mode: [r for r in rows if r.mode == mode] for mode in BENCH_MODES}
-    per_style = {style: _mean_times({mode: [r for r in sel if r.style == style]
-                                     for mode, sel in by_mode.items()})
-                 for style in sorted({r.style for r in rows})}
-    overall = _mean_times(by_mode)
+    """Deterministic ordered aggregation of Episodes.of(rows) by masks over its columns."""
+    rows = Episodes.of(rows)
+    col = rows.columns
+    times, styles, ok = col["time_s"], col["style"], col["success"]
+    by_mode = {mode: col["mode"] == mode for mode in BENCH_MODES}
+    per_style = {style: _mean_times(times, {mode: sel & (styles == style)
+                                            for mode, sel in by_mode.items()})
+                 for style in sorted(set(styles.tolist()))}
+    overall = _mean_times(times, by_mode)
     success = {}
     direct = {}
     for mode, sel in by_mode.items():
-        success[mode] = sum(r.success for r in sel)
-        success[f"{mode}_total"] = len(sel)
-        direct[mode] = sum(r.direct for r in sel)
-    post = [r.post_servo_retrospective_error_mm for r in by_mode[MODE_VS] if r.success]
-    mean_post = float(np.mean(post)) if post else float("nan")
-    return BenchReport(rows=_Rows(rows), per_style=per_style, overall=overall,
+        success[mode] = int(np.count_nonzero(ok & sel))
+        success[f"{mode}_total"] = int(np.count_nonzero(sel))
+        direct[mode] = int(np.count_nonzero(col["direct"] & sel))
+    post = col["post_servo_retrospective_error_mm"][by_mode[MODE_VS] & ok]
+    mean_post = float(np.mean(post)) if len(post) else float("nan")
+    return BenchReport(rows=rows, per_style=per_style, overall=overall,
                        speedup=_speedup(overall.get(f"{MODE_VS}_mean_time_s"),
                                         overall.get(f"{MODE_NOVS}_mean_time_s")),
                        success=success, direct=direct, mean_post_servo_retro_mm=mean_post)
@@ -243,7 +222,7 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
             parts = list(pool.map(run, blocks))
     else:
         parts = map(run, blocks)
-    return build_report([row for part in parts for row in part])
+    return build_report(Episodes.of(parts))
 
 
 def fit_quadratic_law(pairs) -> dict:
@@ -272,9 +251,9 @@ _ROW_COLUMNS = [f.name for f in fields(Episode)]
 _PARSE = {str: str, int: int, float: float, bool: lambda v: {"0": False, "1": True}[v]}
 
 
-def read_rows(path) -> list:
-    """The Episodes of a rows.csv that emit_report wrote; a row that does not
-    parse or contradicts itself raises CorruptArtifact naming its line."""
+def read_rows(path) -> Episodes:
+    """The Episodes batch of a rows.csv that emit_report wrote; a row that does
+    not parse or contradicts itself raises CorruptArtifact naming its line."""
     lines = read_artifact(path).splitlines()
     if not lines or lines[0] != ",".join(_ROW_COLUMNS):
         raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
@@ -294,7 +273,7 @@ def read_rows(path) -> list:
                 != (failed or row.mode == MODE_NOVS)):
             raise CorruptArtifact(f"{path} line {n}: contradictory episode {line}")
         rows.append(row)
-    return rows
+    return Episodes.of(rows)
 
 
 def _table_row(name: str, means: dict) -> tuple:
@@ -305,16 +284,15 @@ def _table_row(name: str, means: dict) -> tuple:
 
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    rows = list(report.rows)
+    col = {name: c.tolist() for name, c in Episodes.of(report.rows).columns.items()}
+    errors, times, modes = col["retrospective_error_mm"], col["time_s"], col["mode"]
     table = [_table_row(*item) for item in sorted(report.per_style.items())]
-    if rows:
+    if errors:
         table.append(_table_row("average", report.overall))
     files = {
         "table.csv": csv_text(["style", "vs_time_s", "novs_time_s", "speedup"], table),
-        "scatter.csv": csv_text(["error_mm", "time_s", "mode"],
-                                [(r.retrospective_error_mm, r.time_s, r.mode)
-                                 for r in rows]),
-        "rows.csv": csv_text(_ROW_COLUMNS, map(attrgetter(*_ROW_COLUMNS), rows)),
+        "scatter.csv": csv_text(["error_mm", "time_s", "mode"], zip(errors, times, modes)),
+        "rows.csv": csv_text(_ROW_COLUMNS, zip(*col.values())),
     }
     summary = {
         "per_style": report.per_style,
@@ -323,16 +301,16 @@ def emit_report(report: BenchReport, out_dir) -> list:
         "success": report.success,
         "direct": report.direct,
         "mean_post_servo_retro_mm": report.mean_post_servo_retro_mm,
-        "n_rows": len(rows),
+        "n_rows": len(errors),
     }
     try:
         summary["quadratic_law"] = fit_quadratic_law(
-            [(r.retrospective_error_mm, r.time_s) for r in rows
-             if r.mode == MODE_NOVS and r.success])
+            [(e, t) for e, t, m, ok in zip(errors, times, modes, col["success"])
+             if m == MODE_NOVS and ok])
     except InsufficientData:
         summary["quadratic_law"] = None
     files["summary.json"] = json.dumps(summary, indent=1, sort_keys=True)
-    files["scatter.svg"] = _scatter_svg(rows)
+    files["scatter.svg"] = _scatter_svg(errors, times, modes)
     return write_artifacts(out_dir, files)
 
 
@@ -341,11 +319,10 @@ _ML, _MR, _MT, _MB = 60, 20, 20, 50
 _MODE_FILL = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
 
 
-def _scatter_svg(rows) -> str:
-    """Hand-rolled SVG scatter: linear error axis, log10 time axis."""
-    pts = [(r.retrospective_error_mm, math.log10(r.time_s), r.mode)
-           for r in rows
-           if np.isfinite(r.retrospective_error_mm) and 0 < r.time_s < math.inf]
+def _scatter_svg(errors, times, modes) -> str:
+    """Hand-rolled SVG scatter of the rows' columns: linear error axis, log10 time axis."""
+    pts = [(e, math.log10(t), mode) for e, t, mode in zip(errors, times, modes)
+           if np.isfinite(e) and 0 < t < math.inf]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
              f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
              f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']

@@ -2,11 +2,12 @@
 
 A subcommand that reads --config builds one bench.RunConfig from the file and
 its flags, which checks every section and every rule across sections. Then it
-writes manifest.json into --out, echoing the resolved configuration, calls the
-library and writes its artifacts next to it. The CLI checks only what a flag
-alone means (--error, --train-seed) and the models it loads. Domain errors exit
-1 with the class name on stderr; usage errors exit 2. PEGSERVO_OUT provides the
-default for --out (an explicit flag wins); no other environment variable is read.
+writes manifest.json into --out, echoing the run's sections as a config of the
+same run, calls the library and writes its artifacts next to it. The CLI
+checks only what a flag alone means (--error, --train-seed) and the models it
+loads. Domain errors exit 1 with the class name on stderr; usage errors exit 2.
+PEGSERVO_OUT provides the default for --out (an explicit flag wins); no other
+environment variable is read.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .perception import evaluate, load_dataset, load_model, save_dataset, save_m
 from .pipeline import collect_dataset, train_per_camera
 from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
-from .sim import (COMPONENT_STYLES, config_to_dict, keyed_generators, load_config_file,
+from .sim import (COMPONENT_STYLES, keyed_generators, load_config_file,
                   move_tcp, new_world, new_worlds, peg_position, render_views,
                   true_inplane_error, write_pgm)
 
@@ -45,22 +46,24 @@ def _write_json(path, obj) -> None:
     write_artifact(path, _json_text(obj))
 
 
-def _write_manifest(out_dir, subcommand, ns, config_echo, outputs) -> None:
+def _write_manifest(out_dir, subcommand, ns, run, outputs) -> None:
+    """manifest.json: the flags, and the sections of the run (if any) for --config."""
     args = {k: v for k, v in vars(ns).items() if k != "func"}
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "args": args,
-        "config": config_echo,
+        "config": {} if run is None else run.to_dict(),
         "outputs": sorted(outputs),
     }
     write_artifacts(out_dir, {"manifest.json": _json_text(manifest)})
 
 
-def _load_models(models_dir) -> tuple:
+def _load_models(models_dir, n_cameras: int) -> tuple:
     """The models in cam0 ... cam<n-1>, the subdirectories train writes; a gap
-    in the indices raises CorruptArtifact naming the first missing one."""
+    in the indices raises CorruptArtifact naming the first missing one, and a
+    count other than n_cameras InvalidConfig."""
     try:
         names = {n for n in os.listdir(models_dir)
                  if n.startswith("cam") and n[3:].isdigit()}
@@ -72,14 +75,15 @@ def _load_models(models_dir) -> tuple:
         if f"cam{j}" not in names:
             raise CorruptArtifact(f"{models_dir} holds {len(names)} cam*/ model "
                                   f"directories but no cam{j}")
+    if len(names) != n_cameras:
+        raise InvalidConfig(f"{len(names)} models for {n_cameras} cameras")
     return tuple(load_model(os.path.join(models_dir, f"cam{j}"))
                  for j in range(len(names)))
 
 
 def cmd_pattern(ns) -> int:
-    echo = {"tolerance": ns.tolerance, "max_radius": ns.max_radius}
     pattern = generate_pattern(ns.tolerance, ns.max_radius)
-    _write_manifest(ns.out, "pattern", ns, echo, ["pattern.csv"])
+    _write_manifest(ns.out, "pattern", ns, None, ["pattern.csv"])
     write_pattern_csv(pattern, os.path.join(ns.out, "pattern.csv"))
     print(f"pattern: {len(pattern)} offsets, spacing {pattern.spacing:.6f} mm "
           f"-> {ns.out}/pattern.csv")
@@ -87,10 +91,11 @@ def cmd_pattern(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    wcfg = _run_config(ns, seed=ns.seed, component_style=ns.style).world
+    run = _run_config(ns, seed=ns.seed, component_style=ns.style)
+    wcfg = run.world
     world = new_world(wcfg)
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
-    _write_manifest(ns.out, "simulate", ns, {"world": config_to_dict(wcfg)}, outputs)
+    _write_manifest(ns.out, "simulate", ns, run, outputs)
     truth = {}
     for j in range(len(wcfg.cameras)):
         pixels, truth_y = render_views([world], j, world.tcp[None])
@@ -112,10 +117,8 @@ def cmd_simulate(ns) -> int:
 def cmd_collect(ns) -> int:
     run = _run_config(ns, seed=ns.seed)  # the world echo shows the seed base
     ccfg, template = run.collection, run.world
-    echo = {"world": config_to_dict(template),
-            "collection": config_to_dict(ccfg), "seed_base": ns.seed}
     worlds = new_worlds([template.with_seed(ns.seed + i) for i in range(ccfg.n_insertions)])
-    _write_manifest(ns.out, "collect", ns, echo, ["dataset/meta.json", "dataset/images.bin"])
+    _write_manifest(ns.out, "collect", ns, run, ["dataset/meta.json", "dataset/images.bin"])
     data = collect_dataset(worlds.__getitem__, ccfg)
     save_dataset(data, os.path.join(ns.out, "dataset"))
     print(f"collect: {len(data)} samples from {len(data.grouping)} insertions "
@@ -125,13 +128,11 @@ def cmd_collect(ns) -> int:
 
 def cmd_train(ns) -> int:
     run = _run_config(ns)
-    hyper, ccfg = run.train, run.collection
-    echo = {"train": config_to_dict(hyper), "train_insertions": ccfg.train_insertions}
     data = load_dataset(ns.data)
     n_cams = len(data.cameras)
     outputs = [f"models/cam{j}/model.json" for j in range(n_cams)] + ["report.json"]
-    _write_manifest(ns.out, "train", ns, echo, outputs)
-    fit = train_per_camera(data, ccfg.train_insertions, hyper)
+    _write_manifest(ns.out, "train", ns, run, outputs)
+    fit = train_per_camera(data, run.collection.train_insertions, run.train)
     report = {"per_camera": {}, "train_ids": fit.train_ids, "val_ids": fit.val_ids}
     for j, model in fit.models.items():
         save_model(model, os.path.join(ns.out, "models", f"cam{j}"))
@@ -147,10 +148,8 @@ def cmd_train(ns) -> int:
 
 def cmd_evaluate(ns) -> int:
     data = load_dataset(ns.data)
-    models = _load_models(ns.models)
-    if len(models) != len(data.cameras):
-        raise InvalidConfig(f"{len(models)} models for {len(data.cameras)} cameras")
-    _write_manifest(ns.out, "evaluate", ns, {}, ["metrics.json"])
+    models = _load_models(ns.models, len(data.cameras))
+    _write_manifest(ns.out, "evaluate", ns, None, ["metrics.json"])
     metrics = {}
     for j, model in enumerate(models):
         metrics[str(j)] = evaluate(model, data.by_camera(j))
@@ -163,12 +162,11 @@ def cmd_evaluate(ns) -> int:
 def cmd_servo(ns) -> int:
     run = _run_config(ns, seed=ns.seed, component_style=ns.style)
     wcfg, timing = run.world, run.timing
-    echo = {"world": config_to_dict(wcfg), "timing": config_to_dict(timing),
-            "n_iters": ns.n_iters, "error": ns.error}
     if not 0 <= ns.error < np.inf:
         raise InvalidConfig(f"--error must be finite and >= 0, got {ns.error}")
     world = new_world(wcfg)
-    cfg = servo_config_for(world, _load_models(ns.models), n_iters=ns.n_iters, timing=timing)
+    models = _load_models(ns.models, len(wcfg.cameras))
+    cfg = servo_config_for(world, models, n_iters=ns.n_iters, timing=timing)
     if ns.error:
         [ang_rng] = keyed_generators([[wcfg.seed, 99]])
         theta = ang_rng.uniform(0.0, 2.0 * np.pi)
@@ -177,7 +175,7 @@ def cmd_servo(ns) -> int:
         if not wcfg.sees(peg_position(world)):
             raise InvalidConfig(f"--error {ns.error} puts the start peg behind a camera")
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
-    _write_manifest(ns.out, "servo", ns, echo, outputs)
+    _write_manifest(ns.out, "servo", ns, run, outputs)
     [(steps, residuals)] = visual_servo([world], [cfg])
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
@@ -196,29 +194,21 @@ def cmd_servo(ns) -> int:
 _BENCH_OUTPUTS = ["table.csv", "scatter.csv", "rows.csv", "summary.json", "scatter.svg"]
 
 
-def _bench_models(ns, run: RunConfig) -> dict:
-    """Per-style camera model tuples: loaded from --models or trained in place."""
-    if MODE_VS not in run.bench.modes:
-        return {}
-    if ns.models is not None:
-        return {style: _load_models(os.path.join(ns.models, style))
-                for style in run.bench.component_styles}
-    models = {}
-    for style, res in train_styles(run, ns.train_seed).items():
-        maes = [round(res.metrics[j]["mae_mm"], 4) for j in sorted(res.metrics)]
-        print(f"bench: {style} {res.decision} (val mae mm {maes})")
-        models[style] = tuple(res.models[j] for j in sorted(res.models))
-    return models
-
-
 def cmd_bench(ns) -> int:
     if ns.train_seed < 0:
         raise InvalidConfig(f"--train-seed must be >= 0, got {ns.train_seed}")
     run = _run_config(ns)
-    echo = {"bench": config_to_dict(run.bench), "timing": config_to_dict(run.timing),
-            "world": config_to_dict(run.world)}
-    _write_manifest(ns.out, "bench", ns, echo, _BENCH_OUTPUTS)
-    report = run_benchmark(run.bench, _bench_models(ns, run))
+    servoed, models = MODE_VS in run.bench.modes, {}
+    if servoed and ns.models is not None:  # a directory it cannot load writes nothing
+        models = {style: _load_models(os.path.join(ns.models, style), len(run.world.cameras))
+                  for style in run.bench.component_styles}
+    _write_manifest(ns.out, "bench", ns, run, _BENCH_OUTPUTS)
+    if servoed and ns.models is None:  # after the manifest: a failure in training leaves it
+        for style, res in train_styles(run, ns.train_seed).items():
+            maes = [round(res.metrics[j]["mae_mm"], 4) for j in sorted(res.metrics)]
+            print(f"bench: {style} {res.decision} (val mae mm {maes})")
+            models[style] = tuple(res.models[j] for j in sorted(res.models))
+    report = run_benchmark(run.bench, models)
     emit_report(report, ns.out)
     print(f"bench: speedup {report.speedup:.2f}x, "
           f"success vs {report.success['vs']}/{report.success['vs_total']} "
@@ -230,7 +220,7 @@ def cmd_bench(ns) -> int:
 
 def cmd_report(ns) -> int:
     rows = read_rows(ns.rows)
-    _write_manifest(ns.out, "report", ns, {"rows": ns.rows}, _BENCH_OUTPUTS)
+    _write_manifest(ns.out, "report", ns, None, _BENCH_OUTPUTS)
     report = build_report(rows)
     emit_report(report, ns.out)
     print(f"report: {len(rows)} rows, speedup {report.speedup:.2f}x -> {ns.out}")

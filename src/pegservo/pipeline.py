@@ -8,7 +8,7 @@ and deployed only when every model clears the gate.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_erro
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, TimingModel, WorldConfig, WorldState, check_int,
+from .sim import (MODE_VS, Episode, Episodes, TimingModel, WorldConfig, WorldState, check_int,
                   keyed_generators, render_views, spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
@@ -99,12 +99,11 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
             raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
     pattern = collection_pattern(worlds[0].config, cfg, pattern)
-    outcomes = spiral_search(worlds, pattern, TimingModel())
-    for i, outcome in enumerate(outcomes):
-        if not outcome.success:
-            log.warning("collection insertion %d failed after %d attempts; skipped",
-                        i, outcome.attempts)
-    kept = np.flatnonzero([outcome.success for outcome in outcomes])
+    outcomes = spiral_search(worlds, pattern, TimingModel()).columns
+    for i in np.flatnonzero(~outcomes["success"]).tolist():
+        log.warning("collection insertion %d failed after %d attempts; skipped",
+                    i, outcomes["attempts"][i])
+    kept = np.flatnonzero(outcomes["success"])
     if len(kept) == 0:
         raise AllInsertionsFailed(f"all {cfg.n_insertions} collection insertions failed")
     k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
@@ -213,26 +212,27 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
                         pattern, timing)[0]
 
 
-def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel) -> list:
+def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel) -> Episodes:
     """Insertion episodes of a batch of worlds, searched by one spiral_search.
 
     A world whose servo_cfg is None gives spiral_search's novs episode. The
     others are first servoed together by one visual_servo call and give vs
-    episodes: time_s covers both phases, the true and the retrospective errors
-    are measured from the original start, and the post-servo retrospective
-    error is the search's.
+    episodes, written into the search's columns: time_s covers both phases,
+    the true and the retrospective errors are measured from the original
+    start, and the post-servo retrospective error is the search's.
     """
-    before = {}  # world index -> start TCP, elapsed time, true error
-    for n, (world, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)):
-        if cfg is not None:
-            before[n] = world.tcp.copy(), world.elapsed_time, true_inplane_error(world)
-    visual_servo([worlds[n] for n in before], [servo_cfgs[n] for n in before])
+    vs = [n for n, (_, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)) if cfg]
+    servoed = [worlds[n] for n in vs]
+    starts, t0 = np.array([w.tcp for w in servoed]), np.array([w.elapsed_time for w in servoed])
+    true_errors = [true_inplane_error(w) for w in servoed]
+    visual_servo(servoed, [servo_cfgs[n] for n in vs])
     episodes = spiral_search(worlds, pattern, timing)
-    for n, (start_tcp, t0, true_err) in before.items():
-        world, sp = worlds[n], episodes[n]
-        retro = (inplane_norm(world.tcp - start_tcp, world.config.insertion_direction)
-                 if sp.success else np.nan)
-        episodes[n] = replace(sp, mode=MODE_VS, retrospective_error_mm=float(retro),
-                              true_error_mm=true_err, time_s=world.elapsed_time - t0,
-                              post_servo_retrospective_error_mm=sp.retrospective_error_mm)
+    if vs:
+        col, ls = episodes.columns, np.array([w.config.insertion_direction for w in servoed])
+        moved = inplane_norm(np.array([w.tcp for w in servoed]) - starts, ls)
+        col["mode"][vs] = MODE_VS
+        col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
+        col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)
+        col["true_error_mm"][vs] = true_errors
+        col["time_s"][vs] = np.array([w.elapsed_time for w in servoed]) - t0
     return episodes

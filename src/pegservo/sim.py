@@ -557,18 +557,56 @@ class Episode:
     direct: bool  # inserted on the first spiral attempt
 
 
+class Episodes:
+    """Episodes as one array per field, by name (a str field's holds objects): about 70
+    bytes a row against 330 for the objects, which it builds on access. It acts as
+    a list of Episodes: len, iteration, integer index, == and repr."""
+
+    def __init__(self, **columns):
+        self.columns = {f.name: columns[f.name] for f in fields(Episode)}
+
+    @classmethod
+    def of(cls, items) -> "Episodes":
+        """The batch of a sequence of Episodes, or of batches joined in order."""
+        if isinstance(items, Episodes):
+            return items
+        items = list(items)
+        if items and all(isinstance(b, Episodes) for b in items):
+            batches = [b for b in items if len(b)] or items[:1]
+            return cls(**{name: np.concatenate([b.columns[name] for b in batches])
+                          for name in batches[0].columns})
+        return cls(**{f.name: np.array([getattr(r, f.name) for r in items],
+                                       dtype={str: object, bool: bool}.get(f.type))
+                      for f in fields(Episode)})
+
+    def __len__(self):
+        return len(self.columns["style"])
+
+    def __iter__(self):
+        return (Episode(*row) for row in zip(*(c.tolist() for c in self.columns.values())))
+
+    def __getitem__(self, k):
+        return Episode(*(c.item(k) for c in self.columns.values()))
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 def spiral_insert(world: WorldState, start_tcp, pattern, timing: TimingModel) -> Episode:
     """move_tcp to start_tcp, then spiral_search of this one world: a batch of one."""
     move_tcp(world, start_tcp)
     return spiral_search([world], pattern, timing)[0]
 
 
-def spiral_search(worlds, pattern, timing: TimingModel) -> list:
+def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     """Per world, try pattern offsets from its TCP in order until one inserts.
 
     Charges t_attempt per attempt. A world's TCP ends at its hit, or back at
-    its start with a nan retrospective error. Returns one novs Episode per
-    world, its true error measured at the start.
+    its start with a nan retrospective error. Returns the batch of one novs
+    episode per world, its true error measured at the start.
 
     One stacked pass screens every world's offsets by the squared in-plane
     peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which
@@ -582,17 +620,14 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> list:
     world's TCP or clock is written, so a failing path changes no world.
     """
     offsets, got = pattern.offsets, float(pattern.tolerance)
-    for world in worlds:
-        tol = world.config.tolerance
-        # np.isclose(got, tol) on two floats, without its array overhead
-        if not (got == tol or abs(got - tol) <= 1e-8 + 1e-5 * abs(tol) and math.isfinite(tol)):
-            warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
+    tols = np.array([w.config.tolerance for w in worlds])
+    for tol in tols[~np.isclose(got, tols)].tolist():
+        warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
     if not worlds:
-        return []
+        return Episodes.of([])
     bases, ls, holes, origins, grasps = (np.stack(a) for a in zip(*(
         (w.basis, w.config.insertion_direction, w.true_hole, w.tcp, w.grasp_offset)
         for w in worlds)))
-    tols = np.array([w.config.tolerance for w in worlds])
     shift = (bases @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
     pegs = origins + shift  # peg_position at each start
     miss = (np.swapaxes(bases, 1, 2) @ (holes - pegs)[:, :, None])[:, :, 0]
@@ -618,18 +653,16 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> list:
                               + (() if ok else (start[None, :],)))
         _check_inplane(float(np.abs((path[1:] - path[:-1])
                                     @ world.config.insertion_direction).max(initial=0.0)))
-    episodes = []
-    for n, world in enumerate(worlds):
-        cfg, n_att, ok = world.config, int(attempts[n]), bool(success[n])
-        world.tcp = finals[n]
-        t = n_att * timing.t_attempt
+    times = attempts * timing.t_attempt
+    for world, final, t in zip(worlds, finals, times.tolist()):
+        world.tcp = final
         world.elapsed_time += t
-        episodes.append(Episode(
-            style=cfg.component_style, mode=MODE_NOVS, seed=cfg.seed,
-            retrospective_error_mm=float(retros[n]), true_error_mm=float(true_errors[n]),
-            time_s=t, attempts=n_att, success=ok,
-            post_servo_retrospective_error_mm=math.nan, direct=ok and n_att == 1))
-    return episodes
+    return Episodes(style=np.array([w.config.component_style for w in worlds], dtype=object),
+                    mode=np.array([MODE_NOVS] * len(worlds), dtype=object),  # np.full copies
+                    seed=np.array([w.config.seed for w in worlds]),
+                    retrospective_error_mm=retros, true_error_mm=true_errors, time_s=times,
+                    attempts=attempts, success=success, direct=success & (attempts == 1),
+                    post_servo_retrospective_error_mm=np.full(len(worlds), np.nan))
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

@@ -5,7 +5,9 @@ line (visible with -s, or in captured output on failure) and asserts both the
 quality bar and its wall-clock budget.
 """
 
+import hashlib
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -326,3 +328,35 @@ def test_criterion_9_reruns_are_byte_identical(bench_outcome, tmp_path):
     _verdict(9, ok, f"monte-carlo csv identical: {mc_ok}, fit json: {fit_ok}, "
                     f"model bytes: {model_ok}, val metrics: {metrics_ok}, "
                     f"benchmark artifacts: {bench_ok}")
+
+
+# ------------------------------------------------- the default pipeline's bytes
+
+
+_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
+
+
+def _model_digest(model) -> str:
+    """perfbench's model digest: sha256 of a ridge model's feat_mean, feat_std,
+    weights and [bias, lam], each as little-endian float64 bytes, in that order."""
+    h = hashlib.sha256()
+    for a in (model.spec.feat_mean, model.spec.feat_std, model.weights,
+              [model.bias, model.lam]):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_default_pipeline_writes_the_reference_bytes(deployed, bench_outcome, tmp_path):
+    # perfbench's reference file is the one pin: the configure workload's ten
+    # models are the deployed fixture's, the servo-grid's report is criterion
+    # 7's grid, and the search-wide grid is rebuilt here
+    results, _ = deployed
+    got = {"configure": {f"{style}/cam{j}": _model_digest(model)
+                         for style, res in results.items() for j, model in res.models.items()}}
+    wide = run_benchmark(BenchConfig(insertions_per_style_per_mode=300, error_disc_radius=3.0,
+                                     modes=("novs",)), {})
+    for name, report in (("servo-grid", bench_outcome[0]), ("search-wide", wide)):
+        emit_report(report, tmp_path / name)
+        got[name] = {f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                     for f in ("rows.csv", "summary.json")}
+    assert got == json.loads(_REFERENCE.read_text())

@@ -115,6 +115,23 @@ def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
                for a, b in pairs if a.mode == "vs")
 
 
+def test_a_grid_pass_builds_no_episode_object(tmp_path, monkeypatch):
+    # the episode record is columns from spiral_search to rows.csv: a mixed
+    # grid and its report build no Episode, and the rows still act as a list
+    built, init = [], Episode.__init__
+
+    def counted(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Episode, "__init__", counted)
+    rep = run_benchmark(_small_cfg(insertions_per_style_per_mode=20), ORACLE_MODELS)
+    emit_report(rep, tmp_path)
+    assert built == []
+    assert len(read_rows(tmp_path / "rows.csv")) == len(rep.rows) == 2 * 20 * 2
+    assert len(built) == len(rep.rows)  # the count sees the Episodes read_rows builds
+
+
 def _traced_peak(insertions):
     cfg = BenchConfig(component_styles=("led",), insertions_per_style_per_mode=insertions,
                       error_disc_radius=3.0, modes=("novs",))

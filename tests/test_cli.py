@@ -252,8 +252,26 @@ def test_servo_seed_defaults_to_the_config_world_seed(pipeline_dirs, tmp_path,
 def test_collect_manifest_echoes_the_seed_base(pipeline_dirs):
     d, _, _ = pipeline_dirs  # config world.seed 7, default --seed 1000
     manifest = json.loads(open(f"{d['collect']}/manifest.json").read())
-    assert manifest["config"]["seed_base"] == 1000
+    assert manifest["args"]["seed"] == 1000
     assert manifest["config"]["world"]["seed"] == 1000
+
+
+def test_a_manifest_config_reruns_as_the_same_run(pipeline_dirs, tmp_path, config_path):
+    # each subcommand that reads --config echoes its whole run: the manifest's
+    # sections, read back by RunConfig, are the same run
+    d, _, _ = pipeline_dirs
+    dirs = {**d, "simulate": str(tmp_path / "simulate"), "bench": str(tmp_path / "bench")}
+    assert main(["simulate", "--config", config_path, "--seed", "3", "--style", "dsub",
+                 "--out", dirs["simulate"]]) == 0
+    assert main(["bench", "--config", config_path, "--out", dirs["bench"]]) == 0
+    for sub in ("simulate", "collect", "train", "servo", "bench"):
+        echo = json.loads(pathlib.Path(dirs[sub], "manifest.json").read_text())["config"]
+        assert sorted(echo) == ["bench", "collection", "timing", "train", "world"], sub
+        again = RunConfig.from_dict(echo).to_dict()
+        assert json.loads(json.dumps(again)) == echo, sub
+    simulated = json.loads(pathlib.Path(dirs["simulate"], "manifest.json").read_text())
+    assert simulated["config"]["world"]["seed"] == 3
+    assert simulated["config"]["world"]["component_style"] == "dsub"
 
 
 def test_noisy_oracles_run_from_disk(pipeline_dirs, tmp_path, config_path):
@@ -621,6 +639,27 @@ def test_bad_servo_flag_exits_1_before_any_output(tmp_path, capsys, flags, error
     for j in range(2):
         save_model(OracleModel(), tmp_path / "models" / f"cam{j}")
     assert main(["servo", "--models", str(tmp_path / "models"), *flags,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("present, error", [
+    ([], "IoError:"),
+    (["cam0", "cam2"], "CorruptArtifact:"),
+    (["cam0"], "InvalidConfig: 1 models for 2 cameras"),
+], ids=["models-missing", "style-without-cam1", "style-with-one-camera"])
+def test_bench_models_it_cannot_load_exit_1_before_any_output(tmp_path, capsys, config_path,
+                                                             present, error):
+    # bench once wrote manifest.json before it loaded --models
+    cfg = json.loads(pathlib.Path(config_path).read_text())
+    cfg["bench"]["modes"] = ["vs"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for name in present:
+        save_model(OracleModel(), tmp_path / "models" / _STYLE / name)
+    assert main(["bench", "--config", str(path), "--models", str(tmp_path / "models"),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error) and "Traceback" not in err

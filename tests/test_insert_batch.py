@@ -64,6 +64,21 @@ def test_block_episodes_equal_each_world_inserted_alone(models):
         assert repr(world.elapsed_time) == repr(alone.elapsed_time)
 
 
+@pytest.mark.parametrize("keys", [[], [None, None, None], ["led", "pin", "noisy"]],
+                         ids=["empty", "all-novs", "all-vs"])
+def test_a_one_mode_block_gives_each_world_what_it_gives_alone(models, keys):
+    block = [(style, seed, key, 3) for (style, seed, _, _), key in zip(BLOCK, keys)]
+    worlds, cfgs = _block(models, block)
+    episodes = insert_batch(worlds, cfgs, PATTERN, TIMING)
+    assert len(episodes) == len(block)
+    for k, (world, episode) in enumerate(zip(worlds, episodes)):
+        (alone,), (cfg,) = _block(models, block[k:k + 1])
+        mode = "spiral_only" if cfg is None else "servo_then_spiral"
+        assert repr(insert(alone, mode, cfg, PATTERN, TIMING)) == repr(episode)
+        assert world.tcp.tobytes() == alone.tcp.tobytes()
+        assert repr(world.elapsed_time) == repr(alone.elapsed_time)
+
+
 def test_block_renders_and_predicts_once_per_camera_and_model_per_iteration(
         models, monkeypatch):
     counts = {"render_views": 0, "predict_views": 0}

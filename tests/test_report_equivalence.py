@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegservo.bench import BenchReport, _speedup, build_report, emit_report
-from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode
+from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes
 
 
 def _fmt(v) -> str:
@@ -112,7 +112,13 @@ def test_report_matches_the_reference(tmp_path_factory, rows):
         report, expected = build_report(rows), reference_report(rows)
         out = tmp_path_factory.mktemp("report")
         emit_report(report, out)
-    assert repr(report) == repr(expected)
+        # the batch form, as a caller re-aggregating a report's rows passes them
+        batched, batched_out = build_report(Episodes.of(rows)), tmp_path_factory.mktemp("batch")
+        emit_report(batched, batched_out)
+    assert repr(report) == repr(expected) == repr(batched)
+    names = sorted(f.name for f in out.iterdir())
+    assert names == sorted(f.name for f in batched_out.iterdir())
+    assert all((out / n).read_bytes() == (batched_out / n).read_bytes() for n in names)
     table = (out / "table.csv").read_text().splitlines()
     ref_table = reference_table(expected)
     assert len(table) == len(ref_table) and table[0] == ref_table[0]

@@ -212,6 +212,31 @@ def test_the_cli_holds_no_rule_and_no_training_loop():
     assert _calls_of(source, "configure") == []
 
 
+def _call_owners(source: str, name: str) -> list:
+    """Per call that reaches `name`, bare or as an attribute, the name of the
+    top-level definition holding it, or <module>."""
+    return sorted(getattr(top, "name", "<module>") for top in ast.parse(source).body
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_call_owner_is_detected():
+    assert _call_owners("class A:\n    def f(self): return E(1), x.E(2)\n"
+                        "def g(): return [E for _ in ()], h(E)\ndef k():\n"
+                        "    def inner(): return E()\nE(3)\n", "E") == [
+        "<module>", "A", "A", "k"]
+
+
+def test_episodes_are_built_only_by_the_batch_and_the_rows_reader():
+    # a batch of episodes is columns from spiral_search to rows.csv: an
+    # Episode object is built only on access to an Episodes batch, and by
+    # read_rows as it checks each line of a rows.csv
+    owners = {f"{p.stem}.{owner}" for p in _MODULES
+              for owner in _call_owners(p.read_text(), "Episode")}
+    assert sorted(owners) == ["bench.read_rows", "sim.Episodes"]
+
+
 def _attribute_reads(source: str, name: str) -> list:
     """Lines where an attribute `name` is read."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
