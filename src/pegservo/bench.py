@@ -19,7 +19,7 @@ from .perception import TrainConfig
 from .pipeline import (CollectionConfig, DeploymentGate, collection_pattern, configure,
                        insert_batch)
 from .search import generate_pattern
-from .servoing import CLAMP_MM, servo_config_for
+from .servoing import CLAMP_MM, ServoConfig
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
                   keyed_generators, move_tcp, new_worlds, seed_states)
@@ -37,10 +37,8 @@ class BenchConfig:
     modes: tuple = BENCH_MODES
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
-        object.__setattr__(self, "insertions_per_style_per_mode", check_int(
-            "insertions_per_style_per_mode", self.insertions_per_style_per_mode, 1))
-        object.__setattr__(self, "n_iters", check_int("n_iters", self.n_iters, 1))
+        for name, low in (("seed", 0), ("insertions_per_style_per_mode", 1), ("n_iters", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not 0 <= self.error_disc_radius < math.inf:
             raise InvalidConfig(f"error_disc_radius must be finite and >= 0, "
                                 f"got {self.error_disc_radius}")
@@ -61,8 +59,8 @@ class RunConfig:
     """Every config section of a run, each checked by its class (BenchConfig
     checks the grid's pattern), and the rules that span sections: bench runs
     the run's world and timing, the collection's reach and pattern
-    (collection_pattern), and no move of the run rounds out of plane
-    (WorldConfig.check_rounding). gate None means configure's default."""
+    (collection_pattern), a servoed peg's reach (WorldConfig.sees_disc) and no
+    move rounding out of plane (check_rounding). gate None means configure's default."""
 
     world: WorldConfig = field(default_factory=WorldConfig)
     timing: TimingModel = field(default_factory=TimingModel)
@@ -76,12 +74,15 @@ class RunConfig:
                 or config_to_dict(self.bench.world_template) != config_to_dict(self.world)):
             raise InvalidConfig("bench must run the run's world and timing")
         collection_pattern(self.world, self.collection)
+        w, disc = self.world, self.bench.error_disc_radius
+        # a servoed peg renders within the disc and a step of its draw (new_worlds')
+        if MODE_VS in self.bench.modes and not w.sees_disc(disc + CLAMP_MM):
+            raise InvalidConfig(f"error_disc_radius {disc} puts a servoed peg behind a camera")
         # The TCP's in-plane reach from the approach pose: a start error in the
         # bench disc, a servo heading for the drawn hole (within 8 sigmas of each
         # draw) that overshoots by at most one clamped step, then a spiral over
         # the disc plus the tolerance. A collection spirals over max_offset_mag.
-        w, disc = self.world, max(self.bench.error_disc_radius, self.collection.max_offset_mag)
-        w.check_rounding(2.0 * disc + w.tolerance + CLAMP_MM
+        w.check_rounding(2.0 * max(disc, self.collection.max_offset_mag) + w.tolerance + CLAMP_MM
                          + 8.0 * (w.hole_uncertainty_sigma + w.grasp_uncertainty_sigma))
 
     @classmethod
@@ -111,12 +112,11 @@ class RunConfig:
 
 def train_styles(run: RunConfig, seed: int) -> dict:
     """Per grid style, configure's result on the run's sections, from worlds of
-    that style at seeds seed, seed + 1, ... drawn with one new_worlds call."""
-    results = {}
+    that style's config at seeds seed, seed + 1, ... drawn with one new_worlds call."""
+    results, n = {}, run.collection.n_insertions
     for style in run.bench.component_styles:
         styled = replace(run.world, component_style=style)
-        worlds = new_worlds([styled.with_seed(seed + i)
-                             for i in range(run.collection.n_insertions)])
+        worlds = new_worlds([styled] * n, range(seed, seed + n))
         results[style] = configure(worlds.__getitem__, run.collection, run.train, run.gate)
     return results
 
@@ -124,18 +124,16 @@ def train_styles(run: RunConfig, seed: int) -> dict:
 _BLOCK = 32  # episodes per spiral_search; only one block's worlds are alive
 
 
-def _run_block(cfg: BenchConfig, models: dict, block) -> list:
-    """The episodes of a block's (style's world config, world seed, mode) rows,
-    in order, each world moved by its row of the block's start offsets."""
+def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> list:
+    """The episodes of a block's (style's world config, world seed, mode) rows, in order,
+    each world moved by its start offset and, in a vs row, servoed by its style's."""
     rows, starts = block
-    worlds = new_worlds([style.with_seed(seed) for style, seed, _ in rows])
-    servo_cfgs = []
-    for world, start, (_, _, mode) in zip(worlds, starts, rows):
+    worlds = new_worlds([style for style, _, _ in rows], [seed for _, seed, _ in rows])
+    for world, start in zip(worlds, starts):
         move_tcp(world, world.tcp + world.basis @ start)
-        servo_cfgs.append(None if mode == MODE_NOVS else servo_config_for(
-            world, models[world.config.component_style], n_iters=cfg.n_iters, timing=cfg.timing))
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
-    return insert_batch(worlds, servo_cfgs, pattern, cfg.timing)
+    return insert_batch(worlds, [None if mode == MODE_NOVS else servo_cfgs[style.component_style]
+                                 for style, _, mode in rows], pattern, cfg.timing)
 
 
 @dataclass
@@ -188,19 +186,20 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     """Run the full style x insertion x mode grid, a block of episodes at a time.
 
     models maps style -> sequence of per-camera models; required for every
-    style when the vs mode is enabled. Paired episodes share the hidden
-    world and start error across modes. jobs > 1 distributes the blocks
-    over processes; results are identical to the serial run. Only
-    perfbench's bench.jobs2_speedup probe passes jobs; the CLI always runs
-    serially.
+    style when the vs mode is enabled, each style's one ServoConfig calibrated
+    by its config. Paired episodes share the hidden world and start error
+    across modes. jobs > 1 distributes the blocks over processes; results are
+    identical to the serial run. Only perfbench's bench.jobs2_speedup probe
+    passes jobs; the CLI always runs serially.
     """
     if MODE_VS in cfg.modes:
-        missing = [s for s in cfg.component_styles
-                   if not models or s not in models or models[s] is None]
+        missing = [s for s in cfg.component_styles if (models or {}).get(s) is None]
         if missing:
             raise ModelsNotDeployed(f"no deployed models for styles: {missing}")
     styles = [replace(cfg.world_template, component_style=style)
               for style in cfg.component_styles]  # each validated once
+    servo_cfgs = {name: ServoConfig(tuple(models[name]), style, cfg.n_iters, cfg.timing)
+                  for name, style in zip(cfg.component_styles, styles) if MODE_VS in cfg.modes}
     pairs = [(si, i) for si in range(len(styles))
              for i in range(cfg.insertions_per_style_per_mode)]
     # Per (style index, insertion), drawn once for the grid: the world seed, and
@@ -215,7 +214,7 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     rows = [(styles[si], seed, mode) for (si, _), seed in zip(pairs, seeds.tolist())
             for mode in cfg.modes]
     blocks = [(rows[k:k + _BLOCK], starts[k:k + _BLOCK]) for k in range(0, len(rows), _BLOCK)]
-    run = partial(_run_block, cfg, models or {})
+    run = partial(_run_block, cfg, servo_cfgs)
     if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:

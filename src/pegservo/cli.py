@@ -116,8 +116,8 @@ def cmd_simulate(ns) -> int:
 
 def cmd_collect(ns) -> int:
     run = _run_config(ns, seed=ns.seed)  # the world echo shows the seed base
-    ccfg, template = run.collection, run.world
-    worlds = new_worlds([template.with_seed(ns.seed + i) for i in range(ccfg.n_insertions)])
+    ccfg, n = run.collection, run.collection.n_insertions
+    worlds = new_worlds([run.world] * n, range(ns.seed, ns.seed + n))
     _write_manifest(ns.out, "collect", ns, run, ["dataset/meta.json", "dataset/images.bin"])
     data = collect_dataset(worlds.__getitem__, ccfg)
     save_dataset(data, os.path.join(ns.out, "dataset"))
@@ -182,12 +182,12 @@ def cmd_servo(ns) -> int:
     result = {
         "residuals_mm": residuals,
         "final_error_mm": true_inplane_error(world),
-        "elapsed_time_s": world.elapsed_time,
+        "elapsed_time_s": cfg.time_s,
         "n_iters": ns.n_iters,
     }
     _write_json(os.path.join(ns.out, "result.json"), result)
     print(f"servo: residuals {['%.4f' % r for r in residuals]} mm, "
-          f"time {world.elapsed_time:.3f} s")
+          f"time {cfg.time_s:.3f} s")
     return 0
 
 

@@ -110,7 +110,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
     y, truth_y, q_mm, height_mm = np.empty((4, len(kept), k, m))
     inserted = [worlds[i] for i in kept]
-    streams = keyed_generators([[world.config.seed, 1] for world in inserted])
+    streams = keyed_generators([[world.seed, 1] for world in inserted])
     for n, (world, stream) in enumerate(zip(inserted, streams)):
         # the draws of uniform(0, high) for (theta, mag, height), sample by sample
         theta, mag, height = (stream.random((k, 3))
@@ -217,13 +217,13 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel
 
     A world whose servo_cfg is None gives spiral_search's novs episode. The
     others are first servoed together by one visual_servo call and give vs
-    episodes, written into the search's columns: time_s covers both phases,
+    episodes, written into the search's columns: time_s adds servo_cfg.time_s,
     the true and the retrospective errors are measured from the original
     start, and the post-servo retrospective error is the search's.
     """
     vs = [n for n, (_, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)) if cfg]
     servoed = [worlds[n] for n in vs]
-    starts, t0 = np.array([w.tcp for w in servoed]), np.array([w.elapsed_time for w in servoed])
+    starts = np.array([w.tcp for w in servoed])
     true_errors = [true_inplane_error(w) for w in servoed]
     visual_servo(servoed, [servo_cfgs[n] for n in vs])
     episodes = spiral_search(worlds, pattern, timing)
@@ -234,5 +234,5 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel
         col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
         col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)
         col["true_error_mm"][vs] = true_errors
-        col["time_s"][vs] = np.array([w.elapsed_time for w in servoed]) - t0
+        col["time_s"][vs] += [servo_cfgs[n].time_s for n in vs]
     return episodes

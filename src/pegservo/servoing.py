@@ -41,6 +41,11 @@ class ServoConfig:
         if any(m is None for m in self.models):
             raise ModelsNotDeployed("servoing needs one deployed model per camera")
 
+    @property
+    def time_s(self) -> float:
+        """A servo's simulated seconds: with no convergence exit, n_iters steps summed from 0."""
+        return sum([self.timing.servo_step_time(len(self.calibration.cameras))] * self.n_iters)
+
 
 def servo_config_for(world: WorldState, models, n_iters: int = 3, timing=None) -> ServoConfig:
     """Build a ServoConfig that trusts the world's own calibration."""
@@ -68,9 +73,8 @@ def servo_steps(worlds, cfgs) -> list:
     Per camera, one render_views call draws every world's view (of one
     resolution) and one predict_views call per model predicts its views. Per
     world, the correction is clamped to CLAMP_MM (flagged as saturated) to
-    guard against wild predictions, and world time advances by
-    n_cams*(t_capture + t_infer) + t_move. A world whose move fails raises
-    ConstraintViolation, its TCP and time unchanged.
+    guard against wild predictions. A world whose move fails raises
+    ConstraintViolation, its TCP unchanged.
     """
     tcps = np.array([world.tcp for world in worlds])
     ys = [[] for _ in worlds]  # per world, its cameras' predicted y in order
@@ -94,7 +98,6 @@ def servo_steps(worlds, cfgs) -> list:
         if saturated:
             e_hat = e_hat * (CLAMP_MM / norm)
         move_tcp(world, world.tcp + e_hat)
-        world.elapsed_time += cfg.timing.servo_step_time(len(cams))
         steps.append(ServoStep(y, q_mm, e_hat, saturated, rec.ill_conditioned))
     return steps
 

@@ -258,6 +258,14 @@ class WorldConfig:
         axes, offsets = self._sight
         return bool((np.asarray(points, dtype=float) @ axes > offsets).all())
 
+    def sees_disc(self, radius: float) -> bool:
+        """Whether sees() holds on the in-plane disc of this radius around the approach pose:
+        per camera at its point of least depth, pose - radius u/|u| (u: its axis in-plane)."""
+        toward = inplane_component(self._sight[0].T, self.insertion_direction)  # per camera
+        norms = np.linalg.norm(toward, axis=1, keepdims=True)
+        pose = self.nominal_hole - self.hover_height * self.insertion_direction
+        return self.sees(pose - radius * toward / np.where(norms > 0, norms, 1.0))
+
     def check_rounding(self, reach: float) -> None:
         """Refuse, naming nominal_hole, a world where an in-plane TCP move within
         reach mm of the approach pose can round out of plane past move_tcp's limit."""
@@ -274,15 +282,6 @@ class WorldConfig:
             raise InvalidConfig(f"nominal_hole {self.nominal_hole.tolist()} is too far out: "
                                 f"in-plane moves there can round {bound:.3g} mm out of "
                                 f"plane, above {_INPLANE_TOL:g} mm")
-
-    def with_seed(self, seed: int) -> "WorldConfig":
-        """This config at another seed: only the seed is checked again, and the
-        per-camera tuples, which do not depend on it, are shared."""
-        twin = object.__new__(WorldConfig)
-        twin.__dict__.update(vars(self), seed=check_int("seed", seed, 0),
-                             error_directions=self.error_directions,
-                             crop_shifts=self.crop_shifts)  # the cached_property slots
-        return twin
 
     @cached_property
     def error_directions(self) -> tuple:
@@ -316,13 +315,13 @@ class WorldState:
     """
 
     config: WorldConfig
+    seed: int  # keys the world's streams: hidden draws, render noise, collection offsets
     true_hole: np.ndarray
     grasp_offset: np.ndarray  # 2D coefficients in the in-plane basis
     nominal_hole: np.ndarray
     tcp: np.ndarray
     appearance: Appearance
     basis: np.ndarray  # (3,2) in-plane basis, shared read-only per direction
-    elapsed_time: float = 0.0
 
 
 @lru_cache(maxsize=16)
@@ -334,21 +333,21 @@ def _shared_basis(direction: bytes) -> np.ndarray:
 
 
 def new_world(config: WorldConfig) -> WorldState:
-    """One config's world: new_worlds of one."""
-    return new_worlds([config])[0]
+    """One config's world at the config's seed: new_worlds of one."""
+    return new_worlds([config], [config.seed])[0]
 
 
-def new_worlds(configs) -> list:
-    """Per config, draw the hidden state (the hole's and the grasp's offsets,
-    then the appearance, from its scene stream) and park the TCP hover_height
-    above the nominal hole along -l. The benchmark's start error is its own.
-    The first draw that puts the true hole, or the peg at the approach pose,
-    behind a camera raises InvalidConfig naming the seed and the drawn offset.
-    """
+def new_worlds(configs, seeds) -> list:
+    """Per row, configs[k]'s world at seeds[k], an integer >= 0: draw the hidden state
+    (the hole's and the grasp's offsets, then the appearance, from the seed's scene
+    stream) and park the TCP hover_height above the nominal hole along -l. The first
+    draw that puts the true hole, or the peg at the approach pose, behind a camera
+    raises InvalidConfig naming the seed and the drawn offset."""
+    seeds = [check_int("seed", seed, 0) for _, seed in zip(configs, seeds, strict=True)]
     if not configs:
         return []
     draws = np.empty((len(configs), 6))
-    for row, scene in zip(draws, keyed_generators([[cfg.seed, 0] for cfg in configs])):
+    for row, scene in zip(draws, keyed_generators([[seed, 0] for seed in seeds])):
         scene.standard_normal(out=row[:4])  # the same as two standard_normal(2)
         scene.random(out=row[4:])  # uniform(a, b) is a + (b - a) * random()
     holes2 = np.array([[cfg.hole_uncertainty_sigma] for cfg in configs]) * draws[:, :2]
@@ -364,19 +363,17 @@ def new_worlds(configs) -> list:
     true_holes = nominals + (stacked @ holes2[:, :, None])[:, :, 0]
     tcps = nominals - np.array([cfg.hover_height * cfg.insertion_direction for cfg in configs])
     pegs = tcps + (stacked @ grasps2[:, :, None])[:, :, 0]  # at the approach pose
-    points, groups = np.stack([true_holes, pegs], axis=1), {}
-    for k, cfg in enumerate(configs):  # a grid's seeds of one style share one sight
-        groups.setdefault(id(cfg._sight), []).append(k)
-    if not all(configs[ks[0]].sees(points[ks]) for ks in groups.values()):
+    points = np.stack([true_holes, pegs], axis=1)
+    shared = {id(cfg): cfg for cfg in configs}.values()  # a grid's rows share their style's
+    if not all(cfg.sees(points[[c is cfg for c in configs]]) for cfg in shared):
         k = next(k for k, cfg in enumerate(configs) if not cfg.sees(points[k]))
         what, drawn = (("draws the hole", holes2[k]) if not configs[k].sees(true_holes[k])
                        else ("puts the peg", grasps2[k]))
-        raise InvalidConfig(f"seed {configs[k].seed} {what} behind a camera "
+        raise InvalidConfig(f"seed {seeds[k]} {what} behind a camera "
                             f"(drawn offset {drawn.round(3).tolist()} mm)")
-    return [WorldState(config=cfg, true_hole=hole, grasp_offset=grasp, nominal_hole=nominal,
-                       tcp=tcp, appearance=Appearance(background, radius), basis=B)
-            for cfg, hole, grasp, nominal, tcp, background, radius, B in zip(
-                configs, true_holes, grasps2, nominals, tcps, backgrounds, radii, bases)]
+    return [WorldState(cfg, seed, hole, grasp, nominal, tcp, Appearance(background, radius), B)
+            for cfg, seed, hole, grasp, nominal, tcp, background, radius, B in zip(
+                configs, seeds, true_holes, grasps2, nominals, tcps, backgrounds, radii, bases)]
 
 
 def peg_position(world: WorldState) -> np.ndarray:
@@ -518,7 +515,7 @@ def render_views(worlds, camera_index: int, tcps):
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    keys = [[world.config.seed, camera_index, *bits]
+    keys = [[world.seed, camera_index, *bits]
             for world, bits in zip(worlds, tcps.view(np.uint64).tolist())]
     noise = np.empty((r, r))
     for view, noise_rng in zip(img, keyed_generators(keys)):
@@ -560,7 +557,7 @@ class Episode:
 class Episodes:
     """Episodes as one array per field, by name (a str field's holds objects): about 70
     bytes a row against 330 for the objects, which it builds on access. It acts as
-    a list of Episodes: len, iteration, integer index, == and repr."""
+    a list of Episodes (len, iteration, integer index, repr); == compares columns, nan to nan."""
 
     def __init__(self, **columns):
         self.columns = {f.name: columns[f.name] for f in fields(Episode)}
@@ -589,7 +586,9 @@ class Episodes:
         return Episode(*(c.item(k) for c in self.columns.values()))
 
     def __eq__(self, other):
-        return list(self) == list(other)
+        other = Episodes.of(other).columns
+        return all(np.array_equal(c, other[name], equal_nan=c.dtype.kind == "f")
+                   for name, c in self.columns.items())
 
     def __repr__(self):
         return repr(list(self))
@@ -604,9 +603,9 @@ def spiral_insert(world: WorldState, start_tcp, pattern, timing: TimingModel) ->
 def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     """Per world, try pattern offsets from its TCP in order until one inserts.
 
-    Charges t_attempt per attempt. A world's TCP ends at its hit, or back at
-    its start with a nan retrospective error. Returns the batch of one novs
-    episode per world, its true error measured at the start.
+    An episode's time_s is its attempts times t_attempt. A world's TCP ends at
+    its hit, or back at its start with a nan retrospective error. Returns the
+    batch of one novs episode per world, its true error measured at the start.
 
     One stacked pass screens every world's offsets by the squared in-plane
     peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which
@@ -617,7 +616,7 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     inplane_norm, on stacked rows), and a world's first confirmed offset is
     its hit, so every result is bit-identical to trying the offsets one by
     one. Every world's path is checked for out-of-plane motion before any
-    world's TCP or clock is written, so a failing path changes no world.
+    world's TCP is written, so a failing path changes no world.
     """
     offsets, got = pattern.offsets, float(pattern.tolerance)
     tols = np.array([w.config.tolerance for w in worlds])
@@ -653,14 +652,13 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
                               + (() if ok else (start[None, :],)))
         _check_inplane(float(np.abs((path[1:] - path[:-1])
                                     @ world.config.insertion_direction).max(initial=0.0)))
-    times = attempts * timing.t_attempt
-    for world, final, t in zip(worlds, finals, times.tolist()):
+    for world, final in zip(worlds, finals):
         world.tcp = final
-        world.elapsed_time += t
     return Episodes(style=np.array([w.config.component_style for w in worlds], dtype=object),
                     mode=np.array([MODE_NOVS] * len(worlds), dtype=object),  # np.full copies
-                    seed=np.array([w.config.seed for w in worlds]),
-                    retrospective_error_mm=retros, true_error_mm=true_errors, time_s=times,
+                    seed=np.array([w.seed for w in worlds]),
+                    retrospective_error_mm=retros, true_error_mm=true_errors,
+                    time_s=attempts * timing.t_attempt,
                     attempts=attempts, success=success, direct=success & (attempts == 1),
                     post_servo_retrospective_error_mm=np.full(len(worlds), np.nan))
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pegservo.perception import OracleModel, TrainConfig, save_model, train
 from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                collect_dataset, configure, split_by_insertion)
 from pegservo.search import generate_pattern
-from pegservo.servoing import servo_config_for, visual_servo
+from pegservo.servoing import ServoConfig, servo_config_for, visual_servo
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           move_tcp, new_world, spiral_insert,
                           true_inplane_error)
@@ -287,6 +288,21 @@ def test_criterion_8_time_error_structure(bench_outcome):
                     f"search corr {corr_novs:.3f} (increasing), "
                     f"mean post-servo error {post:.4f} mm (<= 0.05), "
                     f"direct insertions {direct_frac:.0%} (>= 70%)")
+
+
+def test_a_vs_rows_time_is_its_servo_configs_plus_its_search(bench_outcome):
+    # a servo has no convergence exit: every vs row's time is its style's
+    # ServoConfig.time_s plus its own spiral's attempts, bit for bit
+    report, models, _b, _t = bench_outcome
+    cfg = BenchConfig()
+    servo_s = {style: ServoConfig(models[style],
+                                  replace(cfg.world_template, component_style=style),
+                                  cfg.n_iters, cfg.timing).time_s for style in models}
+    assert set(servo_s.values()) == {1.2990000000000002}  # 3 * (2 * 0.15 + 0.133)
+    vs = [r for r in report.rows if r.mode == "vs"]
+    assert len(vs) == 50
+    for r in vs:
+        assert r.time_s == servo_s[r.style] + r.attempts * cfg.timing.t_attempt
 
 
 # ------------------------------------------------------------ criterion 9

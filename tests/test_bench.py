@@ -20,9 +20,10 @@ from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
 from pegservo.perception import OracleModel, TrainConfig
 from pegservo.pipeline import CollectionConfig, DeploymentGate, configure
 from pegservo.search import generate_pattern
-from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
-                          config_to_dict, move_tcp, new_world, new_worlds, spiral_insert,
-                          spiral_search)
+from pegservo.servoing import ServoConfig
+from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, Episodes, TimingModel,
+                          WorldConfig, config_to_dict, move_tcp, new_world, new_worlds,
+                          spiral_insert, spiral_search)
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
                  for s in ("pin_header", "led", "cap_small", "dsub", "cap_large")}
@@ -106,6 +107,7 @@ def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
              for s in cfg.component_styles}
     rows = run_benchmark(cfg, noisy).rows
     assert repr(run_benchmark(cfg, noisy, jobs=2).rows) == repr(rows)
+    assert run_benchmark(cfg, noisy, jobs=2).rows == rows
     monkeypatch.setattr(bench, "_BLOCK", 5)
     assert repr(run_benchmark(cfg, noisy).rows) == repr(rows)
     # the noise reaches the vs rows only: search-only episodes never servo
@@ -157,8 +159,8 @@ def test_grid_episodes_build_no_collection_stream(monkeypatch):
     worlds, new_worlds = [], bench.new_worlds
     keys, kernel = [], pipeline.keyed_generators
 
-    def recording(configs):
-        worlds.extend(new_worlds(configs))
+    def recording(configs, seeds):
+        worlds.extend(new_worlds(configs, seeds))
         return worlds[-len(configs):]
 
     def recording_keys(batch):
@@ -170,6 +172,57 @@ def test_grid_episodes_build_no_collection_stream(monkeypatch):
     run_benchmark(_small_cfg(), ORACLE_MODELS)
     assert len(worlds) == 12
     assert keys == []
+
+
+def test_the_grid_builds_one_servo_config_and_one_world_config_per_style(monkeypatch):
+    # a grid's vs worlds share their style's ServoConfig, calibrated by the
+    # style's WorldConfig, and each row's world is that config at the row's seed
+    cfg = _small_cfg(insertions_per_style_per_mode=20)  # 40 vs worlds in 3 blocks
+    built = {ServoConfig: [], WorldConfig: []}
+    for cls, store in built.items():
+        def counted(self, check=cls.__post_init__, store=store):
+            store.append(self)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    rows = run_benchmark(cfg, ORACLE_MODELS).rows
+    assert sum(r.mode == "vs" for r in rows) == 40
+    styles, servos = built[WorldConfig], built[ServoConfig]
+    assert [c.component_style for c in styles] == list(cfg.component_styles)
+    assert len(servos) == len(styles) and all(
+        s.calibration is w and s.models == ORACLE_MODELS[w.component_style]
+        for s, w in zip(servos, styles))
+
+
+def test_a_vs_grid_refuses_a_disc_it_would_render_behind_a_camera():
+    # a 900 mm disc once ran until a servo render raised BehindCamera; the
+    # disc is refused when the run is configured, and a 500 mm one runs
+    raw = {"world": {"tolerance": 2.0},
+           "bench": {"error_disc_radius": 500, "component_styles": ["led"],
+                     "insertions_per_style_per_mode": 60, "modes": ["vs"]}}
+    rep = run_benchmark(RunConfig.from_dict(raw).bench, ORACLE_MODELS)
+    assert rep.success == {"vs": 60, "vs_total": 60, "novs": 0, "novs_total": 0}
+    raw["bench"]["error_disc_radius"] = 900
+    with pytest.raises(InvalidConfig, match=r"^error_disc_radius 900.0 puts a servoed peg "
+                                            r"behind a camera$"):
+        RunConfig.from_dict(raw)
+    raw["bench"]["modes"] = ["novs"]  # a search-only grid renders nothing
+    assert RunConfig.from_dict(raw).bench.error_disc_radius == 900
+
+
+def test_a_batch_equals_itself_its_rerun_and_its_rows_csv(tmp_path):
+    # a list of Episodes compares its nan fields by identity, which a batch
+    # builds anew on each access: the batch compares its columns instead
+    for cfg, models in ((BenchConfig(insertions_per_style_per_mode=2, modes=("novs",)), {}),
+                        (_small_cfg(), ORACLE_MODELS)):
+        rows = run_benchmark(cfg, models).rows
+        assert rows == rows and rows == list(rows)
+        assert rows == run_benchmark(cfg, models).rows
+        emit_report(build_report(rows), tmp_path)
+        assert rows == read_rows(tmp_path / "rows.csv")
+        moved = Episodes(**{name: c.copy() for name, c in rows.columns.items()})
+        moved.columns["time_s"][1] = np.nextafter(moved.columns["time_s"][1], np.inf)
+        assert rows != moved and not rows == moved and rows != list(rows)[:-1]
 
 
 def test_missing_models_rejected():
@@ -242,8 +295,8 @@ def test_train_styles_trains_what_a_factory_per_index_trains():
     assert list(results) == ["led", "dsub"]
     for style, res in results.items():
         styled = replace(run.world, component_style=style)
-        ref = configure(lambda i, w=styled: new_world(w.with_seed(40 + i)), run.collection,
-                        run.train, run.gate)
+        ref = configure(lambda i, w=styled: new_world(replace(w, seed=40 + i)),
+                        run.collection, run.train, run.gate)
         assert res.decision == ref.decision and res.metrics == ref.metrics
         for j, model in res.models.items():
             assert np.array_equal(model.weights, ref.models[j].weights)
@@ -270,7 +323,7 @@ def test_a_world_the_rounding_rule_accepts_spirals_over_its_disc_in_plane(
         assert not far or "in-plane moves there can round" in str(exc)
         return
     assert not far
-    worlds = new_worlds([run.world.with_seed(seed) for seed in range(4)])
+    worlds = new_worlds([run.world] * 4, range(4))
     radius = run.bench.error_disc_radius
     for k, w in enumerate(worlds):  # a start on the disc's rim, then a hole no offset
         angle = k * math.pi / 2.0  # reaches, so each spiral walks its whole pattern

@@ -538,6 +538,12 @@ _CANNOT_RUN = [
     (["bench"], {"bench": {"modes": ["novs"], "component_styles": [_STYLE, _STYLE],
                            "insertions_per_style_per_mode": 2}},
      "InvalidConfig: component_styles must be distinct"),
+    # a vs grid whose disc puts a servoed peg behind a camera once ran until
+    # its first such render raised BehindCamera
+    (["bench"], {"world": {"tolerance": 2.0},
+                 "bench": {"error_disc_radius": 900, "component_styles": [_STYLE],
+                           "insertions_per_style_per_mode": 60, "modes": ["vs"]}},
+     "InvalidConfig: error_disc_radius 900.0 puts a servoed peg behind a camera"),
 ]
 _CANNOT_RUN_IDS = [
     "simulate-hover-800", "collect-hover-800", "simulate-hover-1e300",
@@ -548,7 +554,7 @@ _CANNOT_RUN_IDS = [
     "bench-n-iters-0", "simulate-nominal-hole-1e300", "collect-nominal-hole-1e300",
     "simulate-peg-drawn-behind-a-camera", "servo-peg-drawn-behind-a-camera",
     "servo-error-moves-the-peg-behind-a-camera", "collect-hole-drawn-behind-a-camera",
-    "bench-mode-repeated", "bench-style-repeated"]
+    "bench-mode-repeated", "bench-style-repeated", "bench-disc-puts-a-servoed-peg-behind-a-camera"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -587,7 +593,7 @@ def test_the_library_refuses_what_the_cli_refuses(argv, config, error):
         run = RunConfig.from_dict(config, seed=seed)
         n = run.collection.n_insertions if argv[0] == "collect" else 1
         with pytest.raises(PegServoError) as exc:
-            new_worlds([run.world.with_seed(seed + i) for i in range(n)])
+            new_worlds([run.world] * n, [seed + i for i in range(n)])
     else:
         with pytest.raises(PegServoError) as exc:
             RunConfig.from_dict(config)

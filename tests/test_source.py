@@ -257,6 +257,30 @@ def test_what_the_cameras_see_comes_from_the_world_config(path):
     assert _attribute_reads(path.read_text(), "optical_axis") == []
 
 
+def _clock_and_config_seed_reads(source: str) -> list:
+    """Lines that reach an attribute elapsed_time or with_seed, or a seed
+    through a config (<x>.config.seed)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and (node.attr in ("elapsed_time", "with_seed")
+                       or node.attr == "seed" and getattr(node.value, "attr", None) == "config"))
+
+
+def test_clock_and_config_seed_read_is_detected():
+    assert _clock_and_config_seed_reads(
+        "w.elapsed_time += 1\ncfg.with_seed(2)\nkey = [world.config.seed, 0]\n"
+        "wcfg.seed\nr = {'elapsed_time_s': cfg.time_s}\nw.config.tolerance\n"
+        "config.seed\nw.seed\n") == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_a_world_is_its_seed_its_draws_and_its_tcp(path):
+    # a world keeps no clock (a servo's time is its ServoConfig's, a search's
+    # its attempts'), and its streams are keyed by WorldState.seed: no config
+    # is copied to another seed and no seed is read through a world's config
+    assert _clock_and_config_seed_reads(path.read_text()) == []
+
+
 def _rng_parameters(source: str) -> list:
     """Parameters named rng or rngs, as "function.parameter (line)"."""
     return sorted(f"{node.name}.{arg.arg} (line {node.lineno})"

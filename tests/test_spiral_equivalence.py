@@ -40,7 +40,6 @@ def reference_spiral(world, start_tcp, pattern, timing):
             final = tcp_k
             break
     t = attempts * timing.t_attempt
-    world.elapsed_time += t
     if not success:
         move_tcp(world, start_tcp)
         return False, attempts, t, float("nan")
@@ -64,7 +63,6 @@ def _assert_same(cfg, start_coeffs, pattern):
     w_ref, w_new = worlds
     assert new.success == success
     assert new.attempts == attempts
-    assert w_new.elapsed_time == w_ref.elapsed_time
     assert new.time_s == time_s
     assert w_new.tcp.tobytes() == w_ref.tcp.tobytes()
     assert repr(new.retrospective_error_mm) == repr(retro)
@@ -142,7 +140,6 @@ def test_non_finite_start_raises_and_leaves_world_unchanged():
             spiral_insert(w, w.tcp + vec3(bad, 0.0, 0.0), generate_pattern(0.1, 1.0),
                           TIMING)
     assert np.array_equal(w.tcp, before)
-    assert w.elapsed_time == 0.0
 
 
 # ---------------------------------------------------------------- batches
@@ -163,7 +160,6 @@ def _assert_batch_is_its_batches_of_one(configs, starts, pattern):
     assert repr(episodes) == repr(singles)
     for a, b in zip(batch, alone):
         assert a.tcp.tobytes() == b.tcp.tobytes()
-        assert a.elapsed_time == b.elapsed_time
     return episodes
 
 
