@@ -22,7 +22,7 @@ from .search import generate_pattern
 from .servoing import CLAMP_MM, ServoConfig
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
-                  keyed_generators, move_tcp, new_worlds, seed_states)
+                  keyed_generators, move_tcps, new_worlds, seed_states)
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,22 @@ _BLOCK = 32  # episodes per spiral_search; only one block's worlds are alive
 
 def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> list:
     """The episodes of a block's (style's world config, world seed, mode) rows, in order,
-    each world moved by its start offset and, in a vs row, servoed by its style's."""
+    each world moved by its start offset and, in a vs row, servoed by its style's; a vs
+    row whose drawn peg breaks RunConfig's reach rule raises InvalidConfig before any render."""
     rows, starts = block
-    worlds = new_worlds([style for style, _, _ in rows], [seed for _, seed, _ in rows])
-    for world, start in zip(worlds, starts):
-        move_tcp(world, world.tcp + world.basis @ start)
+    configs, seeds, modes = zip(*rows)
+    worlds = new_worlds(configs, seeds)
+    vs = np.array(modes) == MODE_VS
+    if vs.any():  # the rule around each vs row's drawn peg; styles share the template's cameras
+        tcps, bases, grasps = (np.array(a)[vs] for a in zip(*(
+            (w.tcp, w.basis, w.grasp_offset) for w in worlds)))
+        sees = partial(cfg.world_template.sees_disc, cfg.error_disc_radius + CLAMP_MM)
+        pegs = tcps + (bases @ grasps[:, :, None])[:, :, 0]
+        if not sees(pegs):
+            seed = next(s for s, peg in zip(np.array(seeds)[vs].tolist(), pegs) if not sees([peg]))
+            raise InvalidConfig(f"seed {seed}: error_disc_radius {cfg.error_disc_radius} "
+                                "puts its servoed peg behind a camera")
+    move_tcps(worlds, starts)
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     return insert_batch(worlds, [None if mode == MODE_NOVS else servo_cfgs[style.component_style]
                                  for style, _, mode in rows], pattern, cfg.timing)
@@ -163,10 +174,10 @@ def build_report(rows) -> BenchReport:
     rows = Episodes.of(rows)
     col = rows.columns
     times, styles, ok = col["time_s"], col["style"], col["success"]
-    by_mode = {mode: col["mode"] == mode for mode in BENCH_MODES}
-    per_style = {style: _mean_times(times, {mode: sel & (styles == style)
-                                            for mode, sel in by_mode.items()})
-                 for style in sorted(set(styles.tolist()))}
+    by_mode = {mode: col["mode"] == code for code, mode in enumerate(BENCH_MODES)}
+    per_style = {COMPONENT_STYLES[code]: _mean_times(times, {mode: sel & (styles == code)
+                                                             for mode, sel in by_mode.items()})
+                 for code in sorted(set(styles.tolist()), key=COMPONENT_STYLES.__getitem__)}
     overall = _mean_times(times, by_mode)
     success = {}
     direct = {}
@@ -263,8 +274,9 @@ def read_rows(path) -> Episodes:
             row = Episode(*[p(v) for p, v in zip(parse, line.split(","), strict=True)])
         except (KeyError, ValueError) as exc:
             raise CorruptArtifact(f"{path} line {n}: {exc!r}") from exc
-        if row.mode not in BENCH_MODES:
-            raise CorruptArtifact(f"{path} line {n}: unknown mode {row.mode!r}")
+        for name, names in Episodes.CODES.items():
+            if getattr(row, name) not in names:
+                raise CorruptArtifact(f"{path} line {n}: unknown {name} {getattr(row, name)!r}")
         failed = not row.success
         if (row.attempts < 1 or row.direct != (row.success and row.attempts == 1)
                 or math.isnan(row.retrospective_error_mm) != failed
@@ -283,7 +295,7 @@ def _table_row(name: str, means: dict) -> tuple:
 
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    col = {name: c.tolist() for name, c in Episodes.of(report.rows).columns.items()}
+    col = Episodes.of(report.rows).lists()
     errors, times, modes = col["retrospective_error_mm"], col["time_s"], col["mode"]
     table = [_table_row(*item) for item in sorted(report.per_style.items())]
     if errors:

@@ -18,8 +18,8 @@ from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_erro
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (MODE_VS, Episode, Episodes, TimingModel, WorldConfig, WorldState, check_int,
-                  keyed_generators, render_views, spiral_search, true_inplane_error)
+from .sim import (BENCH_MODES, MODE_VS, Episode, Episodes, TimingModel, WorldConfig, WorldState,
+                  check_int, keyed_generators, render_views, spiral_search, true_inplane_error)
 
 log = logging.getLogger(__name__)
 
@@ -230,7 +230,7 @@ def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel
     if vs:
         col, ls = episodes.columns, np.array([w.config.insertion_direction for w in servoed])
         moved = inplane_norm(np.array([w.tcp for w in servoed]) - starts, ls)
-        col["mode"][vs] = MODE_VS
+        col["mode"][vs] = BENCH_MODES.index(MODE_VS)
         col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
         col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)
         col["true_error_mm"][vs] = true_errors

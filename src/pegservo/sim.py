@@ -258,13 +258,16 @@ class WorldConfig:
         axes, offsets = self._sight
         return bool((np.asarray(points, dtype=float) @ axes > offsets).all())
 
-    def sees_disc(self, radius: float) -> bool:
-        """Whether sees() holds on the in-plane disc of this radius around the approach pose:
-        per camera at its point of least depth, pose - radius u/|u| (u: its axis in-plane)."""
+    def sees_disc(self, radius: float, centers=None) -> bool:
+        """Whether sees() holds on the in-plane disc of this radius around each center, (k, 3)
+        rows (default: the approach pose): per camera at its point of least depth,
+        center - radius u/|u| (u: its axis in-plane)."""
         toward = inplane_component(self._sight[0].T, self.insertion_direction)  # per camera
         norms = np.linalg.norm(toward, axis=1, keepdims=True)
         pose = self.nominal_hole - self.hover_height * self.insertion_direction
-        return self.sees(pose - radius * toward / np.where(norms > 0, norms, 1.0))
+        rims = (np.reshape(pose if centers is None else centers, (-1, 1, 3))
+                - radius * toward / np.where(norms > 0, norms, 1.0))
+        return self.sees(rims.reshape(-1, 3))
 
     def check_rounding(self, reach: float) -> None:
         """Refuse, naming nominal_hole, a world where an in-plane TCP move within
@@ -397,6 +400,20 @@ def move_tcp(world: WorldState, new_tcp) -> None:
         raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
     _check_inplane(abs(float(np.dot(new_tcp - world.tcp, world.config.insertion_direction))))
     world.tcp = new_tcp
+
+
+def move_tcps(worlds, offsets) -> None:
+    """move_tcp of each world to tcp + basis @ its row of (n, 2) offsets: one stacked product
+    (each row bit for bit the world's own) and one check; a failing row raises move_tcp's error."""
+    tcps, bases, ls = (np.array(a) for a in zip(*(
+        (w.tcp, w.basis, w.config.insertion_direction) for w in worlds)))
+    targets = tcps + (bases @ np.asarray(offsets, dtype=float)[:, :, None])[:, :, 0]
+    if not (np.isfinite(targets).all()
+            and (np.abs(scalar_error(targets - tcps, ls)) <= _INPLANE_TOL).all()):
+        for world, target in zip(worlds, targets):
+            move_tcp(world, target)  # raises the first failing row's error
+    for world, target in zip(worlds, targets):
+        world.tcp = target
 
 
 def _check_inplane(worst: float) -> None:
@@ -555,16 +572,19 @@ class Episode:
 
 
 class Episodes:
-    """Episodes as one array per field, by name (a str field's holds objects): about 70
-    bytes a row against 330 for the objects, which it builds on access. It acts as
-    a list of Episodes (len, iteration, integer index, repr); == compares columns, nan to nan."""
+    """Episodes as one array per field, by name, style and mode as np.uint8 CODES: 52 bytes
+    a row against 330 for the objects, which it builds on access. It acts as a list of
+    Episodes (len, iteration, integer index, repr); == compares columns, nan to nan."""
+
+    CODES = {"style": COMPONENT_STYLES, "mode": BENCH_MODES}
 
     def __init__(self, **columns):
         self.columns = {f.name: columns[f.name] for f in fields(Episode)}
 
     @classmethod
     def of(cls, items) -> "Episodes":
-        """The batch of a sequence of Episodes, or of batches joined in order."""
+        """The batch of a sequence of Episodes, or of batches joined in order; a style or
+        mode outside its CODES names raises InvalidConfig."""
         if isinstance(items, Episodes):
             return items
         items = list(items)
@@ -572,18 +592,29 @@ class Episodes:
             batches = [b for b in items if len(b)] or items[:1]
             return cls(**{name: np.concatenate([b.columns[name] for b in batches])
                           for name in batches[0].columns})
-        return cls(**{f.name: np.array([getattr(r, f.name) for r in items],
-                                       dtype={str: object, bool: bool}.get(f.type))
+        columns = {f.name: [getattr(r, f.name) for r in items] for f in fields(Episode)}
+        for name, names in cls.CODES.items():
+            unknown = set(columns[name]) - set(names)
+            if unknown:
+                raise InvalidConfig(f"unknown {name} {unknown.pop()!r}; expected one of {names}")
+            columns[name] = np.array([names.index(v) for v in columns[name]], dtype=np.uint8)
+        return cls(**{f.name: np.array(columns[f.name], dtype={bool: bool}.get(f.type))
                       for f in fields(Episode)})
+
+    def lists(self) -> dict:
+        """Each column as a list, a code as its name."""
+        return {name: (np.array(self.CODES[name], dtype=object)[c] if name in self.CODES
+                       else c).tolist() for name, c in self.columns.items()}
 
     def __len__(self):
         return len(self.columns["style"])
 
     def __iter__(self):
-        return (Episode(*row) for row in zip(*(c.tolist() for c in self.columns.values())))
+        return (Episode(*row) for row in zip(*self.lists().values()))
 
     def __getitem__(self, k):
-        return Episode(*(c.item(k) for c in self.columns.values()))
+        return Episode(*(self.CODES[name][c.item(k)] if name in self.CODES else c.item(k)
+                         for name, c in self.columns.items()))
 
     def __eq__(self, other):
         other = Episodes.of(other).columns
@@ -600,6 +631,22 @@ def spiral_insert(world: WorldState, start_tcp, pattern, timing: TimingModel) ->
     return spiral_search([world], pattern, timing)[0]
 
 
+def _ring_band(offsets, miss, thr):
+    """(world, offset) index rows, in that order, of a band of offsets per world holding every
+    o that |o - miss|^2 <= thr^2 passes: ||o| - |miss|| <= thr, and the sorted running maximum
+    of the norms exceeds each by at most its largest gap (the ring quantum, in ring order).
+    Rounding takes a few ulps of |miss|, the largest norm and thr: 8 eps of their sum."""
+    norms = np.hypot(offsets[:, 0], offsets[:, 1])
+    reach = np.maximum.accumulate(norms)
+    far = np.hypot(miss[:, 0], miss[:, 1])
+    slack = thr + (reach - norms).max(initial=0.0) + 8.0 * np.finfo(float).eps * (
+        far + reach.max(initial=0.0) + thr)
+    lo = np.searchsorted(reach, far - slack)
+    counts = np.searchsorted(reach, far + slack, side="right") - lo
+    wi = np.repeat(np.arange(len(miss)), counts)
+    return wi, np.arange(len(wi)) + (lo - np.cumsum(counts) + counts)[wi]
+
+
 def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     """Per world, try pattern offsets from its TCP in order until one inserts.
 
@@ -607,34 +654,38 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     its hit, or back at its start with a nan retrospective error. Returns the
     batch of one novs episode per world, its true error measured at the start.
 
-    One stacked pass screens every world's offsets by the squared in-plane
-    peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which
-    differs from the per-attempt arithmetic by a few ulps of the largest
-    coordinate: every offset that would insert passes within a 1e-9 relative
-    slack of the tolerance. Candidates are confirmed with the per-attempt
-    arithmetic (start + basis @ offset, then true_inplane_error's
-    inplane_norm, on stacked rows), and a world's first confirmed offset is
-    its hit, so every result is bit-identical to trying the offsets one by
-    one. Every world's path is checked for out-of-plane motion before any
-    world's TCP is written, so a failing path changes no world.
+    The offsets in each world's _ring_band are screened by the squared in-plane
+    peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which differs
+    from the per-attempt arithmetic by a few ulps of the largest coordinate: every
+    offset that would insert passes within a 1e-9 relative slack of the tolerance.
+    Candidates are confirmed with the per-attempt arithmetic (start + basis @ offset,
+    then true_inplane_error's inplane_norm, on stacked rows), and a world's first
+    confirmed offset is its hit, so every result is bit-identical to trying the offsets
+    one by one. Every world's path not cleared by a rounding bound is checked for
+    out-of-plane motion before any world's TCP is written: a failing path changes no world.
     """
-    offsets, got = pattern.offsets, float(pattern.tolerance)
-    tols = np.array([w.config.tolerance for w in worlds])
-    for tol in tols[~np.isclose(got, tols)].tolist():
-        warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
     if not worlds:
         return Episodes.of([])
-    bases, ls, holes, origins, grasps = (np.stack(a) for a in zip(*(
-        (w.basis, w.config.insertion_direction, w.true_hole, w.tcp, w.grasp_offset)
-        for w in worlds)))
+    keys = {}  # per shared (basis, direction), its first world
+    bases, ls, holes, origins, grasps, tols, group, seeds, styles = (np.array(a) for a in zip(*(
+        (w.basis, w.config.insertion_direction, w.true_hole, w.tcp, w.grasp_offset,
+         w.config.tolerance, keys.setdefault((id(w.basis), id(w.config.insertion_direction)), k),
+         w.seed, COMPONENT_STYLES.index(w.config.component_style))
+        for k, w in enumerate(worlds))))
+    offsets, got = pattern.offsets, float(pattern.tolerance)
+    other = tols[tols != got]  # an equal tolerance is always close
+    for tol in other[~np.isclose(got, other)].tolist() if len(other) else ():
+        warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
     shift = (bases @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
     pegs = origins + shift  # peg_position at each start
     miss = (np.swapaxes(bases, 1, 2) @ (holes - pegs)[:, :, None])[:, :, 0]
-    dx, dy = offsets[:, 0] - miss[:, :1], offsets[:, 1] - miss[:, 1:]
-    screen = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)  # in place
     scale = np.maximum(np.abs(offsets).max(initial=0.0),
                        np.maximum(np.abs(holes).max(axis=1), np.abs(pegs).max(axis=1)))
-    wi, ki = np.nonzero(screen <= np.square(tols + 1e-9 * (tols + scale))[:, None])
+    thr = tols + 1e-9 * (tols + scale)
+    wi, ki = _ring_band(offsets, miss, thr)
+    d = np.square(np.take(offsets, ki, axis=0) - np.take(miss, wi, axis=0))  # take: faster
+    passed = d[:, 0] + d[:, 1] <= np.take(np.square(thr), wi)
+    wi, ki = wi[passed], ki[passed]
     tcps = origins[wi] + (bases[wi] @ offsets[ki][:, :, None])[:, :, 0]
     confirmed = inplane_norm(holes[wi] - (tcps + shift[wi]), ls[wi]) <= tols[wi]
     wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
@@ -644,20 +695,27 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
     retros = np.where(success, inplane_norm(finals - origins, ls), np.nan)
     true_errors = inplane_norm(holes - pegs, ls)
-    # a world's path runs through a prefix of its basis's moves: the rows of
-    # one product per shared basis
-    moves = {id(b): offsets @ b.T for b in {id(w.basis): w.basis for w in worlds}.values()}
-    for world, start, n_att, ok in zip(worlds, origins, attempts.tolist(), success.tolist()):
-        path = np.concatenate((start[None, :], start + moves[id(world.basis)][:n_att])
-                              + (() if ok else (start[None, :],)))
-        _check_inplane(float(np.abs((path[1:] - path[:-1])
-                                    @ world.config.insertion_direction).max(initial=0.0)))
+    # A world's path steps through a prefix of its group's moves m_k = basis @ offset_k,
+    # from its start s and, on a failure, back. Per coordinate i, with M = max|m_k,i|, a
+    # step (s + m_k) - (s + m_k-1) is off m_k - m_k-1 by eps (|s_i| + 2M) (half an ulp of
+    # each sum and of the difference); its dot with l rounds by 1.5 eps sum_i |l_i| 2M, and
+    # the computed largest |(m_k - m_k-1) . l| is off by 2 eps of the same: 4.5 eps sum_i
+    # |l_i| (|s_i| + 2M) to first order, as check_rounding reasons; 8 eps covers the rest.
+    moves, bound, max_move = {}, np.empty(len(worlds)), np.empty((len(worlds), 1))
+    for k in keys.values():
+        moves[k], members = offsets @ bases[k].T, group == k
+        bound[members] = np.abs(np.diff(moves[k], axis=0, prepend=0.0, append=0.0) @ ls[k]).max()
+        max_move[members] = np.abs(moves[k]).max(initial=0.0)  # M
+    bound += 8.0 * np.finfo(float).eps * scalar_error(np.abs(origins) + 2.0 * max_move, np.abs(ls))
+    for k in np.flatnonzero(~(bound <= _INPLANE_TOL)).tolist():
+        path = np.concatenate((origins[k:k + 1], origins[k] + moves[group[k]][:attempts[k]])
+                              + (() if success[k] else (origins[k:k + 1],)))
+        _check_inplane(float(np.abs((path[1:] - path[:-1]) @ ls[k]).max(initial=0.0)))
     for world, final in zip(worlds, finals):
         world.tcp = final
-    return Episodes(style=np.array([w.config.component_style for w in worlds], dtype=object),
-                    mode=np.array([MODE_NOVS] * len(worlds), dtype=object),  # np.full copies
-                    seed=np.array([w.seed for w in worlds]),
-                    retrospective_error_mm=retros, true_error_mm=true_errors,
+    return Episodes(style=styles.astype(np.uint8),
+                    mode=np.full(len(worlds), BENCH_MODES.index(MODE_NOVS), dtype=np.uint8),
+                    seed=seeds, retrospective_error_mm=retros, true_error_mm=true_errors,
                     time_s=attempts * timing.t_attempt,
                     attempts=attempts, success=success, direct=success & (attempts == 1),
                     post_servo_retrospective_error_mm=np.full(len(worlds), np.nan))

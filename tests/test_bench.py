@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pegservo import bench, pipeline
+from pegservo import bench, pipeline, servoing
 from pegservo.bench import (BenchConfig, RunConfig, build_report, emit_report,
                             fit_quadratic_law, read_rows, run_benchmark, train_styles)
 from pegservo.cli import main
@@ -20,7 +21,7 @@ from pegservo.errors import (CorruptArtifact, InsufficientData, InvalidConfig,
 from pegservo.perception import OracleModel, TrainConfig
 from pegservo.pipeline import CollectionConfig, DeploymentGate, configure
 from pegservo.search import generate_pattern
-from pegservo.servoing import ServoConfig
+from pegservo.servoing import CLAMP_MM, ServoConfig
 from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, Episodes, TimingModel,
                           WorldConfig, config_to_dict, move_tcp, new_world, new_worlds,
                           spiral_insert, spiral_search)
@@ -208,6 +209,40 @@ def test_a_vs_grid_refuses_a_disc_it_would_render_behind_a_camera():
         RunConfig.from_dict(raw)
     raw["bench"]["modes"] = ["novs"]  # a search-only grid renders nothing
     assert RunConfig.from_dict(raw).bench.error_disc_radius == 900
+
+
+def test_a_vs_grid_refuses_a_drawn_peg_whose_disc_a_camera_cannot_see(monkeypatch):
+    # the disc passes RunConfig's rule around the approach pose, but a 60 mm
+    # grasp draw moves a peg's disc behind a camera: it once raised
+    # BehindCamera mid-grid, and is now refused per row before its block renders
+    raw = {"world": {"tolerance": 2.0, "grasp_uncertainty_sigma": 60},
+           "bench": {"error_disc_radius": 702, "component_styles": ["led"],
+                     "insertions_per_style_per_mode": 200, "modes": ["vs"]}}
+    run = RunConfig.from_dict(raw)
+    message = r"^seed (\d+): error_disc_radius 702.0 puts its servoed peg behind a camera$"
+    with pytest.raises(InvalidConfig, match=message) as refused:
+        run_benchmark(run.bench, ORACLE_MODELS)
+    seed = int(re.match(message, str(refused.value)).group(1))
+    [world] = new_worlds([run.world], [seed])
+    peg = world.tcp + world.basis @ world.grasp_offset
+    assert run.world.sees_disc(702.0) and not run.world.sees_disc(702.0 + CLAMP_MM, [peg])
+    monkeypatch.setattr(servoing, "render_views", None)  # a render would raise TypeError
+    servo = {"led": ServoConfig(ORACLE_MODELS["led"], run.world, 3, run.timing)}
+    with pytest.raises(InvalidConfig, match=message):
+        bench._run_block(run.bench, servo, ([(run.world, 0, "novs"), (run.world, seed, "vs")],
+                                            np.zeros((2, 2))))
+    # a 500 mm disc keeps every drawn peg's disc in sight, and the grid runs
+    raw["bench"].update(error_disc_radius=500, insertions_per_style_per_mode=40)
+    monkeypatch.undo()
+    rep = run_benchmark(RunConfig.from_dict(raw).bench, ORACLE_MODELS)
+    assert rep.success["vs_total"] == 40
+
+
+def test_grid_rows_hold_at_most_52_bytes():
+    # style and mode are uint8 codes: a str column of objects would cost 8
+    # bytes a row more each (and every row's string stays alive in the grid)
+    rows = run_benchmark(_small_cfg(), ORACLE_MODELS).rows
+    assert sum(c.nbytes for c in rows.columns.values()) <= 52 * len(rows)
 
 
 def test_a_batch_equals_itself_its_rerun_and_its_rows_csv(tmp_path):
@@ -558,3 +593,22 @@ def test_read_rows_rejects_contradictory_rows(tmp_path, mode, old, new):
         read_rows(path)
     path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
     assert [r.mode for r in read_rows(path)] == ["vs", "novs"]
+
+
+@pytest.mark.parametrize("name, good, bad", [("style", "led,", "bogus,"),
+                                             ("mode", ",novs,", ",search,")])
+def test_read_rows_rejects_an_unknown_style_or_mode(tmp_path, name, good, bad):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([",".join(f.name for f in fields(Episode)), _GOOD["vs"],
+                               _GOOD["novs"].replace(good, bad)]) + "\n")
+    value = bad.strip(",")
+    with pytest.raises(CorruptArtifact, match=f"line 3: unknown {name} '{value}'$"):
+        read_rows(path)
+
+
+def test_episodes_of_refuses_an_unknown_style_or_mode():
+    row = Episode("led", "novs", 5, 0.25, 0.3, 2.5, 10, True, math.nan, False)
+    assert repr(Episodes.of([row])[0]) == repr(row)
+    for name, value in (("style", "bogus"), ("mode", "search")):
+        with pytest.raises(InvalidConfig, match=f"^unknown {name} '{value}'; expected one of"):
+            Episodes.of([row, replace(row, **{name: value})])

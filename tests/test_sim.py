@@ -22,7 +22,7 @@ from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           config_from_dict, config_to_dict, default_cameras,
-                          keyed_generators, load_config_file, move_tcp, new_world,
+                          keyed_generators, load_config_file, move_tcp, move_tcps, new_world,
                           new_worlds, peg_position, render, render_views, seed_states,
                           spiral_insert, spiral_search, true_inplane_error, write_pgm)
 
@@ -246,6 +246,49 @@ def test_non_finite_target_rejected():
         with pytest.raises(ConstraintViolation):
             move_tcp(w, w.tcp + vec3(bad, 0.0, 0.0))
     assert np.array_equal(w.tcp, before)
+
+
+_MOVED_WORLDS = st.fixed_dictionaries({
+    "tilt": st.one_of(st.just(0.0), st.floats(0.0, 1.2)),
+    "heading": st.floats(0.0, 2.0 * math.pi),
+    "nominal": st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1e7, 1e7)] * 3)),
+    "offset": st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+        [0.0, 1e-300, math.nan, math.inf]))] * 2),
+    "lifted": st.booleans(),  # a basis tipped out of plane: its move leaves the plane
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_MOVED_WORLDS, min_size=1, max_size=6))
+def test_block_move_is_the_per_world_move_tcp_loop(rows):
+    def built():
+        worlds = []
+        for k, r in enumerate(rows):
+            direction = vec3(math.sin(r["tilt"]) * math.cos(r["heading"]),
+                             math.sin(r["tilt"]) * math.sin(r["heading"]), -math.cos(r["tilt"]))
+            world = new_world(WorldConfig(insertion_direction=direction, seed=k,
+                                          nominal_hole=np.array(r["nominal"])))
+            if r["lifted"]:
+                world.basis = world.basis - 1e-3 * world.config.insertion_direction[:, None]
+            worlds.append(world)
+        return worlds
+
+    offsets = np.array([r["offset"] for r in rows])
+    loop, block = built(), built()
+    with np.errstate(invalid="ignore"):  # an inf offset times a 0 coefficient
+        try:
+            for world, offset in zip(loop, offsets):  # the per-world moves it replaces
+                move_tcp(world, world.tcp + world.basis @ offset)
+            expected = None
+        except ConstraintViolation as exc:
+            expected = str(exc)
+        if expected is None:
+            move_tcps(block, offsets)
+        else:
+            with pytest.raises(ConstraintViolation) as raised:
+                move_tcps(block, offsets)
+            assert str(raised.value) == expected
+    assert [w.tcp.tobytes() for w in block] == [w.tcp.tobytes() for w in loop]
 
 
 def test_attempt_threshold():

@@ -1,21 +1,25 @@
-"""The vectorized spiral_insert against the per-offset loop it replaced, and
-the batched spiral_search against its batches of one."""
+"""The vectorized spiral_insert against the per-offset loop it replaced, the
+batched spiral_search against its batches of one, and its screens (the ring
+band, the path check's rounding bound) against the exhaustive checks."""
 
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import attempt_insertion
+from pegservo import sim
 from pegservo.bench import _BLOCK
 from pegservo.errors import ConstraintViolation
 from pegservo.geometry import inplane_component, vec3
 from pegservo.search import generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          move_tcp, new_world, peg_position, spiral_insert,
+                          move_tcp, new_world, new_worlds, peg_position, spiral_insert,
                           spiral_search)
 
 TIMING = TimingModel()
@@ -208,3 +212,137 @@ def test_batch_with_candidates_that_fail_confirmation():
     episodes = _assert_batch_is_its_batches_of_one([cfg] * len(starts), starts, pattern)
     attempts = {e.attempts for e in episodes}
     assert 1 in attempts and len(attempts) > 1
+
+
+# ---------------------------------------------------------------- screens
+
+
+def _exact_path_message(worlds, starts, episodes, pattern):
+    """The per-world path check spiral_search ran on every world before its
+    rounding bound: the first failing world's message, in batch order, or None."""
+    for world, start, e in zip(worlds, starts, episodes):
+        moves = pattern.offsets @ world.basis.T
+        path = np.concatenate((start[None, :], start + moves[:e.attempts])
+                              + (() if e.success else (start[None, :],)))
+        worst = float(np.abs((path[1:] - path[:-1])
+                             @ world.config.insertion_direction).max(initial=0.0))
+        if not worst <= 1e-9:
+            return f"TCP move has out-of-plane component {worst:.3e} mm"
+    return None
+
+
+far_worlds = st.fixed_dictionaries({
+    "log_radius": st.floats(0.0, 8.0),
+    "azimuth": st.floats(0.0, 2.0 * math.pi),
+    "tilt": st.one_of(st.just(0.0), st.floats(0.0, 1.2)),
+    "heading": st.floats(0.0, 2.0 * math.pi),
+    "seed": st.integers(0, 2**32 - 1),
+    "start": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    "hit": st.booleans(),  # else the hole is moved out of the pattern's reach
+})
+# the 3e7 mm world on a 0.5 rad tilt whose spiral rounds 1.274e-09 mm out of plane
+_FAR = {"log_radius": math.log10(3e7), "azimuth": 0.0, "tilt": 0.5, "heading": 0.0,
+        "seed": 1, "start": (0.5, 0.2), "hit": True}
+
+
+@settings(max_examples=120, deadline=None)
+@given(ws=st.lists(far_worlds, min_size=1, max_size=3))
+@example(ws=[_FAR])
+@example(ws=[{**_FAR, "log_radius": 0.0, "seed": 2, "start": (0.3, -0.1)}, _FAR])
+def test_screened_path_check_raises_exactly_when_the_exact_check_does(ws):
+    pattern = generate_pattern(0.1, 1.0)
+    configs = [WorldConfig(seed=w["seed"], insertion_direction=_direction(w["tilt"], w["heading"]),
+                           nominal_hole=10.0 ** w["log_radius"] * np.array(
+                               [math.cos(w["azimuth"]), math.sin(w["azimuth"]), 0.0]))
+               for w in ws]
+    batch, twins = ([new_world(cfg) for cfg in configs] for _ in range(2))
+    for w, a, b in zip(ws, batch, twins):
+        for world in (a, b):  # placed, not moved: a far start move may itself round
+            world.tcp = world.tcp + world.basis @ np.array(w["start"])
+            if not w["hit"]:
+                world.true_hole = world.true_hole + 10.0 * world.basis[:, 0]
+    starts = [world.tcp.copy() for world in batch]
+    with mock.patch.object(sim, "_INPLANE_TOL", math.inf):  # every path passes
+        unchecked = spiral_search(twins, pattern, TIMING)
+    message = _exact_path_message(batch, starts, unchecked, pattern)
+    if message is None:
+        assert spiral_search(batch, pattern, TIMING) == unchecked
+    else:
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+            spiral_search(batch, pattern, TIMING)
+        assert all(w.tcp.tobytes() == s.tobytes() for w, s in zip(batch, starts))
+    if ws[-1] == _FAR:
+        assert message == "TCP move has out-of-plane component 1.274e-09 mm"
+
+
+def test_the_bound_clears_ordinary_worlds_and_not_the_far_one(monkeypatch):
+    checked = []
+    monkeypatch.setattr(sim, "_check_inplane", checked.append)
+    pattern = generate_pattern(0.1, 3.0)
+    worlds = new_worlds([WorldConfig()] * _BLOCK, range(_BLOCK))
+    spiral_search(worlds, pattern, TIMING)  # a grid block at the default direction
+    assert checked == []
+    tilted = WorldConfig(insertion_direction=_direction(0.2, 1.0),
+                         nominal_hole=vec3(4000.0, -3000.0, 500.0))
+    spiral_search(new_worlds([tilted] * 4, range(4)), pattern, TIMING)
+    assert checked == []
+    # 3e7 mm out, the rounding margin alone is above the tolerance: the far
+    # world's path gets the exact check (and passes it), the other does not
+    far = WorldConfig(insertion_direction=_direction(0.5, 0.0), nominal_hole=vec3(3e7, 0.0, 0.0))
+    spiral_search(new_worlds([WorldConfig(), far], [0, 1]), pattern, TIMING)
+    assert len(checked) == 1
+
+
+def _screen(offsets, miss, thr):
+    """spiral_search's squared screen over every (world, offset) pair."""
+    dx, dy = offsets[:, 0] - miss[:, :1], offsets[:, 1] - miss[:, 1:]
+    return np.nonzero(np.square(dx) + np.square(dy) <= np.square(thr)[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tolerance=st.sampled_from([0.05, 0.1, 1.0, 3e3, 1e6]),
+       rings=st.floats(0.0, 12.0), index=st.integers(0, 10**6),
+       angle=st.floats(0.0, 2.0 * math.pi), radial=st.booleans(),
+       scale=st.sampled_from([0.0, 1.0, 1e3, 1e7, 1e9]),
+       shuffle=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_ring_band_holds_every_offset_the_full_screen_passes(tolerance, rings, index, angle,
+                                                             radial, scale, shuffle):
+    # worlds whose miss lies one threshold inside or outside a ring, a few
+    # ulps either way, along that ring's offset or in any direction; offsets
+    # out of ring order widen the band by their largest norm gap
+    offsets = generate_pattern(tolerance, rings * tolerance).offsets
+    if shuffle is not None:
+        offsets = np.random.default_rng(shuffle).permutation(offsets)
+    o = offsets[index % len(offsets)]
+    thr = tolerance + 1e-9 * (tolerance + scale)
+    toward = o / np.hypot(*o) if radial and o.any() else np.array([math.cos(angle),
+                                                                    math.sin(angle)])
+    far = np.hypot(*o) + np.array([-thr, thr])[:, None] + np.arange(-4, 5) * np.spacing(
+        np.hypot(*o) + thr)
+    miss = far.reshape(-1, 1) * toward
+    thr = np.full(len(miss), thr)
+    wi, ki = sim._ring_band(offsets, miss, thr)
+    assert np.all(np.diff(wi) >= 0) and np.all((np.diff(ki) > 0) | (np.diff(wi) > 0))
+    band = set(zip(wi.tolist(), ki.tolist()))
+    full = set(zip(*(a.tolist() for a in _screen(offsets, miss, thr))))
+    assert full <= band
+
+
+@settings(max_examples=100, deadline=None)
+@given(tolerance=st.sampled_from([0.05, 0.1, 0.2]), radius=st.sampled_from([0.3, 1.0, 3.0]),
+       index=st.integers(0, 10**6), side=st.sampled_from([-1.0, 1.0]),
+       ulps=st.integers(-4, 4), seed=st.integers(0, 2**32 - 1),
+       nominal=st.one_of(st.just((0.0, 0.0, 0.0)),
+                         st.tuples(*[st.floats(-1e7, 1e7)] * 2, st.floats(-1e5, 1e5))))
+def test_ring_band_edges_match_reference(tolerance, radius, index, side, ulps, seed, nominal):
+    # the start puts the hole one tolerance inside or outside an offset's ring,
+    # along that offset, a few ulps of the start's coordinates either way
+    cfg = WorldConfig(tolerance=tolerance, seed=seed, nominal_hole=np.array(nominal))
+    pattern = generate_pattern(tolerance, radius)
+    world = new_world(cfg)
+    off = pattern.offsets[index % len(pattern)]
+    ring = float(np.hypot(*off))
+    toward = off / ring if ring else np.array([1.0, 0.0])
+    step = ulps * np.spacing(max(np.abs(world.tcp).max(), ring + tolerance))
+    miss0 = world.basis.T @ (world.true_hole - peg_position(world))
+    _assert_same(cfg, miss0 - (ring + side * tolerance + step) * toward, pattern)
