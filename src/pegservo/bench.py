@@ -116,35 +116,33 @@ def train_styles(run: RunConfig, seed: int) -> dict:
     results, n = {}, run.collection.n_insertions
     for style in run.bench.component_styles:
         styled = replace(run.world, component_style=style)
-        worlds = new_worlds([styled] * n, range(seed, seed + n))
+        worlds = new_worlds(styled, range(seed, seed + n))
         results[style] = configure(worlds.__getitem__, run.collection, run.train, run.gate)
     return results
 
 
-_BLOCK = 32  # episodes per spiral_search; only one block's worlds are alive
+_BLOCK = 32  # most episodes per spiral_search; only one block's worlds are alive
 
 
-def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> list:
-    """The episodes of a block's (style's world config, world seed, mode) rows, in order,
-    each world moved by its start offset and, in a vs row, servoed by its style's; a vs
-    row whose drawn peg breaks RunConfig's reach rule raises InvalidConfig before any render."""
-    rows, starts = block
-    configs, seeds, modes = zip(*rows)
-    worlds = new_worlds(configs, seeds)
-    vs = np.array(modes) == MODE_VS
-    if vs.any():  # the rule around each vs row's drawn peg; styles share the template's cameras
-        tcps, bases, grasps = (np.array(a)[vs] for a in zip(*(
-            (w.tcp, w.basis, w.grasp_offset) for w in worlds)))
-        sees = partial(cfg.world_template.sees_disc, cfg.error_disc_radius + CLAMP_MM)
-        pegs = tcps + (bases @ grasps[:, :, None])[:, :, 0]
+def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> Episodes:
+    """The episodes of a block of one style's rows, in order: its config's worlds at the
+    rows' seeds, each moved by its start offset and, in a vs row, servoed by the style's
+    ServoConfig; a vs row whose drawn peg breaks RunConfig's reach rule raises
+    InvalidConfig before any render."""
+    style, seeds, vs, starts = block
+    worlds = new_worlds(style, seeds)
+    basis = worlds[0].basis
+    tcps, grasps = (np.array(a) for a in zip(*((w.tcp, w.grasp_offset) for w in worlds)))
+    if vs.any():  # the rule around each vs row's drawn peg
+        sees = partial(style.sees_disc, cfg.error_disc_radius + CLAMP_MM)
+        pegs = (tcps + (basis @ grasps[:, :, None])[:, :, 0])[vs]
         if not sees(pegs):
             seed = next(s for s, peg in zip(np.array(seeds)[vs].tolist(), pegs) if not sees([peg]))
             raise InvalidConfig(f"seed {seed}: error_disc_radius {cfg.error_disc_radius} "
                                 "puts its servoed peg behind a camera")
-    move_tcps(worlds, starts)
+    move_tcps(worlds, tcps + (basis @ starts[:, :, None])[:, :, 0])
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
-    return insert_batch(worlds, [None if mode == MODE_NOVS else servo_cfgs[style.component_style]
-                                 for style, _, mode in rows], pattern, cfg.timing)
+    return insert_batch(worlds, servo_cfgs.get(style.component_style), vs, pattern, cfg.timing)
 
 
 @dataclass
@@ -194,7 +192,8 @@ def build_report(rows) -> BenchReport:
 
 
 def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
-    """Run the full style x insertion x mode grid, a block of episodes at a time.
+    """Run the full style x insertion x mode grid, a block of one style's episodes
+    at a time (at most _BLOCK; a block never crosses a style boundary).
 
     models maps style -> sequence of per-camera models; required for every
     style when the vs mode is enabled, each style's one ServoConfig calibrated
@@ -211,8 +210,8 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
               for style in cfg.component_styles]  # each validated once
     servo_cfgs = {name: ServoConfig(tuple(models[name]), style, cfg.n_iters, cfg.timing)
                   for name, style in zip(cfg.component_styles, styles) if MODE_VS in cfg.modes}
-    pairs = [(si, i) for si in range(len(styles))
-             for i in range(cfg.insertions_per_style_per_mode)]
+    n, m = cfg.insertions_per_style_per_mode, len(cfg.modes)
+    pairs = [(si, i) for si in range(len(styles)) for i in range(n)]
     # Per (style index, insertion), drawn once for the grid: the world seed, and
     # the start offset from a uniform angle and a uniform area on the disc
     seeds = seed_states([[cfg.seed, si, i] for si, i in pairs])[:, 0] >> np.uint64(1)
@@ -221,10 +220,12 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
         err_rng.random(out=row)  # uniform(0, 2 pi), then uniform()
     theta, rad = 2.0 * np.pi * draws[:, 0], cfg.error_disc_radius * np.sqrt(draws[:, 1])
     starts = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    starts = np.repeat(starts, len(cfg.modes), axis=0)  # one row per episode
-    rows = [(styles[si], seed, mode) for (si, _), seed in zip(pairs, seeds.tolist())
-            for mode in cfg.modes]
-    blocks = [(rows[k:k + _BLOCK], starts[k:k + _BLOCK]) for k in range(0, len(rows), _BLOCK)]
+    # a style's rows: each insertion once per mode, cut into blocks of at most _BLOCK
+    seeds = np.repeat(seeds, m).reshape(len(styles), n * m).tolist()
+    starts = np.repeat(starts, m, axis=0).reshape(len(styles), n * m, 2)
+    vs = np.tile(np.array(cfg.modes) == MODE_VS, n)
+    blocks = [(style, seeds[si][k:k + _BLOCK], vs[k:k + _BLOCK], starts[si, k:k + _BLOCK])
+              for si, style in enumerate(styles) for k in range(0, n * m, _BLOCK)]
     run = partial(_run_block, cfg, servo_cfgs)
     if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
@@ -262,8 +263,11 @@ _PARSE = {str: str, int: int, float: float, bool: lambda v: {"0": False, "1": Tr
 
 
 def read_rows(path) -> Episodes:
-    """The Episodes batch of a rows.csv that emit_report wrote; a row that does
-    not parse or contradicts itself raises CorruptArtifact naming its line."""
+    """The Episodes batch of a rows.csv that emit_report wrote; a row that does not
+    parse, contradicts itself or holds a value no run writes raises CorruptArtifact
+    naming its line: a run writes 63-bit seeds (another would turn the seed column
+    float or object) and finite times and errors >= 0, a retrospective error nan
+    only where the row needs it."""
     lines = read_artifact(path).splitlines()
     if not lines or lines[0] != ",".join(_ROW_COLUMNS):
         raise CorruptArtifact(f"{path}: header is not {','.join(_ROW_COLUMNS)}")
@@ -283,6 +287,11 @@ def read_rows(path) -> Episodes:
                 or math.isnan(row.post_servo_retrospective_error_mm)
                 != (failed or row.mode == MODE_NOVS)):
             raise CorruptArtifact(f"{path} line {n}: contradictory episode {line}")
+        numbers = (row.time_s, row.true_error_mm, row.retrospective_error_mm,
+                   row.post_servo_retrospective_error_mm)
+        if not (0 <= row.seed < 1 << 63 and all(0 <= v < math.inf or k > 1 and math.isnan(v)
+                                                for k, v in enumerate(numbers))):
+            raise CorruptArtifact(f"{path} line {n}: seed, time or error out of range: {line}")
         rows.append(row)
     return Episodes.of(rows)
 

@@ -117,7 +117,7 @@ def cmd_simulate(ns) -> int:
 def cmd_collect(ns) -> int:
     run = _run_config(ns, seed=ns.seed)  # the world echo shows the seed base
     ccfg, n = run.collection, run.collection.n_insertions
-    worlds = new_worlds([run.world] * n, range(ns.seed, ns.seed + n))
+    worlds = new_worlds(run.world, range(ns.seed, ns.seed + n))
     _write_manifest(ns.out, "collect", ns, run, ["dataset/meta.json", "dataset/images.bin"])
     data = collect_dataset(worlds.__getitem__, ccfg)
     save_dataset(data, os.path.join(ns.out, "dataset"))
@@ -176,7 +176,7 @@ def cmd_servo(ns) -> int:
             raise InvalidConfig(f"--error {ns.error} puts the start peg behind a camera")
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, run, outputs)
-    [(steps, residuals)] = visual_servo([world], [cfg])
+    [(steps, residuals)] = visual_servo([world], cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {

@@ -162,17 +162,20 @@ def reconstruct_error(dirs: Sequence[np.ndarray], qs: Sequence[float]) -> Recons
     return Reconstruction(e_hat, ill)
 
 
-def project(cam: CameraModel, world_point: np.ndarray) -> tuple[float, float]:
-    """Pinhole projection of a world point to (px, py) pixel coordinates.
+def project(cam: CameraModel, world_point: np.ndarray) -> tuple:
+    """Pinhole projection of a world point, or of stacked (..., 3) rows (each
+    bit for bit its own), to (px, py) pixel coordinates.
 
     The principal point sits at the image center (r/2, r/2). Raises
-    BehindCamera for points with non-positive camera-frame depth.
+    BehindCamera for the first point with non-positive camera-frame depth.
     """
-    d = cam.orientation @ (np.asarray(world_point, dtype=float) - cam.position)
-    if d[2] <= 0.0:
-        raise BehindCamera(f"point depth {d[2]:.6g} <= 0")
+    v = np.asarray(world_point, dtype=float) - cam.position
+    d = (cam.orientation @ v[..., None])[..., 0]
+    behind = d[..., 2] <= 0.0
+    if behind.any():
+        raise BehindCamera(f"point depth {d[..., 2][behind].flat[0]:.6g} <= 0")
     half = cam.r / 2.0
-    return (cam.f * d[0] / d[2] + half, cam.f * d[1] / d[2] + half)
+    return (cam.f * d[..., 0] / d[..., 2] + half, cam.f * d[..., 1] / d[..., 2] + half)
 
 
 def aimed_camera(position: np.ndarray, target: np.ndarray, l: np.ndarray,

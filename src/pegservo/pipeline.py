@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import (AllInsertionsFailed, InvalidConfig, InvalidRadius,
                      ModelsNotDeployed, ShapeMismatch, TooFewInsertions)
-from .geometry import camera_to_dict, inplane_norm, normalize_error, scalar_error
+from .geometry import inplane_norm, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
 from .sim import (BENCH_MODES, MODE_VS, Episode, Episodes, TimingModel, WorldConfig, WorldState,
-                  check_int, keyed_generators, render_views, spiral_search, true_inplane_error)
+                  batch_config, check_int, keyed_generators, render_views, spiral_search,
+                  true_inplane_errors)
 
 log = logging.getLogger(__name__)
 
@@ -77,9 +78,10 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
                     pattern: SearchPattern = None) -> Dataset:
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
-    The worlds are built in insertion order, and every one must have world 0's
-    cameras, of one resolution, and world 0 pass collection_pattern (the pattern
-    when none is given), before any insertion or render. One spiral_search
+    The worlds are built in insertion order, and must share one config
+    (sim.batch_config: a factory may build one config per seed), with cameras of
+    one resolution, that passes collection_pattern (the pattern when none is
+    given), before any insertion or render. One spiral_search
     inserts them all; failed insertions are logged and skipped. Per inserted
     world: take the successful TCP as the in-plane zero, then draw
     samples_per_insertion random offsets (direction uniform on the circle,
@@ -91,14 +93,11 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     flattened in that order.
     """
     worlds = [world_factory(i) for i in range(cfg.n_insertions)]
-    cameras = worlds[0].config.cameras
+    config = batch_config(worlds)
+    cameras = config.cameras
     if len({cam.r for cam in cameras}) != 1:
         raise ShapeMismatch("cameras of one dataset must share a resolution")
-    calibration = [camera_to_dict(cam) for cam in cameras]  # compared by value
-    for i, world in enumerate(worlds):
-        if [camera_to_dict(cam) for cam in world.config.cameras] != calibration:
-            raise InvalidConfig(f"collection insertion {i}: cameras differ from world 0's")
-    pattern = collection_pattern(worlds[0].config, cfg, pattern)
+    pattern = collection_pattern(config, cfg, pattern)
     outcomes = spiral_search(worlds, pattern, TimingModel()).columns
     for i in np.flatnonzero(~outcomes["success"]).tolist():
         log.warning("collection insertion %d failed after %d attempts; skipped",
@@ -118,8 +117,8 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
         # stacked mat-vecs: per row, one sample's basis @ offset, bit for bit
         moves = (world.basis @ offsets[:, :, None])[:, :, 0]
-        tcps = world.tcp + moves - height[:, None] * world.config.insertion_direction
-        q_mm[n] = scalar_error(-moves[:, None, :], np.array(world.config.error_directions))
+        tcps = world.tcp + moves - height[:, None] * config.insertion_direction
+        q_mm[n] = scalar_error(-moves[:, None, :], np.array(config.error_directions))
         height_mm[n] = height[:, None]
         for j, cam in enumerate(cameras):  # truth_y comes with the pixels
             y[n, :, j] = normalize_error(q_mm[n, :, j], cam)
@@ -206,33 +205,38 @@ def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
     """One insertion episode in the given mode: insert_batch of one."""
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "servo_then_spiral" and servo_cfg is None:
-        raise ModelsNotDeployed("servo_then_spiral needs one deployed model per camera")
-    return insert_batch([world], [servo_cfg if mode == "servo_then_spiral" else None],
-                        pattern, timing)[0]
+    return insert_batch([world], servo_cfg, [mode == "servo_then_spiral"], pattern, timing)[0]
 
 
-def insert_batch(worlds, servo_cfgs, pattern: SearchPattern, timing: TimingModel) -> Episodes:
-    """Insertion episodes of a batch of worlds, searched by one spiral_search.
+def insert_batch(worlds, servo_cfg, servoed, pattern: SearchPattern,
+                 timing: TimingModel) -> Episodes:
+    """Insertion episodes of a batch of worlds of one sim.batch_config, searched by one
+    spiral_search; a mixed batch raises InvalidConfig before any world moves.
 
-    A world whose servo_cfg is None gives spiral_search's novs episode. The
-    others are first servoed together by one visual_servo call and give vs
-    episodes, written into the search's columns: time_s adds servo_cfg.time_s,
-    the true and the retrospective errors are measured from the original
-    start, and the post-servo retrospective error is the search's.
+    The rows that servoed flags (one bool per world) are first servoed together under
+    servo_cfg, one ServoConfig (None only if no row is servoed), by one visual_servo
+    call and give vs episodes, written into the search's columns: time_s adds
+    servo_cfg.time_s, the true and the retrospective errors are measured from the
+    original start, and the post-servo retrospective error is the search's. The other
+    rows give spiral_search's novs episodes.
     """
-    vs = [n for n, (_, cfg) in enumerate(zip(worlds, servo_cfgs, strict=True)) if cfg]
-    servoed = [worlds[n] for n in vs]
-    starts = np.array([w.tcp for w in servoed])
-    true_errors = [true_inplane_error(w) for w in servoed]
-    visual_servo(servoed, [servo_cfgs[n] for n in vs])
+    if len(servoed) != len(worlds):
+        raise ShapeMismatch(f"{len(servoed)} servo flags for {len(worlds)} worlds")
+    vs = np.flatnonzero(servoed)
+    if not len(vs):
+        return spiral_search(worlds, pattern, timing)
+    if servo_cfg is None:
+        raise ModelsNotDeployed("servoed rows need one deployed model per camera")
+    batch_config(worlds)  # before the servo moves its rows
+    servo = [worlds[n] for n in vs]
+    starts, true_errors = np.array([w.tcp for w in servo]), true_inplane_errors(servo)
+    visual_servo(servo, servo_cfg)
     episodes = spiral_search(worlds, pattern, timing)
-    if vs:
-        col, ls = episodes.columns, np.array([w.config.insertion_direction for w in servoed])
-        moved = inplane_norm(np.array([w.tcp for w in servoed]) - starts, ls)
-        col["mode"][vs] = BENCH_MODES.index(MODE_VS)
-        col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
-        col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)
-        col["true_error_mm"][vs] = true_errors
-        col["time_s"][vs] += [servo_cfgs[n].time_s for n in vs]
+    col, l = episodes.columns, worlds[0].config.insertion_direction
+    moved = inplane_norm(np.array([w.tcp for w in servo]) - starts, l)
+    col["mode"][vs] = BENCH_MODES.index(MODE_VS)
+    col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
+    col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)
+    col["true_error_mm"][vs] = true_errors
+    col["time_s"][vs] += servo_cfg.time_s
     return episodes

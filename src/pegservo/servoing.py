@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig, ModelsNotDeployed, csv_text, write_artifact
-from .geometry import denormalize_error, reconstruct_error
+from .geometry import denormalize_error, reconstruct_error, scalar_error
 from .perception import predict_views
-from .sim import (TimingModel, WorldConfig, WorldState, check_int, move_tcp, render_views,
-                  true_inplane_error)
+from .sim import (TimingModel, WorldConfig, WorldState, check_int, move_tcps, render_views,
+                  true_inplane_errors)
 
 CLAMP_MM = 2.0  # largest correction one step applies; a longer one is saturated
 
@@ -63,58 +63,45 @@ class ServoStep(NamedTuple):
 
 def servo_step(world: WorldState, cfg: ServoConfig) -> ServoStep:
     """One capture-predict-reconstruct-correct cycle: servo_steps of one world."""
-    return servo_steps([world], [cfg])[0]
+    return servo_steps([world], cfg)[0]
 
 
-def servo_steps(worlds, cfgs) -> list:
-    """One capture-predict-reconstruct-correct cycle of each world under its
-    ServoConfig, the same for a world alone or in any batch.
+def servo_steps(worlds, cfg: ServoConfig) -> list:
+    """One capture-predict-reconstruct-correct cycle of each world, worlds of one
+    batch_config under one ServoConfig, the same for a world alone or in any batch.
 
-    Per camera, one render_views call draws every world's view (of one
-    resolution) and one predict_views call per model predicts its views. Per
-    world, the correction is clamped to CLAMP_MM (flagged as saturated) to
-    guard against wild predictions. A world whose move fails raises
-    ConstraintViolation, its TCP unchanged.
+    Per camera, one render_views call draws every world's view and one predict_views
+    call predicts them. The corrections are denormalized, clamped to CLAMP_MM (flagged
+    as saturated) to guard against wild predictions, and moved as arrays; only the
+    reconstruct_error solve runs per world. A failing move raises ConstraintViolation,
+    its world's TCP unchanged and the worlds before it moved.
     """
     tcps = np.array([world.tcp for world in worlds])
-    ys = [[] for _ in worlds]  # per world, its cameras' predicted y in order
-    for j in range(max((len(cfg.models) for cfg in cfgs), default=0)):
-        views = [k for k, cfg in enumerate(cfgs) if j < len(cfg.models)]
-        pixels, truth_y = render_views([worlds[k] for k in views], j, tcps[views])
-        models = [cfgs[k].models[j] for k in views]
-        for model in {id(m): m for m in models}.values():
-            rows = [row for row, m in enumerate(models) if m is model]
-            predictions = predict_views(model, pixels[rows], truth_y[rows]).tolist()
-            for row, y in zip(rows, predictions):
-                ys[views[row]].append(y)
-    steps = []
-    for world, cfg, y in zip(worlds, cfgs, map(tuple, ys), strict=True):
-        cams = cfg.calibration.cameras
-        q_mm = tuple(denormalize_error(yj, cam) for yj, cam in zip(y, cams))
-        rec = reconstruct_error(cfg.calibration.error_directions, q_mm)
-        e_hat = rec.error
-        norm = float(np.linalg.norm(e_hat))
-        saturated = norm > CLAMP_MM
-        if saturated:
-            e_hat = e_hat * (CLAMP_MM / norm)
-        move_tcp(world, world.tcp + e_hat)
-        steps.append(ServoStep(y, q_mm, e_hat, saturated, rec.ill_conditioned))
-    return steps
+    cams = cfg.calibration.cameras
+    y, q_mm = np.empty((2, len(worlds), len(cams)))
+    for j, (model, cam) in enumerate(zip(cfg.models, cams)):
+        y[:, j] = predict_views(model, *render_views(worlds, j, tcps))
+        q_mm[:, j] = denormalize_error(y[:, j], cam)
+    recs = [reconstruct_error(cfg.calibration.error_directions, q) for q in q_mm]
+    e_hat = np.array([rec.error for rec in recs])
+    norms = np.sqrt(scalar_error(e_hat, e_hat))  # each np.linalg.norm, bit for bit
+    saturated = norms > CLAMP_MM
+    e_hat[saturated] *= (CLAMP_MM / norms[saturated])[:, None]
+    move_tcps(worlds, tcps + e_hat)
+    return [ServoStep(tuple(yk), tuple(qk), ek, sat, rec.ill_conditioned) for yk, qk, ek, sat, rec
+            in zip(y.tolist(), q_mm.tolist(), e_hat, saturated.tolist(), recs)]
 
 
-def visual_servo(worlds, cfgs) -> list:
-    """Run each world's cfg.n_iters servo steps in lockstep, one servo_steps call
-    per iteration over the worlds not yet done; returns per world (steps,
-    residuals), the same alone or in any batch. residuals[i] is the true
-    in-plane error after step i (simulation-only diagnostic)."""
-    runs = [([], []) for _ in worlds]
-    for i in range(max((cfg.n_iters for cfg in cfgs), default=0)):
-        live = [k for k, cfg in enumerate(cfgs) if cfg.n_iters > i]
-        steps = servo_steps([worlds[k] for k in live], [cfgs[k] for k in live])
-        for k, step in zip(live, steps):
-            runs[k][0].append(step)
-            runs[k][1].append(true_inplane_error(worlds[k]))
-    return runs
+def visual_servo(worlds, cfg: ServoConfig) -> list:
+    """Run cfg.n_iters servo steps of worlds of one batch_config in lockstep, one
+    servo_steps call per iteration; returns per world (steps, residuals), the same
+    alone or in any batch. residuals[i] is the true in-plane error after step i
+    (simulation-only diagnostic)."""
+    steps, residuals = [], []
+    for _ in range(cfg.n_iters):
+        steps.append(servo_steps(worlds, cfg))
+        residuals.append(true_inplane_errors(worlds).tolist())
+    return [(list(s), list(r)) for s, r in zip(zip(*steps), zip(*residuals))]
 
 
 def write_trace_csv(steps, residuals, path) -> None:

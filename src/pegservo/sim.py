@@ -7,7 +7,6 @@ about the hidden state. Every simulated second is accounted through
 TimingModel so wall-clock comparisons between strategies are reproducible.
 """
 
-import itertools
 import json
 import math
 import typing
@@ -335,48 +334,60 @@ def _shared_basis(direction: bytes) -> np.ndarray:
     return basis
 
 
+def batch_config(worlds) -> WorldConfig:
+    """World 0's WorldConfig, which every world of a batch has, or one equal to it but for
+    the seed (a per-index factory builds one config per seed; no batched call reads
+    config.seed): another raises InvalidConfig naming the first world whose config differs."""
+    config = worlds[0].config
+    for k, world in enumerate(worlds):
+        if world.config is not config and (config_to_dict(world.config) | {"seed": 0}
+                                           != config_to_dict(config) | {"seed": 0}):
+            raise InvalidConfig(f"world {k}'s config differs from world 0's: "
+                                "a batch is one WorldConfig (seed aside)")
+    return config
+
+
 def new_world(config: WorldConfig) -> WorldState:
     """One config's world at the config's seed: new_worlds of one."""
-    return new_worlds([config], [config.seed])[0]
+    return new_worlds(config, [config.seed])[0]
 
 
-def new_worlds(configs, seeds) -> list:
-    """Per row, configs[k]'s world at seeds[k], an integer >= 0: draw the hidden state
+def new_worlds(config: WorldConfig, seeds) -> list:
+    """Per seed, an integer >= 0, the config's world at that seed: draw the hidden state
     (the hole's and the grasp's offsets, then the appearance, from the seed's scene
     stream) and park the TCP hover_height above the nominal hole along -l. The first
     draw that puts the true hole, or the peg at the approach pose, behind a camera
     raises InvalidConfig naming the seed and the drawn offset."""
-    seeds = [check_int("seed", seed, 0) for _, seed in zip(configs, seeds, strict=True)]
-    if not configs:
+    seeds = [check_int("seed", seed, 0) for seed in seeds]
+    if not seeds:
         return []
-    draws = np.empty((len(configs), 6))
+    draws = np.empty((len(seeds), 6))
     for row, scene in zip(draws, keyed_generators([[seed, 0] for seed in seeds])):
         scene.standard_normal(out=row[:4])  # the same as two standard_normal(2)
         scene.random(out=row[4:])  # uniform(a, b) is a + (b - a) * random()
-    holes2 = np.array([[cfg.hole_uncertainty_sigma] for cfg in configs]) * draws[:, :2]
-    grasps2 = np.array([[cfg.grasp_uncertainty_sigma] for cfg in configs]) * draws[:, 2:4]
+    holes2 = config.hole_uncertainty_sigma * draws[:, :2]
+    grasps2 = config.grasp_uncertainty_sigma * draws[:, 2:4]
     # Background level and hole finish vary per world (lighting, board);
     # the grasped part itself has fixed geometry and fixed grasp rotation,
     # so the glyph shape is deterministic.
     backgrounds = (0.4 + (0.6 - 0.4) * draws[:, 4]).tolist()
     radii = (3.6 + (4.4 - 3.6) * draws[:, 5]).tolist()
-    bases = [_shared_basis(cfg.insertion_direction.tobytes()) for cfg in configs]
-    nominals = np.array([cfg.nominal_hole for cfg in configs])
-    stacked = np.array(bases)  # each row of its products is basis @ offset, bit for bit
-    true_holes = nominals + (stacked @ holes2[:, :, None])[:, :, 0]
-    tcps = nominals - np.array([cfg.hover_height * cfg.insertion_direction for cfg in configs])
-    pegs = tcps + (stacked @ grasps2[:, :, None])[:, :, 0]  # at the approach pose
-    points = np.stack([true_holes, pegs], axis=1)
-    shared = {id(cfg): cfg for cfg in configs}.values()  # a grid's rows share their style's
-    if not all(cfg.sees(points[[c is cfg for c in configs]]) for cfg in shared):
-        k = next(k for k, cfg in enumerate(configs) if not cfg.sees(points[k]))
-        what, drawn = (("draws the hole", holes2[k]) if not configs[k].sees(true_holes[k])
+    basis = _shared_basis(config.insertion_direction.tobytes())
+    nominals = np.tile(config.nominal_hole, (len(seeds), 1))
+    # each row of a product with the shared basis is basis @ offset, bit for bit
+    true_holes = nominals + (basis @ holes2[:, :, None])[:, :, 0]
+    tcps = nominals - config.hover_height * config.insertion_direction
+    pegs = tcps + (basis @ grasps2[:, :, None])[:, :, 0]  # at the approach pose
+    if not config.sees(np.concatenate([true_holes, pegs])):
+        k = next(k for k, points in enumerate(zip(true_holes, pegs)) if not config.sees(points))
+        what, drawn = (("draws the hole", holes2[k]) if not config.sees(true_holes[k])
                        else ("puts the peg", grasps2[k]))
         raise InvalidConfig(f"seed {seeds[k]} {what} behind a camera "
                             f"(drawn offset {drawn.round(3).tolist()} mm)")
-    return [WorldState(cfg, seed, hole, grasp, nominal, tcp, Appearance(background, radius), B)
-            for cfg, seed, hole, grasp, nominal, tcp, background, radius, B in zip(
-                configs, seeds, true_holes, grasps2, nominals, tcps, backgrounds, radii, bases)]
+    return [WorldState(config, seed, hole, grasp, nominal, tcp,
+                       Appearance(background, radius), basis)
+            for seed, hole, grasp, nominal, tcp, background, radius in zip(
+                seeds, true_holes, grasps2, nominals, tcps, backgrounds, radii)]
 
 
 def peg_position(world: WorldState) -> np.ndarray:
@@ -385,8 +396,16 @@ def peg_position(world: WorldState) -> np.ndarray:
 
 def true_inplane_error(world: WorldState) -> float:
     """Hidden in-plane peg-to-hole distance (mm) at the TCP. Diagnostic only."""
-    return float(inplane_norm(world.true_hole - peg_position(world),
-                              world.config.insertion_direction))
+    return float(true_inplane_errors([world])[0])
+
+
+def true_inplane_errors(worlds) -> np.ndarray:
+    """Per world of one batch_config, true_inplane_error, on stacked rows: one product with
+    the batch's basis (world 0's), each row bit for bit the world's own."""
+    l = batch_config(worlds).insertion_direction
+    holes, tcps, grasps = (np.array(a) for a in zip(*(
+        (w.true_hole, w.tcp, w.grasp_offset) for w in worlds)))
+    return inplane_norm(holes - (tcps + (worlds[0].basis @ grasps[:, :, None])[:, :, 0]), l)
 
 
 def move_tcp(world: WorldState, new_tcp) -> None:
@@ -402,14 +421,14 @@ def move_tcp(world: WorldState, new_tcp) -> None:
     world.tcp = new_tcp
 
 
-def move_tcps(worlds, offsets) -> None:
-    """move_tcp of each world to tcp + basis @ its row of (n, 2) offsets: one stacked product
-    (each row bit for bit the world's own) and one check; a failing row raises move_tcp's error."""
-    tcps, bases, ls = (np.array(a) for a in zip(*(
-        (w.tcp, w.basis, w.config.insertion_direction) for w in worlds)))
-    targets = tcps + (bases @ np.asarray(offsets, dtype=float)[:, :, None])[:, :, 0]
+def move_tcps(worlds, targets) -> None:
+    """move_tcp of each world of one batch_config to its row of (n, 3) targets, with one
+    stacked check: a mixed batch moves no world, and a failing row raises move_tcp's
+    error, the rows before it moved."""
+    l = batch_config(worlds).insertion_direction
+    tcps = np.array([w.tcp for w in worlds])
     if not (np.isfinite(targets).all()
-            and (np.abs(scalar_error(targets - tcps, ls)) <= _INPLANE_TOL).all()):
+            and (np.abs(scalar_error(targets - tcps, l)) <= _INPLANE_TOL).all()):
         for world, target in zip(worlds, targets):
             move_tcp(world, target)  # raises the first failing row's error
     for world, target in zip(worlds, targets):
@@ -457,91 +476,74 @@ def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
     return Observation(pixels[0], float(truth_y[0]))
 
 
-def _per_view(values):
-    """The views' shared value as a scalar (it broadcasts faster), else an (m, 1, 1) column."""
-    return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
-
-
 def render_views(worlds, camera_index: int, tcps):
-    """One camera's views, of one resolution r, at (n, 3) TCPs, view k of
-    worlds[k] (or of one world shared by every view): (n, r, r) float32
-    pixels, (n,) truth_y.
+    """One camera's views at (n, 3) TCPs, view k of worlds[k] (or of one world shared by
+    every view), the worlds of one batch_config: (n, r, r) float32 pixels, (n,) truth_y.
 
-    Each crop is centered on its world's nominal hole projection; the hole is
-    a dark disc and the peg a bright style-specific glyph, each at its true
-    place. A disc's coverage is 0 beyond rad + edge/2 of its center, so each
-    layer of discs (the hole, then each glyph's disc k) is composited once,
-    on the union of its views' boxes (plus a spare pixel) that hit the image,
-    and a view keeps its bits outside its own: it is the same in any batch.
-    Each view's noise comes from a generator seeded by (world seed, camera
+    Each crop is centered on the nominal hole projection; the hole is a dark disc and
+    the peg a bright glyph of the config's style, each at its world's true place. A
+    disc's coverage is 0 beyond rad + edge/2 of its center, so each layer of discs (the
+    hole, with a centre and radius per view, then each glyph disc, with a centre per
+    view) is composited once, on the union of its views' boxes (plus a spare pixel)
+    that hit the image, and a view keeps its bits outside its own: it is the same in
+    any batch. Each view's noise comes from a generator seeded by (world seed, camera
     index, TCP position bits), so re-rendering a pose is bit-identical.
     """
-    if not all(0 <= camera_index < len(world.config.cameras) for world in worlds):
-        raise InvalidConfig(f"camera index {camera_index} out of range")
     tcps = np.asarray(tcps, dtype=float)
     if tcps.ndim != 2 or tcps.shape[1] != 3:
         raise ShapeMismatch(f"expected (n, 3) TCPs, got {tcps.shape}")
-    n, sizes = len(tcps), {world.config.cameras[camera_index].r for world in worlds}
-    if len(sizes) != 1 or len(worlds) not in (1, n):
-        raise ShapeMismatch(f"{len(worlds)} worlds of resolutions {sorted(sizes)} for {n} views")
+    n = len(tcps)
+    if len(worlds) not in {1, n} - {0}:
+        raise ShapeMismatch(f"{len(worlds)} worlds for {n} views")
+    cfg = batch_config(worlds)
+    if not 0 <= camera_index < len(cfg.cameras):
+        raise InvalidConfig(f"camera index {camera_index} out of range")
     if not np.isfinite(tcps).all():
         raise ConstraintViolation(f"render TCPs {tcps} are not finite")
-    r = sizes.pop()
+    cam = cfg.cameras[camera_index]
+    r = cam.r
     # per given world; one shared world's rows broadcast over the views
-    cams = [world.config.cameras[camera_index] for world in worlds]
-    holes, ls, us, offsets = (np.array(a) for a in zip(*(
-        (w.true_hole, w.config.insertion_direction, w.config.error_directions[camera_index],
-         w.basis @ w.grasp_offset) for w in worlds)))
-    pegs = tcps + offsets
-    holes_px = [project(cam, world.true_hole) for world, cam in zip(worlds, cams)]
-    if len(worlds) < n:
-        worlds, cams, holes_px = worlds * n, cams * n, holes_px * n
-    layers = []  # per view, its discs in compositing order: (x, y, radius, edge, intensity)
-    for world, cam, (hx, hy), peg in zip(worlds, cams, holes_px, pegs):
-        cfg = world.config
-        sx, sy = cfg.crop_shifts[camera_index].tolist()
-        px, py = project(cam, peg)
-        layers.append([(float(hx) + sx, float(hy) + sy, world.appearance.hole_radius_px,
-                        HOLE_EDGE_WIDTH, HOLE_INTENSITY)])
-        if cfg.peg_intensity is not None:
-            px, py = float(px) + sx, float(py) + sy
-            layers[-1] += [(px + du, py + dv, rad, EDGE_WIDTH,
-                            cfg.peg_intensity if i is None else i)
-                           for du, dv, rad, i in _GLYPHS[cfg.component_style]]
+    holes, grasps, looks = (np.array(a) for a in zip(*(
+        (w.true_hole, w.grasp_offset, (w.appearance.background, w.appearance.hole_radius_px))
+        for w in worlds)))
+    backgrounds, radii = np.broadcast_to(looks, (n, 2)).T
+    pegs = tcps + (worlds[0].basis @ grasps[:, :, None])[:, :, 0]
+    sx, sy = cfg.crop_shifts[camera_index].tolist()
+    hx, hy = (np.broadcast_to(c, n) for c in project(cam, holes))
+    px, py = project(cam, pegs)
+    layers = [(hx + sx, hy + sy, radii, HOLE_EDGE_WIDTH, HOLE_INTENSITY)]  # in compositing order
+    if cfg.peg_intensity is not None:
+        px, py = px + sx, py + sy
+        layers += [(px + du, py + dv, rad, EDGE_WIDTH, cfg.peg_intensity if i is None else i)
+                   for du, dv, rad, i in _GLYPHS[cfg.component_style]]
     img, grid = np.empty((n, r, r)), np.arange(r, dtype=float)
-    img[:] = _per_view([world.appearance.background for world in worlds])
-    for layer in itertools.zip_longest(*layers):  # None where a view has no such disc
-        shown = []
-        for k, disc in enumerate(layer):
-            if disc is not None:
-                x, y, rad, edge, _ = disc
-                reach = rad + edge / 2.0 + 1.0
-                if (-1.0 < x + reach and x - reach < r  # false for inf
-                        and -1.0 < y + reach and y - reach < r):
-                    shown.append((k, reach, *disc))
-        if not shown:
+    img[:] = backgrounds[:, None, None]
+    for xs, ys, rad, edge, intensity in layers:
+        reach = np.broadcast_to(rad + edge / 2.0 + 1.0, n)
+        shown = ((-1.0 < xs + reach) & (xs - reach < r)  # false for inf
+                 & (-1.0 < ys + reach) & (ys - reach < r))
+        if not shown.any():
             continue
-        views, reaches, xs, ys, *params = zip(*shown)
-        reach = max(reaches)
-        x0, x1 = max(math.floor(min(xs) - reach), 0), min(math.ceil(max(xs) + reach) + 1, r)
-        y0, y1 = max(math.floor(min(ys) - reach), 0), min(math.ceil(max(ys) + reach) + 1, r)
-        cx, cy, rad, edge, intensity = map(_per_view, (xs, ys, *params))
-        views = slice(None) if len(views) == n else list(views)
-        dist = np.hypot(grid[x0:x1] - cx, grid[y0:y1, None] - cy)
+        views = slice(None) if shown.all() else np.flatnonzero(shown)
+        xs, ys, reach = xs[views], ys[views], reach[views].max()
+        x0, x1 = max(math.floor(xs.min() - reach), 0), min(math.ceil(xs.max() + reach) + 1, r)
+        y0, y1 = max(math.floor(ys.min() - reach), 0), min(math.ceil(ys.max() + reach) + 1, r)
+        rad = rad[views][:, None, None] if np.ndim(rad) else rad
+        dist = np.hypot(grid[x0:x1] - xs[:, None, None], grid[y0:y1, None] - ys[:, None, None])
         # np.clip without its wrapper's cost; they differ only on -0.0, never here
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    keys = [[world.seed, camera_index, *bits]
-            for world, bits in zip(worlds, tcps.view(np.uint64).tolist())]
+    keys = [[seed, camera_index, *bits] for seed, bits in zip(
+        [w.seed for w in worlds] * (n // len(worlds)), tcps.view(np.uint64).tolist())]
     noise = np.empty((r, r))
     for view, noise_rng in zip(img, keyed_generators(keys)):
         view += np.multiply(noise_rng.standard_normal(out=noise), NOISE_SIGMA, out=noise)
 
-    q = scalar_error(inplane_component(holes - pegs, ls), us).tolist()
-    truth_y = np.array([normalize_error(qk, cam) for qk, cam in zip(q, cams)])
+    q = scalar_error(inplane_component(holes - pegs, cfg.insertion_direction),
+                     cfg.error_directions[camera_index])
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
-    return img.astype(np.float32), truth_y
+    return img.astype(np.float32), normalize_error(q, cam)
 
 
 MODE_VS = "vs"
@@ -650,9 +652,11 @@ def _ring_band(offsets, miss, thr):
 def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     """Per world, try pattern offsets from its TCP in order until one inserts.
 
-    An episode's time_s is its attempts times t_attempt. A world's TCP ends at
-    its hit, or back at its start with a nan retrospective error. Returns the
-    batch of one novs episode per world, its true error measured at the start.
+    The worlds share one batch_config, so one basis (world 0's), direction, tolerance
+    and style; a pattern of another tolerance warns once per call. An episode's
+    time_s is its attempts times t_attempt. A world's TCP ends at its hit, or back at
+    its start with a nan retrospective error. Returns the batch of one novs episode
+    per world, its true error measured at the start.
 
     The offsets in each world's _ring_band are screened by the squared in-plane
     peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which differs
@@ -666,59 +670,55 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     """
     if not worlds:
         return Episodes.of([])
-    keys = {}  # per shared (basis, direction), its first world
-    bases, ls, holes, origins, grasps, tols, group, seeds, styles = (np.array(a) for a in zip(*(
-        (w.basis, w.config.insertion_direction, w.true_hole, w.tcp, w.grasp_offset,
-         w.config.tolerance, keys.setdefault((id(w.basis), id(w.config.insertion_direction)), k),
-         w.seed, COMPONENT_STYLES.index(w.config.component_style))
-        for k, w in enumerate(worlds))))
+    cfg, basis = batch_config(worlds), worlds[0].basis
+    l, tol = cfg.insertion_direction, cfg.tolerance
+    holes, origins, grasps, seeds = (np.array(a) for a in zip(*(
+        (w.true_hole, w.tcp, w.grasp_offset, w.seed) for w in worlds)))
     offsets, got = pattern.offsets, float(pattern.tolerance)
-    other = tols[tols != got]  # an equal tolerance is always close
-    for tol in other[~np.isclose(got, other)].tolist() if len(other) else ():
+    if tol != got and not np.isclose(got, tol):
         warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
-    shift = (bases @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
+    shift = (basis @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
     pegs = origins + shift  # peg_position at each start
-    miss = (np.swapaxes(bases, 1, 2) @ (holes - pegs)[:, :, None])[:, :, 0]
+    miss = (basis.T @ (holes - pegs)[:, :, None])[:, :, 0]
     scale = np.maximum(np.abs(offsets).max(initial=0.0),
                        np.maximum(np.abs(holes).max(axis=1), np.abs(pegs).max(axis=1)))
-    thr = tols + 1e-9 * (tols + scale)
+    thr = tol + 1e-9 * (tol + scale)
     wi, ki = _ring_band(offsets, miss, thr)
     d = np.square(np.take(offsets, ki, axis=0) - np.take(miss, wi, axis=0))  # take: faster
     passed = d[:, 0] + d[:, 1] <= np.take(np.square(thr), wi)
     wi, ki = wi[passed], ki[passed]
-    tcps = origins[wi] + (bases[wi] @ offsets[ki][:, :, None])[:, :, 0]
-    confirmed = inplane_norm(holes[wi] - (tcps + shift[wi]), ls[wi]) <= tols[wi]
+    tcps = origins[wi] + (basis @ offsets[ki][:, :, None])[:, :, 0]
+    confirmed = inplane_norm(holes[wi] - (tcps + shift[wi]), l) <= tol
     wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
     hit, first = np.unique(wi, return_index=True)  # wi is in pattern order per world
     success = np.zeros(len(worlds), dtype=bool)
     attempts, finals = np.full(len(worlds), len(offsets)), origins.copy()
     success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
-    retros = np.where(success, inplane_norm(finals - origins, ls), np.nan)
-    true_errors = inplane_norm(holes - pegs, ls)
-    # A world's path steps through a prefix of its group's moves m_k = basis @ offset_k,
-    # from its start s and, on a failure, back. Per coordinate i, with M = max|m_k,i|, a
-    # step (s + m_k) - (s + m_k-1) is off m_k - m_k-1 by eps (|s_i| + 2M) (half an ulp of
-    # each sum and of the difference); its dot with l rounds by 1.5 eps sum_i |l_i| 2M, and
-    # the computed largest |(m_k - m_k-1) . l| is off by 2 eps of the same: 4.5 eps sum_i
+    retros = np.where(success, inplane_norm(finals - origins, l), np.nan)
+    true_errors = inplane_norm(holes - pegs, l)
+    # A world's path steps through a prefix of the moves m_k = basis @ offset_k, from its
+    # start s and, on a failure, back. Per coordinate i, with M = max|m_k,i|, a step
+    # (s + m_k) - (s + m_k-1) is off m_k - m_k-1 by eps (|s_i| + 2M) (half an ulp of each
+    # sum and of the difference); its dot with l rounds by 1.5 eps sum_i |l_i| 2M, and the
+    # computed largest |(m_k - m_k-1) . l| is off by 2 eps of the same: 4.5 eps sum_i
     # |l_i| (|s_i| + 2M) to first order, as check_rounding reasons; 8 eps covers the rest.
-    moves, bound, max_move = {}, np.empty(len(worlds)), np.empty((len(worlds), 1))
-    for k in keys.values():
-        moves[k], members = offsets @ bases[k].T, group == k
-        bound[members] = np.abs(np.diff(moves[k], axis=0, prepend=0.0, append=0.0) @ ls[k]).max()
-        max_move[members] = np.abs(moves[k]).max(initial=0.0)  # M
-    bound += 8.0 * np.finfo(float).eps * scalar_error(np.abs(origins) + 2.0 * max_move, np.abs(ls))
+    moves = offsets @ basis.T
+    bound = (np.abs(np.diff(moves, axis=0, prepend=0.0, append=0.0) @ l).max()
+             + 8.0 * np.finfo(float).eps * scalar_error(
+                 np.abs(origins) + 2.0 * np.abs(moves).max(initial=0.0), np.abs(l)))
     for k in np.flatnonzero(~(bound <= _INPLANE_TOL)).tolist():
-        path = np.concatenate((origins[k:k + 1], origins[k] + moves[group[k]][:attempts[k]])
+        path = np.concatenate((origins[k:k + 1], origins[k] + moves[:attempts[k]])
                               + (() if success[k] else (origins[k:k + 1],)))
-        _check_inplane(float(np.abs((path[1:] - path[:-1]) @ ls[k]).max(initial=0.0)))
+        _check_inplane(float(np.abs((path[1:] - path[:-1]) @ l).max(initial=0.0)))
     for world, final in zip(worlds, finals):
         world.tcp = final
-    return Episodes(style=styles.astype(np.uint8),
-                    mode=np.full(len(worlds), BENCH_MODES.index(MODE_NOVS), dtype=np.uint8),
+    n, style = len(worlds), COMPONENT_STYLES.index(cfg.component_style)
+    return Episodes(style=np.full(n, style, dtype=np.uint8),
+                    mode=np.full(n, BENCH_MODES.index(MODE_NOVS), dtype=np.uint8),
                     seed=seeds, retrospective_error_mm=retros, true_error_mm=true_errors,
                     time_s=attempts * timing.t_attempt,
                     attempts=attempts, success=success, direct=success & (attempts == 1),
-                    post_servo_retrospective_error_mm=np.full(len(worlds), np.nan))
+                    post_servo_retrospective_error_mm=np.full(n, np.nan))
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

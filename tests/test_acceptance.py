@@ -197,14 +197,13 @@ def test_criterion_4_noiseless_oracle_cancels_in_one_step():
             offset = mag * np.array([np.cos(ang), np.sin(ang)])
             move_tcp(world, world.tcp + world.basis @ offset)
             cfg = servo_config_for(world, oracles, n_iters=1)
-            [(_, residuals)] = visual_servo([world], [cfg])
+            [(_, residuals)] = visual_servo([world], cfg)
             worst_one_step = max(worst_one_step, residuals[-1],
                                  true_inplane_error(world))
     world = new_world(WorldConfig(hole_uncertainty_sigma=0.0,
                                   grasp_uncertainty_sigma=0.0, seed=77))
     move_tcp(world, world.tcp + world.basis @ np.array([1.2, -0.9]))
-    [(_, residuals)] = visual_servo([world], [servo_config_for(world, oracles,
-                                                               n_iters=3)])
+    [(_, residuals)] = visual_servo([world], servo_config_for(world, oracles, n_iters=3))
     elapsed = CLOCK() - t0
     ok = (worst_one_step <= 1e-9 and len(residuals) == 3
           and max(residuals) <= 1e-9 and elapsed < budget)

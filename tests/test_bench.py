@@ -100,8 +100,9 @@ def test_grid_rows_are_the_episodes_of_numpys_per_row_streams():
 
 
 def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
-    # three blocks, so jobs=2 maps them over two processes; an oracle's noise
-    # is keyed by each view it sees, so no row depends on its block
+    # two blocks per style, so jobs=2 maps them over two processes; an
+    # oracle's noise is keyed by each view it sees, so no row depends on its
+    # block: 7 does not divide a style's 40 rows and 64 exceeds them
     cfg = _small_cfg(insertions_per_style_per_mode=20)
     assert len(cfg.component_styles) * 20 * len(cfg.modes) > 2 * bench._BLOCK
     noisy = {s: (OracleModel(noise_sigma=0.02), OracleModel(noise_sigma=0.02))
@@ -109,8 +110,24 @@ def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
     rows = run_benchmark(cfg, noisy).rows
     assert repr(run_benchmark(cfg, noisy, jobs=2).rows) == repr(rows)
     assert run_benchmark(cfg, noisy, jobs=2).rows == rows
-    monkeypatch.setattr(bench, "_BLOCK", 5)
-    assert repr(run_benchmark(cfg, noisy).rows) == repr(rows)
+    blocks, new_worlds = [], bench.new_worlds
+
+    def recording(config, seeds):
+        blocks.append((config, list(seeds)))
+        return new_worlds(config, seeds)
+
+    monkeypatch.setattr(bench, "new_worlds", recording)
+    for size in (5, 7, 64):
+        monkeypatch.setattr(bench, "_BLOCK", size)
+        blocks.clear()
+        assert repr(run_benchmark(cfg, noisy).rows) == repr(rows)
+        # a block is one style: one config object, cut at the style boundary
+        assert [c.component_style for c, _ in blocks] == [
+            s for s in cfg.component_styles for _ in range(math.ceil(20 * 2 / size))]
+        assert all(isinstance(c, WorldConfig) and 0 < len(seeds) <= size
+                   for c, seeds in blocks)
+        assert len({id(c) for c, _ in blocks}) == 2
+        assert [seed for _, seeds in blocks for seed in seeds] == rows.columns["seed"].tolist()
     # the noise reaches the vs rows only: search-only episodes never servo
     pairs = list(zip(rows, run_benchmark(cfg, ORACLE_MODELS).rows))
     assert all(repr(a) == repr(b) for a, b in pairs if a.mode == "novs")
@@ -160,9 +177,10 @@ def test_grid_episodes_build_no_collection_stream(monkeypatch):
     worlds, new_worlds = [], bench.new_worlds
     keys, kernel = [], pipeline.keyed_generators
 
-    def recording(configs, seeds):
-        worlds.extend(new_worlds(configs, seeds))
-        return worlds[-len(configs):]
+    def recording(config, seeds):
+        block = new_worlds(config, seeds)
+        worlds.extend(block)
+        return block
 
     def recording_keys(batch):
         keys.extend(batch)
@@ -223,13 +241,13 @@ def test_a_vs_grid_refuses_a_drawn_peg_whose_disc_a_camera_cannot_see(monkeypatc
     with pytest.raises(InvalidConfig, match=message) as refused:
         run_benchmark(run.bench, ORACLE_MODELS)
     seed = int(re.match(message, str(refused.value)).group(1))
-    [world] = new_worlds([run.world], [seed])
+    [world] = new_worlds(run.world, [seed])
     peg = world.tcp + world.basis @ world.grasp_offset
     assert run.world.sees_disc(702.0) and not run.world.sees_disc(702.0 + CLAMP_MM, [peg])
     monkeypatch.setattr(servoing, "render_views", None)  # a render would raise TypeError
     servo = {"led": ServoConfig(ORACLE_MODELS["led"], run.world, 3, run.timing)}
     with pytest.raises(InvalidConfig, match=message):
-        bench._run_block(run.bench, servo, ([(run.world, 0, "novs"), (run.world, seed, "vs")],
+        bench._run_block(run.bench, servo, (run.world, [0, seed], np.array([False, True]),
                                             np.zeros((2, 2))))
     # a 500 mm disc keeps every drawn peg's disc in sight, and the grid runs
     raw["bench"].update(error_disc_radius=500, insertions_per_style_per_mode=40)
@@ -358,7 +376,7 @@ def test_a_world_the_rounding_rule_accepts_spirals_over_its_disc_in_plane(
         assert not far or "in-plane moves there can round" in str(exc)
         return
     assert not far
-    worlds = new_worlds([run.world] * 4, range(4))
+    worlds = new_worlds(run.world, range(4))
     radius = run.bench.error_disc_radius
     for k, w in enumerate(worlds):  # a start on the disc's rim, then a hole no offset
         angle = k * math.pi / 2.0  # reaches, so each spiral walks its whole pattern
@@ -502,19 +520,32 @@ _floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
 _errors = st.one_of(st.floats(allow_nan=False, allow_infinity=True),
                     st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+# what a run writes: finite times and errors >= 0 (-0.0 among them)
+_written = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                     st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]))
+
+
+def _a_run_writes(row) -> bool:
+    """read_rows' range rule, one value at a time: a 63-bit seed, and a finite time
+    and errors >= 0 where they are numbers."""
+    numbers = [row.time_s, row.true_error_mm] + [
+        e for e in (row.retrospective_error_mm, row.post_servo_retrospective_error_mm)
+        if not math.isnan(e)]
+    return 0 <= row.seed <= 2**63 - 1 and all(0.0 <= v < math.inf for v in numbers)
 
 
 @st.composite
-def episodes(draw):
-    """Random Episodes that keep every rule read_rows checks."""
+def episodes(draw, numbers=_written, errors=_written):
+    """Random Episodes that keep every rule read_rows checks (with numbers and errors
+    wider than _written, every rule but the range rule)."""
     mode, success = draw(st.sampled_from(BENCH_MODES)), draw(st.booleans())
     attempts = draw(st.one_of(st.just(1), st.integers(1, 10**6)))
     return Episode(style=draw(st.sampled_from(COMPONENT_STYLES)), mode=mode,
                    seed=draw(st.integers(0, 2**63 - 1)),
-                   retrospective_error_mm=draw(_errors) if success else math.nan,
-                   true_error_mm=draw(_floats), time_s=draw(_floats),
+                   retrospective_error_mm=draw(errors) if success else math.nan,
+                   true_error_mm=draw(numbers), time_s=draw(numbers),
                    attempts=attempts, success=success,
-                   post_servo_retrospective_error_mm=(draw(_errors)
+                   post_servo_retrospective_error_mm=(draw(errors)
                                                       if success and mode == "vs"
                                                       else math.nan),
                    direct=success and attempts == 1)
@@ -532,8 +563,8 @@ def test_rows_csv_round_trip(tmp_path_factory, rows):
 @st.composite
 def numpy_float_episodes(draw):
     """An Episode with some of its floats np.float64, and the same Episode in
-    Python floats only."""
-    row = draw(episodes())
+    Python floats only; its floats may be any, nan and infinities included."""
+    row = draw(episodes(_floats, _errors))
     numpy = {f.name: np.float64(getattr(row, f.name)) for f in fields(Episode)
              if f.type is float and draw(st.booleans())}
     return row, replace(row, **numpy)
@@ -549,7 +580,11 @@ def test_numpy_floats_write_the_csv_of_python_ones(tmp_path_factory, pairs):
             emit_report(build_report(rows), out)
     for name in ("rows.csv", "scatter.csv", "table.csv", "summary.json"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
-    assert repr(read_rows(outs[1] / "rows.csv")) == repr(python)
+    if all(map(_a_run_writes, python)):
+        assert repr(read_rows(outs[1] / "rows.csv")) == repr(python)
+    else:
+        with pytest.raises(CorruptArtifact, match="out of range"):
+            read_rows(outs[1] / "rows.csv")
 
 
 def test_numpy_timing_rows_read_back(tmp_path):
@@ -604,6 +639,39 @@ def test_read_rows_rejects_an_unknown_style_or_mode(tmp_path, name, good, bad):
     value = bad.strip(",")
     with pytest.raises(CorruptArtifact, match=f"line 3: unknown {name} '{value}'$"):
         read_rows(path)
+
+
+@pytest.mark.parametrize("mode, old, new", [
+    ("novs", "led,novs,5,", "led,novs,-5,"),  # once made the seed column float64
+    ("novs", "led,novs,5,", f"led,novs,{2**63},"),
+    ("novs", "led,novs,5,", f"led,novs,{2**64 - 1},"),
+    ("novs", ",2.5,10,", ",-2.5,10,"),  # time_s
+    ("novs", ",2.5,10,", ",inf,10,"),
+    ("novs", ",2.5,10,", ",nan,10,"),
+    ("vs", ",0.3,1.5,", ",-0.3,1.5,"),  # true_error_mm
+    ("vs", ",0.3,1.5,", ",inf,1.5,"),
+    ("vs", ",0.3,1.5,", ",nan,1.5,"),
+    ("vs", ",5,0.02,", ",5,inf,"),  # retrospective_error_mm
+    ("vs", ",5,0.02,", ",5,-0.02,"),
+    ("vs", ",1,1,0.02,1", ",1,1,inf,1"),  # post_servo_retrospective_error_mm
+    ("vs", ",1,1,0.02,1", ",1,1,-0.02,1"),
+], ids=["seed-negative", "seed-2**63", "seed-2**64-1", "time-negative", "time-inf",
+        "time-nan", "true-negative", "true-inf", "true-nan", "retro-inf", "retro-negative",
+        "post-inf", "post-negative"])
+def test_read_rows_rejects_a_value_no_run_writes(tmp_path, mode, old, new):
+    assert old in _GOOD[mode]
+    path = tmp_path / "rows.csv"
+    header = ",".join(f.name for f in fields(Episode))
+    path.write_text("\n".join([header, _GOOD["vs"], _GOOD[mode].replace(old, new)]) + "\n")
+    with pytest.raises(CorruptArtifact, match="line 3: seed, time or error out of range"):
+        read_rows(path)
+    # the largest seed a run writes reads back as an integer column, and a -0.0 time
+    edge = _GOOD[mode].replace(",5,", f",{2**63 - 1},").replace(
+        ",2.5,10,", ",-0.0,10,").replace(",1.5,1,", ",-0.0,1,")
+    path.write_text("\n".join([header, _GOOD["vs"], edge]) + "\n")
+    rows = read_rows(path)
+    assert rows.columns["seed"].dtype == np.int64
+    assert rows.columns["seed"].tolist() == [5, 2**63 - 1]
 
 
 def test_episodes_of_refuses_an_unknown_style_or_mode():

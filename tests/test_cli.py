@@ -367,12 +367,15 @@ _ROW = "led,novs,5,0.25,0.3,2.5,10,1,nan,0"
     (None, [_ROWS_HEADER, _ROW + ",1"], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, _ROW.replace("novs", "both")], "CorruptArtifact:"),
     (None, [_ROWS_HEADER, "led,vs,5,nan,0.3,2.5,7,0,nan,1"], "CorruptArtifact:"),
+    (None, [_ROWS_HEADER, _ROW.replace(",5,", ",-5,"),
+            _ROW.replace(",5,", f",{2**64 - 1},")], "CorruptArtifact:"),
 ], ids=["gate-key", "train-not-object", "timing-string", "camera-no-position",
         "bench-timing", "bench-tolerance", "bench-disc-nan", "timing-negative", "config-not-object",
         "world-extra-error-radius", "train-hidden-negative",
         "train-hidden-float", "train-hidden-zero", "train-lambda-negative",
         "rows-float",
-        "rows-header", "rows-field-count", "rows-mode", "rows-direct-failure"])
+        "rows-header", "rows-field-count", "rows-mode", "rows-direct-failure",
+        "rows-seed-negative"])
 def test_bad_input_exits_1_with_typed_error(tmp_path, capsys, config, rows, error):
     if rows is None:
         path = tmp_path / "config.json"
@@ -593,7 +596,7 @@ def test_the_library_refuses_what_the_cli_refuses(argv, config, error):
         run = RunConfig.from_dict(config, seed=seed)
         n = run.collection.n_insertions if argv[0] == "collect" else 1
         with pytest.raises(PegServoError) as exc:
-            new_worlds([run.world] * n, [seed + i for i in range(n)])
+            new_worlds(run.world, [seed + i for i in range(n)])
     else:
         with pytest.raises(PegServoError) as exc:
             RunConfig.from_dict(config)

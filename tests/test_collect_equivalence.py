@@ -71,10 +71,12 @@ def test_collection_matches_the_per_sample_reference(
              math.sin(tilt) * math.sin(azimuth), -math.cos(tilt))
 
     def factory(i):
-        # a 5 mm hole draw is far outside the 1 mm pattern: that insertion fails
-        return new_world(WorldConfig(
-            component_style=style, seed=seed + i, insertion_direction=l,
-            hole_uncertainty_sigma=5.0 if i in failing else 0.01))
+        # a hole moved 10 mm is far outside the 1 mm pattern: that insertion fails
+        world = new_world(WorldConfig(component_style=style, seed=seed + i,
+                                      insertion_direction=l))
+        if i in failing:
+            world.true_hole = world.true_hole + 10.0 * world.basis[:, 0]
+        return world
 
     cfg = CollectionConfig(n_insertions=n_insertions, samples_per_insertion=samples,
                            max_offset_mag=max_offset_mag, max_height=max_height,

@@ -145,7 +145,7 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
 
     calls.clear()
     world = factory(3)
-    visual_servo([world], [servo_config_for(world, (OracleModel(), OracleModel()))])
+    visual_servo([world], servo_config_for(world, (OracleModel(), OracleModel())))
     assert len(calls) == 2  # the servo reads the world's config, one per camera
 
 
@@ -191,7 +191,7 @@ def test_collection_rejects_worlds_with_other_cameras():
     with pytest.MonkeyPatch.context() as mp:
         for name in ("render_views", "spiral_search"):
             mp.setattr(pegservo.pipeline, name, lambda *a, name=name: work.append(name))
-        with pytest.raises(InvalidConfig, match="insertion 1"):
+        with pytest.raises(InvalidConfig, match="^world 1's config differs from world 0's"):
             collect_dataset(factory([1000.0, 2000.0]), cfg, pattern)
     assert work == []  # every world is checked before any insertion or render
     # equal cameras built by separate configs are one calibration
@@ -208,9 +208,11 @@ def test_collection_searches_once_and_keeps_only_inserted_samples(monkeypatch):
     monkeypatch.setattr(pegservo.pipeline, "spiral_search", counted)
 
     def factory(i):
-        # a 5 mm hole draw is far outside the 1 mm pattern: insertion 1 fails
-        return new_world(WorldConfig(seed=500 + i,
-                                     hole_uncertainty_sigma=5.0 if i == 1 else 0.01))
+        # a hole moved 10 mm is far outside the 1 mm pattern: insertion 1 fails
+        world = new_world(WorldConfig(seed=500 + i))
+        if i == 1:
+            world.true_hole = world.true_hole + 10.0 * world.basis[:, 0]
+        return world
 
     cfg = CollectionConfig(n_insertions=3, samples_per_insertion=4,
                            train_insertions=1)
@@ -348,7 +350,7 @@ def test_insert_runs_a_noisy_oracle():
     assert out.mode == "vs" and out.success
     assert out.post_servo_retrospective_error_mm > 0.1  # the noise reached the servo
     ws = [off_world(s) for s in (5, 3)]
-    batch = insert_batch(ws, [servo_config_for(w, models) for w in ws], pattern, timing)
+    batch = insert_batch(ws, servo_config_for(ws[0], models), [True, True], pattern, timing)
     assert repr(batch[1]) == repr(out)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo.errors import ConstraintViolation, ShapeMismatch
+from pegservo.errors import ConstraintViolation, InvalidConfig, ShapeMismatch
 from pegservo.geometry import (error_direction, inplane_component,
                                normalize_error, project, scalar_error, vec3)
 from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
@@ -135,27 +135,32 @@ world_views = st.tuples(st.sampled_from(COMPONENT_STYLES), st.integers(0, 2**32 
 @settings(max_examples=100, deadline=None)
 @given(views=st.lists(world_views, min_size=1, max_size=6))
 def test_render_views_match_each_world_rendered_alone(views):
-    worlds, tcps = [], []
+    # one batch per config (style and peg marking), its worlds built one
+    # config per seed, as a per-index factory builds them
+    batches = {}
     for style, seed, peg_intensity, off_mm, theta, height in views:
         world = new_world(WorldConfig(component_style=style, seed=seed,
                                       peg_intensity=peg_intensity))
-        worlds.append(world)
-        tcps.append(world.tcp - height * world.config.insertion_direction
-                    + world.basis @ (off_mm * np.array([math.cos(theta), math.sin(theta)])))
-    for j in range(2):
-        pixels, truth_y = render_views(worlds, j, np.array(tcps))
-        assert pixels.shape == (len(worlds), 64, 64) and pixels.dtype == np.float32
-        for k, (world, tcp) in enumerate(zip(worlds, tcps)):
-            obs = render(world, j, tcp)
-            assert pixels[k].tobytes() == obs.pixels.tobytes()
-            assert repr(float(truth_y[k])) == repr(obs.truth_y)
+        tcp = (world.tcp - height * world.config.insertion_direction
+               + world.basis @ (off_mm * np.array([math.cos(theta), math.sin(theta)])))
+        batches.setdefault((style, peg_intensity), []).append((world, tcp))
+    for batch in batches.values():
+        worlds, tcps = zip(*batch)
+        for j in range(2):
+            pixels, truth_y = render_views(worlds, j, np.array(tcps))
+            assert pixels.shape == (len(worlds), 64, 64) and pixels.dtype == np.float32
+            for k, (world, tcp) in enumerate(zip(worlds, tcps)):
+                obs = render(world, j, tcp)
+                assert pixels[k].tobytes() == obs.pixels.tobytes()
+                assert repr(float(truth_y[k])) == repr(obs.truth_y)
 
 
 def test_render_views_need_one_resolution_and_one_world_per_view():
+    # worlds of two resolutions are two configs: the batch is refused
     world = new_world(WorldConfig(seed=2))
     small = new_world(WorldConfig(seed=3, cameras=default_cameras(vec3(0.0, 0.0, 0.0),
                                                                   vec3(0.0, 0.0, -1.0), r=32)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidConfig, match="^world 1's config differs from world 0's"):
         render_views([world, small], 0, np.array([world.tcp, small.tcp]))
     with pytest.raises(ShapeMismatch):  # two worlds for three views
         render_views([world, world], 0, np.array([world.tcp] * 3))

@@ -39,7 +39,7 @@ def test_one_step_cancels_any_error_below_clamp():
 def test_three_iterations_residuals_all_zero():
     w = _world_with_error([0.9, -0.4])
     cfg = servo_config_for(w, ORACLES)
-    [(_, residuals)] = visual_servo([w], [cfg])
+    [(_, residuals)] = visual_servo([w], cfg)
     assert len(residuals) == 3
     assert all(r <= 1e-9 for r in residuals)
 
@@ -101,8 +101,7 @@ def test_more_iterations_do_not_hurt():
     sigma = 0.01
     models = (OracleModel(noise_sigma=sigma), OracleModel(noise_sigma=sigma))
     worlds = [_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)]
-    residuals = [r for _, r in visual_servo(
-        worlds, [servo_config_for(w, models) for w in worlds])]
+    residuals = [r for _, r in visual_servo(worlds, servo_config_for(worlds[0], models))]
     floor = {sigma * cam.r * cam.z / cam.f for cam in worlds[0].config.cameras}
     assert len(floor) == 1
     floor = floor.pop()  # 0.32 mm
@@ -118,16 +117,12 @@ def test_iterations_reduce_miscalibration_error():
     c, s = math.cos(ang), math.sin(ang)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     models = (OracleModel(noise_sigma=0.001), OracleModel(noise_sigma=0.001))
-    worlds, cfgs = [], []
-    for seed in range(50):
-        w = _world_with_error([0.8, -0.6], seed=seed)
-        believed = tuple(
-            aimed_camera(R @ cam.position, w.nominal_hole, L, cam.f, cam.r)
-            for cam in w.config.cameras)
-        worlds.append(w)
-        cfgs.append(ServoConfig(models=models,
-                                calibration=replace(w.config, cameras=believed)))
-    residuals = [r for _, r in visual_servo(worlds, cfgs)]
+    worlds = [_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)]
+    config = worlds[0].config
+    believed = tuple(aimed_camera(R @ cam.position, config.nominal_hole, L, cam.f, cam.r)
+                     for cam in config.cameras)
+    cfg = ServoConfig(models=models, calibration=replace(config, cameras=believed))
+    residuals = [r for _, r in visual_servo(worlds, cfg)]
     after_1, _, after_3 = np.mean(residuals, axis=0)
     assert after_3 < after_1
 
@@ -146,7 +141,7 @@ def test_servo_stays_in_plane():
     w = _world_with_error([1.0, 0.7], seed=3)
     z_before = float(np.dot(w.tcp, L))
     cfg = servo_config_for(w, ORACLES)
-    visual_servo([w], [cfg])
+    visual_servo([w], cfg)
     assert float(np.dot(w.tcp, L)) == pytest.approx(z_before, abs=1e-12)
 
 
@@ -173,7 +168,7 @@ def test_trained_models_servo_within_tolerance(led_ridge):
         w = new_world(WorldConfig(component_style="led", seed=77_000 + seed))
         move_tcp(w, w.tcp + w.basis @ np.array([math.cos(theta), math.sin(theta)]))
         worlds.append(w)
-    runs = visual_servo(worlds, [servo_config_for(w, models) for w in worlds])
+    runs = visual_servo(worlds, servo_config_for(worlds[0], models))
     ok = sum(residuals[-1] <= 0.05 for _, residuals in runs)
     assert ok >= 45  # >= 90% of 50
 
@@ -186,25 +181,27 @@ def _servo_run(world, steps, residuals):
 
 
 def test_visual_servo_is_batch_independent(led_ridge):
-    # worlds of mixed n_iters and models, servoed in one batch, each run
-    # exactly as it runs alone
+    # per ServoConfig (models and n_iters), its worlds of mixed start errors
+    # servoed in one batch, each run exactly as it runs alone
     ridge = tuple(led_ridge[j][0] for j in (0, 1))
     noisy = (OracleModel(noise_sigma=0.01), OracleModel(noise_sigma=0.01))
-    block = [(0, ridge, 3), (1, noisy, 1), (2, ORACLES, 2), (3, ridge, 1),
-             (4, noisy, 3), (5, ridge, 2), (6, ORACLES, 3)]
+    configs = [(ridge, 3), (noisy, 1), (ORACLES, 2), (ridge, 1), (noisy, 3), (ridge, 2),
+               (ORACLES, 3)]
 
     def start(seed, models, n_iters):
         w = new_world(WorldConfig(component_style="led", seed=300 + seed))
         move_tcp(w, w.tcp + w.basis @ (0.15 * seed * np.array([1.0, -0.5])))
         return w, servo_config_for(w, models, n_iters=n_iters)
 
-    worlds, cfgs = zip(*(start(*spec) for spec in block))
-    runs = visual_servo(worlds, cfgs)
-    assert [len(steps) for steps, _ in runs] == [n for _, _, n in block]
-    for spec, world, run in zip(block, worlds, runs, strict=True):
-        alone, alone_cfg = start(*spec)
-        [alone_run] = visual_servo([alone], [alone_cfg])
-        assert _servo_run(world, *run) == _servo_run(alone, *alone_run)
+    for k, (models, n_iters) in enumerate(configs):
+        block = [(seed, models, n_iters) for seed in (k, k + 7, k + 14)]
+        worlds = [start(*spec)[0] for spec in block]
+        runs = visual_servo(worlds, start(*block[0])[1])
+        assert [len(steps) for steps, _ in runs] == [n_iters] * len(block)
+        for spec, world, run in zip(block, worlds, runs, strict=True):
+            alone, alone_cfg = start(*spec)
+            [alone_run] = visual_servo([alone], alone_cfg)
+            assert _servo_run(world, *run) == _servo_run(alone, *alone_run)
 
 
 @pytest.mark.parametrize("name", ["n_iters"])
@@ -229,7 +226,7 @@ def test_servo_config_validation():
 def test_trace_csv(tmp_path):
     w = _world_with_error([0.6, 0.2])
     cfg = servo_config_for(w, ORACLES)
-    [(steps, residuals)] = visual_servo([w], [cfg])
+    [(steps, residuals)] = visual_servo([w], cfg)
     assert len(steps) == len(residuals) == 3
     path = tmp_path / "trace.csv"
     write_trace_csv(steps, residuals, path)

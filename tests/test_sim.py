@@ -160,7 +160,7 @@ def test_config_rejects_a_negative_seed():
         WorldConfig(seed=-1)
     assert WorldConfig(seed=0).seed == 0
     with pytest.raises(InvalidConfig, match="seed must be >= 0, got -1"):
-        new_worlds([WorldConfig(seed=4)], [-1])
+        new_worlds(WorldConfig(seed=4), [-1])
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", True, np.float64(2.0), None])
@@ -170,10 +170,10 @@ def test_the_seed_is_an_integer(bad):
     with pytest.raises(InvalidConfig, match="seed must be an integer"):
         WorldConfig(seed=bad)
     with pytest.raises(InvalidConfig, match="seed must be an integer"):
-        new_worlds([WorldConfig()], [bad])
+        new_worlds(WorldConfig(), [bad])
     for seed in (np.int64(3), np.uint8(3)):
         assert type(WorldConfig(seed=seed).seed) is int
-        assert type(new_worlds([WorldConfig()], [seed])[0].seed) is int
+        assert type(new_worlds(WorldConfig(), [seed])[0].seed) is int
 
 
 @pytest.mark.parametrize("direction", [vec3(0.0, 0.0, -1.0), vec3(0.6, 0.0, -0.8)])
@@ -223,20 +223,21 @@ def test_a_failing_spiral_path_leaves_the_batch_unchanged():
     # Far out along a tilted direction a move's rounding leaves the plane by
     # more than the tolerance: the start passes, a pattern step does not
     tilted = vec3(math.sin(0.5), 0.0, -math.cos(0.5))
-    far = new_world(WorldConfig(insertion_direction=tilted, nominal_hole=vec3(3e7, 0.0, 0.0),
-                                seed=1))
+    far_cfg = WorldConfig(insertion_direction=tilted, nominal_hole=vec3(3e7, 0.0, 0.0))
+    far, twin = new_worlds(far_cfg, [1, 2])
     ordinary = new_world(WorldConfig(seed=2))
-    for world, start in ((far, [0.5, 0.2]), (ordinary, [0.3, -0.1])):
+    for world, start in ((far, [0.5, 0.2]), (twin, [0.3, -0.1]), (ordinary, [0.3, -0.1])):
         move_tcp(world, world.tcp + world.basis @ np.array(start))
-    before = [w.tcp.copy() for w in (ordinary, far)]
+    before = [w.tcp.copy() for w in (far, twin)]
     with pytest.raises(ConstraintViolation, match="out-of-plane component 1.274e-09 mm"):
-        spiral_search([ordinary, far], generate_pattern(0.1, 1.0), TimingModel())
-    for w, tcp in zip((ordinary, far), before):
+        spiral_search([far, twin], generate_pattern(0.1, 1.0), TimingModel())
+    for w, tcp in zip((far, twin), before):
         assert w.tcp.tobytes() == tcp.tobytes()
-    # the ordinary world alone is searched: its TCP moves
+    # an ordinary world is searched: its TCP moves
+    start = ordinary.tcp.copy()
     [episode] = spiral_search([ordinary], generate_pattern(0.1, 1.0), TimingModel())
     assert episode.success and episode.attempts > 1
-    assert ordinary.tcp.tobytes() != before[0].tobytes()
+    assert ordinary.tcp.tobytes() != start.tobytes()
 
 
 def test_non_finite_target_rejected():
@@ -248,32 +249,34 @@ def test_non_finite_target_rejected():
     assert np.array_equal(w.tcp, before)
 
 
-_MOVED_WORLDS = st.fixed_dictionaries({
+_MOVED_CONFIGS = st.fixed_dictionaries({
     "tilt": st.one_of(st.just(0.0), st.floats(0.0, 1.2)),
     "heading": st.floats(0.0, 2.0 * math.pi),
     "nominal": st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1e7, 1e7)] * 3)),
-    "offset": st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
-        [0.0, 1e-300, math.nan, math.inf]))] * 2),
     "lifted": st.booleans(),  # a basis tipped out of plane: its move leaves the plane
 })
+_OFFSETS = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, 1e-300, math.nan, math.inf]))] * 2)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.lists(_MOVED_WORLDS, min_size=1, max_size=6))
-def test_block_move_is_the_per_world_move_tcp_loop(rows):
+@given(config=_MOVED_CONFIGS, offsets=st.lists(_OFFSETS, min_size=1, max_size=6))
+def test_block_move_is_the_per_world_move_tcp_loop(config, offsets):
+    # a block is one config, its worlds at their own seeds
     def built():
+        direction = vec3(math.sin(config["tilt"]) * math.cos(config["heading"]),
+                         math.sin(config["tilt"]) * math.sin(config["heading"]),
+                         -math.cos(config["tilt"]))
         worlds = []
-        for k, r in enumerate(rows):
-            direction = vec3(math.sin(r["tilt"]) * math.cos(r["heading"]),
-                             math.sin(r["tilt"]) * math.sin(r["heading"]), -math.cos(r["tilt"]))
+        for k in range(len(offsets)):
             world = new_world(WorldConfig(insertion_direction=direction, seed=k,
-                                          nominal_hole=np.array(r["nominal"])))
-            if r["lifted"]:
+                                          nominal_hole=np.array(config["nominal"])))
+            if config["lifted"]:
                 world.basis = world.basis - 1e-3 * world.config.insertion_direction[:, None]
             worlds.append(world)
         return worlds
 
-    offsets = np.array([r["offset"] for r in rows])
+    offsets = np.array(offsets)
     loop, block = built(), built()
     with np.errstate(invalid="ignore"):  # an inf offset times a 0 coefficient
         try:
@@ -282,11 +285,13 @@ def test_block_move_is_the_per_world_move_tcp_loop(rows):
             expected = None
         except ConstraintViolation as exc:
             expected = str(exc)
+        # one stacked product with the block's basis: each row bit for bit its own
+        targets = np.array([w.tcp for w in block]) + (block[0].basis @ offsets[:, :, None])[:, :, 0]
         if expected is None:
-            move_tcps(block, offsets)
+            move_tcps(block, targets)
         else:
             with pytest.raises(ConstraintViolation) as raised:
-                move_tcps(block, offsets)
+                move_tcps(block, targets)
             assert str(raised.value) == expected
     assert [w.tcp.tobytes() for w in block] == [w.tcp.tobytes() for w in loop]
 
@@ -461,6 +466,11 @@ def test_spiral_warns_on_tolerance_mismatch():
     pattern = generate_pattern(0.2, 0.5)
     with pytest.warns(UserWarning):
         spiral_insert(w, w.tcp, pattern, TimingModel())
+    # a batch is one config: it warns once per call, not once per world
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spiral_search(new_worlds(w.config, range(3)), pattern, TimingModel())
+    assert ["pattern tolerance" in str(c.message) for c in caught] == [True]
 
 
 @settings(max_examples=300, deadline=None)
@@ -704,33 +714,33 @@ _SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
        rows=st.lists(st.tuples(st.integers(0, 2), _SEEDS), max_size=8))
 @example(styles=[WorldConfig(hole_uncertainty_sigma=450.0)], rows=[(0, 0), (0, 3), (0, 6)])
 def test_new_worlds_are_their_batches_of_one(styles, rows):
-    # a block mixes styles, each row one of a few shared config objects at its
-    # own seed, as the grid's are; at sigma 450 mm some draws land behind a
-    # camera (seeds 3 and 6 here): the block raises the first such row's error
-    configs = [styles[k % len(styles)] for k, _ in rows]
-    seeds = [seed for _, seed in rows]
-    alone = []
-    for cfg, seed in zip(configs, seeds):
-        reference = _reference_world(cfg, seed)
-        try:
-            alone.append(new_worlds([cfg], [seed])[0])
-        except InvalidConfig as exc:
-            assert str(exc) == reference
-            with pytest.raises(InvalidConfig) as batch:
-                new_worlds(configs, seeds)
-            assert str(batch.value) == str(exc)
-            return
-        assert _hidden_fields(alone[-1]) == reference
-        assert _hidden_fields(new_world(replace(cfg, seed=seed))) == reference
-    for world, one, cfg, seed in zip(new_worlds(configs, seeds), alone, configs, seeds,
-                                     strict=True):
-        assert world.config is cfg and world.seed == seed
-        for f in fields(one):
-            a, b = getattr(world, f.name), getattr(one, f.name)
-            if isinstance(a, np.ndarray):
-                assert a.tobytes() == b.tobytes() and a.shape == b.shape, f.name
-            else:
-                assert a == b or a is b, f.name
+    # a block is one of a few shared config objects at its rows' seeds, as the
+    # grid's are; at sigma 450 mm some draws land behind a camera (seeds 3 and
+    # 6 here): the block raises the first such row's error
+    for index, cfg in enumerate(styles):
+        seeds = [seed for k, seed in rows if k % len(styles) == index]
+        alone = []
+        for seed in seeds:
+            reference = _reference_world(cfg, seed)
+            try:
+                alone.append(new_worlds(cfg, [seed])[0])
+            except InvalidConfig as exc:
+                assert str(exc) == reference
+                with pytest.raises(InvalidConfig) as batch:
+                    new_worlds(cfg, seeds)
+                assert str(batch.value) == str(exc)
+                break
+            assert _hidden_fields(alone[-1]) == reference
+            assert _hidden_fields(new_world(replace(cfg, seed=seed))) == reference
+        else:
+            for world, one, seed in zip(new_worlds(cfg, seeds), alone, seeds, strict=True):
+                assert world.config is cfg and world.seed == seed
+                for f in fields(one):
+                    a, b = getattr(world, f.name), getattr(one, f.name)
+                    if isinstance(a, np.ndarray):
+                        assert a.tobytes() == b.tobytes() and a.shape == b.shape, f.name
+                    else:
+                        assert a == b or a is b, f.name
 
 
 def test_extra_error_radius_not_applied_at_creation():

@@ -167,14 +167,17 @@ def _assert_batch_is_its_batches_of_one(configs, starts, pattern):
     return episodes
 
 
-batch_worlds = st.fixed_dictionaries({
+batch_configs = st.fixed_dictionaries({
     "style": st.sampled_from(COMPONENT_STYLES),
     "tolerance": st.sampled_from([0.05, 0.1, 0.2]),
-    "seed": st.integers(0, 2**32 - 1),
     "tilt": st.one_of(st.just(0.0), st.floats(0.0, 0.7)),
     "azimuth": st.floats(0.0, 2.0 * math.pi),
     "nominal": st.one_of(st.just((0.0, 0.0, 0.0)),
                          st.tuples(*[st.floats(-5000.0, 5000.0)] * 3)),
+})
+batch_worlds = st.fixed_dictionaries({
+    "config": st.integers(0, 1),  # which of the example's configs
+    "seed": st.integers(0, 2**32 - 1),
     # up to twice the pattern's reach: some starts miss it and fail
     "start_r": st.floats(0.0, 2.0),
     "start_theta": st.floats(0.0, 2.0 * math.pi),
@@ -185,17 +188,22 @@ batch_worlds = st.fixed_dictionaries({
 @given(data=st.data(), radius=st.sampled_from([0.0, 0.3, 1.0]),
        size=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
 def test_batch_equals_its_batches_of_one(data, radius, size):
+    # the rows of two configs, one batch per config, each world built by a
+    # config of its own seed, as a per-index factory builds them
+    shared = data.draw(st.lists(batch_configs, min_size=2, max_size=2))
     ws = data.draw(st.lists(batch_worlds, min_size=size, max_size=size))
-    configs = [WorldConfig(component_style=w["style"], tolerance=w["tolerance"],
-                           seed=w["seed"],
-                           insertion_direction=_direction(w["tilt"], w["azimuth"]),
-                           nominal_hole=np.array(w["nominal"])) for w in ws]
-    starts = []
-    for cfg, w in zip(configs, ws):
-        world = new_world(cfg)
-        starts.append(world.tcp + world.basis @ (w["start_r"] * np.array(
-            [math.cos(w["start_theta"]), math.sin(w["start_theta"])])))
-    _assert_batch_is_its_batches_of_one(configs, starts, generate_pattern(0.1, radius))
+    for index, c in enumerate(shared):
+        rows = [w for w in ws if w["config"] == index]
+        configs = [WorldConfig(component_style=c["style"], tolerance=c["tolerance"],
+                               seed=w["seed"], insertion_direction=_direction(c["tilt"],
+                                                                             c["azimuth"]),
+                               nominal_hole=np.array(c["nominal"])) for w in rows]
+        starts = []
+        for cfg, w in zip(configs, rows):
+            world = new_world(cfg)
+            starts.append(world.tcp + world.basis @ (w["start_r"] * np.array(
+                [math.cos(w["start_theta"]), math.sin(w["start_theta"])])))
+        _assert_batch_is_its_batches_of_one(configs, starts, generate_pattern(0.1, radius))
 
 
 def test_batch_with_candidates_that_fail_confirmation():
@@ -231,29 +239,32 @@ def _exact_path_message(worlds, starts, episodes, pattern):
     return None
 
 
-far_worlds = st.fixed_dictionaries({
+far_configs = st.fixed_dictionaries({
     "log_radius": st.floats(0.0, 8.0),
     "azimuth": st.floats(0.0, 2.0 * math.pi),
     "tilt": st.one_of(st.just(0.0), st.floats(0.0, 1.2)),
     "heading": st.floats(0.0, 2.0 * math.pi),
+})
+far_worlds = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "start": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     "hit": st.booleans(),  # else the hole is moved out of the pattern's reach
 })
 # the 3e7 mm world on a 0.5 rad tilt whose spiral rounds 1.274e-09 mm out of plane
-_FAR = {"log_radius": math.log10(3e7), "azimuth": 0.0, "tilt": 0.5, "heading": 0.0,
-        "seed": 1, "start": (0.5, 0.2), "hit": True}
+_FAR_CONFIG = {"log_radius": math.log10(3e7), "azimuth": 0.0, "tilt": 0.5, "heading": 0.0}
+_FAR = {"seed": 1, "start": (0.5, 0.2), "hit": True}
 
 
 @settings(max_examples=120, deadline=None)
-@given(ws=st.lists(far_worlds, min_size=1, max_size=3))
-@example(ws=[_FAR])
-@example(ws=[{**_FAR, "log_radius": 0.0, "seed": 2, "start": (0.3, -0.1)}, _FAR])
-def test_screened_path_check_raises_exactly_when_the_exact_check_does(ws):
+@given(config=far_configs, ws=st.lists(far_worlds, min_size=1, max_size=3))
+@example(config=_FAR_CONFIG, ws=[_FAR])
+@example(config=_FAR_CONFIG, ws=[_FAR, {"seed": 2, "start": (0.3, -0.1), "hit": True}])
+def test_screened_path_check_raises_exactly_when_the_exact_check_does(config, ws):
     pattern = generate_pattern(0.1, 1.0)
-    configs = [WorldConfig(seed=w["seed"], insertion_direction=_direction(w["tilt"], w["heading"]),
-                           nominal_hole=10.0 ** w["log_radius"] * np.array(
-                               [math.cos(w["azimuth"]), math.sin(w["azimuth"]), 0.0]))
+    configs = [WorldConfig(seed=w["seed"], insertion_direction=_direction(config["tilt"],
+                                                                         config["heading"]),
+                           nominal_hole=10.0 ** config["log_radius"] * np.array(
+                               [math.cos(config["azimuth"]), math.sin(config["azimuth"]), 0.0]))
                for w in ws]
     batch, twins = ([new_world(cfg) for cfg in configs] for _ in range(2))
     for w, a, b in zip(ws, batch, twins):
@@ -271,7 +282,7 @@ def test_screened_path_check_raises_exactly_when_the_exact_check_does(ws):
         with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
             spiral_search(batch, pattern, TIMING)
         assert all(w.tcp.tobytes() == s.tobytes() for w, s in zip(batch, starts))
-    if ws[-1] == _FAR:
+    if config == _FAR_CONFIG and ws[0] == _FAR:
         assert message == "TCP move has out-of-plane component 1.274e-09 mm"
 
 
@@ -279,17 +290,19 @@ def test_the_bound_clears_ordinary_worlds_and_not_the_far_one(monkeypatch):
     checked = []
     monkeypatch.setattr(sim, "_check_inplane", checked.append)
     pattern = generate_pattern(0.1, 3.0)
-    worlds = new_worlds([WorldConfig()] * _BLOCK, range(_BLOCK))
+    worlds = new_worlds(WorldConfig(), range(_BLOCK))
     spiral_search(worlds, pattern, TIMING)  # a grid block at the default direction
     assert checked == []
     tilted = WorldConfig(insertion_direction=_direction(0.2, 1.0),
                          nominal_hole=vec3(4000.0, -3000.0, 500.0))
-    spiral_search(new_worlds([tilted] * 4, range(4)), pattern, TIMING)
+    spiral_search(new_worlds(tilted, range(4)), pattern, TIMING)
     assert checked == []
-    # 3e7 mm out, the rounding margin alone is above the tolerance: the far
-    # world's path gets the exact check (and passes it), the other does not
+    # 3e7 mm out, the rounding margin alone is above the tolerance: each far
+    # world's path gets the exact check (and passes it), an ordinary one's does not
     far = WorldConfig(insertion_direction=_direction(0.5, 0.0), nominal_hole=vec3(3e7, 0.0, 0.0))
-    spiral_search(new_worlds([WorldConfig(), far], [0, 1]), pattern, TIMING)
+    spiral_search(new_worlds(far, [1]), pattern, TIMING)
+    assert len(checked) == 1
+    spiral_search(new_worlds(WorldConfig(), [0]), pattern, TIMING)
     assert len(checked) == 1
 
 
