@@ -22,7 +22,7 @@ from .search import generate_pattern
 from .servoing import CLAMP_MM, ServoConfig
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
-                  keyed_generators, move_tcps, new_worlds, seed_states)
+                  keyed_uniforms, move_tcps, new_worlds, seed_states)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def train_styles(run: RunConfig, seed: int) -> dict:
     return results
 
 
-_BLOCK = 32  # most episodes per spiral_search; only one block's worlds are alive
+_BLOCK = 64  # most episodes per spiral_search; only one block's worlds are alive
 
 
 def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> Episodes:
@@ -215,9 +215,7 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     # Per (style index, insertion), drawn once for the grid: the world seed, and
     # the start offset from a uniform angle and a uniform area on the disc
     seeds = seed_states([[cfg.seed, si, i] for si, i in pairs])[:, 0] >> np.uint64(1)
-    draws = np.empty((len(pairs), 2))
-    for row, err_rng in zip(draws, keyed_generators([[cfg.seed, si, i, 7] for si, i in pairs])):
-        err_rng.random(out=row)  # uniform(0, 2 pi), then uniform()
+    draws = keyed_uniforms([[cfg.seed, si, i, 7] for si, i in pairs], 2)
     theta, rad = 2.0 * np.pi * draws[:, 0], cfg.error_disc_radius * np.sqrt(draws[:, 1])
     starts = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # a style's rows: each insertion once per mode, cut into blocks of at most _BLOCK
@@ -239,14 +237,13 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
 def fit_quadratic_law(pairs) -> dict:
     """Log-log line fit of search time vs retrospective error.
 
-    pairs: (error_mm, time_s); only those whose error and time are both
-    finite and > 0 are used. Requires >= 10 of them spanning a 3x error range.
+    pairs: (error_mm, time_s) rows or an (n, 2) array; only those whose error and
+    time are both finite and > 0 are used. Requires >= 10 spanning a 3x error range.
     """
-    pts = [(float(e), float(t)) for e, t in pairs
-           if np.isfinite(e) and np.isfinite(t) and e > 0 and t > 0]
-    if len(pts) < 10:
-        raise InsufficientData(f"need >= 10 usable pairs, got {len(pts)}")
-    errs, ts = np.array(pts).T
+    pts = np.array(pairs, dtype=float).reshape(-1, 2)
+    errs, ts = pts[np.isfinite(pts).all(axis=1) & (pts > 0).all(axis=1)].T
+    if len(errs) < 10:
+        raise InsufficientData(f"need >= 10 usable pairs, got {len(errs)}")
     if errs.max() / errs.min() < 3.0:
         raise InsufficientData("errors must span at least a 3x range")
     slope, intercept = np.polyfit(np.log(errs), np.log(ts), 1)
@@ -254,7 +251,7 @@ def fit_quadratic_law(pairs) -> dict:
     ss_res = float(np.sum((np.log(ts) - pred) ** 2))
     ss_tot = float(np.sum((np.log(ts) - np.mean(np.log(ts))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept), "r2": float(r2), "n": len(pts)}
+    return {"slope": float(slope), "intercept": float(intercept), "r2": float(r2), "n": len(errs)}
 
 
 # rows.csv holds one Episode per line, its fields in declaration order.
@@ -302,18 +299,29 @@ def _table_row(name: str, means: dict) -> tuple:
     return name, vs, novs, _speedup(vs, novs)
 
 
+def _row_files(col: dict) -> tuple:
+    """scatter.csv and rows.csv as csv_text writes them, a column's _BLOCK rows at a time."""
+    names = {name: np.array(Episodes.CODES.get(name, ("0", "1")), dtype=object)  # by uint8
+             for name, c in col.items() if name in Episodes.CODES or c.dtype == bool}
+    scatter, rows = ["error_mm,time_s,mode\n"], [",".join(_ROW_COLUMNS) + "\n"]
+    for k in range(0, len(col["style"]), _BLOCK):
+        text = {name: names[name][c[k:k + _BLOCK].view(np.uint8)].tolist() if name in names
+                else list(map(repr, c[k:k + _BLOCK].tolist())) for name, c in col.items()}
+        for lines, columns in ((scatter, [text["retrospective_error_mm"], text["time_s"],
+                                          text["mode"]]), (rows, text.values())):
+            lines.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "".join(scatter), "".join(rows)
+
+
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write table.csv, scatter.csv, rows.csv, summary.json, scatter.svg."""
-    col = Episodes.of(report.rows).lists()
+    col = Episodes.of(report.rows).columns
     errors, times, modes = col["retrospective_error_mm"], col["time_s"], col["mode"]
     table = [_table_row(*item) for item in sorted(report.per_style.items())]
-    if errors:
+    if len(errors):
         table.append(_table_row("average", report.overall))
-    files = {
-        "table.csv": csv_text(["style", "vs_time_s", "novs_time_s", "speedup"], table),
-        "scatter.csv": csv_text(["error_mm", "time_s", "mode"], zip(errors, times, modes)),
-        "rows.csv": csv_text(_ROW_COLUMNS, zip(*col.values())),
-    }
+    files = {"table.csv": csv_text(["style", "vs_time_s", "novs_time_s", "speedup"], table)}
+    files["scatter.csv"], files["rows.csv"] = _row_files(col)
     summary = {
         "per_style": report.per_style,
         "overall": report.overall,
@@ -323,10 +331,9 @@ def emit_report(report: BenchReport, out_dir) -> list:
         "mean_post_servo_retro_mm": report.mean_post_servo_retro_mm,
         "n_rows": len(errors),
     }
+    law = col["success"] & (modes == BENCH_MODES.index(MODE_NOVS))
     try:
-        summary["quadratic_law"] = fit_quadratic_law(
-            [(e, t) for e, t, m, ok in zip(errors, times, modes, col["success"])
-             if m == MODE_NOVS and ok])
+        summary["quadratic_law"] = fit_quadratic_law(np.stack([errors[law], times[law]], axis=1))
     except InsufficientData:
         summary["quadratic_law"] = None
     files["summary.json"] = json.dumps(summary, indent=1, sort_keys=True)
@@ -336,13 +343,14 @@ def emit_report(report: BenchReport, out_dir) -> list:
 
 _SVG_W, _SVG_H = 640, 420
 _ML, _MR, _MT, _MB = 60, 20, 20, 50
-_MODE_FILL = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
+_MODE_FILL = np.array(["#1f6fb4", "#d1495b"], dtype=object)  # by BENCH_MODES code
 
 
 def _scatter_svg(errors, times, modes) -> str:
     """Hand-rolled SVG scatter of the rows' columns: linear error axis, log10 time axis."""
-    pts = [(e, math.log10(t), mode) for e, t, mode in zip(errors, times, modes)
-           if np.isfinite(e) and 0 < t < math.inf]
+    keep = np.isfinite(errors) & (times > 0) & (times < math.inf)
+    errors, modes = errors[keep], modes[keep]
+    log_times = np.array(list(map(math.log10, times[keep].tolist())))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
              f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
              f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']
@@ -350,14 +358,14 @@ def _scatter_svg(errors, times, modes) -> str:
     y0, y1 = _SVG_H - _MB, _MT
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    if pts:
-        emax = max(p[0] for p in pts) * 1.05 or 1.0
-        lt_lo = math.floor(min(p[1] for p in pts))
-        lt_hi = math.ceil(max(p[1] for p in pts))
+    if len(errors):
+        emax = float(errors.max()) * 1.05 or 1.0
+        lt_lo = math.floor(log_times.min())
+        lt_hi = math.ceil(log_times.max())
         if lt_hi == lt_lo:
             lt_hi += 1
 
-        def sx(e):
+        def sx(e):  # of a float, or of an array, each element as it would be alone
             return x0 + (x1 - x0) * e / emax
 
         def sy(lt):
@@ -376,9 +384,8 @@ def _scatter_svg(errors, times, modes) -> str:
                          f'y2="{sy(d):.2f}" stroke="black"/>')
             parts.append(f'<text x="{x0 - 8}" y="{sy(d):.2f}" font-size="12" '
                          f'text-anchor="end" dominant-baseline="middle">{label}</text>')
-        for e, lt, mode in pts:
-            parts.append(f'<circle cx="{sx(e):.2f}" cy="{sy(lt):.2f}" r="3.5" '
-                         f'fill="{_MODE_FILL[mode]}" fill-opacity="0.75"/>')
+        parts += map('<circle cx="%.2f" cy="%.2f" r="3.5" fill="%s" fill-opacity="0.75"/>'.__mod__,
+                     zip(sx(errors).tolist(), sy(log_times).tolist(), _MODE_FILL[modes].tolist()))
     parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_H - 12}" font-size="13" '
                  f'text-anchor="middle">retrospective error (mm)</text>')
     parts.append(f'<text x="16" y="{(y0 + y1) / 2:.2f}" font-size="13" '
@@ -387,7 +394,7 @@ def _scatter_svg(errors, times, modes) -> str:
     lx = x1 - 150
     for k, mode in enumerate(BENCH_MODES):
         ly = y1 + 14 + 18 * k
-        parts.append(f'<circle cx="{lx}" cy="{ly}" r="3.5" fill="{_MODE_FILL[mode]}"/>')
+        parts.append(f'<circle cx="{lx}" cy="{ly}" r="3.5" fill="{_MODE_FILL[k]}"/>')
         label = "servo + search" if mode == MODE_VS else "search only"
         parts.append(f'<text x="{lx + 10}" y="{ly + 4}" font-size="12">{label}</text>')
     parts.append("</svg>")

@@ -8,8 +8,8 @@ Every artifact is written by write_artifact (or write_artifacts, which also
 makes the output directory) and read by read_artifact; an OSError from any
 of them becomes IoError. Writes are atomic: the bytes go to a temporary
 file next to the target, which then replaces it. Errors of a file's format
-(bad JSON, a wrong header or size) belong to its reader. Every CSV
-artifact's text comes from csv_text, which owns how a value becomes a field.
+(bad JSON, a wrong header or size) belong to its reader. csv_text owns how a
+value becomes a CSV field; bench writes its row files by column, to the same text.
 """
 
 import contextlib

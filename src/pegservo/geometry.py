@@ -7,6 +7,7 @@ vector; "in-plane" always means perpendicular to l.
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -156,10 +157,16 @@ def reconstruct_error(dirs: Sequence[np.ndarray], qs: Sequence[float]) -> Recons
         raise InsufficientViews(f"need at least 2 views, got {U.shape[0]}")
     if U.shape[0] != q.shape[0]:
         raise InsufficientViews("one scalar error per direction required")
-    svals = np.linalg.svd(U, compute_uv=False)
-    ill = bool(svals[1] <= RANK_RATIO * svals[0])
+    ill = _rank_deficient(U.tobytes())
     e_hat, *_ = np.linalg.lstsq(U, q, rcond=RANK_RATIO)
     return Reconstruction(e_hat, ill)
+
+
+@lru_cache(maxsize=16)
+def _rank_deficient(rows: bytes) -> bool:
+    """Whether the (n, 3) rows of these bytes have rank < 2: one SVD per calibration."""
+    svals = np.linalg.svd(np.frombuffer(rows).reshape(-1, 3), compute_uv=False)
+    return bool(svals[1] <= RANK_RATIO * svals[0])
 
 
 def project(cam: CameraModel, world_point: np.ndarray) -> tuple:

@@ -178,6 +178,35 @@ def keyed_generators(keys):
         yield generator
 
 
+_PCG_HI, _PCG_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * _PCG_MULT + inc mod 2**128, on uint64 (hi, lo) words."""
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = lo0 * 0x9FCCF645, lo0 * 0x4385DF64, lo1 * 0x9FCCF645  # _PCG_LO's halves
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    low = (mid << 32 | p00 & _MASK32) + inc_lo
+    return (lo1 * 0x4385DF64 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * _PCG_LO
+            + lo * _PCG_HI + inc_hi + (low < inc_lo)), low
+
+
+def keyed_uniforms(keys, k: int) -> np.ndarray:
+    """Per key, the first k random() draws of its keyed_generators stream as (n, k), bit for
+    bit: its seeding, PCG64's steps and the XSL-RR output's top 53 bits on uint64 words, for
+    every key at once (keyed_generators' Python integers are faster for a few keys)."""
+    s_hi, s_lo, i_hi, i_lo = seed_states(keys).T
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc_lo + s_lo  # two LCG steps from state 0, adding the seed between
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    draws = np.empty((len(lo), k))
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        rot, xored = hi >> 58, hi ^ lo
+        draws[:, j] = (xored >> rot | xored << (64 - rot & 63)) >> 11
+    return draws * 2.0 ** -53
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Everything that defines an experiment world.
@@ -603,16 +632,13 @@ class Episodes:
         return cls(**{f.name: np.array(columns[f.name], dtype={bool: bool}.get(f.type))
                       for f in fields(Episode)})
 
-    def lists(self) -> dict:
-        """Each column as a list, a code as its name."""
-        return {name: (np.array(self.CODES[name], dtype=object)[c] if name in self.CODES
-                       else c).tolist() for name, c in self.columns.items()}
-
     def __len__(self):
         return len(self.columns["style"])
 
     def __iter__(self):
-        return (Episode(*row) for row in zip(*self.lists().values()))
+        return (Episode(*row) for row in zip(*[
+            (np.array(self.CODES[name], dtype=object)[c] if name in self.CODES else c).tolist()
+            for name, c in self.columns.items()]))
 
     def __getitem__(self, k):
         return Episode(*(self.CODES[name][c.item(k)] if name in self.CODES else c.item(k)

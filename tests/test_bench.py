@@ -100,10 +100,11 @@ def test_grid_rows_are_the_episodes_of_numpys_per_row_streams():
 
 
 def test_noisy_oracle_rows_depend_on_no_block_or_job_count(monkeypatch):
-    # two blocks per style, so jobs=2 maps them over two processes; an
+    # two blocks per style at 32 rows, so jobs=2 maps them over two processes; an
     # oracle's noise is keyed by each view it sees, so no row depends on its
     # block: 7 does not divide a style's 40 rows and 64 exceeds them
     cfg = _small_cfg(insertions_per_style_per_mode=20)
+    monkeypatch.setattr(bench, "_BLOCK", 32)
     assert len(cfg.component_styles) * 20 * len(cfg.modes) > 2 * bench._BLOCK
     noisy = {s: (OracleModel(noise_sigma=0.02), OracleModel(noise_sigma=0.02))
              for s in cfg.component_styles}
@@ -173,6 +174,23 @@ def test_grid_memory_grows_by_its_rows_only():
     assert growth < 2_000, growth
 
 
+def test_report_writer_peaks_below_a_row_at_a_time_writer(tmp_path):
+    # emit_report formats _BLOCK rows of a column at a time; a writer that turns
+    # every column into a list and every row into fields through csv_text peaks
+    # at 1,044 kB on this 1,500-row search-only report
+    cfg = BenchConfig(insertions_per_style_per_mode=300, error_disc_radius=3.0,
+                      modes=("novs",))
+    report = run_benchmark(cfg, {})
+    emit_report(report, tmp_path)  # lazy imports and caches filled
+    tracemalloc.start()
+    try:
+        emit_report(report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_044_000, peak
+
+
 def test_grid_episodes_build_no_collection_stream(monkeypatch):
     worlds, new_worlds = [], bench.new_worlds
     keys, kernel = [], pipeline.keyed_generators
@@ -196,7 +214,7 @@ def test_grid_episodes_build_no_collection_stream(monkeypatch):
 def test_the_grid_builds_one_servo_config_and_one_world_config_per_style(monkeypatch):
     # a grid's vs worlds share their style's ServoConfig, calibrated by the
     # style's WorldConfig, and each row's world is that config at the row's seed
-    cfg = _small_cfg(insertions_per_style_per_mode=20)  # 40 vs worlds in 3 blocks
+    cfg = _small_cfg(insertions_per_style_per_mode=20)  # 40 vs worlds, a block per style
     built = {ServoConfig: [], WorldConfig: []}
     for cls, store in built.items():
         def counted(self, check=cls.__post_init__, store=store):
@@ -399,6 +417,9 @@ def test_fit_recovers_planted_quadratic():
     assert fit["intercept"] == pytest.approx(math.log(c), abs=1e-6)
     assert fit["r2"] == pytest.approx(1.0, abs=1e-9)
     assert fit["n"] == 12
+    # a pair that is not finite and > 0 is left out, in a list or an array
+    unusable = [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)]
+    assert fit_quadratic_law(np.array(unusable[:3] + rows + unusable[3:])) == fit
 
 
 def test_law_fit_reads_only_successful_novs_rows(tmp_path):

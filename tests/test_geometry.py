@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pegservo.errors import (BehindCamera, DegenerateView, InsufficientViews,
                              InvalidConfig)
-from pegservo.geometry import (RANK_RATIO, CameraModel, _cross, aimed_camera,
-                               camera_from_dict,
+from pegservo.geometry import (RANK_RATIO, CameraModel, _cross, _rank_deficient,
+                               aimed_camera, camera_from_dict,
                                camera_to_dict, denormalize_error,
                                error_direction, inplane_basis,
                                inplane_component, inplane_norm,
@@ -186,6 +186,21 @@ def test_reconstruct_rank_flag_matches_a_separate_svd(tilt, azimuth, first, gaps
     e_hat, ill = _reference_reconstruct(dirs, qs[:len(dirs)])
     assert rec.ill_conditioned == ill
     assert rec.error.tobytes() == e_hat.tobytes()
+    # a second solve of the same directions reads the flag back from the cache
+    assert reconstruct_error(dirs, qs[::-1][:len(dirs)]).ill_conditioned == ill
+
+
+def test_the_rank_flag_is_one_svd_per_direction_matrix(monkeypatch):
+    # a servo step solves every world against its calibration's one direction
+    # matrix: the rank test runs once for it, however many solves follow
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    _rank_deficient.cache_clear()
+    dirs = [vec3(1, 0, 0), vec3(0.6, 0.8, 0)]
+    recs = [reconstruct_error(dirs, [q, 0.5 * q]) for q in np.linspace(-1.0, 1.0, 50)]
+    assert len(calls) == 1 and not any(rec.ill_conditioned for rec in recs)
+    assert reconstruct_error([vec3(1, 0, 0), vec3(1, 0, 0)], [0.2, 0.4]).ill_conditioned
+    assert len(calls) == 2
 
 
 # finite floats, +-0.0, subnormals and +-inf; NaN comes from inf * 0 and inf - inf

@@ -1,12 +1,17 @@
-"""build_report and table.csv against the per-aggregate code they replaced."""
+"""build_report, table.csv and the rows' files against the per-aggregate and
+row-at-a-time code they replaced."""
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegservo.bench import BenchReport, _speedup, build_report, emit_report
+from pegservo.bench import (_BLOCK, BenchReport, _speedup, build_report, emit_report,
+                            fit_quadratic_law)
+from pegservo.errors import InsufficientData, csv_text
 from pegservo.sim import BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes
 
 
@@ -131,3 +136,94 @@ def test_report_matches_the_reference(tmp_path_factory, rows):
             assert line == ref_line.rsplit(",", 1)[0] + "," + _fmt(_speedup(vs, novs))
         else:
             assert line == ref_line
+
+
+def reference_svg(errors, times, modes) -> str:
+    """The original scatter.svg, from lists: a per-point filter and loop."""
+    pts = [(e, math.log10(t), mode) for e, t, mode in zip(errors, times, modes)
+           if np.isfinite(e) and 0 < t < math.inf]
+    fill = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+             'height="420" viewBox="0 0 640 420">', '<rect width="640" height="420" fill="white"/>']
+    x0, x1, y0, y1 = 60, 620, 370, 20
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
+    if pts:
+        emax = max(p[0] for p in pts) * 1.05 or 1.0
+        lt_lo = math.floor(min(p[1] for p in pts))
+        lt_hi = math.ceil(max(p[1] for p in pts))
+        if lt_hi == lt_lo:
+            lt_hi += 1
+
+        def sx(e):
+            return x0 + (x1 - x0) * e / emax
+
+        def sy(lt):
+            return y0 + (y1 - y0) * (lt - lt_lo) / (lt_hi - lt_lo)
+
+        for k in range(5):
+            e = emax * k / 4.0
+            parts.append(f'<line x1="{sx(e):.2f}" y1="{y0}" x2="{sx(e):.2f}" '
+                         f'y2="{y0 + 5}" stroke="black"/>')
+            parts.append(f'<text x="{sx(e):.2f}" y="{y0 + 20}" font-size="12" '
+                         f'text-anchor="middle">{e:.2f}</text>')
+        for d in range(lt_lo, lt_hi + 1):
+            label = f"{float(f'1e{d}'):g}"
+            parts.append(f'<line x1="{x0 - 5}" y1="{sy(d):.2f}" x2="{x0}" '
+                         f'y2="{sy(d):.2f}" stroke="black"/>')
+            parts.append(f'<text x="{x0 - 8}" y="{sy(d):.2f}" font-size="12" '
+                         f'text-anchor="end" dominant-baseline="middle">{label}</text>')
+        for e, lt, mode in pts:
+            parts.append(f'<circle cx="{sx(e):.2f}" cy="{sy(lt):.2f}" r="3.5" '
+                         f'fill="{fill[mode]}" fill-opacity="0.75"/>')
+    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="408" font-size="13" '
+                 f'text-anchor="middle">retrospective error (mm)</text>')
+    parts.append(f'<text x="16" y="{(y0 + y1) / 2:.2f}" font-size="13" '
+                 f'text-anchor="middle" transform="rotate(-90 16 '
+                 f'{(y0 + y1) / 2:.2f})">insertion time (s)</text>')
+    for k, mode in enumerate(BENCH_MODES):
+        ly = y1 + 14 + 18 * k
+        parts.append(f'<circle cx="470" cy="{ly}" r="3.5" fill="{fill[mode]}"/>')
+        label = "servo + search" if mode == MODE_VS else "search only"
+        parts.append(f'<text x="480" y="{ly + 4}" font-size="12">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def reference_row_files(rows) -> dict:
+    """The original rows.csv, scatter.csv and scatter.svg, and the quadratic law's
+    fit, from each column as a list and each row through csv_text."""
+    col = {f.name: [getattr(row, f.name) for row in rows] for f in fields(Episode)}
+    errors, times, modes = col["retrospective_error_mm"], col["time_s"], col["mode"]
+    try:
+        law = fit_quadratic_law([(e, t) for e, t, m, ok in zip(errors, times, modes, col["success"])
+                                 if m == MODE_NOVS and ok and np.isfinite(e) and np.isfinite(t)
+                                 and e > 0 and t > 0])
+    except InsufficientData:
+        law = None
+    return {"rows.csv": csv_text(list(col), zip(*col.values())),
+            "scatter.csv": csv_text(["error_mm", "time_s", "mode"], zip(errors, times, modes)),
+            "scatter.svg": reference_svg(errors, times, modes), "law": law}
+
+
+@st.composite
+def wide_episode_lists(draw):
+    """Up to 2 * _BLOCK + 1 rows, cycling a few Episodes of any floats, seeds and counts."""
+    base = draw(st.lists(st.builds(
+        Episode, style=st.sampled_from(COMPONENT_STYLES), mode=st.sampled_from(BENCH_MODES),
+        seed=st.integers(0, 2**63 - 1), retrospective_error_mm=_times, true_error_mm=_times,
+        time_s=_times, attempts=st.integers(1, 10**6), success=st.booleans(),
+        post_servo_retrospective_error_mm=_times, direct=st.booleans()), min_size=1, max_size=5))
+    return [base[k % len(base)] for k in range(draw(st.integers(0, 2 * _BLOCK + 1)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=wide_episode_lists())
+def test_the_column_writer_writes_the_row_writers_bytes(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("rows")
+    with np.errstate(all="ignore"):  # means and scatter scales of inf and huge floats
+        emit_report(build_report(rows), out)
+        expected = reference_row_files(rows)
+    assert json.loads((out / "summary.json").read_text())["quadratic_law"] == expected.pop("law")
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name

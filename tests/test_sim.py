@@ -22,9 +22,10 @@ from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           config_from_dict, config_to_dict, default_cameras,
-                          keyed_generators, load_config_file, move_tcp, move_tcps, new_world,
-                          new_worlds, peg_position, render, render_views, seed_states,
-                          spiral_insert, spiral_search, true_inplane_error, write_pgm)
+                          keyed_generators, keyed_uniforms, load_config_file, move_tcp,
+                          move_tcps, new_world, new_worlds, peg_position, render, render_views,
+                          seed_states, spiral_insert, spiral_search, true_inplane_error,
+                          write_pgm)
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -699,6 +700,22 @@ def test_seeding_kernel_takes_rows_of_non_negative_integers():
     for bad in ([[1.5]], [[True, 2]], [[-1]], [[-(2**70)]], [[1], [2, 3]], [1, 2]):
         with pytest.raises(ValueError, match="keys must be"):
             seed_states(bad)
+
+
+# a uniform key's words, the 32- and 64-bit boundaries among them
+_UNIFORM_INTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**64 - 1, 2**64]),
+                          st.integers(0, 2**96 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 6), n=st.integers(0, 6), k=st.integers(0, 4))
+def test_uniform_kernel_is_numpys_random(data, width, n, k):
+    keys = data.draw(st.lists(st.lists(_UNIFORM_INTS, min_size=width, max_size=width),
+                              min_size=n, max_size=n))
+    draws = keyed_uniforms(keys, k)
+    assert draws.dtype == np.float64 and draws.shape == (n, k)
+    expected = np.array([rng.random(k) for rng in keyed_generators(keys)]).reshape(n, k)
+    assert draws.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 _STYLED_CONFIGS = st.builds(

@@ -350,6 +350,12 @@ def test_only_single_streams_are_built_one_at_a_time(path):
     assert sites == (["keyed_generators"] * 2 if path.name == "sim.py" else [])
 
 
+def test_the_grid_draws_no_stream_per_row():
+    # every grid draw is one kernel call over the whole grid's keys (seed_states,
+    # keyed_uniforms), so no per-row reseed loop comes back to bench
+    assert "keyed_generators" not in (_SRC / "bench.py").read_text()
+
+
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "geometry.py"],
                          ids=lambda p: p.name)
 def test_stacked_dot_products_come_from_geometry(path):
