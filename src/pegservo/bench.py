@@ -359,24 +359,25 @@ def _scatter_svg(errors, times, modes) -> str:
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
     if len(errors):
-        emax = float(errors.max()) * 1.05 or 1.0
+        emax = min(float(errors.max()) * 1.05, np.finfo(float).max) or 1.0
+        b = max(math.frexp(emax)[1], 0)  # e and emax over 2**b: exact, and no overflow
         lt_lo = math.floor(log_times.min())
         lt_hi = math.ceil(log_times.max())
         if lt_hi == lt_lo:
             lt_hi += 1
 
         def sx(e):  # of a float, or of an array, each element as it would be alone
-            return x0 + (x1 - x0) * e / emax
+            return x0 + (x1 - x0) * np.ldexp(e, -b) / math.ldexp(emax, -b)
 
         def sy(lt):
             return y0 + (y1 - y0) * (lt - lt_lo) / (lt_hi - lt_lo)
 
         for k in range(5):
-            e = emax * k / 4.0
+            e = emax * (k / 4.0)  # emax * k overflows at 1e308
             parts.append(f'<line x1="{sx(e):.2f}" y1="{y0}" x2="{sx(e):.2f}" '
                          f'y2="{y0 + 5}" stroke="black"/>')
             parts.append(f'<text x="{sx(e):.2f}" y="{y0 + 20}" font-size="12" '
-                         f'text-anchor="middle">{e:.2f}</text>')
+                         f'text-anchor="middle">{e:{".2f" if abs(e) < 1e6 else ".3g"}}</text>')
         for d in range(lt_lo, lt_hi + 1):
             # the decade's label from its literal: 10.0 ** d overflows at 309
             label = f"{float(f'1e{d}'):g}"

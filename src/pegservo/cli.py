@@ -96,15 +96,13 @@ def cmd_simulate(ns) -> int:
     world = new_world(wcfg)
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
     _write_manifest(ns.out, "simulate", ns, run, outputs)
-    truth = {}
-    for j in range(len(wcfg.cameras)):
-        pixels, truth_y = render_views([world], j, world.tcp[None])
-        write_pgm(pixels[0], os.path.join(ns.out, f"cam{j}.pgm"))
-        truth[str(j)] = float(truth_y[0])
+    [pixels], [truth_y] = render_views([world], world.tcp[None])
+    for j, view in enumerate(pixels):
+        write_pgm(view, os.path.join(ns.out, f"cam{j}.pgm"))
     scene = {
         "tcp": [float(v) for v in world.tcp],
         "true_inplane_error_mm": true_inplane_error(world),
-        "truth_y": truth,
+        "truth_y": {str(j): t for j, t in enumerate(truth_y.tolist())},
         "component_style": wcfg.component_style,
         "seed": wcfg.seed,
     }

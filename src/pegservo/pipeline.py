@@ -79,24 +79,20 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
     The worlds are built in insertion order, and must share one config
-    (sim.batch_config: a factory may build one config per seed), with cameras of
-    one resolution, that passes collection_pattern (the pattern when none is
-    given), before any insertion or render. One spiral_search
-    inserts them all; failed insertions are logged and skipped. Per inserted
-    world: take the successful TCP as the in-plane zero, then draw
-    samples_per_insertion random offsets (direction uniform on the circle,
-    magnitude ~ U(0, max_offset_mag), height ~ U(0, max_height)) as one array
-    from its [seed, 1] stream (one kernel call seeds every inserted world's)
-    and render them with one render_views call per camera. Label y is the
-    normalized error the servo must cancel: y_j = normalize_error(-offset.u_j,
-    cam_j). Images and labels fill (inserted world, sample, camera) arrays,
-    flattened in that order.
+    (sim.batch_config: a factory may build one config per seed) that passes
+    collection_pattern (the pattern when none is given), before any insertion or render.
+    One spiral_search inserts them all; failed insertions are logged and skipped. Per
+    inserted world: take the successful TCP as the in-plane zero, then draw
+    samples_per_insertion random offsets (direction uniform on the circle, magnitude ~
+    U(0, max_offset_mag), height ~ U(0, max_height)) as one array from its [seed, 1]
+    stream (one kernel call seeds every inserted world's) and render their scenes, every
+    camera's view of every sample, with one render_views call. Label y is the normalized
+    error the servo must cancel: y_j = normalize_error(-offset.u_j, cam_j). Images and
+    labels fill (inserted world, sample, camera) arrays, flattened in that order.
     """
     worlds = [world_factory(i) for i in range(cfg.n_insertions)]
     config = batch_config(worlds)
     cameras = config.cameras
-    if len({cam.r for cam in cameras}) != 1:
-        raise ShapeMismatch("cameras of one dataset must share a resolution")
     pattern = collection_pattern(config, cfg, pattern)
     outcomes = spiral_search(worlds, pattern, TimingModel()).columns
     for i in np.flatnonzero(~outcomes["success"]).tolist():
@@ -107,7 +103,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         raise AllInsertionsFailed(f"all {cfg.n_insertions} collection insertions failed")
     k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
     images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
-    y, truth_y, q_mm, height_mm = np.empty((4, len(kept), k, m))
+    truth_y, q_mm, height_mm = np.empty((3, len(kept), k, m))
     inserted = [worlds[i] for i in kept]
     streams = keyed_generators([[world.seed, 1] for world in inserted])
     for n, (world, stream) in enumerate(zip(inserted, streams)):
@@ -120,9 +116,8 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
         tcps = world.tcp + moves - height[:, None] * config.insertion_direction
         q_mm[n] = scalar_error(-moves[:, None, :], np.array(config.error_directions))
         height_mm[n] = height[:, None]
-        for j, cam in enumerate(cameras):  # truth_y comes with the pixels
-            y[n, :, j] = normalize_error(q_mm[n, :, j], cam)
-            images[n, :, j], truth_y[n, :, j] = render_views([world], j, tcps)
+        images[n], truth_y[n] = render_views([world], tcps)
+    y = np.stack([normalize_error(q_mm[..., j], cam) for j, cam in enumerate(cameras)], axis=-1)
     return Dataset(images=images.reshape(-1, r, r), rows=np.arange(y.size),
                    insertion_id=np.repeat(kept, k * m),
                    camera_index=np.tile(np.arange(m), len(kept) * k), y=y.ravel(),

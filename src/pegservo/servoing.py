@@ -70,17 +70,20 @@ def servo_steps(worlds, cfg: ServoConfig) -> list:
     """One capture-predict-reconstruct-correct cycle of each world, worlds of one
     batch_config under one ServoConfig, the same for a world alone or in any batch.
 
-    Per camera, one render_views call draws every world's view and one predict_views
-    call predicts them. The corrections are denormalized, clamped to CLAMP_MM (flagged
-    as saturated) to guard against wild predictions, and moved as arrays; only the
-    reconstruct_error solve runs per world. A failing move raises ConstraintViolation,
+    One render_views call draws every world's scene and, per camera, one predict_views
+    call predicts its views. The corrections are denormalized, clamped to CLAMP_MM
+    (flagged as saturated) to guard against wild predictions, and moved as arrays; only
+    the reconstruct_error solve runs per world. A failing move raises ConstraintViolation,
     its world's TCP unchanged and the worlds before it moved.
     """
     tcps = np.array([world.tcp for world in worlds])
     cams = cfg.calibration.cameras
+    pixels, truth_y = render_views(worlds, tcps)
+    if pixels.shape[1] < len(cams):
+        raise InvalidConfig(f"camera index {pixels.shape[1]} out of range")
     y, q_mm = np.empty((2, len(worlds), len(cams)))
     for j, (model, cam) in enumerate(zip(cfg.models, cams)):
-        y[:, j] = predict_views(model, *render_views(worlds, j, tcps))
+        y[:, j] = predict_views(model, pixels[:, j], truth_y[:, j])
         q_mm[:, j] = denormalize_error(y[:, j], cam)
     recs = [reconstruct_error(cfg.calibration.error_directions, q) for q in q_mm]
     e_hat = np.array([rec.error for rec in recs])

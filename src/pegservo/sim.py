@@ -221,7 +221,7 @@ class WorldConfig:
 
     A camera is a CameraModel, its camera_to_dict form, or the shorthand
     {"position": ..., "f": 1000.0, "r": 64} for a camera aimed at the
-    nominal hole. No cameras means default_cameras.
+    nominal hole. No cameras means default_cameras. The cameras share one resolution.
     """
 
     tolerance: float = 0.1
@@ -264,6 +264,8 @@ class WorldConfig:
                                     "cameras round onto it") from exc
         if len(cams) < 2:
             raise InvalidConfig("need at least two cameras")
+        if len({cam.r for cam in cams}) != 1:  # a scene is one (n, m, r, r) array
+            raise InvalidConfig(f"cameras must share one resolution, got r = {[c.r for c in cams]}")
         depth = min(cam.z for cam in cams)  # a draw past a camera's depth can land behind it
         for name, below in (("tolerance", depth), ("hole_uncertainty_sigma", depth),
                             ("grasp_uncertainty_sigma", depth), ("hover_height", math.inf)):
@@ -499,24 +501,27 @@ _GLYPHS = {
 
 
 def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
-    """One camera view at the given (default current) TCP: a batch of one."""
-    tcp = world.tcp if tcp is None else np.asarray(tcp, dtype=float)
-    pixels, truth_y = render_views([world], camera_index, tcp[None])
-    return Observation(pixels[0], float(truth_y[0]))
+    """One camera's view at the given (default current) TCP: that camera of a scene of one."""
+    if not 0 <= camera_index < len(world.config.cameras):
+        raise InvalidConfig(f"camera index {camera_index} out of range")
+    pixels, truth_y = render_views([world], [world.tcp if tcp is None else tcp])
+    return Observation(pixels[0, camera_index], float(truth_y[0, camera_index]))
 
 
-def render_views(worlds, camera_index: int, tcps):
-    """One camera's views at (n, 3) TCPs, view k of worlds[k] (or of one world shared by
-    every view), the worlds of one batch_config: (n, r, r) float32 pixels, (n,) truth_y.
+def render_views(worlds, tcps):
+    """A scene: each of the m cameras' views at (n, 3) TCPs, view k of worlds[k] (or of one
+    world shared by every view), the worlds of one batch_config: (n, m, r, r) float32
+    pixels, (n, m) truth_y, r the cameras' one resolution.
 
-    Each crop is centered on the nominal hole projection; the hole is a dark disc and
-    the peg a bright glyph of the config's style, each at its world's true place. A
+    Each crop is centered on its camera's nominal hole projection; the hole is a dark disc
+    and the peg a bright glyph of the config's style, each at its world's true place. A
     disc's coverage is 0 beyond rad + edge/2 of its center, so each layer of discs (the
-    hole, with a centre and radius per view, then each glyph disc, with a centre per
-    view) is composited once, on the union of its views' boxes (plus a spare pixel)
-    that hit the image, and a view keeps its bits outside its own: it is the same in
-    any batch. Each view's noise comes from a generator seeded by (world seed, camera
-    index, TCP position bits), so re-rendering a pose is bit-identical.
+    hole, with a centre and radius per view, then each glyph disc, with a centre per view)
+    is composited once over all n m views, on the union of their boxes (plus a spare
+    pixel) that hit the image, and a view keeps its bits outside its own: it is the same
+    in any batch. Each view's noise comes from a generator seeded by (world seed, camera
+    index, TCP position bits), one keyed_generators call seeding them all, so
+    re-rendering a pose is bit-identical.
     """
     tcps = np.asarray(tcps, dtype=float)
     if tcps.ndim != 2 or tcps.shape[1] != 3:
@@ -525,30 +530,30 @@ def render_views(worlds, camera_index: int, tcps):
     if len(worlds) not in {1, n} - {0}:
         raise ShapeMismatch(f"{len(worlds)} worlds for {n} views")
     cfg = batch_config(worlds)
-    if not 0 <= camera_index < len(cfg.cameras):
-        raise InvalidConfig(f"camera index {camera_index} out of range")
     if not np.isfinite(tcps).all():
         raise ConstraintViolation(f"render TCPs {tcps} are not finite")
-    cam = cfg.cameras[camera_index]
-    r = cam.r
+    m, r = len(cfg.cameras), cfg.cameras[0].r
     # per given world; one shared world's rows broadcast over the views
     holes, grasps, looks = (np.array(a) for a in zip(*(
         (w.true_hole, w.grasp_offset, (w.appearance.background, w.appearance.hole_radius_px))
         for w in worlds)))
     backgrounds, radii = np.broadcast_to(looks, (n, 2)).T
     pegs = tcps + (worlds[0].basis @ grasps[:, :, None])[:, :, 0]
-    sx, sy = cfg.crop_shifts[camera_index].tolist()
-    hx, hy = (np.broadcast_to(c, n) for c in project(cam, holes))
-    px, py = project(cam, pegs)
-    layers = [(hx + sx, hy + sy, radii, HOLE_EDGE_WIDTH, HOLE_INTENSITY)]  # in compositing order
-    if cfg.peg_intensity is not None:
-        px, py = px + sx, py + sy
-        layers += [(px + du, py + dv, rad, EDGE_WIDTH, cfg.peg_intensity if i is None else i)
+    e = inplane_component(holes - pegs, cfg.insertion_direction)
+    hx, hy, px, py, truth_y = np.empty((5, n, m))  # view k's camera j, raveled to k m + j
+    for j, (cam, shift, u) in enumerate(zip(cfg.cameras, cfg.crop_shifts, cfg.error_directions)):
+        hx[:, j], hy[:, j] = np.array(project(cam, holes)) + shift[:, None]
+        px[:, j], py[:, j] = np.array(project(cam, pegs)) + shift[:, None]
+        truth_y[:, j] = normalize_error(scalar_error(e, u), cam)
+    layers = [(hx.ravel(), hy.ravel(), np.repeat(radii, m), HOLE_EDGE_WIDTH, HOLE_INTENSITY)]
+    if cfg.peg_intensity is not None:  # the glyph's discs, in compositing order
+        layers += [(px.ravel() + du, py.ravel() + dv, rad, EDGE_WIDTH,
+                    cfg.peg_intensity if i is None else i)
                    for du, dv, rad, i in _GLYPHS[cfg.component_style]]
-    img, grid = np.empty((n, r, r)), np.arange(r, dtype=float)
-    img[:] = backgrounds[:, None, None]
+    img, grid = np.empty((n * m, r, r)), np.arange(r, dtype=float)
+    img[:] = np.repeat(backgrounds, m)[:, None, None]
     for xs, ys, rad, edge, intensity in layers:
-        reach = np.broadcast_to(rad + edge / 2.0 + 1.0, n)
+        reach = np.broadcast_to(rad + edge / 2.0 + 1.0, n * m)
         shown = ((-1.0 < xs + reach) & (xs - reach < r)  # false for inf
                  & (-1.0 < ys + reach) & (ys - reach < r))
         if not shown.any():
@@ -563,16 +568,14 @@ def render_views(worlds, camera_index: int, tcps):
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    keys = [[seed, camera_index, *bits] for seed, bits in zip(
-        [w.seed for w in worlds] * (n // len(worlds)), tcps.view(np.uint64).tolist())]
+    keys = [[seed, j, *bits] for seed, bits in zip(
+        [w.seed for w in worlds] * (n // len(worlds)), tcps.view(np.uint64).tolist())
+        for j in range(m)]
     noise = np.empty((r, r))
     for view, noise_rng in zip(img, keyed_generators(keys)):
         view += np.multiply(noise_rng.standard_normal(out=noise), NOISE_SIGMA, out=noise)
-
-    q = scalar_error(inplane_component(holes - pegs, cfg.insertion_direction),
-                     cfg.error_directions[camera_index])
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
-    return img.astype(np.float32), normalize_error(q, cam)
+    return img.astype(np.float32).reshape(n, m, r, r), truth_y
 
 
 MODE_VS = "vs"

@@ -537,6 +537,30 @@ def test_scatter_svg_contains_points(tmp_path):
     assert len(circles) == finite + 2
 
 
+@pytest.mark.parametrize("big, top_label", [(1e308, "1.05e+308"),
+                                             (1.7976931348623157e308, "1.8e+308")])
+def test_scatter_svg_stays_finite_at_any_error(tmp_path, big, top_label):
+    # (x1 - x0) e / emax once overflowed past about 3e305 mm: x="inf" and a
+    # 300-digit tick label
+    rows = [Episode(style="led", mode="novs", seed=0, retrospective_error_mm=e,
+                    true_error_mm=e, time_s=t, attempts=2, success=True,
+                    post_servo_retrospective_error_mm=math.nan, direct=False)
+            for e, t in ((big, 2.0), (0.5, 1.0))]
+    emit_report(build_report(rows), tmp_path)
+    root = ET.fromstring((tmp_path / "scatter.svg").read_text())
+    svg = "{http://www.w3.org/2000/svg}"
+    coords = [float(v) for el in root.iter() for name, v in el.attrib.items()
+              if name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")]
+    assert coords and all(math.isfinite(v) for v in coords)
+    ticks = [el.text for el in root.iter(f"{svg}text")
+             if el.get("text-anchor") == "middle" and el.get("font-size") == "12"]
+    assert len(ticks) == 5 and all(len(t) <= 10 for t in ticks)
+    assert ticks[0] == "0.00" and ticks[-1] == top_label  # the axis ends at 1.05 e or the top
+    # 0.5 sits at the axis' start, the big error near its end (at it once 1.05 e overflows)
+    cx = sorted(float(c.get("cx")) for c in root.iter(f"{svg}circle") if c.get("fill-opacity"))
+    assert cx[0] == pytest.approx(60.0, abs=0.01) and 560.0 < cx[1] <= 620.0
+
+
 _floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
 _errors = st.one_of(st.floats(allow_nan=False, allow_infinity=True),

@@ -44,11 +44,11 @@ def reference_collect(world_factory, cfg, pattern):
                 q = scalar_error(-(world.basis @ offset2), u)
                 labels.append([i, j, normalize_error(q, cam), np.nan, q, height])
                 images.append(None)
-        for j in range(len(cameras)):
-            pixels, truth_y = render_views([world], j, np.array(tcps))
-            for s in range(len(tcps)):
+        pixels, truth_y = render_views([world], np.array(tcps))
+        for s in range(len(tcps)):
+            for j in range(len(cameras)):
                 row = first + s * len(cameras) + j
-                images[row], labels[row][3] = pixels[s], truth_y[s]
+                images[row], labels[row][3] = pixels[s, j], truth_y[s, j]
         all_tcps.append(np.array(tcps))
     return all_tcps, np.array(labels).T, np.array(images)
 
@@ -84,20 +84,20 @@ def test_collection_matches_the_per_sample_reference(
     pattern = generate_pattern(0.1, 1.0)
     calls = []
 
-    def recorded(worlds, camera_index, tcps):
+    def recorded(worlds, tcps):
         [world] = worlds
-        calls.append((world.config.seed - seed, camera_index, np.array(tcps)))
-        return render_views(worlds, camera_index, tcps)
+        calls.append((world.config.seed - seed, np.array(tcps)))
+        return render_views(worlds, tcps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pegservo.pipeline, "render_views", recorded)
         data = collect_dataset(factory, cfg, pattern)
     tcps, columns, images = reference_collect(factory, cfg, pattern)
 
-    m, inserted = len(data.cameras), sorted({i for i, _, _ in calls})
-    assert [(i, j) for i, j, _ in calls] == [(i, j) for i in inserted for j in range(m)]
+    inserted = sorted({i for i, _ in calls})
+    assert [i for i, _ in calls] == inserted  # one scene per inserted world
     assert len(inserted) == len(tcps)
-    for (_, _, got), want in zip(calls, np.repeat(tcps, m, axis=0)):
+    for (_, got), want in zip(calls, tcps):
         assert got.tobytes() == want.tobytes()
     names = ("insertion_id", "camera_index", "y", "truth_y", "q_mm", "height_mm")
     for name, want in zip(names, columns):

@@ -85,9 +85,9 @@ def test_a_one_mode_block_gives_each_world_what_it_gives_alone(models, rows):
     _assert_each_world_gives_what_it_gives_alone(models, ("led", "noisy", 3, rows))
 
 
-def test_block_renders_and_predicts_once_per_camera_and_model_per_iteration(
-        models, monkeypatch):
-    # a block has one ServoConfig, so one model per camera
+def test_block_renders_once_and_predicts_once_per_model_per_iteration(models, monkeypatch):
+    # a block has one ServoConfig, so one model per camera; one render draws
+    # every camera's view of every world
     counts = {"render_views": 0, "predict_views": 0}
     for name in counts:
         def counted(*args, real=getattr(pegservo.servoing, name), name=name):
@@ -97,7 +97,7 @@ def test_block_renders_and_predicts_once_per_camera_and_model_per_iteration(
         monkeypatch.setattr(pegservo.servoing, name, counted)
     worlds, cfg, servoed = _block(models, BATCHES[0])
     insert_batch(worlds, cfg, servoed, PATTERN, TIMING)
-    assert counts == {"render_views": 3 * 2, "predict_views": 3 * 2}
+    assert counts == {"render_views": 3, "predict_views": 3 * 2}
 
 
 def test_a_nan_prediction_fails_its_block_and_leaves_its_world_unmoved(models):
@@ -120,7 +120,7 @@ def test_a_mixed_batch_is_refused_before_any_world_moves():
     starts = [w.tcp.copy() for w in worlds]
     tcps = np.array(starts)
     cfg = servo_config_for(worlds[0], NOISY)
-    for call in (lambda: render_views(worlds, 0, tcps),
+    for call in (lambda: render_views(worlds, tcps),
                  lambda: spiral_search(worlds, PATTERN, TIMING),
                  lambda: move_tcps(worlds, tcps + worlds[0].basis @ np.array([0.1, 0.1])),
                  lambda: visual_servo(worlds, cfg),
@@ -133,7 +133,7 @@ def test_a_mixed_batch_is_refused_before_any_world_moves():
     # them, are one batch
     led = worlds[:2]
     assert led[0].config is not led[1].config
-    render_views(led, 0, tcps[:2])
+    render_views(led, tcps[:2])
     move_tcps(led, tcps[:2] + led[0].basis @ np.array([0.1, 0.1]))
     visual_servo(led, cfg)
     assert len(insert_batch(led, cfg, [True, False], PATTERN, TIMING)) == 2

@@ -149,19 +149,19 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
     assert len(calls) == 2  # the servo reads the world's config, one per camera
 
 
-def test_collection_renders_each_insertion_once_per_camera(monkeypatch):
+def test_collection_renders_each_insertion_once(monkeypatch):
     calls = []
 
-    def counted(worlds, camera_index, tcps):
-        calls.append(([w.config.seed for w in worlds], camera_index, len(tcps)))
-        return render_views(worlds, camera_index, tcps)
+    def counted(worlds, tcps):
+        calls.append(([w.config.seed for w in worlds], len(tcps)))
+        return render_views(worlds, tcps)
 
     monkeypatch.setattr(pegservo.pipeline, "render_views", counted)
     cfg = CollectionConfig(n_insertions=3, samples_per_insertion=5,
                            train_insertions=2)
     data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
     assert len(data) == 3 * 5 * 2
-    assert calls == [([500 + i], j, 5) for i in range(3) for j in range(2)]
+    assert calls == [([500 + i], 5) for i in range(3)]  # one scene of both cameras each
 
 
 def test_collection_builds_each_world_once():

@@ -98,22 +98,25 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
     tcps = np.array([world.tcp - height * l + world.basis
                      @ (widths * crop_mm * np.array([math.cos(theta), math.sin(theta)]))
                      for widths, theta, height in pose_list])
-    for j in range(len(cfg.cameras)):
-        batch, batch_truth = render_views([world], j, tcps)
-        assert batch.shape == (len(tcps), cam.r, cam.r) and batch.dtype == np.float32
-        for k, tcp in enumerate(tcps):
+    # one scene: every (view, camera) pair of one render_views call
+    batch, batch_truth = render_views([world], tcps)
+    m = len(cfg.cameras)
+    assert batch.shape == (len(tcps), m, cam.r, cam.r) and batch.dtype == np.float32
+    assert batch_truth.shape == (len(tcps), m)
+    for k, tcp in enumerate(tcps):
+        for j in range(m):
             pixels, truth_y = reference_render(world, j, tcp)
             obs = render(world, j, tcp)
-            assert batch[k].tobytes() == obs.pixels.tobytes() == pixels.tobytes()
-            assert repr(float(batch_truth[k])) == repr(obs.truth_y) == repr(truth_y)
+            assert batch[k, j].tobytes() == obs.pixels.tobytes() == pixels.tobytes()
+            assert repr(float(batch_truth[k, j])) == repr(obs.truth_y) == repr(truth_y)
 
 
 def test_render_views_takes_n_by_3_tcps():
     world = new_world(WorldConfig(seed=2))
-    pixels, truth_y = render_views([world], 1, np.empty((0, 3)))
-    assert pixels.shape == (0, 64, 64) and truth_y.shape == (0,)
+    pixels, truth_y = render_views([world], np.empty((0, 3)))
+    assert pixels.shape == (0, 2, 64, 64) and truth_y.shape == (0, 2)
     with pytest.raises(ShapeMismatch):
-        render_views([world], 1, world.tcp)
+        render_views([world], world.tcp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -146,13 +149,17 @@ def test_render_views_match_each_world_rendered_alone(views):
         batches.setdefault((style, peg_intensity), []).append((world, tcp))
     for batch in batches.values():
         worlds, tcps = zip(*batch)
-        for j in range(2):
-            pixels, truth_y = render_views(worlds, j, np.array(tcps))
-            assert pixels.shape == (len(worlds), 64, 64) and pixels.dtype == np.float32
-            for k, (world, tcp) in enumerate(zip(worlds, tcps)):
+        # one scene: every (view, camera) pair is its world's view rendered alone
+        # and the full-frame reference's
+        pixels, truth_y = render_views(worlds, np.array(tcps))
+        assert pixels.shape == (len(worlds), 2, 64, 64) and pixels.dtype == np.float32
+        assert truth_y.shape == (len(worlds), 2)
+        for k, (world, tcp) in enumerate(zip(worlds, tcps)):
+            for j in range(2):
                 obs = render(world, j, tcp)
-                assert pixels[k].tobytes() == obs.pixels.tobytes()
-                assert repr(float(truth_y[k])) == repr(obs.truth_y)
+                ref_pixels, ref_truth_y = reference_render(world, j, tcp)
+                assert pixels[k, j].tobytes() == obs.pixels.tobytes() == ref_pixels.tobytes()
+                assert repr(float(truth_y[k, j])) == repr(obs.truth_y) == repr(ref_truth_y)
 
 
 def test_render_views_need_one_resolution_and_one_world_per_view():
@@ -161,10 +168,10 @@ def test_render_views_need_one_resolution_and_one_world_per_view():
     small = new_world(WorldConfig(seed=3, cameras=default_cameras(vec3(0.0, 0.0, 0.0),
                                                                   vec3(0.0, 0.0, -1.0), r=32)))
     with pytest.raises(InvalidConfig, match="^world 1's config differs from world 0's"):
-        render_views([world, small], 0, np.array([world.tcp, small.tcp]))
+        render_views([world, small], np.array([world.tcp, small.tcp]))
     with pytest.raises(ShapeMismatch):  # two worlds for three views
-        render_views([world, world], 0, np.array([world.tcp] * 3))
+        render_views([world, world], np.array([world.tcp] * 3))
     with pytest.raises(ShapeMismatch):
-        render_views([], 0, np.empty((0, 3)))
-    pixels, truth_y = render_views([small], 1, np.empty((0, 3)))
-    assert pixels.shape == (0, 32, 32) and truth_y.shape == (0,)
+        render_views([], np.empty((0, 3)))
+    pixels, truth_y = render_views([small], np.empty((0, 3)))
+    assert pixels.shape == (0, 2, 32, 32) and truth_y.shape == (0, 2)

@@ -139,7 +139,8 @@ def test_report_matches_the_reference(tmp_path_factory, rows):
 
 
 def reference_svg(errors, times, modes) -> str:
-    """The original scatter.svg, from lists: a per-point filter and loop."""
+    """The original scatter.svg, from lists: a per-point filter and loop, on the
+    error axis that cannot overflow (the original's below ≈3e305 mm, bit for bit)."""
     pts = [(e, math.log10(t), mode) for e, t, mode in zip(errors, times, modes)
            if np.isfinite(e) and 0 < t < math.inf]
     fill = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
@@ -149,24 +150,25 @@ def reference_svg(errors, times, modes) -> str:
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
     if pts:
-        emax = max(p[0] for p in pts) * 1.05 or 1.0
+        emax = min(max(p[0] for p in pts) * 1.05, np.finfo(float).max) or 1.0
+        b = max(math.frexp(emax)[1], 0)  # the axis over 2**b: exact
         lt_lo = math.floor(min(p[1] for p in pts))
         lt_hi = math.ceil(max(p[1] for p in pts))
         if lt_hi == lt_lo:
             lt_hi += 1
 
         def sx(e):
-            return x0 + (x1 - x0) * e / emax
+            return x0 + (x1 - x0) * math.ldexp(e, -b) / math.ldexp(emax, -b)
 
         def sy(lt):
             return y0 + (y1 - y0) * (lt - lt_lo) / (lt_hi - lt_lo)
 
         for k in range(5):
-            e = emax * k / 4.0
+            e = emax * (k / 4.0)  # emax * k overflows at 1e308
             parts.append(f'<line x1="{sx(e):.2f}" y1="{y0}" x2="{sx(e):.2f}" '
                          f'y2="{y0 + 5}" stroke="black"/>')
             parts.append(f'<text x="{sx(e):.2f}" y="{y0 + 20}" font-size="12" '
-                         f'text-anchor="middle">{e:.2f}</text>')
+                         f'text-anchor="middle">{e:{".2f" if abs(e) < 1e6 else ".3g"}}</text>')
         for d in range(lt_lo, lt_hi + 1):
             label = f"{float(f'1e{d}'):g}"
             parts.append(f'<line x1="{x0 - 5}" y1="{sy(d):.2f}" x2="{x0}" '

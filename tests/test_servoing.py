@@ -221,6 +221,14 @@ def test_servo_config_validation():
         servo_config_for(w, ORACLES, n_iters=0)
     with pytest.raises(InvalidConfig):
         ServoConfig(models=(ORACLES[0],), calibration=w.config)
+    # a calibration of a camera the world's scene lacks is refused before any move
+    third = aimed_camera(vec3(-300.0, 0.0, 300.0), vec3(0.0, 0.0, 0.0), L, f=1000.0, r=64)
+    cfg = ServoConfig(models=ORACLES + (OracleModel(),),
+                      calibration=WorldConfig(cameras=w.config.cameras + (third,)))
+    start = w.tcp.copy()
+    with pytest.raises(InvalidConfig, match="^camera index 2 out of range$"):
+        servo_step(w, cfg)
+    assert w.tcp.tobytes() == start.tobytes()
 
 
 def test_trace_csv(tmp_path):

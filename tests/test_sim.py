@@ -548,15 +548,31 @@ def test_world_config_is_a_fixed_point_of_its_validation(direction):
 
 
 def test_camera_shorthand_aims_at_the_nominal_hole():
+    # one resolution per config: the defaults (f 1000, r 64) beside an f override,
+    # then an r override on both cameras
     hole = vec3(1.0, 2.0, 0.0)
-    cfg = config_from_dict(WorldConfig, {
-        "nominal_hole": [1.0, 2.0, 0.0],
-        "cameras": [{"position": [300.0, 2.0, 300.0]},
-                    {"position": [1.0, 300.0, 300.0], "f": 900, "r": 32}]})
-    want = [aimed_camera(vec3(300.0, 2.0, 300.0), hole, L, f=1000.0, r=64),
-            aimed_camera(vec3(1.0, 300.0, 300.0), hole, L, f=900.0, r=32)]
-    assert [camera_to_dict(c) for c in cfg.cameras] == \
-        [camera_to_dict(c) for c in want]
+    for r, cams in ((None, [{"position": [300.0, 2.0, 300.0]},
+                            {"position": [1.0, 300.0, 300.0], "f": 900}]),
+                    (32, [{"position": [300.0, 2.0, 300.0], "r": 32},
+                          {"position": [1.0, 300.0, 300.0], "f": 900, "r": 32}])):
+        cfg = config_from_dict(WorldConfig, {"nominal_hole": [1.0, 2.0, 0.0], "cameras": cams})
+        want = [aimed_camera(vec3(300.0, 2.0, 300.0), hole, L, f=1000.0, r=r or 64),
+                aimed_camera(vec3(1.0, 300.0, 300.0), hole, L, f=900.0, r=r or 64)]
+        assert [camera_to_dict(c) for c in cfg.cameras] == \
+            [camera_to_dict(c) for c in want]
+
+
+def test_cameras_of_two_resolutions_are_refused():
+    # a scene renders as one (n, m, r, r) array: WorldConfig refuses mixed r,
+    # naming each camera's
+    cams = [{"position": [300.0, 0.0, 300.0], "r": 64},
+            {"position": [0.0, 300.0, 300.0], "r": 32}]
+    with pytest.raises(InvalidConfig,
+                       match=r"^cameras must share one resolution, got r = \[64, 32\]$"):
+        config_from_dict(WorldConfig, {"cameras": cams})
+    with pytest.raises(InvalidConfig, match=r"r = \[64, 32\]"):
+        WorldConfig(cameras=(default_cameras(vec3(0.0, 0.0, 0.0), L)[0],
+                             default_cameras(vec3(0.0, 0.0, 0.0), L, r=32)[1]))
 
 
 @pytest.mark.parametrize("edit", [{"r": 64.7}, {"r": True}, {"r": "64"}, {"f": True},
@@ -638,8 +654,8 @@ def test_a_world_is_refused_or_seen_by_every_camera(seed, sigmas):
     except InvalidConfig as exc:
         assert str(exc).startswith(f"seed {seed} ") and "behind a camera" in str(exc)
         return
-    for j in range(len(cfg.cameras)):
-        render_views([world], j, world.tcp[None])
+    pixels, truth_y = render_views([world], world.tcp[None])  # one scene of every camera
+    assert pixels.shape == (1, len(cfg.cameras), 64, 64) and truth_y.shape == pixels.shape[:2]
 
 
 def _reference_world(cfg, seed):
