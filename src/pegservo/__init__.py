@@ -7,7 +7,7 @@ from .geometry import (CameraModel, aimed_camera, error_direction,
                        inplane_basis, reconstruct_error, scalar_error)
 from .search import SearchPattern, generate_pattern
 from .sim import (COMPONENT_STYLES, Episode, TimingModel, WorldConfig,
-                  WorldState, new_world, render, render_views, spiral_insert,
+                  Worlds, new_world, render, render_views, spiral_insert,
                   spiral_search)
 from .perception import (Dataset, MlpModel, OracleModel, RidgeModel,
                          TrainConfig, evaluate, featurize, predict, train)
@@ -23,7 +23,7 @@ __all__ = [
     "CameraModel", "aimed_camera", "error_direction", "inplane_basis",
     "reconstruct_error", "scalar_error",
     "SearchPattern", "generate_pattern",
-    "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "WorldState",
+    "COMPONENT_STYLES", "Episode", "TimingModel", "WorldConfig", "Worlds",
     "new_world", "render", "render_views", "spiral_insert", "spiral_search",
     "Dataset", "MlpModel", "OracleModel", "RidgeModel", "TrainConfig",
     "evaluate", "featurize", "predict", "train",

@@ -22,7 +22,7 @@ from .search import generate_pattern
 from .servoing import CLAMP_MM, ServoConfig
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
-                  keyed_uniforms, move_tcps, new_worlds, seed_states)
+                  keyed_uniforms, move_tcps, new_worlds, peg_position, seed_states)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class RunConfig:
 
 def train_styles(run: RunConfig, seed: int) -> dict:
     """Per grid style, configure's result on the run's sections, from worlds of
-    that style's config at seeds seed, seed + 1, ... drawn with one new_worlds call."""
+    that style's config at seeds seed, seed + 1, ... drawn as one new_worlds block."""
     results, n = {}, run.collection.n_insertions
     for style in run.bench.component_styles:
         styled = replace(run.world, component_style=style)
@@ -131,16 +131,14 @@ def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> Episodes:
     InvalidConfig before any render."""
     style, seeds, vs, starts = block
     worlds = new_worlds(style, seeds)
-    basis = worlds[0].basis
-    tcps, grasps = (np.array(a) for a in zip(*((w.tcp, w.grasp_offset) for w in worlds)))
     if vs.any():  # the rule around each vs row's drawn peg
         sees = partial(style.sees_disc, cfg.error_disc_radius + CLAMP_MM)
-        pegs = (tcps + (basis @ grasps[:, :, None])[:, :, 0])[vs]
+        pegs = peg_position(worlds)[vs]
         if not sees(pegs):
-            seed = next(s for s, peg in zip(np.array(seeds)[vs].tolist(), pegs) if not sees([peg]))
+            seed = next(s for s, peg in zip(worlds.seed[vs].tolist(), pegs) if not sees([peg]))
             raise InvalidConfig(f"seed {seed}: error_disc_radius {cfg.error_disc_radius} "
                                 "puts its servoed peg behind a camera")
-    move_tcps(worlds, tcps + (basis @ starts[:, :, None])[:, :, 0])
+    move_tcps(worlds, worlds.tcp + (worlds.basis @ starts[:, :, None])[:, :, 0])
     pattern = generate_pattern(cfg.tolerance, cfg.error_disc_radius)
     return insert_batch(worlds, servo_cfgs.get(style.component_style), vs, pattern, cfg.timing)
 
@@ -211,11 +209,13 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     servo_cfgs = {name: ServoConfig(tuple(models[name]), style, cfg.n_iters, cfg.timing)
                   for name, style in zip(cfg.component_styles, styles) if MODE_VS in cfg.modes}
     n, m = cfg.insertions_per_style_per_mode, len(cfg.modes)
-    pairs = [(si, i) for si in range(len(styles)) for i in range(n)]
-    # Per (style index, insertion), drawn once for the grid: the world seed, and
-    # the start offset from a uniform angle and a uniform area on the disc
-    seeds = seed_states([[cfg.seed, si, i] for si, i in pairs])[:, 0] >> np.uint64(1)
-    draws = keyed_uniforms([[cfg.seed, si, i, 7] for si, i in pairs], 2)
+    # Drawn once for the grid per key [seed, style index, insertion]: the world seed, and
+    # with a 7 appended, the start offset from a uniform angle and a uniform area on the disc
+    keys = np.empty((len(styles), n, 4), dtype=object if cfg.seed >> 64 else np.uint64)
+    keys[..., 0], keys[..., 3] = cfg.seed, 7
+    keys[..., 1], keys[..., 2] = np.ogrid[:len(styles), :n]
+    seeds = seed_states(keys[:, :, :3].reshape(-1, 3))[:, 0] >> np.uint64(1)
+    draws = keyed_uniforms(keys.reshape(-1, 4), 2)
     theta, rad = 2.0 * np.pi * draws[:, 0], cfg.error_disc_radius * np.sqrt(draws[:, 1])
     starts = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # a style's rows: each insertion once per mode, cut into blocks of at most _BLOCK
@@ -347,8 +347,9 @@ _MODE_FILL = np.array(["#1f6fb4", "#d1495b"], dtype=object)  # by BENCH_MODES co
 
 
 def _scatter_svg(errors, times, modes) -> str:
-    """Hand-rolled SVG scatter of the rows' columns: linear error axis, log10 time axis."""
-    keep = np.isfinite(errors) & (times > 0) & (times < math.inf)
+    """Hand-rolled SVG scatter of the rows' columns: linear error axis from 0, log10 time
+    axis; a point needs a finite error >= 0 and a finite time > 0."""
+    keep = (errors >= 0) & (errors < math.inf) & (times > 0) & (times < math.inf)
     errors, modes = errors[keep], modes[keep]
     log_times = np.array(list(map(math.log10, times[keep].tolist())))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '

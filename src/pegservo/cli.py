@@ -96,11 +96,11 @@ def cmd_simulate(ns) -> int:
     world = new_world(wcfg)
     outputs = [f"cam{j}.pgm" for j in range(len(wcfg.cameras))] + ["scene.json"]
     _write_manifest(ns.out, "simulate", ns, run, outputs)
-    [pixels], [truth_y] = render_views([world], world.tcp[None])
+    [pixels], [truth_y] = render_views(world, world.tcp)
     for j, view in enumerate(pixels):
         write_pgm(view, os.path.join(ns.out, f"cam{j}.pgm"))
     scene = {
-        "tcp": [float(v) for v in world.tcp],
+        "tcp": world.tcp[0].tolist(),
         "true_inplane_error_mm": true_inplane_error(world),
         "truth_y": {str(j): t for j, t in enumerate(truth_y.tolist())},
         "component_style": wcfg.component_style,
@@ -174,17 +174,17 @@ def cmd_servo(ns) -> int:
             raise InvalidConfig(f"--error {ns.error} puts the start peg behind a camera")
     outputs = ["result.json"] + (["trace.csv"] if ns.trace else [])
     _write_manifest(ns.out, "servo", ns, run, outputs)
-    [(steps, residuals)] = visual_servo([world], cfg)
+    steps, residuals = visual_servo(world, cfg)
     if ns.trace:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {
-        "residuals_mm": residuals,
+        "residuals_mm": residuals[0].tolist(),
         "final_error_mm": true_inplane_error(world),
         "elapsed_time_s": cfg.time_s,
         "n_iters": ns.n_iters,
     }
     _write_json(os.path.join(ns.out, "result.json"), result)
-    print(f"servo: residuals {['%.4f' % r for r in residuals]} mm, "
+    print(f"servo: residuals {['%.4f' % r for r in residuals[0]]} mm, "
           f"time {cfg.time_s:.3f} s")
     return 0
 

@@ -18,9 +18,8 @@ from .geometry import inplane_norm, normalize_error, scalar_error
 from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
-from .sim import (BENCH_MODES, MODE_VS, Episode, Episodes, TimingModel, WorldConfig, WorldState,
-                  batch_config, check_int, keyed_generators, render_views, spiral_search,
-                  true_inplane_errors)
+from .sim import (BENCH_MODES, MODE_VS, Episode, Episodes, TimingModel, WorldConfig, Worlds,
+                  check_int, keyed_generators, render_views, spiral_search, true_inplane_errors)
 
 log = logging.getLogger(__name__)
 
@@ -74,55 +73,59 @@ def collection_pattern(world: WorldConfig, cfg: CollectionConfig,
     return generate_pattern(world.tolerance, cfg.max_offset_mag) if pattern is None else pattern
 
 
+_RENDER_ROWS = 128  # collection samples per render_views call: bounds its float64 scenes
+
+
 def collect_dataset(world_factory, cfg: CollectionConfig,
                     pattern: SearchPattern = None) -> Dataset:
     """Gather self-labeled samples from cfg.n_insertions fresh worlds.
 
-    The worlds are built in insertion order, and must share one config
-    (sim.batch_config: a factory may build one config per seed) that passes
+    The factory's blocks of one are built in insertion order and joined into one block
+    (sim.Worlds.join: a factory may build one config per seed) whose config passes
     collection_pattern (the pattern when none is given), before any insertion or render.
     One spiral_search inserts them all; failed insertions are logged and skipped. Per
     inserted world: take the successful TCP as the in-plane zero, then draw
     samples_per_insertion random offsets (direction uniform on the circle, magnitude ~
     U(0, max_offset_mag), height ~ U(0, max_height)) as one array from its [seed, 1]
-    stream (one kernel call seeds every inserted world's) and render their scenes, every
-    camera's view of every sample, with one render_views call. Label y is the normalized
-    error the servo must cancel: y_j = normalize_error(-offset.u_j, cam_j). Images and
-    labels fill (inserted world, sample, camera) arrays, flattened in that order.
+    stream (one kernel call seeds every inserted world's). Every camera's view of each
+    sample is rendered, _RENDER_ROWS samples per render_views call. Label y is the
+    normalized error the servo must cancel: y_j = normalize_error(-offset.u_j, cam_j).
+    Images and labels fill (inserted world, sample, camera) arrays, flattened in order.
     """
-    worlds = [world_factory(i) for i in range(cfg.n_insertions)]
-    config = batch_config(worlds)
+    worlds = Worlds.join([world_factory(i) for i in range(cfg.n_insertions)])
+    config = worlds.config
     cameras = config.cameras
     pattern = collection_pattern(config, cfg, pattern)
     outcomes = spiral_search(worlds, pattern, TimingModel()).columns
-    for i in np.flatnonzero(~outcomes["success"]).tolist():
-        log.warning("collection insertion %d failed after %d attempts; skipped",
-                    i, outcomes["attempts"][i])
+    failed = ~outcomes["success"]
+    if failed.any():
+        log.warning("collection insertions %s failed after %s attempts; skipped",
+                    np.flatnonzero(failed).tolist(), outcomes["attempts"][failed].tolist())
     kept = np.flatnonzero(outcomes["success"])
     if len(kept) == 0:
         raise AllInsertionsFailed(f"all {cfg.n_insertions} collection insertions failed")
     k, m, r = cfg.samples_per_insertion, len(cameras), cameras[0].r
-    images = np.empty((len(kept), k, m, r, r), dtype=np.float32)
-    truth_y, q_mm, height_mm = np.empty((3, len(kept), k, m))
-    inserted = [worlds[i] for i in kept]
-    streams = keyed_generators([[world.seed, 1] for world in inserted])
-    for n, (world, stream) in enumerate(zip(inserted, streams)):
-        # the draws of uniform(0, high) for (theta, mag, height), sample by sample
-        theta, mag, height = (stream.random((k, 3))
-                              * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
-        offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
-        # stacked mat-vecs: per row, one sample's basis @ offset, bit for bit
-        moves = (world.basis @ offsets[:, :, None])[:, :, 0]
-        tcps = world.tcp + moves - height[:, None] * config.insertion_direction
-        q_mm[n] = scalar_error(-moves[:, None, :], np.array(config.error_directions))
-        height_mm[n] = height[:, None]
-        images[n], truth_y[n] = render_views([world], tcps)
-    y = np.stack([normalize_error(q_mm[..., j], cam) for j, cam in enumerate(cameras)], axis=-1)
+    inserted = worlds[np.repeat(kept, k)]  # a row per sample
+    seeds = worlds.seed[kept]
+    # the draws of uniform(0, high) for (theta, mag, height), sample by sample
+    draws = np.concatenate([stream.random((k, 3)) for stream in keyed_generators(
+        np.stack([seeds, 0 * seeds + 1], axis=1))])
+    theta, mag, height = (draws * (2.0 * np.pi, cfg.max_offset_mag, cfg.max_height)).T
+    offsets = np.stack([mag * np.cos(theta), mag * np.sin(theta)], axis=1)
+    # stacked mat-vecs: per row, one sample's basis @ offset, bit for bit
+    moves = (worlds.basis @ offsets[:, :, None])[:, :, 0]
+    tcps = inserted.tcp + moves - height[:, None] * config.insertion_direction
+    q_mm = scalar_error(-moves[:, None, :], np.array(config.error_directions))
+    images, truth_y = np.empty((len(inserted), m, r, r), np.float32), np.empty((len(inserted), m))
+    for rows in range(0, len(inserted), _RENDER_ROWS):
+        views = slice(rows, rows + _RENDER_ROWS)
+        images[views], truth_y[views] = render_views(inserted[views], tcps[views])
+    y = np.stack([normalize_error(q_mm[:, j], cam) for j, cam in enumerate(cameras)], axis=-1)
     return Dataset(images=images.reshape(-1, r, r), rows=np.arange(y.size),
                    insertion_id=np.repeat(kept, k * m),
-                   camera_index=np.tile(np.arange(m), len(kept) * k), y=y.ravel(),
+                   camera_index=np.tile(np.arange(m), len(inserted)), y=y.ravel(),
                    truth_y=truth_y.ravel(), q_mm=q_mm.ravel(),
-                   height_mm=height_mm.ravel(), cameras=cameras)
+                   height_mm=np.repeat(height, m), cameras=cameras)
 
 
 def split_by_insertion(data: Dataset, train_insertions: int, seed: int):
@@ -195,25 +198,24 @@ def configure(world_factory, cfg: CollectionConfig, hyper: TrainConfig,
 MODES = ("spiral_only", "servo_then_spiral")
 
 
-def insert(world: WorldState, mode: str, servo_cfg, pattern: SearchPattern,
+def insert(world: Worlds, mode: str, servo_cfg, pattern: SearchPattern,
            timing: TimingModel) -> Episode:
-    """One insertion episode in the given mode: insert_batch of one."""
+    """One insertion episode of a block of one in the given mode: insert_batch of one."""
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    return insert_batch([world], servo_cfg, [mode == "servo_then_spiral"], pattern, timing)[0]
+    return insert_batch(world, servo_cfg, [mode == "servo_then_spiral"], pattern, timing)[0]
 
 
-def insert_batch(worlds, servo_cfg, servoed, pattern: SearchPattern,
+def insert_batch(worlds: Worlds, servo_cfg, servoed, pattern: SearchPattern,
                  timing: TimingModel) -> Episodes:
-    """Insertion episodes of a batch of worlds of one sim.batch_config, searched by one
-    spiral_search; a mixed batch raises InvalidConfig before any world moves.
+    """Insertion episodes of a block's worlds, searched by one spiral_search.
 
-    The rows that servoed flags (one bool per world) are first servoed together under
-    servo_cfg, one ServoConfig (None only if no row is servoed), by one visual_servo
-    call and give vs episodes, written into the search's columns: time_s adds
-    servo_cfg.time_s, the true and the retrospective errors are measured from the
-    original start, and the post-servo retrospective error is the search's. The other
-    rows give spiral_search's novs episodes.
+    The rows that servoed flags (one bool per world) are first servoed together, as their
+    rows' block, under servo_cfg, one ServoConfig (None only if no row is servoed), by one
+    visual_servo call and give vs episodes, written into the search's columns: time_s adds
+    servo_cfg.time_s, the true and the retrospective errors are measured from the original
+    start, and the post-servo retrospective error is the search's. The other rows give
+    spiral_search's novs episodes.
     """
     if len(servoed) != len(worlds):
         raise ShapeMismatch(f"{len(servoed)} servo flags for {len(worlds)} worlds")
@@ -222,13 +224,13 @@ def insert_batch(worlds, servo_cfg, servoed, pattern: SearchPattern,
         return spiral_search(worlds, pattern, timing)
     if servo_cfg is None:
         raise ModelsNotDeployed("servoed rows need one deployed model per camera")
-    batch_config(worlds)  # before the servo moves its rows
-    servo = [worlds[n] for n in vs]
-    starts, true_errors = np.array([w.tcp for w in servo]), true_inplane_errors(servo)
+    servo = worlds[vs]
+    starts, true_errors = servo.tcp.copy(), true_inplane_errors(servo)
     visual_servo(servo, servo_cfg)
+    worlds.tcp[vs] = servo.tcp
     episodes = spiral_search(worlds, pattern, timing)
-    col, l = episodes.columns, worlds[0].config.insertion_direction
-    moved = inplane_norm(np.array([w.tcp for w in servo]) - starts, l)
+    col = episodes.columns
+    moved = inplane_norm(worlds.tcp[vs] - starts, worlds.config.insertion_direction)
     col["mode"][vs] = BENCH_MODES.index(MODE_VS)
     col["post_servo_retrospective_error_mm"][vs] = col["retrospective_error_mm"][vs]
     col["retrospective_error_mm"][vs] = np.where(col["success"][vs], moved, np.nan)

@@ -7,7 +7,7 @@ grid that still guarantees a hit anywhere inside the searched disc.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,6 +38,15 @@ class SearchPattern:
 
     def __len__(self) -> int:
         return len(self.offsets)
+
+    @cached_property
+    def reach(self) -> tuple:
+        """The running maximum of the offsets' norms (read-only) and its largest excess over a
+        norm, the ring quantum in ring order: computed once, for sim.spiral_search's ring band."""
+        norms = np.hypot(self.offsets[:, 0], self.offsets[:, 1])
+        reach = np.maximum.accumulate(norms)
+        reach.flags.writeable = False
+        return reach, (reach - norms).max(initial=0.0)
 
 
 @lru_cache(maxsize=16)

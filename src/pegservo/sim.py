@@ -11,7 +11,7 @@ import json
 import math
 import typing
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -61,14 +61,6 @@ class TimingModel:
 
     def servo_step_time(self, n_cameras: int) -> float:
         return n_cameras * (self.t_capture + self.t_infer) + self.t_move
-
-
-@dataclass(frozen=True)
-class Appearance:
-    """Per-world nuisance draws that style the renders."""
-
-    background: float
-    hole_radius_px: float
 
 
 def default_cameras(nominal_hole, l, f: float = 1000.0, r: int = 64,
@@ -132,12 +124,14 @@ _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's
 
 def seed_states(keys) -> np.ndarray:
     """np.random.SeedSequence(key).generate_state(4, np.uint64) of each of n keys
-    of m non-negative integers, as (n, 4) uint64; column 0 is generate_state(1)."""
+    of m non-negative integers (rows, or an (n, m) integer array), as (n, 4) uint64;
+    column 0 is generate_state(1)."""
     if len(keys) == 0:
         return np.zeros((0, 4), dtype=np.uint64)
-    keys = np.array(keys, dtype=object)  # not inferred: int64 and uint64 make float64
-    if keys.ndim != 2 or not all(issubclass(t, (int, np.integer)) and t is not bool
-                                 for t in set(map(type, keys.flat))) or keys.min() < 0:
+    if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):  # else checked here
+        keys = np.array(keys, dtype=object)  # not inferred: int64 and uint64 make float64
+    if keys.ndim != 2 or keys.dtype == object and not all(issubclass(t, (int, np.integer))
+            and t is not bool for t in set(map(type, keys.flat))) or keys.min() < 0:
         raise ValueError(f"keys must be rows of non-negative integers, got {keys!r}")
     top = int(keys.max())
     if top < 1 << 64:  # else they stay Python integers
@@ -338,25 +332,6 @@ class WorldConfig:
                             f=cam.get("f", 1000.0), r=cam.get("r", 64))
 
 
-@dataclass
-class WorldState:
-    """Mutable state of one simulated insertion experiment.
-
-    true_hole and grasp_offset are hidden draws; code under test must not
-    read them (diagnostics like true_inplane_error may). tcp is the tool
-    center point; the in-hand peg sits at tcp + basis @ grasp_offset.
-    """
-
-    config: WorldConfig
-    seed: int  # keys the world's streams: hidden draws, render noise, collection offsets
-    true_hole: np.ndarray
-    grasp_offset: np.ndarray  # 2D coefficients in the in-plane basis
-    nominal_hole: np.ndarray
-    tcp: np.ndarray
-    appearance: Appearance
-    basis: np.ndarray  # (3,2) in-plane basis, shared read-only per direction
-
-
 @lru_cache(maxsize=16)
 def _shared_basis(direction: bytes) -> np.ndarray:
     """inplane_basis of the direction with these bytes, read-only and shared."""
@@ -365,44 +340,70 @@ def _shared_basis(direction: bytes) -> np.ndarray:
     return basis
 
 
-def batch_config(worlds) -> WorldConfig:
-    """World 0's WorldConfig, which every world of a batch has, or one equal to it but for
-    the seed (a per-index factory builds one config per seed; no batched call reads
-    config.seed): another raises InvalidConfig naming the first world whose config differs."""
-    config = worlds[0].config
-    for k, world in enumerate(worlds):
-        if world.config is not config and (config_to_dict(world.config) | {"seed": 0}
-                                           != config_to_dict(config) | {"seed": 0}):
-            raise InvalidConfig(f"world {k}'s config differs from world 0's: "
-                                "a batch is one WorldConfig (seed aside)")
-    return config
+_ROWS = ("seed", "true_hole", "grasp_offset", "tcp", "background", "hole_radius_px")
 
 
-def new_world(config: WorldConfig) -> WorldState:
+@dataclass(eq=False)
+class Worlds:
+    """A block of n insertion experiments of one WorldConfig as arrays; a world is a block
+    of one. true_hole and grasp_offset are hidden draws; code under test must not read them
+    (diagnostics like true_inplane_errors may). seed keys a world's streams: hidden draws,
+    render noise, collection offsets. The batched calls move the tool center point tcp in
+    place; the in-hand peg sits at tcp + basis @ grasp_offset."""
+
+    config: WorldConfig
+    basis: np.ndarray  # (3, 2) in-plane basis, shared read-only per direction
+    seed: np.ndarray  # (n,) int64, or object (Python integers) once one is 2**63 or more
+    true_hole: np.ndarray  # (n, 3)
+    grasp_offset: np.ndarray  # (n, 2) coefficients in the in-plane basis
+    tcp: np.ndarray  # (n, 3)
+    background: np.ndarray  # (n,) the appearance draws that style the renders
+    hole_radius_px: np.ndarray  # (n,)
+    nominal_hole = property(lambda self: self.config.nominal_hole)
+    __iter__ = None  # not a list of worlds: a loop over a block's rows would move copies
+
+    def __len__(self):
+        return len(self.seed)
+
+    def __getitem__(self, rows) -> "Worlds":
+        """A copy of these rows (an index, a slice, a mask); an integer gives a block of one."""
+        rows = np.arange(len(self))[rows].reshape(-1)
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROWS})
+
+    @classmethod
+    def join(cls, blocks) -> "Worlds":
+        """The blocks' rows in order, under block 0's config, which every block has or one
+        equal to it but for the seed (a per-index factory builds one config per seed; no
+        batched call reads config.seed), or InvalidConfig names the first that differs."""
+        config = blocks[0].config
+        for k, block in enumerate(blocks):
+            if block.config is not config and (config_to_dict(block.config) | {"seed": 0}
+                                               != config_to_dict(config) | {"seed": 0}):
+                raise InvalidConfig(f"world {k}'s config differs from world 0's: "
+                                    "a batch is one WorldConfig (seed aside)")
+        return replace(blocks[0], **{name: np.concatenate([getattr(b, name) for b in blocks])
+                                     for name in _ROWS})
+
+
+def new_world(config: WorldConfig) -> Worlds:
     """One config's world at the config's seed: new_worlds of one."""
-    return new_worlds(config, [config.seed])[0]
+    return new_worlds(config, [config.seed])
 
 
-def new_worlds(config: WorldConfig, seeds) -> list:
-    """Per seed, an integer >= 0, the config's world at that seed: draw the hidden state
+def new_worlds(config: WorldConfig, seeds) -> Worlds:
+    """The config's block of a world per seed, an integer >= 0: draw the hidden state
     (the hole's and the grasp's offsets, then the appearance, from the seed's scene
     stream) and park the TCP hover_height above the nominal hole along -l. The first
     draw that puts the true hole, or the peg at the approach pose, behind a camera
     raises InvalidConfig naming the seed and the drawn offset."""
     seeds = [check_int("seed", seed, 0) for seed in seeds]
-    if not seeds:
-        return []
+    seeds = np.array(seeds, dtype=np.int64 if max(seeds, default=0) < 1 << 63 else object)
     draws = np.empty((len(seeds), 6))
-    for row, scene in zip(draws, keyed_generators([[seed, 0] for seed in seeds])):
+    for row, scene in zip(draws, keyed_generators(np.stack([seeds, 0 * seeds], axis=1))):
         scene.standard_normal(out=row[:4])  # the same as two standard_normal(2)
         scene.random(out=row[4:])  # uniform(a, b) is a + (b - a) * random()
     holes2 = config.hole_uncertainty_sigma * draws[:, :2]
     grasps2 = config.grasp_uncertainty_sigma * draws[:, 2:4]
-    # Background level and hole finish vary per world (lighting, board);
-    # the grasped part itself has fixed geometry and fixed grasp rotation,
-    # so the glyph shape is deterministic.
-    backgrounds = (0.4 + (0.6 - 0.4) * draws[:, 4]).tolist()
-    radii = (3.6 + (4.4 - 3.6) * draws[:, 5]).tolist()
     basis = _shared_basis(config.insertion_direction.tobytes())
     nominals = np.tile(config.nominal_hole, (len(seeds), 1))
     # each row of a product with the shared basis is basis @ offset, bit for bit
@@ -415,55 +416,49 @@ def new_worlds(config: WorldConfig, seeds) -> list:
                        else ("puts the peg", grasps2[k]))
         raise InvalidConfig(f"seed {seeds[k]} {what} behind a camera "
                             f"(drawn offset {drawn.round(3).tolist()} mm)")
-    return [WorldState(config, seed, hole, grasp, nominal, tcp,
-                       Appearance(background, radius), basis)
-            for seed, hole, grasp, nominal, tcp, background, radius in zip(
-                seeds, true_holes, grasps2, nominals, tcps, backgrounds, radii)]
+    # Background level and hole finish vary per world (lighting, board); the grasped part
+    # has a fixed geometry and grasp rotation, so the glyph shape is deterministic.
+    return Worlds(config, basis, seeds, true_holes, grasps2, tcps,
+                  0.4 + (0.6 - 0.4) * draws[:, 4], 3.6 + (4.4 - 3.6) * draws[:, 5])
 
 
-def peg_position(world: WorldState) -> np.ndarray:
-    return world.tcp + world.basis @ world.grasp_offset
+def peg_position(worlds: Worlds, tcps=None) -> np.ndarray:
+    """(n, 3): each world's peg, tcp + basis @ grasp_offset, at tcps (default its own TCP)."""
+    return ((worlds.tcp if tcps is None else tcps)
+            + (worlds.basis @ worlds.grasp_offset[:, :, None])[:, :, 0])
 
 
-def true_inplane_error(world: WorldState) -> float:
-    """Hidden in-plane peg-to-hole distance (mm) at the TCP. Diagnostic only."""
-    return float(true_inplane_errors([world])[0])
+def true_inplane_error(world: Worlds) -> float:
+    """Hidden in-plane peg-to-hole distance (mm) at a block of one's TCP. Diagnostic only."""
+    return float(true_inplane_errors(world)[0])
 
 
-def true_inplane_errors(worlds) -> np.ndarray:
-    """Per world of one batch_config, true_inplane_error, on stacked rows: one product with
-    the batch's basis (world 0's), each row bit for bit the world's own."""
-    l = batch_config(worlds).insertion_direction
-    holes, tcps, grasps = (np.array(a) for a in zip(*(
-        (w.true_hole, w.tcp, w.grasp_offset) for w in worlds)))
-    return inplane_norm(holes - (tcps + (worlds[0].basis @ grasps[:, :, None])[:, :, 0]), l)
+def true_inplane_errors(worlds: Worlds) -> np.ndarray:
+    """Each world's hidden in-plane peg-to-hole distance (mm) at its TCP, (n,)."""
+    return inplane_norm(worlds.true_hole - peg_position(worlds), worlds.config.insertion_direction)
 
 
-def move_tcp(world: WorldState, new_tcp) -> None:
-    """Reposition the TCP within the plane perpendicular to l.
-
-    Out-of-plane motion and any non-finite target raise ConstraintViolation,
-    leaving the TCP where it was.
-    """
-    new_tcp = np.asarray(new_tcp, dtype=float)
-    if not np.isfinite(new_tcp).all():
-        raise ConstraintViolation(f"TCP target {new_tcp} is not finite")
-    _check_inplane(abs(float(np.dot(new_tcp - world.tcp, world.config.insertion_direction))))
-    world.tcp = new_tcp
+def move_tcp(world: Worlds, new_tcp) -> None:
+    """move_tcps of a block of one to a (3,) or (1, 3) target."""
+    move_tcps(world, np.reshape(new_tcp, (1, 3)))
 
 
-def move_tcps(worlds, targets) -> None:
-    """move_tcp of each world of one batch_config to its row of (n, 3) targets, with one
-    stacked check: a mixed batch moves no world, and a failing row raises move_tcp's
-    error, the rows before it moved."""
-    l = batch_config(worlds).insertion_direction
-    tcps = np.array([w.tcp for w in worlds])
-    if not (np.isfinite(targets).all()
-            and (np.abs(scalar_error(targets - tcps, l)) <= _INPLANE_TOL).all()):
-        for world, target in zip(worlds, targets):
-            move_tcp(world, target)  # raises the first failing row's error
-    for world, target in zip(worlds, targets):
-        world.tcp = target
+def move_tcps(worlds: Worlds, targets) -> None:
+    """Reposition each world's TCP, in place, to its row of (n, 3) targets within the plane
+    perpendicular to l, with one stacked check. Out-of-plane motion or a non-finite target
+    raises ConstraintViolation for the first failing row, the rows before it moved."""
+    targets = np.asarray(targets, dtype=float)
+    finite = np.isfinite(targets).all(axis=1)
+    moves = np.where(finite[:, None], targets - worlds.tcp, 0.0)  # no nan from an inf
+    worst = np.abs(scalar_error(moves, worlds.config.insertion_direction))
+    ok = finite & (worst <= _INPLANE_TOL)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        worlds.tcp[:k] = targets[:k]
+        if not finite[k]:
+            raise ConstraintViolation(f"TCP target {targets[k]} is not finite")
+        _check_inplane(float(worst[k]))
+    worlds.tcp[:] = targets
 
 
 def _check_inplane(worst: float) -> None:
@@ -500,18 +495,17 @@ _GLYPHS = {
 }
 
 
-def render(world: WorldState, camera_index: int, tcp=None) -> Observation:
-    """One camera's view at the given (default current) TCP: that camera of a scene of one."""
+def render(world: Worlds, camera_index: int, tcp=None) -> Observation:
+    """One camera's view of a block of one at a (3,) or (1, 3) TCP (default its own)."""
     if not 0 <= camera_index < len(world.config.cameras):
         raise InvalidConfig(f"camera index {camera_index} out of range")
-    pixels, truth_y = render_views([world], [world.tcp if tcp is None else tcp])
+    pixels, truth_y = render_views(world, world.tcp if tcp is None else np.reshape(tcp, (1, 3)))
     return Observation(pixels[0, camera_index], float(truth_y[0, camera_index]))
 
 
-def render_views(worlds, tcps):
-    """A scene: each of the m cameras' views at (n, 3) TCPs, view k of worlds[k] (or of one
-    world shared by every view), the worlds of one batch_config: (n, m, r, r) float32
-    pixels, (n, m) truth_y, r the cameras' one resolution.
+def render_views(worlds: Worlds, tcps):
+    """A scene: each of the m cameras' views at (n, 3) TCPs, view k of world k of a block of
+    n: (n, m, r, r) float32 pixels, (n, m) truth_y, r the cameras' one resolution.
 
     Each crop is centered on its camera's nominal hole projection; the hole is a dark disc
     and the peg a bright glyph of the config's style, each at its world's true place. A
@@ -527,31 +521,27 @@ def render_views(worlds, tcps):
     if tcps.ndim != 2 or tcps.shape[1] != 3:
         raise ShapeMismatch(f"expected (n, 3) TCPs, got {tcps.shape}")
     n = len(tcps)
-    if len(worlds) not in {1, n} - {0}:
+    if len(worlds) != n:
         raise ShapeMismatch(f"{len(worlds)} worlds for {n} views")
-    cfg = batch_config(worlds)
     if not np.isfinite(tcps).all():
         raise ConstraintViolation(f"render TCPs {tcps} are not finite")
+    cfg = worlds.config
     m, r = len(cfg.cameras), cfg.cameras[0].r
-    # per given world; one shared world's rows broadcast over the views
-    holes, grasps, looks = (np.array(a) for a in zip(*(
-        (w.true_hole, w.grasp_offset, (w.appearance.background, w.appearance.hole_radius_px))
-        for w in worlds)))
-    backgrounds, radii = np.broadcast_to(looks, (n, 2)).T
-    pegs = tcps + (worlds[0].basis @ grasps[:, :, None])[:, :, 0]
+    holes, pegs = worlds.true_hole, peg_position(worlds, tcps)
     e = inplane_component(holes - pegs, cfg.insertion_direction)
     hx, hy, px, py, truth_y = np.empty((5, n, m))  # view k's camera j, raveled to k m + j
     for j, (cam, shift, u) in enumerate(zip(cfg.cameras, cfg.crop_shifts, cfg.error_directions)):
         hx[:, j], hy[:, j] = np.array(project(cam, holes)) + shift[:, None]
         px[:, j], py[:, j] = np.array(project(cam, pegs)) + shift[:, None]
         truth_y[:, j] = normalize_error(scalar_error(e, u), cam)
-    layers = [(hx.ravel(), hy.ravel(), np.repeat(radii, m), HOLE_EDGE_WIDTH, HOLE_INTENSITY)]
+    layers = [(hx.ravel(), hy.ravel(), np.repeat(worlds.hole_radius_px, m), HOLE_EDGE_WIDTH,
+               HOLE_INTENSITY)]
     if cfg.peg_intensity is not None:  # the glyph's discs, in compositing order
         layers += [(px.ravel() + du, py.ravel() + dv, rad, EDGE_WIDTH,
                     cfg.peg_intensity if i is None else i)
                    for du, dv, rad, i in _GLYPHS[cfg.component_style]]
     img, grid = np.empty((n * m, r, r)), np.arange(r, dtype=float)
-    img[:] = np.repeat(backgrounds, m)[:, None, None]
+    img.reshape(n, m * r * r)[:] = worlds.background[:, None]
     for xs, ys, rad, edge, intensity in layers:
         reach = np.broadcast_to(rad + edge / 2.0 + 1.0, n * m)
         shown = ((-1.0 < xs + reach) & (xs - reach < r)  # false for inf
@@ -568,11 +558,12 @@ def render_views(worlds, tcps):
         cov = np.minimum(np.maximum((rad - dist) / edge + 0.5, 0.0), 1.0)
         img[views, y0:y1, x0:x1] = (img[views, y0:y1, x0:x1] * (1.0 - cov)
                                     + intensity * cov)
-    keys = [[seed, j, *bits] for seed, bits in zip(
-        [w.seed for w in worlds] * (n // len(worlds)), tcps.view(np.uint64).tolist())
-        for j in range(m)]
+    # [seed, j, *tcp bits] per view: integers, as uint64 unless the seeds are objects
+    keys = np.empty((n, m, 5), dtype=object if worlds.seed.dtype == object else np.uint64)
+    keys[:, :, 0], keys[:, :, 1] = worlds.seed[:, None], np.arange(m)
+    keys[:, :, 2:] = tcps.view(np.uint64)[:, None, :]
     noise = np.empty((r, r))
-    for view, noise_rng in zip(img, keyed_generators(keys)):
+    for view, noise_rng in zip(img, keyed_generators(keys.reshape(n * m, 5))):
         view += np.multiply(noise_rng.standard_normal(out=noise), NOISE_SIGMA, out=noise)
     np.minimum(np.maximum(img, 0.0, out=img), 1.0, out=img)  # clipped as cov is
     return img.astype(np.float32).reshape(n, m, r, r), truth_y
@@ -606,7 +597,7 @@ class Episode:
 
 
 class Episodes:
-    """Episodes as one array per field, by name, style and mode as np.uint8 CODES: 52 bytes
+    """Episodes as one array per field, by name, style and mode as np.uint8 CODES: 48 bytes
     a row against 330 for the objects, which it builds on access. It acts as a list of
     Episodes (len, iteration, integer index, repr); == compares columns, nan to nan."""
 
@@ -656,36 +647,34 @@ class Episodes:
         return repr(list(self))
 
 
-def spiral_insert(world: WorldState, start_tcp, pattern, timing: TimingModel) -> Episode:
-    """move_tcp to start_tcp, then spiral_search of this one world: a batch of one."""
+def spiral_insert(world: Worlds, start_tcp, pattern, timing: TimingModel) -> Episode:
+    """move_tcp to start_tcp, then spiral_search of this block of one."""
     move_tcp(world, start_tcp)
-    return spiral_search([world], pattern, timing)[0]
+    return spiral_search(world, pattern, timing)[0]
 
 
-def _ring_band(offsets, miss, thr):
+def _ring_band(pattern, miss, thr):
     """(world, offset) index rows, in that order, of a band of offsets per world holding every
     o that |o - miss|^2 <= thr^2 passes: ||o| - |miss|| <= thr, and the sorted running maximum
     of the norms exceeds each by at most its largest gap (the ring quantum, in ring order).
     Rounding takes a few ulps of |miss|, the largest norm and thr: 8 eps of their sum."""
-    norms = np.hypot(offsets[:, 0], offsets[:, 1])
-    reach = np.maximum.accumulate(norms)
+    reach, gap = pattern.reach
     far = np.hypot(miss[:, 0], miss[:, 1])
-    slack = thr + (reach - norms).max(initial=0.0) + 8.0 * np.finfo(float).eps * (
-        far + reach.max(initial=0.0) + thr)
+    slack = thr + gap + 8.0 * np.finfo(float).eps * (far + reach.max(initial=0.0) + thr)
     lo = np.searchsorted(reach, far - slack)
     counts = np.searchsorted(reach, far + slack, side="right") - lo
     wi = np.repeat(np.arange(len(miss)), counts)
     return wi, np.arange(len(wi)) + (lo - np.cumsum(counts) + counts)[wi]
 
 
-def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
-    """Per world, try pattern offsets from its TCP in order until one inserts.
+def spiral_search(worlds: Worlds, pattern, timing: TimingModel) -> Episodes:
+    """Per world of a block, try pattern offsets from its TCP in order until one inserts.
 
-    The worlds share one batch_config, so one basis (world 0's), direction, tolerance
-    and style; a pattern of another tolerance warns once per call. An episode's
-    time_s is its attempts times t_attempt. A world's TCP ends at its hit, or back at
-    its start with a nan retrospective error. Returns the batch of one novs episode
-    per world, its true error measured at the start.
+    The block's one config gives the basis, direction, tolerance and style; a pattern
+    of another tolerance warns once per call. An episode's time_s is its attempts times
+    t_attempt. A world's TCP row ends at its hit, or back at its start with a nan
+    retrospective error. Returns the batch of one novs episode per world, its true error
+    measured at the start.
 
     The offsets in each world's _ring_band are screened by the squared in-plane
     peg-hole distance |basis.T @ (hole - peg at start) - offset|^2, which differs
@@ -695,25 +684,26 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     then true_inplane_error's inplane_norm, on stacked rows), and a world's first
     confirmed offset is its hit, so every result is bit-identical to trying the offsets
     one by one. Every world's path not cleared by a rounding bound is checked for
-    out-of-plane motion before any world's TCP is written: a failing path changes no world.
+    out-of-plane motion before any TCP is written: a failing path changes no world.
     """
-    if not worlds:
+    if not len(worlds):
         return Episodes.of([])
-    cfg, basis = batch_config(worlds), worlds[0].basis
+    cfg, basis = worlds.config, worlds.basis
     l, tol = cfg.insertion_direction, cfg.tolerance
-    holes, origins, grasps, seeds = (np.array(a) for a in zip(*(
-        (w.true_hole, w.tcp, w.grasp_offset, w.seed) for w in worlds)))
+    holes, origins = worlds.true_hole, worlds.tcp
     offsets, got = pattern.offsets, float(pattern.tolerance)
     if tol != got and not np.isclose(got, tol):
         warnings.warn(f"pattern tolerance {got} != world tolerance {tol}", stacklevel=2)
-    shift = (basis @ grasps[:, :, None])[:, :, 0]  # basis @ grasp_offset
+    shift = (basis @ worlds.grasp_offset[:, :, None])[:, :, 0]  # basis @ grasp_offset
     pegs = origins + shift  # peg_position at each start
     miss = (basis.T @ (holes - pegs)[:, :, None])[:, :, 0]
     scale = np.maximum(np.abs(offsets).max(initial=0.0),
                        np.maximum(np.abs(holes).max(axis=1), np.abs(pegs).max(axis=1)))
     thr = tol + 1e-9 * (tol + scale)
-    wi, ki = _ring_band(offsets, miss, thr)
-    d = np.square(np.take(offsets, ki, axis=0) - np.take(miss, wi, axis=0))  # take: faster
+    wi, ki = _ring_band(pattern, miss, thr)
+    d = np.take(offsets, ki, axis=0)  # take: faster; the screen in place
+    d -= np.take(miss, wi, axis=0)
+    np.square(d, out=d)
     passed = d[:, 0] + d[:, 1] <= np.take(np.square(thr), wi)
     wi, ki = wi[passed], ki[passed]
     tcps = origins[wi] + (basis @ offsets[ki][:, :, None])[:, :, 0]
@@ -721,7 +711,7 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
     wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
     hit, first = np.unique(wi, return_index=True)  # wi is in pattern order per world
     success = np.zeros(len(worlds), dtype=bool)
-    attempts, finals = np.full(len(worlds), len(offsets)), origins.copy()
+    attempts, finals = np.full(len(worlds), len(offsets), dtype=np.int32), origins.copy()
     success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
     retros = np.where(success, inplane_norm(finals - origins, l), np.nan)
     true_errors = inplane_norm(holes - pegs, l)
@@ -739,13 +729,12 @@ def spiral_search(worlds, pattern, timing: TimingModel) -> Episodes:
         path = np.concatenate((origins[k:k + 1], origins[k] + moves[:attempts[k]])
                               + (() if success[k] else (origins[k:k + 1],)))
         _check_inplane(float(np.abs((path[1:] - path[:-1]) @ l).max(initial=0.0)))
-    for world, final in zip(worlds, finals):
-        world.tcp = final
+    worlds.tcp[hit] = tcps[first]
     n, style = len(worlds), COMPONENT_STYLES.index(cfg.component_style)
     return Episodes(style=np.full(n, style, dtype=np.uint8),
                     mode=np.full(n, BENCH_MODES.index(MODE_NOVS), dtype=np.uint8),
-                    seed=seeds, retrospective_error_mm=retros, true_error_mm=true_errors,
-                    time_s=attempts * timing.t_attempt,
+                    seed=worlds.seed.copy(), retrospective_error_mm=retros,
+                    true_error_mm=true_errors, time_s=attempts * timing.t_attempt,
                     attempts=attempts, success=success, direct=success & (attempts == 1),
                     post_servo_retrospective_error_mm=np.full(n, np.nan))
 

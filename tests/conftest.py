@@ -59,14 +59,14 @@ def covering_radius(pattern, region_radius, grid_step):
 
 
 def attempt_insertion(world, tcp=None):
-    """Stroke down at the given (default current) TCP and report success: the
-    per-attempt reference that spiral_search reproduces.
+    """Stroke a block of one down at the given (3,) or (1, 3) (default current) TCP and
+    report success: the per-attempt reference that spiral_search reproduces.
 
     Success iff the in-plane peg-hole distance is <= tolerance. Charges no
     time.
     """
-    peg = (world.tcp if tcp is None else tcp) + world.basis @ world.grasp_offset
-    miss = inplane_norm(world.true_hole - peg,
+    peg = np.reshape(world.tcp if tcp is None else tcp, 3) + world.basis @ world.grasp_offset[0]
+    miss = inplane_norm(world.true_hole[0] - peg,
                         world.config.insertion_direction)
     return float(miss) <= world.config.tolerance
 

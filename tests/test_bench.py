@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -23,7 +24,7 @@ from pegservo.pipeline import CollectionConfig, DeploymentGate, configure
 from pegservo.search import generate_pattern
 from pegservo.servoing import CLAMP_MM, ServoConfig
 from pegservo.sim import (BENCH_MODES, COMPONENT_STYLES, Episode, Episodes, TimingModel,
-                          WorldConfig, config_to_dict, move_tcp, new_world, new_worlds,
+                          WorldConfig, config_to_dict, move_tcp, move_tcps, new_world, new_worlds,
                           spiral_insert, spiral_search)
 
 ORACLE_MODELS = {s: (OracleModel(), OracleModel())
@@ -197,7 +198,7 @@ def test_grid_episodes_build_no_collection_stream(monkeypatch):
 
     def recording(config, seeds):
         block = new_worlds(config, seeds)
-        worlds.extend(block)
+        worlds.extend(block.seed.tolist())
         return block
 
     def recording_keys(batch):
@@ -259,8 +260,8 @@ def test_a_vs_grid_refuses_a_drawn_peg_whose_disc_a_camera_cannot_see(monkeypatc
     with pytest.raises(InvalidConfig, match=message) as refused:
         run_benchmark(run.bench, ORACLE_MODELS)
     seed = int(re.match(message, str(refused.value)).group(1))
-    [world] = new_worlds(run.world, [seed])
-    peg = world.tcp + world.basis @ world.grasp_offset
+    world = new_worlds(run.world, [seed])
+    peg = world.tcp[0] + world.basis @ world.grasp_offset[0]
     assert run.world.sees_disc(702.0) and not run.world.sees_disc(702.0 + CLAMP_MM, [peg])
     monkeypatch.setattr(servoing, "render_views", None)  # a render would raise TypeError
     servo = {"led": ServoConfig(ORACLE_MODELS["led"], run.world, 3, run.timing)}
@@ -396,10 +397,13 @@ def test_a_world_the_rounding_rule_accepts_spirals_over_its_disc_in_plane(
     assert not far
     worlds = new_worlds(run.world, range(4))
     radius = run.bench.error_disc_radius
-    for k, w in enumerate(worlds):  # a start on the disc's rim, then a hole no offset
-        angle = k * math.pi / 2.0  # reaches, so each spiral walks its whole pattern
-        move_tcp(w, w.tcp + w.basis @ (radius * np.array([math.cos(angle), math.sin(angle)])))
-        w.true_hole = w.true_hole + w.basis[:, 0] * 10.0 * radius
+    # a start on the disc's rim, then a hole no offset reaches, so each spiral
+    # walks its whole pattern
+    angles = [k * math.pi / 2.0 for k in range(4)]
+    move_tcps(worlds, worlds.tcp + np.array([
+        worlds.basis @ (radius * np.array([math.cos(angle), math.sin(angle)]))
+        for angle in angles]))
+    worlds.true_hole += worlds.basis[:, 0] * 10.0 * radius
     pattern = generate_pattern(run.world.tolerance, radius)
     episodes = spiral_search(worlds, pattern, run.timing)
     assert [e.attempts for e in episodes] == [len(pattern)] * 4
@@ -559,6 +563,26 @@ def test_scatter_svg_stays_finite_at_any_error(tmp_path, big, top_label):
     # 0.5 sits at the axis' start, the big error near its end (at it once 1.05 e overflows)
     cx = sorted(float(c.get("cx")) for c in root.iter(f"{svg}circle") if c.get("fill-opacity"))
     assert cx[0] == pytest.approx(60.0, abs=0.01) and 560.0 < cx[1] <= 620.0
+
+
+def test_scatter_svg_leaves_out_negative_errors(tmp_path):
+    # the error axis starts at 0: a negative error once plotted at cx="-inf",
+    # with an overflow RuntimeWarning, instead of being left out
+    rows = [Episode(style="led", mode="novs", seed=0, retrospective_error_mm=e,
+                    true_error_mm=0.5, time_s=t, attempts=2, success=True,
+                    post_servo_retrospective_error_mm=math.nan, direct=False)
+            for e, t in ((-1e308, 2.0), (-0.0, 3.0), (0.5, 1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_report(build_report(rows), tmp_path)
+    root = ET.fromstring((tmp_path / "scatter.svg").read_text())
+    coords = [float(v) for el in root.iter() for name, v in el.attrib.items()
+              if name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")]
+    assert coords and all(math.isfinite(v) for v in coords)
+    cx = sorted(float(c.get("cx")) for c in root.iter("{http://www.w3.org/2000/svg}circle")
+                if c.get("fill-opacity"))
+    assert len(cx) == 2 and cx[0] == 60.0  # -0.0 at the axis' start
+    assert cx[1] == pytest.approx(60.0 + 560.0 / 1.05, abs=0.01)  # 0.5 of an axis to 0.525
 
 
 _floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pegservo.pipeline
 from pegservo.geometry import normalize_error, scalar_error, vec3
-from pegservo.pipeline import CollectionConfig, collect_dataset
+from pegservo.pipeline import _RENDER_ROWS, CollectionConfig, collect_dataset
 from pegservo.search import generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
                           new_world, render_views, spiral_insert)
@@ -30,7 +30,7 @@ def reference_collect(world_factory, cfg, pattern):
         world = world_factory(i)
         if not spiral_insert(world, world.tcp, pattern, timing).success:
             continue
-        success_tcp, first, tcps = world.tcp, len(labels), []
+        success_tcp, first, tcps = world.tcp[0], len(labels), []
         l = world.config.insertion_direction
         rng = np.random.default_rng(np.random.SeedSequence([world.config.seed, 1]))
         for _ in range(cfg.samples_per_insertion):
@@ -44,7 +44,7 @@ def reference_collect(world_factory, cfg, pattern):
                 q = scalar_error(-(world.basis @ offset2), u)
                 labels.append([i, j, normalize_error(q, cam), np.nan, q, height])
                 images.append(None)
-        pixels, truth_y = render_views([world], np.array(tcps))
+        pixels, truth_y = render_views(world[[0] * len(tcps)], np.array(tcps))
         for s in range(len(tcps)):
             for j in range(len(cameras)):
                 row = first + s * len(cameras) + j
@@ -85,8 +85,7 @@ def test_collection_matches_the_per_sample_reference(
     calls = []
 
     def recorded(worlds, tcps):
-        [world] = worlds
-        calls.append((world.config.seed - seed, np.array(tcps)))
+        calls.append((worlds.seed - seed, np.array(tcps)))
         return render_views(worlds, tcps)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -94,11 +93,12 @@ def test_collection_matches_the_per_sample_reference(
         data = collect_dataset(factory, cfg, pattern)
     tcps, columns, images = reference_collect(factory, cfg, pattern)
 
-    inserted = sorted({i for i, _ in calls})
-    assert [i for i, _ in calls] == inserted  # one scene per inserted world
-    assert len(inserted) == len(tcps)
-    for (_, got), want in zip(calls, tcps):
-        assert got.tobytes() == want.tobytes()
+    # the samples' scenes, each view of its inserted world, at most _RENDER_ROWS a call
+    assert all(len(got) <= _RENDER_ROWS for _, got in calls)
+    inserted = np.concatenate([i for i, _ in calls])
+    assert inserted.tolist() == sorted(inserted.tolist())
+    assert len(set(inserted.tolist())) == len(tcps)
+    assert np.concatenate([got for _, got in calls]).tobytes() == np.concatenate(tcps).tobytes()
     names = ("insertion_id", "camera_index", "y", "truth_y", "q_mm", "height_mm")
     for name, want in zip(names, columns):
         got = getattr(data, name)

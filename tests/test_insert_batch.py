@@ -14,8 +14,8 @@ from pegservo.pipeline import (CollectionConfig, collect_dataset, insert,
                                insert_batch, train_per_camera)
 from pegservo.search import generate_pattern
 from pegservo.servoing import ServoConfig, servo_config_for, visual_servo
-from pegservo.sim import (TimingModel, WorldConfig, move_tcp, move_tcps, new_world,
-                          render_views, spiral_search)
+from pegservo.sim import (TimingModel, WorldConfig, Worlds, move_tcp, move_tcps, new_world,
+                          new_worlds, render_views, spiral_search)
 
 PATTERN, TIMING = generate_pattern(0.1, 1.0), TimingModel()
 NOISY = (OracleModel(noise_sigma=0.01), OracleModel(noise_sigma=0.01))
@@ -42,7 +42,7 @@ def _start(style, seed):
 
 # A batch is one style: (style, models of its servoed rows or None, n_iters,
 # [(seed, servoed), ...]); its worlds are built one config per seed, as a
-# per-index factory builds them
+# per-index factory builds them, and joined into one block
 BATCHES = [("led", "led", 3, [(11, True), (13, False), (16, True), (18, True)]),
            ("pin_header", "pin", 5, [(12, True), (15, True), (20, False)]),
            ("dsub", "noisy", 1, [(14, True), (21, False), (22, True)]),
@@ -53,7 +53,8 @@ BATCHES = [("led", "led", 3, [(11, True), (13, False), (16, True), (18, True)]),
 
 def _block(models, batch):
     style, key, n_iters, rows = batch
-    worlds = [_start(style, seed) for seed, _ in rows]
+    worlds = (Worlds.join([_start(style, seed) for seed, _ in rows]) if rows
+              else new_worlds(WorldConfig(component_style=style), []))
     calibration = WorldConfig(component_style=style)
     cfg = None if key is None else ServoConfig(models[key], calibration, n_iters=n_iters)
     return worlds, cfg, [servoed for _, servoed in rows]
@@ -65,11 +66,11 @@ def _assert_each_world_gives_what_it_gives_alone(models, batch):
     assert len(episodes) == len(worlds)
     assert [e.mode for e in episodes] == ["vs" if s else "novs" for s in servoed]
     style, key, n_iters, rows = batch
-    for k, (world, episode) in enumerate(zip(worlds, episodes)):
-        (alone,), alone_cfg, (servo,) = _block(models, (style, key, n_iters, rows[k:k + 1]))
+    for k, episode in enumerate(episodes):
+        alone, alone_cfg, (servo,) = _block(models, (style, key, n_iters, rows[k:k + 1]))
         mode = "servo_then_spiral" if servo else "spiral_only"
         assert repr(insert(alone, mode, alone_cfg, PATTERN, TIMING)) == repr(episode)
-        assert world.tcp.tobytes() == alone.tcp.tobytes()
+        assert worlds.tcp[k].tobytes() == alone.tcp.tobytes()
 
 
 def test_block_episodes_equal_each_world_inserted_alone(models):
@@ -107,34 +108,28 @@ def test_a_nan_prediction_fails_its_block_and_leaves_its_world_unmoved(models):
                                           feat_std=np.ones(r * r)))
     worlds, cfg, servoed = _block({**models, "nan": (nan_model, nan_model)},
                                   ("dsub", "nan", 3, [(21, True), (22, True), (23, False)]))
-    starts = [w.tcp.copy() for w in worlds]
+    starts = worlds.tcp.copy()
     with pytest.raises(ConstraintViolation):
         insert_batch(worlds, cfg, servoed, PATTERN, TIMING)
-    assert [w.tcp.tobytes() for w in worlds] == [s.tobytes() for s in starts]
+    assert worlds.tcp.tobytes() == starts.tobytes()
 
 
 def test_a_mixed_batch_is_refused_before_any_world_moves():
-    # every batched call reads one WorldConfig: worlds of two styles raise
+    # a block is one WorldConfig: joining worlds of two styles raises
     # InvalidConfig, naming the first world whose config differs, and no TCP moves
     worlds = [_start("led", 31), _start("led", 32), _start("dsub", 33)]
     starts = [w.tcp.copy() for w in worlds]
-    tcps = np.array(starts)
-    cfg = servo_config_for(worlds[0], NOISY)
-    for call in (lambda: render_views(worlds, tcps),
-                 lambda: spiral_search(worlds, PATTERN, TIMING),
-                 lambda: move_tcps(worlds, tcps + worlds[0].basis @ np.array([0.1, 0.1])),
-                 lambda: visual_servo(worlds, cfg),
-                 lambda: insert_batch(worlds, cfg, [True, False, False], PATTERN, TIMING),
-                 lambda: insert_batch(worlds, None, [False] * 3, PATTERN, TIMING)):
-        with pytest.raises(InvalidConfig, match="^world 2's config differs from world 0's"):
-            call()
-        assert [w.tcp.tobytes() for w in worlds] == [s.tobytes() for s in starts]
+    with pytest.raises(InvalidConfig, match="^world 2's config differs from world 0's"):
+        Worlds.join(worlds)
+    assert [w.tcp.tobytes() for w in worlds] == [s.tobytes() for s in starts]
     # worlds whose configs differ only in seed, as a per-index factory builds
-    # them, are one batch
-    led = worlds[:2]
-    assert led[0].config is not led[1].config
-    render_views(led, tcps[:2])
-    move_tcps(led, tcps[:2] + led[0].basis @ np.array([0.1, 0.1]))
+    # them, are one block, which every batched call takes
+    assert worlds[0].config is not worlds[1].config
+    led = Worlds.join(worlds[:2])
+    tcps = led.tcp.copy()
+    cfg = servo_config_for(led, NOISY)
+    render_views(led, tcps)
+    move_tcps(led, tcps + led.basis @ np.array([0.1, 0.1]))
     visual_servo(led, cfg)
     assert len(insert_batch(led, cfg, [True, False], PATTERN, TIMING)) == 2
     assert len(spiral_search(led, PATTERN, TIMING)) == 2

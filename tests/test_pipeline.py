@@ -20,7 +20,7 @@ from pegservo.pipeline import (CollectionConfig, DeploymentGate,
                                train_per_camera)
 from pegservo.search import generate_pattern
 from pegservo.servoing import servo_config_for, visual_servo
-from pegservo.sim import (TimingModel, WorldConfig, default_cameras,
+from pegservo.sim import (TimingModel, WorldConfig, Worlds, default_cameras,
                           move_tcp, new_world, render_views)
 
 L = vec3(0.0, 0.0, -1.0)
@@ -145,7 +145,7 @@ def test_error_directions_are_computed_once_per_config(monkeypatch):
 
     calls.clear()
     world = factory(3)
-    visual_servo([world], servo_config_for(world, (OracleModel(), OracleModel())))
+    visual_servo(world, servo_config_for(world, (OracleModel(), OracleModel())))
     assert len(calls) == 2  # the servo reads the world's config, one per camera
 
 
@@ -153,7 +153,7 @@ def test_collection_renders_each_insertion_once(monkeypatch):
     calls = []
 
     def counted(worlds, tcps):
-        calls.append(([w.config.seed for w in worlds], len(tcps)))
+        calls.append((worlds.seed.tolist(), len(tcps)))
         return render_views(worlds, tcps)
 
     monkeypatch.setattr(pegservo.pipeline, "render_views", counted)
@@ -161,7 +161,8 @@ def test_collection_renders_each_insertion_once(monkeypatch):
                            train_insertions=2)
     data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
     assert len(data) == 3 * 5 * 2
-    assert calls == [([500 + i], 5) for i in range(3)]  # one scene of both cameras each
+    # one scene of both cameras per sample, every insertion's in one call
+    assert calls == [([500] * 5 + [501] * 5 + [502] * 5, 15)]
 
 
 def test_collection_builds_each_world_once():
@@ -202,7 +203,7 @@ def test_collection_searches_once_and_keeps_only_inserted_samples(monkeypatch):
     searches = []
 
     def counted(worlds, pattern, timing):
-        searches.append([w.config.seed for w in worlds])
+        searches.append(worlds.seed.tolist())
         return pegservo.sim.spiral_search(worlds, pattern, timing)
 
     monkeypatch.setattr(pegservo.pipeline, "spiral_search", counted)
@@ -349,8 +350,8 @@ def test_insert_runs_a_noisy_oracle():
     out = insert(w, "servo_then_spiral", servo_config_for(w, models), pattern, timing)
     assert out.mode == "vs" and out.success
     assert out.post_servo_retrospective_error_mm > 0.1  # the noise reached the servo
-    ws = [off_world(s) for s in (5, 3)]
-    batch = insert_batch(ws, servo_config_for(ws[0], models), [True, True], pattern, timing)
+    ws = Worlds.join([off_world(s) for s in (5, 3)])
+    batch = insert_batch(ws, servo_config_for(ws, models), [True, True], pattern, timing)
     assert repr(batch[1]) == repr(out)
 
 

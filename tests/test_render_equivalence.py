@@ -12,36 +12,37 @@ from pegservo.geometry import (error_direction, inplane_component,
                                normalize_error, project, scalar_error, vec3)
 from pegservo.sim import (_GLYPHS, COMPONENT_STYLES, EDGE_WIDTH,
                           HOLE_EDGE_WIDTH, HOLE_INTENSITY, NOISE_SIGMA,
-                          WorldConfig, default_cameras, new_world,
-                          render, render_views)
+                          WorldConfig, Worlds, default_cameras, new_world,
+                          new_worlds, render, render_views)
 
 
 def reference_render(world, camera_index, tcp):
-    """The original render: every disc composited over the whole frame, the
-    error direction and the nominal projection recomputed per view.
+    """The original render of a block of one at a (3,) TCP: every disc composited
+    over the whole frame, the error direction and the nominal projection
+    recomputed per view.
 
     Returns (pixels, truth_y).
     """
     cfg = world.config
     cam = cfg.cameras[camera_index]
     tcp = np.asarray(tcp, dtype=float)
-    peg = tcp + world.basis @ world.grasp_offset
+    true_hole = world.true_hole[0]
+    peg = tcp + world.basis @ world.grasp_offset[0]
 
     nominal_px = np.array(project(cam, world.nominal_hole))
     shift = np.array([cam.r / 2.0, cam.r / 2.0]) - nominal_px
-    hole_px = np.array(project(cam, world.true_hole)) + shift
+    hole_px = np.array(project(cam, true_hole)) + shift
     peg_px = np.array(project(cam, peg)) + shift
 
-    app = world.appearance
     grid = np.arange(cam.r, dtype=float)
     X, Y = np.meshgrid(grid, grid)
-    discs = [(hole_px[0], hole_px[1], app.hole_radius_px, HOLE_EDGE_WIDTH,
+    discs = [(hole_px[0], hole_px[1], world.hole_radius_px[0], HOLE_EDGE_WIDTH,
               HOLE_INTENSITY)]
     if cfg.peg_intensity is not None:
         discs += [(peg_px[0] + du, peg_px[1] + dv, rad, EDGE_WIDTH,
                    cfg.peg_intensity if i is None else i)
                   for du, dv, rad, i in _GLYPHS[cfg.component_style]]
-    img = np.full((cam.r, cam.r), app.background)
+    img = np.full((cam.r, cam.r), world.background[0])
     for cx, cy, rad, edge, intensity in discs:
         cov = np.clip((rad - np.hypot(X - cx, Y - cy)) / edge + 0.5, 0.0, 1.0)
         img = img * (1.0 - cov) + intensity * cov
@@ -52,7 +53,7 @@ def reference_render(world, camera_index, tcp):
     img = np.clip(img + NOISE_SIGMA * noise_rng.standard_normal(img.shape), 0.0, 1.0)
 
     u = error_direction(cfg.insertion_direction, world.nominal_hole - cam.position)
-    e = inplane_component(world.true_hole - peg, cfg.insertion_direction)
+    e = inplane_component(true_hole - peg, cfg.insertion_direction)
     return img.astype(np.float32), float(normalize_error(scalar_error(e, u), cam))
 
 
@@ -95,11 +96,12 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
     world = new_world(cfg)
     cam = cfg.cameras[0]
     crop_mm = (cam.r + 20) * cam.z / cam.f  # crop plus a glyph, in mm
-    tcps = np.array([world.tcp - height * l + world.basis
+    tcps = np.array([world.tcp[0] - height * l + world.basis
                      @ (widths * crop_mm * np.array([math.cos(theta), math.sin(theta)]))
                      for widths, theta, height in pose_list])
-    # one scene: every (view, camera) pair of one render_views call
-    batch, batch_truth = render_views([world], tcps)
+    # one scene: every (view, camera) pair of one render_views call, each view of a
+    # copy of the world
+    batch, batch_truth = render_views(world[[0] * len(tcps)], tcps)
     m = len(cfg.cameras)
     assert batch.shape == (len(tcps), m, cam.r, cam.r) and batch.dtype == np.float32
     assert batch_truth.shape == (len(tcps), m)
@@ -113,10 +115,10 @@ def test_render_matches_the_full_frame_reference(scene, pose_list):
 
 def test_render_views_takes_n_by_3_tcps():
     world = new_world(WorldConfig(seed=2))
-    pixels, truth_y = render_views([world], np.empty((0, 3)))
+    pixels, truth_y = render_views(world[[]], np.empty((0, 3)))
     assert pixels.shape == (0, 2, 64, 64) and truth_y.shape == (0, 2)
     with pytest.raises(ShapeMismatch):
-        render_views([world], world.tcp)
+        render_views(world, world.tcp[0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -144,14 +146,14 @@ def test_render_views_match_each_world_rendered_alone(views):
     for style, seed, peg_intensity, off_mm, theta, height in views:
         world = new_world(WorldConfig(component_style=style, seed=seed,
                                       peg_intensity=peg_intensity))
-        tcp = (world.tcp - height * world.config.insertion_direction
+        tcp = (world.tcp[0] - height * world.config.insertion_direction
                + world.basis @ (off_mm * np.array([math.cos(theta), math.sin(theta)])))
         batches.setdefault((style, peg_intensity), []).append((world, tcp))
     for batch in batches.values():
         worlds, tcps = zip(*batch)
         # one scene: every (view, camera) pair is its world's view rendered alone
         # and the full-frame reference's
-        pixels, truth_y = render_views(worlds, np.array(tcps))
+        pixels, truth_y = render_views(Worlds.join(worlds), np.array(tcps))
         assert pixels.shape == (len(worlds), 2, 64, 64) and pixels.dtype == np.float32
         assert truth_y.shape == (len(worlds), 2)
         for k, (world, tcp) in enumerate(zip(worlds, tcps)):
@@ -163,15 +165,17 @@ def test_render_views_match_each_world_rendered_alone(views):
 
 
 def test_render_views_need_one_resolution_and_one_world_per_view():
-    # worlds of two resolutions are two configs: the batch is refused
+    # worlds of two resolutions are two configs: they join no block
     world = new_world(WorldConfig(seed=2))
     small = new_world(WorldConfig(seed=3, cameras=default_cameras(vec3(0.0, 0.0, 0.0),
                                                                   vec3(0.0, 0.0, -1.0), r=32)))
     with pytest.raises(InvalidConfig, match="^world 1's config differs from world 0's"):
-        render_views([world, small], np.array([world.tcp, small.tcp]))
+        Worlds.join([world, small])
     with pytest.raises(ShapeMismatch):  # two worlds for three views
-        render_views([world, world], np.array([world.tcp] * 3))
-    with pytest.raises(ShapeMismatch):
-        render_views([], np.empty((0, 3)))
-    pixels, truth_y = render_views([small], np.empty((0, 3)))
+        render_views(Worlds.join([world, world]), np.concatenate([world.tcp] * 3))
+    with pytest.raises(ShapeMismatch):  # one world for no view
+        render_views(small, np.empty((0, 3)))
+    pixels, truth_y = render_views(small[[]], np.empty((0, 3)))
     assert pixels.shape == (0, 2, 32, 32) and truth_y.shape == (0, 2)
+    pixels, truth_y = render_views(new_worlds(WorldConfig(), []), np.empty((0, 3)))
+    assert pixels.shape == (0, 2, 64, 64) and truth_y.shape == (0, 2)

@@ -140,9 +140,10 @@ def test_report_matches_the_reference(tmp_path_factory, rows):
 
 def reference_svg(errors, times, modes) -> str:
     """The original scatter.svg, from lists: a per-point filter and loop, on the
-    error axis that cannot overflow (the original's below ≈3e305 mm, bit for bit)."""
+    error axis that cannot overflow (the original's below ≈3e305 mm, bit for bit),
+    which starts at 0 and so holds no negative error."""
     pts = [(e, math.log10(t), mode) for e, t, mode in zip(errors, times, modes)
-           if np.isfinite(e) and 0 < t < math.inf]
+           if 0 <= e < math.inf and 0 < t < math.inf]
     fill = {MODE_VS: "#1f6fb4", MODE_NOVS: "#d1495b"}
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
              'height="420" viewBox="0 0 640 420">', '<rect width="640" height="420" fill="white"/>']

@@ -11,7 +11,7 @@ from pegservo.geometry import aimed_camera, vec3
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.servoing import (ServoConfig, servo_config_for, servo_step,
                                visual_servo, write_trace_csv)
-from pegservo.sim import (TimingModel, WorldConfig, move_tcp, new_world,
+from pegservo.sim import (TimingModel, WorldConfig, Worlds, move_tcp, new_world,
                           true_inplane_error)
 
 L = vec3(0.0, 0.0, -1.0)
@@ -39,7 +39,7 @@ def test_one_step_cancels_any_error_below_clamp():
 def test_three_iterations_residuals_all_zero():
     w = _world_with_error([0.9, -0.4])
     cfg = servo_config_for(w, ORACLES)
-    [(_, residuals)] = visual_servo([w], cfg)
+    _, [residuals] = visual_servo(w, cfg)
     assert len(residuals) == 3
     assert all(r <= 1e-9 for r in residuals)
 
@@ -100,9 +100,9 @@ def test_more_iterations_do_not_hurt():
     # over 50 worlds lies within 3 standard errors of it, and does not diverge
     sigma = 0.01
     models = (OracleModel(noise_sigma=sigma), OracleModel(noise_sigma=sigma))
-    worlds = [_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)]
-    residuals = [r for _, r in visual_servo(worlds, servo_config_for(worlds[0], models))]
-    floor = {sigma * cam.r * cam.z / cam.f for cam in worlds[0].config.cameras}
+    worlds = Worlds.join([_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)])
+    _, residuals = visual_servo(worlds, servo_config_for(worlds, models))
+    floor = {sigma * cam.r * cam.z / cam.f for cam in worlds.config.cameras}
     assert len(floor) == 1
     floor = floor.pop()  # 0.32 mm
     mean, sd = floor * math.sqrt(math.pi / 2.0), floor * math.sqrt((4.0 - math.pi) / 2.0)
@@ -117,12 +117,12 @@ def test_iterations_reduce_miscalibration_error():
     c, s = math.cos(ang), math.sin(ang)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     models = (OracleModel(noise_sigma=0.001), OracleModel(noise_sigma=0.001))
-    worlds = [_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)]
-    config = worlds[0].config
+    worlds = Worlds.join([_world_with_error([0.8, -0.6], seed=seed) for seed in range(50)])
+    config = worlds.config
     believed = tuple(aimed_camera(R @ cam.position, config.nominal_hole, L, cam.f, cam.r)
                      for cam in config.cameras)
     cfg = ServoConfig(models=models, calibration=replace(config, cameras=believed))
-    residuals = [r for _, r in visual_servo(worlds, cfg)]
+    _, residuals = visual_servo(worlds, cfg)
     after_1, _, after_3 = np.mean(residuals, axis=0)
     assert after_3 < after_1
 
@@ -139,10 +139,10 @@ def test_servo_timing_exact():
 
 def test_servo_stays_in_plane():
     w = _world_with_error([1.0, 0.7], seed=3)
-    z_before = float(np.dot(w.tcp, L))
+    z_before = float(np.dot(w.tcp[0], L))
     cfg = servo_config_for(w, ORACLES)
-    visual_servo([w], cfg)
-    assert float(np.dot(w.tcp, L)) == pytest.approx(z_before, abs=1e-12)
+    visual_servo(w, cfg)
+    assert float(np.dot(w.tcp[0], L)) == pytest.approx(z_before, abs=1e-12)
 
 
 def test_near_parallel_views_flagged():
@@ -168,16 +168,17 @@ def test_trained_models_servo_within_tolerance(led_ridge):
         w = new_world(WorldConfig(component_style="led", seed=77_000 + seed))
         move_tcp(w, w.tcp + w.basis @ np.array([math.cos(theta), math.sin(theta)]))
         worlds.append(w)
-    runs = visual_servo(worlds, servo_config_for(worlds[0], models))
-    ok = sum(residuals[-1] <= 0.05 for _, residuals in runs)
+    worlds = Worlds.join(worlds)
+    _, residuals = visual_servo(worlds, servo_config_for(worlds, models))
+    ok = np.count_nonzero(residuals[:, -1] <= 0.05)
     assert ok >= 45  # >= 90% of 50
 
 
-def _servo_run(world, steps, residuals):
-    """A world's servo run as comparable bytes: its steps, residuals and end state."""
-    return ([(repr(st.y), repr(st.q_mm), st.e_hat.tobytes(), st.saturated,
-              st.ill_conditioned) for st in steps],
-            repr(residuals), world.tcp.tobytes())
+def _servo_run(worlds, k, steps, residuals):
+    """World k's servo run of a block as comparable bytes: its steps, residuals and end
+    state."""
+    return ([field[k].tobytes() for field in steps], residuals[k].tobytes(),
+            worlds.tcp[k].tobytes())
 
 
 def test_visual_servo_is_batch_independent(led_ridge):
@@ -195,13 +196,14 @@ def test_visual_servo_is_batch_independent(led_ridge):
 
     for k, (models, n_iters) in enumerate(configs):
         block = [(seed, models, n_iters) for seed in (k, k + 7, k + 14)]
-        worlds = [start(*spec)[0] for spec in block]
-        runs = visual_servo(worlds, start(*block[0])[1])
-        assert [len(steps) for steps, _ in runs] == [n_iters] * len(block)
-        for spec, world, run in zip(block, worlds, runs, strict=True):
+        worlds = Worlds.join([start(*spec)[0] for spec in block])
+        steps, residuals = visual_servo(worlds, start(*block[0])[1])
+        assert residuals.shape == steps.saturated.shape == (len(block), n_iters)
+        for k, spec in enumerate(block):
             alone, alone_cfg = start(*spec)
-            [alone_run] = visual_servo([alone], alone_cfg)
-            assert _servo_run(world, *run) == _servo_run(alone, *alone_run)
+            alone_run = visual_servo(alone, alone_cfg)
+            assert (_servo_run(worlds, k, steps, residuals)
+                    == _servo_run(alone, 0, *alone_run))
 
 
 @pytest.mark.parametrize("name", ["n_iters"])
@@ -234,8 +236,8 @@ def test_servo_config_validation():
 def test_trace_csv(tmp_path):
     w = _world_with_error([0.6, 0.2])
     cfg = servo_config_for(w, ORACLES)
-    [(steps, residuals)] = visual_servo([w], cfg)
-    assert len(steps) == len(residuals) == 3
+    steps, residuals = visual_servo(w, cfg)
+    assert steps.y.shape == (1, 3, 2) and residuals.shape == (1, 3)
     path = tmp_path / "trace.csv"
     write_trace_csv(steps, residuals, path)
     lines = path.read_text().splitlines()

@@ -20,7 +20,7 @@ from pegservo.perception import OracleModel
 from pegservo.pipeline import CollectionConfig, collect_dataset, insert
 from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
-from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
+from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig, Worlds,
                           config_from_dict, config_to_dict, default_cameras,
                           keyed_generators, keyed_uniforms, load_config_file, move_tcp,
                           move_tcps, new_world, new_worlds, peg_position, render, render_views,
@@ -51,11 +51,11 @@ def test_timing_defaults_and_servo_step():
 
 def test_zero_sigma_world_is_exact():
     w = _quiet_world()
-    assert np.array_equal(w.true_hole, w.nominal_hole)
-    assert np.array_equal(w.grasp_offset, [0.0, 0.0])
+    assert np.array_equal(w.true_hole, [w.nominal_hole])
+    assert np.array_equal(w.grasp_offset, [[0.0, 0.0]])
     assert true_inplane_error(w) == 0.0
     # TCP parks hover_height above the hole along -l
-    assert np.allclose(w.tcp, [0.0, 0.0, 0.5], atol=1e-15)
+    assert np.allclose(w.tcp, [[0.0, 0.0, 0.5]], atol=1e-15)
 
 
 def test_same_seed_is_bit_identical():
@@ -63,7 +63,7 @@ def test_same_seed_is_bit_identical():
     b = new_world(WorldConfig(seed=5))
     assert np.array_equal(a.true_hole, b.true_hole)
     assert np.array_equal(a.grasp_offset, b.grasp_offset)
-    assert a.appearance == b.appearance
+    assert (a.background, a.hole_radius_px) == (b.background, b.hole_radius_px)
     pa = render(a, 0).pixels
     pb = render(b, 0).pixels
     assert np.array_equal(pa, pb)
@@ -93,7 +93,7 @@ def test_insertion_builds_no_collection_stream(monkeypatch):
     keys, kernel = [], pipeline.keyed_generators
 
     def recording(batch):
-        keys.extend(batch)
+        keys.extend(np.asarray(batch).tolist())
         return kernel(batch)
 
     monkeypatch.setattr(pipeline, "keyed_generators", recording)
@@ -174,7 +174,8 @@ def test_the_seed_is_an_integer(bad):
         new_worlds(WorldConfig(), [bad])
     for seed in (np.int64(3), np.uint8(3)):
         assert type(WorldConfig(seed=seed).seed) is int
-        assert type(new_worlds(WorldConfig(), [seed])[0].seed) is int
+        seeds = new_worlds(WorldConfig(), [seed]).seed  # as a Python int's
+        assert seeds.tolist() == [3] and seeds.dtype == np.array([3]).dtype
 
 
 @pytest.mark.parametrize("direction", [vec3(0.0, 0.0, -1.0), vec3(0.6, 0.0, -0.8)])
@@ -225,18 +226,18 @@ def test_a_failing_spiral_path_leaves_the_batch_unchanged():
     # more than the tolerance: the start passes, a pattern step does not
     tilted = vec3(math.sin(0.5), 0.0, -math.cos(0.5))
     far_cfg = WorldConfig(insertion_direction=tilted, nominal_hole=vec3(3e7, 0.0, 0.0))
-    far, twin = new_worlds(far_cfg, [1, 2])
+    block = new_worlds(far_cfg, [1, 2])
     ordinary = new_world(WorldConfig(seed=2))
-    for world, start in ((far, [0.5, 0.2]), (twin, [0.3, -0.1]), (ordinary, [0.3, -0.1])):
-        move_tcp(world, world.tcp + world.basis @ np.array(start))
-    before = [w.tcp.copy() for w in (far, twin)]
+    move_tcps(block, block.tcp + np.array([block.basis @ np.array(start)
+                                           for start in ([0.5, 0.2], [0.3, -0.1])]))
+    move_tcp(ordinary, ordinary.tcp + ordinary.basis @ np.array([0.3, -0.1]))
+    before = block.tcp.copy()
     with pytest.raises(ConstraintViolation, match="out-of-plane component 1.274e-09 mm"):
-        spiral_search([far, twin], generate_pattern(0.1, 1.0), TimingModel())
-    for w, tcp in zip((far, twin), before):
-        assert w.tcp.tobytes() == tcp.tobytes()
+        spiral_search(block, generate_pattern(0.1, 1.0), TimingModel())
+    assert block.tcp.tobytes() == before.tobytes()
     # an ordinary world is searched: its TCP moves
     start = ordinary.tcp.copy()
-    [episode] = spiral_search([ordinary], generate_pattern(0.1, 1.0), TimingModel())
+    [episode] = spiral_search(ordinary, generate_pattern(0.1, 1.0), TimingModel())
     assert episode.success and episode.attempts > 1
     assert ordinary.tcp.tobytes() != start.tobytes()
 
@@ -278,7 +279,7 @@ def test_block_move_is_the_per_world_move_tcp_loop(config, offsets):
         return worlds
 
     offsets = np.array(offsets)
-    loop, block = built(), built()
+    loop, block = built(), Worlds.join(built())  # blocks of one, and their join
     with np.errstate(invalid="ignore"):  # an inf offset times a 0 coefficient
         try:
             for world, offset in zip(loop, offsets):  # the per-world moves it replaces
@@ -287,14 +288,14 @@ def test_block_move_is_the_per_world_move_tcp_loop(config, offsets):
         except ConstraintViolation as exc:
             expected = str(exc)
         # one stacked product with the block's basis: each row bit for bit its own
-        targets = np.array([w.tcp for w in block]) + (block[0].basis @ offsets[:, :, None])[:, :, 0]
+        targets = block.tcp + (block.basis @ offsets[:, :, None])[:, :, 0]
         if expected is None:
             move_tcps(block, targets)
         else:
             with pytest.raises(ConstraintViolation) as raised:
                 move_tcps(block, targets)
             assert str(raised.value) == expected
-    assert [w.tcp.tobytes() for w in block] == [w.tcp.tobytes() for w in loop]
+    assert block.tcp.tobytes() == b"".join(w.tcp.tobytes() for w in loop)
 
 
 def test_attempt_threshold():
@@ -315,12 +316,13 @@ def test_attempt_success_fraction_area_ratio():
     w = _quiet_world()
     eps = w.config.tolerance
     rng = np.random.default_rng(2024)
-    n, worlds = 10_000, []
-    for _ in range(n):
+    n = 10_000
+    worlds = w[np.zeros(n, dtype=int)]  # n copies of the block of one
+    for k in range(n):
         theta = rng.uniform(0, 2 * np.pi)
         rad = 2 * eps * math.sqrt(rng.uniform())
         off = rad * np.array([math.cos(theta), math.sin(theta)])
-        worlds.append(replace(w, tcp=w.tcp + w.basis @ off))
+        worlds.tcp[k] += w.basis @ off
     episodes = spiral_search(worlds, generate_pattern(eps, 0.0), TimingModel())
     hits = sum(e.success for e in episodes)
     assert hits / n == pytest.approx(0.25, abs=0.02)
@@ -654,7 +656,7 @@ def test_a_world_is_refused_or_seen_by_every_camera(seed, sigmas):
     except InvalidConfig as exc:
         assert str(exc).startswith(f"seed {seed} ") and "behind a camera" in str(exc)
         return
-    pixels, truth_y = render_views([world], world.tcp[None])  # one scene of every camera
+    pixels, truth_y = render_views(world, world.tcp)  # one scene of every camera
     assert pixels.shape == (1, len(cfg.cameras), 64, 64) and truth_y.shape == pixels.shape[:2]
 
 
@@ -678,9 +680,10 @@ def _reference_world(cfg, seed):
 
 
 def _hidden_fields(world):
-    return {"true_hole": world.true_hole.tobytes(), "grasp_offset": world.grasp_offset.tobytes(),
-            "tcp": world.tcp.tobytes(), "background": world.appearance.background,
-            "radius": world.appearance.hole_radius_px}
+    """A block of one's hidden fields, as _reference_world gives them."""
+    return {"true_hole": world.true_hole[0].tobytes(),
+            "grasp_offset": world.grasp_offset[0].tobytes(), "tcp": world.tcp[0].tobytes(),
+            "background": world.background[0], "radius": world.hole_radius_px[0]}
 
 
 def test_new_world_draws_numpys_scene_stream():
@@ -746,6 +749,7 @@ _SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
 @given(styles=st.lists(_STYLED_CONFIGS, min_size=1, max_size=3),
        rows=st.lists(st.tuples(st.integers(0, 2), _SEEDS), max_size=8))
 @example(styles=[WorldConfig(hole_uncertainty_sigma=450.0)], rows=[(0, 0), (0, 3), (0, 6)])
+@example(styles=[WorldConfig()], rows=[(0, 0), (0, 2**63)])  # numpy makes the pair float
 def test_new_worlds_are_their_batches_of_one(styles, rows):
     # a block is one of a few shared config objects at its rows' seeds, as the
     # grid's are; at sigma 450 mm some draws land behind a camera (seeds 3 and
@@ -756,7 +760,7 @@ def test_new_worlds_are_their_batches_of_one(styles, rows):
         for seed in seeds:
             reference = _reference_world(cfg, seed)
             try:
-                alone.append(new_worlds(cfg, [seed])[0])
+                alone.append(new_worlds(cfg, [seed]))
             except InvalidConfig as exc:
                 assert str(exc) == reference
                 with pytest.raises(InvalidConfig) as batch:
@@ -766,11 +770,14 @@ def test_new_worlds_are_their_batches_of_one(styles, rows):
             assert _hidden_fields(alone[-1]) == reference
             assert _hidden_fields(new_world(replace(cfg, seed=seed))) == reference
         else:
-            for world, one, seed in zip(new_worlds(cfg, seeds), alone, seeds, strict=True):
-                assert world.config is cfg and world.seed == seed
+            block = new_worlds(cfg, seeds)
+            assert block.config is cfg and block.seed.tolist() == seeds
+            for k, one in enumerate(alone):
                 for f in fields(one):
-                    a, b = getattr(world, f.name), getattr(one, f.name)
-                    if isinstance(a, np.ndarray):
+                    a, b = getattr(block[k], f.name), getattr(one, f.name)
+                    if f.name == "seed":  # an int64, uint64 or object column
+                        assert a.tolist() == b.tolist()
+                    elif isinstance(a, np.ndarray):
                         assert a.tobytes() == b.tobytes() and a.shape == b.shape, f.name
                     else:
                         assert a == b or a is b, f.name

@@ -276,9 +276,115 @@ def test_clock_and_config_seed_read_is_detected():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_a_world_is_its_seed_its_draws_and_its_tcp(path):
     # a world keeps no clock (a servo's time is its ServoConfig's, a search's
-    # its attempts'), and its streams are keyed by WorldState.seed: no config
+    # its attempts'), and its streams are keyed by Worlds.seed: no config
     # is copied to another seed and no seed is read through a world's config
     assert _clock_and_config_seed_reads(path.read_text()) == []
+
+
+# A block's per-world arrays (sim.Worlds' rows)
+_WORLD_FIELDS = {"seed", "true_hole", "grasp_offset", "tcp", "background", "hole_radius_px"}
+# What a block's loop may call: per-key streams, the per-world solve
+_PER_ROW_CALLS = {"keyed_generators", "reconstruct_error"}
+
+
+def _counts_rows(node) -> bool:
+    """Whether node is a call range(n) of one argument."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+            and len(node.args) == 1)
+
+
+def _world_loops(source: str) -> list:
+    """Loops over a block's worlds in Python, as "function (line)": a for statement or a
+    comprehension whose iterable reads a block (a name world or worlds), one of its
+    per-world fields (_WORLD_FIELDS), or a name assigned from either in the same
+    function, but for a list display (it iterates its items); reading a block's config,
+    basis or len is not reading its worlds, except in range(len(block)), which counts
+    them one by one. A loop is exempt if it calls one of _PER_ROW_CALLS (per-key stream
+    draws, reconstruct_error's per-world solve) or sits in an if whose body raises (the
+    search for the first bad row behind an error message)."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def reads_worlds(expr, names):
+        for node in ast.walk(expr):
+            up = parents.get(node)
+            if isinstance(node, ast.Attribute) and node.attr in _WORLD_FIELDS:
+                return True
+            if (isinstance(node, ast.Name) and node.id in names
+                    and not (isinstance(up, ast.Attribute)
+                             and up.attr in ("config", "basis", "nominal_hole"))
+                    and not (isinstance(up, ast.Call) and getattr(up.func, "id", None) == "len"
+                             and not _counts_rows(parents.get(up)))):
+                return True
+        return False
+
+    def calls(node):
+        return any(isinstance(n, ast.Call) and _PER_ROW_CALLS & {
+            getattr(n.func, "id", None), getattr(n.func, "attr", None)} for n in ast.walk(node))
+
+    def behind_a_raise(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.If) and any(isinstance(n, ast.Raise) for n in node.body):
+                return True
+        return False
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = {"world", "worlds"}
+        for node in sorted((n for n in ast.walk(func) if isinstance(n, ast.Assign)),
+                           key=lambda n: n.lineno):
+            if not isinstance(node.value, ast.List) and reads_worlds(node.value,
+                                                                     {"world", "worlds"}):
+                names |= {n.id for t in node.targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)}
+        for node in ast.walk(func):
+            loop = node if isinstance(node, ast.For) else parents.get(node)
+            if (isinstance(node, (ast.For, ast.comprehension)) and reads_worlds(node.iter, names)
+                    and not calls(loop) and not behind_a_raise(loop)):
+                found.append(f"{func.name} ({node.iter.lineno})")
+    return sorted(set(found))
+
+
+def test_world_loop_is_detected():
+    assert _world_loops(
+        "def a(worlds, targets):\n"
+        "    for world, target in zip(worlds, targets): world.tcp = target\n"
+        "def b(worlds):\n"
+        "    holes = np.array([w.true_hole for w in worlds])\n"
+        "    return [Episode(seed) for seed in worlds.seed.tolist()]\n"
+        "def c(worlds, pattern):\n"
+        "    servo = worlds[pattern]\n"
+        "    for k in range(len(servo)): pass\n"
+        "    for j, cam in enumerate(worlds.config.cameras): pass\n"
+        "    for k in range(0, len(worlds), 64): pass\n"
+        "    layers = [(worlds.tcp, 1.0), (worlds.tcp, 2.0)]\n"
+        "    for rows, scale in layers: pass\n"
+        "    n = len(worlds)\n"
+        "    for k in range(n): pass\n"
+        "    return [reconstruct_error(d, q) for q in worlds.tcp]\n"
+        "def d(worlds):\n"
+        "    keys = [[s, 0] for s in keyed_generators(worlds.seed)]\n"
+        "    for k in np.flatnonzero(worlds.tcp): check(k)\n"
+        "    if not ok:\n"
+        "        k = next(k for k, h in enumerate(worlds.true_hole) if h)\n"
+        "        raise ValueError(k)\n"
+        "    holes = [w.true_hole for w in worlds]\n"
+        "    return [h for h in holes]\n") == [
+            "a (2)", "b (4)", "b (5)", "c (8)", "d (18)", "d (22)", "d (23)"]
+    # a count is not a block: range(len(block)) in the loop itself counts its worlds
+    assert _world_loops("def e(worlds):\n    for k in range(len(worlds)): pass\n") == [
+        "e (2)"]
+
+
+def test_no_function_loops_over_a_blocks_worlds():
+    # a block of worlds is arrays (sim.Worlds), read and moved as arrays: no
+    # batched call stacks, builds or writes back one world at a time
+    assert {p.name: _world_loops(p.read_text()) for p in _MODULES
+            if p.stem in ("sim", "servoing", "pipeline", "bench")} == {
+        "bench.py": [], "pipeline.py": [], "servoing.py": [], "sim.py": []}
 
 
 def _rng_parameters(source: str) -> list:

@@ -17,10 +17,10 @@ from pegservo import sim
 from pegservo.bench import _BLOCK
 from pegservo.errors import ConstraintViolation
 from pegservo.geometry import inplane_component, vec3
-from pegservo.search import generate_pattern
-from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          move_tcp, new_world, new_worlds, peg_position, spiral_insert,
-                          spiral_search)
+from pegservo.search import SearchPattern, generate_pattern
+from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig, Worlds,
+                          move_tcp, move_tcps, new_world, new_worlds, peg_position,
+                          spiral_insert, spiral_search)
 
 TIMING = TimingModel()
 
@@ -30,7 +30,7 @@ def reference_spiral(world, start_tcp, pattern, timing):
 
     Returns (success, attempts, time_s, retrospective_error_mm).
     """
-    start_tcp = np.asarray(start_tcp, dtype=float)
+    start_tcp = np.reshape(start_tcp, 3).astype(float)
     move_tcp(world, start_tcp)
     success = False
     attempts = 0
@@ -109,7 +109,7 @@ def test_matches_reference_with_an_offset_at_the_tolerance(w, index, phi):
     pattern = generate_pattern(cfg.tolerance, w["radius"])
     world = new_world(cfg)
     off = pattern.offsets[index % len(pattern)]
-    miss = world.basis.T @ (world.true_hole - peg_position(world))
+    miss = world.basis.T @ (world.true_hole - peg_position(world))[0]
     start = miss - off - cfg.tolerance * np.array([math.cos(phi), math.sin(phi)])
     _assert_same(cfg, start, pattern)
 
@@ -120,7 +120,7 @@ def test_boundary_offset_is_hit_or_skipped_like_the_reference():
     cfg = WorldConfig(seed=3)
     pattern = generate_pattern(cfg.tolerance, 1.0)
     world = new_world(cfg)
-    miss = world.basis.T @ (world.true_hole - peg_position(world))
+    miss = world.basis.T @ (world.true_hole - peg_position(world))[0]
     attempts = set()
     for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
         out = _assert_same(cfg, miss - cfg.tolerance * np.array([math.cos(phi),
@@ -149,21 +149,25 @@ def test_non_finite_start_raises_and_leaves_world_unchanged():
 # ---------------------------------------------------------------- batches
 
 
+def _joined(configs):
+    """The block of each config's world, joined as collect_dataset joins a factory's."""
+    return Worlds.join([new_world(cfg) for cfg in configs]) if configs else new_worlds(
+        WorldConfig(), [])
+
+
 def _assert_batch_is_its_batches_of_one(configs, starts, pattern):
-    """spiral_search over twin worlds moved to their starts against one
+    """spiral_search over a block of twin worlds moved to their starts against one
     spiral_insert per world."""
-    batch = [new_world(cfg) for cfg in configs]
+    batch = _joined(configs)
     alone = [new_world(cfg) for cfg in configs]
-    for world, start in zip(batch, starts, strict=True):
-        move_tcp(world, start)
+    move_tcps(batch, np.reshape(starts, (-1, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # worlds whose tolerance is not the pattern's
         episodes = spiral_search(batch, pattern, TIMING)
         singles = [spiral_insert(w, s, pattern, TIMING) for w, s in zip(alone, starts)]
     assert len(episodes) == len(configs)
     assert repr(episodes) == repr(singles)
-    for a, b in zip(batch, alone):
-        assert a.tcp.tobytes() == b.tcp.tobytes()
+    assert batch.tcp.tobytes() == b"".join(b.tcp.tobytes() for b in alone)
     return episodes
 
 
@@ -213,7 +217,7 @@ def test_batch_with_candidates_that_fail_confirmation():
     cfg = WorldConfig(seed=3)
     pattern = generate_pattern(cfg.tolerance, 1.0)
     world = new_world(cfg)
-    miss = world.basis.T @ (world.true_hole - peg_position(world))
+    miss = world.basis.T @ (world.true_hole - peg_position(world))[0]
     starts = [world.tcp + world.basis @ (miss - cfg.tolerance * np.array(
         [math.cos(phi), math.sin(phi)]))
               for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
@@ -226,14 +230,14 @@ def test_batch_with_candidates_that_fail_confirmation():
 
 
 def _exact_path_message(worlds, starts, episodes, pattern):
-    """The per-world path check spiral_search ran on every world before its
+    """The per-world path check spiral_search ran on every world of a block before its
     rounding bound: the first failing world's message, in batch order, or None."""
-    for world, start, e in zip(worlds, starts, episodes):
-        moves = pattern.offsets @ world.basis.T
+    for start, e in zip(starts, episodes):
+        moves = pattern.offsets @ worlds.basis.T
         path = np.concatenate((start[None, :], start + moves[:e.attempts])
                               + (() if e.success else (start[None, :],)))
         worst = float(np.abs((path[1:] - path[:-1])
-                             @ world.config.insertion_direction).max(initial=0.0))
+                             @ worlds.config.insertion_direction).max(initial=0.0))
         if not worst <= 1e-9:
             return f"TCP move has out-of-plane component {worst:.3e} mm"
     return None
@@ -266,13 +270,11 @@ def test_screened_path_check_raises_exactly_when_the_exact_check_does(config, ws
                            nominal_hole=10.0 ** config["log_radius"] * np.array(
                                [math.cos(config["azimuth"]), math.sin(config["azimuth"]), 0.0]))
                for w in ws]
-    batch, twins = ([new_world(cfg) for cfg in configs] for _ in range(2))
-    for w, a, b in zip(ws, batch, twins):
-        for world in (a, b):  # placed, not moved: a far start move may itself round
-            world.tcp = world.tcp + world.basis @ np.array(w["start"])
-            if not w["hit"]:
-                world.true_hole = world.true_hole + 10.0 * world.basis[:, 0]
-    starts = [world.tcp.copy() for world in batch]
+    batch, twins = (_joined(configs) for _ in range(2))
+    for block in (batch, twins):  # placed, not moved: a far start move may itself round
+        block.tcp += np.array([block.basis @ np.array(w["start"]) for w in ws])
+        block.true_hole[[not w["hit"] for w in ws]] += 10.0 * block.basis[:, 0]
+    starts = batch.tcp.copy()
     with mock.patch.object(sim, "_INPLANE_TOL", math.inf):  # every path passes
         unchecked = spiral_search(twins, pattern, TIMING)
     message = _exact_path_message(batch, starts, unchecked, pattern)
@@ -281,7 +283,7 @@ def test_screened_path_check_raises_exactly_when_the_exact_check_does(config, ws
     else:
         with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
             spiral_search(batch, pattern, TIMING)
-        assert all(w.tcp.tobytes() == s.tobytes() for w, s in zip(batch, starts))
+        assert batch.tcp.tobytes() == starts.tobytes()
     if config == _FAR_CONFIG and ws[0] == _FAR:
         assert message == "TCP move has out-of-plane component 1.274e-09 mm"
 
@@ -334,7 +336,7 @@ def test_ring_band_holds_every_offset_the_full_screen_passes(tolerance, rings, i
         np.hypot(*o) + thr)
     miss = far.reshape(-1, 1) * toward
     thr = np.full(len(miss), thr)
-    wi, ki = sim._ring_band(offsets, miss, thr)
+    wi, ki = sim._ring_band(SearchPattern(offsets, 0.0, tolerance, 0.0), miss, thr)
     assert np.all(np.diff(wi) >= 0) and np.all((np.diff(ki) > 0) | (np.diff(wi) > 0))
     band = set(zip(wi.tolist(), ki.tolist()))
     full = set(zip(*(a.tolist() for a in _screen(offsets, miss, thr))))
@@ -357,5 +359,5 @@ def test_ring_band_edges_match_reference(tolerance, radius, index, side, ulps, s
     ring = float(np.hypot(*off))
     toward = off / ring if ring else np.array([1.0, 0.0])
     step = ulps * np.spacing(max(np.abs(world.tcp).max(), ring + tolerance))
-    miss0 = world.basis.T @ (world.true_hole - peg_position(world))
+    miss0 = world.basis.T @ (world.true_hole - peg_position(world))[0]
     _assert_same(cfg, miss0 - (ring + side * tolerance + step) * toward, pattern)
