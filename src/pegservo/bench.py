@@ -219,7 +219,7 @@ def run_benchmark(cfg: BenchConfig, models: dict, jobs: int = 1) -> BenchReport:
     theta, rad = 2.0 * np.pi * draws[:, 0], cfg.error_disc_radius * np.sqrt(draws[:, 1])
     starts = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # a style's rows: each insertion once per mode, cut into blocks of at most _BLOCK
-    seeds = np.repeat(seeds, m).reshape(len(styles), n * m).tolist()
+    seeds = np.repeat(seeds, m).reshape(len(styles), n * m)
     starts = np.repeat(starts, m, axis=0).reshape(len(styles), n * m, 2)
     vs = np.tile(np.array(cfg.modes) == MODE_VS, n)
     blocks = [(style, seeds[si][k:k + _BLOCK], vs[k:k + _BLOCK], starts[si, k:k + _BLOCK])
@@ -299,14 +299,23 @@ def _table_row(name: str, means: dict) -> tuple:
     return name, vs, novs, _speedup(vs, novs)
 
 
+def _texts(name: str, c: np.ndarray) -> tuple:
+    """(words, index), row k's csv text words[index[k]]: a code's name or a bool's 0/1 by its
+    uint8, a number's repr once per distinct bit pattern (-0.0 and each nan keep their own),
+    an object column's (Python integers) per row."""
+    if name in Episodes.CODES or c.dtype == bool:
+        return np.array(Episodes.CODES.get(name, ("0", "1")), dtype=object), c.view(np.uint8)
+    values, index = ((c, np.arange(len(c))) if c.dtype == object
+                     else np.unique(c.view(f"u{c.itemsize}"), return_inverse=True))
+    return np.array(list(map(repr, values.view(c.dtype).tolist())), dtype=object), index
+
+
 def _row_files(col: dict) -> tuple:
     """scatter.csv and rows.csv as csv_text writes them, a column's _BLOCK rows at a time."""
-    names = {name: np.array(Episodes.CODES.get(name, ("0", "1")), dtype=object)  # by uint8
-             for name, c in col.items() if name in Episodes.CODES or c.dtype == bool}
+    texts = {name: _texts(name, c) for name, c in col.items()}
     scatter, rows = ["error_mm,time_s,mode\n"], [",".join(_ROW_COLUMNS) + "\n"]
     for k in range(0, len(col["style"]), _BLOCK):
-        text = {name: names[name][c[k:k + _BLOCK].view(np.uint8)].tolist() if name in names
-                else list(map(repr, c[k:k + _BLOCK].tolist())) for name, c in col.items()}
+        text = {name: words[index[k:k + _BLOCK]].tolist() for name, (words, index) in texts.items()}
         for lines, columns in ((scatter, [text["retrospective_error_mm"], text["time_s"],
                                           text["mode"]]), (rows, text.values())):
             lines.append("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -23,12 +23,13 @@ _MAX_RADIUS_PER_TOLERANCE = np.sqrt(_MAX_OFFSETS * 3.0 * np.sqrt(3.0) / (2.0 * n
 _MAX_TOLERANCE = 1e7  # mm: a capped pattern's ring keys, norm / _NORM_QUANTUM, fit an int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchPattern:
     """Ordered in-plane offsets (mm) on a triangular lattice.
 
     offsets[0] is (0,0); the rest are sorted by non-decreasing norm with
-    ties broken counterclockwise by angle from the +x axis.
+    ties broken counterclockwise by angle from the +x axis. A pattern is
+    compared and hashed by identity, as sim's cache of its moves keys it.
     """
 
     offsets: np.ndarray  # shape (n, 2), read-only

@@ -84,8 +84,9 @@ def servo_steps(worlds: Worlds, cfg: ServoConfig) -> ServoStep:
     for j, (model, cam) in enumerate(zip(cfg.models, cams)):
         y[:, j] = predict_views(model, pixels[:, j], truth_y[:, j])
         q_mm[:, j] = denormalize_error(y[:, j], cam)
-    e_hat, ill = map(np.array, zip(*[reconstruct_error(cfg.calibration.error_directions, q)
-                                     for q in q_mm]))
+    e_hat, ill = np.empty((len(worlds), 3)), np.empty(len(worlds), dtype=bool)
+    for k, q in enumerate(q_mm):  # the per-world solve (an empty block has none)
+        e_hat[k], ill[k] = reconstruct_error(cfg.calibration.error_directions, q)
     norms = np.sqrt(scalar_error(e_hat, e_hat))  # each np.linalg.norm, bit for bit
     saturated = norms > CLAMP_MM
     e_hat[saturated] *= (CLAMP_MM / norms[saturated])[:, None]

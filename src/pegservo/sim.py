@@ -340,6 +340,17 @@ def _shared_basis(direction: bytes) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=16)
+def _pattern_moves(pattern, basis: bytes, l: bytes) -> tuple:
+    """The moves m_k = offsets @ basis.T of a pattern (read-only), for a (3, 2) basis's and a
+    direction's bytes, their path's largest |(m_k - m_k-1) . l| from 0 and back, and the
+    largest |m_k,i|: the pattern's part of spiral_search's path bound, computed once."""
+    moves = pattern.offsets @ np.frombuffer(basis).reshape(3, 2).T
+    moves.flags.writeable = False
+    steps = np.diff(moves, axis=0, prepend=0.0, append=0.0) @ np.frombuffer(l)
+    return moves, np.abs(steps).max(), np.abs(moves).max(initial=0.0)
+
+
 _ROWS = ("seed", "true_hole", "grasp_offset", "tcp", "background", "hole_radius_px")
 
 
@@ -395,9 +406,12 @@ def new_worlds(config: WorldConfig, seeds) -> Worlds:
     (the hole's and the grasp's offsets, then the appearance, from the seed's scene
     stream) and park the TCP hover_height above the nominal hole along -l. The first
     draw that puts the true hole, or the peg at the approach pose, behind a camera
-    raises InvalidConfig naming the seed and the drawn offset."""
-    seeds = [check_int("seed", seed, 0) for seed in seeds]
-    seeds = np.array(seeds, dtype=np.int64 if max(seeds, default=0) < 1 << 63 else object)
+    raises InvalidConfig naming the seed and the drawn offset. A 1-D integer array of
+    seeds in [0, 2**63) is checked as one array, any other input one seed at a time."""
+    vetted = (isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu"
+              and (not len(seeds) or 0 <= seeds.min() and seeds.max() < 1 << 63))
+    seeds = seeds if vetted else [check_int("seed", seed, 0) for seed in seeds]
+    seeds = np.array(seeds, dtype=np.int64 if vetted or max(seeds, default=0) < 1 << 63 else object)
     draws = np.empty((len(seeds), 6))
     for row, scene in zip(draws, keyed_generators(np.stack([seeds, 0 * seeds], axis=1))):
         scene.standard_normal(out=row[:4])  # the same as two standard_normal(2)
@@ -709,7 +723,8 @@ def spiral_search(worlds: Worlds, pattern, timing: TimingModel) -> Episodes:
     tcps = origins[wi] + (basis @ offsets[ki][:, :, None])[:, :, 0]
     confirmed = inplane_norm(holes[wi] - (tcps + shift[wi]), l) <= tol
     wi, ki, tcps = wi[confirmed], ki[confirmed], tcps[confirmed]
-    hit, first = np.unique(wi, return_index=True)  # wi is in pattern order per world
+    first = np.flatnonzero(wi != np.concatenate(([-1], wi[:-1])))  # each world's first: wi sorted
+    hit = wi[first]
     success = np.zeros(len(worlds), dtype=bool)
     attempts, finals = np.full(len(worlds), len(offsets), dtype=np.int32), origins.copy()
     success[hit], attempts[hit], finals[hit] = True, ki[first] + 1, tcps[first]
@@ -721,10 +736,8 @@ def spiral_search(worlds: Worlds, pattern, timing: TimingModel) -> Episodes:
     # sum and of the difference); its dot with l rounds by 1.5 eps sum_i |l_i| 2M, and the
     # computed largest |(m_k - m_k-1) . l| is off by 2 eps of the same: 4.5 eps sum_i
     # |l_i| (|s_i| + 2M) to first order, as check_rounding reasons; 8 eps covers the rest.
-    moves = offsets @ basis.T
-    bound = (np.abs(np.diff(moves, axis=0, prepend=0.0, append=0.0) @ l).max()
-             + 8.0 * np.finfo(float).eps * scalar_error(
-                 np.abs(origins) + 2.0 * np.abs(moves).max(initial=0.0), np.abs(l)))
+    moves, step, far = _pattern_moves(pattern, basis.tobytes(), l.tobytes())
+    bound = step + 8.0 * np.finfo(float).eps * scalar_error(np.abs(origins) + 2.0 * far, np.abs(l))
     for k in np.flatnonzero(~(bound <= _INPLANE_TOL)).tolist():
         path = np.concatenate((origins[k:k + 1], origins[k] + moves[:attempts[k]])
                               + (() if success[k] else (origins[k:k + 1],)))

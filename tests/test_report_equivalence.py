@@ -3,10 +3,10 @@ row-at-a-time code they replaced."""
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegservo.bench import (_BLOCK, BenchReport, _speedup, build_report, emit_report,
@@ -220,8 +220,22 @@ def wide_episode_lists(draw):
     return [base[k % len(base)] for k in range(draw(st.integers(0, 2 * _BLOCK + 1)))]
 
 
+def _rows(*values, **column) -> list:
+    """Episodes of one style and mode, a row per value of the named column."""
+    [(name, values)] = column.items()
+    base = Episode(style="led", mode=MODE_NOVS, seed=5, retrospective_error_mm=0.25,
+                   true_error_mm=0.5, time_s=1.5, attempts=6, success=True,
+                   post_servo_retrospective_error_mm=math.nan, direct=False)
+    return [replace(base, **{name: v}) for v in values]
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=wide_episode_lists())
+@example(rows=_rows(retrospective_error_mm=[0.25, 0.5, 0.25] * _BLOCK))  # repeated values
+@example(rows=_rows(true_error_mm=[0.0, -0.0, 0.0, -0.0]))  # distinct bits, equal values
+@example(rows=_rows(time_s=[math.nan, math.inf, -math.nan, -math.inf, math.nan, 2.0]))
+@example(rows=_rows(seed=[2**63, 2**64 - 1, 2**63]))  # a uint64 column
+@example(rows=_rows(seed=[2**64 + 1, 2**63, 7, 2**64 + 1]))  # an object column
 def test_the_column_writer_writes_the_row_writers_bytes(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("rows")
     with np.errstate(all="ignore"):  # means and scatter scales of inf and huge floats

@@ -1,6 +1,7 @@
 """Isometric-grid spiral search pattern."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import covering_radius
 from pegservo.errors import InvalidRadius, InvalidTolerance, IoError
 from pegservo.search import _MAX_OFFSETS, generate_pattern, write_pattern_csv
+from pegservo.sim import TimingModel, WorldConfig, new_worlds, spiral_search
 
 S = 0.1 * math.sqrt(3.0)  # spacing for eps = 0.1
 
@@ -170,3 +172,12 @@ def test_memoized_pattern_is_shared_and_read_only():
     assert not p.offsets.flags.writeable
     with pytest.raises(ValueError):
         p.offsets[0, 0] = 1.0
+
+
+def test_a_searched_pattern_still_pickles():
+    # spiral_search's cache of a pattern's moves is keyed by the pattern (by
+    # identity) and kept outside it, so a pattern that has searched pickles
+    pattern = generate_pattern(0.1, 1.0)
+    spiral_search(new_worlds(WorldConfig(), [1]), pattern, TimingModel())
+    again = pickle.loads(pickle.dumps(pattern))
+    assert again.offsets.tobytes() == pattern.offsets.tobytes() and again != pattern

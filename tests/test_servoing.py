@@ -9,9 +9,9 @@ import pytest
 from pegservo.errors import ConstraintViolation, InvalidConfig, IoError
 from pegservo.geometry import aimed_camera, vec3
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
-from pegservo.servoing import (ServoConfig, servo_config_for, servo_step,
+from pegservo.servoing import (ServoConfig, servo_config_for, servo_step, servo_steps,
                                visual_servo, write_trace_csv)
-from pegservo.sim import (TimingModel, WorldConfig, Worlds, move_tcp, new_world,
+from pegservo.sim import (TimingModel, WorldConfig, Worlds, move_tcp, new_world, new_worlds,
                           true_inplane_error)
 
 L = vec3(0.0, 0.0, -1.0)
@@ -260,3 +260,18 @@ def test_nan_prediction_fails_fast_without_moving():
     with pytest.raises(ConstraintViolation):
         servo_step(w, cfg)
     assert np.array_equal(w.tcp, before)
+
+
+def test_an_empty_block_servo_step_is_empty_arrays():
+    # like spiral_search's empty batch: each field has no rows and its row shape
+    cfg = ServoConfig(ORACLES, WorldConfig())
+    step = servo_steps(new_worlds(WorldConfig(), []), cfg)
+    assert [a.shape for a in step] == [(0, 2), (0, 2), (0, 3), (0,), (0,)]
+    assert [a.dtype for a in step] == [np.float64] * 3 + [bool] * 2
+
+
+def test_an_empty_block_servo_is_empty_arrays():
+    cfg = ServoConfig(ORACLES, WorldConfig(), n_iters=4)
+    steps, residuals = visual_servo(new_worlds(WorldConfig(), []), cfg)
+    assert [a.shape for a in steps] == [(0, 4, 2), (0, 4, 2), (0, 4, 3), (0, 4), (0, 4)]
+    assert residuals.shape == (0, 4) and residuals.dtype == np.float64

@@ -783,6 +783,40 @@ def test_new_worlds_are_their_batches_of_one(styles, rows):
                         assert a == b or a is b, f.name
 
 
+def _block_outcome(config, seeds):
+    """new_worlds' block as each array's dtype, shape and contents, or its InvalidConfig."""
+    try:
+        block = new_worlds(config, seeds)
+    except InvalidConfig as exc:
+        return str(exc)
+    return [(name, a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes())
+            for name, a in vars(block).items() if isinstance(a, np.ndarray)]
+
+
+_SEED_DTYPES = {"int64": (-2**63, 2**63 - 1), "int32": (-2**31, 2**31 - 1),
+                "uint64": (0, 2**64 - 1), "bool": (0, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.sampled_from(list(_SEED_DTYPES)).flatmap(lambda dtype: st.lists(
+    st.integers(0, min(_SEED_DTYPES[dtype][1], 2**63 - 1)) | st.integers(*_SEED_DTYPES[dtype]),
+    max_size=5).map(lambda values: np.array(values, dtype=dtype))))
+@example(seeds=np.array([0, 2**63 - 1, 5, 0], dtype=np.int64))
+@example(seeds=np.array([2**31 - 1, 0], dtype=np.int32))
+@example(seeds=np.array([0, 2**63 - 1], dtype=np.uint64))
+@example(seeds=np.array([3, 2**63], dtype=np.uint64))  # object seeds, as the list's
+@example(seeds=np.array([4, -1]))
+@example(seeds=np.array([True, False]))
+def test_a_seed_array_is_the_list_of_its_seeds(seeds):
+    # a 1-D integer array in [0, 2**63) is checked as one array; any other array
+    # gets what the seed-by-seed check of its numpy scalars gives: an int's
+    # error, a bool's refusal, object seeds at 2**63 and above
+    expected = _block_outcome(WorldConfig(), list(seeds))
+    assert _block_outcome(WorldConfig(), seeds) == expected
+    if seeds.dtype != bool:
+        assert _block_outcome(WorldConfig(), seeds.tolist()) == expected
+
+
 def test_extra_error_radius_not_applied_at_creation():
     # start error comes only from the sigma draws, not the benchmark disc
     w = new_world(WorldConfig(seed=123))

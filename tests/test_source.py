@@ -462,6 +462,59 @@ def test_the_grid_draws_no_stream_per_row():
     assert "keyed_generators" not in (_SRC / "bench.py").read_text()
 
 
+_PRODUCTS = {"matmul", "dot", "einsum", "tensordot", "inner", "outer", "vdot"}
+
+
+def _whole_offsets_products(source: str, function: str) -> list:
+    """Lines in `function` of a product (@ or a numpy product call) with the whole of
+    pattern.offsets, read directly or through a name assigned from it; a product with
+    rows taken from it (a subscript) is not a product over the pattern."""
+    [func] = [node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+
+    def whole(expr, names=()):
+        return (isinstance(expr, ast.Attribute) and expr.attr == "offsets"
+                and getattr(expr.value, "id", None) == "pattern"
+                or isinstance(expr, ast.Name) and expr.id in names
+                or isinstance(expr, ast.Attribute) and expr.attr == "T"
+                and whole(expr.value, names))
+
+    names = set()
+    for node in ast.walk(func):  # the names bound to pattern.offsets, pairwise in a tuple
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and whole(v)}
+    return sorted(node.lineno for node in ast.walk(func)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and (whole(node.left, names) or whole(node.right, names))
+                  or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _PRODUCTS
+                  and any(whole(arg, names) for arg in node.args))
+
+
+def test_whole_offsets_product_is_detected():
+    assert _whole_offsets_products(
+        "def spiral_search(worlds, pattern, timing):\n"
+        "    offsets, got = pattern.offsets, 1.0\n"
+        "    moves = offsets @ worlds.basis.T\n"
+        "    tcps = worlds.basis @ offsets[ki][:, :, None]\n"
+        "    far = np.dot(pattern.offsets, basis.T)\n"
+        "    back = basis @ offsets.T\n"
+        "    scale = np.abs(offsets).max()\n"
+        "def other(pattern):\n"
+        "    return pattern.offsets @ basis.T\n", "spiral_search") == [3, 5, 6]
+
+
+def test_spiral_search_reads_its_moves_from_the_cache():
+    # the moves offsets @ basis.T and the path bound's pattern part are kept
+    # per (pattern, basis, direction) by sim._pattern_moves: no per-call
+    # product over the whole pattern comes back to the search
+    source = (_SRC / "sim.py").read_text()
+    assert _whole_offsets_products(source, "spiral_search") == []
+    assert _calls_of(source, "_pattern_moves")
+
+
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "geometry.py"],
                          ids=lambda p: p.name)
 def test_stacked_dot_products_come_from_geometry(path):

@@ -308,6 +308,37 @@ def test_the_bound_clears_ordinary_worlds_and_not_the_far_one(monkeypatch):
     assert len(checked) == 1
 
 
+_CACHE_PATTERNS = (generate_pattern(0.1, 1.0), generate_pattern(0.1, 0.3))
+# the default direction, and the far tilted one whose paths get the exact check
+_CACHE_CONFIGS = (WorldConfig(), WorldConfig(insertion_direction=_direction(0.5, 0.0),
+                                             nominal_hole=vec3(3e7, 0.0, 0.0)))
+
+
+def _search_outcome(pattern, config, seeds, start):
+    worlds = new_worlds(config, seeds)
+    worlds.tcp += worlds.basis @ np.array(start)  # placed: a far start move may round
+    try:
+        return spiral_search(worlds, pattern, TIMING), worlds.tcp.tobytes()
+    except ConstraintViolation as exc:
+        return str(exc), worlds.tcp.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.lists(
+    st.integers(0, 2**32 - 1), min_size=1, max_size=3), st.tuples(
+        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))), min_size=1, max_size=6))
+def test_the_cached_pattern_moves_give_the_uncached_search(calls):
+    # the moves and path bound kept per (pattern, basis, direction), calls
+    # interleaved over two patterns and two directions, against each call
+    # with the cache cleared first
+    cached = [_search_outcome(_CACHE_PATTERNS[p], _CACHE_CONFIGS[c], seeds, start)
+              for p, c, seeds, start in calls]
+    for (p, c, seeds, start), outcome in zip(calls, cached):
+        sim._pattern_moves.cache_clear()
+        assert _search_outcome(_CACHE_PATTERNS[p], _CACHE_CONFIGS[c], seeds, start) == outcome
+    assert sim._pattern_moves.cache_info().maxsize == 16
+
+
 def _screen(offsets, miss, thr):
     """spiral_search's squared screen over every (world, offset) pair."""
     dx, dy = offsets[:, 0] - miss[:, :1], offsets[:, 1] - miss[:, 1:]
