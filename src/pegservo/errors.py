@@ -64,6 +64,10 @@ class NonFiniteLoss(PegServoError):
     """No training step reached a finite validation loss (a NaN or inf in the data)."""
 
 
+class NonFinitePrediction(PegServoError):
+    """A deployed model predicted NaN or inf for a servo view."""
+
+
 class TooFewInsertions(PegServoError):
     """Split needs strictly more insertion groups than train_insertions."""
 

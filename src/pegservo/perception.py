@@ -8,7 +8,6 @@ trained with Adam). Datasets are grouped by insertion so train/val splits
 never share a hidden world.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -96,26 +95,36 @@ class InputSpec:
 
 _ROBUST_PCTL = 99.0
 _ROBUST_FLOOR = -0.5
+_FEATURE_ROWS = 64  # rows per feature block: 2 MB of float64 at 64 x 64
 
 
-def featurize(images, spec: InputSpec) -> np.ndarray:
-    """(n, r, r) images -> (n, r*r) float64 features, one row per image.
+def featurize(images, spec: InputSpec, rows=None) -> np.ndarray:
+    """(n, r, r) images -> (n, r*r) float64 features, one row per image (of images[rows]).
 
     Every step works on each row alone, so a row's features do not depend
     on the other images in the batch.
     """
-    X = _image_features(images, spec.r, spec.robust)
+    X = _image_features(images, spec.r, spec.robust, rows)
     X -= spec.feat_mean
     X /= spec.feat_std
     return X
 
 
-def _image_features(images, r: int, robust: bool) -> np.ndarray:
-    """featurize before the per-dataset standardization."""
+def _image_features(images, r: int, robust: bool, rows=None) -> np.ndarray:
+    """featurize before the per-dataset standardization, _FEATURE_ROWS rows at a time."""
     images = np.asarray(images)
     if images.ndim != 3 or images.shape[1:] != (r, r):
         raise ShapeMismatch(f"expected (n, {r}, {r}) images, got {images.shape}")
-    X = np.array(images, dtype=np.float64).reshape(len(images), r * r)
+    X = np.empty((len(images) if rows is None else len(rows), r * r))
+    for i in range(0, len(X), _FEATURE_ROWS):
+        block = slice(i, i + _FEATURE_ROWS)
+        _block_features(images[block] if rows is None else images[rows[block]], X[block], robust)
+    return X
+
+
+def _block_features(images, X, robust: bool) -> None:
+    """Write the features of k (r, r) images into X's k rows."""
+    X[...] = images.reshape(X.shape)
     if robust:
         # Zero the background at the median and scale by the bright tail so
         # the foreground amplitude is scene-independent; then floor the dark
@@ -128,7 +137,7 @@ def _image_features(images, r: int, robust: bool) -> np.ndarray:
         at = (d - 1) * (_ROBUST_PCTL / 100)
         lo, hi = math.floor(at), min(math.floor(at) + 1, d - 1)
         g = at - lo if lo < hi else 1.0
-        sel = np.sort(images.reshape(len(images), d), axis=1)[
+        sel = np.sort(images.reshape(X.shape), axis=1)[
             :, [(d - 1) // 2, d // 2, lo, hi, d - 1]].astype(np.float64)
         m = sel[:, :2 - d % 2].mean(axis=1, keepdims=True)  # 1 or 2 middle ranks
         a, b = sel[:, 2:3], sel[:, 3:4]
@@ -142,15 +151,19 @@ def _image_features(images, r: int, robust: bool) -> np.ndarray:
         X -= m
         X /= scale
         np.maximum(X, _ROBUST_FLOOR, out=X)
-    return X
 
 
 def _fit_input(ds: Dataset, robust: bool):
     """The input spec that standardizes ds's features, and those features."""
-    X = _image_features(ds.pixels(), ds.r, robust)
+    X = _image_features(ds.images, ds.r, robust, ds.rows)
     feat_mean = X.mean(axis=0)
-    X -= feat_mean  # then X.std's own arithmetic, without its copy of X
-    feat_std = np.maximum(np.sqrt(np.square(X).sum(axis=0) / len(X)), 1e-8)
+    X -= feat_mean  # then X.std's own arithmetic, with no copy of X or of np.square(X):
+    sq = np.zeros((_FEATURE_ROWS + 1, X.shape[1]))  # row 0 carries the sum of squares
+    for x in np.split(X, range(_FEATURE_ROWS, len(X), _FEATURE_ROWS)):
+        np.square(x, out=sq[1:len(x) + 1])  # numpy adds a matrix's rows in order, so
+        sq[0] = sq[:len(x) + 1].sum(axis=0)  # a running sum over row blocks keeps its bits
+    ss = sq[0] if X.shape[1] > 1 else np.square(X).sum(axis=0)  # a lone column numpy sums pairwise
+    feat_std = np.maximum(np.sqrt(ss / len(X)), 1e-8)
     X /= feat_std
     return InputSpec(r=ds.r, robust=robust, feat_mean=feat_mean, feat_std=feat_std), X
 
@@ -233,7 +246,7 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     if shared:
         raise LeakedInsertion(f"insertions in both splits: {sorted(shared)}")
     spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
-    Xva = featurize(val_ds.pixels(), spec)
+    Xva = featurize(val_ds.images, spec, val_ds.rows)
     steps = _train_ridge if hyper.kind == "ridge" else _train_mlp
     # each step yields (a builder of its model, validation mse)
     val_curve = []
@@ -361,6 +374,7 @@ def predict_views(model, images, truth_y) -> np.ndarray:
 
 def _keyed_normals(images, truth_y) -> np.ndarray:
     """A standard normal per view, keyed by blake2b-128 of its pixel and truth_y bytes."""
+    import hashlib  # here, not at import: only a noisy oracle hashes, and it loads OpenSSL
     keys = [[int(hashlib.blake2b(img.tobytes() + np.float64(t).tobytes(),
                                  digest_size=16).hexdigest(), 16)]
             for img, t in zip(images, truth_y)]
@@ -381,7 +395,8 @@ def evaluate(model, ds: Dataset) -> dict:
     servo loop acts on: mse/mae in y units, mae_mm in mm."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    return _metrics(predict_views(model, ds.pixels(), ds.truth_y), ds)
+    return _metrics(predict_views(model, ds.pixels(), ds.truth_y) if model.kind == "oracle"
+                    else _predict_features(model, featurize(ds.images, model.spec, ds.rows)), ds)
 
 
 def _metrics(pred, ds: Dataset) -> dict:

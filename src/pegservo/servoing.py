@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig, ModelsNotDeployed, csv_text, write_artifact
+from .errors import InvalidConfig, ModelsNotDeployed, NonFinitePrediction, csv_text, write_artifact
 from .geometry import denormalize_error, reconstruct_error, scalar_error
 from .perception import predict_views
 from .sim import (TimingModel, WorldConfig, Worlds, check_int, move_tcps, render_views,
@@ -71,10 +71,10 @@ def servo_steps(worlds: Worlds, cfg: ServoConfig) -> ServoStep:
     ServoConfig, the same for a world alone or in any block.
 
     One render_views call draws every world's scene and, per camera, one predict_views
-    call predicts its views. The corrections are denormalized, clamped to CLAMP_MM
-    (flagged as saturated) to guard against wild predictions, and moved as arrays; only
-    the reconstruct_error solve runs per world. A failing move raises ConstraintViolation,
-    its world's TCP unchanged and the worlds before it moved.
+    call predicts its views; a NaN or inf one raises NonFinitePrediction before any move.
+    The corrections are denormalized, clamped to CLAMP_MM (flagged as saturated) and moved
+    as arrays; only the reconstruct_error solve runs per world. A failing move raises
+    ConstraintViolation, its world's TCP unchanged and the worlds before it moved.
     """
     cams = cfg.calibration.cameras
     pixels, truth_y = render_views(worlds, worlds.tcp)
@@ -82,7 +82,11 @@ def servo_steps(worlds: Worlds, cfg: ServoConfig) -> ServoStep:
         raise InvalidConfig(f"camera index {pixels.shape[1]} out of range")
     y, q_mm = np.empty((2, len(worlds), len(cams)))
     for j, (model, cam) in enumerate(zip(cfg.models, cams)):
-        y[:, j] = predict_views(model, pixels[:, j], truth_y[:, j])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y raises below
+            y[:, j] = predict_views(model, pixels[:, j], truth_y[:, j])
+        if not np.isfinite(y[:, j]).all():
+            k = np.argmin(np.isfinite(y[:, j]))
+            raise NonFinitePrediction(f"camera {j} predicted {y[k, j]} for seed {worlds.seed[k]}")
         q_mm[:, j] = denormalize_error(y[:, j], cam)
     e_hat, ill = np.empty((len(worlds), 3)), np.empty(len(worlds), dtype=bool)
     for k, q in enumerate(q_mm):  # the per-world solve (an empty block has none)

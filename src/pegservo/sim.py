@@ -637,6 +637,8 @@ class Episodes:
             if unknown:
                 raise InvalidConfig(f"unknown {name} {unknown.pop()!r}; expected one of {names}")
             columns[name] = np.array([names.index(v) for v in columns[name]], dtype=np.uint8)
+        seeds = columns["seed"]  # int64, or Python integers once one is 2**63 or more
+        columns["seed"] = np.array(seeds, np.int64 if max(seeds, default=0) < 1 << 63 else object)
         return cls(**{f.name: np.array(columns[f.name], dtype={bool: bool}.get(f.type))
                       for f in fields(Episode)})
 

@@ -749,3 +749,13 @@ def test_episodes_of_refuses_an_unknown_style_or_mode():
     for name, value in (("style", "bogus"), ("mode", "search")):
         with pytest.raises(InvalidConfig, match=f"^unknown {name} '{value}'; expected one of"):
             Episodes.of([row, replace(row, **{name: value})])
+
+
+@pytest.mark.parametrize("seeds, dtype", [([3, 2**63 - 1], np.int64), ([], np.int64),
+                                          ([2**63, 3], object), ([2**64 - 1, 2**63], object)])
+def test_episodes_of_keeps_integer_seeds_integers(seeds, dtype):
+    # int64 while every seed fits, else Python integers, as a block of worlds holds them
+    row = Episode("led", "novs", 5, 0.25, 0.3, 2.5, 10, True, math.nan, False)
+    column = Episodes.of([replace(row, seed=s) for s in seeds]).columns["seed"]
+    assert column.dtype == dtype and column.tolist() == seeds
+    assert all(type(s) is int for s in column.tolist())

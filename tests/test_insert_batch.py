@@ -8,7 +8,7 @@ import pytest
 
 import pegservo.servoing
 from conftest import RIDGE_HYPER
-from pegservo.errors import ConstraintViolation, InvalidConfig
+from pegservo.errors import InvalidConfig, NonFinitePrediction
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.pipeline import (CollectionConfig, collect_dataset, insert,
                                insert_batch, train_per_camera)
@@ -109,7 +109,7 @@ def test_a_nan_prediction_fails_its_block_and_leaves_its_world_unmoved(models):
     worlds, cfg, servoed = _block({**models, "nan": (nan_model, nan_model)},
                                   ("dsub", "nan", 3, [(21, True), (22, True), (23, False)]))
     starts = worlds.tcp.copy()
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(NonFinitePrediction, match=r"^camera 0 predicted nan for seed 21$"):
         insert_batch(worlds, cfg, servoed, PATTERN, TIMING)
     assert worlds.tcp.tobytes() == starts.tobytes()
 

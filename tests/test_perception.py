@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,8 @@ from conftest import (RIDGE_HYPER, gradient_check, init_mlp, observation,
 from pegservo.errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                              LeakedInsertion, NonFiniteLoss, ShapeMismatch)
 from pegservo.geometry import CameraModel, denormalize_error, vec3
-from pegservo.perception import (Dataset, InputSpec, MlpModel, OracleModel,
-                                 RidgeModel, TrainConfig, _metrics, _mlp_layers,
+from pegservo.perception import (_FEATURE_ROWS, Dataset, InputSpec, MlpModel, OracleModel,
+                                 RidgeModel, TrainConfig, _fit_input, _metrics, _mlp_layers,
                                  _mlp_shapes, evaluate, featurize, load_dataset, load_model,
                                  predict, predict_views, save_dataset, save_model,
                                  train)
@@ -484,6 +485,91 @@ def test_featurize_rows_do_not_depend_on_the_batch(batch):
     for i in range(len(images)):
         assert X[i].tobytes() == featurize(images[i:i + 1], spec)[0].tobytes()
         assert X[i].tobytes() == _reference_features(images[i], spec).tobytes()
+
+
+def _one_shot_image_features(images, r, robust):
+    """_image_features as one pass over the whole batch: one float64 copy of the
+    images and one sort of them, the arithmetic the row blocks reproduce."""
+    X = np.array(images, dtype=np.float64).reshape(len(images), r * r)
+    if robust:
+        d = X.shape[1]
+        at = (d - 1) * 0.99
+        lo, hi = math.floor(at), min(math.floor(at) + 1, d - 1)
+        g = at - lo if lo < hi else 1.0
+        sel = np.sort(images.reshape(len(images), d), axis=1)[
+            :, [(d - 1) // 2, d // 2, lo, hi, d - 1]].astype(np.float64)
+        m = sel[:, :2 - d % 2].mean(axis=1, keepdims=True)
+        a, b = sel[:, 2:3], sel[:, 3:4]
+        pct = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+        nan = np.isnan(sel[:, 4])
+        if nan.any():
+            m[nan] = np.median(X[nan], axis=1, keepdims=True)
+        pct[nan] = np.nan
+        scale = pct - m
+        scale[scale < 1e-6] = 1.0
+        X -= m
+        X /= scale
+        np.maximum(X, -0.5, out=X)
+    return X
+
+
+def _one_shot_fit_input(ds, robust):
+    """_fit_input's statistics and features from whole-matrix numpy calls."""
+    X = _one_shot_image_features(ds.pixels(), ds.r, robust)
+    feat_mean = X.mean(axis=0)
+    X -= feat_mean
+    feat_std = np.maximum(np.sqrt(np.square(X).sum(axis=0) / len(X)), 1e-8)
+    X /= feat_std
+    return feat_mean, feat_std, X
+
+
+@st.composite
+def block_datasets(draw, n, r):
+    """Datasets of n rows of r x r images, out of order in a larger buffer, with
+    constant, NaN and inf rows mixed in."""
+    spare = draw(st.integers(0, 3))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = pixels.random((n + spare, r, r), dtype=np.float32)
+    for k in pixels.choice(n + spare, draw(st.integers(0, min(3, n + spare))), replace=False):
+        images[k].flat[pixels.integers(r * r)] = draw(st.sampled_from([math.nan, math.inf]))
+    if draw(st.booleans()):  # no spread: the robust scale floor
+        images[pixels.integers(n + spare)] = 0.25
+    rows = pixels.permutation(n + spare)[:n]
+    zeros = np.zeros(n)
+    return Dataset(images=images, rows=rows, insertion_id=zeros.astype(np.int64),
+                   camera_index=zeros.astype(np.int64), y=zeros, truth_y=zeros, q_mm=zeros,
+                   height_mm=zeros, cameras=())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as in numpy's own pass
+@pytest.mark.parametrize("r", [1, 2, 8, 64])
+@pytest.mark.parametrize("n", [1, _FEATURE_ROWS - 1, _FEATURE_ROWS, _FEATURE_ROWS + 1,
+                               3 * _FEATURE_ROWS + 5])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), robust=st.booleans())
+def test_streamed_features_equal_the_one_shot_pass(n, r, data, robust):
+    ds = data.draw(block_datasets(n, r))
+    spec, X = _fit_input(ds, robust)
+    assert spec.r == ds.r and spec.robust == robust
+    feat_mean, feat_std, ref = _one_shot_fit_input(ds, robust)
+    for got, want in ((spec.feat_mean, feat_mean), (spec.feat_std, feat_std), (X, ref)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    want = (_one_shot_image_features(ds.pixels(), ds.r, robust) - feat_mean) / feat_std
+    assert featurize(ds.pixels(), spec).tobytes() == want.tobytes()
+    assert featurize(ds.images, spec, ds.rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_fit_input_holds_little_beside_its_feature_matrix(robust):
+    # 800 rows of 64 x 64: no gathered images, sort buffer or np.square(X) the size of X
+    ds = synthetic_dataset(8, 100, 64, lambda x, rng: 0.0)
+    tracemalloc.start()
+    try:
+        X = _fit_input(ds, robust)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + 4 * 2**20
 
 
 @st.composite

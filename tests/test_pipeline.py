@@ -232,9 +232,9 @@ def test_train_per_camera_featurizes_once_and_scores_like_evaluate(monkeypatch,
     data = collect_dataset(_quiet_factory, cfg, generate_pattern(0.1, 1.0))
     rows, features = [], pegservo.perception._image_features
 
-    def counted(images, r, robust):
-        rows.append(len(images))
-        return features(images, r, robust)
+    def counted(images, r, robust, take=None):
+        rows.append(len(images) if take is None else len(take))
+        return features(images, r, robust, take)
 
     monkeypatch.setattr(pegservo.perception, "_image_features", counted)
     res = train_per_camera(data, cfg.train_insertions, hyper)

@@ -234,7 +234,7 @@ def _rows(*values, **column) -> list:
 @example(rows=_rows(retrospective_error_mm=[0.25, 0.5, 0.25] * _BLOCK))  # repeated values
 @example(rows=_rows(true_error_mm=[0.0, -0.0, 0.0, -0.0]))  # distinct bits, equal values
 @example(rows=_rows(time_s=[math.nan, math.inf, -math.nan, -math.inf, math.nan, 2.0]))
-@example(rows=_rows(seed=[2**63, 2**64 - 1, 2**63]))  # a uint64 column
+@example(rows=_rows(seed=[2**63, 3, 2**64 - 1, 3]))  # past int64 mixed with small seeds
 @example(rows=_rows(seed=[2**64 + 1, 2**63, 7, 2**64 + 1]))  # an object column
 def test_the_column_writer_writes_the_row_writers_bytes(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("rows")

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pegservo.errors import ConstraintViolation, InvalidConfig, IoError
+import pegservo.servoing
+from pegservo.errors import ConstraintViolation, InvalidConfig, IoError, NonFinitePrediction
 from pegservo.geometry import aimed_camera, vec3
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.servoing import (ServoConfig, servo_config_for, servo_step, servo_steps,
@@ -257,9 +258,36 @@ def test_nan_prediction_fails_fast_without_moving():
                                           feat_std=np.ones(r * r)))
     cfg = servo_config_for(w, (nan_model, nan_model), n_iters=1)
     before = w.tcp.copy()
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(NonFinitePrediction, match=r"^camera 0 predicted nan for seed 0$"):
         servo_step(w, cfg)
     assert np.array_equal(w.tcp, before)
+
+
+def _ridge(weights, r):
+    return RidgeModel(weights=weights, bias=0.0, lam=1.0, spec=InputSpec(
+        r=r, robust=False, feat_mean=np.zeros(r * r), feat_std=np.ones(r * r)))
+
+
+@pytest.mark.parametrize("weight, shown", [(math.nan, "nan"), (1e308, "inf")])
+def test_a_non_finite_prediction_fails_as_one_before_any_move(weight, shown):
+    # the 1e308 product overflows to inf with no RuntimeWarning (tier-1 makes one an error)
+    block = new_worlds(WorldConfig(), [7, 3, 11])
+    r = block.config.cameras[0].r
+    cfg = ServoConfig((OracleModel(), _ridge(np.full(r * r, weight), r)), block.config)
+    before = block.tcp.copy()
+    with pytest.raises(NonFinitePrediction, match=rf"^camera 1 predicted {shown} for seed 7$"):
+        servo_steps(block, cfg)
+    assert np.array_equal(block.tcp, before)
+
+
+def test_a_non_finite_prediction_names_the_first_bad_world(monkeypatch):
+    block = new_worlds(WorldConfig(), [7, 3, 11, 2**63 + 5])
+    ys = iter([np.zeros(4), np.array([0.1, 0.2, -np.inf, np.nan])])
+    monkeypatch.setattr(pegservo.servoing, "predict_views", lambda *args: next(ys))
+    before = block.tcp.copy()
+    with pytest.raises(NonFinitePrediction, match=r"^camera 1 predicted -inf for seed 11$"):
+        servo_steps(block, ServoConfig(ORACLES, block.config))
+    assert np.array_equal(block.tcp, before)
 
 
 def test_an_empty_block_servo_step_is_empty_arrays():

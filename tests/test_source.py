@@ -531,10 +531,11 @@ def test_runtime_needs_no_scipy(path):
 
 def test_import_loads_no_costly_module():
     # concurrent.futures costs a large share of start-up, and only a
-    # multi-job benchmark imports it, when called; scipy is never imported
+    # multi-job benchmark imports it, when called; hashlib loads OpenSSL, and
+    # only a noisy oracle imports it, when called; scipy is never imported
     env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
     code = ("import sys, pegservo; "
-            "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
+            "print(sorted({'scipy', 'concurrent.futures', 'hashlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
