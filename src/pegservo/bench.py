@@ -22,7 +22,8 @@ from .search import generate_pattern
 from .servoing import CLAMP_MM, ServoConfig
 from .sim import (BENCH_MODES, COMPONENT_STYLES, MODE_NOVS, MODE_VS, Episode, Episodes,
                   TimingModel, WorldConfig, check_int, config_from_dict, config_to_dict,
-                  keyed_uniforms, move_tcps, new_worlds, peg_position, seed_states)
+                  move_tcps, new_worlds, peg_position)
+from .streams import keyed_uniforms, seed_states
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from .perception import evaluate, load_dataset, load_model, save_dataset, save_m
 from .pipeline import collect_dataset, train_per_camera
 from .search import generate_pattern, write_pattern_csv
 from .servoing import servo_config_for, visual_servo, write_trace_csv
-from .sim import (COMPONENT_STYLES, keyed_generators, load_config_file,
-                  move_tcp, new_world, new_worlds, peg_position, render_views,
-                  true_inplane_error, write_pgm)
+from .sim import (COMPONENT_STYLES, load_config_file, move_tcp, new_world, new_worlds,
+                  peg_position, render_views, true_inplane_errors, write_pgm)
+from .streams import keyed_generators
 
 
 def _run_config(ns, **world) -> RunConfig:
@@ -101,7 +101,7 @@ def cmd_simulate(ns) -> int:
         write_pgm(view, os.path.join(ns.out, f"cam{j}.pgm"))
     scene = {
         "tcp": world.tcp[0].tolist(),
-        "true_inplane_error_mm": true_inplane_error(world),
+        "true_inplane_error_mm": float(true_inplane_errors(world)[0]),
         "truth_y": {str(j): t for j, t in enumerate(truth_y.tolist())},
         "component_style": wcfg.component_style,
         "seed": wcfg.seed,
@@ -179,7 +179,7 @@ def cmd_servo(ns) -> int:
         write_trace_csv(steps, residuals, os.path.join(ns.out, "trace.csv"))
     result = {
         "residuals_mm": residuals[0].tolist(),
-        "final_error_mm": true_inplane_error(world),
+        "final_error_mm": float(true_inplane_errors(world)[0]),
         "elapsed_time_s": cfg.time_s,
         "n_iters": ns.n_iters,
     }

@@ -20,7 +20,8 @@ from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                      LeakedInsertion, NonFiniteLoss, ShapeMismatch,
                      read_artifact, write_artifacts)
 from .geometry import camera_from_dict, camera_to_dict
-from .sim import Observation, check_int, keyed_generators
+from .sim import Observation, check_int
+from .streams import keyed_generators
 
 SCHEMA_VERSION = 2
 

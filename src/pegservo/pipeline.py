@@ -19,7 +19,8 @@ from .perception import Dataset, TrainConfig, train
 from .search import SearchPattern, generate_pattern
 from .servoing import visual_servo
 from .sim import (BENCH_MODES, MODE_VS, Episode, Episodes, TimingModel, WorldConfig, Worlds,
-                  check_int, keyed_generators, render_views, spiral_search, true_inplane_errors)
+                  check_int, render_views, spiral_search, true_inplane_errors)
+from .streams import keyed_generators
 
 log = logging.getLogger(__name__)
 
@@ -49,9 +50,9 @@ class CollectionConfig:
 class DeploymentGate:
     """Validation-error threshold deciding whether servoing is enabled.
 
-    configure's default threshold is half the insertion tolerance, so a
-    deployed model leaves the corrected error well inside the first spiral
-    attempt.
+    configure deploys only if every camera's validation MAE (mm, along that
+    camera's error direction) is at most max_val_mae_mm, which defaults to
+    half the world tolerance. The gate checks nothing else.
     """
 
     max_val_mae_mm: float
@@ -130,6 +131,7 @@ def collect_dataset(world_factory, cfg: CollectionConfig,
 
 def split_by_insertion(data: Dataset, train_insertions: int, seed: int):
     """Random insertion-level split; no insertion appears in both halves."""
+    train_insertions = check_int("train_insertions", train_insertions, 1)
     ids = sorted(data.grouping)
     if len(ids) <= train_insertions:
         raise TooFewInsertions(f"{len(ids)} insertion groups cannot give a "

@@ -11,7 +11,7 @@ from pegservo.perception import (Dataset, MlpModel, TrainConfig, _fit_input,
                                  featurize, train)
 from pegservo.pipeline import CollectionConfig, collect_dataset, split_by_insertion
 from pegservo.search import generate_pattern
-from pegservo.sim import Observation, WorldConfig, new_world
+from pegservo.sim import Observation, WorldConfig, new_world, true_inplane_errors
 
 RIDGE_HYPER = TrainConfig(kind="ridge", robust_norm=True)
 
@@ -69,6 +69,11 @@ def attempt_insertion(world, tcp=None):
     miss = inplane_norm(world.true_hole[0] - peg,
                         world.config.insertion_direction)
     return float(miss) <= world.config.tolerance
+
+
+def true_inplane_error(world) -> float:
+    """A block of one's hidden in-plane peg-to-hole distance (mm): true_inplane_errors' row."""
+    return float(true_inplane_errors(world)[0])
 
 
 def init_mlp(ds, hyper):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import gradient_check, init_mlp
+from conftest import gradient_check, init_mlp, true_inplane_error
 from pegservo.bench import (BenchConfig, emit_report, fit_quadratic_law,
                             run_benchmark)
 from pegservo.geometry import (error_direction, inplane_basis,
@@ -26,8 +26,7 @@ from pegservo.pipeline import (CollectionConfig, DeploymentGate,
 from pegservo.search import generate_pattern
 from pegservo.servoing import ServoConfig, servo_config_for, visual_servo
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig,
-                          move_tcp, new_world, spiral_insert,
-                          true_inplane_error)
+                          move_tcp, new_world, spiral_insert)
 
 CLOCK = time.perf_counter
 RIDGE = TrainConfig(kind="ridge", robust_norm=True)

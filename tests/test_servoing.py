@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import pegservo.servoing
+from conftest import true_inplane_error
 from pegservo.errors import ConstraintViolation, InvalidConfig, IoError, NonFinitePrediction
 from pegservo.geometry import aimed_camera, vec3
 from pegservo.perception import InputSpec, OracleModel, RidgeModel
 from pegservo.servoing import (ServoConfig, servo_config_for, servo_step, servo_steps,
                                visual_servo, write_trace_csv)
-from pegservo.sim import (TimingModel, WorldConfig, Worlds, move_tcp, new_world, new_worlds,
-                          true_inplane_error)
+from pegservo.sim import TimingModel, WorldConfig, Worlds, move_tcp, new_world, new_worlds
 
 L = vec3(0.0, 0.0, -1.0)
 ORACLES = (OracleModel(), OracleModel())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import true_inplane_error
 from pegservo.errors import ConstraintViolation, InvalidConfig, InvalidTolerance
 from pegservo.geometry import (aimed_camera, camera_to_dict,
                                denormalize_error, error_direction,
@@ -22,10 +23,10 @@ from pegservo.servoing import servo_config_for
 from pegservo.search import SearchPattern, generate_pattern
 from pegservo.sim import (COMPONENT_STYLES, TimingModel, WorldConfig, Worlds,
                           config_from_dict, config_to_dict, default_cameras,
-                          keyed_generators, keyed_uniforms, load_config_file, move_tcp,
-                          move_tcps, new_world, new_worlds, peg_position, render, render_views,
-                          seed_states, spiral_insert, spiral_search, true_inplane_error,
+                          load_config_file, move_tcp, move_tcps, new_world, new_worlds,
+                          peg_position, render, render_views, spiral_insert, spiral_search,
                           write_pgm)
+from pegservo.streams import keyed_generators, keyed_uniforms, seed_states
 
 L = vec3(0.0, 0.0, -1.0)
 

@@ -450,10 +450,31 @@ def test_stream_site_is_detected():
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_only_single_streams_are_built_one_at_a_time(path):
-    # every stream, a single one too, is a key's row of sim's batched kernel:
+    # every stream, a single one too, is a key's row of the streams kernel:
     # keyed_generators makes the one Generator, on one PCG64, that draws them
     sites = [site.split(" (")[0] for site in _stream_sites(path.read_text())]
-    assert sites == (["keyed_generators"] * 2 if path.name == "sim.py" else [])
+    assert sites == (["keyed_generators"] * 2 if path.name == "streams.py" else [])
+
+
+def test_the_stream_kernel_imports_only_numpy_and_the_standard_library():
+    # streams is the bottom layer: the other modules draw through it, it reads none of them
+    tree = ast.parse((_SRC / "streams.py").read_text())
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {"." * node.level + (node.module or "").split(".")[0]
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert roots - sys.stdlib_module_names == {"numpy"}
+
+
+_SEEDING_CONSTANTS = {0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715,
+                      0x2360ED051FC65DA44385DF649FCCF645}  # SeedSequence's hashes, PCG64's LCG
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_the_stream_kernel_does_seeding_arithmetic(path):
+    constants = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and type(node.value) is int}
+    assert bool(constants & _SEEDING_CONSTANTS) == (path.name == "streams.py")
 
 
 def test_the_grid_draws_no_stream_per_row():
