@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -240,19 +240,25 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     model carries the parameters that achieved best_val_loss, not the
     last-step parameters; the report's val_metrics equal evaluate(model,
     val_ds). Raises NonFiniteLoss when no step's validation loss is finite.
+    The validation features are built once, when the steps first ask for
+    them (ridge: after its eigh, so they are not resident beside LAPACK's
+    workspace at the memory peak), and val_metrics reuses them.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
     shared = set(train_ds.grouping) & set(val_ds.grouping)
     if shared:
         raise LeakedInsertion(f"insertions in both splits: {sorted(shared)}")
+    if val_ds.images.shape[1:] != train_ds.images.shape[1:]:  # fail before the solve
+        raise ShapeMismatch(f"validation images {val_ds.images.shape[1:]} differ from "
+                            f"training images {train_ds.images.shape[1:]}")
     spec, Xtr = _fit_input(train_ds, hyper.robust_norm)
-    Xva = featurize(val_ds.images, spec, val_ds.rows)
+    val_features = cache(partial(featurize, val_ds.images, spec, val_ds.rows))
     steps = _train_ridge if hyper.kind == "ridge" else _train_mlp
     # each step yields (a builder of its model, validation mse)
     val_curve = []
     best, best_val, wait = None, np.inf, 0
-    for candidate, va_mse in steps(Xtr, train_ds.y, Xva, val_ds.y, spec, hyper):
+    for candidate, va_mse in steps(Xtr, train_ds.y, val_features, val_ds.y, spec, hyper):
         val_curve.append(va_mse)
         if va_mse < best_val:
             best, best_val, wait = candidate, va_mse, 0
@@ -267,11 +273,12 @@ def train(train_ds: Dataset, val_ds: Dataset, hyper: TrainConfig):
     return model, TrainReport(
         epochs_run=len(val_curve), best_val_loss=best_val, val_curve=val_curve,
         stopped_early=wait >= hyper.patience,
-        val_metrics=_metrics(_predict_features(model, Xva), val_ds))
+        val_metrics=_metrics(_predict_features(model, val_features()), val_ds))
 
 
-def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
-    """train's steps for kind=ridge: one per lambda, from 1e2 down to 1e-8."""
+def _train_ridge(Xtr, ytr, val_features, yva, spec, hyper: TrainConfig):
+    """train's steps for kind=ridge: one per lambda, from 1e2 down to 1e-8. Its
+    validation features are built after eigh, never beside LAPACK's workspace."""
     # Dual (kernel) form: w = Xc^T (Xc Xc^T + lam I)^-1 yc. One
     # eigendecomposition of the Gram matrix serves the whole lambda path.
     xm = Xtr.mean(axis=0)
@@ -280,7 +287,7 @@ def _train_ridge(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
     evals, V = np.linalg.eigh(Xc @ Xc.T)
     evals = np.maximum(evals, 0.0)
     Vty = V.T @ (ytr - ym)
-    Kva = (Xva - xm) @ Xc.T
+    Kva = (val_features() - xm) @ Xc.T
 
     def model(lam, alpha):
         w = Xc.T @ alpha
@@ -333,8 +340,9 @@ def _mlp_loss_grads(params: list, X: np.ndarray, y: np.ndarray):
     return loss, pred, grads
 
 
-def _train_mlp(Xtr, ytr, Xva, yva, spec, hyper: TrainConfig):
+def _train_mlp(Xtr, ytr, val_features, yva, spec, hyper: TrainConfig):
     """train's steps for kind=mlp: one per epoch of minibatch Adam."""
+    Xva = val_features()
     params, rng = _mlp_init(Xtr.shape[1], hyper)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]

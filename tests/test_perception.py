@@ -258,6 +258,17 @@ def test_shape_mismatch_on_predict():
         predict(model, observation(ds8, 0))
 
 
+def test_a_validation_set_of_another_resolution_fails_before_the_solve(monkeypatch):
+    tr = synthetic_dataset(2, 10, 64, lambda x, rng: 0.0)
+    va = synthetic_dataset(1, 10, 32, lambda x, rng: 0.0)
+    va = replace(va, insertion_id=va.insertion_id + 2)
+    solves, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a.shape) or eigh(a))
+    with pytest.raises(ShapeMismatch, match=r"\(32, 32\).*\(64, 64\)"):
+        train(tr, va, TrainConfig(kind="ridge"))
+    assert solves == []
+
+
 @pytest.mark.parametrize("name, low", [("seed", 0), ("max_epochs", 1), ("batch_size", 1),
                                        ("patience", 1)])
 def test_train_config_integer_field_is_an_integer(name, low):
@@ -572,6 +583,39 @@ def test_fit_input_holds_little_beside_its_feature_matrix(robust):
     assert peak <= X.nbytes + 4 * 2**20
 
 
+def test_the_ridge_solve_holds_little_beside_the_training_features(monkeypatch):
+    # 800 training and 200 validation rows of 64 x 64: the validation
+    # features are built after eigh, not held beside its workspace
+    tr, va = _split(synthetic_dataset(10, 100, 64, lambda x, rng: x[0]), 8)
+    held, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    tracemalloc.start()
+    try:
+        train(tr, va, TrainConfig(kind="ridge"))
+    finally:
+        tracemalloc.stop()
+    features, gram = len(tr) * 64 * 64 * 8, len(tr) ** 2 * 8
+    assert len(held) == 1 and held[0] <= features + gram + 2 * 2**20
+
+
+@pytest.mark.parametrize("hyper", [RIDGE_HYPER, _mlp_hyper(max_epochs=2)],
+                         ids=["ridge", "mlp"])
+def test_validation_is_featurized_once_per_train(monkeypatch, hyper):
+    tr, va = _split(synthetic_dataset(4, 10, 8, lambda x, rng: x[0]), 3)
+    calls, featurize_ = [], pegservo.perception.featurize
+
+    def counted(images, spec, rows=None):
+        calls.append(rows is not None and np.array_equal(rows, va.rows))
+        return featurize_(images, spec, rows)
+
+    monkeypatch.setattr(pegservo.perception, "featurize", counted)
+    _, report = train(tr, va, hyper)
+    assert calls.count(True) == 1 and report.epochs_run >= 1
 @st.composite
 def datasets(draw):
     r, n_cams = draw(st.integers(1, 5)), draw(st.integers(1, 3))
