@@ -58,22 +58,20 @@ class BenchConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """Every config section of a run, each checked by its class (BenchConfig
-    checks the grid's pattern), and the rules that span sections: bench runs
-    the run's world and timing, the collection's reach and pattern
-    (collection_pattern), a servoed peg's reach (WorldConfig.sees_disc) and no
-    move rounding out of plane (check_rounding). gate None means configure's default."""
+    checks the grid's pattern), and the rules that span sections: the
+    collection's reach and pattern (collection_pattern), a servoed peg's reach
+    (WorldConfig.sees_disc) and no move rounding out of plane (check_rounding).
+    The world and timing sections are bench's. gate None means configure's default."""
 
-    world: WorldConfig = field(default_factory=WorldConfig)
-    timing: TimingModel = field(default_factory=TimingModel)
     collection: CollectionConfig = field(default_factory=CollectionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
     gate: DeploymentGate | None = None
+    world = property(lambda self: self.bench.world_template)
+    timing = property(lambda self: self.bench.timing)
+    _SECTIONS = ("world", "timing", "collection", "train", "bench", "gate")  # of a config file
 
     def __post_init__(self):
-        if (self.bench.timing != self.timing
-                or config_to_dict(self.bench.world_template) != config_to_dict(self.world)):
-            raise InvalidConfig("bench must run the run's world and timing")
         collection_pattern(self.world, self.collection)
         w, disc = self.world, self.bench.error_disc_radius
         # a servoed peg renders within the disc and a step of its draw (new_worlds')
@@ -91,16 +89,14 @@ class RunConfig:
         """The run of a parsed config file's sections, each by config_from_dict,
         an absent one at its defaults (gate: None). world replaces fields of the
         world section, as flags do, before bench is built with it and the timing."""
-        names = [f.name for f in fields(cls)]
-        unknown = set(raw) - set(names)
+        unknown = set(raw) - set(cls._SECTIONS)
         if unknown:
             raise InvalidConfig(f"unknown config sections: {sorted(unknown)}; "
-                                f"expected a subset of {sorted(names)}")
+                                f"expected a subset of {sorted(cls._SECTIONS)}")
         wcfg = config_from_dict(WorldConfig, raw.get("world", {}))
         wcfg = replace(wcfg, **world) if world else wcfg
         timing = config_from_dict(TimingModel, raw.get("timing", {}))
-        return cls(world=wcfg, timing=timing,
-                   collection=config_from_dict(CollectionConfig, raw.get("collection", {})),
+        return cls(collection=config_from_dict(CollectionConfig, raw.get("collection", {})),
                    train=config_from_dict(TrainConfig, raw.get("train", {})),
                    bench=config_from_dict(BenchConfig, raw.get("bench", {}), timing=timing,
                                           world_template=wcfg),
@@ -108,7 +104,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Each section by config_to_dict (gate only if set): from_dict reads back this run."""
-        return {name: config_to_dict(s) for name, s in vars(self).items() if s is not None}
+        return {name: config_to_dict(s) for name in self._SECTIONS
+                if (s := getattr(self, name)) is not None}
 
 
 def train_styles(run: RunConfig, seed: int) -> dict:
@@ -146,6 +143,8 @@ def _run_block(cfg: BenchConfig, servo_cfgs: dict, block) -> Episodes:
 
 @dataclass
 class BenchReport:
+    """A grid's episodes and their aggregates; the fields other than rows are summary.json's."""
+
     rows: Episodes  # or any sequence of Episodes
     per_style: dict
     overall: dict
@@ -332,15 +331,8 @@ def emit_report(report: BenchReport, out_dir) -> list:
         table.append(_table_row("average", report.overall))
     files = {"table.csv": csv_text(["style", "vs_time_s", "novs_time_s", "speedup"], table)}
     files["scatter.csv"], files["rows.csv"] = _row_files(col)
-    summary = {
-        "per_style": report.per_style,
-        "overall": report.overall,
-        "speedup": report.speedup,
-        "success": report.success,
-        "direct": report.direct,
-        "mean_post_servo_retro_mm": report.mean_post_servo_retro_mm,
-        "n_rows": len(errors),
-    }
+    summary = {name: value for name, value in vars(report).items() if name != "rows"}
+    summary["n_rows"] = len(errors)
     law = col["success"] & (modes == BENCH_MODES.index(MODE_NOVS))
     try:
         summary["quadratic_law"] = fit_quadratic_law(np.stack([errors[law], times[law]], axis=1))

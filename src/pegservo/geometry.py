@@ -206,16 +206,3 @@ def aimed_camera(position: np.ndarray, target: np.ndarray, l: np.ndarray,
     R = np.stack([x_axis, y_axis, z_axis])
     return CameraModel(position=position, orientation=R, f=f, r=r, z=depth)
 
-
-def camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "position": [float(v) for v in cam.position],
-        "orientation": [[float(v) for v in row] for row in cam.orientation],
-        "f": float(cam.f),
-        "r": int(cam.r),
-        "z": float(cam.z),
-    }
-
-
-def camera_from_dict(d: dict) -> CameraModel:
-    return CameraModel(**d)

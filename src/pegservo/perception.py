@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (CorruptArtifact, EmptyDataset, InvalidConfig,
                      LeakedInsertion, NonFiniteLoss, ShapeMismatch,
                      read_artifact, write_artifacts)
-from .geometry import camera_from_dict, camera_to_dict
-from .sim import Observation, check_int
+from .geometry import CameraModel
+from .sim import Observation, check_int, config_to_dict
 from .streams import keyed_generators
 
 SCHEMA_VERSION = 2
@@ -424,7 +424,7 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         "schema_version": SCHEMA_VERSION,
         "r": ds.r,
         "n": len(ds),
-        "cameras": [camera_to_dict(c) for c in ds.cameras],
+        "cameras": [config_to_dict(c) for c in ds.cameras],
         "columns": {k: getattr(ds, k).tolist() for k in _LABELS},
     }
     write_artifacts(out_dir, {
@@ -449,10 +449,14 @@ def load_dataset(in_dir) -> Dataset:
     meta = _read_meta(os.path.join(in_dir, "meta.json"))
     raw = read_artifact(os.path.join(in_dir, "images.bin"), binary=True)
     try:
-        r, n = int(meta["r"]), int(meta["n"])
-        cams = tuple(camera_from_dict(cd) for cd in meta["cameras"])
+        r, n = check_int("r", meta["r"], 1), check_int("n", meta["n"], 0)
+        cams = tuple(CameraModel(**cd) for cd in meta["cameras"])
         labels = {k: np.array(meta["columns"][k], dtype=dtype)
                   for k, dtype in _LABELS.items()}
+        if any(cam.r != r for cam in cams):
+            raise InvalidConfig(f"r must be every camera's r, got {r} and {[c.r for c in cams]}")
+        if not ((labels["camera_index"] >= 0) & (labels["camera_index"] < len(cams))).all():
+            raise InvalidConfig(f"camera_index must lie in [0, {len(cams)})")
     except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise CorruptArtifact(f"bad meta.json in {in_dir}: {exc!r}") from exc
     short = [k for k, column in labels.items() if column.shape != (n,)]
@@ -494,29 +498,36 @@ def load_model(in_dir):
     meta = _read_meta(os.path.join(in_dir, "model.json"))
     try:
         return _model_from_meta(meta, in_dir)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise CorruptArtifact(f"bad model.json in {in_dir}: {exc!r}") from exc
 
 
 def _model_from_meta(meta: dict, in_dir):
     kind = meta["kind"]
     if kind == "oracle":
-        return OracleModel(noise_sigma=float(meta["noise_sigma"]))
+        sigma = meta["noise_sigma"]  # a nan or a negative sigma would turn the noise off
+        if type(sigma) not in (int, float) or not 0 <= sigma < math.inf:
+            raise InvalidConfig(f"noise_sigma must be a finite JSON number >= 0, got {sigma!r}")
+        return OracleModel(noise_sigma=float(sigma))
     raw = np.frombuffer(read_artifact(os.path.join(in_dir, "weights.bin"),
                                       binary=True), dtype="<f8")
-    r = int(meta["r"])
+    r, robust = check_int("r", meta["r"], 1), meta["robust"]
+    if type(robust) is not bool:
+        raise InvalidConfig(f"robust must be a JSON bool, got {robust!r}")
     d = r * r
     if raw.size < 2 * d:
         raise CorruptArtifact("weights.bin too short for feature statistics")
     feat_mean, feat_std, rest = raw[:d], raw[d:2 * d], raw[2 * d:]
-    spec = InputSpec(r=r, robust=bool(meta["robust"]), feat_mean=feat_mean, feat_std=feat_std)
+    spec = InputSpec(r=r, robust=robust, feat_mean=feat_mean, feat_std=feat_std)
     if kind == "ridge":
+        if type(meta["lam"]) not in (int, float):
+            raise InvalidConfig(f"lam must be a JSON number, got {meta['lam']!r}")
         if rest.size != d + 1:
             raise CorruptArtifact("ridge weights.bin has wrong length")
         return RidgeModel(weights=rest[:d], bias=float(rest[d]),
                           lam=float(meta["lam"]), spec=spec)
     if kind == "mlp":
-        hidden = tuple(int(h) for h in meta["hidden"])
+        hidden = tuple(check_int("hidden", h, 1) for h in meta["hidden"])
         shapes = _mlp_shapes(d, hidden)
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         if ends[-1] != rest.size:

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import (ConstraintViolation, DegenerateView, InvalidConfig,
                      InvalidTolerance, ShapeMismatch, read_artifact, write_artifact)
-from .geometry import (CameraModel, aimed_camera, camera_from_dict,
-                       camera_to_dict, error_direction, inplane_basis,
+from .geometry import (CameraModel, aimed_camera, error_direction, inplane_basis,
                        inplane_component, inplane_norm, normalize_error,
                        project, scalar_error, unit, vec3)
 from .streams import keyed_generators
@@ -29,6 +28,7 @@ COMPONENT_STYLES = ("pin_header", "led", "cap_small", "dsub", "cap_large")
 HOLE_INTENSITY = 0.1
 PIN_INTENSITY = 0.5
 NOISE_SIGMA = 0.02
+CAMERA_F, CAMERA_R = 1000.0, 64  # a camera's focal length and image side (px) unless set
 
 # Glyph edges blend over this many pixels. Soft wide edges keep sub-pixel
 # glyph motion close to linear in pixel space, which the closed-form
@@ -64,7 +64,7 @@ class TimingModel:
         return n_cameras * (self.t_capture + self.t_infer) + self.t_move
 
 
-def default_cameras(nominal_hole, l, f: float = 1000.0, r: int = 64,
+def default_cameras(nominal_hole, l, f: float = CAMERA_F, r: int = CAMERA_R,
                     distance: float = 500.0) -> tuple:
     """Two calibrated cameras 90 degrees apart in azimuth, 45 deg elevation."""
     nominal_hole = np.asarray(nominal_hole, dtype=float)
@@ -99,8 +99,8 @@ class WorldConfig:
     peg_intensity=None renders no peg marking at all (contrast ablation for
     gate tests); otherwise it must be finite.
 
-    A camera is a CameraModel, its camera_to_dict form, or the shorthand
-    {"position": ..., "f": 1000.0, "r": 64} for a camera aimed at the
+    A camera is a CameraModel, its config_to_dict form, or the shorthand
+    {"position": ..., "f": CAMERA_F, "r": CAMERA_R} for a camera aimed at the
     nominal hole. No cameras means default_cameras. The cameras share one resolution.
     """
 
@@ -212,10 +212,10 @@ class WorldConfig:
         if isinstance(cam, CameraModel):
             return cam
         if "orientation" in cam:
-            return camera_from_dict(cam)
+            return CameraModel(**cam)
         return aimed_camera(np.asarray(cam["position"], dtype=float),
                             self.nominal_hole, self.insertion_direction,
-                            f=cam.get("f", 1000.0), r=cam.get("r", 64))
+                            f=cam.get("f", CAMERA_F), r=cam.get("r", CAMERA_R))
 
 
 @lru_cache(maxsize=16)
@@ -583,8 +583,6 @@ def spiral_search(worlds: Worlds, pattern, timing: TimingModel) -> Episodes:
     one by one. Every world's path not cleared by a rounding bound is checked for
     out-of-plane motion before any TCP is written: a failing path changes no world.
     """
-    if not len(worlds):
-        return Episodes.of([])
     cfg, basis = worlds.config, worlds.basis
     l, tol = cfg.insertion_direction, cfg.tolerance
     holes, origins = worlds.true_hole, worlds.tcp
@@ -686,8 +684,8 @@ def config_from_dict(cls, section, **nested):
 
 
 def _jsonable(value):
-    if isinstance(value, CameraModel):
-        return camera_to_dict(value)
+    if is_dataclass(value):  # a camera
+        return config_to_dict(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):

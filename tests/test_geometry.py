@@ -1,21 +1,22 @@
 """Error-direction geometry and least-squares reconstruction."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegservo.errors import (BehindCamera, DegenerateView, InsufficientViews,
                              InvalidConfig)
 from pegservo.geometry import (RANK_RATIO, CameraModel, _cross, _rank_deficient,
-                               aimed_camera, camera_from_dict,
-                               camera_to_dict, denormalize_error,
+                               aimed_camera, denormalize_error,
                                error_direction, inplane_basis,
                                inplane_component, inplane_norm,
                                normalize_error, project, reconstruct_error,
                                scalar_error, unit, vec3)
+from pegservo.sim import config_to_dict
 
 L = vec3(0.0, 0.0, -1.0)
 
@@ -301,7 +302,30 @@ def test_stacked_kernels_are_their_rows_bit_for_bit(data, rows, per_row):
 
 def test_camera_dict_roundtrip():
     cam = aimed_camera(vec3(100.0, -50.0, 400.0), vec3(0, 0, 0), L, 800.0, 48)
-    back = camera_from_dict(camera_to_dict(cam))
+    back = CameraModel(**config_to_dict(cam))
     assert np.array_equal(back.position, cam.position)
     assert np.array_equal(back.orientation, cam.orientation)
     assert (back.f, back.r, back.z) == (cam.f, cam.r, cam.z)
+
+
+def _camera_to_dict(cam: CameraModel) -> dict:
+    """A camera's JSON form as the library once wrote it by hand: the reference."""
+    return {
+        "position": [float(v) for v in cam.position],
+        "orientation": [[float(v) for v in row] for row in cam.orientation],
+        "f": float(cam.f),
+        "r": int(cam.r),
+        "z": float(cam.z),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach=st.floats(1.0, 1e6), azimuth=st.floats(-math.pi, math.pi),
+       height=st.floats(-1e6, 1e6), f=st.floats(1e-3, 1e9), r=st.integers(1, 4096))
+@example(reach=353.5, azimuth=-0.0, height=353.5, f=1000.0, r=64)
+def test_a_cameras_config_dict_is_the_hand_written_json(reach, azimuth, height, f, r):
+    # meta.json and every manifest write a camera through config_to_dict: the text is the
+    # one the hand-written camera JSON gave, -0.0 and the last digit of every float included
+    position = vec3(reach * math.cos(azimuth), reach * math.sin(azimuth), height)
+    cam = aimed_camera(position, vec3(0, 0, 0), L, f, r)
+    assert json.dumps(config_to_dict(cam)) == json.dumps(_camera_to_dict(cam))

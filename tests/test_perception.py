@@ -371,6 +371,49 @@ def test_malformed_artifact_is_typed(tmp_path, name, edit):
         (load_model if name == "model.json" else load_dataset)(tmp_path)
 
 
+@pytest.mark.parametrize("kind, edit", [
+    ("ridge", {"robust": "false"}), ("ridge", {"robust": 0}), ("ridge", {"r": 4.5}),
+    ("ridge", {"r": -4}), ("ridge", {"r": "4"}), ("ridge", {"lam": True}), ("ridge", {"lam": "1"}),
+    ("mlp", {"hidden": [2.5, 3]}), ("mlp", {"hidden": [0, 3]}), ("mlp", {"r": True}),
+    ("oracle", {"noise_sigma": True}), ("oracle", {"noise_sigma": "nan"}),
+    ("oracle", {"noise_sigma": math.nan}), ("oracle", {"noise_sigma": -0.5}),
+    ("oracle", {"noise_sigma": math.inf})], ids=str)
+def test_model_header_fields_are_checked_not_coerced(tmp_path, kind, edit):
+    # int(), float() and bool() once loaded robust "false" as True, r 4.5 as 4, r -4 as a
+    # -4 px model, noise_sigma true as 1.0 and a nan sigma, which turns the noise off
+    [(name, _)] = edit.items()
+    ds = synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal())
+    save_model({"ridge": lambda: train(*_split(ds, 1), TrainConfig(kind="ridge"))[0],
+                "mlp": lambda: init_mlp(ds, _mlp_hyper(hidden=(3, 3))),
+                "oracle": OracleModel}[kind](), tmp_path)
+    meta = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**meta, **edit}))
+    with pytest.raises(CorruptArtifact, match=rf"\b{name} must be"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("r", lambda meta: meta.update(r=4.9)), ("r", lambda meta: meta.update(r="4")),
+    ("r", lambda meta: meta.update(n=0, r=-1, columns={k: [] for k in meta["columns"]})),
+    ("n", lambda meta: meta.update(n="6")), ("n", lambda meta: meta.update(n=6.0)),
+    ("r", lambda meta: meta["cameras"][0].update(r=8)),  # mae_mm would scale by 8 px
+    ("camera_index", lambda meta: meta["columns"]["camera_index"].__setitem__(0, 5)),
+    ("camera_index", lambda meta: meta["columns"]["camera_index"].__setitem__(0, -1)),
+], ids=["r-float", "r-string", "r-negative", "n-string", "n-float", "r-not-the-cameras",
+        "camera-index-past-the-cameras", "camera-index-negative"])
+def test_dataset_header_fields_are_checked_not_coerced(tmp_path, name, edit):
+    # int() once loaded r 64.9 and "64" as 64, and a camera_index past the cameras
+    # loaded: train and evaluate dropped its row, and the oracle raised IndexError
+    save_dataset(synthetic_dataset(2, 3, 4, lambda x, rng: rng.normal()), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    edit(meta)
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    if meta["n"] == 0:
+        (tmp_path / "images.bin").write_bytes(b"")
+    with pytest.raises(CorruptArtifact, match=rf"\b{name} must"):
+        load_dataset(tmp_path)
+
+
 def test_schema_1_artifacts_are_refused(tmp_path):
     # the two directories as schema 1 wrote them: one JSON object per sample
     # in meta.json, float32 weights.bin

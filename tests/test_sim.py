@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import true_inplane_error
 from pegservo.errors import ConstraintViolation, InvalidConfig, InvalidTolerance
-from pegservo.geometry import (aimed_camera, camera_to_dict,
-                               denormalize_error, error_direction,
+from pegservo.geometry import (aimed_camera, denormalize_error, error_direction,
                                inplane_basis, normalize_error, project,
                                scalar_error, vec3)
 from pegservo import pipeline
@@ -477,6 +476,19 @@ def test_spiral_warns_on_tolerance_mismatch():
     assert ["pattern tolerance" in str(c.message) for c in caught] == [True]
 
 
+def test_an_empty_block_searches_to_the_columns_of_a_one_world_block():
+    # an empty block once returned Episodes.of([]), whose attempts column was float64
+    config = _quiet_world().config
+    pattern = generate_pattern(config.tolerance, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty, one = (spiral_search(new_worlds(config, range(n)), pattern, TimingModel())
+                      for n in (0, 1))
+    assert len(empty) == 0 and len(one) == 1
+    assert ({name: c.dtype for name, c in empty.columns.items()}
+            == {name: c.dtype for name, c in one.columns.items()})
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), tol=st.floats(1e-12, 10.0))
 def test_spiral_warns_exactly_when_np_isclose_says_false(data, tol):
@@ -561,8 +573,8 @@ def test_camera_shorthand_aims_at_the_nominal_hole():
         cfg = config_from_dict(WorldConfig, {"nominal_hole": [1.0, 2.0, 0.0], "cameras": cams})
         want = [aimed_camera(vec3(300.0, 2.0, 300.0), hole, L, f=1000.0, r=r or 64),
                 aimed_camera(vec3(1.0, 300.0, 300.0), hole, L, f=900.0, r=r or 64)]
-        assert [camera_to_dict(c) for c in cfg.cameras] == \
-            [camera_to_dict(c) for c in want]
+        assert [config_to_dict(c) for c in cfg.cameras] == \
+            [config_to_dict(c) for c in want]
 
 
 def test_cameras_of_two_resolutions_are_refused():
@@ -585,14 +597,14 @@ def test_camera_fields_are_checked_not_coerced(edit):
     [(name, _)] = edit.items()
     other = {"position": [0.0, 353.5, 353.5]}
     shorthand = {"position": [353.5, 0.0, 353.5]}
-    full = camera_to_dict(aimed_camera(vec3(353.5, 0.0, 353.5), vec3(0, 0, 0), L,
+    full = config_to_dict(aimed_camera(vec3(353.5, 0.0, 353.5), vec3(0, 0, 0), L,
                                        f=1000.0, r=64))
     for cam in (shorthand, full):
         with pytest.raises(InvalidConfig, match=f"^camera {name} must be"):
             config_from_dict(WorldConfig, {"cameras": [{**cam, **edit}, other]})
     for cam in (shorthand, full):  # an integral r is an int
         cfg = config_from_dict(WorldConfig, {"cameras": [{**cam, "r": 64.0}, other]})
-        assert type(cfg.cameras[0].r) is int and camera_to_dict(cfg.cameras[0]) == full
+        assert type(cfg.cameras[0].r) is int and config_to_dict(cfg.cameras[0]) == full
 
 
 def test_world_from_dict_rejects_unknown_keys():
